@@ -18,11 +18,11 @@ import (
 
 // loadgenReport is the JSON document -loadgen prints: HTTP-level ingest and
 // query throughput against a live dgserve, per-request latency percentiles,
-// plus the final epoch's metadata. (The engine-level and service-level
-// numbers live in the dgsim -bench-json report; this measures the full HTTP
-// stack.) Latencies are client-side — request start to body drained — and
-// the percentiles are interpolated from fixed-bucket histograms, so they are
-// estimates with bucket-resolution error, not exact order statistics.
+// plus the final epoch's metadata. (Paired, per-layer measurements live in
+// benchmark/; this is a one-shot probe of the full HTTP stack.) Latencies
+// are client-side — request start to body drained — and the percentiles are
+// interpolated from fixed-bucket histograms, so they are estimates with
+// bucket-resolution error, not exact order statistics.
 //
 // Shed and rejected traffic is accounted separately from Errors: a 429 or
 // 503 is the server keeping its overload contract, and a 400/413 answered to

@@ -9,7 +9,7 @@ import (
 	"diffgossip/internal/service"
 )
 
-// The HTTP surface lives in internal/httpapi (so the bench harness drives
+// The HTTP surface lives in internal/httpapi (so the benchmark drives
 // the same ingress path production serves); these aliases keep this
 // package's tests and the loadgen reading naturally.
 type (

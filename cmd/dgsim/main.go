@@ -13,12 +13,10 @@
 //	dgsim -exp scaling                         # Theorem 5.1/5.2 check
 //	dgsim -exp factor                          # eq. (17) damping check
 //	dgsim -exp all -quick                      # everything, small sizes
-//	dgsim -bench-json BENCH_1.json             # perf-trajectory benchmark
 //
 // Flags -csv, -seed, -n and -quick adjust output format, determinism and
-// scale. -bench-json runs the scalar and vector engines on Fig3/Table2-class
-// workloads and writes ns/step, msgs/node/step, steps and allocs/step as
-// JSON to the given path instead of running experiments.
+// scale. Everything dgsim prints is a count (steps, messages, RMS error);
+// timed measurements live in benchmark/ (see docs/BENCH.md).
 package main
 
 import (
@@ -32,23 +30,15 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: table1|table2|fig3|fig4|fig5|fig6|scaling|factor|whitewash|baselines|profile|churn|all")
-		seed      = flag.Uint64("seed", 42, "random seed (all experiments are deterministic given the seed)")
-		n         = flag.Int("n", 0, "override network size where applicable (fig4/fig5/fig6/factor/churn/scenario/bench)")
-		quick     = flag.Bool("quick", false, "use reduced sweeps (N up to 1000) for fast runs")
-		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		benchJSON = flag.String("bench-json", "", "run the perf benchmark instead of experiments and write the JSON report to this path (e.g. BENCH_1.json)")
-		scen      = flag.String("scenario", "", "run one churn/fault scenario instead of experiments; comma-separated spec, e.g. \"crash=0.1,join=0.1,loss=0.2,rounds=250\" (keys: target, rounds, epsilon, loss, crash, join, leave, rejoin, collude, collude-at, lie, partition, partition-span, partition-at, epoch-every)")
+		exp   = flag.String("exp", "all", "experiment: table1|table2|fig3|fig4|fig5|fig6|scaling|factor|whitewash|baselines|profile|churn|all")
+		seed  = flag.Uint64("seed", 42, "random seed (all experiments are deterministic given the seed)")
+		n     = flag.Int("n", 0, "override network size where applicable (fig4/fig5/fig6/factor/whitewash/baselines/profile/churn/scenario)")
+		quick = flag.Bool("quick", false, "use reduced sweeps (N up to 1000) for fast runs")
+		csv   = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		scen  = flag.String("scenario", "", "run one churn/fault scenario instead of experiments; comma-separated spec, e.g. \"crash=0.1,join=0.1,loss=0.2,rounds=250\" (keys: target, rounds, epsilon, loss, crash, join, leave, rejoin, collude, collude-at, lie, partition, partition-span, partition-at, epoch-every)")
 	)
 	flag.Parse()
 
-	if *benchJSON != "" {
-		if err := runBench(*benchJSON, *seed, *n, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "dgsim: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *scen != "" {
 		if err := runScenario(os.Stdout, *scen, *n, *seed, *csv); err != nil {
 			fmt.Fprintf(os.Stderr, "dgsim: %v\n", err)
@@ -60,34 +50,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dgsim: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// runBench executes the perf-trajectory benchmark and writes its JSON report
-// to path. -n overrides the scalar workload size; -quick shrinks both
-// workloads for CI smoke runs.
-func runBench(path string, seed uint64, n int, quick bool) error {
-	cfg := sim.BenchConfig{N: n, Seed: seed}
-	if quick {
-		if cfg.N == 0 {
-			cfg.N = 1000
-		}
-		cfg.VectorN = 300
-		cfg.ShardN = 600
-		cfg.Shards = 12
-	}
-	report, err := sim.RunBench(cfg)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := report.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func run(w io.Writer, exp string, seed uint64, n int, quick, csv bool) error {

@@ -439,14 +439,16 @@ func TestClusterRaceHammer(t *testing.T) {
 			}
 		}(w)
 	}
-	time.Sleep(150 * time.Millisecond)
-	close(done)
-	for _, nd := range nodes {
-		nd.Close()
-	}
+	// Keep hammering until every node has applied a replicated entry.
+	deadline := time.Now().Add(30 * time.Second)
 	for i, nd := range nodes {
-		if st := nd.Stats(); st.EntriesApplied == 0 {
-			t.Fatalf("node %d never applied a replicated entry: %+v", i, st)
+		for nd.Stats().EntriesApplied == 0 {
+			if time.Now().After(deadline) {
+				close(done)
+				t.Fatalf("node %d never applied a replicated entry: %+v", i, nd.Stats())
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
+	close(done)
 }

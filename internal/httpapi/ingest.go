@@ -12,7 +12,6 @@ import (
 	"strconv"
 
 	"diffgossip/internal/obs"
-	"diffgossip/internal/service"
 	"diffgossip/internal/store"
 )
 
@@ -74,8 +73,7 @@ func (s *Server) retryAfterSeconds() int {
 
 // shedBackpressure answers 429 with the Retry-After horizon. The check runs
 // BEFORE the request body is read: refusing is nearly free, which is exactly
-// what keeps read latency flat while writers flood (see the bench's
-// overload rows).
+// what keeps read latency flat while writers flood.
 func (s *Server) shedBackpressure(w http.ResponseWriter) {
 	s.m.refused[refusedBackpressure].Inc()
 	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
@@ -288,7 +286,3 @@ func peekNonSpace(br *bufio.Reader) (byte, error) {
 		return b, br.UnreadByte()
 	}
 }
-
-// Service returns the reputation service behind the front door; the bench
-// harness and tests use it to force epochs and read views directly.
-func (s *Server) Service() *service.Service { return s.svc }

@@ -1,6 +1,6 @@
 // Package httpapi is the production HTTP/JSON front door of the reputation
-// service: the ingress surface cmd/dgserve serves and the surface the bench
-// harness (internal/sim) drives, so every measured number exercises the real
+// service: the ingress surface cmd/dgserve serves and the surface the
+// benchmark (benchmark/) drives, so every measured number exercises the real
 // request path — batch ingest, backpressure, limits and conditional reads
 // included.
 //

@@ -188,13 +188,10 @@ func TestSlowDiskDoesNotStallIngestOrCompute(t *testing.T) {
 	}()
 	<-entered // epoch 1 is published and now stuck in its persistence phase
 
-	// Ingest must be unaffected.
-	start := time.Now()
+	// Ingest must be unaffected: Submit returning while release is still
+	// open is the proof (a stalled Submit hangs the test instead).
 	if _, err := s.Submit(4, 5, 0.7); err != nil {
 		t.Fatal(err)
-	}
-	if d := time.Since(start); d > 200*time.Millisecond {
-		t.Fatalf("Submit stalled %v behind a slow disk", d)
 	}
 
 	// The next epoch's compute must also proceed: its publication becomes

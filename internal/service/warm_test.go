@@ -258,6 +258,73 @@ func TestWarmStartDisabled(t *testing.T) {
 	}
 }
 
+// TestWarmEpochSpendsFifthOfColdSteps pins the warm-start claim as a count:
+// twin services differing only in NoWarmStart fold an identical base batch,
+// then an identical second batch re-rating 5% of the subjects from a rater
+// each already has. Modulo shard placement makes that slice dirty every
+// shard, so both twins refold every subject, and the warm twin must do it in
+// at most a fifth of the cold twin's campaign steps.
+func TestWarmEpochSpendsFifthOfColdSteps(t *testing.T) {
+	const n, shards, raters = 120, 6, 12
+	g := testGraph(t, n, 7)
+	twin := func(noWarm bool) *Service {
+		return newTestService(t, n, Config{
+			Graph:       g,
+			Params:      core.Params{Epsilon: 1e-6, Seed: 11},
+			Shards:      shards,
+			NoWarmStart: noWarm,
+		})
+	}
+	warm, cold := twin(false), twin(true)
+
+	src := rng.New(31)
+	rate := func(j, i int) {
+		t.Helper()
+		v := src.Float64()
+		for _, s := range []*Service{warm, cold} {
+			if _, err := s.Submit((j+1+i)%n, j, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	epoch := func(s *Service) *View {
+		t.Helper()
+		v, ran, err := s.RunEpoch()
+		if err != nil || !ran {
+			t.Fatalf("epoch ran=%v err=%v", ran, err)
+		}
+		if !v.Converged() {
+			t.Fatal("epoch did not converge")
+		}
+		return v
+	}
+
+	for j := 0; j < n; j++ {
+		for i := 0; i < raters; i++ {
+			rate(j, i)
+		}
+	}
+	epoch(warm)
+	epoch(cold)
+	for j := 0; j < n/20; j++ {
+		rate(j, 0)
+	}
+	warmSteps, coldSteps := epoch(warm).TotalSteps(), epoch(cold).TotalSteps()
+
+	if warm.FoldedSubjects() != cold.FoldedSubjects() || cold.FoldedSubjects() != 2*n {
+		t.Fatalf("twins folded different work: warm %d, cold %d, want %d each", warm.FoldedSubjects(), cold.FoldedSubjects(), 2*n)
+	}
+	if warm.WarmStarts() == 0 {
+		t.Fatal("warm twin started no campaign warm")
+	}
+	if cold.ColdStarts() != cold.FoldedSubjects() {
+		t.Fatalf("NoWarmStart twin: cold starts %d != folded subjects %d", cold.ColdStarts(), cold.FoldedSubjects())
+	}
+	if coldSteps == 0 || 5*warmSteps > coldSteps {
+		t.Fatalf("warm epoch spent %d campaign steps, want at most a fifth of cold's %d", warmSteps, coldSteps)
+	}
+}
+
 // TestWarmColdEpochHammer alternates warm and cold epochs under concurrent
 // ingest and reads — the race job runs this with -race to shake out
 // publication hazards around the shared warm states and engine reuse.

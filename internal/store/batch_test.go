@@ -105,6 +105,48 @@ func TestLedgerAppendBatchPersistReplay(t *testing.T) {
 	}
 }
 
+// TestLedgerAppendBatchOneFsync pins the batch-ingest claim as a count: a
+// 1,024-entry batch on a file-backed ledger costs exactly one fsync (the
+// counter behind diffgossip_store_wal_fsyncs_total) and every entry survives
+// a reopen.
+func TestLedgerAppendBatchOneFsync(t *testing.T) {
+	const n, size = 64, 1024
+	path := filepath.Join(t.TempDir(), "ledger.jsonl")
+	l, _, err := OpenLedger(path, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]Feedback, size)
+	for k := range batch {
+		batch[k] = Feedback{Rater: k % n, Subject: (k/n + k%n + 1) % n, Value: float64(k) / size, UnixNano: int64(k + 1)}
+	}
+	before := l.mFsyncs.Value()
+	if _, _, err := l.AppendBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.mFsyncs.Value() - before; got != 1 {
+		t.Fatalf("AppendBatch of %d entries issued %d fsyncs, want exactly 1", size, got)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, replayed, err := OpenLedger(path, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if len(replayed) != size {
+		t.Fatalf("replayed %d entries, want %d", len(replayed), size)
+	}
+	for k, fb := range replayed {
+		want := batch[k]
+		want.Seq = uint64(k + 1)
+		if fb != want {
+			t.Fatalf("replayed[%d] = %+v, want %+v", k, fb, want)
+		}
+	}
+}
+
 func TestLedgerAppendBatchHistory(t *testing.T) {
 	l := NewLedger(8)
 	if err := l.EnableReplication(nil); err != nil {
