@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -58,7 +59,7 @@ func TestBatchSingleEquivalence(t *testing.T) {
 	}
 	defer ref.Close()
 	for _, r := range ratings {
-		if _, err := ref.SubmitAt(r.rater, r.subject, r.value, r.ts); err != nil {
+		if _, err := ref.SubmitCtx(context.Background(), r.rater, r.subject, r.value, r.ts); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -171,7 +172,7 @@ func TestHintedHandoffReplay(t *testing.T) {
 	epB.Close()
 	ndB.Close()
 	for i := 0; i < 5; i++ {
-		if _, err := svcA.SubmitAt(1, 2+i, 0.5, int64(100+i)); err != nil {
+		if _, err := svcA.SubmitCtx(context.Background(), 1, 2+i, 0.5, int64(100+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -230,7 +231,7 @@ func TestHintQueueBounded(t *testing.T) {
 	epB.Close()
 	ndB.Close()
 	for i := 0; i < 8; i++ {
-		if _, err := svcA.SubmitAt(1, 2+i, 0.5, int64(100+i)); err != nil {
+		if _, err := svcA.SubmitCtx(context.Background(), 1, 2+i, 0.5, int64(100+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -267,7 +268,7 @@ func TestHintLogSurvivesRestart(t *testing.T) {
 	epB.Close()
 	ndB.Close()
 	for i := 0; i < 3; i++ {
-		if _, err := svcA.SubmitAt(1, 2+i, 0.5, int64(100+i)); err != nil {
+		if _, err := svcA.SubmitCtx(context.Background(), 1, 2+i, 0.5, int64(100+i)); err != nil {
 			t.Fatal(err)
 		}
 	}

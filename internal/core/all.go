@@ -12,7 +12,7 @@ import (
 )
 
 // ColumnSource is the trust input a subject-subset aggregation folds from:
-// the live master matrix (the monolithic path) or a frozen per-shard
+// a trust.Matrix (the library's one-shot path) or a frozen per-shard
 // trust.Columns (the sharded service's fold path).
 type ColumnSource interface {
 	// N is the node-id bound.

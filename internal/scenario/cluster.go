@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -249,7 +250,7 @@ func (t *clusterTarget) Step() bool {
 			if !a || j == i || home < 0 {
 				continue // dead client, self-rating, or whole cluster down
 			}
-			if _, err := t.svcs[home].SubmitAt(i, j, v, t.nextStamp()); err != nil {
+			if _, err := t.svcs[home].SubmitCtx(context.Background(), i, j, v, t.nextStamp()); err != nil {
 				t.epochErr = err
 				break
 			}
@@ -389,7 +390,7 @@ func (t *clusterTarget) Collude(group []int, lie float64) error {
 			if home < 0 {
 				continue
 			}
-			if _, err := t.svcs[home].SubmitAt(i, j, lie, t.nextStamp()); err != nil {
+			if _, err := t.svcs[home].SubmitCtx(context.Background(), i, j, lie, t.nextStamp()); err != nil {
 				return err
 			}
 		}

@@ -109,26 +109,31 @@ func (s *Service) InstallBootstrap(st *StateTransfer) error {
 		if seg.N != s.n {
 			return fmt.Errorf("service: bootstrap transfer is for N=%d, this service has N=%d", seg.N, s.n)
 		}
-	}
-	for _, fb := range st.Folded {
-		if fb.Origin == "" || fb.Origin == s.cfg.Origin {
-			return fmt.Errorf("service: bootstrap transfer contains this node's own stream (origin %q) — rejoin with a fresh identity", fb.Origin)
+		if seg.Shard != i || seg.Shards != len(st.Segments) {
+			return fmt.Errorf("service: bootstrap transfer segment %d does not fit the layout (shard %d/%d)", i, seg.Shard, seg.Shards)
 		}
 	}
-	for _, fb := range st.Tail {
-		if fb.Origin == "" || fb.Origin == s.cfg.Origin {
-			return fmt.Errorf("service: bootstrap transfer contains this node's own stream (origin %q) — rejoin with a fresh identity", fb.Origin)
+	for _, list := range [][]store.Feedback{st.Folded, st.Tail} {
+		for _, fb := range list {
+			if fb.Origin == "" || fb.Origin == s.cfg.Origin {
+				return fmt.Errorf("service: bootstrap transfer contains this node's own stream (origin %q) — rejoin with a fresh identity", fb.Origin)
+			}
 		}
 	}
-	segs := st.Segments
-	if len(segs) != s.shards {
-		// The sender runs a different shard layout; restitch along ours.
-		full, err := store.StitchSnapshot(segs)
-		if err != nil {
+	// The transfer's segments are the sender's live publications when the
+	// hand-off is in-process, so the rebase below must write into copies.
+	var segs []*store.ShardSnapshot
+	if len(st.Segments) != s.shards {
+		// The sender runs a different shard layout; regroup along ours.
+		var err error
+		if segs, err = store.Reshard(st.Segments, s.shards); err != nil {
 			return fmt.Errorf("service: bootstrap: %w", err)
 		}
-		if segs, err = store.SplitSnapshot(full, s.shards); err != nil {
-			return fmt.Errorf("service: bootstrap: %w", err)
+	} else {
+		segs = make([]*store.ShardSnapshot, s.shards)
+		for sh, seg := range st.Segments {
+			cp := *seg
+			segs[sh] = &cp
 		}
 	}
 
@@ -154,7 +159,7 @@ func (s *Service) InstallBootstrap(st *StateTransfer) error {
 
 	// 2. Anything we retain past the sender's shipped coverage — entries the
 	// sender had never seen when it captured its marks — must refold, or
-	// replacing the master state below would silently drop their writes.
+	// replacing the published columns below would silently drop their writes.
 	var repend []store.Feedback
 	rependStreams := []string{""}
 	for o := range s.ledger.OriginMarks() {
@@ -185,13 +190,6 @@ func (s *Service) InstallBootstrap(st *StateTransfer) error {
 	for sh, seg := range segs {
 		seg.Epoch = epoch
 		seg.Seq = segSeq[sh]
-	}
-	full, err := store.StitchSnapshot(segs)
-	if err != nil {
-		return fmt.Errorf("service: bootstrap: %w", err)
-	}
-	s.master = full.Trust
-	for sh, seg := range segs {
 		s.states[sh].Store(seg)
 	}
 	s.epochs.Store(epoch)

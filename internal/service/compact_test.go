@@ -194,6 +194,52 @@ func TestServiceBootstrapInstall(t *testing.T) {
 		}
 	}
 
+	// An in-process transfer carries the sender's LIVE publications: a
+	// receiver in a different sequence space (two local epochs, three local
+	// entries) must rebase copies, never the sender's segments themselves.
+	c := mk("node-c")
+	for k := 0; k < 3; k++ {
+		if _, err := c.Submit(k, k+1, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		if k < 2 {
+			if _, _, err := c.RunEpoch(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sent := a.View()
+	sentSeq := sent.Seq()
+	sentEpochs := make([]uint64, a.Shards())
+	for sh := range sentEpochs {
+		sentEpochs[sh] = sent.Shard(sh).Epoch
+	}
+	st2, err := a.BootstrapState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.InstallBootstrap(st2); err != nil {
+		t.Fatal(err)
+	}
+	if c.View().Epoch() == sentEpochs[0] {
+		t.Fatal("receiver rebased into the sender's own epoch; the probe below proves nothing")
+	}
+	after := a.View()
+	if after.Seq() != sentSeq {
+		t.Fatalf("install moved the sender's view from seq %d to %d", sentSeq, after.Seq())
+	}
+	for sh, want := range sentEpochs {
+		if after.Shard(sh) != sent.Shard(sh) || after.Shard(sh).Epoch != want {
+			t.Fatalf("install rewrote the sender's shard %d publication: epoch %d, want %d", sh, after.Shard(sh).Epoch, want)
+		}
+	}
+	for j := 0; j < 30; j++ {
+		want, _ := va2.Reputation(j)
+		if got, _ := after.Reputation(j); got != want {
+			t.Fatalf("subject %d: sender serves %v after the install, %v before", j, got, want)
+		}
+	}
+
 	// A transfer carrying the receiver's own stream is refused outright.
 	bad := &StateTransfer{
 		Segments: st.Segments,

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 )
@@ -49,11 +50,11 @@ func TestLWWOppositeArrivalOrders(t *testing.T) {
 	a, b := lwwPair(t, 16)
 
 	// a accepts the older write locally, b the newer one.
-	seqA, err := a.SubmitAt(1, 2, 0.25, 100)
+	seqA, err := a.SubmitCtx(context.Background(), 1, 2, 0.25, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqB, err := b.SubmitAt(1, 2, 0.75, 200)
+	seqB, err := b.SubmitCtx(context.Background(), 1, 2, 0.75, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +81,11 @@ func TestLWWOppositeArrivalOrders(t *testing.T) {
 func TestLWWTimestampTieBreaksOnOrigin(t *testing.T) {
 	a, b := lwwPair(t, 16)
 
-	seqA, err := a.SubmitAt(3, 5, 0.1, 500)
+	seqA, err := a.SubmitCtx(context.Background(), 3, 5, 0.1, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqB, err := b.SubmitAt(3, 5, 0.9, 500)
+	seqB, err := b.SubmitCtx(context.Background(), 3, 5, 0.9, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestLWWTagsSurviveRestart(t *testing.T) {
 		return s
 	}
 	s := mk()
-	if _, err := s.SubmitAt(4, 6, 0.8, 900); err != nil {
+	if _, err := s.SubmitCtx(context.Background(), 4, 6, 0.8, 900); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := s.RunEpoch(); err != nil {

@@ -4,14 +4,17 @@
 //   - the feedback ledger (internal/store.Ledger): the ingest path, cheap
 //     appends that never touch epoch state, tracking which subject shards
 //     the pending batch has dirtied;
-//   - the shard scheduler: RunEpoch (or the background loop) folds the
-//     pending batch into the master trust matrix and recomputes only the
+//   - the shard scheduler: RunEpoch (or the background loop) groups the
+//     pending batch's last-writer-wins cells by shard and recomputes only the
 //     dirty shards — each shard an independent set of per-subject push-sum
 //     campaigns (core.GlobalSubjects) on the flat gossip kernels, dispatched
 //     to a bounded worker pool; clean shards cost zero compute;
 //   - the published shard snapshots: one atomic.Pointer per shard, stored as
 //     its fold completes. Readers stitch the current pointers into a
-//     composite View — lock-free, snapshot-consistent per shard.
+//     composite View — lock-free, snapshot-consistent per shard. A shard's
+//     published columns are also the only copy of its folded trust state:
+//     the next fold builds its columns from them plus the batch's cells
+//     (trust.Columns.With).
 //
 // # Consistency model
 //
@@ -32,10 +35,10 @@
 // disk delays durability, never ingest, reads or the next epoch's compute.
 // The ledger is fsynced before any segment, so after a crash the on-disk
 // WAL always covers everything the on-disk segments claim to have folded;
-// a restarted service replays only the per-shard unfolded tails. Data
-// directories written by the pre-shard format (a single snapshot.gob) are
-// migrated to the manifest + segment layout on first boot, preserving the
-// served reputations exactly.
+// a restarted service replays only the per-shard unfolded tails. One on-disk
+// format is read: a directory from the pre-shard format (a snapshot.gob and
+// no manifest) or a segment of another wire version is refused at boot,
+// untouched, with an error naming the file and the supported version.
 package service
 
 import (
@@ -179,11 +182,10 @@ type Service struct {
 	graphFP uint64
 	warmOK  bool
 
-	// epochMu serialises epoch compute and guards master and lww, the only
-	// mutable trust state. Readers never take it; neither does the
-	// persistence phase.
+	// epochMu serialises epoch compute and guards lww, the only mutable
+	// trust state (the folded values themselves live in the published shard
+	// columns). Readers never take it; neither does the persistence phase.
 	epochMu sync.Mutex
-	master  *trust.Matrix
 	// lww maps cell id (rater*n + subject) to the winning write's tag; the
 	// fold skips any entry older than its cell's winner, making the folded
 	// state independent of arrival order. Rebuilt from the WAL on boot.
@@ -249,19 +251,20 @@ type Service struct {
 type epochError struct{ err error }
 
 const (
-	ledgerFile         = "ledger.jsonl"
-	legacySnapshotFile = "snapshot.gob"
-	manifestFile       = "manifest.json"
+	ledgerFile   = "ledger.jsonl"
+	manifestFile = "manifest.json"
+	// preShardFile is the single-snapshot format's file name; a directory
+	// holding it without a manifest is refused, not migrated.
+	preShardFile = "snapshot.gob"
 )
 
 func ledgerPath(dir string) string   { return filepath.Join(dir, ledgerFile) }
-func legacyPath(dir string) string   { return filepath.Join(dir, legacySnapshotFile) }
 func manifestPath(dir string) string { return filepath.Join(dir, manifestFile) }
 func shardPath(dir string, shard int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%04d.gob", shard))
 }
 
-// New builds a Service, loading (and if needed migrating) persisted state
+// New builds a Service, loading (and if needed resharding) persisted state
 // from cfg.Dir when set, and starts the epoch scheduler if cfg.EpochInterval
 // > 0. Close releases it.
 func New(cfg Config) (*Service, error) {
@@ -331,7 +334,6 @@ func New(cfg Config) (*Service, error) {
 		for sh := range segs {
 			segs[sh] = store.NewBootShardSnapshot(n, sh, shards, now)
 		}
-		s.master = trust.NewMatrix(n)
 	}
 	var maxEpoch uint64
 	for sh, seg := range segs {
@@ -362,10 +364,9 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// loadDir opens (creating, migrating or resharding as needed) a persistent
-// data directory: it returns the shard segments to publish, sets s.master
-// to the stitched trust state, and leaves s.ledger open with the unfolded
-// tail pending.
+// loadDir opens (creating or resharding as needed) a persistent data
+// directory: it returns the shard segments to publish (nil for a fresh
+// directory) and leaves s.ledger open with the unfolded tail pending.
 func (s *Service) loadDir() ([]*store.ShardSnapshot, error) {
 	dir := s.cfg.Dir
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -378,25 +379,16 @@ func (s *Service) loadDir() ([]*store.ShardSnapshot, error) {
 
 	var segs []*store.ShardSnapshot
 	freshLayout := false // segments/manifest need (re)writing before use
-	switch {
-	case manifest == nil:
-		// No manifest: either a fresh directory or the pre-shard format.
-		legacy, err := store.LoadSnapshotFile(legacyPath(dir))
-		if err != nil {
-			return nil, err
+	if manifest == nil {
+		// No manifest: a fresh directory (boot segments, manifest written
+		// below) — unless the pre-shard format's file is there, in which case
+		// treating the directory as fresh would silently refold the whole WAL
+		// over state the operator believes is persisted.
+		if _, err := os.Stat(filepath.Join(dir, preShardFile)); err == nil {
+			return nil, fmt.Errorf("service: %s holds %s but no %s: a pre-shard data directory, which this build does not migrate (it reads only the %s + shard-NNNN.gob layout)",
+				dir, preShardFile, manifestFile, manifestFile)
 		}
-		if legacy == nil {
-			break // fresh directory; boot segments, manifest written below
-		}
-		if legacy.N != s.n {
-			return nil, fmt.Errorf("service: persisted snapshot is for N=%d, graph has N=%d", legacy.N, s.n)
-		}
-		segs, err = store.SplitSnapshot(legacy, s.shards)
-		if err != nil {
-			return nil, err
-		}
-		freshLayout = true
-	default:
+	} else {
 		if manifest.N != s.n {
 			return nil, fmt.Errorf("service: data dir is for N=%d, graph has N=%d", manifest.N, s.n)
 		}
@@ -423,51 +415,37 @@ func (s *Service) loadDir() ([]*store.ShardSnapshot, error) {
 			segs[sh] = seg
 		}
 		if manifest.Shards != s.shards {
-			// Reshard: stitch the old layout and split along the new one.
-			// The stitched Seq is the conservative minimum, so any entries
-			// some old shards had already folded simply replay (folds are
-			// idempotent).
-			full, err := store.StitchSnapshot(segs)
-			if err != nil {
-				return nil, err
-			}
-			segs, err = store.SplitSnapshot(full, s.shards)
-			if err != nil {
+			// Reshard: the new segments take the conservative minimum Seq,
+			// so any entries some old shards had already folded simply
+			// replay (folds are idempotent).
+			if segs, err = store.Reshard(segs, s.shards); err != nil {
 				return nil, err
 			}
 			freshLayout = true
 		}
 	}
 
-	if segs != nil {
-		full, err := store.StitchSnapshot(segs)
-		if err != nil {
-			return nil, err
-		}
-		s.master = full.Trust // stitched fresh, owned by the service
-	} else {
-		s.master = trust.NewMatrix(s.n)
-	}
-
 	// Validate before mutating: the ledger-truncation guard must run before
-	// any migration or reshard write, so a directory that should be refused
-	// is refused untouched (and the operator diagnoses exactly what the
-	// last process left behind).
+	// any reshard write, so a directory that should be refused is refused
+	// untouched (and the operator diagnoses exactly what the last process
+	// left behind).
 	ledger, replayed, err := store.OpenLedger(ledgerPath(dir), s.n)
 	if err != nil {
 		return nil, err
 	}
 	s.ledger = ledger
-	if err := s.ledger.SetShards(s.shards); err != nil {
+	fail := func(err error) ([]*store.ShardSnapshot, error) {
 		ledger.Close()
 		return nil, err
+	}
+	if err := s.ledger.SetShards(s.shards); err != nil {
+		return fail(err)
 	}
 	if s.cfg.Replicate {
 		// Seed the per-origin history and watermarks from the full replay,
 		// so anti-entropy pulls and duplicate detection survive restarts.
 		if err := s.ledger.EnableReplication(replayed); err != nil {
-			ledger.Close()
-			return nil, err
+			return fail(err)
 		}
 	}
 	// A segment claiming more folded entries than the ledger ever assigned
@@ -475,47 +453,35 @@ func (s *Service) loadDir() ([]*store.ShardSnapshot, error) {
 	// snapshots — refuse to serve silently-corrupt state.
 	var maxSeq uint64
 	for _, seg := range segs {
-		if seg != nil && seg.Seq > maxSeq {
-			maxSeq = seg.Seq
-		}
+		maxSeq = max(maxSeq, seg.Seq)
 	}
 	if ledger.Seq() < maxSeq {
-		ledger.Close()
-		return nil, fmt.Errorf("service: ledger ends at seq %d but a segment has folded seq %d — ledger truncated or mismatched",
-			ledger.Seq(), maxSeq)
+		return fail(fmt.Errorf("service: ledger ends at seq %d but a segment has folded seq %d — ledger truncated or mismatched",
+			ledger.Seq(), maxSeq))
 	}
 
 	// Persist the (validated) layout before serving it: segments first,
-	// manifest last, so a crash mid-migration leaves the directory readable
-	// by the old path. (The legacy snapshot.gob is kept but ignored once a
-	// manifest exists.)
-	persistLayout := func() error {
-		if freshLayout {
-			for _, seg := range segs {
-				if err := seg.SaveFile(shardPath(dir, seg.Shard)); err != nil {
-					return err
-				}
+	// manifest last, so a crash mid-reshard leaves the old manifest in charge
+	// and the mismatched segments are discarded as never folded (above).
+	if freshLayout {
+		for _, seg := range segs {
+			if err := seg.SaveFile(shardPath(dir, seg.Shard)); err != nil {
+				return fail(err)
 			}
 		}
-		if freshLayout || manifest == nil {
-			m := store.Manifest{N: s.n, Shards: s.shards, CreatedUnixNano: time.Now().UnixNano()}
-			if err := store.SaveManifestFile(m, manifestPath(dir)); err != nil {
-				return err
-			}
-		}
-		if manifest != nil && manifest.Shards > s.shards {
-			// Downsharding leaves old high-index segment files behind;
-			// remove them (best effort) so the directory lists only the
-			// live layout.
-			for sh := s.shards; sh < manifest.Shards; sh++ {
-				os.Remove(shardPath(dir, sh))
-			}
-		}
-		return nil
 	}
-	if err := persistLayout(); err != nil {
-		ledger.Close()
-		return nil, err
+	if freshLayout || manifest == nil {
+		m := store.Manifest{N: s.n, Shards: s.shards, CreatedUnixNano: time.Now().UnixNano()}
+		if err := store.SaveManifestFile(m, manifestPath(dir)); err != nil {
+			return fail(err)
+		}
+	}
+	if manifest != nil {
+		// Downsharding leaves old high-index segment files behind; remove
+		// them (best effort) so the directory lists only the live layout.
+		for sh := s.shards; sh < manifest.Shards; sh++ {
+			os.Remove(shardPath(dir, sh))
+		}
 	}
 	// Entries already folded into their subject's shard are dropped; the
 	// per-shard tails past each segment's Seq wait for the next epoch. The
@@ -568,20 +534,15 @@ func (s *Service) Submit(rater, subject int, value float64) (uint64, error) {
 	return s.ledger.Append(rater, subject, value, time.Now().UnixNano())
 }
 
-// SubmitAt is Submit with a caller-supplied timestamp — the LWW coordinate
-// of the write. Deterministic drivers (scenario tests, replayed workloads)
-// use it to pin conflict resolution; live traffic uses Submit.
-func (s *Service) SubmitAt(rater, subject int, value float64, unixNano int64) (uint64, error) {
-	return s.ledger.Append(rater, subject, value, unixNano)
-}
-
 // SubmitCtx is Submit with request-scoped cancellation: a context already
 // canceled (or past its deadline) returns its error before the ledger is
 // touched, so an abandoned HTTP request can never leave a WAL line behind.
 // The check is deliberately before the append, not during it — once the
 // write-ahead line starts, it completes; half-written entries are a crash
 // concern (handled by replay truncation), not a cancellation one. unixNano
-// is the LWW coordinate of the write; 0 means "stamp now".
+// is the LWW coordinate of the write; 0 means "stamp now", and deterministic
+// drivers (scenario tests, replayed workloads) pass their own non-zero stamps
+// to pin conflict resolution.
 func (s *Service) SubmitCtx(ctx context.Context, rater, subject int, value float64, unixNano int64) (uint64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -780,10 +741,10 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 	}
 	// On any compute failure the batch goes back to the front of the
 	// pending window so no feedback is ever dropped: the next epoch retries
-	// it. (The fold into master is not undone — refolding the same entries
-	// in the same order is idempotent under Set's last-wins semantics, and
-	// any shards already republished stay correct: they reflect the folded
-	// values.)
+	// it. Only the LWW tags have moved by then — a shard whose fold failed
+	// still publishes its previous columns — and the retry is idempotent: an
+	// entry carrying its cell's recorded tag wins again, and shards that did
+	// republish already hold its value.
 	restore := func(err error) (*View, bool, error) {
 		s.epochErrs.Add(1)
 		s.ledger.Restore(batch)
@@ -791,26 +752,25 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 		return s.View(), false, err
 	}
 
-	dirty := make(map[int]bool)
+	// cells[sh] collects, in batch order, the writes shard sh's fold applies
+	// to its published columns. Every shard the batch touches is dirty, even
+	// with no winning cell — the cheap refold keeps the skip logic out of
+	// the dirtiness accounting.
+	cells := make(map[int][]trust.Cell)
 	seq := uint64(0)
 	for _, fb := range batch {
 		// Last-writer-wins: an entry older than its cell's recorded winner
 		// is skipped, so the folded state depends only on the set of entries
-		// seen, never on their arrival order. (Its shard still counts as
-		// dirty — the cheap refold keeps the skip logic out of the dirtiness
-		// accounting.)
+		// seen, never on their arrival order.
+		won := cells[fb.Shard]
 		if s.recordTag(fb) {
-			// Ledger entries were validated at append time; Set only fails
-			// on values outside [0,1], which therefore cannot happen here.
-			if err := s.master.Set(fb.Rater, fb.Subject, fb.Value); err != nil {
-				return restore(fmt.Errorf("service: fold seq %d: %w", fb.Seq, err))
-			}
+			won = append(won, trust.Cell{Rater: fb.Rater, Subject: fb.Subject, Value: fb.Value})
 		}
-		dirty[fb.Shard] = true
+		cells[fb.Shard] = won
 		seq = fb.Seq
 	}
-	dirtyList := make([]int, 0, len(dirty))
-	for sh := range dirty {
+	dirtyList := make([]int, 0, len(cells))
+	for sh := range cells {
 		dirtyList = append(dirtyList, sh)
 	}
 	sort.Ints(dirtyList)
@@ -821,8 +781,8 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 		p.Seed = epochSeed(p.Seed, epoch)
 	}
 
-	// Fold the dirty shards on a bounded worker pool. Each fold freezes its
-	// shard's columns from master (stable under epochMu), runs one
+	// Fold the dirty shards on a bounded worker pool. Each fold derives its
+	// shard's columns from the previous publication plus its cells, runs one
 	// independent campaign per rated subject, and publishes through its own
 	// atomic pointer the moment it completes — results are bit-identical
 	// for any FoldWorkers and Params.Workers.
@@ -851,7 +811,7 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 					return
 				}
 				starts[idx] = time.Since(epochStart).Nanoseconds()
-				seg, err := s.foldShard(dirtyList[idx], epoch, seq, p)
+				seg, err := s.foldShard(dirtyList[idx], cells[dirtyList[idx]], epoch, seq, p)
 				if err != nil {
 					errs[idx] = err
 					continue
@@ -922,21 +882,25 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 	return s.View(), true, nil
 }
 
-// foldShard recomputes one dirty shard at the given epoch: freeze its trust
-// columns, run the per-subject campaigns — warm-seeded from the shard's
-// previous publication where the recorded states still fit — and assemble
-// the shard snapshot, carrying the new campaign states forward as the next
-// fold's warm seeds.
-func (s *Service) foldShard(shard int, epoch, seq uint64, p core.Params) (*store.ShardSnapshot, error) {
-	subjects := store.ShardSubjects(s.n, shard, s.shards)
-	cols, err := trust.ColumnsOf(s.master, subjects)
+// foldShard recomputes one dirty shard at the given epoch: apply the batch's
+// winning cells to the shard's published trust columns (copy-on-write; the
+// previous publication keeps serving), run the per-subject campaigns —
+// warm-seeded from that publication where the recorded states still fit —
+// and assemble the shard snapshot, carrying the new campaign states forward
+// as the next fold's warm seeds. Caller holds epochMu, so the shard's
+// publication cannot change underneath.
+func (s *Service) foldShard(shard int, cells []trust.Cell, epoch, seq uint64, p core.Params) (*store.ShardSnapshot, error) {
+	prev := s.states[shard].Load()
+	// Ledger entries were validated at append time, so With only fails on a
+	// publication that does not cover its own shard's subjects.
+	cols, err := prev.Cols.With(cells)
 	if err != nil {
-		return nil, fmt.Errorf("service: freeze shard %d: %w", shard, err)
+		return nil, fmt.Errorf("service: fold shard %d: %w", shard, err)
 	}
+	subjects := cols.Subjects()
 	if s.warmOK {
 		p.KeepStates = true
-		prev := s.states[shard].Load()
-		if prev != nil && prev.Warm != nil && len(prev.Warm) == len(subjects) &&
+		if prev.Warm != nil && len(prev.Warm) == len(subjects) &&
 			prev.Shards == s.shards && prev.N == s.n && prev.GraphFP == s.graphFP {
 			warm := prev.Warm
 			shards := s.shards

@@ -1,15 +1,17 @@
 package service
 
 import (
-	"encoding/json"
+	"bytes"
+	"encoding/gob"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"diffgossip/internal/core"
-	"diffgossip/internal/graph"
 	"diffgossip/internal/rng"
 	"diffgossip/internal/store"
 	"diffgossip/internal/trust"
@@ -228,152 +230,130 @@ func TestSlowDiskDoesNotStallIngestOrCompute(t *testing.T) {
 	}
 }
 
-// prerefactorExpect mirrors the expect.json committed with the fixture.
-type prerefactorExpect struct {
-	N      int       `json:"n"`
-	Epoch  uint64    `json:"epoch"`
-	Seq    uint64    `json:"seq"`
-	Global []float64 `json:"global"`
-	Raters []int     `json:"raters"`
-}
-
-// copyFixture clones the committed pre-refactor data dir into a temp dir
-// (the service writes into its directory) and returns it with the expected
-// state.
-func copyFixture(t *testing.T) (string, prerefactorExpect) {
+// dirListing reads every file of a data directory, so a refused boot can be
+// shown to have left it byte-for-byte untouched.
+func dirListing(t *testing.T, dir string) map[string]string {
 	t.Helper()
-	src := filepath.Join("testdata", "prerefactor")
-	dir := t.TempDir()
-	for _, name := range []string{"ledger.jsonl", "snapshot.gob"} {
-		b, err := os.ReadFile(filepath.Join(src, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var expect prerefactorExpect
-	b, err := os.ReadFile(filepath.Join(src, "expect.json"))
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(b, &expect); err != nil {
-		t.Fatal(err)
-	}
-	return dir, expect
-}
-
-// fixtureConfig matches the parameters the fixture generator used.
-func fixtureConfig(t *testing.T, dir string, shards int) Config {
-	t.Helper()
-	g, err := graph.PreferentialAttachment(graph.PAConfig{N: 40, M: 2, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return Config{Graph: g, Params: core.Params{Epsilon: 1e-6, Seed: 11}, Dir: dir, Shards: shards}
-}
-
-// TestMigrationFromPreRefactorDir is the migration acceptance criterion: a
-// service started on a data dir written by the pre-shard format (single
-// snapshot.gob + ledger.jsonl, committed as a fixture) loads, migrates to
-// the manifest + segment layout, and serves the identical reputations; the
-// unfolded WAL tail replays as pending.
-func TestMigrationFromPreRefactorDir(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		dir, expect := copyFixture(t)
-		s, err := New(fixtureConfig(t, dir, shards))
+	out := make(map[string]string, len(entries))
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		v := s.View()
-		if v.Epoch() != expect.Epoch || v.Seq() != expect.Seq {
-			t.Fatalf("S=%d: migrated to epoch %d/seq %d, want %d/%d", shards, v.Epoch(), v.Seq(), expect.Epoch, expect.Seq)
-		}
-		for j := 0; j < expect.N; j++ {
-			got, err := v.Reputation(j)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != expect.Global[j] {
-				t.Fatalf("S=%d subject %d: migrated reputation %v != pre-refactor %v", shards, j, got, expect.Global[j])
-			}
-			if v.Raters(j) != expect.Raters[j] {
-				t.Fatalf("S=%d subject %d: raters %d != %d", shards, j, v.Raters(j), expect.Raters[j])
-			}
-		}
-		if s.Pending() != 2 {
-			t.Fatalf("S=%d: replayed %d pending entries, want the 2 unfolded tail entries", shards, s.Pending())
-		}
-		// The migrated layout is durable: manifest + segments exist now.
-		if _, err := os.Stat(filepath.Join(dir, "manifest.json")); err != nil {
-			t.Fatalf("S=%d: no manifest written: %v", shards, err)
-		}
-		if _, err := os.Stat(filepath.Join(dir, "shard-0000.gob")); err != nil {
-			t.Fatalf("S=%d: no segment written: %v", shards, err)
-		}
+		out[e.Name()] = string(b)
+	}
+	return out
+}
 
-		// Folding the tail works on the migrated state.
-		v2, ran, err := s.RunEpoch()
-		if err != nil || !ran {
-			t.Fatalf("S=%d: post-migration epoch (ran=%v, err=%v)", shards, ran, err)
-		}
-		if v2.Epoch() != expect.Epoch+1 {
-			t.Fatalf("S=%d: post-migration epoch %d", shards, v2.Epoch())
-		}
-		for j := 0; j < expect.N; j++ {
-			got, _ := v2.Reputation(j)
-			if want := core.GlobalRef(v2, j); math.Abs(got-want) > epsTol {
-				t.Fatalf("S=%d subject %d: post-migration %v, reference %v", shards, j, got, want)
-			}
-		}
+// refusedUntouched boots cfg, which must fail with an error mentioning every
+// one of mentions, and checks the directory is exactly as it was.
+func refusedUntouched(t *testing.T, cfg Config, mentions ...string) {
+	t.Helper()
+	before := dirListing(t, cfg.Dir)
+	s, err := New(cfg)
+	if err == nil {
 		s.Close()
-
-		// Second boot takes the manifest path (not the legacy one) and
-		// serves the folded state.
-		s2, err := New(fixtureConfig(t, dir, shards))
-		if err != nil {
-			t.Fatal(err)
+		t.Fatal("boot accepted a directory it must refuse")
+	}
+	for _, m := range mentions {
+		if !strings.Contains(err.Error(), m) {
+			t.Fatalf("refusal does not mention %q: %v", m, err)
 		}
-		if got := s2.View().Epoch(); got != expect.Epoch+1 {
-			t.Fatalf("S=%d: second boot at epoch %d, want %d", shards, got, expect.Epoch+1)
-		}
-		s2.Close()
+	}
+	if after := dirListing(t, cfg.Dir); !reflect.DeepEqual(before, after) {
+		t.Fatalf("refused boot changed the directory: %d files before, %d after", len(before), len(after))
 	}
 }
 
-// TestMigrationGuardLeavesDirUntouched: a legacy directory whose ledger was
-// truncated below the snapshot's fold point must be refused BEFORE any
-// migration write — the operator inspects exactly what the old process left.
-func TestMigrationGuardLeavesDirUntouched(t *testing.T) {
-	dir, _ := copyFixture(t)
-	// Truncate the WAL to a stub that ends well before the snapshot's Seq.
-	b, err := os.ReadFile(filepath.Join(dir, "ledger.jsonl"))
+// foldedDir runs a 4-shard service over dir through one epoch that dirties
+// every shard plus two unfolded tail entries, closes it, and returns the
+// config it used and the view it last served.
+func foldedDir(t *testing.T, dir string) (Config, *View) {
+	t.Helper()
+	cfg := Config{Graph: testGraph(t, 40, 7), Params: core.Params{Epsilon: 1e-6, Seed: 11}, Dir: dir, Shards: 4}
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := 0
-	cut := 0
-	for i, c := range b {
-		if c == '\n' {
-			lines++
-			if lines == 3 {
-				cut = i + 1
-				break
-			}
-		}
+	submitBatch(t, s, 40, 200, 5)
+	v, ran, err := s.RunEpoch()
+	if err != nil || !ran {
+		t.Fatalf("epoch (ran=%v, err=%v)", ran, err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "ledger.jsonl"), b[:cut], 0o644); err != nil {
+	submitBatch(t, s, 40, 2, 6)
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(fixtureConfig(t, dir, 4)); err == nil {
-		t.Fatal("truncated ledger accepted during migration")
-	}
-	for _, f := range []string{"manifest.json", "shard-0000.gob"} {
-		if _, err := os.Stat(filepath.Join(dir, f)); !os.IsNotExist(err) {
-			t.Fatalf("failed boot mutated the directory: %s exists", f)
+	return cfg, v
+}
+
+// TestBootRefusesPreShardDir: one on-disk format is read. A directory from
+// the pre-shard format (snapshot.gob, no manifest) is refused by name and
+// left untouched — never mistaken for a fresh directory, which would refold
+// the whole WAL over state the operator believes is persisted — and so is a
+// directory holding a segment of another wire version.
+func TestBootRefusesPreShardDir(t *testing.T) {
+	// snapshot.gob beside a WAL, no manifest.
+	dir := t.TempDir()
+	cfg, _ := foldedDir(t, dir)
+	for name := range dirListing(t, dir) {
+		if name != ledgerFile {
+			os.Remove(filepath.Join(dir, name))
 		}
 	}
+	if err := os.WriteFile(filepath.Join(dir, preShardFile), []byte("a PR-2 snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refusedUntouched(t, cfg, preShardFile, manifestFile)
+
+	// snapshot.gob alone: not even an empty WAL may appear.
+	lone := t.TempDir()
+	if err := os.WriteFile(filepath.Join(lone, preShardFile), []byte("a PR-2 snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Dir = lone
+	refusedUntouched(t, cfg, preShardFile, manifestFile)
+
+	// A current-layout directory with one wire-v1 segment. Gob matches fields
+	// by name, so this header is what a v1 writer's segment decodes as.
+	dir = t.TempDir()
+	cfg, _ = foldedDir(t, dir)
+	var v1 bytes.Buffer
+	if err := gob.NewEncoder(&v1).Encode(struct{ Version, Shard, Shards, N int }{1, 1, 4, 40}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(shardPath(dir, 1), v1.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refusedUntouched(t, cfg, "shard-0001.gob", "version 1", "version 2 only")
+}
+
+// TestReshardGuardLeavesDirUntouched: a directory whose ledger was truncated
+// below its segments' fold point must be refused BEFORE any reshard write —
+// the operator inspects exactly what the old process left.
+func TestReshardGuardLeavesDirUntouched(t *testing.T) {
+	dir := t.TempDir()
+	cfg, _ := foldedDir(t, dir)
+	b, err := os.ReadFile(ledgerPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Keep three lines: a stub that ends well before the segments' Seq.
+	cut := 0
+	for lines := 0; lines < 3; cut++ {
+		if b[cut] == '\n' {
+			lines++
+		}
+	}
+	if err := os.WriteFile(ledgerPath(dir), b[:cut], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Shards = 7
+	refusedUntouched(t, cfg, "truncated")
 }
 
 // TestMidReshardCrashSelfHeals: a crash between writing new-layout segments
@@ -396,25 +376,19 @@ func TestMidReshardCrashSelfHeals(t *testing.T) {
 
 	// Simulate the crash artifact: overwrite segment 1 with a valid segment
 	// from a DIFFERENT layout (5 shards) while the manifest still says 3.
-	legacy, err := store.StitchSnapshot(func() []*store.ShardSnapshot {
-		var segs []*store.ShardSnapshot
-		for sh := 0; sh < 3; sh++ {
-			seg, err := store.LoadShardFile(filepath.Join(dir, "shard-000"+string(rune('0'+sh))+".gob"))
-			if err != nil || seg == nil {
-				t.Fatalf("segment %d: %v", sh, err)
-			}
-			segs = append(segs, seg)
+	var segs []*store.ShardSnapshot
+	for sh := 0; sh < 3; sh++ {
+		seg, err := store.LoadShardFile(shardPath(dir, sh))
+		if err != nil || seg == nil {
+			t.Fatalf("segment %d: %v", sh, err)
 		}
-		return segs
-	}())
+		segs = append(segs, seg)
+	}
+	wrong, err := store.Reshard(segs, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrong, err := store.SplitSnapshot(legacy, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wrong[1].SaveFile(filepath.Join(dir, "shard-0001.gob")); err != nil {
+	if err := wrong[1].SaveFile(shardPath(dir, 1)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -440,34 +414,74 @@ func TestMidReshardCrashSelfHeals(t *testing.T) {
 }
 
 // TestReshardOnBoot: booting an existing sharded directory with a different
-// shard count stitches and resplits it, preserving the served reputations.
+// shard count regroups it in place — up (4→7) and down (7→3): the served
+// reputations and rater counts are preserved exactly, the unfolded tail is
+// still pending, only the live layout's segment files remain, and the first
+// epoch afterwards restarts every campaign cold (a reshard re-slots every
+// subject, so warm state is dropped).
 func TestReshardOnBoot(t *testing.T) {
-	dir, expect := copyFixture(t)
-	s, err := New(fixtureConfig(t, dir, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	s2, err := New(fixtureConfig(t, dir, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if got := s2.Shards(); got != 7 {
-		t.Fatalf("resharded service reports %d shards", got)
-	}
-	v := s2.View()
-	for j := 0; j < expect.N; j++ {
-		got, err := v.Reputation(j)
+	const n = 40
+	dir := t.TempDir()
+	cfg, want := foldedDir(t, dir)
+	for _, shards := range []int{7, 3} {
+		cfg.Shards = shards
+		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != expect.Global[j] {
-			t.Fatalf("subject %d: resharded reputation %v != %v", j, got, expect.Global[j])
+		if got := s.Shards(); got != shards {
+			t.Fatalf("resharded service reports %d shards, want %d", got, shards)
 		}
-	}
-	if s2.Pending() != 2 {
-		t.Fatalf("reshard replayed %d pending entries, want 2", s2.Pending())
+		v := s.View()
+		if v.Epoch() != want.Epoch() {
+			t.Fatalf("S=%d: resharded to epoch %d, want %d", shards, v.Epoch(), want.Epoch())
+		}
+		for j := 0; j < n; j++ {
+			got, err := v.Reputation(j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w, _ := want.Reputation(j); got != w {
+				t.Fatalf("S=%d subject %d: resharded reputation %v != %v", shards, j, got, w)
+			}
+			if v.Raters(j) != want.Raters(j) {
+				t.Fatalf("S=%d subject %d: raters %d != %d", shards, j, v.Raters(j), want.Raters(j))
+			}
+		}
+		if s.Pending() != 2 {
+			t.Fatalf("S=%d: reshard replayed %d pending entries, want the 2 unfolded tail entries", shards, s.Pending())
+		}
+		files, err := filepath.Glob(filepath.Join(dir, "shard-*.gob"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) != shards {
+			t.Fatalf("S=%d: directory lists %d segment files: %v", shards, len(files), files)
+		}
+		for sh := 0; sh < shards; sh++ {
+			if _, err := os.Stat(shardPath(dir, sh)); err != nil {
+				t.Fatalf("S=%d: live segment %d missing: %v", shards, sh, err)
+			}
+		}
+
+		// Fold the tail plus a batch that dirties every shard again, leave a
+		// fresh two-entry tail, and hand the directory to the next layout.
+		submitBatch(t, s, n, 200, uint64(shards))
+		if want, _, err = s.RunEpoch(); err != nil {
+			t.Fatal(err)
+		}
+		if s.WarmStarts() != 0 || s.ColdStarts() == 0 {
+			t.Fatalf("S=%d: first post-reshard epoch ran %d warm / %d cold campaigns, want all cold", shards, s.WarmStarts(), s.ColdStarts())
+		}
+		for j := 0; j < n; j++ {
+			got, _ := want.Reputation(j)
+			if ref := core.GlobalRef(want, j); math.Abs(got-ref) > epsTol {
+				t.Fatalf("S=%d subject %d: post-reshard fold %v, reference %v", shards, j, got, ref)
+			}
+		}
+		submitBatch(t, s, n, 2, uint64(shards)+1)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -3,11 +3,7 @@ package service
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
-	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -377,124 +373,6 @@ func TestWarmColdEpochHammer(t *testing.T) {
 		got, _ := v.Reputation(j)
 		if got < 0 || got > 1 || math.IsNaN(got) {
 			t.Fatalf("subject %d served out-of-range reputation %v", j, got)
-		}
-	}
-}
-
-// prev8Config matches the parameters the pre-v8 fixture generator used.
-func prev8Config(t *testing.T, dir string, shards int) Config {
-	t.Helper()
-	return Config{Graph: testGraph(t, 40, 7), Params: core.Params{Epsilon: 1e-6, Seed: 11}, Dir: dir, Shards: shards}
-}
-
-// copyPrev8Fixture clones the committed pre-v8 (wire v1, pre-warm/sparse)
-// sharded data dir into a temp dir and returns it with the expected state.
-func copyPrev8Fixture(t *testing.T) (string, prerefactorExpect) {
-	t.Helper()
-	src := filepath.Join("testdata", "prev8")
-	dir := t.TempDir()
-	names := []string{"ledger.jsonl", "manifest.json"}
-	for sh := 0; sh < 4; sh++ {
-		names = append(names, fmt.Sprintf("shard-%04d.gob", sh))
-	}
-	for _, name := range names {
-		b, err := os.ReadFile(filepath.Join(src, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var expect prerefactorExpect
-	b, err := os.ReadFile(filepath.Join(src, "expect.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(b, &expect); err != nil {
-		t.Fatal(err)
-	}
-	return dir, expect
-}
-
-// TestMigrationFromPreV8Dir is the wire-compat criterion for this change: a
-// sharded data directory written BEFORE the warm/sparse work (shard wire v1,
-// committed as a fixture) boots in place, serves bit-identical reputations,
-// folds its WAL tail, and afterwards persists in the v2 format with warm
-// state — all without rewriting anything at boot.
-func TestMigrationFromPreV8Dir(t *testing.T) {
-	// Native shard count: segments load as-is.
-	dir, expect := copyPrev8Fixture(t)
-	s, err := New(prev8Config(t, dir, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := s.View()
-	if v.Epoch() != expect.Epoch || v.Seq() != expect.Seq {
-		t.Fatalf("booted at epoch %d/seq %d, want %d/%d", v.Epoch(), v.Seq(), expect.Epoch, expect.Seq)
-	}
-	for j := 0; j < expect.N; j++ {
-		got, err := v.Reputation(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != expect.Global[j] {
-			t.Fatalf("subject %d: booted reputation %v != pre-v8 %v", j, got, expect.Global[j])
-		}
-		if v.Raters(j) != expect.Raters[j] {
-			t.Fatalf("subject %d: raters %d != %d", j, v.Raters(j), expect.Raters[j])
-		}
-	}
-	if s.Pending() != 2 {
-		t.Fatalf("replayed %d pending entries, want the 2 unfolded tail entries", s.Pending())
-	}
-
-	// Folding the tail works on v1 segments (every campaign cold — v1 has no
-	// warm state) and persists v2 segments with warm state for the next run.
-	v2, ran, err := s.RunEpoch()
-	if err != nil || !ran {
-		t.Fatalf("post-boot epoch (ran=%v, err=%v)", ran, err)
-	}
-	if s.WarmStarts() != 0 {
-		t.Fatalf("%d campaigns warm-started off a v1 directory", s.WarmStarts())
-	}
-	for j := 0; j < expect.N; j++ {
-		got, _ := v2.Reputation(j)
-		if want := core.GlobalRef(v2, j); math.Abs(got-want) > epsTol {
-			t.Fatalf("subject %d post-fold: %v, reference %v", j, got, want)
-		}
-	}
-	s.Close()
-
-	// Second boot reads the refreshed segments and warm-starts.
-	s2, err := New(prev8Config(t, dir, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.Submit(1, 2, 0.9); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s2.RunEpoch(); err != nil {
-		t.Fatal(err)
-	}
-	if s2.WarmStarts() == 0 {
-		t.Fatal("second boot found no usable warm states in the refolded segments")
-	}
-	s2.Close()
-
-	// Resharding the v1 directory still works (warm state is dropped along
-	// the way, by construction).
-	dir, expect = copyPrev8Fixture(t)
-	s3, err := New(prev8Config(t, dir, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	v3 := s3.View()
-	for j := 0; j < expect.N; j++ {
-		got, _ := v3.Reputation(j)
-		if got != expect.Global[j] {
-			t.Fatalf("subject %d: resharded v1 reputation %v != %v", j, got, expect.Global[j])
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"diffgossip/internal/gossip"
+	"diffgossip/internal/trust"
 )
 
 // FuzzLedgerOpen throws arbitrary bytes at the WAL replay path. Whatever the
@@ -137,66 +138,34 @@ func FuzzFeedbackDecode(f *testing.F) {
 	})
 }
 
-// FuzzSnapshotLoad throws arbitrary bytes at the gob snapshot decoder (which
-// nests the trust matrix decoder). It must reject corrupt input with an
-// error — never a panic or an out-of-bounds allocation — and anything it
-// accepts must satisfy the snapshot's shape invariants.
-func FuzzSnapshotLoad(f *testing.F) {
-	// Seed with a genuine snapshot so the fuzzer mutates realistic bytes.
-	snap := NewBootSnapshot(4, 1)
-	snap.Global[2] = 0.5
-	var buf bytes.Buffer
-	if err := snap.Save(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte("garbage"))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := LoadSnapshot(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if s.N < 0 || len(s.Global) != s.N || len(s.Raters) != s.N {
-			t.Fatalf("accepted snapshot with inconsistent shape: N=%d global=%d raters=%d", s.N, len(s.Global), len(s.Raters))
-		}
-		if s.Trust == nil || s.Trust.N() != s.N {
-			t.Fatalf("accepted snapshot with mismatched matrix: %+v", s)
-		}
-	})
-}
-
 // FuzzShardSnapshotLoad throws arbitrary bytes at the shard segment decoder
 // (which nests the trust columns decoder). It must reject corrupt input with
 // an error — never a panic or an out-of-bounds allocation — and anything it
 // accepts must satisfy the segment's layout invariants.
 func FuzzShardSnapshotLoad(f *testing.F) {
 	// Seed with a genuine segment so the fuzzer mutates realistic bytes.
-	snap := NewBootSnapshot(9, 1)
-	snap.Trust.Set(1, 4, 0.5)
-	snap.Trust.Set(2, 4, 0.25)
-	snap.Global[4] = 0.375
-	snap.Raters[4] = 2
-	segs, err := SplitSnapshot(snap, 3)
-	if err != nil {
+	seg := NewBootShardSnapshot(9, 1, 3, 1) // subjects 1, 4, 7
+	var err error
+	if seg.Cols, err = seg.Cols.With([]trust.Cell{{Rater: 1, Subject: 4, Value: 0.5}, {Rater: 2, Subject: 4, Value: 0.25}}); err != nil {
 		f.Fatal(err)
 	}
+	seg.Global[1] = 0.375
+	seg.Raters[1] = 2
 	var buf bytes.Buffer
-	if err := segs[1].Save(&buf); err != nil {
+	if err := seg.Save(&buf); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
 	// A second seed with a warm payload, so the fuzzer mutates the v2 fields
 	// too.
-	segs[1].GraphFP = 7
-	segs[1].Warm = []*gossip.CampaignState{
+	seg.GraphFP = 7
+	seg.Warm = []*gossip.CampaignState{
 		{Sparse: true, Raters: []int{1, 2}, PrevVals: []float64{0.5, 0.25},
 			Y: []float64{0.4, 0.35}, G: []float64{1, 1}, Steps: 5},
 		nil, nil,
 	}
 	buf.Reset()
-	if err := segs[1].Save(&buf); err != nil {
+	if err := seg.Save(&buf); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())

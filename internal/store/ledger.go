@@ -1,16 +1,16 @@
 // Package store is the persistence substrate of the reputation service: an
-// append-only feedback ledger (the write path) and immutable, versioned
+// append-only feedback ledger (the write path) and immutable per-shard
 // reputation snapshots (the read path).
 //
 // The two halves meet only at epoch boundaries. Feedback accumulates in the
 // ledger — and, when a data directory is configured, in a JSON-lines
 // write-ahead file — until the epoch scheduler (internal/service) folds the
-// pending batch into the trust state, recomputes reputations by gossip, and
-// publishes a new Snapshot. A Snapshot is frozen at construction and never
-// mutated afterwards, so readers may share one across goroutines without
-// locks; persistence uses gob (reusing trust.Matrix's wire format) with
-// atomic rename, so a crash leaves either the old snapshot or the new one,
-// never a torn file.
+// pending batch into the dirty shards' trust columns, recomputes their
+// reputations by gossip, and publishes a new ShardSnapshot per dirty shard.
+// A ShardSnapshot is frozen at construction and never mutated afterwards, so
+// readers may share one across goroutines without locks; persistence uses
+// gob (nesting trust.Columns' wire format) with atomic rename, so a crash
+// leaves either the old segment or the new one, never a torn file.
 package store
 
 import (
@@ -207,9 +207,9 @@ func (l *Ledger) DirtyCount() int { return int(l.dirtyCount.Load()) }
 
 // OpenLedger opens (creating if absent) the JSON-lines ledger file at path
 // and replays every existing entry, returning them in append order so the
-// caller can decide which are already reflected in a loaded snapshot (Seq ≤
-// Snapshot.Seq) and which are still pending. Subsequent appends go to both
-// memory and the file.
+// caller can decide which are already reflected in their subject's loaded
+// segment (Seq ≤ ShardSnapshot.Seq) and which are still pending. Subsequent
+// appends go to both memory and the file.
 func OpenLedger(path string, n int) (*Ledger, []Feedback, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {

@@ -8,30 +8,30 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 
 	"diffgossip/internal/gossip"
 	"diffgossip/internal/trust"
 )
 
-// This file is the sharded persistence format that replaced the single
-// snapshot.gob: a static manifest.json naming the layout plus one
-// shard-NNNN.gob segment per subject shard. Segments are written
-// individually with fsync + atomic rename as their shards fold — a clean
-// shard's segment is never rewritten — and the write ordering (ledger fsync
-// before any segment) keeps the boot invariant that the on-disk WAL covers
-// everything any on-disk segment claims to have folded. The manifest is
-// written once, when the directory is initialised or resharded, never per
+// This file is the sharded persistence format: a static manifest.json naming
+// the layout plus one shard-NNNN.gob segment per subject shard. Segments are
+// written individually with fsync + atomic rename as their shards fold — a
+// clean shard's segment is never rewritten — and the write ordering (ledger
+// fsync before any segment) keeps the boot invariant that the on-disk WAL
+// covers everything any on-disk segment claims to have folded. The manifest
+// is written once, when the directory is initialised or resharded, never per
 // epoch, so there is no per-epoch global commit point to contend on.
 //
-// Migration: a data directory from the pre-shard format (snapshot.gob, no
-// manifest) is split into segments on first boot via SplitSnapshot; the
-// legacy file is left in place but ignored once a manifest exists.
+// One manifest version and one segment wire version are read; anything else
+// is refused with an error naming the supported version, never migrated.
 
 // ShardSnapshot is one shard's immutable publication: the reputations and
 // frozen trust columns of the subjects congruent to Shard mod Shards, as of
-// this shard's last fold. Like the legacy Snapshot it is frozen at
-// construction, so readers share it without locks; unlike it, each shard
-// carries its own fold point (Epoch, Seq) — the composite view is
+// this shard's last fold. It is frozen at construction, so readers share it
+// without locks, and it is the only copy of its subjects' folded trust state
+// — the next fold derives its columns from Cols (trust.Columns.With). Each
+// shard carries its own fold point (Epoch, Seq): the composite view is
 // snapshot-consistent per shard, not globally.
 type ShardSnapshot struct {
 	// Shard identifies this segment; Shards is the total count it was
@@ -69,8 +69,8 @@ type ShardSnapshot struct {
 	// Cols holds the frozen trust columns of this shard's subjects.
 	Cols *trust.Columns
 	// Warm[k] is subject slot k's recorded campaign state — next epoch's warm
-	// seed — or nil when none was kept. A nil slice (the pre-v2 decode, a
-	// reshard, a boot snapshot) means every campaign restarts cold.
+	// seed — or nil when none was kept. A nil slice (a reshard, a boot
+	// snapshot) means every campaign restarts cold.
 	Warm []*gossip.CampaignState
 }
 
@@ -151,9 +151,7 @@ type warmWire struct {
 	Converged bool
 }
 
-// shardWireVersion 2 added TotalSteps/WarmStarts/ColdStarts, GraphFP and the
-// Warm payload. Version-1 segments decode fine — their warm fields are simply
-// absent, so every campaign restarts cold after the upgrade.
+// shardWireVersion is the one segment format this build reads and writes.
 const shardWireVersion = 2
 
 // maxShardWireN caps the node count accepted from a serialised segment,
@@ -203,8 +201,8 @@ func LoadShardSnapshot(r io.Reader) (*ShardSnapshot, error) {
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("store: decode shard snapshot: %w", err)
 	}
-	if wire.Version < 1 || wire.Version > shardWireVersion {
-		return nil, fmt.Errorf("store: unsupported shard snapshot version %d", wire.Version)
+	if wire.Version != shardWireVersion {
+		return nil, fmt.Errorf("store: unsupported shard snapshot version %d (this build reads version %d only)", wire.Version, shardWireVersion)
 	}
 	if wire.N < 0 || wire.Shards < 1 || wire.Shard < 0 || wire.Shard >= wire.Shards {
 		return nil, fmt.Errorf("store: malformed shard snapshot header")
@@ -212,7 +210,7 @@ func LoadShardSnapshot(r io.Reader) (*ShardSnapshot, error) {
 	if wire.N > maxShardWireN {
 		// Bound before ShardSubjects allocates Θ(N) — a corrupt header must
 		// be an error, not an out-of-range allocation (same guard class as
-		// trust's maxWireN, found by fuzzing the legacy snapshot decoder).
+		// trust's maxWireN, found by fuzzing).
 		return nil, fmt.Errorf("store: shard snapshot size %d exceeds the wire-format bound %d", wire.N, maxShardWireN)
 	}
 	want := len(ShardSubjects(wire.N, wire.Shard, wire.Shards))
@@ -307,7 +305,7 @@ func decodeWarm(wire shardWire, want int) ([]*gossip.CampaignState, error) {
 }
 
 // SaveFile writes the segment to path atomically and durably (fsync, rename,
-// directory fsync), like the legacy Snapshot.SaveFile.
+// directory fsync).
 func (s *ShardSnapshot) SaveFile(path string) error {
 	err := writeFileAtomic(path, ".shard-*.tmp", s.Save)
 	if err == nil {
@@ -327,7 +325,45 @@ func LoadShardFile(path string) (*ShardSnapshot, error) {
 		return nil, fmt.Errorf("store: open shard snapshot: %w", err)
 	}
 	defer f.Close()
-	return LoadShardSnapshot(f)
+	seg, err := LoadShardSnapshot(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return seg, nil
+}
+
+// writeFileAtomic is the shared atomic-and-durable publication primitive:
+// write to a same-directory temp file, fsync, rename over path, fsync the
+// directory entry. After a crash the path holds either the old contents or
+// the complete new ones, never a torn file.
+func writeFileAtomic(path, tmpPattern string, write func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, tmpPattern)
+	if err != nil {
+		return fmt.Errorf("store: temp file: %w", err)
+	}
+	defer os.Remove(tmp.Name())
+	if err := write(tmp); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("store: sync %s: %w", filepath.Base(path), err)
+	}
+	if err := tmp.Close(); err != nil {
+		return fmt.Errorf("store: close %s: %w", filepath.Base(path), err)
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return fmt.Errorf("store: publish %s: %w", filepath.Base(path), err)
+	}
+	if d, err := os.Open(dir); err == nil {
+		// Directory fsync makes the rename itself durable; best effort on
+		// filesystems that reject it.
+		d.Sync()
+		d.Close()
+	}
+	return nil
 }
 
 // Manifest is the static identity of a sharded data directory: written once
@@ -352,7 +388,7 @@ func SaveManifestFile(m Manifest, path string) error {
 }
 
 // LoadManifestFile reads a manifest; (nil, nil) when the file does not
-// exist, so boot code can fall back to the legacy single-snapshot format.
+// exist (a directory that has never been initialised).
 func LoadManifestFile(path string) (*Manifest, error) {
 	b, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -374,97 +410,61 @@ func LoadManifestFile(path string) (*Manifest, error) {
 	return &m, nil
 }
 
-// SplitSnapshot splits a legacy single-file snapshot into per-shard
-// segments — the boot-time migration from the pre-shard format. Globals,
-// rater counts and trust columns are copied verbatim, so the migrated
-// directory serves exactly the reputations the old one did; every segment
-// inherits the snapshot's fold point. Warm state and the graph fingerprint
-// are not carried (the legacy format never had them, and a reshard
-// re-slots every subject), so the first post-split epoch restarts cold —
-// correct, just slower.
-func SplitSnapshot(snap *Snapshot, shards int) ([]*ShardSnapshot, error) {
-	if shards < 1 || shards > snap.N {
-		return nil, fmt.Errorf("store: cannot split snapshot over N=%d into %d shards", snap.N, shards)
-	}
-	segs := make([]*ShardSnapshot, shards)
-	for sh := 0; sh < shards; sh++ {
-		subjects := ShardSubjects(snap.N, sh, shards)
-		cols, err := trust.ColumnsOf(snap.Trust, subjects)
-		if err != nil {
-			return nil, err
-		}
-		global := make([]float64, len(subjects))
-		raters := make([]int, len(subjects))
-		for k, j := range subjects {
-			global[k] = snap.Global[j]
-			raters[k] = snap.Raters[j]
-		}
-		segs[sh] = &ShardSnapshot{
-			Shard: sh, Shards: shards, N: snap.N,
-			Epoch: snap.Epoch, Seq: snap.Seq,
-			Global: global, Raters: raters,
-			Steps: snap.Steps, Converged: snap.Converged,
-			ElapsedNs: snap.ElapsedNs, CreatedUnixNano: snap.CreatedUnixNano,
-			Cols: cols,
-		}
-	}
-	return segs, nil
-}
-
-// StitchSnapshot reassembles a full-width snapshot from one segment per
-// shard — the inverse of SplitSnapshot, used to reshard a directory whose
-// manifest disagrees with the configured shard count and by tests. The
-// stitched Seq is the minimum over the segments: entries above it may
-// already be folded into some shards, but refolding is idempotent, so the
-// conservative fold point is always safe. Epoch is the maximum, keeping the
-// service's epoch counter monotone.
-func StitchSnapshot(segs []*ShardSnapshot) (*Snapshot, error) {
+// Reshard regroups one complete layout's segments along a new shard count —
+// what boot does when the manifest disagrees with the configured count, and
+// what a bootstrap install does when the sender shards differently. Trust
+// columns, globals and rater counts move verbatim, so the new layout serves
+// exactly the reputations the old one did. Every new segment takes the
+// minimum Seq over the old ones (entries above it may already be folded into
+// some shards, but refolding is idempotent, so the conservative fold point is
+// always safe) and the maximum Epoch (keeping the service's epoch counter
+// monotone). Warm state and the graph fingerprint are not carried — a
+// reshard re-slots every subject — so the first fold afterwards restarts
+// cold: correct, just slower.
+func Reshard(segs []*ShardSnapshot, shards int) ([]*ShardSnapshot, error) {
 	if len(segs) == 0 {
-		return nil, fmt.Errorf("store: no segments to stitch")
+		return nil, fmt.Errorf("store: no segments to reshard")
 	}
-	n := segs[0].N
-	out := &Snapshot{
-		N:      n,
-		Trust:  trust.NewMatrix(n),
-		Global: make([]float64, n),
-		Raters: make([]int, n),
-	}
-	first := true
+	tmpl := ShardSnapshot{Converged: true}
 	for sh, seg := range segs {
 		if seg == nil {
 			return nil, fmt.Errorf("store: missing segment %d", sh)
 		}
-		if seg.N != n || seg.Shards != len(segs) || seg.Shard != sh {
+		if sh == 0 {
+			tmpl.N, tmpl.Seq = seg.N, seg.Seq
+		}
+		if seg.N != tmpl.N || seg.Shards != len(segs) || seg.Shard != sh {
 			return nil, fmt.Errorf("store: segment %d does not fit the layout (shard %d/%d over N=%d)", sh, seg.Shard, seg.Shards, seg.N)
 		}
-		if first || seg.Seq < out.Seq {
-			out.Seq = seg.Seq
-		}
-		if seg.Epoch > out.Epoch {
-			out.Epoch = seg.Epoch
-		}
-		if seg.Steps > out.Steps {
-			out.Steps = seg.Steps
-		}
-		if seg.CreatedUnixNano > out.CreatedUnixNano {
-			out.CreatedUnixNano = seg.CreatedUnixNano
-		}
-		out.ElapsedNs += seg.ElapsedNs
-		first = false
-		for k, j := range seg.Cols.Subjects() {
-			out.Global[j] = seg.Global[k]
-			out.Raters[j] = seg.Raters[k]
-			_, ids, vals := seg.Cols.ColumnAt(k)
-			for x, i := range ids {
-				if err := out.Trust.Set(i, j, vals[x]); err != nil {
-					return nil, err
-				}
-			}
-		}
+		tmpl.Seq = min(tmpl.Seq, seg.Seq)
+		tmpl.Epoch = max(tmpl.Epoch, seg.Epoch)
+		tmpl.Steps = max(tmpl.Steps, seg.Steps)
+		tmpl.CreatedUnixNano = max(tmpl.CreatedUnixNano, seg.CreatedUnixNano)
+		tmpl.ElapsedNs += seg.ElapsedNs
+		tmpl.Converged = tmpl.Converged && seg.Converged
 	}
-	out.Converged = true
-	for _, seg := range segs {
-		out.Converged = out.Converged && seg.Converged
+	if shards < 1 || shards > tmpl.N {
+		return nil, fmt.Errorf("store: cannot reshard N=%d into %d shards", tmpl.N, shards)
+	}
+	out := make([]*ShardSnapshot, shards)
+	for sh := range out {
+		subjects := ShardSubjects(tmpl.N, sh, shards)
+		seg := tmpl
+		seg.Shard, seg.Shards = sh, shards
+		seg.Global = make([]float64, len(subjects))
+		seg.Raters = make([]int, len(subjects))
+		raters := make([][]int, len(subjects))
+		vals := make([][]float64, len(subjects))
+		for k, j := range subjects {
+			old, slot := segs[ShardOf(j, len(segs))], SlotOf(j, len(segs))
+			seg.Global[k], seg.Raters[k] = old.Global[slot], old.Raters[slot]
+			_, raters[k], vals[k] = old.Cols.ColumnAt(slot)
+		}
+		var err error
+		if seg.Cols, err = trust.NewColumns(tmpl.N, subjects, raters, vals); err != nil {
+			return nil, err
+		}
+		out[sh] = &seg
 	}
 	return out, nil
 }

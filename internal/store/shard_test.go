@@ -2,8 +2,12 @@ package store
 
 import (
 	"bytes"
+	"encoding/gob"
+	"fmt"
 	"math"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"diffgossip/internal/gossip"
@@ -26,94 +30,135 @@ func TestShardHelpers(t *testing.T) {
 	}
 }
 
-func randomSnapshot(t *testing.T, n int, seed uint64) *Snapshot {
+// randomSegments builds a complete S-shard layout over n nodes with random
+// trust columns, the exact rater-mean as each subject's global value, and a
+// distinct fold point per shard.
+func randomSegments(t testing.TB, n, shards int, seed uint64) []*ShardSnapshot {
 	t.Helper()
 	src := rng.New(seed)
-	snap := &Snapshot{
-		Epoch: 5, Seq: 123, N: n,
-		Trust:           trust.NewMatrix(n),
-		Global:          make([]float64, n),
-		Raters:          make([]int, n),
-		Steps:           17,
-		Converged:       true,
-		ElapsedNs:       999,
-		CreatedUnixNano: 424242,
+	segs := make([]*ShardSnapshot, shards)
+	for sh := range segs {
+		seg := NewBootShardSnapshot(n, sh, shards, 424242+int64(sh))
+		var cells []trust.Cell
+		for _, j := range seg.Cols.Subjects() {
+			for i := 0; i < n; i++ {
+				if i != j && src.Bool(0.3) {
+					cells = append(cells, trust.Cell{Rater: i, Subject: j, Value: src.Float64()})
+				}
+			}
+		}
+		var err error
+		if seg.Cols, err = seg.Cols.With(cells); err != nil {
+			t.Fatal(err)
+		}
+		for k, j := range seg.Cols.Subjects() {
+			sum, cnt := seg.Cols.ColumnSum(j)
+			seg.Raters[k] = cnt
+			if cnt > 0 {
+				seg.Global[k] = sum / float64(cnt)
+			}
+		}
+		seg.Epoch, seg.Seq = uint64(5+sh), uint64(123+10*sh)
+		seg.Steps, seg.ElapsedNs = 17+sh, 999
+		segs[sh] = seg
 	}
-	for i := 0; i < n; i++ {
+	return segs
+}
+
+// TestReshardRoundTrip: Reshard moves every subject's column, global value
+// and rater count verbatim between any two layouts, stamps the conservative
+// fold point (Seq = min, Epoch = max) on every new segment, drops warm
+// state, and going back to the original shard count restores the data.
+func TestReshardRoundTrip(t *testing.T) {
+	const n = 23
+	sameData := func(t *testing.T, got, want []*ShardSnapshot) {
+		t.Helper()
 		for j := 0; j < n; j++ {
-			if i != j && src.Bool(0.3) {
-				if err := snap.Trust.Set(i, j, src.Float64()); err != nil {
-					t.Fatal(err)
+			g, w := got[ShardOf(j, len(got))], want[ShardOf(j, len(want))]
+			gr, _ := g.Reputation(j)
+			wr, _ := w.Reputation(j)
+			if gr != wr || g.RaterCount(j) != w.RaterCount(j) {
+				t.Fatalf("subject %d: (%v, %d raters), want (%v, %d)", j, gr, g.RaterCount(j), wr, w.RaterCount(j))
+			}
+			gi, gv := g.Cols.Column(j)
+			wi, wv := w.Cols.Column(j)
+			if len(gi) != len(wi) {
+				t.Fatalf("subject %d: %d column entries, want %d", j, len(gi), len(wi))
+			}
+			for k := range wi {
+				if gi[k] != wi[k] || gv[k] != wv[k] {
+					t.Fatalf("subject %d entry %d: (%d,%v), want (%d,%v)", j, k, gi[k], gv[k], wi[k], wv[k])
 				}
 			}
 		}
 	}
-	for j := 0; j < n; j++ {
-		sum, cnt := snap.Trust.ColumnSum(j)
-		snap.Raters[j] = cnt
-		if cnt > 0 {
-			snap.Global[j] = sum / float64(cnt)
-		}
-	}
-	return snap
-}
-
-// TestSplitStitchRoundTrip: SplitSnapshot and StitchSnapshot are inverses on
-// the data that matters (values, raters, trust entries, fold point).
-func TestSplitStitchRoundTrip(t *testing.T) {
-	snap := randomSnapshot(t, 23, 9)
-	for _, shards := range []int{1, 4, 7} {
-		segs, err := SplitSnapshot(snap, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(segs) != shards {
-			t.Fatalf("split into %d segments, want %d", len(segs), shards)
-		}
-		for j := 0; j < snap.N; j++ {
-			seg := segs[ShardOf(j, shards)]
-			got, err := seg.Reputation(j)
+	for _, from := range []int{1, 3, 4, 7} {
+		segs := randomSegments(t, n, from, 9)
+		segs[0].Warm = make([]*gossip.CampaignState, len(segs[0].Global))
+		segs[0].GraphFP = 0xfeedbeef
+		for _, to := range []int{1, 3, 4, 7} {
+			out, err := Reshard(segs, to)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != snap.Global[j] || seg.RaterCount(j) != snap.Raters[j] {
-				t.Fatalf("S=%d subject %d: split lost data", shards, j)
+			if len(out) != to {
+				t.Fatalf("%d→%d: %d segments", from, to, len(out))
 			}
-		}
-		back, err := StitchSnapshot(segs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if back.Epoch != snap.Epoch || back.Seq != snap.Seq || back.N != snap.N {
-			t.Fatalf("S=%d: stitched header %d/%d/%d", shards, back.Epoch, back.Seq, back.N)
-		}
-		for j := 0; j < snap.N; j++ {
-			if back.Global[j] != snap.Global[j] || back.Raters[j] != snap.Raters[j] {
-				t.Fatalf("S=%d subject %d: stitch lost globals", shards, j)
-			}
-			for i := 0; i < snap.N; i++ {
-				a, aok := snap.Trust.Get(i, j)
-				b, bok := back.Trust.Get(i, j)
-				if a != b || aok != bok {
-					t.Fatalf("S=%d entry (%d,%d): stitch lost trust", shards, i, j)
+			for sh, seg := range out {
+				if seg.Shard != sh || seg.Shards != to || seg.N != n {
+					t.Fatalf("%d→%d: segment %d claims shard %d/%d over N=%d", from, to, sh, seg.Shard, seg.Shards, seg.N)
+				}
+				// randomSegments stamps shard 0 with the lowest Seq and the
+				// last shard with the highest Epoch.
+				if seg.Seq != 123 || seg.Epoch != uint64(5+from-1) {
+					t.Fatalf("%d→%d: segment %d at epoch %d/seq %d, want %d/123", from, to, sh, seg.Epoch, seg.Seq, 5+from-1)
+				}
+				if seg.Warm != nil || seg.GraphFP != 0 {
+					t.Fatalf("%d→%d: segment %d carried warm state across the reshard", from, to, sh)
 				}
 			}
+			sameData(t, out, segs)
+			back, err := Reshard(out, from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameData(t, back, segs)
+		}
+	}
+
+	// Layouts that are not one complete set of segments are refused.
+	segs := randomSegments(t, n, 3, 9)
+	if _, err := Reshard(nil, 2); err == nil {
+		t.Error("empty layout accepted")
+	}
+	if _, err := Reshard(segs[:2], 2); err == nil {
+		t.Error("incomplete layout accepted")
+	}
+	if _, err := Reshard([]*ShardSnapshot{segs[0], nil, segs[2]}, 2); err == nil {
+		t.Error("layout with a missing segment accepted")
+	}
+	if _, err := Reshard([]*ShardSnapshot{segs[0], segs[2], segs[1]}, 2); err == nil {
+		t.Error("out-of-order layout accepted")
+	}
+	for _, to := range []int{0, n + 1} {
+		if _, err := Reshard(segs, to); err == nil {
+			t.Errorf("reshard into %d shards accepted", to)
 		}
 	}
 }
 
 // TestShardSnapshotFileRoundTrip pins the segment wire format.
 func TestShardSnapshotFileRoundTrip(t *testing.T) {
-	snap := randomSnapshot(t, 15, 4)
-	segs, err := SplitSnapshot(snap, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg := segs[2]
+	seg := randomSegments(t, 15, 4, 4)[2]
 	seg.Computed = 3
-	path := filepath.Join(t.TempDir(), "shard-0002.gob")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "shard-0002.gob")
 	if err := seg.SaveFile(path); err != nil {
 		t.Fatal(err)
+	}
+	// Atomic publication leaves no temp litter behind.
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("directory has %d entries (err %v), want just the segment", len(entries), err)
 	}
 	got, err := LoadShardFile(path)
 	if err != nil {
@@ -141,6 +186,44 @@ func TestShardSnapshotFileRoundTrip(t *testing.T) {
 	// Corrupt payloads fail loudly.
 	if _, err := LoadShardSnapshot(bytes.NewReader([]byte("garbage"))); err == nil {
 		t.Fatal("garbage segment accepted")
+	}
+}
+
+// TestLoadShardRefusesOtherWireVersions: exactly one segment format is read.
+// A segment of any other version — the pre-warm v1 included — is an error
+// naming the file and the supported version, never a best-effort decode.
+func TestLoadShardRefusesOtherWireVersions(t *testing.T) {
+	// Everything but the version is a well-formed empty 1-shard segment.
+	var cb bytes.Buffer
+	if err := NewBootShardSnapshot(3, 0, 1, 0).Cols.Save(&cb); err != nil {
+		t.Fatal(err)
+	}
+	for _, version := range []int{0, 1, shardWireVersion + 1} {
+		wire := shardWire{Version: version, Shards: 1, N: 3, Global: make([]float64, 3), Raters: make([]int, 3), Cols: cb.Bytes()}
+		path := filepath.Join(t.TempDir(), "shard-0000.gob")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewEncoder(f).Encode(wire); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		_, err = LoadShardFile(path)
+		if err == nil {
+			t.Fatalf("version %d segment accepted", version)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "shard-0000.gob") || !strings.Contains(msg, fmt.Sprintf("version %d only", shardWireVersion)) {
+			t.Fatalf("version %d refusal does not name the file and the supported version: %v", version, err)
+		}
+		wire.Version = shardWireVersion
+		var ok bytes.Buffer
+		if err := gob.NewEncoder(&ok).Encode(wire); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadShardSnapshot(&ok); err != nil {
+			t.Fatalf("the same segment at the current version is refused: %v", err)
+		}
 	}
 }
 
@@ -216,12 +299,7 @@ func TestLedgerShardTracking(t *testing.T) {
 // and rejects corrupt warm payloads instead of seeding next epoch's
 // campaigns with them.
 func TestShardSnapshotWarmRoundTrip(t *testing.T) {
-	snap := randomSnapshot(t, 15, 9)
-	segs, err := SplitSnapshot(snap, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg := segs[1] // subjects 1, 4, 7, 10, 13 → 5 slots
+	seg := randomSegments(t, 15, 3, 9)[1] // subjects 1, 4, 7, 10, 13 → 5 slots
 	seg.GraphFP = 0xfeedbeef
 	seg.TotalSteps = 42
 	seg.WarmStarts = 2
@@ -269,7 +347,7 @@ func TestShardSnapshotWarmRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Segments without warm state (the v1 shape) still round-trip to nil.
+	// Segments without warm state still round-trip to nil.
 	seg.Warm = nil
 	buf.Reset()
 	if err := seg.Save(&buf); err != nil {

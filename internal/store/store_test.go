@@ -1,14 +1,11 @@
 package store
 
 import (
-	"bytes"
 	"math"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
-
-	"diffgossip/internal/trust"
 )
 
 func TestLedgerAppendValidates(t *testing.T) {
@@ -201,107 +198,5 @@ func TestLedgerConcurrentAppend(t *testing.T) {
 			t.Fatalf("duplicate seq %d", fb.Seq)
 		}
 		seen[fb.Seq] = true
-	}
-}
-
-func TestSnapshotRoundTrip(t *testing.T) {
-	m := trust.NewMatrix(6)
-	m.Set(0, 3, 0.8)
-	m.Set(1, 3, 0.6)
-	m.Set(2, 5, 0.1)
-	s := &Snapshot{
-		Epoch:           7,
-		Seq:             42,
-		N:               6,
-		Trust:           m,
-		Global:          []float64{0, 0, 0, 0.7, 0, 0.1},
-		Raters:          []int{0, 0, 0, 2, 0, 1},
-		Steps:           19,
-		Converged:       true,
-		ElapsedNs:       12345,
-		CreatedUnixNano: 99,
-	}
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Epoch != s.Epoch || got.Seq != s.Seq || got.N != s.N ||
-		got.Steps != s.Steps || !got.Converged || got.ElapsedNs != s.ElapsedNs ||
-		got.CreatedUnixNano != s.CreatedUnixNano {
-		t.Fatalf("metadata mismatch: %+v", got)
-	}
-	for j := range s.Global {
-		if got.Global[j] != s.Global[j] || got.Raters[j] != s.Raters[j] {
-			t.Fatalf("column %d mismatch", j)
-		}
-	}
-	if got.Trust.Value(0, 3) != 0.8 || got.Trust.NumEntries() != 3 {
-		t.Fatal("trust matrix not preserved")
-	}
-}
-
-func TestSnapshotSaveFileAtomicAndMissing(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snapshot.gob")
-	if s, err := LoadSnapshotFile(path); err != nil || s != nil {
-		t.Fatalf("missing snapshot: got (%v, %v), want (nil, nil)", s, err)
-	}
-	s := NewBootSnapshot(4, 123)
-	s.Epoch = 1
-	if err := s.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadSnapshotFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got == nil || got.Epoch != 1 || got.N != 4 {
-		t.Fatalf("loaded %+v", got)
-	}
-	// No temp litter left behind.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("directory has %d entries, want 1", len(entries))
-	}
-}
-
-func TestSnapshotQueries(t *testing.T) {
-	m := trust.NewMatrix(4)
-	m.Set(1, 2, 1.0) // node 1 rates subject 2 high
-	m.Set(3, 2, 0.2) // node 3 rates it low; rater mean = 0.6
-	m.Set(0, 1, 0.9) // node 0 trusts node 1, so 1's opinion is upweighted
-	s := &Snapshot{N: 4, Trust: m, Global: []float64{0, 0, 0.6, 0}, Raters: []int{0, 0, 2, 0}}
-	if v, err := s.Reputation(2); err != nil || v != 0.6 {
-		t.Fatalf("Reputation(2) = (%v, %v)", v, err)
-	}
-	if _, err := s.Reputation(9); err == nil {
-		t.Error("out-of-range subject accepted")
-	}
-	// Node 0's personal view upweights node 1's high rating above the rater
-	// mean; a node with no interactions sees exactly the rater mean.
-	p := trust.DefaultWeightParams
-	personal, err := s.Personal(0, 2, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if personal <= 0.6 {
-		t.Fatalf("personal view %v not above global 0.6", personal)
-	}
-	stranger, err := s.Personal(2, 2, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(stranger-0.6) > 1e-12 {
-		t.Fatalf("stranger view %v != rater mean 0.6", stranger)
-	}
-	if _, err := s.Personal(0, 9, p); err == nil {
-		t.Error("out-of-range pair accepted")
 	}
 }

@@ -133,6 +133,99 @@ func NewColumns(n int, subjects []int, raters [][]int, vals [][]float64) (*Colum
 	return c, nil
 }
 
+// Cell is one trust write: t_{Rater,Subject} = Value.
+type Cell struct {
+	Rater, Subject int
+	Value          float64
+}
+
+// With returns the column set that results from applying cells, in order, to
+// c — Matrix.Set's semantics: the last write to a (rater, subject) pair wins,
+// and a 0 value is an entry, not a deletion. c itself is not modified, so
+// readers holding it stay lock-free; the result shares c's subject index and
+// every untouched rater's row map, and copies the flat backing once with the
+// updated raters merged into their slots' sorted lists. An empty cells
+// returns c. A cell for an uncovered subject, an out-of-range rater or a
+// value outside [0,1] is an error.
+func (c *Columns) With(cells []Cell) (*Columns, error) {
+	if len(cells) == 0 {
+		return c, nil
+	}
+	type update struct {
+		slot, rater int
+		val         float64
+	}
+	ups := make([]update, len(cells))
+	for k, cl := range cells {
+		s, ok := c.slot[cl.Subject]
+		if !ok {
+			return nil, fmt.Errorf("trust: subject %d not in this column set", cl.Subject)
+		}
+		if cl.Rater < 0 || cl.Rater >= c.n {
+			return nil, fmt.Errorf("trust: column %d rater %d out of range [0,%d)", cl.Subject, cl.Rater, c.n)
+		}
+		if !(cl.Value >= 0 && cl.Value <= 1) { // rejects NaN too
+			return nil, fmt.Errorf("trust: column %d value %v out of [0,1]", cl.Subject, cl.Value)
+		}
+		ups[k] = update{s, cl.Rater, cl.Value}
+	}
+	// Order by (slot, rater) for the merge; the stable sort keeps writes to
+	// one pair in call order, so the last of each run is the winner.
+	sort.SliceStable(ups, func(a, b int) bool {
+		if ups[a].slot != ups[b].slot {
+			return ups[a].slot < ups[b].slot
+		}
+		return ups[a].rater < ups[b].rater
+	})
+
+	out := &Columns{
+		n:        c.n,
+		subjects: c.subjects,
+		slot:     c.slot,
+		raters:   make([][]int, len(c.subjects)),
+		vals:     make([][]float64, len(c.subjects)),
+		rows:     append([]map[int]float64(nil), c.rows...),
+	}
+	total := c.NumEntries() + len(ups)
+	ids := make([]int, 0, total)
+	vals := make([]float64, 0, total)
+	offs := make([]int, len(c.subjects)+1)
+	cloned := make(map[int]bool)
+	u := 0
+	for s, j := range c.subjects {
+		oldIDs, oldVals := c.raters[s], c.vals[s]
+		x := 0
+		for ; u < len(ups) && ups[u].slot == s; u++ {
+			i, v := ups[u].rater, ups[u].val
+			if u+1 < len(ups) && ups[u+1].slot == s && ups[u+1].rater == i {
+				continue // superseded within this call
+			}
+			lo := x
+			for x < len(oldIDs) && oldIDs[x] < i {
+				x++
+			}
+			ids = append(append(ids, oldIDs[lo:x]...), i)
+			vals = append(append(vals, oldVals[lo:x]...), v)
+			if x < len(oldIDs) && oldIDs[x] == i {
+				x++ // overwritten
+			}
+			if !cloned[i] {
+				cloned[i] = true
+				out.rows[i] = make(map[int]float64, len(c.rows[i])+1)
+				for subj, t := range c.rows[i] {
+					out.rows[i][subj] = t
+				}
+			}
+			out.rows[i][j] = v
+		}
+		ids = append(ids, oldIDs[x:]...)
+		vals = append(vals, oldVals[x:]...)
+		offs[s+1] = len(ids)
+	}
+	out.attachFlat(ids, vals, offs)
+	return out, nil
+}
+
 func newColumnsShell(n int, subjects []int) (*Columns, error) {
 	c := &Columns{
 		n:        n,

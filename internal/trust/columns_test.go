@@ -2,6 +2,7 @@ package trust
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"diffgossip/internal/rng"
@@ -169,6 +170,190 @@ func TestNewColumnsValidates(t *testing.T) {
 	}
 }
 
+// checkColumnsEqual fails unless got answers every Columns query, and
+// serialises, exactly like want.
+func checkColumnsEqual(t testing.TB, got, want *Columns) {
+	t.Helper()
+	if got.N() != want.N() || got.NumEntries() != want.NumEntries() || len(got.Subjects()) != len(want.Subjects()) {
+		t.Fatalf("shape: n=%d entries=%d subjects=%d, want %d/%d/%d", got.N(), got.NumEntries(), len(got.Subjects()),
+			want.N(), want.NumEntries(), len(want.Subjects()))
+	}
+	for _, j := range want.Subjects() {
+		gi, gv := got.Column(j)
+		wi, wv := want.Column(j)
+		if len(gi) != len(wi) || len(gv) != len(wv) {
+			t.Fatalf("column %d: %d/%d entries, want %d/%d", j, len(gi), len(gv), len(wi), len(wv))
+		}
+		for k := range wi {
+			if gi[k] != wi[k] || gv[k] != wv[k] {
+				t.Fatalf("column %d entry %d: (%d,%v), want (%d,%v)", j, k, gi[k], gv[k], wi[k], wv[k])
+			}
+		}
+		gs, gc := got.ColumnSum(j)
+		ws, wc := want.ColumnSum(j)
+		if gs != ws || gc != wc {
+			t.Fatalf("column %d sum: (%v,%d), want (%v,%d)", j, gs, gc, ws, wc)
+		}
+	}
+	for i := 0; i < want.N(); i++ {
+		for _, j := range want.Subjects() {
+			a, aok := got.Get(i, j)
+			b, bok := want.Get(i, j)
+			if a != b || aok != bok {
+				t.Fatalf("entry (%d,%d): (%v,%v), want (%v,%v)", i, j, a, aok, b, bok)
+			}
+		}
+		gw, ww := got.InteractedWith(i), want.InteractedWith(i)
+		gr, wr := got.RowOf(i), want.RowOf(i)
+		if len(gw) != len(ww) || len(gr) != len(wr) {
+			t.Fatalf("row %d: %d interactions / %d row entries, want %d / %d", i, len(gw), len(gr), len(ww), len(wr))
+		}
+		for k, j := range ww {
+			if gw[k] != j || gr[j] != wr[j] {
+				t.Fatalf("row %d entry %d drifted", i, j)
+			}
+		}
+	}
+	var gb, wb bytes.Buffer
+	if err := got.Save(&gb); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Save(&wb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
+		t.Fatal("Save bytes differ")
+	}
+}
+
+// withMirror applies cells both to a mirror matrix (Set, in order) and to cur
+// through With, and checks the result against ColumnsOf(mirror) — the
+// differential every With test and FuzzColumnsWith share.
+func withMirror(t testing.TB, mirror *Matrix, cur *Columns, cells []Cell) *Columns {
+	t.Helper()
+	for _, cl := range cells {
+		if err := mirror.Set(cl.Rater, cl.Subject, cl.Value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next, err := cur.With(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ColumnsOf(mirror, cur.Subjects())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkColumnsEqual(t, next, want)
+	return next
+}
+
+// TestColumnsWithMatchesColumnsOf: columns grown incrementally through With
+// are indistinguishable from columns frozen in one go from a matrix that took
+// the same writes — by every query and by their serialised bytes.
+func TestColumnsWithMatchesColumnsOf(t *testing.T) {
+	const n = 30
+	subjects := []int{2, 5, 8, 11, 14, 29}
+	mirror := NewMatrix(n)
+	cur, err := ColumnsOf(mirror, subjects)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The named edge cases, each its own call.
+	for _, cells := range [][]Cell{
+		{{10, 5, 0.5}},               // first entry of an empty column
+		{{3, 5, 0.25}},               // insert before the first rater
+		{{25, 5, 0.75}},              // insert after the last rater
+		{{10, 5, 0.9}},               // overwrite
+		{{3, 5, 0}},                  // a 0 value is an entry, not a delete
+		{{7, 8, 0.2}, {7, 8, 0.6}},   // same cell twice: the last write wins
+		{{29, 29, 1}, {0, 2, 0}},     // boundary ids, two slots in one call
+		{{12, 5, 0.1}, {11, 5, 0.3}}, // descending raters within one call
+		{{3, 5, 0.4}, {3, 14, 0.4}},  // one rater's row grows in two slots
+		{{10, 5, 0.9}, {10, 5, 0.9}}, // idempotent rewrite
+	} {
+		cur = withMirror(t, mirror, cur, cells)
+	}
+	if v, ok := cur.Get(7, 8); !ok || v != 0.6 {
+		t.Fatalf("same-cell-twice kept (%v,%v), want the last write 0.6", v, ok)
+	}
+	if v, ok := cur.Get(3, 5); !ok || v != 0.4 {
+		t.Fatalf("overwritten zero entry reads (%v,%v)", v, ok)
+	}
+
+	// An empty call is the receiver itself.
+	if same, err := cur.With(nil); err != nil || same != cur {
+		t.Fatalf("With(nil) = (%p, %v), want the receiver %p", same, err, cur)
+	}
+
+	// Seeded random write sequences, several cells per call, cells recurring.
+	src := rng.New(17)
+	for round := 0; round < 60; round++ {
+		cells := make([]Cell, src.Intn(9))
+		for k := range cells {
+			cells[k] = Cell{src.Intn(n), subjects[src.Intn(len(subjects))], src.Float64()}
+			if src.Bool(0.1) {
+				cells[k].Value = 0
+			}
+			if k > 0 && src.Bool(0.2) {
+				cells[k].Rater, cells[k].Subject = cells[k-1].Rater, cells[k-1].Subject
+			}
+		}
+		cur = withMirror(t, mirror, cur, cells)
+	}
+
+	// Invalid cells are errors, wherever they sit in the call.
+	for name, bad := range map[string]Cell{
+		"uncovered subject": {1, 3, 0.5},
+		"negative rater":    {-1, 5, 0.5},
+		"rater == n":        {n, 5, 0.5},
+		"NaN value":         {1, 5, math.NaN()},
+		"value above 1":     {1, 5, 1.5},
+		"negative value":    {1, 5, -0.1},
+	} {
+		if _, err := cur.With([]Cell{{1, 5, 0.5}, bad}); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestColumnsWithLeavesReceiverUnchanged: readers hold published columns
+// lock-free, so With must not write through any slice or row map it shares
+// with its receiver.
+func TestColumnsWithLeavesReceiverUnchanged(t *testing.T) {
+	const n = 40
+	m := randomMatrix(t, n, 0.25, 11)
+	subjects := []int{0, 3, 7, 21, 39}
+	c, err := ColumnsOf(m, subjects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozen, err := ColumnsOf(m, subjects) // an independent copy of the same state
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(3)
+	for round := 0; round < 20; round++ {
+		cells := make([]Cell, 1+src.Intn(12))
+		for k := range cells {
+			cells[k] = Cell{src.Intn(n), subjects[src.Intn(len(subjects))], src.Float64()}
+		}
+		next, err := c.With(cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next == c {
+			t.Fatal("non-empty With returned its receiver")
+		}
+		// A second generation built on top must not reach back either.
+		if _, err := next.With(cells[:1]); err != nil {
+			t.Fatal(err)
+		}
+		checkColumnsEqual(t, c, frozen)
+	}
+}
+
 // BenchmarkRatersOf vs BenchmarkRatersOfInto: the satellite's alloc+sort
 // churn comparison — Into reuses buffers and skips the redundant sort.
 func BenchmarkRatersOf(b *testing.B) {
@@ -232,5 +417,38 @@ func FuzzColumnsLoad(f *testing.F) {
 				prev = i
 			}
 		}
+	})
+}
+
+// FuzzColumnsWith is TestColumnsWithMatchesColumnsOf's differential over
+// fuzzed cell lists: every three bytes are one (rater, subject, value) write,
+// and a rater byte with its top bit set first flushes the cells gathered so
+// far as one With call.
+func FuzzColumnsWith(f *testing.F) {
+	const n = 12
+	subjects := []int{1, 4, 7, 10}
+	f.Add([]byte{})
+	f.Add([]byte{3, 1, 128, 3, 1, 255, 0x85, 2, 0, 5, 2, 7})
+	f.Add([]byte{11, 3, 255, 0, 3, 0, 0x80, 3, 9, 0x8b, 0, 1})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		mirror := NewMatrix(n)
+		cur, err := ColumnsOf(mirror, subjects)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cells []Cell
+		for ; len(data) >= 3; data = data[3:] {
+			if data[0]&0x80 != 0 {
+				cur = withMirror(t, mirror, cur, cells)
+				cells = cells[:0]
+			}
+			cells = append(cells, Cell{
+				Rater:   int(data[0]&0x7f) % n,
+				Subject: subjects[int(data[1])%len(subjects)],
+				Value:   float64(data[2]) / 255,
+			})
+		}
+		withMirror(t, mirror, cur, cells)
 	})
 }

@@ -6,42 +6,19 @@ import (
 	"io"
 )
 
-// matrixWire is the gob representation of a Matrix: a flat triple list, which
-// stays compact for the sparse matrices the system produces.
-type matrixWire struct {
-	N       int
-	I, J    []int
-	V       []float64
-	Version int
-}
-
 const wireVersion = 1
 
-// maxWireN caps the node count accepted from a serialised matrix. Load
-// allocates Θ(N) before reading any entries, so without a bound a corrupt
-// or hostile file crashes the process with an out-of-range allocation
-// instead of returning an error (found by fuzzing the snapshot decoder).
+// maxWireN caps the node count accepted from a serialised column set.
+// LoadColumns allocates Θ(N) before reading any entries, so without a bound
+// a corrupt or hostile file crashes the process with an out-of-range
+// allocation instead of returning an error (found by fuzzing the decoder).
 // 2^24 nodes is two orders of magnitude beyond the largest experiment and
 // keeps the worst-case transient allocation at a few hundred megabytes.
 const maxWireN = 1 << 24
 
-// Save serialises the matrix with gob. Entries are written in deterministic
-// (row, column) order so identical matrices produce identical bytes.
-func (m *Matrix) Save(w io.Writer) error {
-	wire := matrixWire{N: m.n, Version: wireVersion}
-	for i := 0; i < m.n; i++ {
-		for _, j := range m.InteractedWith(i) {
-			wire.I = append(wire.I, i)
-			wire.J = append(wire.J, j)
-			wire.V = append(wire.V, m.rows[i][j])
-		}
-	}
-	return gob.NewEncoder(w).Encode(wire)
-}
-
 // columnsWire is the gob representation of a frozen Columns: the subject
-// list plus one flat triple list, reusing the Matrix layout column by
-// column so the format stays compact and deterministic.
+// list plus one flat (rater, value) list, column by column, so the format
+// stays compact and deterministic.
 type columnsWire struct {
 	N        int
 	Subjects []int
@@ -97,32 +74,4 @@ func LoadColumns(r io.Reader) (*Columns, error) {
 		return nil, fmt.Errorf("trust: malformed columns payload")
 	}
 	return NewColumns(wire.N, wire.Subjects, raters, vals)
-}
-
-// Load deserialises a matrix written by Save, validating every entry.
-func Load(r io.Reader) (*Matrix, error) {
-	var wire matrixWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("trust: decode: %w", err)
-	}
-	if wire.Version != wireVersion {
-		return nil, fmt.Errorf("trust: unsupported matrix version %d", wire.Version)
-	}
-	if wire.N < 0 || len(wire.I) != len(wire.J) || len(wire.I) != len(wire.V) {
-		return nil, fmt.Errorf("trust: malformed matrix payload")
-	}
-	if wire.N > maxWireN {
-		return nil, fmt.Errorf("trust: matrix size %d exceeds the wire-format bound %d", wire.N, maxWireN)
-	}
-	m := NewMatrix(wire.N)
-	for k := range wire.I {
-		i, j := wire.I[k], wire.J[k]
-		if i < 0 || i >= wire.N || j < 0 || j >= wire.N {
-			return nil, fmt.Errorf("trust: entry (%d,%d) out of range", i, j)
-		}
-		if err := m.Set(i, j, wire.V[k]); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
 }

@@ -4,122 +4,17 @@ import (
 	"bytes"
 	"encoding/gob"
 	"testing"
-
-	"diffgossip/internal/rng"
 )
 
-func TestMatrixSaveLoadRoundTrip(t *testing.T) {
-	src := rng.New(5)
-	m := NewMatrix(100)
-	for i := 0; i < 100; i++ {
-		for j := 0; j < 100; j++ {
-			if i != j && src.Bool(0.1) {
-				if err := m.Set(i, j, src.Float64()); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N() != 100 || got.NumEntries() != m.NumEntries() {
-		t.Fatalf("shape: %d/%d vs %d/%d", got.N(), got.NumEntries(), m.N(), m.NumEntries())
-	}
-	for i := 0; i < 100; i++ {
-		for j, v := range m.Row(i) {
-			if got.Value(i, j) != v {
-				t.Fatalf("entry (%d,%d) differs", i, j)
-			}
-		}
-	}
-}
-
-func TestMatrixSaveDeterministic(t *testing.T) {
-	m := NewMatrix(10)
-	_ = m.Set(3, 4, 0.5)
-	_ = m.Set(1, 2, 0.25)
-	var a, b bytes.Buffer
-	if err := m.Save(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Save(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("save not deterministic")
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not gob"))); err == nil {
-		t.Fatal("garbage accepted")
-	}
-}
-
-func TestLoadEmptyMatrix(t *testing.T) {
-	m := NewMatrix(7)
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N() != 7 || got.NumEntries() != 0 {
-		t.Fatalf("empty round trip: N=%d entries=%d", got.N(), got.NumEntries())
-	}
-}
-
 func TestLoadRejectsOversizedN(t *testing.T) {
-	// Regression: a corrupt matrixWire claiming N=2^40 used to crash the
-	// process with an out-of-range allocation before any entry was read.
-	wire := matrixWire{N: 1 << 40, Version: wireVersion}
+	// Regression: a corrupt wire header claiming N=2^40 must be an error, not
+	// an out-of-range Θ(N) allocation before any entry is read.
+	wire := columnsWire{N: 1 << 40, Version: wireVersion}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(&buf); err == nil {
-		t.Fatal("oversized matrix accepted")
+	if _, err := LoadColumns(&buf); err == nil {
+		t.Fatal("oversized column set accepted")
 	}
-}
-
-// FuzzMatrixLoad hammers the gob matrix decoder: arbitrary bytes must be
-// rejected with an error — never a panic or an unbounded allocation — and
-// any accepted matrix must round-trip through Save unchanged.
-func FuzzMatrixLoad(f *testing.F) {
-	m := NewMatrix(5)
-	m.Set(0, 1, 0.25)
-	m.Set(4, 2, 1)
-	var seedBuf bytes.Buffer
-	if err := m.Save(&seedBuf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seedBuf.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte("garbage"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := Load(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := got.Save(&buf); err != nil {
-			t.Fatalf("accepted matrix does not re-save: %v", err)
-		}
-		back, err := Load(&buf)
-		if err != nil {
-			t.Fatalf("re-saved matrix does not re-load: %v", err)
-		}
-		if back.N() != got.N() || back.NumEntries() != got.NumEntries() {
-			t.Fatalf("matrix changed across round-trip: N %d vs %d, entries %d vs %d",
-				back.N(), got.N(), back.NumEntries(), got.NumEntries())
-		}
-	})
 }

@@ -32,7 +32,7 @@ import (
 //     one matrix each and mutate it from one goroutine at a time;
 //   - frozen snapshot: Clone the matrix and never mutate the clone — any
 //     number of goroutines may then call the read methods on it without
-//     synchronisation (this is how store.Snapshot serves lock-free reads).
+//     synchronisation (the service's frozen form is Columns).
 //
 // Clone is a deep copy: mutations on either side are invisible to the other.
 type Matrix struct {

@@ -31,9 +31,10 @@ type Service = service.Service
 // the per-epoch aggregation settings; EpochInterval the scheduler period
 // (zero = epochs run only via RunEpoch); Dir an optional persistence
 // directory (feedback is write-ahead logged as JSON lines, shard snapshot
-// segments are saved with atomic renames, and pre-shard data dirs are
-// migrated in place); Shards the subject-shard count S (subject j belongs
-// to shard j mod S); FoldWorkers how many dirty shards fold concurrently.
+// segments are saved with atomic renames, and a directory in any other
+// format is refused untouched); Shards the subject-shard count S (subject j
+// belongs to shard j mod S); FoldWorkers how many dirty shards fold
+// concurrently.
 type ServiceConfig = service.Config
 
 // View is one lock-free composite capture of the published per-shard
