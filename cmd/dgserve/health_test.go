@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -54,9 +55,9 @@ func TestReadyzDegradedMembership(t *testing.T) {
 	svc, err := service.New(service.Config{
 		Graph:  g,
 		Params: core.Params{Epsilon: 1e-6, Seed: 3},
-		// Replicate + fixed seed as in real cluster mode.
-		Replicate: true, FixedEpochSeed: true,
-		Origin: tr.Addr(),
+		// A replicating service, as in real cluster mode.
+		Replicate: true,
+		Origin:    tr.Addr(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -130,22 +131,22 @@ func TestReadyzStalledScheduler(t *testing.T) {
 	}
 }
 
-// TestGracefulShutdownOnSIGTERM boots a full cluster-mode dgserve via run(),
-// exercises the write path, sends the process SIGTERM, and requires a clean
-// exit — with the WAL and hint log durable on disk afterwards.
-func TestGracefulShutdownOnSIGTERM(t *testing.T) {
-	dir := t.TempDir()
+// bootClusterDgserve starts a full cluster-mode dgserve via run() over dir and
+// returns its HTTP address once it serves, plus the channel run's result
+// arrives on.
+func bootClusterDgserve(t *testing.T, dir string, peers []string) (addr string, done chan error) {
+	t.Helper()
 	ready := make(chan string, 1)
-	done := make(chan error, 1)
+	done = make(chan error, 1)
 	go func() {
 		done <- run(runConfig{
 			listen: "127.0.0.1:0", n: 16, m: 2, graphSeed: 42, seed: 1,
 			epsilon: 1e-6, epoch: 0, workers: 1, shards: 1, foldWorkers: 1,
-			dataDir: dir, clusterListen: "127.0.0.1:0", antiEntropy: time.Hour,
-			ready: func(addr string) { ready <- addr },
+			dataDir: dir, clusterListen: "127.0.0.1:0", peers: peers,
+			antiEntropy: 10 * time.Millisecond,
+			ready:       func(addr string) { ready <- addr },
 		})
 	}()
-	var addr string
 	select {
 	case addr = <-ready:
 	case err := <-done:
@@ -153,6 +154,43 @@ func TestGracefulShutdownOnSIGTERM(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("server never became ready")
 	}
+	return addr, done
+}
+
+// sigtermSelf sends this process SIGTERM — every run() in flight receives it
+// — and requires each to return nil.
+func sigtermSelf(t *testing.T, dones ...chan error) {
+	t.Helper()
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	for _, done := range dones {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("run returned %v after SIGTERM, want nil", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("run did not shut down after SIGTERM")
+		}
+	}
+}
+
+// clusterStats is the slice of /v1/stats the boot tests read.
+type clusterStats struct {
+	Cluster struct {
+		Self  string            `json:"self"`
+		Marks map[string]uint64 `json:"marks"`
+	} `json:"cluster"`
+}
+
+// TestGracefulShutdownOnSIGTERM boots a full cluster-mode dgserve via run(),
+// exercises the write path, sends the process SIGTERM, and requires a clean
+// exit — with the WAL durable on disk afterwards and nothing else written
+// beside it on replication's behalf.
+func TestGracefulShutdownOnSIGTERM(t *testing.T) {
+	dir := t.TempDir()
+	addr, done := bootClusterDgserve(t, dir, nil)
 
 	resp, body := postJSON(t, "http://"+addr+"/v1/feedback", `{"rater":3,"subject":7,"value":0.9}`)
 	if resp.StatusCode != 202 {
@@ -163,17 +201,7 @@ func TestGracefulShutdownOnSIGTERM(t *testing.T) {
 		t.Fatalf("/readyz = %d %+v", r.StatusCode, rb)
 	}
 
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run returned %v after SIGTERM, want nil", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("run did not shut down after SIGTERM")
-	}
+	sigtermSelf(t, done)
 
 	// The accepted entry must have survived: the WAL was synced on the way
 	// out, and a fresh service over the same directory replays it.
@@ -189,8 +217,57 @@ func TestGracefulShutdownOnSIGTERM(t *testing.T) {
 	if got := svc.ReplicationMark(""); got != 1 {
 		t.Fatalf("replayed local watermark = %d, want the accepted entry", got)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "hints.jsonl")); err != nil {
-		t.Fatalf("hint log missing after shutdown: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, "hints.jsonl")); !os.IsNotExist(err) {
+		t.Fatalf("a hints.jsonl was created (stat err %v); owed entries live in the WAL only", err)
+	}
+}
+
+// TestStaleHintFileIgnored: a data directory written by a build that still
+// kept <data>/hints.jsonl boots normally. The file is neither opened (the old
+// boot would have cut its torn last line off) nor removed nor rewritten: it
+// is byte-identical after boot, replication to a second node, and a clean
+// shutdown — the entries it once buffered are in the WAL.
+func TestStaleHintFileIgnored(t *testing.T) {
+	dirA, dirB := t.TempDir(), t.TempDir()
+	stale := []byte(`{"peer":"127.0.0.1:9081","origin":"127.0.0.1:9080","after":0,"entries":[{"origin_seq":1,"rater":3,"subject":7,"value":0.9}]}` +
+		"\n" + `{"peer":"127.0.0.1:9081","orig`)
+	stalePath := filepath.Join(dirA, "hints.jsonl")
+	if err := os.WriteFile(stalePath, stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	addrA, doneA := bootClusterDgserve(t, dirA, nil)
+	var stA clusterStats
+	if r := getJSON(t, "http://"+addrA+"/v1/stats", &stA); r.StatusCode != 200 || stA.Cluster.Self == "" {
+		t.Fatalf("/v1/stats on A = %d %+v, want a cluster section", r.StatusCode, stA)
+	}
+	addrB, doneB := bootClusterDgserve(t, dirB, []string{stA.Cluster.Self})
+
+	resp, body := postJSON(t, "http://"+addrA+"/v1/feedback", `{"rater":3,"subject":7,"value":0.9}`)
+	if resp.StatusCode != 202 {
+		t.Fatalf("feedback status %d: %s", resp.StatusCode, body)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var stB clusterStats
+		getJSON(t, "http://"+addrB+"/v1/stats", &stB)
+		if stB.Cluster.Marks[stA.Cluster.Self] == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("entry never replicated to B; B stats %+v", stB)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	sigtermSelf(t, doneA, doneB)
+
+	got, err := os.ReadFile(stalePath)
+	if err != nil {
+		t.Fatalf("stale hints.jsonl gone after a run: %v", err)
+	}
+	if !bytes.Equal(got, stale) {
+		t.Fatalf("stale hints.jsonl was rewritten:\n got %q\nwant %q", got, stale)
 	}
 }
 

@@ -31,12 +31,13 @@
 // the node's origin id in peers' ledgers and the LWW origin tag on its
 // entries; -data is required, since origin sequence numbers must survive
 // restarts (a reset ledger would reuse seqs peers have already seen and its
-// new entries would be discarded as duplicates). Entries owed to a dead peer
-// buffer in <data>/hints.jsonl and replay when it returns. GET /v1/stats
-// gains a "cluster" section with membership, watermarks and per-peer health;
-// GET /readyz reports 503 while a majority of peers look down or the epoch
-// scheduler stalls, and SIGTERM drains in-flight HTTP, flushes buffered
-// hints, and fsyncs the WAL before exiting.
+// new entries would be discarded as duplicates). Nothing else is persisted
+// for replication: a peer that was down pulls what it missed from the
+// survivors' ledgers with its first digest. GET /v1/stats gains a "cluster"
+// section with membership, watermarks and per-peer health; GET /readyz
+// reports 503 while a majority of peers look down or the epoch scheduler
+// stalls, and SIGTERM drains in-flight HTTP and fsyncs the WAL before
+// exiting.
 //
 // Load-generator mode measures service throughput over real HTTP: it spins
 // up an in-process server (or targets -target), hammers it with concurrent
@@ -55,7 +56,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -196,27 +196,25 @@ type runConfig struct {
 }
 
 // newService builds the overlay and the reputation service from flags. In
-// cluster mode the service runs with a replicating ledger, fixed epoch seeds
-// — so converged replicas serve bit-identical reputations — and the cluster
+// cluster mode the service replicates — which also fixes its epoch seeds, so
+// converged replicas serve bit-identical reputations — with the cluster
 // address as its LWW origin tag.
 func (c runConfig) newService(origin string) (*service.Service, error) {
 	g, err := graph.PreferentialAttachment(graph.PAConfig{N: c.n, M: c.m, Seed: c.graphSeed})
 	if err != nil {
 		return nil, err
 	}
-	clustered := c.clusterListen != ""
 	return service.New(service.Config{
-		Graph:          g,
-		Params:         core.Params{Epsilon: c.epsilon, Seed: c.seed, Workers: c.workers},
-		EpochInterval:  c.epoch,
-		Dir:            c.dataDir,
-		Shards:         c.shards,
-		FoldWorkers:    c.foldWorkers,
-		Replicate:      clustered,
-		FixedEpochSeed: clustered,
-		Origin:         origin,
-		TraceDepth:     c.traceDepth,
-		CompactEvery:   c.compactEvery,
+		Graph:         g,
+		Params:        core.Params{Epsilon: c.epsilon, Seed: c.seed, Workers: c.workers},
+		EpochInterval: c.epoch,
+		Dir:           c.dataDir,
+		Shards:        c.shards,
+		FoldWorkers:   c.foldWorkers,
+		Replicate:     c.clusterListen != "",
+		Origin:        origin,
+		TraceDepth:    c.traceDepth,
+		CompactEvery:  c.compactEvery,
 	})
 }
 
@@ -239,15 +237,10 @@ func (c runConfig) newHTTPServer(svc *service.Service, node *cluster.Node) *http
 // transport; the returned cleanup closes both. It returns (nil, noop, nil)
 // outside cluster mode (tr == nil). The node's incarnation is the boot
 // wall-clock, which satisfies the must-increase-across-restarts contract
-// without any extra persisted state, and its hint queues are durable in
-// <data>/hints.jsonl.
+// without any extra persisted state.
 func (c runConfig) newCluster(svc *service.Service, tr *transport.TCPTransport) (*cluster.Node, func(), error) {
 	if tr == nil {
 		return nil, func() {}, nil
-	}
-	hintPath := ""
-	if c.dataDir != "" {
-		hintPath = filepath.Join(c.dataDir, "hints.jsonl")
 	}
 	node, err := cluster.New(cluster.Config{
 		Service:      svc,
@@ -255,7 +248,6 @@ func (c runConfig) newCluster(svc *service.Service, tr *transport.TCPTransport) 
 		Peers:        c.peers,
 		Interval:     c.antiEntropy,
 		Incarnation:  uint64(time.Now().UnixNano()),
-		HintPath:     hintPath,
 		TrimEvery:    c.histTrimEvery,
 		BootstrapLag: c.bootstrapLag,
 		Logger:       obs.Logger("cluster"),
@@ -327,8 +319,8 @@ func run(c runConfig) error {
 		}
 	}
 	// Shutdown order is the durability order: drain HTTP first (no new
-	// writes), then the cluster node (flushes and fsyncs the hint log), then
-	// the service (fsyncs the WAL).
+	// writes), then the cluster node (no new replicated writes), then the
+	// service (fsyncs the WAL).
 	shutdown := func() error {
 		stopCluster()
 		return svc.Close()
@@ -380,7 +372,7 @@ func run(c runConfig) error {
 		return err
 	case <-ctx.Done():
 		stopSignals() // a second signal kills immediately
-		logger.Info("signal received; draining HTTP, flushing hints, syncing WAL")
+		logger.Info("signal received; draining HTTP, syncing WAL")
 		drainCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(drainCtx); err != nil {

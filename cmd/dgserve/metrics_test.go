@@ -76,12 +76,11 @@ func newInstrumentedMember(t *testing.T, g *graph.Graph, peers []string) (*httpt
 		t.Fatal(err)
 	}
 	svc, err := service.New(service.Config{
-		Graph:          g,
-		Params:         core.Params{Epsilon: 1e-6, Seed: 3},
-		Shards:         2,
-		Replicate:      true,
-		FixedEpochSeed: true,
-		Origin:         tr.Addr(),
+		Graph:     g,
+		Params:    core.Params{Epsilon: 1e-6, Seed: 3},
+		Shards:    2,
+		Replicate: true,
+		Origin:    tr.Addr(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +151,6 @@ func TestMetricsCoverAllLayers(t *testing.T) {
 		// Store layer.
 		"diffgossip_store_ledger_entries_total",
 		"diffgossip_store_wal_appends_total",
-		"diffgossip_store_hint_log_depth",
 		// Cluster layer.
 		"diffgossip_cluster_exchanges_total",
 		"diffgossip_cluster_entries_applied_total",
@@ -232,7 +230,6 @@ func TestClusterStatsAndMetricsAgree(t *testing.T) {
 		{"diffgossip_service_folded_shards_total", float64(st.FoldedShards)},
 		{"diffgossip_service_folded_subjects_total", float64(st.FoldedSubjects)},
 		{"diffgossip_service_pending_entries", float64(st.Pending)},
-		{"diffgossip_store_hint_log_depth", float64(st.Cluster.HintedEntries)},
 	} {
 		if got := metricValue(t, fams, c.metric, ""); got != c.want {
 			t.Errorf("%s = %v, /v1/stats says %v", c.metric, got, c.want)

@@ -24,8 +24,9 @@ func main() {
 		replicas = 3
 	)
 
-	// One overlay, one base seed, shared by every replica: with
-	// FixedEpochSeed, converged replicas serve bit-identical values.
+	// One overlay, one base seed, shared by every replica: replicating
+	// services fix their epoch seed, so converged replicas serve
+	// bit-identical values.
 	g, err := graph.PreferentialAttachment(graph.PAConfig{N: n, M: 2, Seed: 42})
 	if err != nil {
 		log.Fatal(err)
@@ -37,11 +38,10 @@ func main() {
 	names := []string{"node-a", "node-b", "node-c"}
 	for i := range svcs {
 		svcs[i], err = service.New(service.Config{
-			Graph:          g,
-			Params:         core.Params{Epsilon: 1e-6, Seed: 1},
-			Shards:         4,
-			Replicate:      true,
-			FixedEpochSeed: true,
+			Graph:     g,
+			Params:    core.Params{Epsilon: 1e-6, Seed: 1},
+			Shards:    4,
+			Replicate: true,
 			// Origin must match the cluster transport address: it is the
 			// node's identity in every entry's LWW tag.
 			Origin: names[i],

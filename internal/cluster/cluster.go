@@ -13,8 +13,8 @@
 // seq). An anti-entropy exchange is then two message kinds:
 //
 //	digest    A → B   "my watermarks are {origin: seq, …}"
-//	entries   B → A   one batch per origin A trails on, each framed with
-//	                  (origin, after): the batch contiguously extends
+//	entries   B → A   consecutive batches per origin A trails on, each framed
+//	                  with (origin, after): the batch contiguously extends
 //	                  origin's stream past seq `after`
 //
 // B answers a digest only with entries A is missing; A applies a batch only
@@ -26,13 +26,24 @@
 // are all harmless. Replicated entries enter the service's shard-aware
 // ingest path like local submissions and fold at the next epoch.
 //
+// One digest answer streams: B keeps framing MaxBatch-sized batches for an
+// origin until A is level or 16 of them (digestAnswerBatches) have gone out,
+// so a peer returning from a long outage gets its whole backlog on first
+// contact rather than one chunk per exchange. That is why nothing is buffered
+// on behalf of an unreachable peer: what it is owed is already retained — per
+// origin, in memory and in the WAL — by the replicating ledger, which history
+// trimming never cuts past a member that has not acknowledged it, and the
+// peer's first digest says exactly where to resume. Lags deeper than the
+// budget continue on the next digest or, past Config.BootstrapLag, go by
+// snapshot.
+//
 // On top of the pull, each node keeps a per-peer cache of the watermarks it
 // last saw in that peer's digests and eagerly *pushes* new entries past the
 // cached marks on every exchange — push-pull anti-entropy. The pull remains
 // the correctness backstop (a lost push is re-pulled from the true
 // watermark); the push cuts convergence from two digest round-trips to one
-// send, and is what turns an unreachable peer into buffered work — see
-// hinted handoff below.
+// send. A failed push leaves the cache where it was, and dead members are
+// not pushed to at all.
 //
 // # Membership
 //
@@ -43,22 +54,10 @@
 // advance (or stall) drives a per-peer state machine: alive → suspect after
 // Config.SuspectAfter without advance → dead after Config.DeadAfter.
 // Suspect peers still exchange; dead peers stop receiving routine digests
-// (a periodic probe remains) and their owed entries buffer as hints. Any
-// message from a peer — or a higher liveness pair gossiped about it — makes
-// it alive again with no operator action; a restarted peer announces a
-// higher incarnation, so its pair advances past every stale observation.
-//
-// # Hinted handoff
-//
-// When a push to a peer fails, or the peer is dead at exchange time, the
-// framed batch joins a bounded per-peer hint queue (durable in a JSON-lines
-// log next to the WAL when Config.HintPath is set) and the cached watermark
-// advances so the next exchange hints the *next* chunk instead of this one
-// again. On the peer's first sign of life the queue replays in order. A
-// full queue drops new batches (tallied in Stats) — the pull recovers them
-// — and a replayed batch the peer already has is discarded by the normal
-// gap/duplicate rules, so hints are pure fast-path: they shorten a
-// recovering peer's catch-up without adding correctness obligations.
+// and pushes (a periodic probe remains). Any message from a peer — or a
+// higher liveness pair gossiped about it — makes it alive again with no
+// operator action; a restarted peer announces a higher incarnation, so its
+// pair advances past every stale observation.
 //
 // # Convergence
 //
@@ -66,12 +65,12 @@
 // entry carries the (timestamp, origin, origin-seq) tag under which the
 // service resolves same-cell conflicts — a total order, applied at fold
 // time, so any interleaving of streams folds to the same trust state on
-// every node regardless of which node each write entered through. With
-// service.Config.FixedEpochSeed set, published reputations are a pure
-// function of that folded state — converged nodes serve bit-identical
-// reputations, no matter how many epochs each ran, in what batches the
-// entries arrived, or how clients were routed. See docs/ARCHITECTURE.md
-// "Cross-node convergence" for the contract and its pinning tests.
+// every node regardless of which node each write entered through. On a
+// replicating service, published reputations are a pure function of that
+// folded state — converged nodes serve bit-identical reputations, no matter
+// how many epochs each ran, in what batches the entries arrived, or how
+// clients were routed. See docs/ARCHITECTURE.md "Cross-node convergence" for
+// the contract and its pinning tests.
 //
 // # Modes
 //
@@ -91,15 +90,13 @@ import (
 	"time"
 
 	"diffgossip/internal/service"
-	"diffgossip/internal/store"
 	"diffgossip/internal/transport"
 )
 
 // Config parameterises a cluster node.
 type Config struct {
 	// Service is the reputation service this node replicates; it must have
-	// been built with service.Config.Replicate (and, for bit-identical
-	// cross-node reads, FixedEpochSeed). Required.
+	// been built with service.Config.Replicate. Required.
 	Service *service.Service
 	// Transport carries the anti-entropy messages; its address is the node's
 	// origin id, so deployments must bind stable addresses (origin ids are
@@ -122,8 +119,9 @@ type Config struct {
 	// one it precedes — run the ticker faster than the epoch interval when
 	// replication lag matters.
 	Interval time.Duration
-	// MaxBatch caps the entries per KindEntries message (default 256).
-	// Larger backlogs stream across successive digest exchanges.
+	// MaxBatch caps the entries per KindEntries message (default 256). A
+	// digest answer streams up to 16 such batches per origin; larger
+	// backlogs continue on successive digest exchanges.
 	MaxBatch int
 	// Incarnation is this process's liveness generation. It must increase
 	// across restarts of the same node (cmd/dgserve derives it from the
@@ -142,15 +140,6 @@ type Config struct {
 	// (10s/30s when Interval is 0). DeadAfter must exceed SuspectAfter.
 	SuspectAfter time.Duration
 	DeadAfter    time.Duration
-	// MaxHintEntries bounds the hinted-handoff buffer per dead peer, in
-	// entries (default 4096). Batches past the bound are dropped and
-	// recovered by the anti-entropy pull when the peer returns.
-	MaxHintEntries int
-	// HintPath, when set, makes the hint queues durable: a JSON-lines log
-	// (store.HintLog) appended on enqueue and compacted after replay, so
-	// entries owed to a dead peer survive a restart of this node. Empty
-	// keeps hints in memory only.
-	HintPath string
 	// TrimEvery, when > 0, trims the in-memory replication history every
 	// TrimEvery-th exchange: superseded entries that every known member's
 	// watermark has passed are dropped (cell winners and per-stream heads
@@ -167,7 +156,7 @@ type Config struct {
 	// requesting; every node always serves state requests it receives.
 	BootstrapLag uint64
 	// Logger receives the node's structured log records: peer state
-	// transitions and hint replays at Info, send failures at Debug. Nil
+	// transitions and bootstraps at Info, send failures at Debug. Nil
 	// discards everything — the default for library use, so tests and the
 	// scenario engine stay quiet (cmd/dgserve passes obs.Logger("cluster")).
 	Logger *slog.Logger
@@ -184,13 +173,12 @@ type Node struct {
 	maxBatch int
 	interval time.Duration
 
-	now            func() int64
-	suspectAfter   int64 // nanos of the local clock
-	deadAfter      int64
-	maxHintEntries int
-	trimEvery      int
-	bootstrapLag   uint64
-	log            *slog.Logger
+	now          func() int64
+	suspectAfter int64 // nanos of the local clock
+	deadAfter    int64
+	trimEvery    int
+	bootstrapLag uint64
+	log          *slog.Logger
 
 	mu    sync.Mutex
 	peerH map[string]*peerHealth
@@ -202,14 +190,9 @@ type Node struct {
 	members   map[string]*member
 	// ackMark caches, per peer, the watermarks it last advertised —
 	// authoritative on every digest received from it, advanced
-	// optimistically when entries are pushed or hinted to it. The eager
-	// push sends only what ackMark says the peer is missing.
+	// optimistically when entries are sent to it. The eager push sends only
+	// what ackMark says the peer is missing.
 	ackMark map[string]map[string]uint64
-	// hintQ buffers batches owed to unreachable peers; hintLog (nil when
-	// Config.HintPath is empty, guarded by mu like the queues) makes them
-	// durable.
-	hintQ   map[string]*hintQueue
-	hintLog *store.HintLog
 	// bootstrapReqAt is n.exchanges+1 at the moment an outstanding state
 	// request went out (0 = none); it rate-limits re-requests and gates
 	// KindState handling to solicited transfers.
@@ -219,9 +202,6 @@ type Node struct {
 		digestsSent, digestsRecv   uint64
 		batchesSent, batchesRecv   uint64
 		applied, duplicate, gapped uint64
-		hintsDropped               uint64
-		hintsReplayed              uint64
-		hintLogErrs                uint64
 		histTrims                  uint64
 		histTrimmed                uint64
 		stateReqsSent              uint64
@@ -260,31 +240,26 @@ func New(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("cluster: service origin %q != transport address %q — set service.Config.Origin to the cluster address so LWW tags agree across replicas", got, want)
 	}
 	n := &Node{
-		svc:            cfg.Service,
-		tr:             cfg.Transport,
-		self:           cfg.Transport.Addr(),
-		maxBatch:       cfg.MaxBatch,
-		interval:       cfg.Interval,
-		now:            cfg.Now,
-		maxHintEntries: cfg.MaxHintEntries,
-		trimEvery:      cfg.TrimEvery,
-		bootstrapLag:   cfg.BootstrapLag,
-		selfInc:        cfg.Incarnation,
-		peerH:          make(map[string]*peerHealth),
-		members:        make(map[string]*member),
-		ackMark:        make(map[string]map[string]uint64),
-		hintQ:          make(map[string]*hintQueue),
-		log:            cfg.Logger,
-		stop:           make(chan struct{}),
+		svc:          cfg.Service,
+		tr:           cfg.Transport,
+		self:         cfg.Transport.Addr(),
+		maxBatch:     cfg.MaxBatch,
+		interval:     cfg.Interval,
+		now:          cfg.Now,
+		trimEvery:    cfg.TrimEvery,
+		bootstrapLag: cfg.BootstrapLag,
+		selfInc:      cfg.Incarnation,
+		peerH:        make(map[string]*peerHealth),
+		members:      make(map[string]*member),
+		ackMark:      make(map[string]map[string]uint64),
+		log:          cfg.Logger,
+		stop:         make(chan struct{}),
 	}
 	if n.log == nil {
 		n.log = slog.New(slog.DiscardHandler)
 	}
 	if n.maxBatch <= 0 {
 		n.maxBatch = 256
-	}
-	if n.maxHintEntries <= 0 {
-		n.maxHintEntries = 4096
 	}
 	if n.selfInc == 0 {
 		n.selfInc = 1
@@ -314,22 +289,6 @@ func New(cfg Config) (*Node, error) {
 		}
 		n.peerH[p] = &peerHealth{}
 		n.members[p] = &member{id: p, addr: p, lastAdvance: boot, state: MemberAlive}
-	}
-	if cfg.HintPath != "" {
-		hl, buffered, err := store.OpenHintLog(cfg.HintPath)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-		n.hintLog = hl
-		for _, h := range buffered {
-			q := n.hintQ[h.Peer]
-			if q == nil {
-				q = &hintQueue{}
-				n.hintQ[h.Peer] = q
-			}
-			q.hints = append(q.hints, h)
-			q.entries += len(h.Entries)
-		}
 	}
 	return n, nil
 }
@@ -362,10 +321,9 @@ const deadProbeEvery = 4
 // Exchange runs one anti-entropy tick: advance this node's heartbeat,
 // reclassify members, send a digest (with the membership view) to every
 // non-dead member — plus a periodic probe to dead ones — and eagerly push
-// entries past each peer's cached watermarks, buffering batches for
-// unreachable peers as hints. Send failures are recorded per peer (see
-// Stats) and never abort the round: an unreachable peer catches up on a
-// later exchange or from its hint queue.
+// entries past each live peer's cached watermarks. Send failures are recorded
+// per peer (see Stats) and never abort the round: an unreachable peer pulls
+// what it missed with its next digest.
 func (n *Node) Exchange() {
 	digest := n.marks()
 	n.mu.Lock()
@@ -402,10 +360,10 @@ func (n *Node) Exchange() {
 // pushEntries is the eager half of push-pull anti-entropy: for every member
 // whose digest we have seen (the ackMark cache), send up to one batch per
 // origin stream the cache says it is missing. Successful sends advance the
-// cache optimistically; failed sends — and dead members, which are not sent
-// to at all — buffer the batch as a hint and advance the cache so the next
-// exchange hints the following chunk. A cache that ran ahead of reality is
-// corrected by the peer's next digest (and the batch it gap-discards is
+// cache optimistically; a failed send leaves it where it was, and dead
+// members are skipped — whatever they are owed stays in the ledger's retained
+// history until their digest asks for it. A cache that ran ahead of reality
+// is corrected by the peer's next digest (and the batch it gap-discards is
 // re-pulled), so optimism never loses entries.
 func (n *Node) pushEntries(digest map[string]uint64, ids []string, states map[string]MemberState) {
 	origins := make([]string, 0, len(digest))
@@ -414,6 +372,9 @@ func (n *Node) pushEntries(digest map[string]uint64, ids []string, states map[st
 	}
 	sort.Strings(origins)
 	for _, p := range ids {
+		if states[p] == MemberDead {
+			continue
+		}
 		n.mu.Lock()
 		known := n.ackMark[p] != nil
 		n.mu.Unlock()
@@ -434,22 +395,12 @@ func (n *Node) pushEntries(digest map[string]uint64, ids []string, states map[st
 			if !ok {
 				continue
 			}
-			last := batch.Entries[len(batch.Entries)-1].OriginSeq
-			if states[p] == MemberDead {
-				n.mu.Lock()
-				if n.enqueueHintLocked(p, hintFromBatch(p, batch)) && n.ackMark[p] != nil {
-					n.ackMark[p][o] = last
-				}
-				n.mu.Unlock()
-				continue
-			}
 			err := n.tr.Send(p, batch)
 			n.mu.Lock()
 			n.stats.batchesSent++
 			n.recordSendLocked(p, err)
-			ok = err == nil || n.enqueueHintLocked(p, hintFromBatch(p, batch))
-			if ok && n.ackMark[p] != nil {
-				n.ackMark[p][o] = last
+			if err == nil && n.ackMark[p] != nil {
+				n.ackMark[p][o] = batch.Entries[len(batch.Entries)-1].OriginSeq
 			}
 			n.mu.Unlock()
 		}
@@ -529,26 +480,16 @@ func (n *Node) Start() {
 	}
 }
 
-// Close stops the Start goroutines and flushes and closes the durable hint
-// log, so buffered hints survive to the next run. It does not close the
-// transport (the caller owns it).
-func (n *Node) Close() error {
+// Close stops the Start goroutines. It does not close the transport (the
+// caller owns it).
+func (n *Node) Close() {
 	n.stopOnce.Do(func() { close(n.stop) })
 	n.wg.Wait()
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.hintLog != nil {
-		err := n.hintLog.Close()
-		n.hintLog = nil
-		return err
-	}
-	return nil
 }
 
 // handle dispatches one inbound message. Any message is first-hand liveness
-// evidence for its sender (re-admitting it if it was dead), a digest's view
-// is merged for transitive discovery, and after dispatch any hints owed to
-// the sender — or to members the view merge revived — replay.
+// evidence for its sender (re-admitting it if it was dead), and a digest's
+// view is merged for transitive discovery.
 func (n *Node) handle(msg transport.Message) {
 	now := n.now()
 	n.mu.Lock()
@@ -559,13 +500,8 @@ func (n *Node) handle(msg transport.Message) {
 	}
 	h.lastSeen = now
 	n.observeDirectLocked(msg.From, now)
-	var revived []string
 	if msg.Kind == transport.KindDigest && len(msg.View) > 0 {
-		revived = n.mergeViewLocked(msg.View, now)
-	}
-	hasHints := false
-	if q := n.hintQ[msg.From]; q != nil && len(q.hints) > 0 {
-		hasHints = true
+		n.mergeViewLocked(msg.View, now)
 	}
 	n.mu.Unlock()
 
@@ -586,24 +522,21 @@ func (n *Node) handle(msg transport.Message) {
 		// Not a cluster message; the replication transport is dedicated, so
 		// anything else is a peer bug — ignore rather than crash.
 	}
-
-	if hasHints {
-		n.replayHints(msg.From)
-	}
-	for _, id := range revived {
-		if id != msg.From {
-			n.replayHints(id)
-		}
-	}
 }
 
-// handleDigest answers a peer's watermark digest with one entries batch per
-// origin stream the peer trails on, capped at MaxBatch entries each; deeper
-// backlogs continue on the peer's next digest. When the digest shows the
-// *sender* ahead instead, one digest goes back to it — so replication is
-// two-way on any connected join graph, even if only one side lists the
-// other as a peer. The reciprocal fires only while strictly behind, so it
-// cannot ping-pong once the streams agree.
+// digestAnswerBatches is the most batches one digest answer streams per
+// origin: 4096 entries at the default MaxBatch, and few enough messages that
+// a manually driven hub inbox (1,024 deep) cannot fill before its Drain.
+const digestAnswerBatches = 16
+
+// handleDigest answers a peer's watermark digest with consecutive entries
+// batches per origin stream the peer trails on, until the peer is level or
+// digestAnswerBatches have gone out for that origin; deeper backlogs
+// continue on the peer's next digest. When the digest shows the *sender*
+// ahead instead, one digest goes back to it — so replication is two-way on
+// any connected join graph, even if only one side lists the other as a peer.
+// The reciprocal fires only while strictly behind, so it cannot ping-pong
+// once the streams agree.
 func (n *Node) handleDigest(msg transport.Message) {
 	n.mu.Lock()
 	n.stats.digestsRecv++
@@ -645,25 +578,30 @@ func (n *Node) handleDigest(msg transport.Message) {
 	}
 	sort.Strings(origins)
 	for _, o := range origins {
-		theirs := msg.Watermarks[o]
-		if mine[o] <= theirs || o == msg.From {
-			continue // up to date — or the peer's own stream, which it cannot be missing
+		if o == msg.From {
+			continue // the peer's own stream, which it cannot be missing
 		}
-		batch, ok := n.batchFor(o, theirs)
-		if !ok {
-			continue
-		}
-		err := n.tr.Send(msg.From, batch)
-		n.mu.Lock()
-		n.stats.batchesSent++
-		n.recordSendLocked(msg.From, err)
-		if err == nil {
-			last := batch.Entries[len(batch.Entries)-1].OriginSeq
-			if cur := n.ackMark[msg.From]; cur != nil && last > cur[o] {
-				cur[o] = last // don't re-push what this answer already carried
+		after := msg.Watermarks[o]
+		for sent := 0; sent < digestAnswerBatches && mine[o] > after; sent++ {
+			batch, ok := n.batchFor(o, after)
+			if !ok {
+				break
+			}
+			err := n.tr.Send(msg.From, batch)
+			n.mu.Lock()
+			n.stats.batchesSent++
+			n.recordSendLocked(msg.From, err)
+			if err == nil {
+				after = batch.Entries[len(batch.Entries)-1].OriginSeq
+				if cur := n.ackMark[msg.From]; cur != nil && after > cur[o] {
+					cur[o] = after // don't re-push what this answer already carried
+				}
+			}
+			n.mu.Unlock()
+			if err != nil {
+				break
 			}
 		}
-		n.mu.Unlock()
 	}
 }
 
@@ -772,8 +710,7 @@ type MemberStat struct {
 }
 
 // Stats is a point-in-time observation of the replication layer: this node's
-// watermarks, membership table, hint-queue gauges, per-peer health, and the
-// exchange counters.
+// watermarks, membership table, per-peer health, and the exchange counters.
 type Stats struct {
 	// Self is this node's origin id; Incarnation and Heartbeat its own
 	// liveness pair.
@@ -800,14 +737,6 @@ type Stats struct {
 	EntriesApplied   uint64 `json:"entries_applied"`
 	EntriesDuplicate uint64 `json:"entries_duplicate"`
 	BatchesGapped    uint64 `json:"batches_gapped,omitempty"`
-	// HintedEntries is the number of entries currently buffered for
-	// unreachable peers; HintsReplayed and HintsDropped are lifetime entry
-	// counts, and HintLogErrors counts durable-log I/O failures (hints then
-	// survive in memory only).
-	HintedEntries int    `json:"hinted_entries"`
-	HintsReplayed uint64 `json:"hints_replayed,omitempty"`
-	HintsDropped  uint64 `json:"hints_dropped,omitempty"`
-	HintLogErrors uint64 `json:"hint_log_errors,omitempty"`
 	// HistTrims counts history-trim passes that dropped anything, and
 	// HistTrimmedEntries the lifetime total of superseded entries dropped
 	// from the in-memory replication history.
@@ -845,10 +774,6 @@ func (n *Node) Stats() Stats {
 	st.EntriesApplied = n.stats.applied
 	st.EntriesDuplicate = n.stats.duplicate
 	st.BatchesGapped = n.stats.gapped
-	st.HintedEntries = n.hintedEntriesLocked()
-	st.HintsReplayed = n.stats.hintsReplayed
-	st.HintsDropped = n.stats.hintsDropped
-	st.HintLogErrors = n.stats.hintLogErrs
 	st.HistTrims = n.stats.histTrims
 	st.HistTrimmedEntries = n.stats.histTrimmed
 	st.BootstrapRequestsSent = n.stats.stateReqsSent

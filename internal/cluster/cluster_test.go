@@ -13,19 +13,18 @@ import (
 	"diffgossip/internal/transport"
 )
 
-// newClusterService builds one replica's service: every replica shares the
-// overlay and the base seed, with FixedEpochSeed so converged replicas serve
+// newClusterService builds one replica's replicating service: every replica
+// shares the overlay and the base seed, so converged replicas serve
 // bit-identical reputations regardless of their epoch counts. origin must be
 // the replica's transport address (cluster.New enforces the match).
 func newClusterService(t *testing.T, g *graph.Graph, shards int, origin string) *service.Service {
 	t.Helper()
 	svc, err := service.New(service.Config{
-		Graph:          g,
-		Params:         core.Params{Epsilon: 1e-6, Seed: 11},
-		Shards:         shards,
-		Replicate:      true,
-		FixedEpochSeed: true,
-		Origin:         origin,
+		Graph:     g,
+		Params:    core.Params{Epsilon: 1e-6, Seed: 11},
+		Shards:    shards,
+		Replicate: true,
+		Origin:    origin,
 	})
 	if err != nil {
 		t.Fatal(err)

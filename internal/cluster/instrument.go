@@ -28,7 +28,7 @@ func (n *Node) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("diffgossip_cluster_digests_received_total", "",
 		"Digest messages received.", stat(func() uint64 { return n.stats.digestsRecv }))
 	reg.CounterFunc("diffgossip_cluster_batches_sent_total", "",
-		"Entries batches sent (pushes, digest answers and hint replays).", stat(func() uint64 { return n.stats.batchesSent }))
+		"Entries batches sent (pushes and digest answers).", stat(func() uint64 { return n.stats.batchesSent }))
 	reg.CounterFunc("diffgossip_cluster_batches_received_total", "",
 		"Entries batches received.", stat(func() uint64 { return n.stats.batchesRecv }))
 	reg.CounterFunc("diffgossip_cluster_entries_applied_total", "",
@@ -37,12 +37,6 @@ func (n *Node) Instrument(reg *obs.Registry) {
 		"Replicated entries skipped as idempotent re-deliveries.", stat(func() uint64 { return n.stats.duplicate }))
 	reg.CounterFunc("diffgossip_cluster_batches_gapped_total", "",
 		"Entries batches discarded because an earlier batch was lost.", stat(func() uint64 { return n.stats.gapped }))
-	reg.CounterFunc("diffgossip_cluster_hints_replayed_total", "",
-		"Hinted entries replayed to peers that came back.", stat(func() uint64 { return n.stats.hintsReplayed }))
-	reg.CounterFunc("diffgossip_cluster_hints_dropped_total", "",
-		"Hinted entries dropped because a peer's hint queue was full.", stat(func() uint64 { return n.stats.hintsDropped }))
-	reg.CounterFunc("diffgossip_cluster_hint_log_errors_total", "",
-		"Durable hint-log I/O failures (hints then survive in memory only).", stat(func() uint64 { return n.stats.hintLogErrs }))
 	reg.CounterFunc("diffgossip_cluster_hist_trims_total", "",
 		"History-trim passes that dropped superseded replication entries.", stat(func() uint64 { return n.stats.histTrims }))
 	reg.CounterFunc("diffgossip_cluster_hist_trimmed_entries_total", "",
@@ -55,12 +49,6 @@ func (n *Node) Instrument(reg *obs.Registry) {
 		"Bootstrap state transfers installed into the local service.", stat(func() uint64 { return n.stats.statesInstalled }))
 	reg.CounterFunc("diffgossip_cluster_bootstrap_errors_total", "",
 		"Bootstrap serves or installs that failed.", stat(func() uint64 { return n.stats.bootstrapErrs }))
-	reg.GaugeFunc("diffgossip_store_hint_log_depth", "",
-		"Entries currently buffered in the hinted-handoff queues.", func() float64 {
-			n.mu.Lock()
-			defer n.mu.Unlock()
-			return float64(n.hintedEntriesLocked())
-		})
 	reg.GaugeMapFunc("diffgossip_cluster_members", "state",
 		"Known cluster members by membership state (alive, suspect, dead).", func() map[string]float64 {
 			n.mu.Lock()
@@ -83,11 +71,4 @@ func (n *Node) Instrument(reg *obs.Registry) {
 			}
 			return out
 		})
-	if n.hintLog != nil {
-		appends, rewrites := n.hintLog.InstrumentMetrics()
-		reg.Counter("diffgossip_store_hint_appends_total", "",
-			"Hint batches durably appended to the hint log.", appends)
-		reg.Counter("diffgossip_store_hint_rewrites_total", "",
-			"Hint-log compactions after a replay drained delivered batches.", rewrites)
-	}
 }

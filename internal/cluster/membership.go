@@ -21,8 +21,9 @@ const (
 	// partitioned) but counts against readiness.
 	MemberSuspect
 	// MemberDead means the pair has not advanced for Config.DeadAfter:
-	// routine exchanges stop (a periodic probe remains), and entries owed to
-	// the member buffer as hints for replay on its return.
+	// routine digests and pushes stop (a periodic probe remains); what the
+	// member is owed stays in the ledger's retained history and streams out
+	// in answer to its first digest after it returns.
 	MemberDead
 )
 
@@ -84,11 +85,9 @@ func (n *Node) memberIDsLocked() []string {
 // mergeViewLocked folds a gossiped view into the membership table: unknown
 // peers are added (transitive discovery — this is how a node bootstrapped
 // with one seed learns the whole cluster), and a row whose liveness pair is
-// ahead of ours advances the member and refreshes its recency. It returns
-// the ids of members the merge revived from dead, so the caller can replay
-// their hints. Caller holds n.mu.
-func (n *Node) mergeViewLocked(view []transport.PeerView, now int64) []string {
-	var revived []string
+// ahead of ours advances the member and refreshes its recency. Caller holds
+// n.mu.
+func (n *Node) mergeViewLocked(view []transport.PeerView, now int64) {
 	for _, pv := range view {
 		if pv.ID == "" || pv.ID == n.self {
 			continue
@@ -114,13 +113,11 @@ func (n *Node) mergeViewLocked(view []transport.PeerView, now int64) []string {
 			}
 			m.lastAdvance = now
 			if m.state == MemberDead {
-				revived = append(revived, m.id)
 				n.log.Info("peer revived", "peer", m.id, "via", "gossiped view")
 			}
 			m.state = MemberAlive
 		}
 	}
-	return revived
 }
 
 // observeDirectLocked notes a message received directly from id — first-hand

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"path/filepath"
 	"testing"
 
 	"diffgossip/internal/service"
@@ -18,7 +17,7 @@ func (c *logicalClock) now() int64 { return c.t }
 
 // seedNode builds one manually driven node on the hub with the shared
 // logical clock and tick-scale thresholds.
-func seedNode(t *testing.T, hub *transport.Hub, name string, seeds []string, clk *logicalClock, svc *service.Service, inc uint64, hintPath string) (*Node, *transport.ChannelTransport) {
+func seedNode(t *testing.T, hub *transport.Hub, name string, seeds []string, clk *logicalClock, svc *service.Service, inc uint64) (*Node, *transport.ChannelTransport) {
 	t.Helper()
 	ep, err := hub.Endpoint(name)
 	if err != nil {
@@ -32,7 +31,6 @@ func seedNode(t *testing.T, hub *transport.Hub, name string, seeds []string, clk
 		Incarnation:  inc,
 		SuspectAfter: 10,
 		DeadAfter:    30,
-		HintPath:     hintPath,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +63,7 @@ func TestSingleSeedTransitiveDiscovery(t *testing.T) {
 			seeds = []string{"node-0"} // one seed for everyone but the seed itself
 		}
 		svc := newClusterService(t, g, 1, nm)
-		nd, ep := seedNode(t, hub, nm, seeds, clk, svc, 1, "")
+		nd, ep := seedNode(t, hub, nm, seeds, clk, svc, 1)
 		t.Cleanup(func() { ep.Close() })
 		nodes[i] = nd
 	}
@@ -106,9 +104,9 @@ func TestSuspectDeadReviveLifecycle(t *testing.T) {
 	clk := &logicalClock{}
 	svcA := newClusterService(t, g, 1, "node-a")
 	svcB := newClusterService(t, g, 1, "node-b")
-	ndA, epA := seedNode(t, hub, "node-a", []string{"node-b"}, clk, svcA, 1, "")
+	ndA, epA := seedNode(t, hub, "node-a", []string{"node-b"}, clk, svcA, 1)
 	defer epA.Close()
-	ndB, epB := seedNode(t, hub, "node-b", []string{"node-a"}, clk, svcB, 1, "")
+	ndB, epB := seedNode(t, hub, "node-b", []string{"node-a"}, clk, svcB, 1)
 
 	ndA.Exchange()
 	ndB.Exchange()
@@ -136,7 +134,7 @@ func TestSuspectDeadReviveLifecycle(t *testing.T) {
 
 	// node-b restarts with a higher incarnation and digests its seed: one
 	// message re-admits it.
-	ndB2, epB2 := seedNode(t, hub, "node-b", []string{"node-a"}, clk, svcB, 2, "")
+	ndB2, epB2 := seedNode(t, hub, "node-b", []string{"node-a"}, clk, svcB, 2)
 	defer epB2.Close()
 	defer ndB2.Close()
 	ndB2.Exchange()
@@ -149,20 +147,24 @@ func TestSuspectDeadReviveLifecycle(t *testing.T) {
 	}
 }
 
-// TestHintedHandoffReplay: entries owed to a dead peer buffer as hints and
-// replay — in full, in order — on the peer's first sign of life.
-func TestHintedHandoffReplay(t *testing.T) {
+// TestReturningPeerDrainsBacklog: what a dead peer is owed lives only in the
+// survivor's ledger. node-b stays down past DeadAfter while node-a accepts
+// several batches' worth of writes and sends it none of them; then BOTH
+// agents are rebuilt over the surviving services — no agent state of any kind
+// carries over — and node-b's first digest is answered with its whole backlog
+// in consecutive batches.
+func TestReturningPeerDrainsBacklog(t *testing.T) {
+	const backlog, defaultMaxBatch = 700, 256 // ⌈700/256⌉ = 3 batches
 	g := testGraph(t, 16)
 	hub := transport.NewHub()
 	clk := &logicalClock{}
 	svcA := newClusterService(t, g, 1, "node-a")
 	svcB := newClusterService(t, g, 1, "node-b")
-	ndA, epA := seedNode(t, hub, "node-a", []string{"node-b"}, clk, svcA, 1, "")
-	defer epA.Close()
-	ndB, epB := seedNode(t, hub, "node-b", []string{"node-a"}, clk, svcB, 1, "")
+	ndA, epA := seedNode(t, hub, "node-a", []string{"node-b"}, clk, svcA, 1)
+	ndB, epB := seedNode(t, hub, "node-b", []string{"node-a"}, clk, svcB, 1)
 
-	// One full exchange so node-a has node-b's watermarks cached (the push
-	// cache is what hints are framed against).
+	// One full exchange so node-a has node-b's watermarks cached and would
+	// push to it if it were alive.
 	ndA.Exchange()
 	ndB.Exchange()
 	ndA.Drain()
@@ -171,40 +173,56 @@ func TestHintedHandoffReplay(t *testing.T) {
 	// node-b dies; node-a keeps accepting writes through the outage.
 	epB.Close()
 	ndB.Close()
-	for i := 0; i < 5; i++ {
-		if _, err := svcA.SubmitCtx(context.Background(), 1, 2+i, 0.5, int64(100+i)); err != nil {
+	for k := 0; k < backlog; k++ {
+		if _, err := svcA.SubmitCtx(context.Background(), k%16, (k+1)%16, 0.5, int64(100+k)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	clk.t = 31 // node-b is dead by now
 	ndA.Exchange()
-	st := ndA.Stats()
-	if st.HintedEntries != 5 {
-		t.Fatalf("hinted entries = %d, want 5; stats %+v", st.HintedEntries, st)
+	if got := memberState(ndA, "node-b"); got != "dead" {
+		t.Fatalf("node-b is %q at t=31, want dead", got)
+	}
+	if st := ndA.Stats(); st.BatchesSent != 0 {
+		t.Fatalf("node-a addressed %d batches to a dead peer; stats %+v", st.BatchesSent, st)
 	}
 
-	// node-b restarts (same durable ledger — the service lived) and
-	// announces itself; node-a must replay the hints without waiting for a
-	// digest round-trip about the missing entries.
-	ndB2, epB2 := seedNode(t, hub, "node-b", []string{"node-a"}, clk, svcB, 2, "")
+	// Both processes restart over their durable ledgers (the services lived).
+	ndA.Close()
+	epA.Close()
+	ndA2, epA2 := seedNode(t, hub, "node-a", []string{"node-b"}, clk, svcA, 2)
+	defer epA2.Close()
+	defer ndA2.Close()
+	ndB2, epB2 := seedNode(t, hub, "node-b", []string{"node-a"}, clk, svcB, 2)
 	defer epB2.Close()
 	defer ndB2.Close()
+
+	// One digest round-trip: node-b announces itself, node-a streams the
+	// answer, node-b applies it.
 	ndB2.Exchange()
-	ndA.Drain() // receive b's digest → revive → replay hints
+	ndA2.Drain()
 	ndB2.Drain()
-	if got := svcB.ReplicationMark("node-a"); got != 5 {
-		t.Fatalf("node-b's watermark for node-a = %d, want 5; a stats %+v", got, ndA.Stats())
+	if got := svcB.ReplicationMark("node-a"); got != backlog {
+		t.Fatalf("node-b's watermark for node-a = %d after one round-trip, want %d; a stats %+v", got, backlog, ndA2.Stats())
 	}
-	st = ndA.Stats()
-	if st.HintedEntries != 0 || st.HintsReplayed != 5 {
-		t.Fatalf("after replay: queued=%d replayed=%d, want 0/5", st.HintedEntries, st.HintsReplayed)
+	want := uint64((backlog + defaultMaxBatch - 1) / defaultMaxBatch)
+	if st := ndA2.Stats(); st.BatchesSent != want {
+		t.Fatalf("node-a sent %d batches, want %d; stats %+v", st.BatchesSent, want, st)
+	}
+	if st := ndB2.Stats(); st.EntriesApplied != backlog || st.BatchesGapped != 0 {
+		t.Fatalf("node-b applied %d entries with %d gapped batches, want %d / 0", st.EntriesApplied, st.BatchesGapped, backlog)
+	}
+
+	// The streamed answer advanced node-a's push cache: nothing is re-sent.
+	ndA2.Exchange()
+	if st := ndA2.Stats(); st.BatchesSent != want {
+		t.Fatalf("exchange after the answer pushed %d more batches", st.BatchesSent-want)
 	}
 }
 
-// TestHintQueueBounded: the per-peer buffer drops batches past
-// MaxHintEntries and tallies them; the pull recovers the loss later, so the
-// only contract here is the bound and the accounting.
-func TestHintQueueBounded(t *testing.T) {
+// TestDigestAnswerBudget: one digest answer streams at most
+// digestAnswerBatches batches per origin; the rest follows on the next digest.
+func TestDigestAnswerBudget(t *testing.T) {
 	g := testGraph(t, 16)
 	hub := transport.NewHub()
 	clk := &logicalClock{}
@@ -217,89 +235,28 @@ func TestHintQueueBounded(t *testing.T) {
 	defer epA.Close()
 	ndA, err := New(Config{
 		Service: svcA, Transport: epA, Peers: []string{"node-b"},
-		Now: clk.now, SuspectAfter: 10, DeadAfter: 30,
-		MaxBatch: 2, MaxHintEntries: 4,
+		Now: clk.now, SuspectAfter: 10, DeadAfter: 30, MaxBatch: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ndB, epB := seedNode(t, hub, "node-b", []string{"node-a"}, clk, svcB, 1, "")
-	ndA.Exchange()
-	ndB.Exchange()
-	ndA.Drain()
-	ndB.Drain()
-	epB.Close()
-	ndB.Close()
-	for i := 0; i < 8; i++ {
-		if _, err := svcA.SubmitCtx(context.Background(), 1, 2+i, 0.5, int64(100+i)); err != nil {
+	ndB, epB := seedNode(t, hub, "node-b", []string{"node-a"}, clk, svcB, 1)
+	defer epB.Close()
+	for k := 0; k < 40; k++ {
+		if _, err := svcA.SubmitCtx(context.Background(), k%16, (k+1)%16, 0.5, int64(100+k)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	clk.t = 31
-	// Each exchange hints one batch of ≤2 entries; the queue caps at 4.
-	for i := 0; i < 5; i++ {
-		ndA.Exchange()
-	}
-	st := ndA.Stats()
-	if st.HintedEntries != 4 {
-		t.Fatalf("hinted entries = %d, want the 4-entry bound; stats %+v", st.HintedEntries, st)
-	}
-	if st.HintsDropped == 0 {
-		t.Fatal("overflow batches were not tallied as dropped")
-	}
-}
-
-// TestHintLogSurvivesRestart: with Config.HintPath set, hints buffered for a
-// dead peer are reloaded by a restarted node and still replay.
-func TestHintLogSurvivesRestart(t *testing.T) {
-	g := testGraph(t, 16)
-	hub := transport.NewHub()
-	clk := &logicalClock{}
-	hintPath := filepath.Join(t.TempDir(), "hints.jsonl")
-	svcA := newClusterService(t, g, 1, "node-a")
-	svcB := newClusterService(t, g, 1, "node-b")
-	ndA, epA := seedNode(t, hub, "node-a", []string{"node-b"}, clk, svcA, 1, hintPath)
-	ndB, epB := seedNode(t, hub, "node-b", []string{"node-a"}, clk, svcB, 1, "")
-
-	ndA.Exchange()
-	ndB.Exchange()
-	ndA.Drain()
-	ndB.Drain()
-	epB.Close()
-	ndB.Close()
-	for i := 0; i < 3; i++ {
-		if _, err := svcA.SubmitCtx(context.Background(), 1, 2+i, 0.5, int64(100+i)); err != nil {
-			t.Fatal(err)
+	for _, want := range []uint64{2 * digestAnswerBatches, 40} {
+		ndB.Exchange()
+		ndA.Drain()
+		ndB.Drain()
+		if got := svcB.ReplicationMark("node-a"); got != want {
+			t.Fatalf("node-b's watermark for node-a = %d, want %d; a stats %+v", got, want, ndA.Stats())
 		}
 	}
-	clk.t = 31
-	ndA.Exchange()
-	if st := ndA.Stats(); st.HintedEntries != 3 {
-		t.Fatalf("hinted entries = %d, want 3", st.HintedEntries)
-	}
-
-	// node-a restarts: same service and address, a fresh node reloading the
-	// hint log.
-	if err := ndA.Close(); err != nil {
-		t.Fatal(err)
-	}
-	epA.Close()
-	ndA2, epA2 := seedNode(t, hub, "node-a", []string{"node-b"}, clk, svcA, 2, hintPath)
-	defer epA2.Close()
-	defer ndA2.Close()
-	if st := ndA2.Stats(); st.HintedEntries != 3 {
-		t.Fatalf("reloaded hinted entries = %d, want 3", st.HintedEntries)
-	}
-
-	// node-b comes back too; the reloaded hints replay.
-	ndB2, epB2 := seedNode(t, hub, "node-b", []string{"node-a"}, clk, svcB, 2, "")
-	defer epB2.Close()
-	defer ndB2.Close()
-	ndB2.Exchange()
-	ndA2.Drain()
-	ndB2.Drain()
-	if got := svcB.ReplicationMark("node-a"); got != 3 {
-		t.Fatalf("node-b's watermark for node-a = %d, want 3", got)
+	if st := ndA.Stats(); st.BatchesSent != 20 {
+		t.Fatalf("node-a sent %d batches for 40 entries at MaxBatch 2, want 20", st.BatchesSent)
 	}
 }
 
@@ -332,7 +289,7 @@ func TestDeadPeerProbeCadence(t *testing.T) {
 	hub := transport.NewHub()
 	clk := &logicalClock{}
 	svcA := newClusterService(t, g, 1, "node-a")
-	ndA, epA := seedNode(t, hub, "node-a", []string{"node-b"}, clk, svcA, 1, "")
+	ndA, epA := seedNode(t, hub, "node-a", []string{"node-b"}, clk, svcA, 1)
 	defer epA.Close()
 	// node-b never existed on the hub: every digest to it fails, and after
 	// DeadAfter it is dead.

@@ -29,13 +29,13 @@ import (
 // no seeds and every other replica seeds on replica 0 alone; gossiped views
 // discover the rest. The failure detector runs on the target's logical clock
 // (one tick per round; suspect after 3 idle ticks, dead after 6), so a
-// replica crashed for a multi-round window goes dead on its peers, entries
-// owed to it buffer as hints, and its rejoin — a fresh agent with a bumped
-// incarnation over the surviving ledger — triggers hint replay the moment it
-// digests anyone.
+// replica crashed for a multi-round window goes dead on its peers, which
+// stop pushing to it, and its rejoin — a fresh agent with a bumped
+// incarnation over the surviving ledger — has its whole backlog streamed
+// back in answer to the first digest it sends.
 //
-// All replicas share the overlay, the base seed and FixedEpochSeed, and
-// feedback is stamped from a deterministic submission counter, so once
+// All replicas are replicating services sharing the overlay and the base
+// seed, and feedback is stamped from a deterministic submission counter, so once
 // watermarks agree and each replica has folded, reputations must match
 // across replicas bit for bit — that exact equality, not an envelope, is the
 // final convergence check. The whole run is single-threaded (manual
@@ -119,10 +119,9 @@ func newClusterTarget(cfg Config, g *graph.Graph, seed uint64, values *rng.Sourc
 				Seed:     seed,
 				Workers:  cfg.Workers,
 			},
-			Shards:         shards,
-			Replicate:      true,
-			FixedEpochSeed: true,
-			Origin:         t.names[i],
+			Shards:    shards,
+			Replicate: true,
+			Origin:    t.names[i],
 		})
 		if err != nil {
 			return nil, err
@@ -504,7 +503,7 @@ func (t *clusterTarget) Reputations() []float64 {
 }
 
 // ReferenceErr reports the worst cross-replica divergence after the final
-// drain: with a shared seed and FixedEpochSeed, converged replicas must be
+// drain: replicating services with a shared seed must, once converged, be
 // bit-identical, so anything above zero is a replication defect. A cluster
 // that failed to quiesce reports +Inf.
 func (t *clusterTarget) ReferenceErr([]bool) float64 {

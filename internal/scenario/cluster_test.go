@@ -7,6 +7,7 @@ import (
 
 	"diffgossip/internal/graph"
 	"diffgossip/internal/rng"
+	"diffgossip/internal/transport"
 )
 
 // TestClusterCrashRejoinConverges is the federation acceptance scenario: a
@@ -107,8 +108,8 @@ func TestClusterRejectsUnsupportedEvents(t *testing.T) {
 // thrashConfig is the membership-thrash acceptance scenario: a 5-replica
 // cluster bootstrapped from a single seed rides out continuous kill/respawn
 // churn, a multi-round dead-replica window long past the dead threshold
-// (so peers buffer hints and replay them on the rejoin), replication-path
-// packet loss, and a partition — while clients keep submitting round-robin
+// (so peers stop pushing and the rejoin pulls the whole backlog),
+// replication-path packet loss, and a partition — while clients keep submitting round-robin
 // across whatever replicas are up.
 var thrashConfig = Config{
 	Target:     TargetCluster,
@@ -164,8 +165,8 @@ func TestClusterMembershipThrash(t *testing.T) {
 	}
 }
 
-// TestClusterMembershipThrashReplays: the thrash timeline — faults, hints,
-// LWW conflicts and all — is a pure function of its seed.
+// TestClusterMembershipThrashReplays: the thrash timeline — faults, dead
+// windows, LWW conflicts and all — is a pure function of its seed.
 func TestClusterMembershipThrashReplays(t *testing.T) {
 	a, err := Run(thrashConfig)
 	if err != nil {
@@ -186,10 +187,12 @@ func TestClusterMembershipThrashReplays(t *testing.T) {
 	}
 }
 
-// TestClusterDeadWindowExercisesHints drives the target directly to pin that
-// a multi-round dead window actually flows through hinted handoff: while
-// replica 1 is dead its peers buffer hints, and its rejoin replays them.
-func TestClusterDeadWindowExercisesHints(t *testing.T) {
+// TestClusterDeadWindowCatchesUp drives the target directly through a
+// multi-round dead window. While replica 1 is dead its peers address no
+// entries batch to it (a sink registered under its address sees only digest
+// probes) — what it is owed stays in their ledgers — and after its rejoin the
+// cluster's watermarks are level within two exchange rounds.
+func TestClusterDeadWindowCatchesUp(t *testing.T) {
 	cfg := (&Config{
 		Target: TargetCluster, N: 20, Epsilon: 1e-6,
 		EpochEvery: 5, Replicas: 3,
@@ -209,34 +212,53 @@ func TestClusterDeadWindowExercisesHints(t *testing.T) {
 	if err := tgt.Crash(1); err != nil {
 		t.Fatal(err)
 	}
-	for r := 0; r < clusterDeadTicks+4; r++ { // well past the dead threshold
-		tgt.Step()
+	// A silent sink takes over the crashed replica's address: sends to it
+	// succeed but nothing ever answers, so its peers still declare it dead.
+	sink, err := tgt.hub.Endpoint(tgt.names[1])
+	if err != nil {
+		t.Fatal(err)
 	}
-	hinted := uint64(0)
-	for i, up := range tgt.upRep {
-		if up {
-			hinted += uint64(tgt.nodes[i].Stats().HintedEntries)
+	sunk := func() (batches int) {
+		for {
+			select {
+			case msg := <-sink.Inbox():
+				if msg.Kind == transport.KindEntries {
+					batches++
+				}
+			default:
+				return batches
+			}
 		}
 	}
-	if hinted == 0 {
-		t.Fatalf("no hints buffered during the dead window; stats: %+v", tgt.nodes[0].Stats())
+	for r := 0; r < clusterDeadTicks; r++ { // suspect, then dead
+		tgt.Step()
 	}
+	sunk() // whatever was pushed while the replica was merely suspect
+	owed := tgt.svcs[0].LocalStreamMark()
+	for r := 0; r < 6; r++ { // the dead window proper, feedback still flowing
+		tgt.Step()
+	}
+	if owed = tgt.svcs[0].LocalStreamMark() - owed; owed == 0 {
+		t.Fatal("test degenerated: replica 0 accepted nothing during the dead window")
+	}
+	if got := sunk(); got != 0 {
+		t.Fatalf("%d entries batches were addressed to a dead replica", got)
+	}
+	sink.Close()
+
 	if err := tgt.Rejoin(1); err != nil {
 		t.Fatal(err)
 	}
-	for r := 0; r < 4; r++ {
-		tgt.Step()
+	for r := 0; r < 2; r++ {
+		tgt.antiEntropy()
 	}
-	replayed := uint64(0)
-	for i, up := range tgt.upRep {
-		if up && i != 1 {
-			replayed += tgt.nodes[i].Stats().HintsReplayed
+	ref := tgt.nodes[0].Stats().Marks
+	for r := 1; r < len(tgt.nodes); r++ {
+		if m := tgt.nodes[r].Stats().Marks; !reflect.DeepEqual(ref, m) {
+			t.Fatalf("marks not level two rounds after the rejoin: replica 0 %v, replica %d %v", ref, r, m)
 		}
 	}
-	if replayed == 0 {
-		t.Fatalf("hints never replayed after the rejoin; stats: %+v", tgt.nodes[0].Stats())
-	}
 	if got := tgt.ReferenceErr(nil); got != 0 {
-		t.Fatalf("replicas diverged after handoff: ReferenceErr = %v", got)
+		t.Fatalf("replicas diverged after the catch-up: ReferenceErr = %v", got)
 	}
 }

@@ -127,12 +127,11 @@ func TestServiceBootstrapInstall(t *testing.T) {
 	g := testGraph(t, 30, 7)
 	mk := func(origin string) *Service {
 		s, err := New(Config{
-			Graph:          g,
-			Params:         core.Params{Epsilon: 1e-6, Seed: 11},
-			Shards:         3,
-			Replicate:      true,
-			FixedEpochSeed: true,
-			Origin:         origin,
+			Graph:     g,
+			Params:    core.Params{Epsilon: 1e-6, Seed: 11},
+			Shards:    3,
+			Replicate: true,
+			Origin:    origin,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -13,10 +13,9 @@ func lwwPair(t *testing.T, n int) (*Service, *Service) {
 	t.Helper()
 	mk := func(origin string) *Service {
 		return newTestService(t, n, Config{
-			Graph:          testGraph(t, n, 7),
-			Replicate:      true,
-			FixedEpochSeed: true,
-			Origin:         origin,
+			Graph:     testGraph(t, n, 7),
+			Replicate: true,
+			Origin:    origin,
 		})
 	}
 	return mk("node-a"), mk("node-b")
@@ -106,10 +105,9 @@ func TestLWWTimestampTieBreaksOnOrigin(t *testing.T) {
 	// "node-b" > "node-a" in the total order, so 0.9 must be the winner on
 	// both: compare against a third service that only ever saw the winner.
 	c := newTestService(t, 16, Config{
-		Graph:          testGraph(t, 16, 7),
-		Replicate:      true,
-		FixedEpochSeed: true,
-		Origin:         "node-c",
+		Graph:     testGraph(t, 16, 7),
+		Replicate: true,
+		Origin:    "node-c",
 	})
 	if _, err := c.ReplicatedSubmit("node-b", seqB, 3, 5, 0.9, 500); err != nil {
 		t.Fatal(err)
@@ -127,11 +125,10 @@ func TestLWWTagsSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
 	mk := func() *Service {
 		s, err := New(Config{
-			Graph:          testGraph(t, 16, 7),
-			Dir:            filepath.Join(dir, "data"),
-			Replicate:      true,
-			FixedEpochSeed: true,
-			Origin:         "node-a",
+			Graph:     testGraph(t, 16, 7),
+			Dir:       filepath.Join(dir, "data"),
+			Replicate: true,
+			Origin:    "node-a",
 		})
 		if err != nil {
 			t.Fatal(err)

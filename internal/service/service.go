@@ -96,19 +96,17 @@ type Config struct {
 	// 0 disables scheduled compaction (CompactWAL can still be called
 	// directly).
 	CompactEvery int
-	// Replicate switches the ledger into cluster mode: accepted entries are
+	// Replicate switches the service into cluster mode: accepted entries are
 	// retained per origin and replicated entries apply idempotently, so an
-	// internal/cluster node can run anti-entropy over this service. The
-	// standalone service leaves it off and pays nothing.
+	// internal/cluster node can run anti-entropy over this service. It also
+	// makes epoch randomness depend only on Params.Seed and the subject id,
+	// not the epoch counter. Successive epochs then reuse the same gossip
+	// streams, which costs statistical freshness but buys the property
+	// cluster replication needs: any node that has folded the same trust
+	// state serves bit-identical reputations, regardless of how many epochs
+	// it took to get there. The standalone service leaves it off, pays
+	// nothing, and draws an independent stream per epoch.
 	Replicate bool
-	// FixedEpochSeed makes epoch randomness depend only on Params.Seed and
-	// the subject id, not the epoch counter. Successive epochs then reuse
-	// the same gossip streams, which costs statistical freshness but buys
-	// the property cluster replication needs: any node that has folded the
-	// same trust state serves bit-identical reputations, regardless of how
-	// many epochs it took to get there. Cluster deployments set it; the
-	// standalone default (off) draws an independent stream per epoch.
-	FixedEpochSeed bool
 	// NoWarmStart disables warm-started campaigns: every fold then reseeds
 	// its campaigns from the trust columns alone, as if no previous epoch
 	// had run. Replicated services (Config.Replicate) force this regardless
@@ -777,7 +775,7 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 
 	epoch := s.epochs.Load() + 1
 	p := s.cfg.Params
-	if !s.cfg.FixedEpochSeed {
+	if !s.cfg.Replicate {
 		p.Seed = epochSeed(p.Seed, epoch)
 	}
 
