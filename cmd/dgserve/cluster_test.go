@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -159,13 +160,19 @@ func TestClusterModeRequiresData(t *testing.T) {
 	}
 }
 
-// TestJoinFlagParsing covers the -join list splitting via runConfig wiring.
+// TestJoinFlagParsing covers the -join list splitting (blanks trimmed, empty
+// items dropped) and its wiring through runConfig into the cluster node.
 func TestJoinFlagParsing(t *testing.T) {
-	c := runConfig{
-		listen: "127.0.0.1:0", n: 12, m: 2, epsilon: 1e-4,
-		clusterListen: "127.0.0.1:0",
-		peers:         []string{"10.0.0.1:9080", "10.0.0.2:9080"},
-		antiEntropy:   time.Hour, // no background churn in the test
+	c, err := parseFlags([]string{
+		"-n", "12", "-epsilon", "1e-4", "-cluster-listen", "127.0.0.1:0",
+		"-join", " 10.0.0.1:9080, 10.0.0.2:9080,",
+		"-anti-entropy", "1h", // no background churn in the test
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"10.0.0.1:9080", "10.0.0.2:9080"}; !reflect.DeepEqual(c.peers, want) {
+		t.Fatalf("-join parsed to %q, want %q", c.peers, want)
 	}
 	tr, err := transport.ListenTCP(c.clusterListen)
 	if err != nil {

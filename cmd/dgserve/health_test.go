@@ -141,7 +141,7 @@ func bootClusterDgserve(t *testing.T, dir string, peers []string) (addr string, 
 	go func() {
 		done <- run(runConfig{
 			listen: "127.0.0.1:0", n: 16, m: 2, graphSeed: 42, seed: 1,
-			epsilon: 1e-6, epoch: 0, workers: 1, shards: 1, foldWorkers: 1,
+			epsilon: 1e-6, epoch: 0, shards: 1,
 			dataDir: dir, clusterListen: "127.0.0.1:0", peers: peers,
 			antiEntropy: 10 * time.Millisecond,
 			ready:       func(addr string) { ready <- addr },
@@ -207,7 +207,7 @@ func TestGracefulShutdownOnSIGTERM(t *testing.T) {
 	// out, and a fresh service over the same directory replays it.
 	svc, err := runConfig{
 		n: 16, m: 2, graphSeed: 42, seed: 1, epsilon: 1e-6,
-		workers: 1, shards: 1, foldWorkers: 1, dataDir: dir,
+		shards: 1, dataDir: dir,
 		clusterListen: "x", // any non-empty value selects the replicating config
 	}.newService("node-x")
 	if err != nil {

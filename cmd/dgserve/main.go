@@ -39,16 +39,19 @@
 // stalls, and SIGTERM drains in-flight HTTP and fsyncs the WAL before
 // exiting.
 //
-// Load-generator mode measures service throughput over real HTTP: it spins
-// up an in-process server (or targets -target), hammers it with concurrent
-// feedback writers and reputation readers for -duration, forces a final
-// epoch, and prints a JSON report:
+// The whole command line is 15 flags — the paper's parameters, where to
+// listen and persist, the cluster addresses and cadence, and logging:
 //
-//	dgserve -loadgen -n 500 -duration 5s -writers 8 -readers 8
+//	-listen -n -m -graph-seed -seed -epsilon -epoch -shards -data
+//	-cluster-listen -join -anti-entropy -log-level -log-format -pprof-addr
+//
+// Anything else is a fixed value (the constants below and the
+// internal/httpapi ingress defaults), and flag refuses it by name.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -70,112 +73,52 @@ import (
 )
 
 func main() {
-	var (
-		listen       = flag.String("listen", "127.0.0.1:8080", "address to serve HTTP on")
-		n            = flag.Int("n", 1000, "network size (node ids are 0..n-1)")
-		m            = flag.Int("m", 2, "preferential-attachment edges per node for the overlay")
-		graphSeed    = flag.Uint64("graph-seed", 42, "seed for the overlay topology")
-		seed         = flag.Uint64("seed", 1, "base seed for epoch gossip randomness")
-		epsilon      = flag.Float64("epsilon", 1e-6, "gossip convergence tolerance ξ")
-		epoch        = flag.Duration("epoch", 2*time.Second, "epoch scheduler interval (0 = manual epochs via POST /v1/epoch)")
-		workers      = flag.Int("workers", -1, "per-shard gossip workers (-1 = GOMAXPROCS, 1 = sequential)")
-		shards       = flag.Int("shards", 1, "subject shards S (subject j belongs to shard j mod S); epochs recompute only dirty shards")
-		foldWkrs     = flag.Int("fold-workers", 1, "dirty shards folding concurrently per epoch (-1 = GOMAXPROCS)")
-		dataDir      = flag.String("data", "", "persistence directory (empty = in-memory)")
-		compactEvery = flag.Int("compact-every", 256, "rewrite the WAL keeping only live entries every N persisted epochs (0 = never; needs -data)")
-
-		clusterListen = flag.String("cluster-listen", "", "TCP address for ledger replication; enables cluster mode (use a stable address — it is this node's origin id)")
-		join          = flag.String("join", "", "comma-separated seed cluster addresses; the rest of the cluster is discovered via gossiped membership")
-		antiEntropy   = flag.Duration("anti-entropy", time.Second, "cluster digest exchange interval (also runs before each scheduled epoch)")
-		histTrimEvery = flag.Int("hist-trim-every", 16, "trim fully-acknowledged replication history every N exchanges (0 = never)")
-		bootstrapLag  = flag.Uint64("bootstrap-lag", 8192, "request a snapshot-shipped bootstrap when trailing the cluster by more than this many entries (fresh nodes always request; 0 = never request)")
-
-		maxBatch     = flag.Int("max-batch", httpapi.DefaultMaxBatch, "max ratings per POST /v1/feedback/batch (batch bodies beyond it get 413)")
-		maxPending   = flag.Int("max-pending", httpapi.DefaultMaxPending, "pending-fold window size beyond which feedback ingest sheds with 429 (negative = unlimited)")
-		maxInflight  = flag.Int("max-inflight", httpapi.DefaultMaxInflight, "max concurrently served data-route requests; excess get 503 (negative = unlimited)")
-		maxBody      = flag.Int64("max-body", httpapi.DefaultMaxBodyBytes, "max batch request body bytes (oversized bodies get 413)")
-		readTimeout  = flag.Duration("read-timeout", 30*time.Second, "http.Server ReadTimeout: a request (headers+body) slower than this is dropped")
-		writeTimeout = flag.Duration("write-timeout", 60*time.Second, "http.Server WriteTimeout: a response slower than this is dropped")
-		idleTimeout  = flag.Duration("idle-timeout", 2*time.Minute, "http.Server IdleTimeout for keep-alive connections")
-
-		logLevel   = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
-		logFormat  = flag.String("log-format", "text", "log output format: text or json")
-		pprofAddr  = flag.String("pprof-addr", "", "address for net/http/pprof profiling endpoints (empty = disabled)")
-		traceDepth = flag.Int("trace-depth", service.DefaultTraceDepth, "epochs kept in the GET /v1/trace ring (negative = disabled)")
-
-		loadgen     = flag.Bool("loadgen", false, "run the load generator instead of serving")
-		duration    = flag.Duration("duration", 5*time.Second, "loadgen: how long to generate load")
-		writers     = flag.Int("writers", 8, "loadgen: concurrent feedback writers")
-		readers     = flag.Int("readers", 8, "loadgen: concurrent reputation readers")
-		target      = flag.String("target", "", "loadgen: base URL of an external dgserve (empty = in-process server)")
-		batchSize   = flag.Int("batch", 0, "loadgen: ratings per write (0/1 = single POSTs, >1 = POST /v1/feedback/batch)")
-		rate        = flag.Float64("rate", 0, "loadgen: open-loop total write arrival rate per second (0 = closed loop, as fast as accepted)")
-		adversarial = flag.Bool("adversarial", false, "loadgen: mix in malformed and oversized bodies, slow-loris writers and hot-subject skew")
-	)
-	flag.Parse()
-
-	var peers []string
-	if *join != "" {
-		for _, p := range strings.Split(*join, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peers = append(peers, p)
-			}
+	c, err := parseFlags(os.Args[1:])
+	if err != nil {
+		// The flag package has already printed the error and the usage text.
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
 		}
+		os.Exit(2)
 	}
-	if err := run(runConfig{
-		listen: *listen, n: *n, m: *m, graphSeed: *graphSeed, seed: *seed,
-		epsilon: *epsilon, epoch: *epoch, workers: *workers, shards: *shards,
-		foldWorkers: *foldWkrs, dataDir: *dataDir, compactEvery: *compactEvery,
-		clusterListen: *clusterListen, peers: peers, antiEntropy: *antiEntropy,
-		histTrimEvery: *histTrimEvery, bootstrapLag: *bootstrapLag,
-		maxBatch: *maxBatch, maxPending: *maxPending, maxInflight: *maxInflight,
-		maxBody: *maxBody, readTimeout: *readTimeout, writeTimeout: *writeTimeout,
-		idleTimeout: *idleTimeout,
-		logLevel:    *logLevel, logFormat: *logFormat,
-		pprofAddr: *pprofAddr, traceDepth: *traceDepth, reg: obs.Default,
-		loadgen: *loadgen, duration: *duration, writers: *writers,
-		readers: *readers, target: *target, batchSize: *batchSize,
-		rate: *rate, adversarial: *adversarial,
-	}); err != nil {
+	c.reg = obs.Default
+	if err := run(c); err != nil {
 		fmt.Fprintf(os.Stderr, "dgserve: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-type runConfig struct {
-	listen           string
-	n, m             int
-	graphSeed, seed  uint64
-	epsilon          float64
-	epoch            time.Duration
-	workers          int
-	shards           int
-	foldWorkers      int
-	dataDir          string
-	compactEvery     int
-	clusterListen    string
-	peers            []string
-	antiEntropy      time.Duration
-	histTrimEvery    int
-	bootstrapLag     uint64
-	loadgen          bool
-	duration         time.Duration
-	writers, readers int
-	target           string
-	// batchSize, rate and adversarial shape the loadgen workload: ratings
-	// per write request, open-loop total write arrival rate (0 = closed
-	// loop), and whether the adversarial mix (malformed/oversized bodies,
-	// slow-loris writers, hot-subject skew) is on.
-	batchSize   int
-	rate        float64
-	adversarial bool
+// Values, not options: each has had one value in every run. The four ingress
+// limits are not even named here — run leaves them zero, so httpapi.New's
+// documented defaults apply (4,096 ratings and 8 MiB per batch, a
+// 65,536-entry pending window, 256 requests in flight).
+const (
+	gossipWorkers = -1   // per-shard gossip workers: GOMAXPROCS
+	foldWorkers   = 1    // dirty shards folding concurrently per epoch
+	compactEvery  = 256  // persisted epochs between WAL compactions
+	histTrimEvery = 16   // exchanges between replication-history trims
+	bootstrapLag  = 8192 // entries behind the cluster before a snapshot bootstrap is requested
 
-	// The ingress limits (zero values fall back to the httpapi defaults)
-	// and http.Server deadlines.
-	maxBatch, maxPending, maxInflight int
-	maxBody                           int64
-	readTimeout, writeTimeout         time.Duration
-	idleTimeout                       time.Duration
+	// The http.Server deadlines bound how long any one connection can hold
+	// resources: slow-loris request trickles die at readTimeout (headers and
+	// body), stalled consumers of big responses at writeTimeout, and idle
+	// keep-alives at idleTimeout.
+	readTimeout  = 30 * time.Second
+	writeTimeout = 60 * time.Second
+	idleTimeout  = 2 * time.Minute
+)
+
+type runConfig struct {
+	listen          string
+	n, m            int
+	graphSeed, seed uint64
+	epsilon         float64
+	epoch           time.Duration
+	shards          int
+	dataDir         string
+	clusterListen   string
+	peers           []string
+	antiEntropy     time.Duration
 
 	// logLevel/logFormat configure the process-wide slog default;
 	// empty values skip setup (tests keep their quiet default logger).
@@ -183,8 +126,6 @@ type runConfig struct {
 	// pprofAddr, when set, serves net/http/pprof on its own listener —
 	// profiling stays off the public API surface.
 	pprofAddr string
-	// traceDepth sizes the epoch trace ring behind GET /v1/trace.
-	traceDepth int
 	// reg, when set, receives every layer's metrics and is served on
 	// GET /metrics. main passes obs.Default; tests pass a fresh registry
 	// (or nil for none) since metric names register once per registry.
@@ -195,63 +136,115 @@ type runConfig struct {
 	ready func(addr string)
 }
 
-// newService builds the overlay and the reputation service from flags. In
+// newFlagSet binds dgserve's command line straight into c: the FlagSet is
+// the one place a flag's name, default and usage text are written down.
+func newFlagSet(c *runConfig) *flag.FlagSet {
+	fs := flag.NewFlagSet("dgserve", flag.ContinueOnError)
+	fs.StringVar(&c.listen, "listen", "127.0.0.1:8080", "address to serve HTTP on")
+	fs.IntVar(&c.n, "n", 1000, "network size (node ids are 0..n-1)")
+	fs.IntVar(&c.m, "m", 2, "preferential-attachment edges per node for the overlay")
+	fs.Uint64Var(&c.graphSeed, "graph-seed", 42, "seed for the overlay topology")
+	fs.Uint64Var(&c.seed, "seed", 1, "base seed for epoch gossip randomness")
+	fs.Float64Var(&c.epsilon, "epsilon", 1e-6, "gossip convergence tolerance ξ")
+	fs.DurationVar(&c.epoch, "epoch", 2*time.Second, "epoch scheduler interval (0 = manual epochs via POST /v1/epoch)")
+	fs.IntVar(&c.shards, "shards", 1, "subject shards S (subject j belongs to shard j mod S); epochs recompute only dirty shards")
+	fs.StringVar(&c.dataDir, "data", "", "persistence directory (empty = in-memory)")
+	fs.StringVar(&c.clusterListen, "cluster-listen", "", "TCP address for ledger replication; enables cluster mode (use a stable address — it is this node's origin id)")
+	fs.Func("join", "comma-separated seed cluster `addresses`; the rest of the cluster is discovered via gossiped membership", func(v string) error {
+		c.peers = nil
+		for _, p := range strings.Split(v, ",") {
+			if p = strings.TrimSpace(p); p != "" {
+				c.peers = append(c.peers, p)
+			}
+		}
+		return nil
+	})
+	fs.DurationVar(&c.antiEntropy, "anti-entropy", time.Second, "cluster digest exchange interval (also runs before each scheduled epoch)")
+	fs.StringVar(&c.logLevel, "log-level", "info", "log verbosity: debug, info, warn or error")
+	fs.StringVar(&c.logFormat, "log-format", "text", "log output format: text or json")
+	fs.StringVar(&c.pprofAddr, "pprof-addr", "", "address for net/http/pprof profiling endpoints (empty = disabled)")
+	return fs
+}
+
+// parseFlags turns a command line into the configuration run serves. An
+// unknown flag is an error; the FlagSet reports it with the usage text.
+func parseFlags(args []string) (runConfig, error) {
+	var c runConfig
+	if err := newFlagSet(&c).Parse(args); err != nil {
+		return runConfig{}, err
+	}
+	return c, nil
+}
+
+// serviceConfig is the service the flags describe, over overlay g. In
 // cluster mode the service replicates — which also fixes its epoch seeds, so
 // converged replicas serve bit-identical reputations — with the cluster
 // address as its LWW origin tag.
+func (c runConfig) serviceConfig(g *graph.Graph, origin string) service.Config {
+	return service.Config{
+		Graph:         g,
+		Params:        core.Params{Epsilon: c.epsilon, Seed: c.seed, Workers: gossipWorkers},
+		EpochInterval: c.epoch,
+		Dir:           c.dataDir,
+		Shards:        c.shards,
+		FoldWorkers:   foldWorkers,
+		Replicate:     c.clusterListen != "",
+		Origin:        origin,
+		CompactEvery:  compactEvery,
+	}
+}
+
+// newService builds the overlay and the reputation service from flags.
 func (c runConfig) newService(origin string) (*service.Service, error) {
 	g, err := graph.PreferentialAttachment(graph.PAConfig{N: c.n, M: c.m, Seed: c.graphSeed})
 	if err != nil {
 		return nil, err
 	}
-	return service.New(service.Config{
-		Graph:         g,
-		Params:        core.Params{Epsilon: c.epsilon, Seed: c.seed, Workers: c.workers},
-		EpochInterval: c.epoch,
-		Dir:           c.dataDir,
-		Shards:        c.shards,
-		FoldWorkers:   c.foldWorkers,
-		Replicate:     c.clusterListen != "",
-		Origin:        origin,
-		TraceDepth:    c.traceDepth,
-		CompactEvery:  c.compactEvery,
-	})
+	return service.New(c.serviceConfig(g, origin))
 }
 
-// newHTTPServer builds the HTTP front door with the flag-configured ingress
-// limits (batch size, body bytes, backpressure window, in-flight gate).
-func (c runConfig) newHTTPServer(svc *service.Service, node *cluster.Node) *httpapi.Server {
-	return httpapi.New(httpapi.Config{
-		Service:      svc,
-		Node:         node,
-		EpochEvery:   c.epoch,
-		Registry:     c.reg,
-		MaxBatch:     c.maxBatch,
-		MaxBodyBytes: c.maxBody,
-		MaxPending:   c.maxPending,
-		MaxInflight:  c.maxInflight,
-	})
+// httpConfig is the HTTP front door's configuration: every ingress limit is
+// left zero, so the internal/httpapi defaults apply.
+func (c runConfig) httpConfig(svc *service.Service, node *cluster.Node) httpapi.Config {
+	return httpapi.Config{Service: svc, Node: node, EpochEvery: c.epoch, Registry: c.reg}
 }
 
-// newCluster starts the replication agent over an already-listening
-// transport; the returned cleanup closes both. It returns (nil, noop, nil)
-// outside cluster mode (tr == nil). The node's incarnation is the boot
-// wall-clock, which satisfies the must-increase-across-restarts contract
-// without any extra persisted state.
-func (c runConfig) newCluster(svc *service.Service, tr *transport.TCPTransport) (*cluster.Node, func(), error) {
-	if tr == nil {
-		return nil, func() {}, nil
+// newHTTPServer wraps the front door in an http.Server with the fixed
+// connection deadlines.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadTimeout:       readTimeout,
+		ReadHeaderTimeout: readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
 	}
-	node, err := cluster.New(cluster.Config{
+}
+
+// clusterConfig is the replication agent's configuration. The node's
+// incarnation is the boot wall-clock, which satisfies the
+// must-increase-across-restarts contract without any extra persisted state.
+func (c runConfig) clusterConfig(svc *service.Service, tr transport.Transport) cluster.Config {
+	return cluster.Config{
 		Service:      svc,
 		Transport:    tr,
 		Peers:        c.peers,
 		Interval:     c.antiEntropy,
 		Incarnation:  uint64(time.Now().UnixNano()),
-		TrimEvery:    c.histTrimEvery,
-		BootstrapLag: c.bootstrapLag,
+		TrimEvery:    histTrimEvery,
+		BootstrapLag: bootstrapLag,
 		Logger:       obs.Logger("cluster"),
-	})
+	}
+}
+
+// newCluster starts the replication agent over an already-listening
+// transport; the returned cleanup closes both. It returns (nil, noop, nil)
+// outside cluster mode (tr == nil).
+func (c runConfig) newCluster(svc *service.Service, tr *transport.TCPTransport) (*cluster.Node, func(), error) {
+	if tr == nil {
+		return nil, func() {}, nil
+	}
+	node, err := cluster.New(c.clusterConfig(svc, tr))
 	if err != nil {
 		tr.Close()
 		return nil, nil, err
@@ -270,9 +263,6 @@ func run(c runConfig) error {
 		if err := obs.SetupLogging(c.logLevel, c.logFormat); err != nil {
 			return err
 		}
-	}
-	if c.loadgen {
-		return runLoadgen(c, os.Stdout)
 	}
 	logger := obs.Logger("dgserve")
 	if c.clusterListen != "" && c.dataDir == "" {
@@ -351,16 +341,7 @@ func run(c runConfig) error {
 		go http.Serve(pln, pprofMux())
 	}
 	logger.Info("listening", "addr", ln.Addr().String())
-	// The deadlines bound how long any one connection can hold resources:
-	// slow-loris request trickles die at ReadTimeout, stalled consumers of
-	// big responses at WriteTimeout, and idle keep-alives at IdleTimeout.
-	srv := &http.Server{
-		Handler:           c.newHTTPServer(svc, node),
-		ReadTimeout:       c.readTimeout,
-		ReadHeaderTimeout: c.readTimeout,
-		WriteTimeout:      c.writeTimeout,
-		IdleTimeout:       c.idleTimeout,
-	}
+	srv := newHTTPServer(httpapi.New(c.httpConfig(svc, node)))
 	if c.ready != nil {
 		c.ready(ln.Addr().String())
 	}

@@ -427,35 +427,3 @@ func TestConcurrentHTTPTraffic(t *testing.T) {
 		}
 	}
 }
-
-func TestLoadgenSmoke(t *testing.T) {
-	var out bytes.Buffer
-	err := runLoadgen(runConfig{
-		n: 60, m: 2, graphSeed: 7, seed: 1, epsilon: 1e-5,
-		epoch: 5 * time.Millisecond, workers: 1,
-		duration: 200 * time.Millisecond, writers: 2, readers: 2,
-	}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The report is the last JSON object in the output (a banner line
-	// precedes it).
-	txt := out.String()
-	idx := strings.Index(txt, "{")
-	if idx < 0 {
-		t.Fatalf("no JSON report in output: %q", txt)
-	}
-	var report loadgenReport
-	if err := json.Unmarshal([]byte(txt[idx:]), &report); err != nil {
-		t.Fatalf("bad report: %v\n%s", err, txt)
-	}
-	if report.IngestOps == 0 || report.QueryOps == 0 {
-		t.Fatalf("loadgen did no work: %+v", report)
-	}
-	if report.Errors != 0 {
-		t.Fatalf("loadgen saw %d errors", report.Errors)
-	}
-	if report.FinalEpoch.Epoch == 0 {
-		t.Fatalf("no epoch ever ran: %+v", report.FinalEpoch)
-	}
-}

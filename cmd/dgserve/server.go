@@ -11,7 +11,7 @@ import (
 
 // The HTTP surface lives in internal/httpapi (so the benchmark drives
 // the same ingress path production serves); these aliases keep this
-// package's tests and the loadgen reading naturally.
+// package's tests reading naturally.
 type (
 	feedbackResponse   = httpapi.FeedbackResponse
 	batchResponse      = httpapi.BatchResponse
@@ -21,16 +21,9 @@ type (
 	traceResponse      = httpapi.TraceResponse
 )
 
-// newServer builds a standalone front door with default limits — the
-// in-process loadgen target and simple-test construction.
-func newServer(svc *service.Service) *httpapi.Server { return newClusterServer(svc, nil, 0, nil) }
-
 // newClusterServer builds the HTTP surface over a service and, in cluster
-// mode, its replication node, with the package's default ingress limits.
-// run() wires the flag-configured limits through runConfig.newHTTPServer
-// instead.
+// mode, its replication node — through the same runConfig.httpConfig run()
+// serves with, so tests meet the production ingress limits.
 func newClusterServer(svc *service.Service, node *cluster.Node, epochEvery time.Duration, reg *obs.Registry) *httpapi.Server {
-	return httpapi.New(httpapi.Config{
-		Service: svc, Node: node, EpochEvery: epochEvery, Registry: reg,
-	})
+	return httpapi.New(runConfig{epoch: epochEvery, reg: reg}.httpConfig(svc, node))
 }

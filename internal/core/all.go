@@ -411,48 +411,7 @@ func GlobalAll(g *graph.Graph, t *trust.Matrix, p Params) (*AllResult, error) {
 // phase, the trio vectors (y, g, count) gossip as in variant 3, and each node
 // applies eq. (6) per subject at the end.
 func GCLRAll(g *graph.Graph, t *trust.Matrix, p Params) (*AllResult, error) {
-	p = p.withDefaults()
-	if err := p.validate(g, t); err != nil {
-		return nil, err
-	}
-	n := g.N()
-	y0 := zeros(n)
-	g0 := zeros(n)
-	c0 := zeros(n)
-	for j := 0; j < n; j++ {
-		g0[p.Root][j] = 1
-	}
-	for i := 0; i < n; i++ {
-		for j, v := range t.Row(i) {
-			y0[i][j] = v
-			c0[i][j] = 1
-		}
-	}
-	e, err := gossip.NewVectorEngine(p.gossipConfig(g), y0, g0)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.EnableCountGossip(c0); err != nil {
-		return nil, err
-	}
-	e.CountVectorMessages()
-	// Feedback phase: each node pushes its trust vector to each neighbour.
-	e.ChargeSetup(2 * g.M() * n)
-	res := e.Run()
-
-	out := &AllResult{
-		Reputation: zeros(n),
-		Counts:     res.Counts,
-		Steps:      res.Steps,
-		Converged:  res.Converged,
-		Messages:   res.Messages,
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			out.Reputation[i][j] = combineGCLR(g, t, i, j, p, res.Estimates[i][j], res.Counts[i][j])
-		}
-	}
-	return out, nil
+	return GCLRAllFromReports(g, t, t, p)
 }
 
 // GCLRAllFromReports is GCLRAll where the values pushed into the gossip phase
@@ -490,6 +449,7 @@ func GCLRAllFromReports(g *graph.Graph, honest, reported *trust.Matrix, p Params
 		return nil, err
 	}
 	e.CountVectorMessages()
+	// Feedback phase: each node pushes its trust vector to each neighbour.
 	e.ChargeSetup(2 * g.M() * n)
 	res := e.Run()
 

@@ -395,8 +395,8 @@ type TraceResponse struct {
 }
 
 // handleTrace serves the epoch trace ring — the postmortem view of the last
-// TraceDepth folds: which shards recomputed, when each fold started and how
+// service.DefaultTraceDepth folds: which shards recomputed, when each fold started and how
 // long its campaigns ran, and whether anti-entropy preceded the epoch.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, TraceResponse{Depth: s.svc.TraceDepth(), Epochs: s.svc.Trace()})
+	writeJSON(w, http.StatusOK, TraceResponse{Depth: service.DefaultTraceDepth, Epochs: s.svc.Trace()})
 }

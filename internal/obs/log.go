@@ -10,9 +10,8 @@ import (
 
 // SetupLogging configures the process-wide slog default logger from the
 // -log-level and -log-format flag values: level is one of debug, info, warn,
-// error; format is text or json. Output goes to stderr, keeping stdout free
-// for machine-readable output (the loadgen report). Call it once at startup;
-// libraries then pick up the configuration through Logger.
+// error; format is text or json. Output goes to stderr. Call it once at
+// startup; libraries then pick up the configuration through Logger.
 func SetupLogging(level, format string) error {
 	return setupLogging(os.Stderr, level, format)
 }

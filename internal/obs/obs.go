@@ -89,20 +89,6 @@ func DefBuckets() []float64 {
 	return []float64{1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 }
 
-// ExponentialBuckets returns count bounds starting at start, each factor
-// times the previous. It panics on start <= 0, factor <= 1, or count < 1.
-func ExponentialBuckets(start, factor float64, count int) []float64 {
-	if start <= 0 || factor <= 1 || count < 1 {
-		panic("obs: ExponentialBuckets needs start > 0, factor > 1, count >= 1")
-	}
-	b := make([]float64, count)
-	for i := range b {
-		b[i] = start
-		start *= factor
-	}
-	return b
-}
-
 // Observe records one observation. Safe for concurrent use; no-op on a nil
 // receiver.
 func (h *Histogram) Observe(v float64) {
@@ -141,41 +127,4 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return math.Float64frombits(h.sum.Load())
-}
-
-// Quantile estimates the q-th quantile (0 <= q <= 1) by linear interpolation
-// inside the bucket holding that rank, the standard Prometheus
-// histogram_quantile estimate. Observations in the +Inf bucket clamp to the
-// highest finite bound. It returns 0 when the histogram is empty or nil.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	counts := make([]uint64, len(h.buckets))
-	var total uint64
-	for i := range h.buckets {
-		counts[i] = h.buckets[i].Load()
-		total += counts[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	cum := 0.0
-	for i, c := range counts {
-		prev := cum
-		cum += float64(c)
-		if cum >= rank && c > 0 {
-			if i >= len(h.bounds) {
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			return lo + (hi-lo)*(rank-prev)/float64(c)
-		}
-	}
-	return h.bounds[len(h.bounds)-1]
 }

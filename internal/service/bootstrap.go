@@ -87,9 +87,12 @@ func (s *Service) BootstrapState(reqMarks map[string]uint64) (*StateTransfer, er
 // the shipped segments are rebased into the local sequence space and
 // published, tail entries are enqueued like ordinary replicated entries, and
 // any locally retained entries the sender's transfer did not cover are
-// re-queued so their folds are not lost. With persistence on, the ledger is
-// fsynced before the installed segments are saved — the same
-// WAL-covers-segments invariant the boot guard checks.
+// re-queued so their folds are not lost. An installed segment never claims a
+// fold point at or above an entry of its shard that is still unfolded here —
+// re-queued, or pulled earlier and still pending — so a restart before the
+// next epoch re-pends it. With persistence on, the ledger is fsynced before
+// the installed segments are saved — the same WAL-covers-segments invariant
+// the boot guard checks.
 //
 // A transfer containing entries of this node's own origin is refused:
 // re-ingesting our own stream would re-number it and change its LWW tags.
@@ -153,8 +156,8 @@ func (s *Service) InstallBootstrap(st *StateTransfer) error {
 		}
 	}
 	// rebased is the local fold point the installed segments may claim:
-	// every local ledger entry at or below it is either recorded above or
-	// handled by the re-pend list computed next.
+	// every local ledger entry at or below it is recorded above, on the
+	// re-pend list computed next, or still pending (step 3 backs off for both).
 	rebased := s.ledger.Seq()
 
 	// 2. Anything we retain past the sender's shipped coverage — entries the
@@ -174,16 +177,26 @@ func (s *Service) InstallBootstrap(st *StateTransfer) error {
 	}
 
 	// 3. Rebase and publish the segments. A shard's claimed fold point backs
-	// off below its oldest re-pended entry, so a crash before the refold
-	// persists still re-pends that entry at next boot.
+	// off below its oldest unfolded entry — re-pended above or pending here
+	// already — so a crash before the refold persists still re-pends that
+	// entry at next boot. An entry this node pulled itself while the transfer
+	// was in flight is covered by the sender's marks, so it is in no list
+	// above, yet it may sit in the sender's unfolded tail: the shipped
+	// columns cannot be assumed to hold it. (The window is read by taking and
+	// restoring it: epochMu keeps epochs out, and an entry appended meanwhile
+	// carries a seq above rebased.)
+	local := s.ledger.TakePending()
+	s.ledger.Restore(local)
 	segSeq := make([]uint64, s.shards)
 	for sh := range segSeq {
 		segSeq[sh] = rebased
 	}
-	for _, fb := range repend {
-		sh := store.ShardOf(fb.Subject, s.shards)
-		if fb.Seq > 0 && fb.Seq-1 < segSeq[sh] {
-			segSeq[sh] = fb.Seq - 1
+	for _, unfolded := range [][]store.Feedback{repend, local} {
+		for _, fb := range unfolded {
+			sh := store.ShardOf(fb.Subject, s.shards)
+			if fb.Seq > 0 && fb.Seq-1 < segSeq[sh] {
+				segSeq[sh] = fb.Seq - 1
+			}
 		}
 	}
 	epoch := s.epochs.Load() + 1

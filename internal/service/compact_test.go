@@ -249,3 +249,82 @@ func TestServiceBootstrapInstall(t *testing.T) {
 		t.Fatal("transfer containing the receiver's own stream was accepted")
 	}
 }
+
+// TestBootstrapRependsLocallyPendingEntries pins the fold point an installed
+// segment may claim: entries the receiver already pulled and still holds
+// pending — over TCP a fresh node's own digest races the state transfer — are
+// covered by the sender's marks, so neither Folded, Tail nor the re-pend list
+// carries them. If the installed segments claimed them as folded, a restart
+// before the next epoch persisted would drop them from the tail for good.
+func TestBootstrapRependsLocallyPendingEntries(t *testing.T) {
+	g := testGraph(t, 30, 7)
+	cfg := func(origin, dir string) Config {
+		return Config{
+			Graph:     g,
+			Params:    core.Params{Epsilon: 1e-6, Seed: 11},
+			Shards:    3,
+			Replicate: true,
+			Origin:    origin,
+			Dir:       dir,
+		}
+	}
+	a := newTestService(t, 30, cfg("node-a", ""))
+	submitChurn(t, a, 50)
+	if _, _, err := a.RunEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Submit(3, 7, 0.25); err != nil { // subject 7's second rater, unfolded on A
+		t.Fatal(err)
+	}
+
+	// B pulls A's whole retained stream entry by entry — all 51 now pending
+	// on B — and only then installs the transfer it had asked for.
+	dir := t.TempDir()
+	b, err := New(cfg("node-b", dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pulled := a.ReplicationEntriesSince("", 0, 0)
+	for _, fb := range pulled {
+		if _, err := b.ReplicatedSubmit("node-a", fb.Seq, fb.Rater, fb.Subject, fb.Value, fb.UnixNano); err != nil {
+			b.Close()
+			t.Fatal(err)
+		}
+	}
+	st, err := a.BootstrapState(b.ReplicationMarks())
+	if err == nil {
+		err = b.InstallBootstrap(st)
+	}
+	if err != nil {
+		b.Close()
+		t.Fatal(err)
+	}
+	if len(st.Folded)+len(st.Tail) != 0 {
+		t.Fatalf("transfer re-shipped %d folded + %d tail entries B's marks already cover", len(st.Folded), len(st.Tail))
+	}
+	// Restart without an epoch: every pulled entry must re-pend from the WAL.
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b = newTestService(t, 30, cfg("node-b", dir))
+	if got := b.Pending(); got != len(pulled) {
+		t.Fatalf("reopen after install re-pended %d entries, want all %d pulled ones", got, len(pulled))
+	}
+	va, _, err := a.RunEpoch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vb, _, err := b.RunEpoch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if va.Raters(7) != 2 || vb.Raters(7) != 2 {
+		t.Fatalf("subject 7 raters: sender %d, rebooted receiver %d, want 2 and 2", va.Raters(7), vb.Raters(7))
+	}
+	for j := 0; j < 30; j++ {
+		want, _ := va.Reputation(j)
+		if got, _ := vb.Reputation(j); got != want {
+			t.Fatalf("subject %d: rebooted receiver serves %v, sender %v", j, got, want)
+		}
+	}
+}

@@ -104,24 +104,14 @@ type Config struct {
 	// streams, which costs statistical freshness but buys the property
 	// cluster replication needs: any node that has folded the same trust
 	// state serves bit-identical reputations, regardless of how many epochs
-	// it took to get there. The standalone service leaves it off, pays
-	// nothing, and draws an independent stream per epoch.
+	// it took to get there. For the same reason a replicating service starts
+	// every campaign cold: warm-started results match cold ones within ξ but
+	// not bit for bit. (Sparse campaigns — Params.SparseRaterFrac, 0.25 here
+	// when left zero, negative disables — are deterministic functions of
+	// (seed, column) and stay on.) The standalone service leaves Replicate
+	// off, pays nothing, draws an independent stream per epoch and warm-starts
+	// its campaigns from the previous epoch's recorded state.
 	Replicate bool
-	// NoWarmStart disables warm-started campaigns: every fold then reseeds
-	// its campaigns from the trust columns alone, as if no previous epoch
-	// had run. Replicated services (Config.Replicate) force this regardless
-	// — warm results match cold ones within ξ but not bit for bit, and
-	// cluster convergence pins bit-equality.
-	//
-	// Params.SparseRaterFrac is related but distinct: the service default is
-	// 0.25 when left zero (a negative value disables sparse campaigns).
-	// Sparse campaigns are deterministic functions of (seed, column), so
-	// they stay on in cluster mode.
-	NoWarmStart bool
-	// TraceDepth sizes the epoch trace ring (how many recent non-empty
-	// epochs Trace returns). 0 defaults to DefaultTraceDepth; negative
-	// disables tracing.
-	TraceDepth int
 	// Origin is this node's cluster identity, used as the tie-break in the
 	// last-writer-wins order for locally accepted entries (replicated
 	// entries carry their own origin). It must equal the cluster transport
@@ -129,27 +119,6 @@ type Config struct {
 	// tag this node computes for the original — internal/cluster.New
 	// enforces the match. Standalone services leave it empty.
 	Origin string
-}
-
-// cellTag is the last-writer-wins coordinate of one (rater, subject) cell
-// write: entries to the same cell are ordered lexicographically by
-// (UnixNano, origin, origin seq) — a total order every replica computes
-// identically, so folds converge regardless of arrival order.
-type cellTag struct {
-	ts     int64
-	origin string
-	seq    uint64
-}
-
-// before reports whether t is strictly older than o in the LWW total order.
-func (t cellTag) before(o cellTag) bool {
-	if t.ts != o.ts {
-		return t.ts < o.ts
-	}
-	if t.origin != o.origin {
-		return t.origin < o.origin
-	}
-	return t.seq < o.seq
 }
 
 // Replicator is the cluster-side hook the epoch scheduler drives: one
@@ -175,10 +144,8 @@ type Service struct {
 	ledger *store.Ledger
 
 	// graphFP fingerprints cfg.Graph; persisted warm state from a different
-	// graph is dropped at boot. warmOK caches whether warm starts are on
-	// (not disabled, not replicating).
+	// graph is dropped at boot.
 	graphFP uint64
-	warmOK  bool
 
 	// epochMu serialises epoch compute and guards lww, the only mutable
 	// trust state (the folded values themselves live in the published shard
@@ -187,7 +154,7 @@ type Service struct {
 	// lww maps cell id (rater*n + subject) to the winning write's tag; the
 	// fold skips any entry older than its cell's winner, making the folded
 	// state independent of arrival order. Rebuilt from the WAL on boot.
-	lww    map[uint64]cellTag
+	lww    map[uint64]store.LWWTag
 	epochs atomic.Uint64 // fold rounds completed (== newest published shard epoch)
 
 	// lastEpoch is the wall-clock nanosecond of the last completed RunEpoch
@@ -285,8 +252,7 @@ func New(cfg Config) (*Service, error) {
 		n:              n,
 		shards:         shards,
 		graphFP:        graphFingerprint(cfg.Graph),
-		warmOK:         !cfg.NoWarmStart && !cfg.Replicate,
-		lww:            make(map[uint64]cellTag),
+		lww:            make(map[uint64]store.LWWTag),
 		states:         make([]atomic.Pointer[store.ShardSnapshot], shards),
 		persistedEpoch: make([]uint64, shards),
 		persistedSeq:   make([]uint64, shards),
@@ -300,12 +266,6 @@ func New(cfg Config) (*Service, error) {
 		s.cfg.Params.SparseRaterFrac = 0.25
 	case s.cfg.Params.SparseRaterFrac < 0:
 		s.cfg.Params.SparseRaterFrac = 0
-	}
-	switch {
-	case cfg.TraceDepth > 0:
-		s.trace.depth = cfg.TraceDepth
-	case cfg.TraceDepth == 0:
-		s.trace.depth = DefaultTraceDepth
 	}
 
 	var segs []*store.ShardSnapshot
@@ -335,10 +295,10 @@ func New(cfg Config) (*Service, error) {
 	}
 	var maxEpoch uint64
 	for sh, seg := range segs {
-		if seg.Warm != nil && (!s.warmOK || seg.GraphFP != s.graphFP) {
+		if seg.Warm != nil && (cfg.Replicate || seg.GraphFP != s.graphFP) {
 			// Persisted warm state is only a valid seed against the exact
-			// graph that shaped it (and only when warm starts are on at
-			// all); dropping it costs one cold epoch, nothing else.
+			// graph that shaped it (and a replicating service never starts
+			// warm); dropping it costs one cold epoch, nothing else.
 			seg.Warm = nil
 		}
 		s.states[sh].Store(seg)
@@ -500,24 +460,13 @@ func (s *Service) loadDir() ([]*store.ShardSnapshot, error) {
 	return segs, nil
 }
 
-// tagOf computes an entry's LWW tag. Locally accepted entries (empty Origin
-// in the ledger) are stamped with this node's identity and their local
-// sequence number — exactly the (origin, seq) pair they replicate under, so
-// every replica orders the write identically.
-func (s *Service) tagOf(fb store.Feedback) cellTag {
-	if fb.Origin == "" {
-		return cellTag{ts: fb.UnixNano, origin: s.cfg.Origin, seq: fb.Seq}
-	}
-	return cellTag{ts: fb.UnixNano, origin: fb.Origin, seq: fb.OriginSeq}
-}
-
 // recordTag advances fb's cell to fb's tag if it is not older than the
 // current winner, reporting whether fb won (and should be folded). Caller
 // holds epochMu (or is single-threaded boot).
 func (s *Service) recordTag(fb store.Feedback) bool {
 	cell := uint64(fb.Rater)*uint64(s.n) + uint64(fb.Subject)
-	tag := s.tagOf(fb)
-	if cur, ok := s.lww[cell]; ok && tag.before(cur) {
+	tag := store.TagOf(fb, s.cfg.Origin)
+	if cur, ok := s.lww[cell]; ok && tag.Before(cur) {
 		return false
 	}
 	s.lww[cell] = tag
@@ -896,7 +845,7 @@ func (s *Service) foldShard(shard int, cells []trust.Cell, epoch, seq uint64, p 
 		return nil, fmt.Errorf("service: fold shard %d: %w", shard, err)
 	}
 	subjects := cols.Subjects()
-	if s.warmOK {
+	if !s.cfg.Replicate {
 		p.KeepStates = true
 		if prev.Warm != nil && len(prev.Warm) == len(subjects) &&
 			prev.Shards == s.shards && prev.N == s.n && prev.GraphFP == s.graphFP {

@@ -2,8 +2,8 @@ package service
 
 import "sync"
 
-// DefaultTraceDepth is how many recent epochs the trace ring keeps when
-// Config.TraceDepth is left zero.
+// DefaultTraceDepth is how many recent non-empty epochs the trace ring
+// keeps — the capacity GET /v1/trace reports as "depth".
 const DefaultTraceDepth = 64
 
 // ShardTrace is one shard's fold inside an epoch trace: when the fold
@@ -58,24 +58,20 @@ type EpochTrace struct {
 // once per non-empty epoch and takes a short mutex — nowhere near any hot
 // path.
 type traceRing struct {
-	mu    sync.Mutex
-	depth int
-	rows  []EpochTrace
-	next  int // write cursor once len(rows) == depth
+	mu   sync.Mutex
+	rows []EpochTrace
+	next int // write cursor once len(rows) == DefaultTraceDepth
 }
 
 func (r *traceRing) record(t EpochTrace) {
-	if r.depth <= 0 {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.rows) < r.depth {
+	if len(r.rows) < DefaultTraceDepth {
 		r.rows = append(r.rows, t)
 		return
 	}
 	r.rows[r.next] = t
-	r.next = (r.next + 1) % r.depth
+	r.next = (r.next + 1) % DefaultTraceDepth
 }
 
 func (r *traceRing) snapshot() []EpochTrace {
@@ -87,9 +83,6 @@ func (r *traceRing) snapshot() []EpochTrace {
 	return out
 }
 
-// Trace returns the last TraceDepth non-empty epochs, oldest first — the
-// GET /v1/trace payload. Rows are copies; the caller may keep them.
+// Trace returns the last DefaultTraceDepth non-empty epochs, oldest first —
+// the GET /v1/trace payload. Rows are copies; the caller may keep them.
 func (s *Service) Trace() []EpochTrace { return s.trace.snapshot() }
-
-// TraceDepth returns the ring's configured capacity.
-func (s *Service) TraceDepth() int { return s.trace.depth }

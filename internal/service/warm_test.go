@@ -230,45 +230,41 @@ func TestWarmStateSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestWarmStartDisabled: NoWarmStart and Replicate both force every campaign
-// cold — replicas pin bit-equality, which warm trajectories would break.
+// TestWarmStartDisabled: Replicate forces every campaign cold — replicas pin
+// bit-equality, which warm trajectories would break.
 func TestWarmStartDisabled(t *testing.T) {
 	const n = 30
-	for name, cfg := range map[string]Config{
-		"NoWarmStart": {Shards: 3, NoWarmStart: true},
-		"Replicate":   {Shards: 3, Replicate: true},
-	} {
-		s := newTestService(t, n, cfg)
-		for e := 0; e < 3; e++ {
-			submitBatch(t, s, n, 60, uint64(40+e))
-			if _, _, err := s.RunEpoch(); err != nil {
-				t.Fatal(err)
-			}
+	s := newTestService(t, n, Config{Shards: 3, Replicate: true})
+	for e := 0; e < 3; e++ {
+		submitBatch(t, s, n, 60, uint64(40+e))
+		if _, _, err := s.RunEpoch(); err != nil {
+			t.Fatal(err)
 		}
-		if s.WarmStarts() != 0 {
-			t.Fatalf("%s: %d campaigns warm-started", name, s.WarmStarts())
-		}
-		if s.ColdStarts() != s.FoldedSubjects() {
-			t.Fatalf("%s: cold %d != folded %d", name, s.ColdStarts(), s.FoldedSubjects())
-		}
+	}
+	if s.WarmStarts() != 0 {
+		t.Fatalf("%d campaigns warm-started", s.WarmStarts())
+	}
+	if s.ColdStarts() != s.FoldedSubjects() {
+		t.Fatalf("cold %d != folded %d", s.ColdStarts(), s.FoldedSubjects())
 	}
 }
 
 // TestWarmEpochSpendsFifthOfColdSteps pins the warm-start claim as a count:
-// twin services differing only in NoWarmStart fold an identical base batch,
-// then an identical second batch re-rating 5% of the subjects from a rater
-// each already has. Modulo shard placement makes that slice dirty every
-// shard, so both twins refold every subject, and the warm twin must do it in
-// at most a fifth of the cold twin's campaign steps.
+// twin services differing only in Replicate (a replicating service starts
+// every campaign cold) fold an identical base batch, then an identical second
+// batch re-rating 5% of the subjects from a rater each already has. Modulo
+// shard placement makes that slice dirty every shard, so both twins refold
+// every subject, and the warm twin must do it in at most a fifth of the cold
+// twin's campaign steps (225 against 4,687 at this seed).
 func TestWarmEpochSpendsFifthOfColdSteps(t *testing.T) {
 	const n, shards, raters = 120, 6, 12
 	g := testGraph(t, n, 7)
-	twin := func(noWarm bool) *Service {
+	twin := func(cold bool) *Service {
 		return newTestService(t, n, Config{
-			Graph:       g,
-			Params:      core.Params{Epsilon: 1e-6, Seed: 11},
-			Shards:      shards,
-			NoWarmStart: noWarm,
+			Graph:     g,
+			Params:    core.Params{Epsilon: 1e-6, Seed: 11},
+			Shards:    shards,
+			Replicate: cold,
 		})
 	}
 	warm, cold := twin(false), twin(true)
@@ -314,7 +310,7 @@ func TestWarmEpochSpendsFifthOfColdSteps(t *testing.T) {
 		t.Fatal("warm twin started no campaign warm")
 	}
 	if cold.ColdStarts() != cold.FoldedSubjects() {
-		t.Fatalf("NoWarmStart twin: cold starts %d != folded subjects %d", cold.ColdStarts(), cold.FoldedSubjects())
+		t.Fatalf("Replicate twin: cold starts %d != folded subjects %d", cold.ColdStarts(), cold.FoldedSubjects())
 	}
 	if coldSteps == 0 || 5*warmSteps > coldSteps {
 		t.Fatalf("warm epoch spent %d campaign steps, want at most a fifth of cold's %d", warmSteps, coldSteps)

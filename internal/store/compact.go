@@ -50,27 +50,32 @@ type CompactStats struct {
 // from disk, as a restart would.
 var compactCrash func(stage string) error
 
-// lwwTag is the last-writer-wins tag of one ledger entry, mirroring the
-// epoch fold's conflict ordering (internal/service): ingest wall-clock
-// first, then origin id, then origin sequence number. Compaction must rank
-// cell rivals exactly as the fold does, or the kept entry could differ from
-// the fold's winner and a post-compaction replay would diverge.
-type lwwTag struct {
+// LWWTag is the last-writer-wins coordinate of one (rater, subject) cell
+// write: entries to the same cell are ordered lexicographically by (ingest
+// UnixNano, origin id, origin sequence number) — a total order every replica
+// computes identically, so folds converge regardless of arrival order. The
+// epoch fold (internal/service) and compaction both rank cell rivals with
+// this one type: the entry compaction keeps is the fold's winner, so a
+// post-compaction replay cannot diverge.
+type LWWTag struct {
 	ts     int64
 	origin string
 	seq    uint64
 }
 
-// entryTag derives an entry's LWW tag; localOrigin stands in for the empty
-// origin of locally accepted entries.
-func entryTag(fb Feedback, localOrigin string) lwwTag {
+// TagOf derives an entry's LWW tag. Locally accepted entries (empty Origin
+// in the ledger) are stamped with localOrigin and their local sequence
+// number — exactly the (origin, seq) pair they replicate under, so every
+// replica orders the write identically.
+func TagOf(fb Feedback, localOrigin string) LWWTag {
 	if fb.Origin == "" {
-		return lwwTag{ts: fb.UnixNano, origin: localOrigin, seq: fb.Seq}
+		return LWWTag{ts: fb.UnixNano, origin: localOrigin, seq: fb.Seq}
 	}
-	return lwwTag{ts: fb.UnixNano, origin: fb.Origin, seq: fb.OriginSeq}
+	return LWWTag{ts: fb.UnixNano, origin: fb.Origin, seq: fb.OriginSeq}
 }
 
-func (a lwwTag) before(b lwwTag) bool {
+// Before reports whether a is strictly older than b in the LWW total order.
+func (a LWWTag) Before(b LWWTag) bool {
 	if a.ts != b.ts {
 		return a.ts < b.ts
 	}
@@ -98,7 +103,7 @@ func compactionKeep(entries []Feedback, n int, localOrigin string, folded func(F
 	keep := make([]bool, len(entries))
 	type win struct {
 		i int
-		t lwwTag
+		t LWWTag
 	}
 	winners := make(map[uint64]win)
 	heads := make(map[string]int)
@@ -109,8 +114,8 @@ func compactionKeep(entries []Feedback, n int, localOrigin string, folded func(F
 		}
 		heads[fb.Origin] = i
 		cell := uint64(fb.Rater)*uint64(n) + uint64(fb.Subject)
-		t := entryTag(fb, localOrigin)
-		if w, ok := winners[cell]; !ok || !t.before(w.t) {
+		t := TagOf(fb, localOrigin)
+		if w, ok := winners[cell]; !ok || !t.Before(w.t) {
 			winners[cell] = win{i: i, t: t}
 		}
 	}

@@ -34,7 +34,12 @@ type Service = service.Service
 // segments are saved with atomic renames, and a directory in any other
 // format is refused untouched); Shards the subject-shard count S (subject j
 // belongs to shard j mod S); FoldWorkers how many dirty shards fold
-// concurrently.
+// concurrently; CompactEvery the WAL compaction cadence in persisted epochs
+// (zero = never). Replicate and Origin switch on cluster mode for
+// internal/cluster: epoch seeds no longer depend on the epoch counter and
+// every campaign starts cold, so replicas that folded the same state serve
+// bit-identical values. Those nine fields are the whole configuration — the
+// trace ring's depth is a constant and warm starts are always on standalone.
 type ServiceConfig = service.Config
 
 // View is one lock-free composite capture of the published per-shard
