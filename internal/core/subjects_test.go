@@ -1,8 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
+	"diffgossip/internal/gossip"
+	"diffgossip/internal/graph"
 	"diffgossip/internal/rng"
 	"diffgossip/internal/trust"
 )
@@ -155,5 +160,147 @@ func TestGlobalSubjectsValidates(t *testing.T) {
 	}
 	if res, err := GlobalSubjects(g, tm, nil, p); err != nil || len(res.Columns) != 0 {
 		t.Errorf("empty subject set should be a trivial success, got (%v, %v)", res, err)
+	}
+}
+
+// pinnedFixture builds the TestGlobalSubjectsPinnedDigest workload: a PA
+// graph and a seeded trust matrix whose subjects cover every campaign shape
+// — unrated (≡7 mod 13), single-rater (≡3 mod 13), a handful of raters
+// (sparse-eligible at SparseRaterFrac 0.25) and ~half the network (dense).
+func pinnedFixture(t *testing.T, n int) (*graph.Graph, *trust.Matrix) {
+	t.Helper()
+	g := graph.MustPA(n, 2, 7001)
+	src := rng.New(7002)
+	tm := trust.NewMatrix(n)
+	for j := 0; j < n; j++ {
+		density := 0.5
+		switch {
+		case j%13 == 7:
+			continue
+		case j%13 == 3:
+			if err := tm.Set((j+5)%n, j, src.Float64()); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		case j%2 == 0:
+			density = 0.08
+		}
+		for i := 0; i < n; i++ {
+			if i != j && src.Bool(density) {
+				if err := tm.Set(i, j, src.Float64()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	return g, tm
+}
+
+// subjectsDigest folds everything a GlobalSubjects run publishes — every
+// column value, every recorded state mass, the step and message tallies and
+// the warm/cold split — into one FNV-64a word.
+func subjectsDigest(res *SubjectsResult) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for _, col := range res.Columns {
+		for _, v := range col {
+			word(math.Float64bits(v))
+		}
+	}
+	for _, st := range res.States {
+		if st == nil {
+			word(0)
+			continue
+		}
+		word(uint64(len(st.Y)))
+		for i := range st.Y {
+			word(math.Float64bits(st.Y[i]))
+			word(math.Float64bits(st.G[i]))
+		}
+	}
+	for _, v := range []int{
+		res.TotalSteps, res.Steps, res.WarmStarts, res.ColdStarts,
+		res.Messages.Setup, res.Messages.Gossip, res.Messages.Announce,
+		res.Messages.Lost, res.Messages.ActiveNodeSteps,
+	} {
+		word(uint64(v))
+	}
+	return h.Sum64()
+}
+
+// TestGlobalSubjectsPinnedDigest is the absolute guard on the epoch path's
+// bits: a fixed workload run cold, then warm from the cold run's recorded
+// states after a small perturbation, must hash to constants captured at the
+// commit before the per-subject campaigns moved from the m=1 VectorEngine
+// to the scalar Engine — for sparse campaigns off and on, with and without
+// packet loss, and at any worker count.
+func TestGlobalSubjectsPinnedDigest(t *testing.T) {
+	const n = 120
+	rows := []struct {
+		sparse, loss float64
+		cold, warm   uint64
+	}{
+		{0, 0, 0x3914e6c2980c02cd, 0xd5fee3b3e035865d},
+		{0.25, 0, 0x0f8e0a033d34e803, 0x54c0a1607e5c6949},
+		{0, 0.2, 0xef9e296187f0bdab, 0x6f0b27184b18421e},
+		{0.25, 0.2, 0x6ba43f38d98ce463, 0x65769276cbaf4636},
+	}
+	subjects := make([]int, n)
+	for j := range subjects {
+		subjects[j] = j
+	}
+	for _, row := range rows {
+		for _, workers := range []int{0, -1} {
+			g, tm := pinnedFixture(t, n)
+			p := Params{
+				Epsilon: 1e-6, Seed: 7003, KeepStates: true,
+				SparseRaterFrac: row.sparse, LossProb: row.loss, Workers: workers,
+			}
+			cold, err := GlobalSubjects(g, tm, subjects, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := subjectsDigest(cold); got != row.cold {
+				t.Errorf("sparse=%v loss=%v workers=%d: cold digest %#x, pinned %#x", row.sparse, row.loss, workers, got, row.cold)
+			}
+
+			// Perturb a few subjects — a changed value, a new rater, a removed
+			// rater (forces a cold fallback) — and leave the rest untouched so
+			// the unchanged-campaign republish path is in the digest too.
+			src := rng.New(7004)
+			for x := 0; x < 8; x++ {
+				j := src.Intn(n)
+				ids, _ := tm.RatersOfInto(j, nil, nil)
+				if len(ids) == 0 {
+					continue
+				}
+				switch x % 3 {
+				case 0:
+					err = tm.Set(ids[0], j, src.Float64())
+				case 1:
+					err = tm.Set((ids[len(ids)-1]+1)%n, j, src.Float64())
+				default:
+					tm.Delete(ids[0], j)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			p.Warm = func(j int) *gossip.CampaignState { return cold.States[j] }
+			warm, err := GlobalSubjects(g, tm, subjects, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warm.WarmStarts == 0 || warm.ColdStarts == 0 {
+				t.Fatalf("sparse=%v loss=%v: warm epoch ran %d warm / %d cold campaigns, want both", row.sparse, row.loss, warm.WarmStarts, warm.ColdStarts)
+			}
+			if got := subjectsDigest(warm); got != row.warm {
+				t.Errorf("sparse=%v loss=%v workers=%d: warm digest %#x, pinned %#x", row.sparse, row.loss, workers, got, row.warm)
+			}
+		}
 	}
 }
