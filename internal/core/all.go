@@ -8,6 +8,7 @@ import (
 
 	"diffgossip/internal/gossip"
 	"diffgossip/internal/graph"
+	"diffgossip/internal/rng"
 	"diffgossip/internal/trust"
 )
 
@@ -47,8 +48,12 @@ var (
 //     column is filled directly, zero gossip steps;
 //   - at most p.SparseRaterFrac·N raters: push-sum over the k-node rater
 //     overlay (overlayGraph), so cost scales with the raters, not N;
-//   - otherwise: push-sum over the full graph on the flat-memory
-//     VectorEngine restricted to the subject's column.
+//   - otherwise: push-sum over the full graph.
+//
+// Either way the campaign is Algorithm 1 on one subject, run on the scalar
+// gossip.Engine — the engine GlobalSingle runs: a cold dense campaign for
+// subject j is bit-identical to GlobalSingle seeded with subjectSeed(p.Seed,
+// j) (TestDenseCampaignIsGlobalSingle).
 //
 // When p.Warm supplies a usable previous state, the campaign restarts from
 // it with the trust-column delta injected as mass corrections — a
@@ -61,7 +66,8 @@ var (
 //
 // p.Workers parallelises across subjects (0/1 sequential, negative =
 // GOMAXPROCS): workers pull campaigns longest-estimated-first from a shared
-// queue (scheduleOrder) and reuse their engines via Reset, so the
+// queue (scheduleOrder) and reuse one engine per topology via Engine.Reset
+// — indistinguishable from a fresh NewEngine by construction — so the
 // steady-state allocation per subject is just its result column.
 func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*SubjectsResult, error) {
 	p = p.withDefaults()
@@ -117,22 +123,32 @@ func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*
 	}
 	outs := make([]outcome, len(subjects))
 
-	// Per-worker reusable state: one dense engine (built over the real
-	// graph on first dense campaign), one sparse engine per overlay size,
-	// and the seed scratch blocks.
+	// Per-worker reusable state: one engine per topology (the real graph,
+	// built on the first dense campaign, and one per overlay size) and the
+	// seed scratch blocks.
 	type workerState struct {
-		dense   *gossip.VectorEngine
-		scratch *seedScratch
-		sparse  map[int]*gossip.VectorEngine
-		sy, sg  []float64 // sparse seeds, sliced to the overlay size
-		est     []float64 // sparse estimate column
+		engines map[int]*gossip.Engine // by overlay size; 0 is the real graph
+		scratch *seedScratch           // dense seeds
+		sy, sg  []float64              // sparse seeds, sliced to the overlay size
+		est     []float64              // sparse estimate column
 		ids     []int
 		vals    []float64
 	}
 
-	runSparse := func(s, j int, ids []int, vals []float64, ws *gossip.CampaignState, w *workerState, col []float64) {
+	runSubject := func(s int, w *workerState) {
+		j := res.Subjects[s]
+		w.ids, w.vals = t.RatersOfInto(j, w.ids[:0], w.vals[:0])
+		ids, vals := w.ids, w.vals
+		col := make([]float64, n)
+		res.Columns[s] = col
 		k := len(ids)
-		if k == 1 {
+		res.Raters[s] = k
+		if k == 0 {
+			outs[s] = outcome{converged: true}
+			return
+		}
+		sparse := sparseMax > 0 && k <= sparseMax
+		if sparse && k == 1 {
 			// A single rater's campaign has a closed-form fixed point: every
 			// node's estimate is the rater's value. Zero steps, still a
 			// computed (cold) campaign for the incrementality accounting.
@@ -142,10 +158,22 @@ func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*
 			outs[s] = outcome{converged: true, ran: true}
 			return
 		}
-		warm := ws != nil && ws.Sparse &&
-			len(ws.Y) == k && len(ws.G) == k && len(ws.PrevVals) == k &&
-			sameIDs(ws.Raters, ids)
-		if warm && ws.Converged && sameVals(ws.PrevVals, vals) {
+		// A sparse campaign's engine runs over the k-node rater overlay, a
+		// dense one over the real graph; a recorded state is usable only by
+		// a campaign of the mode and size that recorded it.
+		size, key := n, 0
+		if sparse {
+			size, key = k, k
+		}
+		var ws *gossip.CampaignState
+		if p.Warm != nil {
+			ws = p.Warm(j)
+		}
+		usable := ws != nil && ws.Sparse == sparse &&
+			len(ws.Y) == size && len(ws.G) == size &&
+			len(ws.PrevVals) == len(ws.Raters)
+		sameRaters := usable && sameIDs(ws.Raters, ids)
+		if sameRaters && ws.Converged && sameVals(ws.PrevVals, vals) {
 			// Unchanged campaign: the recorded state already holds the fixed
 			// point, so republish its column — zero steps, zero messages, and
 			// the state carries forward untouched for the next epoch.
@@ -156,32 +184,51 @@ func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*
 			}
 			return
 		}
-		sy, sg := w.sy[:k], w.sg[:k]
-		if warm {
-			copy(sy, ws.Y)
-			copy(sg, ws.G)
-			for pos, v := range vals {
-				sy[pos] += v - ws.PrevVals[pos]
+
+		var warm bool
+		var y0, g0 []float64
+		if sparse {
+			// Overlay node pos is rater ids[pos], so a recorded state fits
+			// only the exact rater set it was recorded over.
+			warm = sameRaters
+			y0, g0 = w.sy[:k], w.sg[:k]
+			if warm {
+				copy(y0, ws.Y)
+				copy(g0, ws.G)
+				for pos, v := range vals {
+					y0[pos] += v - ws.PrevVals[pos]
+				}
+			} else {
+				for pos, v := range vals {
+					y0[pos] = v
+					g0[pos] = 1
+				}
 			}
 		} else {
-			for pos, v := range vals {
-				sy[pos] = v
-				sg[pos] = 1
+			warm = usable && w.scratch.seedWarm(ws, ids, vals)
+			if !warm {
+				w.scratch.seedCold(ids, vals)
 			}
+			y0, g0 = w.scratch.y, w.scratch.g
 		}
+
+		// Only the seed and masses matter to the dynamics, so one engine per
+		// topology replays every later campaign via Reset, bit-identically
+		// to a fresh construction.
 		seed := subjectSeed(p.Seed, j)
-		eng := w.sparse[k]
+		eng := w.engines[key]
 		var err error
 		if eng == nil {
-			cfg := p.gossipConfig(overlayGraph(k))
-			cfg.Seed = seed
-			cfg.Workers = 0
-			eng, err = gossip.NewVectorEngineSubjects(cfg, []int{0}, sy, sg)
-			if err == nil {
-				w.sparse[k] = eng
+			topo := g
+			if sparse {
+				topo = overlayGraph(k)
 			}
+			cfg := p.gossipConfig(topo)
+			cfg.Seed = seed
+			eng, err = gossip.NewEngine(cfg, y0, g0)
+			w.engines[key] = eng
 		} else {
-			err = eng.Reset(seed, sy, sg)
+			err = eng.Reset(seed, y0, g0)
 		}
 		if err != nil {
 			outs[s] = outcome{err: err}
@@ -192,86 +239,21 @@ func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*
 		} else {
 			eng.SetMinSteps(0)
 		}
-		est := w.est[:k]
-		steps, conv := eng.RunInto(est, 0)
-		// Every overlay node's estimate is within the ξ band; node 0's
-		// stands for the whole network, like the root's does on a dense run.
-		for i := range col {
-			col[i] = est[0]
+		est := col
+		if sparse {
+			est = w.est[:k]
+		}
+		steps, conv := eng.RunInto(est)
+		if sparse {
+			// Every overlay node's estimate is within the ξ band; node 0's
+			// stands for the whole network, like the root's does on a dense run.
+			for i := range col {
+				col[i] = est[0]
+			}
 		}
 		outs[s] = outcome{steps: steps, converged: conv, msgs: eng.Messages(), ran: true, warm: warm}
 		if res.States != nil {
-			res.States[s] = captureState(eng, true, ids, vals, steps, k, conv)
-		}
-	}
-
-	runDense := func(s, j int, ids []int, vals []float64, ws *gossip.CampaignState, w *workerState, col []float64) {
-		usable := ws != nil && !ws.Sparse &&
-			len(ws.Y) == n && len(ws.G) == n &&
-			len(ws.PrevVals) == len(ws.Raters)
-		if usable && ws.Converged && sameIDs(ws.Raters, ids) && sameVals(ws.PrevVals, vals) {
-			// Unchanged campaign: republish the recorded fixed point directly
-			// (see the sparse twin above).
-			stateColumn(ws, col)
-			outs[s] = outcome{converged: true, ran: true, warm: true}
-			if res.States != nil {
-				res.States[s] = ws
-			}
-			return
-		}
-		warm := usable && w.scratch.seedWarm(ws, ids, vals)
-		if !warm {
-			w.scratch.seedCold(ids, vals)
-		}
-		seed := subjectSeed(p.Seed, j)
-		var err error
-		if w.dense == nil {
-			// The slot→subject label is fixed at first construction; only
-			// the seed and masses matter to the dynamics, so the same engine
-			// replays every later subject via Reset, bit-identically to a
-			// fresh construction.
-			cfg := p.gossipConfig(g)
-			cfg.Seed = seed
-			cfg.Workers = 0 // parallelism lives across subjects
-			w.dense, err = gossip.NewVectorEngineSubjects(cfg, []int{j}, w.scratch.y, w.scratch.g)
-		} else {
-			err = w.dense.Reset(seed, w.scratch.y, w.scratch.g)
-		}
-		if err != nil {
-			outs[s] = outcome{err: err}
-			return
-		}
-		if warm {
-			w.dense.SetMinSteps(warmMinSteps)
-		} else {
-			w.dense.SetMinSteps(0)
-		}
-		steps, conv := w.dense.RunInto(col, 0)
-		outs[s] = outcome{steps: steps, converged: conv, msgs: w.dense.Messages(), ran: true, warm: warm}
-		if res.States != nil {
-			res.States[s] = captureState(w.dense, false, ids, vals, steps, n, conv)
-		}
-	}
-
-	runSubject := func(s int, w *workerState) {
-		j := res.Subjects[s]
-		w.ids, w.vals = t.RatersOfInto(j, w.ids[:0], w.vals[:0])
-		ids, vals := w.ids, w.vals
-		col := make([]float64, n)
-		res.Columns[s] = col
-		res.Raters[s] = len(ids)
-		if len(ids) == 0 {
-			outs[s] = outcome{converged: true}
-			return
-		}
-		var ws *gossip.CampaignState
-		if p.Warm != nil {
-			ws = p.Warm(j)
-		}
-		if k := len(ids); sparseMax > 0 && k <= sparseMax {
-			runSparse(s, j, ids, vals, ws, w, col)
-		} else {
-			runDense(s, j, ids, vals, ws, w, col)
+			res.States[s] = captureState(eng, sparse, ids, vals, steps, conv)
 		}
 	}
 
@@ -289,8 +271,8 @@ func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*
 	var cursor atomic.Int64
 	runWorker := func() {
 		w := &workerState{
+			engines: make(map[int]*gossip.Engine),
 			scratch: newSeedScratch(n),
-			sparse:  make(map[int]*gossip.VectorEngine),
 			sy:      make([]float64, sparseMax),
 			sg:      make([]float64, sparseMax),
 			est:     make([]float64, sparseMax),
@@ -318,7 +300,8 @@ func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*
 	}
 
 	// Aggregate in subject order so the tallies are deterministic for any
-	// worker count. The campaigns share one degree exchange, charged once.
+	// worker count. The campaigns share one degree exchange, charged once
+	// (each engine's own Setup tally is left out).
 	for s := range outs {
 		if outs[s].err != nil {
 			return nil, outs[s].err
@@ -340,12 +323,11 @@ func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*
 			res.Messages.Announce += outs[s].msgs.Announce
 			res.Messages.Lost += outs[s].msgs.Lost
 			res.Messages.ActiveNodeSteps += outs[s].msgs.ActiveNodeSteps
-			res.Messages.Setup += outs[s].msgs.Setup
 		} else {
 			res.StepsBySubject[s] = -1
 		}
 	}
-	res.Messages.Setup += 2 * g.M()
+	res.Messages.Setup = 2 * g.M()
 	return res, nil
 }
 
@@ -358,10 +340,7 @@ func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*
 // (run seed, global subject id): any partition of the subject space at any
 // worker count replays the same stream for the same subject.
 func subjectSeed(base uint64, j int) uint64 {
-	z := base + 0xd1342543de82ef95 + (uint64(j)+1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return rng.Mix64(base + 0xd1342543de82ef95 + (uint64(j)+1)*0x9e3779b97f4a7c15)
 }
 
 // GlobalAll runs the paper's third variant: Algorithm 1 for every subject.
@@ -372,8 +351,9 @@ func subjectSeed(base uint64, j int) uint64 {
 // complexity matches the single-subject algorithm"); running them as
 // genuinely separate campaigns makes the result decomposable by subject,
 // which the sharded epoch pipeline relies on, at the cost of per-campaign
-// routing draws instead of one shared routing. Each campaign converges
-// under the scalar rule |r(n) − r(n−1)| ≤ ξ, the m=1 form of rule (7).
+// routing draws instead of one shared routing. Each campaign is a scalar
+// gossip.Engine run — the one GlobalSingle makes — converging under the
+// scalar rule |r(n) − r(n−1)| ≤ ξ, the one-subject form of rule (7).
 //
 // Messages tallies the campaigns' pushes (one subject slot per push, so a
 // push costs one unit) plus a single shared degree exchange.

@@ -45,8 +45,10 @@ type Params struct {
 	// Root is the node carrying the unit gossip weight in the sum-mode
 	// variants (Algorithm 2's "g_1 = 1"). Defaults to node 0.
 	Root int
-	// Workers parallelises the vector variants' per-step work; results are
-	// bit-identical for any value. 0/1 sequential, negative = GOMAXPROCS.
+	// Workers is the parallelism: GlobalSubjects/GlobalAll run that many
+	// per-subject campaigns at once, the VectorEngine of the GCLR-all variant
+	// splits each step's accumulation across that many goroutines. Results
+	// are bit-identical for any value. 0/1 sequential, negative = GOMAXPROCS.
 	Workers int
 	// SparseRaterFrac enables restricted-overlay campaigns in
 	// GlobalSubjects: a subject whose rater count k is at most

@@ -304,3 +304,64 @@ func TestGlobalSubjectsPinnedDigest(t *testing.T) {
 		}
 	}
 }
+
+// TestDenseCampaignIsGlobalSingle states the paper-level identity: a cold
+// dense campaign of GlobalSubjects IS Algorithm 1 on one subject — the same
+// engine GlobalSingle runs, seeded with the subject's split stream — so the
+// two agree bit for bit on estimates, steps, convergence and every message
+// tally except Setup (the campaigns of an epoch share one degree exchange).
+func TestDenseCampaignIsGlobalSingle(t *testing.T) {
+	const n = 90
+	g, _ := denseWorkload(t, n, 0.3, 81)
+	tm := subjectsWorkload(t, n, 82)
+	for _, loss := range []float64{0, 0.2} {
+		p := params(1e-6, 83)
+		p.LossProb = loss
+		for _, j := range []int{0, 4, 34, 89} {
+			sub, err := GlobalSubjects(g, tm, []int{j}, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps := p
+			ps.Seed = subjectSeed(p.Seed, j)
+			single, err := GlobalSingle(g, tm, j, ps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sub.Steps != single.Steps || sub.Converged != single.Converged {
+				t.Fatalf("loss=%v subject %d: campaign (steps=%d conv=%v) != GlobalSingle (steps=%d conv=%v)",
+					loss, j, sub.Steps, sub.Converged, single.Steps, single.Converged)
+			}
+			want := single.Messages
+			want.Setup = sub.Messages.Setup
+			if sub.Messages != want {
+				t.Fatalf("loss=%v subject %d: campaign messages %+v != GlobalSingle %+v", loss, j, sub.Messages, want)
+			}
+			for i := 0; i < n; i++ {
+				if sub.Columns[0][i] != single.PerNode[i] {
+					t.Fatalf("loss=%v subject %d node %d: campaign %v != GlobalSingle %v", loss, j, i, sub.Columns[0][i], single.PerNode[i])
+				}
+			}
+		}
+	}
+}
+
+// TestGlobalSubjectsChargesOneDegreeExchange: the campaigns of one call share
+// a single degree exchange, so Setup is 2·M however many subjects ran, on
+// either kind of campaign.
+func TestGlobalSubjectsChargesOneDegreeExchange(t *testing.T) {
+	const n = 40
+	g, _ := denseWorkload(t, n, 0.3, 85)
+	tm := subjectsWorkload(t, n, 86)
+	for _, p := range []Params{params(1e-4, 87), sparseParams(1e-4, 87)} {
+		for _, subjects := range [][]int{nil, {7}, {3}, {0, 1, 2, 3, 4, 5, 6, 7, 8}} {
+			res, err := GlobalSubjects(g, tm, subjects, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Messages.Setup != 2*g.M() {
+				t.Fatalf("sparse=%v subjects=%v: Setup = %d, want 2·M = %d", p.SparseRaterFrac, subjects, res.Messages.Setup, 2*g.M())
+			}
+		}
+	}
+}

@@ -185,17 +185,17 @@ func stateColumn(ws *gossip.CampaignState, col []float64) {
 
 // captureState snapshots a finished campaign's masses and the column it
 // folded, for persisting as next epoch's warm seed.
-func captureState(eng *gossip.VectorEngine, sparse bool, ids []int, vals []float64, steps, size int, conv bool) *gossip.CampaignState {
+func captureState(eng *gossip.Engine, sparse bool, ids []int, vals []float64, steps int, conv bool) *gossip.CampaignState {
 	st := &gossip.CampaignState{
 		Sparse:    sparse,
 		Raters:    append([]int(nil), ids...),
 		PrevVals:  append([]float64(nil), vals...),
-		Y:         make([]float64, size),
-		G:         make([]float64, size),
+		Y:         make([]float64, eng.N()),
+		G:         make([]float64, eng.N()),
 		Steps:     steps,
 		Converged: conv,
 	}
-	eng.ExportState(st.Y, st.G, 0)
+	eng.ExportState(st.Y, st.G)
 	return st
 }
 

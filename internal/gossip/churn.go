@@ -302,7 +302,7 @@ func (e *VectorEngine) Crash(i int) error {
 	if e.down[i] {
 		return fmt.Errorf("gossip: crash node %d already down", i)
 	}
-	for j := 0; j < e.m; j++ {
+	for j := 0; j < e.n; j++ {
 		e.lostY[j] += e.y[i][j]
 		e.lostG[j] += e.g[i][j]
 		e.y[i][j] = 0
@@ -335,7 +335,7 @@ func (e *VectorEngine) Leave(i int) error {
 		return e.Crash(i)
 	}
 	e.msgs.Gossip += e.perPushUnits
-	for j := 0; j < e.m; j++ {
+	for j := 0; j < e.n; j++ {
 		e.y[h][j] += e.y[i][j]
 		e.g[h][j] += e.g[i][j]
 		e.y[i][j] = 0
@@ -389,7 +389,7 @@ func (e *VectorEngine) activateSubject(j int) {
 	e.activeIdx = append(e.activeIdx, 0)
 	copy(e.activeIdx[at+1:], e.activeIdx[at:])
 	e.activeIdx[at] = j
-	e.denseActive = len(e.activeIdx) == e.m
+	e.denseActive = len(e.activeIdx) == e.n
 	// A newly active slot now takes part in every node's convergence scan;
 	// cached hasWeight flags may be stale in the permissive direction.
 	for i := 0; i < e.n; i++ {
@@ -409,8 +409,8 @@ func (e *VectorEngine) Rejoin(i int, y, g []float64) error {
 	if !e.down[i] {
 		return fmt.Errorf("gossip: rejoin node %d is not down", i)
 	}
-	if len(y) != e.m || len(g) != e.m {
-		return fmt.Errorf("gossip: rejoin vectors have length %d/%d, want %d", len(y), len(g), e.m)
+	if len(y) != e.n || len(g) != e.n {
+		return fmt.Errorf("gossip: rejoin vectors have length %d/%d, want %d", len(y), len(g), e.n)
 	}
 	for j, gv := range g {
 		if gv < 0 {
@@ -420,7 +420,7 @@ func (e *VectorEngine) Rejoin(i int, y, g []float64) error {
 			e.activateSubject(j)
 		}
 	}
-	for j := 0; j < e.m; j++ {
+	for j := 0; j < e.n; j++ {
 		e.y[i][j] = y[j]
 		e.g[i][j] = g[j]
 		e.injY[j] += y[j]
@@ -445,9 +445,6 @@ func (e *VectorEngine) Rejoin(i int, y, g []float64) error {
 // flags and ledgers carry over; fan-outs are refreshed as part of the
 // rebuild. The newcomer's degree exchange is charged to Messages.Setup.
 func (e *VectorEngine) AddNode(y, g []float64) (int, error) {
-	if e.subs != nil {
-		return 0, fmt.Errorf("gossip: AddNode on a restricted-subject engine")
-	}
 	n1 := e.n + 1
 	if e.cfg.Graph.N() != n1 {
 		return 0, fmt.Errorf("gossip: AddNode needs the graph grown by exactly one node (graph N=%d, engine N=%d)", e.cfg.Graph.N(), e.n)
@@ -552,8 +549,8 @@ func (e *VectorEngine) Override(i int, y, g []float64) error {
 	if e.down[i] {
 		return fmt.Errorf("gossip: override node %d is down", i)
 	}
-	if len(y) != e.m || len(g) != e.m {
-		return fmt.Errorf("gossip: override vectors have length %d/%d, want %d", len(y), len(g), e.m)
+	if len(y) != e.n || len(g) != e.n {
+		return fmt.Errorf("gossip: override vectors have length %d/%d, want %d", len(y), len(g), e.n)
 	}
 	for j, gv := range g {
 		if gv < 0 {
@@ -563,7 +560,7 @@ func (e *VectorEngine) Override(i int, y, g []float64) error {
 			e.activateSubject(j)
 		}
 	}
-	for j := 0; j < e.m; j++ {
+	for j := 0; j < e.n; j++ {
 		e.lostY[j] += e.y[i][j]
 		e.lostG[j] += e.g[i][j]
 		e.y[i][j] = y[j]

@@ -85,14 +85,11 @@ func NewEngine(cfg Config, y0, g0 []float64) (*Engine, error) {
 		return nil, err
 	}
 	n := cfg.Graph.N()
-	if len(y0) != n || len(g0) != n {
-		return nil, fmt.Errorf("gossip: initial vectors have length %d/%d, want %d", len(y0), len(g0), n)
-	}
 	e := &Engine{
 		cfg:      cfg,
 		n:        n,
 		ks:       cfg.fanouts(),
-		src:      rng.New(cfg.Seed),
+		src:      new(rng.Source),
 		cur:      make([]Pair, n),
 		u:        make([]float64, n),
 		selfConv: make([]bool, n),
@@ -101,17 +98,48 @@ func NewEngine(cfg Config, y0, g0 []float64) (*Engine, error) {
 		next:     make([]Pair, n),
 		extRecv:  make([]int, n),
 	}
-	for i := 0; i < n; i++ {
+	if err := e.Reset(cfg.Seed, y0, g0); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// Reset rewinds the engine to the state NewEngine would produce over (seed,
+// y0, g0), reusing every buffer — NewEngine itself is "allocate, then Reset",
+// so a reset engine is indistinguishable from a fresh one by construction:
+// the randomness stream, step and message tallies (the degree exchange is
+// charged again), convergence flags, departed-node marks, mass ledgers and
+// link-fault predicate all start over. core.GlobalSubjects leans on this to
+// run thousands of per-subject campaigns on one engine without allocating.
+// Only SetLossProb and SetMinSteps outlive a Reset. Engines with count gossip
+// enabled cannot be Reset; after an error the engine is half-reset and must
+// be Reset again before use.
+func (e *Engine) Reset(seed uint64, y0, g0 []float64) error {
+	if e.count != nil {
+		return fmt.Errorf("gossip: Reset with count gossip enabled")
+	}
+	if len(y0) != e.n || len(g0) != e.n {
+		return fmt.Errorf("gossip: initial vectors have length %d/%d, want %d", len(y0), len(g0), e.n)
+	}
+	e.cfg.Seed = seed
+	e.src.Reseed(seed)
+	e.steps = 0
+	e.msgs = Messages{}
+	e.lastDelta = 0
+	e.base, e.injected, e.lost = Pair{}, Pair{}, Pair{}
+	e.linkFault = nil
+	for i := 0; i < e.n; i++ {
 		if g0[i] < 0 {
-			return nil, fmt.Errorf("gossip: negative initial weight g0[%d]=%v", i, g0[i])
+			return fmt.Errorf("gossip: negative initial weight g0[%d]=%v", i, g0[i])
 		}
 		e.cur[i] = Pair{y0[i], g0[i]}
 		e.u[i] = e.cur[i].ratio()
+		e.selfConv[i], e.stopped[i], e.down[i] = false, false, false
 		e.base.add(e.cur[i])
 		// Degree exchange: one push per incident edge direction.
-		e.msgs.Setup += cfg.Graph.Degree(i)
+		e.msgs.Setup += e.cfg.Graph.Degree(i)
 	}
-	return e, nil
+	return nil
 }
 
 // EnableCountGossip attaches the third gossip component of Algorithm 2:
@@ -328,16 +356,23 @@ func abs(x float64) float64 {
 // step — a convergence diagnostic.
 func (e *Engine) LastDelta() float64 { return e.lastDelta }
 
-// Run drives Step until every node stops or the step budget is exhausted.
-func (e *Engine) Run() Result {
+// runToStop drives Step until every node stops or the step budget is
+// exhausted, and reports whether the run converged within it.
+func (e *Engine) runToStop() bool {
 	budget := e.cfg.maxSteps()
 	running := true
 	for running && e.steps < budget {
 		running = e.Step()
 	}
+	return !running
+}
+
+// Run drives Step until every node stops or the step budget is exhausted.
+func (e *Engine) Run() Result {
+	converged := e.runToStop()
 	res := Result{
 		Steps:     e.steps,
-		Converged: !running,
+		Converged: converged,
 		Estimates: e.Estimates(),
 		Messages:  e.msgs,
 	}
@@ -350,6 +385,18 @@ func (e *Engine) Run() Result {
 		}
 	}
 	return res
+}
+
+// RunInto drives Step to completion like Run but writes the final estimates
+// into dst (length N) instead of assembling a Result; together with Reset
+// this keeps a reused campaign engine free of steady-state allocations. It
+// reports the step count and whether the run converged within the budget.
+func (e *Engine) RunInto(dst []float64) (steps int, converged bool) {
+	converged = e.runToStop()
+	for i := range dst {
+		dst[i] = e.Estimate(i)
+	}
+	return e.steps, converged
 }
 
 // Average is a convenience wrapper: it gossips the values xs with unit

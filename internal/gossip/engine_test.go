@@ -491,3 +491,126 @@ func TestLastDeltaShrinks(t *testing.T) {
 		t.Fatalf("delta did not shrink: early=%v late=%v", early, late)
 	}
 }
+
+// column builds a single-subject initial column: raters drawn from src hold
+// a value and unit weight, everyone else nothing.
+func column(n int, src *rng.Source) (y0, g0 []float64) {
+	y0 = make([]float64, n)
+	g0 = make([]float64, n)
+	for i := 0; i < n; i++ {
+		if src.Bool(0.3) {
+			y0[i] = src.Float64()
+			g0[i] = 1
+		}
+	}
+	if g0[0] == 0 { // ensure at least one rater
+		y0[0], g0[0] = 0.5, 1
+	}
+	return y0, g0
+}
+
+// TestResetMatchesFreshConstruction: an engine Reset to a new (seed, column)
+// must replay bit-for-bit what a freshly constructed engine produces — the
+// property that lets core.GlobalSubjects reuse one engine across thousands of
+// per-subject campaigns — however the previous run left it: here every
+// campaign ends with a crashed node, an overridden pair and a link fault
+// installed, all of which Reset must scrub.
+func TestResetMatchesFreshConstruction(t *testing.T) {
+	const n = 120
+	g, err := graph.PreferentialAttachment(graph.PAConfig{N: n, M: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(17)
+	cfg := Config{Graph: g, Epsilon: 1e-7, Seed: 1, LossProb: 0.1}
+
+	y0, g0 := column(n, src)
+	reused, err := NewEngine(cfg, y0, g0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotCol := make([]float64, n)
+	wantCol := make([]float64, n)
+	for campaign := 0; campaign < 5; campaign++ {
+		// Dirty every piece of run state before the comparison campaign.
+		reused.Step()
+		if err := reused.Crash(campaign + 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := reused.Override(campaign+2, 3, 2); err != nil {
+			t.Fatal(err)
+		}
+		reused.SetLinkFault(func(from, to int) bool { return (from+to)%3 == 0 })
+		reused.RunInto(gotCol)
+
+		cfg.Seed = src.Uint64()
+		y0, g0 = column(n, src)
+		fresh, err := NewEngine(cfg, y0, g0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reused.Reset(cfg.Seed, y0, g0); err != nil {
+			t.Fatal(err)
+		}
+		wb, wi, wl := fresh.MassLedger()
+		if gb, gi, gl := reused.MassLedger(); gb != wb || gi != wi || gl != wl {
+			t.Fatalf("campaign %d: reset ledger (%v %v %v) != fresh (%v %v %v)", campaign, gb, gi, gl, wb, wi, wl)
+		}
+
+		wantSteps, wantConv := fresh.RunInto(wantCol)
+		gotSteps, gotConv := reused.RunInto(gotCol)
+		if wantSteps != gotSteps || wantConv != gotConv {
+			t.Fatalf("campaign %d: reset run (steps=%d conv=%v) != fresh (steps=%d conv=%v)",
+				campaign, gotSteps, gotConv, wantSteps, wantConv)
+		}
+		if fresh.Messages() != reused.Messages() {
+			t.Fatalf("campaign %d: message tallies diverged: %+v vs %+v", campaign, reused.Messages(), fresh.Messages())
+		}
+		for i := 0; i < n; i++ {
+			if wantCol[i] != gotCol[i] {
+				t.Fatalf("campaign %d node %d: reset %v != fresh %v", campaign, i, gotCol[i], wantCol[i])
+			}
+			if reused.Down(i) {
+				t.Fatalf("campaign %d: node %d still down after Reset", campaign, i)
+			}
+		}
+	}
+
+	// The reuse path's cost, as a count: a warmed engine resets and runs a
+	// whole campaign without touching the heap.
+	seed := cfg.Seed
+	if allocs := testing.AllocsPerRun(5, func() {
+		seed++
+		if err := reused.Reset(seed, y0, g0); err != nil {
+			t.Fatal(err)
+		}
+		reused.RunInto(gotCol)
+	}); allocs != 0 {
+		t.Fatalf("Reset + RunInto allocated %v times on a warmed engine", allocs)
+	}
+}
+
+// TestResetRejects: Reset validates its vectors like NewEngine does and
+// refuses an engine carrying Algorithm 2's count mass.
+func TestResetRejects(t *testing.T) {
+	cfg := Config{Graph: graph.Ring(5), Epsilon: 0.01}
+	e, err := NewEngine(cfg, ones(5), ones(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Reset(1, ones(4), ones(5)); err == nil {
+		t.Error("short y0 accepted")
+	}
+	if err := e.Reset(1, ones(5), []float64{1, 1, -1, 1, 1}); err == nil {
+		t.Error("negative weight accepted")
+	}
+	if err := e.Reset(1, ones(5), ones(5)); err != nil {
+		t.Errorf("valid Reset after a rejected one: %v", err)
+	}
+	if err := e.EnableCountGossip(ones(5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Reset(1, ones(5), ones(5)); err == nil {
+		t.Error("Reset with count gossip enabled accepted")
+	}
+}

@@ -35,22 +35,15 @@ import (
 // influence any estimate, and is skipped by the accumulation and the
 // convergence scan alike.
 //
-// The engine also runs in restricted-subject mode (NewVectorEngineSubjects):
-// the column dimension m is then smaller than N and slot s stands for the
-// global subject id Subjects()[s]. The sharded epoch pipeline uses m=1
-// engines — one independent push-sum campaign per subject — so a subject's
-// result depends only on its own seed and initial column, never on which
-// other subjects happen to be computed alongside it.
-//
-// Memory is Θ(N·m) (Θ(N²) for the full-subject engines); the experiment
-// harness uses it for the collusion figures at moderate N and falls back to
-// the scalar engine for the large-N timing figures, whose per-subject
-// dynamics are identical.
+// Memory is Θ(N²); the experiment harness uses the engine for the collusion
+// figures at moderate N and falls back to the scalar engine for the large-N
+// timing figures. A single subject's campaign needs no vector at all: it is
+// the scalar Engine, which core.GlobalSubjects runs once per subject
+// (core's TestDenseCampaignIsGlobalSingle pins that such a campaign is
+// bit-identical to GlobalSingle).
 type VectorEngine struct {
 	cfg   Config
 	n     int
-	m     int   // subject slots (== n unless restricted)
-	subs  []int // slot -> global subject id; nil means identity
 	ks    []int
 	src   *rng.Source
 	steps int
@@ -132,7 +125,7 @@ func NewVectorEngine(cfg Config, y0, g0 [][]float64) (*VectorEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := newVectorEngineBuffers(cfg, nil)
+	e := newVectorEngineBuffers(cfg)
 	e.y, e.g = y, g
 	if err := e.initState(); err != nil {
 		return nil, err
@@ -145,82 +138,32 @@ func NewVectorEngine(cfg Config, y0, g0 [][]float64) (*VectorEngine, error) {
 	return e, nil
 }
 
-// NewVectorEngineSubjects builds a restricted-subject engine: the column
-// dimension is len(subjects) and slot s stands for the global subject id
-// subjects[s]. y0 and g0 are flat row-major N×len(subjects) blocks (node i's
-// slot s lives at i*len(subjects)+s). The sharded epoch pipeline runs one
-// m=1 engine per subject, so each campaign's result depends only on its own
-// seed and initial column.
-//
-// Restricted engines charge no automatic degree-exchange setup — concurrent
-// campaigns share one exchange, which the caller books once via ChargeSetup
-// — and reject count gossip and the churn operations that change N.
-func NewVectorEngineSubjects(cfg Config, subjects []int, y0, g0 []float64) (*VectorEngine, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	n := cfg.Graph.N()
-	m := len(subjects)
-	if m == 0 {
-		return nil, fmt.Errorf("gossip: empty subject set")
-	}
-	seen := make(map[int]bool, m)
-	for _, j := range subjects {
-		if j < 0 || j >= n {
-			return nil, fmt.Errorf("gossip: subject %d out of range [0,%d)", j, n)
-		}
-		if seen[j] {
-			return nil, fmt.Errorf("gossip: duplicate subject %d", j)
-		}
-		seen[j] = true
-	}
-	if len(y0) != n*m || len(g0) != n*m {
-		return nil, fmt.Errorf("gossip: initial blocks have %d/%d values, want %d", len(y0), len(g0), n*m)
-	}
-	e := newVectorEngineBuffers(cfg, append([]int(nil), subjects...))
-	e.y = allocRect(n, m)
-	e.g = allocRect(n, m)
-	copyFlat(e.y, y0, m)
-	copyFlat(e.g, g0, m)
-	if err := e.initState(); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
 // newVectorEngineBuffers allocates every fixed-shape buffer of an engine over
-// cfg.Graph with the given slot mapping (nil = identity, m = N). The mass
-// matrices y and g are left for the caller to attach.
-func newVectorEngineBuffers(cfg Config, subjects []int) *VectorEngine {
+// cfg.Graph. The mass matrices y and g are left for the caller to attach.
+func newVectorEngineBuffers(cfg Config) *VectorEngine {
 	n := cfg.Graph.N()
-	m := n
-	if subjects != nil {
-		m = len(subjects)
-	}
 	e := &VectorEngine{
 		cfg:          cfg,
 		n:            n,
-		m:            m,
-		subs:         subjects,
 		ks:           cfg.fanouts(),
-		prevR:        allocRect(n, m),
+		prevR:        alloc(n),
 		selfConv:     make([]bool, n),
 		stopped:      make([]bool, n),
 		down:         make([]bool, n),
-		baseY:        make([]float64, m),
-		baseG:        make([]float64, m),
-		injY:         make([]float64, m),
-		injG:         make([]float64, m),
-		lostY:        make([]float64, m),
-		lostG:        make([]float64, m),
-		nextY:        allocRect(n, m),
-		nextG:        allocRect(n, m),
+		baseY:        make([]float64, n),
+		baseG:        make([]float64, n),
+		injY:         make([]float64, n),
+		injG:         make([]float64, n),
+		lostY:        make([]float64, n),
+		lostG:        make([]float64, n),
+		nextY:        alloc(n),
+		nextG:        alloc(n),
 		extRecv:      make([]int, n),
 		incoming:     make([][]push, n),
 		l1:           make([]float64, n),
 		hasWeight:    make([]bool, n),
 		recomputed:   make([]bool, n),
-		active:       make([]bool, m),
+		active:       make([]bool, n),
 		wg:           new(sync.WaitGroup),
 		perPushUnits: 1,
 	}
@@ -233,31 +176,13 @@ func newVectorEngineBuffers(cfg Config, subjects []int) *VectorEngine {
 	return e
 }
 
-// initState derives every run-state invariant from the current y/g masses
-// and cfg.Seed: the randomness stream, active-subject index, churn mass
-// ledgers, previous ratios, convergence flags and the sparse-mode buffer
-// pinning. It is shared by the constructors and Reset, so a Reset engine is
-// bit-for-bit indistinguishable from a freshly constructed one.
+// initState derives the run state of a freshly allocated engine from its y/g
+// masses and cfg.Seed: the randomness stream, active-subject index, base mass
+// ledgers, previous ratios and the sparse-mode buffer pinning.
 func (e *VectorEngine) initState() error {
 	e.src = rng.New(e.cfg.Seed)
-	e.steps = 0
-	e.msgs = Messages{}
-	e.linkFault = nil
-	e.activeIdx = e.activeIdx[:0]
-	for s := 0; s < e.m; s++ {
-		e.active[s] = false
-		e.baseY[s], e.baseG[s] = 0, 0
-		e.injY[s], e.injG[s] = 0, 0
-		e.lostY[s], e.lostG[s] = 0, 0
-	}
 	for i := 0; i < e.n; i++ {
-		e.selfConv[i] = false
-		e.stopped[i] = false
-		e.down[i] = false
-		e.recomputed[i] = false
-		e.extRecv[i] = 0
-		e.l1[i] = 0
-		for s := 0; s < e.m; s++ {
+		for s := 0; s < e.n; s++ {
 			if e.g[i][s] < 0 {
 				return fmt.Errorf("gossip: negative initial weight g0[%d][%d]", i, s)
 			}
@@ -274,13 +199,11 @@ func (e *VectorEngine) initState() error {
 			e.activeIdx = append(e.activeIdx, s)
 		}
 	}
-	e.denseActive = len(e.activeIdx) == e.m
+	e.denseActive = len(e.activeIdx) == e.n
 	// Sparse mode never rewrites inactive columns, so pin them to their
 	// initial values in both buffers: rows then carry identical bits for
 	// those subjects whichever buffer is current, and the MassY invariant
-	// holds for unrated subjects too (their mass simply never moves). The
-	// weight pin writes zeros by definition of "inactive", which also scrubs
-	// any stale values a Reset inherits from the previous run.
+	// holds for unrated subjects too (their mass simply never moves).
 	if !e.denseActive {
 		for i := 0; i < e.n; i++ {
 			for s, a := range e.active {
@@ -306,27 +229,6 @@ func (e *VectorEngine) initState() error {
 	return nil
 }
 
-// Reset rewinds the engine to the state a fresh construction over (seed, y0,
-// g0) would produce, reusing every buffer: after Reset the engine is
-// bit-for-bit indistinguishable from a new engine of the same shape. The
-// shard fold path leans on this to run thousands of per-subject campaigns
-// without re-allocating the Θ(N·k) routing scratch each time. y0 and g0 are
-// flat row-major N×m blocks as in NewVectorEngineSubjects; engines with
-// count gossip enabled cannot be Reset.
-func (e *VectorEngine) Reset(seed uint64, y0, g0 []float64) error {
-	if e.count != nil {
-		return fmt.Errorf("gossip: Reset with count gossip enabled")
-	}
-	if len(y0) != e.n*e.m || len(g0) != e.n*e.m {
-		return fmt.Errorf("gossip: reset blocks have %d/%d values, want %d", len(y0), len(g0), e.n*e.m)
-	}
-	e.cfg.Seed = seed
-	e.perPushUnits = 1
-	copyFlat(e.y, y0, e.m)
-	copyFlat(e.g, g0, e.m)
-	return e.initState()
-}
-
 // deepCopy copies an N×N matrix into a single contiguous backing block and
 // returns its row views. Ragged input rows are reported as an error, matching
 // the validation style of the rest of the constructor.
@@ -342,23 +244,13 @@ func deepCopy(m [][]float64, n int) ([][]float64, error) {
 }
 
 // alloc returns an N×N zero matrix: one contiguous block, rows as views.
-func alloc(n int) [][]float64 { return allocRect(n, n) }
-
-// allocRect returns an n×m zero matrix: one contiguous block, rows as views.
-func allocRect(n, m int) [][]float64 {
-	buf := make([]float64, n*m)
+func alloc(n int) [][]float64 {
+	buf := make([]float64, n*n)
 	out := make([][]float64, n)
 	for i := range out {
-		out[i] = buf[i*m : (i+1)*m : (i+1)*m]
+		out[i] = buf[i*n : (i+1)*n : (i+1)*n]
 	}
 	return out
-}
-
-// copyFlat copies a flat row-major n×m block into per-row views.
-func copyFlat(dst [][]float64, src []float64, m int) {
-	for i, row := range dst {
-		copy(row, src[i*m:(i+1)*m])
-	}
 }
 
 func ratioOr(y, g float64) float64 {
@@ -369,11 +261,7 @@ func ratioOr(y, g float64) float64 {
 }
 
 // EnableCountGossip attaches the rater-count component (N×N row per node).
-// It is a full-subject facility; restricted-subject engines reject it.
 func (e *VectorEngine) EnableCountGossip(count0 [][]float64) error {
-	if e.subs != nil {
-		return fmt.Errorf("gossip: count gossip requires the full subject set")
-	}
 	if len(count0) != e.n {
 		return fmt.Errorf("gossip: count matrix has %d rows, want %d", len(count0), e.n)
 	}
@@ -495,10 +383,9 @@ func (e *VectorEngine) Step() bool {
 	}
 
 	// Phase 3: convergence flags (same revocable protocol as the scalar
-	// engine; see Engine.Step). The L1 budget scales with the slot count m —
-	// the paper's rule (7) for full vectors, the scalar engine's per-subject
-	// ξ for the m=1 campaigns of the sharded epoch path.
-	nxi := float64(e.m) * e.cfg.Epsilon
+	// engine; see Engine.Step) under the paper's rule (7): an L1 budget of
+	// N·ξ over the N subject slots.
+	nxi := float64(e.n) * e.cfg.Epsilon
 	for i := 0; i < e.n; i++ {
 		heard := e.extRecv[i] >= 1 || e.selfConv[i] || e.stopped[i]
 		conv := !e.down[i] && e.hasWeight[i] && heard && e.l1[i] <= nxi && e.steps >= e.cfg.MinSteps
@@ -638,21 +525,6 @@ func (e *VectorEngine) accumulateRangeDone(lo, hi int) {
 	e.accumulateRange(lo, hi)
 }
 
-// RunInto drives Step to completion like Run but writes only slot s's final
-// estimates into dst (length N), skipping Run's full result-matrix assembly;
-// together with Reset this keeps a reused per-subject campaign engine free
-// of steady-state allocations. It reports the step count and whether the
-// run converged within the step budget.
-func (e *VectorEngine) RunInto(dst []float64, s int) (steps int, converged bool) {
-	budget := e.cfg.maxSteps()
-	running := true
-	for running && e.steps < budget {
-		running = e.Step()
-	}
-	e.EstimateColumn(dst, s)
-	return e.steps, !running
-}
-
 // Run drives Step to completion.
 func (e *VectorEngine) Run() VectorResult {
 	budget := e.cfg.maxSteps()
@@ -663,20 +535,20 @@ func (e *VectorEngine) Run() VectorResult {
 	res := VectorResult{
 		Steps:     e.steps,
 		Converged: !running,
-		Estimates: allocRect(e.n, e.m),
+		Estimates: alloc(e.n),
 		Messages:  e.msgs,
 	}
 	for i := 0; i < e.n; i++ {
-		for j := 0; j < e.m; j++ {
+		for j := 0; j < e.n; j++ {
 			if e.g[i][j] > 0 {
 				res.Estimates[i][j] = e.y[i][j] / e.g[i][j]
 			}
 		}
 	}
 	if e.count != nil {
-		res.Counts = allocRect(e.n, e.m)
+		res.Counts = alloc(e.n)
 		for i := 0; i < e.n; i++ {
-			for j := 0; j < e.m; j++ {
+			for j := 0; j < e.n; j++ {
 				if e.g[i][j] > 0 {
 					res.Counts[i][j] = e.count[i][j] / e.g[i][j]
 				}
@@ -688,25 +560,3 @@ func (e *VectorEngine) Run() VectorResult {
 
 // Steps returns the number of gossip steps executed so far.
 func (e *VectorEngine) Steps() int { return e.steps }
-
-// M returns the subject-slot count (== N unless restricted).
-func (e *VectorEngine) M() int { return e.m }
-
-// Subjects returns the slot→subject mapping of a restricted engine, or nil
-// for full-subject engines (where slot s is subject s). The caller must not
-// mutate it.
-func (e *VectorEngine) Subjects() []int { return e.subs }
-
-// EstimateColumn writes every node's current estimate for slot s into dst
-// (length N), zero where the node's weight slot is empty. It is the
-// allocation-free alternative to Run's full Estimates matrix for the
-// per-subject campaigns of the shard fold path.
-func (e *VectorEngine) EstimateColumn(dst []float64, s int) {
-	for i := 0; i < e.n; i++ {
-		if e.g[i][s] > 0 {
-			dst[i] = e.y[i][s] / e.g[i][s]
-		} else {
-			dst[i] = 0
-		}
-	}
-}

@@ -33,15 +33,14 @@ type CampaignState struct {
 	Converged bool
 }
 
-// ExportState copies slot s's current masses into ys and gs, one entry per
-// node (so both must have length N — the overlay size for restricted-overlay
-// engines). Together with CampaignState this is the warm-start capture path:
-// the caller snapshots a converged campaign's masses without touching the
-// engine's internals.
-func (e *VectorEngine) ExportState(ys, gs []float64, s int) {
-	for i := 0; i < e.n; i++ {
-		ys[i] = e.y[i][s]
-		gs[i] = e.g[i][s]
+// ExportState copies the engine's current masses into ys and gs, one entry
+// per node (so both must have length N — the overlay size for a sparse
+// campaign's engine). Together with CampaignState this is the warm-start
+// capture path: the caller snapshots a converged campaign's masses without
+// touching the engine's internals.
+func (e *Engine) ExportState(ys, gs []float64) {
+	for i, p := range e.cur {
+		ys[i], gs[i] = p.Y, p.G
 	}
 }
 
@@ -53,7 +52,7 @@ func (e *VectorEngine) ExportState(ys, gs []float64, s int) {
 // run with the configured default. Calling this mid-run would change the
 // convergence rule under the protocol's feet — callers set it right after
 // Reset, before the first Step.
-func (e *VectorEngine) SetMinSteps(ms int) {
+func (e *Engine) SetMinSteps(ms int) {
 	if ms < 0 {
 		ms = 0
 	}

@@ -18,23 +18,38 @@ type Source struct {
 	s0, s1, s2, s3 uint64
 }
 
+// Mix64 is the SplitMix64 finaliser: a bijective avalanche of one 64-bit
+// word. Source seeding applies it to successive multiples of the golden-ratio
+// increment; callers that derive one seed from another (per-subject campaign
+// seeds, per-epoch seeds) apply it to their own offset of the base seed.
+func Mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
 // New returns a Source seeded from seed. Two sources with the same seed
 // produce identical streams.
 func New(seed uint64) *Source {
-	sm := seed
+	s := new(Source)
+	s.Reseed(seed)
+	return s
+}
+
+// Reseed rewinds s in place to the start of New(seed)'s stream, so a
+// long-lived owner (a gossip engine reused across campaigns) replays a fresh
+// stream without allocating a new Source.
+func (s *Source) Reseed(seed uint64) {
+	const gamma = 0x9e3779b97f4a7c15
 	next := func() uint64 {
-		sm += 0x9e3779b97f4a7c15
-		z := sm
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
+		seed += gamma
+		return Mix64(seed)
 	}
-	s := &Source{s0: next(), s1: next(), s2: next(), s3: next()}
+	s.s0, s.s1, s.s2, s.s3 = next(), next(), next(), next()
 	// Avoid the all-zero state, which is a fixed point of xoshiro.
 	if s.s0|s.s1|s.s2|s.s3 == 0 {
-		s.s0 = 0x9e3779b97f4a7c15
+		s.s0 = gamma
 	}
-	return s
 }
 
 // Uint64 returns the next 64 random bits.

@@ -361,3 +361,24 @@ func TestSampleIntoZeroAlloc(t *testing.T) {
 		t.Fatalf("PermInto allocated %v times per run", allocs)
 	}
 }
+
+// TestReseedReplaysNew: a used source Reseed(s) replays New(s)'s stream
+// exactly, and does so without allocating.
+func TestReseedReplaysNew(t *testing.T) {
+	s := New(99)
+	for _, seed := range []uint64{0, 1, 42, math.MaxUint64} {
+		for i := 0; i < 17; i++ {
+			s.Uint64() // advance: Reseed must not depend on prior state
+		}
+		s.Reseed(seed)
+		fresh := New(seed)
+		for i := 0; i < 1000; i++ {
+			if got, want := s.Uint64(), fresh.Uint64(); got != want {
+				t.Fatalf("seed %d draw %d: reseeded %#x != fresh %#x", seed, i, got, want)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.Reseed(7) }); allocs != 0 {
+		t.Fatalf("Reseed allocated %v times", allocs)
+	}
+}

@@ -56,6 +56,7 @@ import (
 	"diffgossip/internal/gossip"
 	"diffgossip/internal/graph"
 	"diffgossip/internal/obs"
+	"diffgossip/internal/rng"
 	"diffgossip/internal/store"
 	"diffgossip/internal/trust"
 )
@@ -969,10 +970,7 @@ func (s *Service) TrimReplicationHistory(floors map[string]uint64) int {
 // epochSeed mixes the base seed with the epoch number (SplitMix64-style
 // finaliser) so every epoch draws an independent, reproducible stream.
 func epochSeed(base, epoch uint64) uint64 {
-	z := base + epoch*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return rng.Mix64(base + epoch*0x9e3779b97f4a7c15)
 }
 
 // graphFingerprint hashes the gossip overlay's node count and edge set, for

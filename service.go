@@ -11,7 +11,7 @@ import (
 // append-only ledger that tracks which subject shards it dirties; the epoch
 // scheduler folds the backlog and recomputes only the dirty shards — one
 // independent per-subject gossip campaign per rated subject, on the same
-// flat VectorEngine kernels as AggregateGlobalAll — and publishes each shard
+// scalar gossip engine as AggregateGlobalAll — and publishes each shard
 // snapshot through its own atomic pointer. Reads stitch the current shard
 // snapshots into a lock-free composite View, so query latency is independent
 // of epoch compute and clean shards cost an epoch nothing. See cmd/dgserve
