@@ -70,6 +70,22 @@ var (
 // — indistinguishable from a fresh NewEngine by construction — so the
 // steady-state allocation per subject is just its result column.
 func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*SubjectsResult, error) {
+	return globalSubjects(g, t, subjects, p, true)
+}
+
+// GlobalSubjectsAtRoot is GlobalSubjects for a caller that reads one node's
+// estimate per subject: the same campaigns, bit for bit, reporting only
+// SubjectsResult.AtRoot and leaving Columns nil. A dense campaign writes its
+// estimates into a per-worker scratch column; a sparse, single-rater or
+// republished campaign builds no N-wide column at all, so the steady-state
+// allocation per subject is its recorded state (Params.KeepStates) or nothing.
+func GlobalSubjectsAtRoot(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*SubjectsResult, error) {
+	return globalSubjects(g, t, subjects, p, false)
+}
+
+// globalSubjects is the one campaign loop behind both result shapes; columns
+// selects whether each subject's N-wide column is built besides AtRoot.
+func globalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params, columns bool) (*SubjectsResult, error) {
 	p = p.withDefaults()
 	if g == nil || g.N() == 0 {
 		return nil, fmt.Errorf("core: empty graph")
@@ -97,10 +113,13 @@ func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*
 
 	res := &SubjectsResult{
 		Subjects:       append([]int(nil), subjects...),
-		Columns:        make([][]float64, len(subjects)),
+		AtRoot:         make([]float64, len(subjects)),
 		Raters:         make([]int, len(subjects)),
 		StepsBySubject: make([]int, len(subjects)),
 		Converged:      true,
+	}
+	if columns {
+		res.Columns = make([][]float64, len(subjects))
 	}
 	if p.KeepStates {
 		res.States = make([]*gossip.CampaignState, len(subjects))
@@ -125,10 +144,11 @@ func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*
 
 	// Per-worker reusable state: one engine per topology (the real graph,
 	// built on the first dense campaign, and one per overlay size) and the
-	// seed scratch blocks.
+	// seed scratch blocks, each allocated by the first campaign that needs it.
 	type workerState struct {
 		engines map[int]*gossip.Engine // by overlay size; 0 is the real graph
 		scratch *seedScratch           // dense seeds
+		col     []float64              // dense estimate column when none is kept
 		sy, sg  []float64              // sparse seeds, sliced to the overlay size
 		est     []float64              // sparse estimate column
 		ids     []int
@@ -139,8 +159,11 @@ func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*
 		j := res.Subjects[s]
 		w.ids, w.vals = t.RatersOfInto(j, w.ids[:0], w.vals[:0])
 		ids, vals := w.ids, w.vals
-		col := make([]float64, n)
-		res.Columns[s] = col
+		var col []float64 // stays nil (fills are no-ops) unless columns are kept
+		if columns {
+			col = make([]float64, n)
+			res.Columns[s] = col
+		}
 		k := len(ids)
 		res.Raters[s] = k
 		if k == 0 {
@@ -152,9 +175,8 @@ func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*
 			// A single rater's campaign has a closed-form fixed point: every
 			// node's estimate is the rater's value. Zero steps, still a
 			// computed (cold) campaign for the incrementality accounting.
-			for i := range col {
-				col[i] = vals[0]
-			}
+			res.AtRoot[s] = vals[0]
+			fill(col, vals[0])
 			outs[s] = outcome{converged: true, ran: true}
 			return
 		}
@@ -177,6 +199,7 @@ func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*
 			// Unchanged campaign: the recorded state already holds the fixed
 			// point, so republish its column — zero steps, zero messages, and
 			// the state carries forward untouched for the next epoch.
+			res.AtRoot[s] = stateEstimate(ws, p.Root)
 			stateColumn(ws, col)
 			outs[s] = outcome{converged: true, ran: true, warm: true}
 			if res.States != nil {
@@ -191,6 +214,9 @@ func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*
 			// Overlay node pos is rater ids[pos], so a recorded state fits
 			// only the exact rater set it was recorded over.
 			warm = sameRaters
+			if w.est == nil {
+				w.sy, w.sg, w.est = make([]float64, sparseMax), make([]float64, sparseMax), make([]float64, sparseMax)
+			}
 			y0, g0 = w.sy[:k], w.sg[:k]
 			if warm {
 				copy(y0, ws.Y)
@@ -205,6 +231,9 @@ func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*
 				}
 			}
 		} else {
+			if w.scratch == nil {
+				w.scratch = newSeedScratch(n)
+			}
 			warm = usable && w.scratch.seedWarm(ws, ids, vals)
 			if !warm {
 				w.scratch.seedCold(ids, vals)
@@ -239,17 +268,21 @@ func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*
 		} else {
 			eng.SetMinSteps(0)
 		}
-		est := col
-		if sparse {
-			est = w.est[:k]
-		}
-		steps, conv := eng.RunInto(est)
+		est, at := col, p.Root
 		if sparse {
 			// Every overlay node's estimate is within the ξ band; node 0's
 			// stands for the whole network, like the root's does on a dense run.
-			for i := range col {
-				col[i] = est[0]
+			est, at = w.est[:k], 0
+		} else if est == nil {
+			if w.col == nil {
+				w.col = make([]float64, n)
 			}
+			est = w.col
+		}
+		steps, conv := eng.RunInto(est)
+		res.AtRoot[s] = est[at]
+		if sparse {
+			fill(col, est[0])
 		}
 		outs[s] = outcome{steps: steps, converged: conv, msgs: eng.Messages(), ran: true, warm: warm}
 		if res.States != nil {
@@ -270,13 +303,7 @@ func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*
 	order := scheduleOrder(t, res.Subjects, p, n, sparseMax, workers)
 	var cursor atomic.Int64
 	runWorker := func() {
-		w := &workerState{
-			engines: make(map[int]*gossip.Engine),
-			scratch: newSeedScratch(n),
-			sy:      make([]float64, sparseMax),
-			sg:      make([]float64, sparseMax),
-			est:     make([]float64, sparseMax),
-		}
+		w := &workerState{engines: make(map[int]*gossip.Engine)}
 		for {
 			x := int(cursor.Add(1)) - 1
 			if x >= len(order) {

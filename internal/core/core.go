@@ -150,8 +150,11 @@ type SubjectsResult struct {
 	// Subjects echoes the requested subjects, in request order.
 	Subjects []int
 	// Columns[s][i] is node i's estimate for Subjects[s] (all zeros for a
-	// subject nobody rated).
+	// subject nobody rated). Nil from GlobalSubjectsAtRoot.
 	Columns [][]float64
+	// AtRoot[s] is node Params.Root's estimate for Subjects[s] — what
+	// Columns[s][Params.Root] holds when the columns are built.
+	AtRoot []float64
 	// Raters[s] is the number of direct raters of Subjects[s].
 	Raters []int
 	// Computed counts the campaigns that actually ran — subjects with at

@@ -305,6 +305,60 @@ func TestGlobalSubjectsPinnedDigest(t *testing.T) {
 	}
 }
 
+// TestGlobalSubjectsAtRootMatchesColumns pins the two result shapes to one
+// campaign body: GlobalSubjectsAtRoot builds no columns, and its AtRoot — like
+// the full run's — is bit for bit what Columns[s][Root] holds, for every
+// campaign kind (unrated, single-rater, sparse, dense; cold, warm and
+// republished), with identical recorded states, steps and message tallies.
+func TestGlobalSubjectsAtRootMatchesColumns(t *testing.T) {
+	const n, root = 120, 5
+	subjects := make([]int, n)
+	for j := range subjects {
+		subjects[j] = j
+	}
+	for _, sparse := range []float64{0, 0.25} {
+		g, tm := pinnedFixture(t, n)
+		p := Params{Epsilon: 1e-6, Seed: 7003, KeepStates: true, SparseRaterFrac: sparse, Root: root, Workers: -1}
+		both := func(label string) *SubjectsResult {
+			t.Helper()
+			full, err := GlobalSubjects(g, tm, subjects, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at, err := GlobalSubjectsAtRoot(g, tm, subjects, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if at.Columns != nil {
+				t.Fatalf("sparse=%v %s: root-only run built columns", sparse, label)
+			}
+			for s := range subjects {
+				if full.AtRoot[s] != full.Columns[s][root] || at.AtRoot[s] != full.AtRoot[s] {
+					t.Fatalf("sparse=%v %s subject %d: column[root] %v, AtRoot %v, root-only AtRoot %v",
+						sparse, label, s, full.Columns[s][root], full.AtRoot[s], at.AtRoot[s])
+				}
+			}
+			full.Columns = nil
+			if a, b := subjectsDigest(at), subjectsDigest(full); a != b {
+				t.Fatalf("sparse=%v %s: states and tallies differ between the shapes (%#x vs %#x)", sparse, label, a, b)
+			}
+			return at
+		}
+		cold := both("cold")
+		// Change two ratings; every other campaign republishes its state.
+		for _, j := range []int{10, 11} {
+			ids, _ := tm.RatersOfInto(j, nil, nil)
+			if err := tm.Set(ids[0], j, 0.123); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.Warm = func(j int) *gossip.CampaignState { return cold.States[j] }
+		if warm := both("warm"); warm.WarmStarts == 0 || warm.TotalSteps == 0 {
+			t.Fatalf("sparse=%v: warm pass ran %d warm campaigns in %d steps", sparse, warm.WarmStarts, warm.TotalSteps)
+		}
+	}
+}
+
 // TestDenseCampaignIsGlobalSingle states the paper-level identity: a cold
 // dense campaign of GlobalSubjects IS Algorithm 1 on one subject — the same
 // engine GlobalSingle runs, seeded with the subject's split stream — so the

@@ -158,28 +158,35 @@ func sameVals(a, b []float64) bool {
 	return true
 }
 
-// stateColumn reproduces a campaign's result column straight from its
+// stateEstimate reproduces node i's estimate straight from a campaign's
 // persisted state, bit-identically to what the recording run published: the
 // engine's estimate is y/g where the weight slot is non-empty and zero where
-// it is, and a sparse campaign's column is overlay node 0's estimate
-// broadcast to every node.
+// it is, and under a sparse campaign every node reads overlay node 0's.
+func stateEstimate(ws *gossip.CampaignState, i int) float64 {
+	if ws.Sparse {
+		i = 0
+	}
+	if ws.G[i] > 0 {
+		return ws.Y[i] / ws.G[i]
+	}
+	return 0
+}
+
+// stateColumn is stateEstimate for every node of a result column.
 func stateColumn(ws *gossip.CampaignState, col []float64) {
 	if ws.Sparse {
-		est := 0.0
-		if ws.G[0] > 0 {
-			est = ws.Y[0] / ws.G[0]
-		}
-		for i := range col {
-			col[i] = est
-		}
+		fill(col, stateEstimate(ws, 0))
 		return
 	}
 	for i := range col {
-		if ws.G[i] > 0 {
-			col[i] = ws.Y[i] / ws.G[i]
-		} else {
-			col[i] = 0
-		}
+		col[i] = stateEstimate(ws, i)
+	}
+}
+
+// fill broadcasts v to every slot of col.
+func fill(col []float64, v float64) {
+	for i := range col {
+		col[i] = v
 	}
 }
 

@@ -5,10 +5,12 @@
 //     appends that never touch epoch state, tracking which subject shards
 //     the pending batch has dirtied;
 //   - the shard scheduler: RunEpoch (or the background loop) groups the
-//     pending batch's last-writer-wins cells by shard and recomputes only the
-//     dirty shards — each shard an independent set of per-subject push-sum
-//     campaigns (core.GlobalSubjects) on the flat gossip kernels, dispatched
-//     to a bounded worker pool; clean shards cost zero compute;
+//     pending batch's last-writer-wins cells by shard and republishes only
+//     the dirty shards, dispatched to a bounded worker pool. A fold runs one
+//     independent push-sum campaign (core.GlobalSubjectsAtRoot, on the flat
+//     gossip kernels) per subject the batch re-rated and carries the shard's
+//     other subjects over from its previous publication; clean shards cost
+//     zero compute;
 //   - the published shard snapshots: one atomic.Pointer per shard, stored as
 //     its fold completes. Readers stitch the current pointers into a
 //     composite View — lock-free, snapshot-consistent per shard. A shard's
@@ -20,14 +22,15 @@
 //
 // Every subject's state (global value, rater count, frozen trust column,
 // fold point) comes from one immutable shard publication; different shards
-// may sit at different fold points, which is what makes an epoch with k of
-// S shards dirty cost O(k/S) of a full recompute. Because every subject's
-// campaign draws its own randomness stream split by subject id, a fold of
-// any dirty subset reproduces exactly what a full recompute would have
-// produced for those subjects — sharding changes the work, never the
-// answers. Submit returns the ledger sequence number; the write is visible
-// once View.SubjectSeq(subject) reaches it (bounded by Config.EpochInterval
-// when the background scheduler runs).
+// may sit at different fold points, which is what lets an epoch republish
+// only the k of S shards it touched — and, within them, compute only the
+// subjects it re-rated. Because every subject's campaign draws its own
+// randomness stream split by subject id, a fold of any dirty subset
+// reproduces exactly what a full recompute would have produced for those
+// subjects — sharding changes the work, never the answers. Submit returns
+// the ledger sequence number; the write is visible once
+// View.SubjectSeq(subject) reaches it (bounded by Config.EpochInterval when
+// the background scheduler runs).
 //
 // With Config.Dir set, feedback is write-ahead logged as JSON lines and
 // each dirty shard's snapshot segment is persisted by fsync + atomic rename
@@ -82,7 +85,7 @@ type Config struct {
 	// memory.
 	Dir string
 	// Shards is the subject-shard count S: subject j belongs to shard
-	// j mod S, and an epoch recomputes only dirty shards. 0 defaults to 1
+	// j mod S, and an epoch republishes only dirty shards. 0 defaults to 1
 	// (the monolithic layout); values above N are rejected.
 	Shards int
 	// FoldWorkers bounds how many dirty shards fold concurrently within one
@@ -164,13 +167,18 @@ type Service struct {
 	lastEpoch atomic.Int64
 
 	// states[s] is shard s's current publication; worker goroutines store
-	// into their own shard's pointer as each fold completes.
+	// into their own shard's pointer as each fold completes. folded[s]
+	// (guarded by epochMu, each fold touching only its own shard's slot) is
+	// the last segment foldShard built for shard s — nil after boot, and no
+	// longer the publication once InstallBootstrap replaces it — the mark
+	// that lets the next fold carry untouched subjects over from it.
 	states []atomic.Pointer[store.ShardSnapshot]
+	folded []*store.ShardSnapshot
 
 	// foldedSubjects counts the per-subject campaigns actually run across
 	// all epochs; foldedShards counts shard folds. Together they are the
-	// incrementality meter: an epoch with k of S shards dirty advances them
-	// by ~k/S of a full recompute's amount.
+	// incrementality meter: an epoch that re-rates m subjects in k of S
+	// shards advances them by m and k.
 	foldedSubjects atomic.Uint64
 	foldedShards   atomic.Uint64
 
@@ -255,6 +263,7 @@ func New(cfg Config) (*Service, error) {
 		graphFP:        graphFingerprint(cfg.Graph),
 		lww:            make(map[uint64]store.LWWTag),
 		states:         make([]atomic.Pointer[store.ShardSnapshot], shards),
+		folded:         make([]*store.ShardSnapshot, shards),
 		persistedEpoch: make([]uint64, shards),
 		persistedSeq:   make([]uint64, shards),
 		stop:           make(chan struct{}),
@@ -636,8 +645,11 @@ func (s *Service) Shards() int { return s.shards }
 func (s *Service) Epochs() uint64 { return s.epochs.Load() }
 
 // FoldedSubjects returns the cumulative number of per-subject gossip
-// campaigns the service has run — the incrementality meter: clean shards
-// (and unrated subjects) never advance it.
+// campaigns the service has run — the incrementality meter: an epoch
+// advances it by the rated subjects its batch re-rated (by every rated
+// subject of a shard on that shard's first fold after boot, reshard or
+// bootstrap, or over an unconverged segment). Clean shards, the untouched
+// subjects of dirty ones and unrated subjects never advance it.
 func (s *Service) FoldedSubjects() uint64 { return s.foldedSubjects.Load() }
 
 // FoldedShards returns the cumulative number of shard folds.
@@ -661,18 +673,19 @@ func (s *Service) Err() error {
 	return nil
 }
 
-// RunEpoch folds all pending feedback into the trust state, recomputes every
-// dirty shard (per-subject gossip campaigns on a bounded worker pool),
-// publishes each shard snapshot as its fold completes, and finally — outside
-// the epoch critical section — persists the ledger and the dirty segments.
-// It reports whether an epoch actually ran: with no pending feedback every
-// shard is clean and the current view is returned unchanged. Epochs are
-// serialised; concurrent callers queue for the compute phase but never for
-// disk.
+// RunEpoch folds all pending feedback into the trust state, republishes every
+// dirty shard (one gossip campaign per re-rated subject, folds on a bounded
+// worker pool), publishes each shard snapshot as its fold completes, and
+// finally — outside the epoch critical section — persists the ledger and the
+// dirty segments. It reports whether an epoch actually ran: with no pending
+// feedback every shard is clean and the current view is returned unchanged.
+// Epochs are serialised; concurrent callers queue for the compute phase but
+// never for disk.
 //
 // Compute runs entirely off the read path — readers keep serving the old
 // shard snapshots until each new one is published in a single atomic store.
-// An epoch with k of S shards dirty does only those k shards' work.
+// An epoch touches only its dirty shards, and computes only the subjects its
+// batch re-rated (see foldShard for when a whole shard computes).
 func (s *Service) RunEpoch() (*View, bool, error) {
 	s.epochMu.Lock()
 	epochStart := time.Now()
@@ -702,8 +715,8 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 
 	// cells[sh] collects, in batch order, the writes shard sh's fold applies
 	// to its published columns. Every shard the batch touches is dirty, even
-	// with no winning cell — the cheap refold keeps the skip logic out of
-	// the dirtiness accounting.
+	// with no winning cell: it republishes to advance its fold point (Seq),
+	// computing nothing.
 	cells := make(map[int][]trust.Cell)
 	seq := uint64(0)
 	for _, fb := range batch {
@@ -731,7 +744,7 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 
 	// Fold the dirty shards on a bounded worker pool. Each fold derives its
 	// shard's columns from the previous publication plus its cells, runs one
-	// independent campaign per rated subject, and publishes through its own
+	// independent campaign per re-rated subject, and publishes through its own
 	// atomic pointer the moment it completes — results are bit-identical
 	// for any FoldWorkers and Params.Workers.
 	results := make([]*store.ShardSnapshot, len(dirtyList))
@@ -830,13 +843,19 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 	return s.View(), true, nil
 }
 
-// foldShard recomputes one dirty shard at the given epoch: apply the batch's
+// foldShard republishes one dirty shard at the given epoch: apply the batch's
 // winning cells to the shard's published trust columns (copy-on-write; the
-// previous publication keeps serving), run the per-subject campaigns —
-// warm-seeded from that publication where the recorded states still fit —
-// and assemble the shard snapshot, carrying the new campaign states forward
-// as the next fold's warm seeds. Caller holds epochMu, so the shard's
-// publication cannot change underneath.
+// previous publication keeps serving), run the campaigns of the subjects those
+// cells address — warm-seeded from that publication where the recorded states
+// still fit — and assemble the shard snapshot, carrying the new campaign
+// states forward as the next fold's warm seeds. Every other slot shares
+// Global[k], Raters[k] and the Warm[k] pointer with the previous immutable
+// segment: a subject's result depends only on (seed, overlay, its trust
+// column), so an untouched one has nothing to recompute. The carry needs a
+// previous segment this process folded itself (s.folded — a booted, resharded
+// or bootstrapped one may come from another seed or graph) whose campaigns
+// all converged; otherwise every subject of the shard is computed. Caller
+// holds epochMu, so the shard's publication cannot change underneath.
 func (s *Service) foldShard(shard int, cells []trust.Cell, epoch, seq uint64, p core.Params) (*store.ShardSnapshot, error) {
 	prev := s.states[shard].Load()
 	// Ledger entries were validated at append time, so With only fails on a
@@ -846,8 +865,12 @@ func (s *Service) foldShard(shard int, cells []trust.Cell, epoch, seq uint64, p 
 		return nil, fmt.Errorf("service: fold shard %d: %w", shard, err)
 	}
 	subjects := cols.Subjects()
+	global := make([]float64, len(subjects))
+	raters := make([]int, len(subjects))
+	var states []*gossip.CampaignState // next fold's warm seeds; a replicating service keeps none
 	if !s.cfg.Replicate {
 		p.KeepStates = true
+		states = make([]*gossip.CampaignState, len(subjects))
 		if prev.Warm != nil && len(prev.Warm) == len(subjects) &&
 			prev.Shards == s.shards && prev.N == s.n && prev.GraphFP == s.graphFP {
 			warm := prev.Warm
@@ -857,8 +880,24 @@ func (s *Service) foldShard(shard int, cells []trust.Cell, epoch, seq uint64, p 
 			}
 		}
 	}
+	todo := subjects
+	if s.folded[shard] == prev && prev.Converged {
+		copy(global, prev.Global)
+		copy(raters, prev.Raters)
+		copy(states, prev.Warm)
+		hit := make([]bool, len(subjects))
+		for _, c := range cells {
+			hit[store.SlotOf(c.Subject, s.shards)] = true
+		}
+		todo = make([]int, 0, len(cells))
+		for k, j := range subjects {
+			if hit[k] {
+				todo = append(todo, j)
+			}
+		}
+	}
 	start := time.Now()
-	res, err := core.GlobalSubjects(s.cfg.Graph, cols, subjects, p)
+	res, err := core.GlobalSubjectsAtRoot(s.cfg.Graph, cols, todo, p)
 	if err != nil {
 		return nil, fmt.Errorf("service: epoch %d shard %d gossip: %w", epoch, shard, err)
 	}
@@ -870,20 +909,21 @@ func (s *Service) foldShard(shard int, cells []trust.Cell, epoch, seq uint64, p 
 			}
 		}
 	}
-
-	root := p.Root // zero value = node 0, matching core's default
-	global := make([]float64, len(subjects))
-	for k := range subjects {
-		global[k] = res.Columns[k][root]
+	for i, j := range todo {
+		k := store.SlotOf(j, s.shards)
+		global[k], raters[k] = res.AtRoot[i], res.Raters[i]
+		if states != nil {
+			states[k] = res.States[i]
+		}
 	}
-	return &store.ShardSnapshot{
+	seg := &store.ShardSnapshot{
 		Shard:           shard,
 		Shards:          s.shards,
 		N:               s.n,
 		Epoch:           epoch,
 		Seq:             seq,
 		Global:          global,
-		Raters:          res.Raters,
+		Raters:          raters,
 		Steps:           res.Steps,
 		Converged:       res.Converged,
 		Computed:        res.Computed,
@@ -894,8 +934,10 @@ func (s *Service) foldShard(shard int, cells []trust.Cell, epoch, seq uint64, p 
 		CreatedUnixNano: time.Now().UnixNano(),
 		GraphFP:         s.graphFP,
 		Cols:            cols,
-		Warm:            res.States,
-	}, nil
+		Warm:            states,
+	}
+	s.folded[shard] = seg
+	return seg, nil
 }
 
 // persist makes one epoch's outcome durable: ledger fsync first (the boot

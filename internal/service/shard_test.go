@@ -86,9 +86,11 @@ func TestShardedEpochMatchesGlobalAllBitwise(t *testing.T) {
 	}
 }
 
-// TestDirtyShardIncrementality is the O(k/S) criterion: an epoch with one of
-// S shards dirty runs only that shard's campaigns (asserted via the fold
-// counter) and republishes nothing else.
+// TestDirtyShardIncrementality is the incrementality criterion: shards are
+// the unit of publication, subjects the unit of recomputation. An epoch that
+// re-rates one subject republishes only that subject's shard and runs only
+// that subject's campaign (asserted via the fold counters); the shard's other
+// slots carry their values and recorded states over from the previous segment.
 func TestDirtyShardIncrementality(t *testing.T) {
 	const n = 60
 	const shards = 6
@@ -112,7 +114,7 @@ func TestDirtyShardIncrementality(t *testing.T) {
 	before := s.View()
 
 	// Epoch 2: feedback for a single subject of shard 2 → exactly one shard
-	// folds, and only its rated subjects (all n/shards of them) recompute.
+	// folds, and of its n/shards rated subjects only that one recomputes.
 	if _, err := s.Submit(3, 2, 0.9); err != nil {
 		t.Fatal(err)
 	}
@@ -123,9 +125,8 @@ func TestDirtyShardIncrementality(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := s.View()
-	perShard := n / shards
-	if got := s.FoldedSubjects(); got != uint64(n+perShard) {
-		t.Fatalf("incremental epoch ran %d campaigns total, want %d (+%d)", got, n+perShard, perShard)
+	if got := s.FoldedSubjects(); got != n+1 {
+		t.Fatalf("incremental epoch ran %d campaigns total, want %d (+1)", got, n+1)
 	}
 	if got := s.FoldedShards(); got != shards+1 {
 		t.Fatalf("incremental epoch folded %d shards total, want %d", got, shards+1)
@@ -137,6 +138,16 @@ func TestDirtyShardIncrementality(t *testing.T) {
 			}
 			if after.Shard(sh).Epoch != 2 {
 				t.Fatalf("dirty shard %d at epoch %d, want 2", sh, after.Shard(sh).Epoch)
+			}
+			b, a := before.Shard(sh), after.Shard(sh)
+			for k := range a.Global {
+				if k == store.SlotOf(2, shards) {
+					continue
+				}
+				if a.Global[k] != b.Global[k] || a.Raters[k] != b.Raters[k] || a.Warm[k] != b.Warm[k] {
+					t.Fatalf("dirty shard %d: untouched slot %d was not carried over (global %v -> %v, raters %d -> %d, warm state shared: %v)",
+						sh, k, b.Global[k], a.Global[k], b.Raters[k], a.Raters[k], a.Warm[k] == b.Warm[k])
+				}
 			}
 			continue
 		}

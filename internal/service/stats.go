@@ -9,7 +9,9 @@ type ShardStat struct {
 	Seq   uint64 `json:"seq"`
 	// Steps, Converged, ElapsedNs and Computed describe the last fold: the
 	// slowest campaign's steps, whether all campaigns converged, the fold's
-	// wall-clock duration, and how many per-subject campaigns actually ran.
+	// wall-clock duration, and how many per-subject campaigns actually ran —
+	// one per rated subject the folded batch re-rated, not one per subject of
+	// the shard (0 when no write of the batch won its cell).
 	Steps     int   `json:"steps"`
 	Converged bool  `json:"converged"`
 	ElapsedNs int64 `json:"elapsed_ns"`

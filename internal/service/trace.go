@@ -18,12 +18,14 @@ type ShardTrace struct {
 	DurationNs int64 `json:"duration_ns"`
 	// Steps is the slowest campaign's step count; Converged reports whether
 	// every campaign hit the ξ tolerance; Computed counts the subjects the
-	// fold actually recomputed.
+	// fold actually recomputed — those the batch re-rated; the shard's other
+	// subjects are carried over from its previous publication.
 	Steps     int  `json:"steps"`
 	Converged bool `json:"converged"`
 	Computed  int  `json:"computed_subjects"`
 	// WarmStarts and ColdStarts split Computed by campaign seeding: from a
-	// previous epoch's recorded state, or from the trust column alone.
+	// previous epoch's recorded state, or from the trust column alone. A
+	// carried-over subject is neither.
 	WarmStarts int `json:"warm_starts"`
 	ColdStarts int `json:"cold_starts"`
 }

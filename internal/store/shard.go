@@ -47,14 +47,18 @@ type ShardSnapshot struct {
 	Global []float64
 	Raters []int
 	// Steps is the slowest campaign of the last fold; Converged is whether
-	// every campaign converged (vacuously true at boot). Computed counts
-	// the campaigns that actually ran in the last fold — the per-shard
-	// increment of the service's incrementality fold counter.
+	// every campaign behind the published values converged (vacuously true
+	// at boot). Computed counts the campaigns that actually ran in the last
+	// fold — the per-shard increment of the service's incrementality fold
+	// counter: the rated subjects the fold's batch re-rated, since a fold
+	// carries every other slot (Global, Raters, Warm) over from the shard's
+	// previous segment. 0 when no write of the batch won its cell.
 	Steps     int
 	Converged bool
 	Computed  int
 	// TotalSteps sums every campaign's step count in the last fold;
-	// WarmStarts/ColdStarts split Computed by how each campaign was seeded.
+	// WarmStarts/ColdStarts split Computed by how each campaign was seeded
+	// (a carried-over slot is neither).
 	TotalSteps             int
 	WarmStarts, ColdStarts int
 	// ElapsedNs is the last fold's wall-clock compute time.

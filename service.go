@@ -9,8 +9,8 @@ import (
 // ingests interaction feedback over time and serves reads continuously, built
 // as a subject-sharded incremental epoch pipeline. Feedback accumulates in an
 // append-only ledger that tracks which subject shards it dirties; the epoch
-// scheduler folds the backlog and recomputes only the dirty shards — one
-// independent per-subject gossip campaign per rated subject, on the same
+// scheduler folds the backlog and republishes only the dirty shards — one
+// independent per-subject gossip campaign per re-rated subject, on the same
 // scalar gossip engine as AggregateGlobalAll — and publishes each shard
 // snapshot through its own atomic pointer. Reads stitch the current shard
 // snapshots into a lock-free composite View, so query latency is independent
