@@ -1,7 +1,9 @@
 package httpapi
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -55,9 +57,13 @@ func TestDecodeBatchEntryLimit(t *testing.T) {
 	}
 }
 
-// FuzzBatchDecode holds DecodeBatch to its contract on arbitrary bodies:
+// FuzzBatchDecode holds DecodeBatch to its contract on arbitrary bodies —
 // never panic, never return entries alongside an error, never return an
-// empty batch without one, and never exceed the entry limit.
+// empty batch without one, never exceed the entry limit — and to
+// decodeBatchJSON, the encoding/json loop that defines the batch language, on
+// the same bytes: same verdict, bit-equal entries, same error text. Whatever
+// the store's scanner accepts on DecodeBatch's fast route, encoding/json
+// would have accepted to the same entries.
 func FuzzBatchDecode(f *testing.F) {
 	f.Add([]byte(`[{"rater":1,"subject":2,"value":0.5}]`), 10)
 	f.Add([]byte("{\"rater\":1,\"subject\":2,\"value\":0.5}\n{\"rater\":2,\"subject\":3,\"value\":0.25}"), 4096)
@@ -65,8 +71,28 @@ func FuzzBatchDecode(f *testing.F) {
 	f.Add([]byte(` [ {"rater":0,"subject":0,"value":0} ] trailing`), 2)
 	f.Add([]byte(`[{"rater":1,"subject":2,"value":0.5},`), 0)
 	f.Add([]byte("\xff\xfe"), 3)
+	f.Add([]byte(`[{"rater":1,"subject":2,"value":0.5},{"rater":3,"subject":4,"value":0.5},{"rater":5,"subject":6,"value":0.5}]`), 2)
+	f.Add([]byte(`[{"rater":1,"subject":2,"value":0.5},]`), 4)
+	f.Add([]byte(`[{"rater":1,"subject":2,"value":0.5} {"rater":1,"subject":2,"value":0.5}]`), 4)
+	f.Add([]byte(`{"rater":1,"subject":2,"value":0.5}{"rater":1,"subject":2,"value":0.5,"unix_nano":1700000000000000000}`), 4)
+	f.Add([]byte(`{"rater":1,"subject":2,"value":0.5} [{"rater":1,"subject":2,"value":0.5}]`), 4)
+	f.Add([]byte(`[{"rater":1,"rater":2,"subject":2,"value":0.5}]`), 4)         // duplicate key
+	f.Add([]byte(`[{"rater":null,"subject":2,"value":null}]`), 4)               // null
+	f.Add([]byte(`[{"rater":01,"subject":2,"value":0.5}]`), 4)                  // leading zero
+	f.Add([]byte(`[{"rater":1234567890123456789,"subject":2,"value":0.5}]`), 4) // 19-digit int
+	f.Add([]byte(`[{"rater":-0,"subject":-0,"value":-0,"unix_nano":-0}]`), 4)   // -0
+	f.Add([]byte(`[{"rater":1,"subject":2,"value":1e400}]`), 4)                 // float overflow
+	f.Add([]byte(`[{"rater":1,"subject":2,"value":0.5`), 4)                     // unterminated object
+	f.Add([]byte(`[{"rater":1,"subject":2,"value":0.1234567890123456789012345678901234567890}]`), 4)
+	f.Add([]byte(`[{"Rater":1,"SUBJECT":2,"val\u0075e":5e-1}]`), 4)   // non-canonical but valid
+	f.Add([]byte(`[{"seq":1,"rater":1,"subject":2,"value":0.5}]`), 4) // a WAL key is an unknown field here
+	f.Add([]byte(`[{}]`), 4)
 	f.Fuzz(func(t *testing.T, body []byte, maxBatch int) {
-		entries, err := DecodeBatch(strings.NewReader(string(body)), maxBatch)
+		want, wantErr := decodeBatchJSON(nil, body, maxBatch)
+		entries, err := DecodeBatch(bytes.NewReader(body), maxBatch)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("DecodeBatch error %v, encoding/json says %v: %q", err, wantErr, body)
+		}
 		if err != nil {
 			if entries != nil {
 				t.Fatalf("entries %+v returned alongside error %v", entries, err)
@@ -78,6 +104,19 @@ func FuzzBatchDecode(f *testing.F) {
 		}
 		if maxBatch > 0 && len(entries) > maxBatch {
 			t.Fatalf("%d entries decoded past limit %d", len(entries), maxBatch)
+		}
+		if len(entries) != len(want) {
+			t.Fatalf("decoded %d entries, encoding/json says %d: %q", len(entries), len(want), body)
+		}
+		for k := range entries {
+			got, w := entries[k], want[k]
+			if math.Float64bits(got.Value) != math.Float64bits(w.Value) {
+				t.Fatalf("entry %d value %v, encoding/json says %v: %q", k, got.Value, w.Value, body)
+			}
+			got.Value, w.Value = 0, 0
+			if got != w {
+				t.Fatalf("entry %d = %+v, encoding/json says %+v: %q", k, got, w, body)
+			}
 		}
 	})
 }

@@ -1,7 +1,7 @@
 package httpapi
 
 import (
-	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"diffgossip/internal/obs"
 	"diffgossip/internal/store"
@@ -123,6 +124,24 @@ func (s *Server) ingestError(w http.ResponseWriter, err error) {
 	}
 }
 
+// feedback is the ledger entry the request asks for.
+func (req FeedbackRequest) feedback() store.Feedback {
+	return store.Feedback{Rater: req.Rater, Subject: req.Subject, Value: req.Value, UnixNano: req.UnixNano}
+}
+
+// bodyPool recycles the buffers ingest bodies are read into; no decoded
+// entry aliases its body, so a buffer goes back as soon as decoding ends.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readBody reads r to its end (or its http.MaxBytesReader's limit, whose
+// error comes back as is) into a pooled buffer the caller Puts back.
+func readBody(r io.Reader) (*bytes.Buffer, error) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	_, err := buf.ReadFrom(r)
+	return buf, err
+}
+
 // decodeError maps a request-body decode failure: over-limit bodies and
 // over-long batches are 413, everything else malformed 400.
 func (s *Server) decodeError(w http.ResponseWriter, err error) {
@@ -141,11 +160,8 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		s.shedBackpressure(w)
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxSingleBody)
-	var req FeedbackRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeSingle(http.MaxBytesReader(w, r.Body, maxSingleBody))
+	if err != nil {
 		s.decodeError(w, err)
 		return
 	}
@@ -160,6 +176,31 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		Pending: s.svc.Pending(),
 		Epoch:   s.svc.Epochs(),
 	})
+}
+
+// decodeSingle parses a POST /v1/feedback body, buffered and decoded like
+// DecodeBatch's: exactly one FeedbackRequest object, then only whitespace —
+// a second rating dropped silently behind a 202 would be a lost write.
+func decodeSingle(r io.Reader) (store.Feedback, error) {
+	buf, err := readBody(r)
+	defer bodyPool.Put(buf)
+	if err != nil {
+		return store.Feedback{}, err
+	}
+	var fb store.Feedback
+	if store.ScanFeedback(buf.Bytes(), store.RequestKeys, &fb) {
+		return fb, nil
+	}
+	var req FeedbackRequest
+	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return store.Feedback{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return store.Feedback{}, errors.New("httpapi: trailing data after feedback object")
+	}
+	return req.feedback(), nil
 }
 
 // BatchResponse acknowledges an accepted feedback batch: Accepted entries
@@ -180,10 +221,12 @@ var ErrBatchTooLarge = errors.New("httpapi: batch exceeds entry limit")
 
 // handleFeedbackBatch ingests up to MaxBatch ratings in one request body —
 // a JSON array or JSON lines of FeedbackRequest objects — amortizing one
-// WAL flush and ONE fsync across the whole batch (service.SubmitBatch).
+// WAL write and ONE fsync across the whole batch (service.SubmitBatch).
 // The batch is atomic: any malformed or invalid entry rejects it all, so a
-// 202 means every rating is durable. Backpressure and byte limits apply
-// before the body is decoded.
+// 202 means every rating is durable. Backpressure applies before the body
+// is read and the byte limit before any of it is parsed: over MaxBodyBytes
+// is 413 whatever the bytes are, then over MaxBatch entries is 413 with
+// ErrBatchTooLarge's text, and only then is a syntax error 400.
 func (s *Server) handleFeedbackBatch(w http.ResponseWriter, r *http.Request) {
 	if s.overloaded() {
 		s.shedBackpressure(w)
@@ -214,27 +257,49 @@ func (s *Server) handleFeedbackBatch(w http.ResponseWriter, r *http.Request) {
 // FeedbackRequest objects or a stream of them (JSON lines) — into ledger
 // entries, enforcing maxBatch (ErrBatchTooLarge beyond it; 0 or negative
 // means unlimited). Unknown fields and empty batches are errors: a batch is
-// an ingest contract, not a lenient import. Exported for the fuzz harness,
-// which holds it to "never panic, never return entries alongside an error".
+// an ingest contract, not a lenient import.
+//
+// The body is read whole before anything is parsed, so a read error — in the
+// handler, the *http.MaxBytesError of a body over MaxBodyBytes — wins over
+// whatever the bytes held. store.ScanFeedbackBatch takes the canonical
+// spelling without allocating per entry; decodeBatchJSON decodes anything
+// else again from the start and words every refusal (FuzzBatchDecode).
 func DecodeBatch(r io.Reader, maxBatch int) ([]store.Feedback, error) {
-	br := bufio.NewReader(r)
-	first, err := peekNonSpace(br)
+	buf, err := readBody(r)
+	defer bodyPool.Put(buf)
 	if err != nil {
-		return nil, fmt.Errorf("httpapi: empty batch body: %w", err)
+		return nil, err
 	}
-	dec := json.NewDecoder(br)
+	body := buf.Bytes()
+	// A well-formed body has one '{' per entry; a hostile one is capped.
+	hint := bytes.Count(body, []byte{'{'})
+	if maxBatch > 0 && hint > maxBatch {
+		hint = maxBatch
+	}
+	entries := make([]store.Feedback, 0, hint)
+	if scanned, ok := store.ScanFeedbackBatch(entries, body, store.RequestKeys, maxBatch); ok {
+		return scanned, nil
+	}
+	return decodeBatchJSON(entries, body, maxBatch)
+}
+
+// decodeBatchJSON is DecodeBatch by encoding/json, appending to entries[:0].
+func decodeBatchJSON(entries []store.Feedback, body []byte, maxBatch int) ([]store.Feedback, error) {
+	body = bytes.TrimLeft(body, " \t\r\n")
+	if len(body) == 0 {
+		return nil, fmt.Errorf("httpapi: empty batch body: %w", io.EOF)
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	var entries []store.Feedback
+	entries = entries[:0]
 	add := func(req FeedbackRequest) error {
 		if maxBatch > 0 && len(entries) >= maxBatch {
 			return fmt.Errorf("%w: max %d entries", ErrBatchTooLarge, maxBatch)
 		}
-		entries = append(entries, store.Feedback{
-			Rater: req.Rater, Subject: req.Subject, Value: req.Value, UnixNano: req.UnixNano,
-		})
+		entries = append(entries, req.feedback())
 		return nil
 	}
-	if first == '[' {
+	if body[0] == '[' {
 		if _, err := dec.Token(); err != nil { // consume '['
 			return nil, err
 		}
@@ -270,19 +335,4 @@ func DecodeBatch(r io.Reader, maxBatch int) ([]store.Feedback, error) {
 		return nil, errors.New("httpapi: empty batch")
 	}
 	return entries, nil
-}
-
-// peekNonSpace returns the first non-whitespace byte without consuming it.
-func peekNonSpace(br *bufio.Reader) (byte, error) {
-	for {
-		b, err := br.ReadByte()
-		if err != nil {
-			return 0, err
-		}
-		switch b {
-		case ' ', '\t', '\r', '\n':
-			continue
-		}
-		return b, br.UnreadByte()
-	}
 }

@@ -24,10 +24,10 @@
 // The front door sheds load explicitly instead of queueing unboundedly, and
 // every refusal has one documented status:
 //
-//   - 413 — body over the route's byte limit, or a batch over MaxBatch
-//     entries (reason "oversized");
+//   - 413 — body over the route's byte limit (judged before any of it is
+//     parsed), or a batch over MaxBatch entries (reason "oversized");
 //   - 400 — malformed JSON or invalid ratings (reason "malformed"); a batch
-//     is all-or-nothing, one bad entry rejects the whole batch;
+//     is all-or-nothing, a single is one object and then only whitespace;
 //   - 429 + Retry-After — the pending-fold window exceeds MaxPending
 //     (reason "backpressure"); Retry-After is derived from the epoch
 //     cadence, and the condition is also a /readyz reason so dumb load

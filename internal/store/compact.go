@@ -2,7 +2,6 @@ package store
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -187,16 +186,12 @@ func (l *Ledger) Compact(cfg CompactConfig) (CompactStats, error) {
 		if !keep[i] {
 			continue
 		}
-		b, err := json.Marshal(entries[i])
-		if err != nil {
-			return fail(fmt.Errorf("store: compact: encode entry: %w", err))
-		}
-		b = append(b, '\n')
-		if _, err := w.Write(b); err != nil {
+		l.enc = append(AppendFeedback(l.enc[:0], &entries[i]), '\n')
+		if _, err := w.Write(l.enc); err != nil {
 			return fail(fmt.Errorf("store: compact: write: %w", err))
 		}
 		st.EntriesAfter++
-		st.BytesAfter += int64(len(b))
+		st.BytesAfter += int64(len(l.enc))
 	}
 	if err := w.Flush(); err != nil {
 		return fail(fmt.Errorf("store: compact: flush: %w", err))

@@ -105,9 +105,13 @@ func FuzzLedgerOpen(f *testing.F) {
 	})
 }
 
-// FuzzFeedbackDecode targets the per-line JSON decoding contract directly: a
-// line the ledger accepts must produce an in-range entry, and re-encoding it
-// must survive a decode round-trip unchanged.
+// FuzzFeedbackDecode targets the per-line decoding contract directly. The
+// line goes through replay's decode — the scanner, encoding/json behind it —
+// and through plain json.Unmarshal: both must reach the same verdict and,
+// when they accept, bit-equal entries (so the scanner can only ever be a
+// faster way to the answer encoding/json defines). An accepted in-range
+// entry must then re-encode through AppendFeedback to a line that decodes
+// back unchanged.
 func FuzzFeedbackDecode(f *testing.F) {
 	f.Add([]byte(`{"seq":1,"rater":3,"subject":4,"value":0.25,"unix_nano":123}`))
 	f.Add([]byte(`{"value":5e-1}`))
@@ -115,25 +119,76 @@ func FuzzFeedbackDecode(f *testing.F) {
 	f.Add([]byte(`{"seq":-1}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`{"value":"0.5"}`))
+	f.Add([]byte(`{"seq":7,"rater":1,"subject":2,"value":1,"origin":"node-1","origin_seq":3}`))
+	f.Add([]byte(`{"rater":1,"rater":2,"value":0.5,"value":0.25}`))               // duplicate keys: last wins
+	f.Add([]byte(`{"seq":null,"rater":null,"value":null,"origin":null}`))         // null is a no-op
+	f.Add([]byte(`{"rater":007,"value":00.5}`))                                   // leading zeros
+	f.Add([]byte(`{"seq":1234567890123456789,"unix_nano":-1234567890123456789}`)) // 19-digit ints
+	f.Add([]byte(`{"seq":18446744073709551616}`))                                 // uint64 overflow
+	f.Add([]byte(`{"rater":-0,"value":-0,"unix_nano":-0}`))
+	f.Add([]byte(`{"value":1e400}`))
+	f.Add([]byte(`{"value":1e-400}`))
+	f.Add([]byte(`{"seq":1,"rater":3,"subject":4,"value":0.25`)) // unterminated
+	f.Add([]byte(`{"value":0.1234567890123456789012345678901234567890}`))
+	f.Add([]byte(`{"Rater":1,"SUBJECT":2,"val\u0075e":0.5,"origin":"a\u003cb"}`))
+	f.Add([]byte(" {\t\"value\" :\r\n 1E-2 , \"origin_seq\":0 } "))
 	f.Fuzz(func(t *testing.T, line []byte) {
-		var fb Feedback
-		if err := json.Unmarshal(line, &fb); err != nil {
+		var want Feedback
+		wantErr := json.Unmarshal(line, &want)
+		fb, fast, err := decodeLine(line)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("decode verdict %v, encoding/json says %v: %q", err, wantErr, line)
+		}
+		if err != nil {
 			return
+		}
+		if !sameFeedback(fb, want) {
+			t.Fatalf("decoded %+v (scanner=%v), encoding/json says %+v: %q", fb, fast, want, line)
 		}
 		l := NewLedger(8)
 		if err := l.check(fb.Rater, fb.Subject, fb.Value); err != nil {
 			return
 		}
-		out, err := json.Marshal(fb)
+		out := AppendFeedback(nil, &fb)
+		back, _, err := decodeLine(out)
 		if err != nil {
-			t.Fatalf("accepted entry does not re-encode: %+v: %v", fb, err)
-		}
-		var back Feedback
-		if err := json.Unmarshal(out, &back); err != nil {
 			t.Fatalf("re-encoded entry does not decode: %s: %v", out, err)
 		}
-		if back != fb {
+		// Only an origin encoding/json had to repair (invalid UTF-8 becomes
+		// U+FFFD) may change, and it is already repaired in fb.
+		if !sameFeedback(back, fb) {
 			t.Fatalf("entry changed across a round-trip: %+v vs %+v", back, fb)
+		}
+	})
+}
+
+// FuzzFeedbackEncode holds AppendFeedback to json.Marshal, byte for byte, over
+// every field — origins with quotes, HTML-sensitive characters, control bytes
+// and invalid UTF-8, values on both sides of each format switch.
+func FuzzFeedbackEncode(f *testing.F) {
+	f.Add(uint64(1), 3, 4, 0.25, int64(123), "", uint64(0))
+	f.Add(uint64(math.MaxUint64), -1, math.MaxInt, 0.0, int64(math.MinInt64), "node-1", uint64(7))
+	f.Add(uint64(0), 0, 0, math.Copysign(0, -1), int64(0), `q"uo\te`, uint64(math.MaxUint64))
+	f.Add(uint64(2), 1, 2, 1e-7, int64(-5), "a<b>&c", uint64(1))
+	f.Add(uint64(2), 1, 2, 9.99e-7, int64(5), "ctl\x00\x01\n\t\x7f", uint64(1))
+	f.Add(uint64(2), 1, 2, 1e-6, int64(5), "bad\xff\xfeutf8", uint64(1))
+	f.Add(uint64(2), 1, 2, 1e21, int64(5), "nœud-é\u2028\u2029", uint64(1))
+	f.Add(uint64(2), 1, 2, 9.999999999999999e20, int64(5), " ", uint64(1))
+	f.Add(uint64(2), 1, 2, math.MaxFloat64, int64(5), "~", uint64(1))
+	f.Add(uint64(2), 1, 2, -math.MaxFloat64, int64(5), "x", uint64(1))
+	f.Add(uint64(2), 1, 2, 5e-324, int64(5), "x", uint64(1))                  // smallest denormal
+	f.Add(uint64(2), 1, 2, 2.2250738585072009e-308, int64(5), "x", uint64(1)) // largest denormal
+	f.Add(uint64(2), 1, 2, 1e-10, int64(5), "x", uint64(1))                   // e-10: two exponent digits, no clean-up
+	f.Add(uint64(2), 1, 2, 1.0/3, int64(5), "x", uint64(1))
+	f.Fuzz(func(t *testing.T, seq uint64, rater, subject int, value float64, unixNano int64, origin string, originSeq uint64) {
+		fb := Feedback{Seq: seq, Rater: rater, Subject: subject, Value: value,
+			UnixNano: unixNano, Origin: origin, OriginSeq: originSeq, Shard: 5}
+		want, err := json.Marshal(fb)
+		if err != nil {
+			return // NaN or ±Inf: no ledger path encodes one (Ledger.check)
+		}
+		if got := AppendFeedback([]byte("prefix"), &fb); string(got) != "prefix"+string(want) {
+			t.Fatalf("AppendFeedback(%+v) =\n%s, json.Marshal says\n%s", fb, got[len("prefix"):], want)
 		}
 	})
 }

@@ -11,6 +11,9 @@
 // readers may share one across goroutines without locks; persistence uses
 // gob (nesting trust.Columns' wire format) with atomic rename, so a crash
 // leaves either the old segment or the new one, never a torn file.
+//
+// Every WAL line is written and read by the one Feedback codec in codec.go,
+// with encoding/json behind it: the file format is what it always was.
 package store
 
 import (
@@ -119,6 +122,7 @@ type Ledger struct {
 	// produce a malformed complete line that bricks replay at next boot.
 	goodOff int64
 	wErr    bool
+	enc     []byte // reusable buffer WAL lines are encoded into; guarded by mu
 
 	// syncMu serialises fsync without holding mu, so a slow disk never
 	// blocks Append (see Sync).
@@ -246,7 +250,8 @@ func OpenLedger(path string, n int) (*Ledger, []Feedback, error) {
 // unterminated final line is the crash artifact of an append that never
 // completed (Append flushes a full line per entry, so nothing else can tear)
 // and is silently dropped; any malformed *complete* line is real corruption
-// and fails hard.
+// and fails hard. json.Unmarshal decodes the lines ScanFeedback does not
+// take (an escaped origin id, a hand-edited file) and words every error.
 func (l *Ledger) replay(r io.Reader) ([]Feedback, int64, error) {
 	var out []Feedback
 	var goodEnd int64
@@ -269,8 +274,10 @@ func (l *Ledger) replay(r io.Reader) ([]Feedback, int64, error) {
 			continue
 		}
 		var fb Feedback
-		if err := json.Unmarshal(trimmed, &fb); err != nil {
-			return nil, 0, fmt.Errorf("store: ledger line %d: %w", line, err)
+		if !ScanFeedback(trimmed, WALKeys, &fb) {
+			if err := json.Unmarshal(trimmed, &fb); err != nil {
+				return nil, 0, fmt.Errorf("store: ledger line %d: %w", line, err)
+			}
 		}
 		if err := l.check(fb.Rater, fb.Subject, fb.Value); err != nil {
 			return nil, 0, fmt.Errorf("store: ledger line %d: %w", line, err)
@@ -299,7 +306,9 @@ func (l *Ledger) check(rater, subject int, value float64) error {
 // the entry was NOT recorded: the write-ahead line is durably written (and
 // flushed) before any in-memory state changes, so a failed append leaves
 // both the file and the pending window exactly as they were — a client told
-// "rejected" can never have its rating silently take effect later.
+// "rejected" can never have its rating silently take effect later. The line
+// is encoded into the ledger's own buffer: a steady-state append allocates
+// nothing, WAL or not.
 func (l *Ledger) Append(rater, subject int, value float64, unixNano int64) (uint64, error) {
 	if err := l.check(rater, subject, value); err != nil {
 		return 0, err
@@ -335,29 +344,10 @@ func (l *Ledger) appendModeLocked(fb *Feedback, enqueue bool) error {
 	}
 	fb.Seq = l.seq + 1
 	if l.w != nil {
-		if l.wErr {
-			if err := l.resyncLocked(); err != nil {
-				return err
-			}
+		l.enc = append(AppendFeedback(l.enc[:0], fb), '\n')
+		if err := l.writeWALLocked(l.enc); err != nil {
+			return err
 		}
-		// Marshal the value, not the pointer: boxing *fb would make every
-		// caller's Feedback escape to the heap even in memory mode, where
-		// this branch never runs — the copy costs one alloc only when a WAL
-		// line is actually encoded.
-		b, err := json.Marshal(*fb)
-		if err != nil {
-			return fmt.Errorf("store: encode feedback: %w", err)
-		}
-		b = append(b, '\n')
-		if _, err := l.w.Write(b); err != nil {
-			l.wErr = true
-			return fmt.Errorf("store: write ledger: %w", err)
-		}
-		if err := l.w.Flush(); err != nil {
-			l.wErr = true
-			return fmt.Errorf("store: flush ledger: %w", err)
-		}
-		l.goodOff += int64(len(b))
 		l.mWALAppends.Inc()
 	}
 	l.mEntries.Inc()
@@ -380,7 +370,8 @@ func (l *Ledger) appendModeLocked(fb *Feedback, enqueue bool) error {
 // AppendBatch validates and records a batch of locally-submitted feedback
 // entries atomically, returning the first and last assigned sequence numbers.
 // The batch is all-or-nothing: every entry is validated before anything is
-// written, the WAL lines are buffered and flushed as one unit, and only after
+// written, the WAL lines are encoded into the ledger's buffer and written
+// as one unit (writeWALLocked; TestLedgerAppendBatchOneWrite), and only after
 // the flush succeeds does any in-memory state (seq, pending window, dirty
 // set, replication history) change — a batch that fails before its flush
 // leaves the ledger exactly as it was, with any partial bytes truncated away
@@ -413,38 +404,16 @@ func (l *Ledger) AppendBatch(entries []Feedback) (first, last uint64, err error)
 		l.mu.Unlock()
 		return 0, 0, fmt.Errorf("store: ledger sequence space exhausted")
 	}
-	var total int64
 	if l.w != nil {
-		if l.wErr {
-			if err := l.resyncLocked(); err != nil {
-				l.mu.Unlock()
-				return 0, 0, err
-			}
-		}
+		l.enc = l.enc[:0]
 		for i := range entries {
 			entries[i].Seq = l.seq + 1 + uint64(i)
-			b, err := json.Marshal(&entries[i])
-			if err != nil {
-				l.mu.Unlock()
-				return 0, 0, fmt.Errorf("store: encode feedback: %w", err)
-			}
-			b = append(b, '\n')
-			if _, err := l.w.Write(b); err != nil {
-				// bufio may already have spilled complete earlier lines into
-				// the file; wErr makes the next write truncate back to
-				// goodOff, which still sits before the batch.
-				l.wErr = true
-				l.mu.Unlock()
-				return 0, 0, fmt.Errorf("store: write ledger: %w", err)
-			}
-			total += int64(len(b))
+			l.enc = append(AppendFeedback(l.enc, &entries[i]), '\n')
 		}
-		if err := l.w.Flush(); err != nil {
-			l.wErr = true
+		if err := l.writeWALLocked(l.enc); err != nil {
 			l.mu.Unlock()
-			return 0, 0, fmt.Errorf("store: flush ledger: %w", err)
+			return 0, 0, err
 		}
-		l.goodOff += total
 		l.mWALAppends.Add(uint64(len(entries)))
 	}
 	for i := range entries {
@@ -467,6 +436,27 @@ func (l *Ledger) AppendBatch(entries []Feedback) (first, last uint64, err error)
 		return 0, 0, err
 	}
 	return first, last, nil
+}
+
+// writeWALLocked writes whole encoded lines and flushes them to the OS. The
+// writer is empty between appends, so a batch larger than its buffer is one
+// write(2). After a failure wErr makes the next write truncate back to goodOff.
+func (l *Ledger) writeWALLocked(lines []byte) error {
+	if l.wErr {
+		if err := l.resyncLocked(); err != nil {
+			return err
+		}
+	}
+	if _, err := l.w.Write(lines); err != nil {
+		l.wErr = true
+		return fmt.Errorf("store: write ledger: %w", err)
+	}
+	if err := l.w.Flush(); err != nil {
+		l.wErr = true
+		return fmt.Errorf("store: flush ledger: %w", err)
+	}
+	l.goodOff += int64(len(lines))
+	return nil
 }
 
 // resyncLocked recovers the WAL after a failed write or flush: a bufio error
