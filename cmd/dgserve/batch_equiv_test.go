@@ -137,7 +137,7 @@ func TestBatchSingleEquivalence(t *testing.T) {
 	// global sequence space — replicated entries consume seqs too — so "B has
 	// everything from A" means B's watermark for A reaches the seq of A's
 	// LAST local entry, not the count of entries A accepted.
-	lastA, lastB := svcA.LocalStreamMark(), svcB.LocalStreamMark()
+	lastA, lastB := svcA.ReplicationMark(svcA.Origin()), svcB.ReplicationMark(svcB.Origin())
 	deadline := time.Now().Add(10 * time.Second)
 	for svcB.ReplicationMarks()[tra.Addr()] < lastA || svcA.ReplicationMarks()[trb.Addr()] < lastB {
 		if time.Now().After(deadline) {

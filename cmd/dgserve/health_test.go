@@ -214,7 +214,7 @@ func TestGracefulShutdownOnSIGTERM(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	if got := svc.ReplicationMark(""); got != 1 {
+	if got := svc.ReplicationMark(svc.Origin()); got != 1 {
 		t.Fatalf("replayed local watermark = %d, want the accepted entry", got)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "hints.jsonl")); !os.IsNotExist(err) {

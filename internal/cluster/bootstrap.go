@@ -20,7 +20,7 @@ import (
 // member has never sent a digest (its ackMark is unknown): a silent member
 // may still need everything, so it stalls trimming rather than risking loss.
 func (n *Node) trimFloors() map[string]uint64 {
-	mine := n.marks()
+	mine := n.svc.ReplicationMarks()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if len(n.members) == 0 {
@@ -77,7 +77,7 @@ func (n *Node) maybeRequestBootstrap(msg transport.Message) {
 	if n.bootstrapLag == 0 {
 		return
 	}
-	mine := n.marks()
+	mine := n.svc.ReplicationMarks()
 	fresh := n.svc.LedgerSeq() == 0
 	var lag uint64
 	for o, theirs := range msg.Watermarks {
@@ -131,8 +131,8 @@ func (n *Node) handleStateRequest(msg transport.Message) {
 	payload := &transport.StatePayload{
 		Shards:   len(st.Segments),
 		Segments: make([][]byte, len(st.Segments)),
-		Folded:   stateEntries(st.Folded),
-		Tail:     stateEntries(st.Tail),
+		Folded:   toWire(st.Folded),
+		Tail:     toWire(st.Tail),
 		Marks:    st.Marks,
 	}
 	for i, seg := range st.Segments {
@@ -174,8 +174,8 @@ func (n *Node) handleState(msg transport.Message) {
 	}
 	st := &service.StateTransfer{
 		Segments: make([]*store.ShardSnapshot, len(msg.State.Segments)),
-		Folded:   storeEntries(msg.State.Folded),
-		Tail:     storeEntries(msg.State.Tail),
+		Folded:   fromWire(msg.State.Folded),
+		Tail:     fromWire(msg.State.Tail),
 		Marks:    msg.State.Marks,
 	}
 	for i, raw := range msg.State.Segments {
@@ -201,43 +201,4 @@ func (n *Node) handleState(msg transport.Message) {
 	n.mu.Unlock()
 	n.log.Info("installed bootstrap state", "peer", msg.From,
 		"folded", len(st.Folded), "tail", len(st.Tail))
-}
-
-// stateEntries converts ledger entries to their wire form.
-func stateEntries(ents []store.Feedback) []transport.StateEntry {
-	if len(ents) == 0 {
-		return nil
-	}
-	out := make([]transport.StateEntry, len(ents))
-	for i, fb := range ents {
-		out[i] = transport.StateEntry{
-			Origin:    fb.Origin,
-			OriginSeq: fb.OriginSeq,
-			Rater:     fb.Rater,
-			Subject:   fb.Subject,
-			Value:     fb.Value,
-			UnixNano:  fb.UnixNano,
-		}
-	}
-	return out
-}
-
-// storeEntries converts wire entries back to ledger form. Seq is left zero —
-// the receiving ledger assigns its own local sequence numbers on append.
-func storeEntries(ents []transport.StateEntry) []store.Feedback {
-	if len(ents) == 0 {
-		return nil
-	}
-	out := make([]store.Feedback, len(ents))
-	for i, e := range ents {
-		out[i] = store.Feedback{
-			Origin:    e.Origin,
-			OriginSeq: e.OriginSeq,
-			Rater:     e.Rater,
-			Subject:   e.Subject,
-			Value:     e.Value,
-			UnixNano:  e.UnixNano,
-		}
-	}
-	return out
 }

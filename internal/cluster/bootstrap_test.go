@@ -43,7 +43,7 @@ func TestClusterSnapshotBootstrap(t *testing.T) {
 		}
 	}
 	svcA.Submit(20, 21, 0.5) // unfolded tail travels with the transfer
-	trimmed := svcA.TrimReplicationHistory(map[string]uint64{"node-a": svcA.LocalStreamMark()})
+	trimmed := svcA.TrimReplicationHistory(map[string]uint64{"node-a": svcA.ReplicationMark(svcA.Origin())})
 	if trimmed == 0 {
 		t.Fatal("test degenerated: nothing was superseded, transfer would not be O(state)")
 	}
@@ -109,7 +109,7 @@ func TestClusterSnapshotBootstrap(t *testing.T) {
 	converge(t, []*Node{a, b})
 	// B's local entry carries its rebased post-install seq; A must have
 	// applied exactly up to it.
-	if got, want := svcA.ReplicationMarks()["node-b"], svcB.LocalStreamMark(); want == 0 || got != want {
+	if got, want := svcA.ReplicationMarks()["node-b"], svcB.ReplicationMark(svcB.Origin()); want == 0 || got != want {
 		t.Fatalf("A's node-b mark after post-bootstrap replication = %d, want %d", got, want)
 	}
 }

@@ -8,9 +8,11 @@
 // Replication is pull-based and rides the ledger's monotonic sequence
 // numbers. Every entry belongs to exactly one origin stream — the node whose
 // ledger first accepted it — and is globally identified by (origin,
-// origin-seq). Each node keeps, per origin, the highest origin-seq it has
-// applied (its watermark; for its own stream that is just the local ledger
-// seq). An anti-entropy exchange is then two message kinds:
+// origin-seq). Each node's ledger keeps, per origin, the highest origin-seq
+// it holds (its watermark) and names its own stream by the node's id, so
+// this layer moves ledger entries (store.Feedback, origin-stamped) and marks
+// as they are, translating nothing. An anti-entropy exchange is then two
+// message kinds:
 //
 //	digest    A → B   "my watermarks are {origin: seq, …}"
 //	entries   B → A   consecutive batches per origin A trails on, each framed
@@ -20,11 +22,12 @@
 // B answers a digest only with entries A is missing; A applies a batch only
 // if its watermark for that origin is ≥ the batch's `after` frame (a lower
 // watermark means an earlier batch was lost — the batch is discarded and the
-// next digest re-pulls from the true watermark). Application is idempotent
-// (store.Ledger.AppendReplicated skips entries at or below the watermark),
-// so duplicate delivery, crashed-and-restarted peers and overlapping pulls
-// are all harmless. Replicated entries enter the service's shard-aware
-// ingest path like local submissions and fold at the next epoch.
+// next digest re-pulls from the true watermark). A batch applies in one
+// all-or-nothing call, and idempotently (store.Ledger.AppendReplicated
+// skips entries at or below the watermark), so duplicate delivery,
+// crashed-and-restarted peers and overlapping pulls are all harmless.
+// Replicated entries enter the service's shard-aware ingest path like local
+// submissions and fold at the next epoch.
 //
 // One digest answer streams: B keeps framing MaxBatch-sized batches for an
 // origin until A is level or 16 of them (digestAnswerBatches) have gone out,
@@ -90,6 +93,7 @@ import (
 	"time"
 
 	"diffgossip/internal/service"
+	"diffgossip/internal/store"
 	"diffgossip/internal/transport"
 )
 
@@ -296,22 +300,6 @@ func New(cfg Config) (*Node, error) {
 // Self returns this node's origin id (its transport address).
 func (n *Node) Self() string { return n.self }
 
-// marks assembles the digest payload: this node's watermark for every origin
-// stream it holds anything of, keyed by origin id (its own stream under its
-// own id). Zero watermarks are omitted — an absent key reads as 0 on the
-// receiving side, and canonical digests make cross-node convergence a plain
-// map comparison.
-func (n *Node) marks() map[string]uint64 {
-	out := n.svc.ReplicationMarks()
-	if out == nil {
-		out = make(map[string]uint64)
-	}
-	if s := n.svc.LocalStreamMark(); s > 0 {
-		out[n.self] = s
-	}
-	return out
-}
-
 // deadProbeEvery is the cadence (in exchange ticks) at which dead members
 // still receive a digest — the cheap probe that notices a peer which came
 // back without remembering us. The TCP transport's dial backoff keeps even
@@ -325,7 +313,7 @@ const deadProbeEvery = 4
 // per peer (see Stats) and never abort the round: an unreachable peer pulls
 // what it missed with its next digest.
 func (n *Node) Exchange() {
-	digest := n.marks()
+	digest := n.svc.ReplicationMarks()
 	n.mu.Lock()
 	n.selfHB++
 	now := n.now()
@@ -553,7 +541,7 @@ func (n *Node) handleDigest(msg transport.Message) {
 	view := n.viewLocked()
 	n.mu.Unlock()
 
-	mine := n.marks()
+	mine := n.svc.ReplicationMarks()
 	behind := false
 	for o, theirs := range msg.Watermarks {
 		if o != n.self && theirs > mine[o] {
@@ -609,42 +597,19 @@ func (n *Node) handleDigest(msg transport.Message) {
 // stream past `after`, capped at MaxBatch entries. ok is false when nothing
 // is retained past that point.
 func (n *Node) batchFor(origin string, after uint64) (batch transport.Message, ok bool) {
-	streamKey := origin
-	if origin == n.self {
-		streamKey = "" // the ledger keys the local stream as ""
-	}
-	ents := n.svc.ReplicationEntriesSince(streamKey, after, n.maxBatch)
+	ents := n.svc.ReplicationEntriesSince(origin, after, n.maxBatch)
 	if len(ents) == 0 {
 		return transport.Message{}, false
 	}
-	batch = transport.Message{
-		Kind:    transport.KindEntries,
-		Origin:  origin,
-		After:   after,
-		Entries: make([]transport.FeedbackEntry, len(ents)),
-	}
-	for i, fb := range ents {
-		oseq := fb.OriginSeq
-		if streamKey == "" {
-			oseq = fb.Seq // local entries carry their seq as the origin seq
-		}
-		batch.Entries[i] = transport.FeedbackEntry{
-			OriginSeq: oseq,
-			Rater:     fb.Rater,
-			Subject:   fb.Subject,
-			Value:     fb.Value,
-			UnixNano:  fb.UnixNano,
-		}
-	}
-	return batch, true
+	return transport.Message{Kind: transport.KindEntries, Origin: origin, After: after, Entries: toWire(ents)}, true
 }
 
-// handleEntries applies one replicated batch in order. A batch whose After
-// frame is above this node's watermark for the origin is discarded whole —
-// an earlier batch was lost in transit, and applying this one would leave a
-// permanent hole in the stream; the next digest exchange re-pulls from the
-// true watermark. Entries at or below the watermark are duplicates and skip
-// for free.
+// handleEntries applies one replicated batch in one call, all or nothing. A
+// batch whose After frame is above this node's watermark for the origin is
+// discarded whole — an earlier batch was lost in transit, and applying this
+// one would leave a permanent hole in the stream; the next digest exchange
+// re-pulls from the true watermark. Entries at or below the watermark are
+// duplicates and skip for free.
 func (n *Node) handleEntries(msg transport.Message) {
 	n.mu.Lock()
 	n.stats.batchesRecv++
@@ -659,26 +624,43 @@ func (n *Node) handleEntries(msg transport.Message) {
 		n.mu.Unlock()
 		return
 	}
-	for _, e := range msg.Entries {
-		applied, err := n.svc.ReplicatedSubmit(msg.Origin, e.OriginSeq, e.Rater, e.Subject, e.Value, e.UnixNano)
-		n.mu.Lock()
-		if err != nil {
-			// Validation or WAL I/O failure: surface on the peer record and
-			// stop the batch — the stream re-pulls from the watermark, so
-			// nothing is skipped.
-			if h := n.peerH[msg.From]; h != nil {
-				h.lastSendErr = fmt.Sprintf("apply %s/%d: %v", msg.Origin, e.OriginSeq, err)
-			}
-			n.mu.Unlock()
-			return
-		}
-		if applied {
-			n.stats.applied++
-		} else {
-			n.stats.duplicate++
-		}
-		n.mu.Unlock()
+	entries := fromWire(msg.Entries)
+	for i := range entries {
+		entries[i].Origin = msg.Origin // the frame names the stream
 	}
+	applied, err := n.svc.ApplyReplicated(entries)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if err != nil {
+		// Validation or WAL I/O failure: nothing applied. Surface it on the
+		// peer record; the stream re-pulls from the watermark.
+		if h := n.peerH[msg.From]; h != nil {
+			h.lastSendErr = fmt.Sprintf("apply %s past %d: %v", msg.Origin, msg.After, err)
+		}
+		return
+	}
+	n.stats.applied += uint64(applied)
+	n.stats.duplicate += uint64(len(entries) - applied)
+}
+
+// toWire and fromWire convert ledger entries to and from their wire form. The
+// receiving ledger assigns its own local Seq on append.
+func toWire(ents []store.Feedback) []transport.FeedbackEntry {
+	out := make([]transport.FeedbackEntry, len(ents))
+	for i, fb := range ents {
+		out[i] = transport.FeedbackEntry{Origin: fb.Origin, OriginSeq: fb.OriginSeq,
+			Rater: fb.Rater, Subject: fb.Subject, Value: fb.Value, UnixNano: fb.UnixNano}
+	}
+	return out
+}
+
+func fromWire(ents []transport.FeedbackEntry) []store.Feedback {
+	out := make([]store.Feedback, len(ents))
+	for i, e := range ents {
+		out[i] = store.Feedback{Origin: e.Origin, OriginSeq: e.OriginSeq,
+			Rater: e.Rater, Subject: e.Subject, Value: e.Value, UnixNano: e.UnixNano}
+	}
+	return out
 }
 
 // PeerStat is one peer's health entry in Stats.
@@ -756,7 +738,7 @@ type Stats struct {
 
 // Stats assembles the current replication statistics.
 func (n *Node) Stats() Stats {
-	st := Stats{Self: n.self, Marks: n.marks()}
+	st := Stats{Self: n.self, Marks: n.svc.ReplicationMarks()}
 	if fr, ok := n.tr.(transport.FailureReporter); ok {
 		if f := fr.ConsecutiveFailures(); len(f) > 0 {
 			st.DialFailures = f

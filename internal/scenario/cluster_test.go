@@ -234,11 +234,11 @@ func TestClusterDeadWindowCatchesUp(t *testing.T) {
 		tgt.Step()
 	}
 	sunk() // whatever was pushed while the replica was merely suspect
-	owed := tgt.svcs[0].LocalStreamMark()
+	owed := tgt.svcs[0].ReplicationMark(tgt.svcs[0].Origin())
 	for r := 0; r < 6; r++ { // the dead window proper, feedback still flowing
 		tgt.Step()
 	}
-	if owed = tgt.svcs[0].LocalStreamMark() - owed; owed == 0 {
+	if owed = tgt.svcs[0].ReplicationMark(tgt.svcs[0].Origin()) - owed; owed == 0 {
 		t.Fatal("test degenerated: replica 0 accepted nothing during the dead window")
 	}
 	if got := sunk(); got != 0 {

@@ -24,7 +24,7 @@ type StateTransfer struct {
 	// Folded are retained ledger entries whose folds Segments already
 	// reflect: the receiver records them — WAL, watermarks, history, LWW
 	// tags — without re-queueing them for a fold. Every entry carries its
-	// origin id (the sender stamps its own id on locally accepted ones).
+	// origin id (the sender's ledger returns its own entries stamped).
 	Folded []store.Feedback
 	// Tail are retained entries past the segments' fold points, which the
 	// receiver enqueues for its next epoch like any replicated entry.
@@ -50,28 +50,9 @@ func (s *Service) BootstrapState(reqMarks map[string]uint64) (*StateTransfer, er
 		return nil, fmt.Errorf("service: bootstrap requires replication mode with an origin id")
 	}
 	view := s.View()
-	marks := s.ledger.OriginMarks()
-	out := &StateTransfer{
-		Segments: view.segs,
-		Marks:    make(map[string]uint64, len(marks)+1),
-	}
-	if m := s.LocalStreamMark(); m > 0 {
-		out.Marks[s.cfg.Origin] = m
-	}
-	streams := []string{""}
-	for o, m := range marks {
-		out.Marks[o] = m
-		streams = append(streams, o)
-	}
-	for _, stream := range streams {
-		wireOrigin := stream
-		if stream == "" {
-			wireOrigin = s.cfg.Origin
-		}
-		for _, fb := range s.ledger.EntriesSince(stream, reqMarks[wireOrigin], 0) {
-			if fb.Origin == "" {
-				fb.Origin, fb.OriginSeq = s.cfg.Origin, fb.Seq
-			}
+	out := &StateTransfer{Segments: view.segs, Marks: s.ledger.OriginMarks()}
+	for o := range out.Marks {
+		for _, fb := range s.ledger.EntriesSince(o, reqMarks[o], 0) {
 			if fb.Seq <= view.segs[store.ShardOf(fb.Subject, s.shards)].Seq {
 				out.Folded = append(out.Folded, fb)
 			} else {
@@ -146,14 +127,12 @@ func (s *Service) InstallBootstrap(st *StateTransfer) error {
 	// 1. Record the folded entries. Their folds arrive with the segments, so
 	// they bypass the pending window entirely — the step that makes
 	// bootstrap O(state) instead of O(replay).
-	for _, fb := range st.Folded {
-		_, applied, err := s.ledger.AppendReplicatedStored(fb)
-		if err != nil {
-			return fmt.Errorf("service: bootstrap: %w", err)
-		}
-		if applied {
-			s.recordTag(fb)
-		}
+	applied, err := s.ledger.AppendReplicated(st.Folded, false)
+	if err != nil {
+		return fmt.Errorf("service: bootstrap: %w", err)
+	}
+	for _, fb := range applied {
+		s.recordTag(fb)
 	}
 	// rebased is the local fold point the installed segments may claim:
 	// every local ledger entry at or below it is recorded above, on the
@@ -164,16 +143,8 @@ func (s *Service) InstallBootstrap(st *StateTransfer) error {
 	// sender had never seen when it captured its marks — must refold, or
 	// replacing the published columns below would silently drop their writes.
 	var repend []store.Feedback
-	rependStreams := []string{""}
 	for o := range s.ledger.OriginMarks() {
-		rependStreams = append(rependStreams, o)
-	}
-	for _, stream := range rependStreams {
-		wireOrigin := stream
-		if stream == "" {
-			wireOrigin = s.cfg.Origin
-		}
-		repend = append(repend, s.ledger.EntriesSince(stream, st.Marks[wireOrigin], 0)...)
+		repend = append(repend, s.ledger.EntriesSince(o, st.Marks[o], 0)...)
 	}
 
 	// 3. Rebase and publish the segments. A shard's claimed fold point backs
@@ -208,10 +179,8 @@ func (s *Service) InstallBootstrap(st *StateTransfer) error {
 	s.epochs.Store(epoch)
 
 	// 4. Tail entries fold at the next epoch, like any replicated entry.
-	for _, fb := range st.Tail {
-		if _, _, err := s.ledger.AppendReplicated(fb); err != nil {
-			return fmt.Errorf("service: bootstrap: %w", err)
-		}
+	if _, err := s.ledger.AppendReplicated(st.Tail, true); err != nil {
+		return fmt.Errorf("service: bootstrap: %w", err)
 	}
 	// 5. Re-pend ahead of the tail (Restore prepends): these entries are
 	// older, and LWW folding makes any interleaving converge identically.

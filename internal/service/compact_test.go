@@ -284,12 +284,10 @@ func TestBootstrapRependsLocallyPendingEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pulled := a.ReplicationEntriesSince("", 0, 0)
-	for _, fb := range pulled {
-		if _, err := b.ReplicatedSubmit("node-a", fb.Seq, fb.Rater, fb.Subject, fb.Value, fb.UnixNano); err != nil {
-			b.Close()
-			t.Fatal(err)
-		}
+	pulled := a.ReplicationEntriesSince(a.Origin(), 0, 0)
+	if _, err := b.ApplyReplicated(pulled); err != nil {
+		b.Close()
+		t.Fatal(err)
 	}
 	st, err := a.BootstrapState(b.ReplicationMarks())
 	if err == nil {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"path/filepath"
 	"testing"
+
+	"diffgossip/internal/store"
 )
 
 // lwwPair builds two replicating services over the same graph and params,
@@ -59,10 +61,10 @@ func TestLWWOppositeArrivalOrders(t *testing.T) {
 	}
 	// Cross-replicate: a sees the newer write second (applies), b sees the
 	// older write second (must lose the fold despite arriving last).
-	if _, err := a.ReplicatedSubmit("node-b", seqB, 1, 2, 0.75, 200); err != nil {
+	if _, err := a.ApplyReplicated([]store.Feedback{{Origin: "node-b", OriginSeq: seqB, Rater: 1, Subject: 2, Value: 0.75, UnixNano: 200}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.ReplicatedSubmit("node-a", seqA, 1, 2, 0.25, 100); err != nil {
+	if _, err := b.ApplyReplicated([]store.Feedback{{Origin: "node-a", OriginSeq: seqA, Rater: 1, Subject: 2, Value: 0.25, UnixNano: 100}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := a.RunEpoch(); err != nil {
@@ -88,10 +90,10 @@ func TestLWWTimestampTieBreaksOnOrigin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.ReplicatedSubmit("node-b", seqB, 3, 5, 0.9, 500); err != nil {
+	if _, err := a.ApplyReplicated([]store.Feedback{{Origin: "node-b", OriginSeq: seqB, Rater: 3, Subject: 5, Value: 0.9, UnixNano: 500}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.ReplicatedSubmit("node-a", seqA, 3, 5, 0.1, 500); err != nil {
+	if _, err := b.ApplyReplicated([]store.Feedback{{Origin: "node-a", OriginSeq: seqA, Rater: 3, Subject: 5, Value: 0.1, UnixNano: 500}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := a.RunEpoch(); err != nil {
@@ -109,7 +111,7 @@ func TestLWWTimestampTieBreaksOnOrigin(t *testing.T) {
 		Replicate: true,
 		Origin:    "node-c",
 	})
-	if _, err := c.ReplicatedSubmit("node-b", seqB, 3, 5, 0.9, 500); err != nil {
+	if _, err := c.ApplyReplicated([]store.Feedback{{Origin: "node-b", OriginSeq: seqB, Rater: 3, Subject: 5, Value: 0.9, UnixNano: 500}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := c.RunEpoch(); err != nil {
@@ -154,7 +156,7 @@ func TestLWWTagsSurviveRestart(t *testing.T) {
 	defer s.Close()
 	// An older conflicting write straggles in after the restart; without
 	// the rebuilt tags it would clobber the folded winner.
-	if _, err := s.ReplicatedSubmit("node-b", 1, 4, 6, 0.2, 100); err != nil {
+	if _, err := s.ApplyReplicated([]store.Feedback{{Origin: "node-b", OriginSeq: 1, Rater: 4, Subject: 6, Value: 0.2, UnixNano: 100}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := s.RunEpoch(); err != nil {

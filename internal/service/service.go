@@ -116,12 +116,13 @@ type Config struct {
 	// off, pays nothing, draws an independent stream per epoch and warm-starts
 	// its campaigns from the previous epoch's recorded state.
 	Replicate bool
-	// Origin is this node's cluster identity, used as the tie-break in the
-	// last-writer-wins order for locally accepted entries (replicated
-	// entries carry their own origin). It must equal the cluster transport
-	// address, so the tag a peer computes for a replicated copy matches the
-	// tag this node computes for the original — internal/cluster.New
-	// enforces the match. Standalone services leave it empty.
+	// Origin is this node's cluster identity, read only with Replicate: the
+	// ledger's origin id, under which locally accepted entries replicate and
+	// take their last-writer-wins tie-break (replicated entries carry their
+	// own origin). It must equal the cluster transport address, so the tag a
+	// peer computes for a replicated copy matches the tag this node computes
+	// for the original — internal/cluster.New enforces the match.
+	// Standalone services leave it empty.
 	Origin string
 }
 
@@ -291,7 +292,7 @@ func New(cfg Config) (*Service, error) {
 			return nil, err
 		}
 		if cfg.Replicate {
-			if err := s.ledger.EnableReplication(nil); err != nil {
+			if err := s.ledger.EnableReplication(cfg.Origin, nil); err != nil {
 				return nil, err
 			}
 		}
@@ -412,7 +413,7 @@ func (s *Service) loadDir() ([]*store.ShardSnapshot, error) {
 	if s.cfg.Replicate {
 		// Seed the per-origin history and watermarks from the full replay,
 		// so anti-entropy pulls and duplicate detection survive restarts.
-		if err := s.ledger.EnableReplication(replayed); err != nil {
+		if err := s.ledger.EnableReplication(s.cfg.Origin, replayed); err != nil {
 			return fail(err)
 		}
 	}
@@ -475,7 +476,7 @@ func (s *Service) loadDir() ([]*store.ShardSnapshot, error) {
 // holds epochMu (or is single-threaded boot).
 func (s *Service) recordTag(fb store.Feedback) bool {
 	cell := uint64(fb.Rater)*uint64(s.n) + uint64(fb.Subject)
-	tag := store.TagOf(fb, s.cfg.Origin)
+	tag := s.ledger.TagOf(fb)
 	if cur, ok := s.lww[cell]; ok && tag.Before(cur) {
 		return false
 	}
@@ -593,29 +594,30 @@ func (s *Service) SetReplicator(r Replicator) {
 	s.replicator.Store(&r)
 }
 
-// ReplicatedSubmit applies one feedback entry pulled from a peer's ledger
-// stream, idempotently: an entry at or below the origin's watermark reports
-// applied=false and changes nothing. Requires Config.Replicate. The entry
-// takes effect like a local Submit — when its subject's shard next folds.
-func (s *Service) ReplicatedSubmit(origin string, originSeq uint64, rater, subject int, value float64, unixNano int64) (bool, error) {
-	_, applied, err := s.ledger.AppendReplicated(store.Feedback{
-		Origin: origin, OriginSeq: originSeq,
-		Rater: rater, Subject: subject, Value: value, UnixNano: unixNano,
-	})
-	return applied, err
+// ApplyReplicated applies a batch of feedback entries pulled from peers'
+// ledger streams, each carrying its origin tags, all or nothing: an entry at
+// or below its origin's watermark is a duplicate and skipped, and applied
+// counts the rest. Requires Config.Replicate. Applied entries take effect
+// like local submissions — when their subjects' shards next fold.
+func (s *Service) ApplyReplicated(entries []store.Feedback) (applied int, err error) {
+	fresh, err := s.ledger.AppendReplicated(entries, true)
+	return len(fresh), err
 }
 
-// ReplicationMarks returns a copy of the per-remote-origin watermarks
-// (highest OriginSeq applied). Nil unless Config.Replicate. For a single
-// origin's watermark use ReplicationMark — it is O(1) and allocation-free.
+// ReplicationMarks returns a copy of the per-origin watermarks (highest
+// origin sequence number held), keyed by origin id — this node's own stream
+// under Origin(). Nil unless Config.Replicate. For a single origin's
+// watermark use ReplicationMark — it is O(1) and allocation-free.
 func (s *Service) ReplicationMarks() map[string]uint64 { return s.ledger.OriginMarks() }
 
-// ReplicationMark returns one origin stream's watermark ("" = the local
-// stream) without copying the whole mark map.
+// ReplicationMark returns one origin stream's watermark without copying the
+// whole mark map. ReplicationMark(Origin()) is the Seq of the last locally
+// submitted entry — what a cluster digest advertises for this node
+// (replicated appends consume ledger seqs too, so it is ≤ LedgerSeq).
 func (s *Service) ReplicationMark(origin string) uint64 { return s.ledger.OriginMark(origin) }
 
 // ReplicationEntriesSince returns up to limit retained entries of one origin
-// stream ("" = locally accepted) past the given watermark, for answering an
+// stream past the given watermark, origin-stamped, for answering an
 // anti-entropy pull. Nil unless Config.Replicate.
 func (s *Service) ReplicationEntriesSince(origin string, after uint64, limit int) []store.Feedback {
 	return s.ledger.EntriesSince(origin, after, limit)
@@ -624,12 +626,6 @@ func (s *Service) ReplicationEntriesSince(origin string, after uint64, limit int
 // LedgerSeq returns the last locally assigned ledger sequence number (local
 // submissions and replicated appends alike).
 func (s *Service) LedgerSeq() uint64 { return s.ledger.Seq() }
-
-// LocalStreamMark returns the watermark of this node's own origin stream —
-// the Seq of the last locally-submitted entry, which is what a cluster
-// digest advertises for this node (replicated appends consume ledger seqs
-// too, so this is ≤ LedgerSeq).
-func (s *Service) LocalStreamMark() uint64 { return s.ledger.OriginMark("") }
 
 // Pending returns the number of feedback entries awaiting the next epoch
 // (lock-free).
@@ -979,7 +975,6 @@ func (s *Service) CompactWAL() (store.CompactStats, error) {
 	seqs := make([]uint64, len(s.persistedSeq))
 	copy(seqs, s.persistedSeq)
 	return s.ledger.Compact(store.CompactConfig{
-		Origin: s.cfg.Origin,
 		FoldedSeq: func(subject int) uint64 {
 			return seqs[store.ShardOf(subject, s.shards)]
 		},
@@ -988,25 +983,14 @@ func (s *Service) CompactWAL() (store.CompactStats, error) {
 
 // TrimReplicationHistory drops superseded entries from the in-memory
 // per-origin replication history, given per-stream floors: for each origin
-// id (this node's own stream under its Config.Origin id), the highest origin
-// sequence number every known peer's watermark has passed. The cluster layer
-// computes the floors from its acknowledgement table and calls this
-// periodically; entries above a stream's floor — or in streams with no floor
-// — are never dropped, so any peer can still pull everything it might be
-// missing. Returns the number of entries dropped.
+// id (this node's own stream under Origin()), the highest origin sequence
+// number every known peer's watermark has passed. The cluster layer computes
+// the floors from its acknowledgement table and calls this periodically;
+// entries above a stream's floor — or in streams with no floor — are never
+// dropped, so any peer can still pull everything it might be missing.
+// Returns the number of entries dropped.
 func (s *Service) TrimReplicationHistory(floors map[string]uint64) int {
-	if len(floors) == 0 {
-		return 0
-	}
-	// The ledger keys the local stream as ""; the cluster speaks origin ids.
-	translated := make(map[string]uint64, len(floors))
-	for o, f := range floors {
-		if o == s.cfg.Origin {
-			o = ""
-		}
-		translated[o] = f
-	}
-	return s.ledger.TrimHistory(store.CompactConfig{Origin: s.cfg.Origin}, translated)
+	return s.ledger.TrimHistory(floors)
 }
 
 // epochSeed mixes the base seed with the epoch number (SplitMix64-style

@@ -149,7 +149,7 @@ func TestLedgerAppendBatchOneFsync(t *testing.T) {
 
 func TestLedgerAppendBatchHistory(t *testing.T) {
 	l := NewLedger(8)
-	if err := l.EnableReplication(nil); err != nil {
+	if err := l.EnableReplication("self", nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := l.AppendBatch([]Feedback{
@@ -160,7 +160,7 @@ func TestLedgerAppendBatchHistory(t *testing.T) {
 	}
 	// Batched entries enter the local replication history like single
 	// appends do, so anti-entropy ships them to peers.
-	got := l.EntriesSince("", 0, 16)
+	got := l.EntriesSince("self", 0, 16)
 	if len(got) != 2 || got[0].Seq != 1 || got[1].Seq != 2 {
 		t.Fatalf("local history after batch = %+v, want seqs 1,2", got)
 	}

@@ -94,14 +94,18 @@ func TestGoldenWAL(t *testing.T) {
 	if len(replayed) != 40 || l.Seq() != 40 {
 		t.Fatalf("replayed %d entries to seq %d, want 40/40", len(replayed), l.Seq())
 	}
+	// The parent compacted at origin "self", which the ledger now names itself.
+	if err := l.EnableReplication("self", replayed); err != nil {
+		t.Fatal(err)
+	}
 	// Nothing folded: compaction keeps every line and rewrites the same bytes.
-	if _, err := l.Compact(CompactConfig{Origin: "self"}); err != nil {
+	if _, err := l.Compact(CompactConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := os.ReadFile(path); !bytes.Equal(got, golden) {
 		t.Fatalf("no-op compaction changed the WAL:\n%s", got)
 	}
-	st, err := l.Compact(CompactConfig{Origin: "self", FoldedSeq: func(int) uint64 { return 37 }})
+	st, err := l.Compact(CompactConfig{FoldedSeq: func(int) uint64 { return 37 }})
 	if err != nil {
 		t.Fatal(err)
 	}

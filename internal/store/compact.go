@@ -16,13 +16,9 @@ import (
 // same rule to the in-memory per-origin replication history once every known
 // peer's watermark has passed an entry.
 
-// CompactConfig parameterises Compact and TrimHistory.
+// CompactConfig parameterises Compact. The LWW tags it ranks cell rivals by
+// take the ledger's own origin id (see TagOf).
 type CompactConfig struct {
-	// Origin is the owning node's cluster identity — the id stamped into the
-	// LWW tag of locally accepted entries (empty when standalone). It must
-	// match the service's replication origin, or compaction could keep a
-	// different cell winner than the epoch fold does.
-	Origin string
 	// FoldedSeq returns the highest ledger sequence number whose fold into
 	// subject's shard segment has been durably persisted. Entries at or below
 	// it are compaction candidates; everything newer is unfolded tail and is
@@ -62,14 +58,11 @@ type LWWTag struct {
 	seq    uint64
 }
 
-// TagOf derives an entry's LWW tag. Locally accepted entries (empty Origin
-// in the ledger) are stamped with localOrigin and their local sequence
-// number — exactly the (origin, seq) pair they replicate under, so every
-// replica orders the write identically.
-func TagOf(fb Feedback, localOrigin string) LWWTag {
-	if fb.Origin == "" {
-		return LWWTag{ts: fb.UnixNano, origin: localOrigin, seq: fb.Seq}
-	}
+// TagOf derives an entry's LWW tag from the (origin, origin-seq) pair it
+// replicates under — for a locally accepted entry, this ledger's origin id
+// and its Seq — so every replica orders the write identically.
+func (l *Ledger) TagOf(fb Feedback) LWWTag {
+	fb = l.asReplicated(fb)
 	return LWWTag{ts: fb.UnixNano, origin: fb.Origin, seq: fb.OriginSeq}
 }
 
@@ -98,7 +91,7 @@ func (a LWWTag) Before(b LWWTag) bool {
 // own tag, replicated application tolerates origin-sequence gaps (entries at
 // or below the watermark are skipped, entries above are applied), and a peer
 // that never sees a loser converges to the same cells as one that did.
-func compactionKeep(entries []Feedback, n int, localOrigin string, folded func(Feedback) bool) []bool {
+func (l *Ledger) compactionKeep(entries []Feedback, folded func(Feedback) bool) []bool {
 	keep := make([]bool, len(entries))
 	type win struct {
 		i int
@@ -112,8 +105,8 @@ func compactionKeep(entries []Feedback, n int, localOrigin string, folded func(F
 			continue
 		}
 		heads[fb.Origin] = i
-		cell := uint64(fb.Rater)*uint64(n) + uint64(fb.Subject)
-		t := TagOf(fb, localOrigin)
+		cell := uint64(fb.Rater)*uint64(l.n) + uint64(fb.Subject)
+		t := l.TagOf(fb)
 		if w, ok := winners[cell]; !ok || !t.Before(w.t) {
 			winners[cell] = win{i: i, t: t}
 		}
@@ -167,7 +160,7 @@ func (l *Ledger) Compact(cfg CompactConfig) (CompactStats, error) {
 	}
 	st.EntriesBefore = len(entries)
 	st.BytesBefore = goodEnd
-	keep := compactionKeep(entries, l.n, cfg.Origin, func(fb Feedback) bool {
+	keep := l.compactionKeep(entries, func(fb Feedback) bool {
 		return cfg.FoldedSeq != nil && fb.Seq <= cfg.FoldedSeq(fb.Subject)
 	})
 
@@ -237,14 +230,15 @@ func (l *Ledger) Compact(cfg CompactConfig) (CompactStats, error) {
 
 // TrimHistory compacts the in-memory per-origin replication history to the
 // same live subset Compact keeps on disk, dropping superseded entries that
-// every known peer has already passed. floors maps origin stream keys ("" =
-// locally accepted) to the highest origin sequence number all peers'
-// watermarks have passed: an entry is a trim candidate only at or below its
-// stream's floor, so any peer — live, suspect, or dead — can still pull
-// every entry it might be missing. Streams without a floor entry are never
-// trimmed. Returns the number of entries dropped. Requires EnableReplication
-// (0 otherwise). The WAL, pending window and watermarks are untouched.
-func (l *Ledger) TrimHistory(cfg CompactConfig, floors map[string]uint64) int {
+// every known peer has already passed. floors maps origin ids (this
+// ledger's own stream under its own) to the highest origin sequence number
+// all peers' watermarks have passed: an entry is a trim candidate only at or
+// below its stream's floor, so any peer — live, suspect, or dead — can still
+// pull every entry it might be missing. Streams without a floor entry are
+// never trimmed. Returns the number of entries dropped. Requires
+// EnableReplication (0 otherwise). The WAL, pending window and watermarks
+// are untouched.
+func (l *Ledger) TrimHistory(floors map[string]uint64) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if len(l.hist) == 0 || len(floors) == 0 {
@@ -261,16 +255,9 @@ func (l *Ledger) TrimHistory(cfg CompactConfig, floors map[string]uint64) int {
 	// Global ledger order (local Seq) restores apply order across streams,
 	// which the cell-winner tie-break depends on.
 	sort.Slice(all, func(i, j int) bool { return all[i].Seq < all[j].Seq })
-	keep := compactionKeep(all, l.n, cfg.Origin, func(fb Feedback) bool {
+	keep := l.compactionKeep(all, func(fb Feedback) bool {
 		floor, ok := floors[fb.Origin]
-		if !ok {
-			return false
-		}
-		key := fb.OriginSeq
-		if fb.Origin == "" {
-			key = fb.Seq
-		}
-		return key <= floor
+		return ok && fb.OriginSeq <= floor
 	})
 	nh := make(map[string][]Feedback, len(l.hist))
 	removed := 0

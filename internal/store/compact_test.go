@@ -111,7 +111,7 @@ func TestLedgerCompactKeepsLWWWinnerNotLastAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.EnableReplication(nil); err != nil {
+	if err := l.EnableReplication("node-a", nil); err != nil {
 		t.Fatal(err)
 	}
 	// Local write at t=2000 first, then a replicated rival for the same cell
@@ -120,11 +120,11 @@ func TestLedgerCompactKeepsLWWWinnerNotLastAppend(t *testing.T) {
 	if _, err := l.Append(1, 2, 0.9, 2000); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := l.AppendReplicated(Feedback{Rater: 1, Subject: 2, Value: 0.1, UnixNano: 1000, Origin: "node-b", OriginSeq: 5}); err != nil {
+	if _, err := l.AppendReplicated([]Feedback{{Rater: 1, Subject: 2, Value: 0.1, UnixNano: 1000, Origin: "node-b", OriginSeq: 5}}, true); err != nil {
 		t.Fatal(err)
 	}
 	seq := l.Seq()
-	st, err := l.Compact(CompactConfig{Origin: "node-a", FoldedSeq: func(int) uint64 { return seq }})
+	st, err := l.Compact(CompactConfig{FoldedSeq: func(int) uint64 { return seq }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestLedgerCompactKeepsLWWWinnerNotLastAppend(t *testing.T) {
 		t.Fatalf("LWW winner dropped by compaction: %+v", replayed)
 	}
 	// Watermarks replay to their pre-compaction values.
-	if err := l2.EnableReplication(replayed); err != nil {
+	if err := l2.EnableReplication("node-a", replayed); err != nil {
 		t.Fatal(err)
 	}
 	if got := l2.OriginMark("node-b"); got != 5 {
@@ -303,7 +303,7 @@ func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("injected
 
 func TestLedgerTrimHistory(t *testing.T) {
 	l := NewLedger(8)
-	if err := l.EnableReplication(nil); err != nil {
+	if err := l.EnableReplication("node-a", nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
@@ -313,12 +313,12 @@ func TestLedgerTrimHistory(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		fb := Feedback{Rater: 4, Subject: 5, Value: 0.5, UnixNano: int64(2000 + i), Origin: "node-b", OriginSeq: uint64(i + 1)}
-		if _, _, err := l.AppendReplicated(fb); err != nil {
+		if _, err := l.AppendReplicated([]Feedback{fb}, true); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// No floor for node-b: its stream must not be trimmed at all.
-	removed := l.TrimHistory(CompactConfig{Origin: "node-a"}, map[string]uint64{"": 20})
+	removed := l.TrimHistory(map[string]uint64{"node-a": 20})
 	if removed != 16 {
 		t.Fatalf("trimmed %d local entries, want 16 (4 cells survive)", removed)
 	}
@@ -328,7 +328,7 @@ func TestLedgerTrimHistory(t *testing.T) {
 	// Floor below the node-b head: everything at or below it is superseded
 	// except the cell winner... which is the head here (same cell, rising
 	// timestamps), so 9 drop once the floor passes seq 9.
-	removed = l.TrimHistory(CompactConfig{Origin: "node-a"}, map[string]uint64{"node-b": 9})
+	removed = l.TrimHistory(map[string]uint64{"node-b": 9})
 	if removed != 8 {
 		t.Fatalf("trimmed %d node-b entries, want 8 (floor at 9 spares seq 10 and the seq-9 winner-at-floor)", removed)
 	}
@@ -401,7 +401,7 @@ func TestCompactionKeepTieBreak(t *testing.T) {
 		{Seq: 2, Rater: 1, Subject: 2, Value: 0.9, UnixNano: 100},
 	}
 	// Local entries tie on timestamp but differ on seq: seq 2 wins.
-	keep := compactionKeep(entries, 8, "", func(Feedback) bool { return true })
+	keep := NewLedger(8).compactionKeep(entries, func(Feedback) bool { return true })
 	if !reflect.DeepEqual(keep, []bool{false, true}) {
 		t.Fatalf("keep = %v, want the later local entry", keep)
 	}

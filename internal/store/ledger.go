@@ -14,6 +14,13 @@
 //
 // Every WAL line is written and read by the one Feedback codec in codec.go,
 // with encoding/json behind it: the file format is what it always was.
+//
+// Replication is the ledger's own concern too. Every entry belongs to one
+// origin stream and is identified by (origin, origin-seq); once
+// EnableReplication names the ledger's origin id, every replication read and
+// write — watermarks, pulls, history trims, replicated batches, LWW tags —
+// speaks origin ids, the ledger's own stream under its own. Only the WAL and
+// the pending window spell a locally accepted entry without origin tags.
 package store
 
 import (
@@ -24,6 +31,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,13 +60,13 @@ type Feedback struct {
 	// UnixNano is the ingest wall-clock time (0 when unknown, e.g. entries
 	// replayed from ledgers written by older builds).
 	UnixNano int64 `json:"unix_nano,omitempty"`
-	// Origin is the cluster node id that first accepted this entry, for
-	// entries replicated in from a peer; empty for entries this ledger
-	// accepted itself (the common, standalone case — the WAL format is
-	// unchanged when clustering is off). OriginSeq is the sequence number the
-	// origin's own ledger assigned. The (Origin, OriginSeq) pair globally
-	// identifies a replicated entry, which is what makes replicated
-	// application idempotent.
+	// Origin is the cluster node id that first accepted this entry and
+	// OriginSeq the sequence number the origin's own ledger assigned; the
+	// pair globally identifies the entry, which is what makes replicated
+	// application idempotent. In the WAL and the pending window an entry
+	// this ledger accepted itself leaves both empty (the standalone format);
+	// the ledger's replication reads return it stamped with the ledger's
+	// origin id and its Seq (see EnableReplication).
 	Origin    string `json:"origin,omitempty"`
 	OriginSeq uint64 `json:"origin_seq,omitempty"`
 	// Shard is the subject shard this entry belongs to under the ledger's
@@ -137,13 +145,16 @@ type Ledger struct {
 	dirtyCount atomic.Int64
 	pendingN   atomic.Int64
 
-	// Replication state, nil until EnableReplication: marks holds the
-	// highest OriginSeq applied per remote origin (the local stream's
-	// watermark is just seq), and hist retains every accepted entry per
-	// origin ("" = locally accepted) so anti-entropy pulls are answered from
-	// memory instead of re-reading the WAL. Both guarded by mu.
-	marks map[string]uint64
-	hist  map[string][]Feedback
+	// Replication state, set by EnableReplication. origin is this ledger's
+	// cluster id ("" standalone); it is fixed before concurrent use and read
+	// without mu. marks holds the highest OriginSeq per origin stream, this
+	// ledger's own included, and hist retains every accepted entry per
+	// origin, stamped as it replicates, so anti-entropy pulls are answered
+	// from memory instead of re-reading the WAL. Both nil until then and
+	// guarded by mu.
+	origin string
+	marks  map[string]uint64
+	hist   map[string][]Feedback
 
 	// Observability instruments (see Instrument). The counters are plain
 	// atomics maintained on every append/sync regardless of registration;
@@ -313,58 +324,74 @@ func (l *Ledger) Append(rater, subject int, value float64, unixNano int64) (uint
 	if err := l.check(rater, subject, value); err != nil {
 		return 0, err
 	}
+	one := [1]Feedback{{Rater: rater, Subject: subject, Value: value, UnixNano: unixNano}}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	fb := Feedback{Rater: rater, Subject: subject, Value: value, UnixNano: unixNano}
-	if err := l.appendLocked(&fb); err != nil {
+	if err := l.appendLocked(one[:], true); err != nil {
 		return 0, err
 	}
-	return fb.Seq, nil
+	return one[0].Seq, nil
 }
 
-// appendLocked assigns the next local sequence number, durably writes the WAL
-// line, and admits the entry to the pending window (and, in replication mode,
-// the retained per-origin history). Callers hold mu; fb.Seq and fb.Shard are
-// filled in on success, and on error nothing — file or memory — has changed.
-func (l *Ledger) appendLocked(fb *Feedback) error {
-	return l.appendModeLocked(fb, true)
-}
-
-// appendModeLocked is appendLocked with the pending window made optional:
-// enqueue=false records the entry in the WAL, history and watermarks but
-// does NOT add it to the pending window or dirty set — for entries arriving
-// in a bootstrap state transfer, whose fold is already reflected in the
-// shipped segments.
-func (l *Ledger) appendModeLocked(fb *Feedback, enqueue bool) error {
-	if l.seq == math.MaxUint64 {
+// appendLocked is the one append core: it assigns the entries consecutive
+// local sequence numbers, encodes their WAL lines into the ledger's buffer
+// and writes them as one unit, then admits them — to the pending window and
+// dirty set if enqueue, and in replication mode to the retained history and
+// watermarks. enqueue=false is for entries whose fold is already reflected
+// in state installed alongside them (a bootstrap state transfer). Callers
+// hold mu and have validated the entries; Seq and Shard are filled in place,
+// and on error nothing — file or memory — has changed.
+func (l *Ledger) appendLocked(entries []Feedback, enqueue bool) error {
+	if len(entries) == 0 {
+		return nil
+	}
+	if l.seq > math.MaxUint64-uint64(len(entries)) {
 		// Replaying a hostile ledger can leave seq at the top of its range;
 		// wrapping to 0 would durably write an entry that poisons every
 		// future replay (seq must be strictly increasing), so refuse.
 		return fmt.Errorf("store: ledger sequence space exhausted")
 	}
-	fb.Seq = l.seq + 1
+	for i := range entries {
+		entries[i].Seq = l.seq + 1 + uint64(i)
+		entries[i].Shard = ShardOf(entries[i].Subject, l.shards)
+	}
 	if l.w != nil {
-		l.enc = append(AppendFeedback(l.enc[:0], fb), '\n')
+		l.enc = l.enc[:0]
+		for i := range entries {
+			l.enc = append(AppendFeedback(l.enc, &entries[i]), '\n')
+		}
 		if err := l.writeWALLocked(l.enc); err != nil {
 			return err
 		}
-		l.mWALAppends.Inc()
+		l.mWALAppends.Add(uint64(len(entries)))
 	}
-	l.mEntries.Inc()
-	l.seq = fb.Seq
-	fb.Shard = ShardOf(fb.Subject, l.shards)
+	l.seq += uint64(len(entries))
+	l.mEntries.Add(uint64(len(entries)))
 	if enqueue {
-		l.pending = append(l.pending, *fb)
+		l.pending = append(l.pending, entries...)
 		l.pendingN.Store(int64(len(l.pending)))
-		l.markDirtyLocked(fb.Shard)
+		for i := range entries {
+			l.markDirtyLocked(entries[i].Shard)
+		}
 	}
 	if l.hist != nil {
-		l.hist[fb.Origin] = append(l.hist[fb.Origin], *fb)
-		if fb.Origin != "" {
+		for _, fb := range entries {
+			fb = l.asReplicated(fb)
+			l.hist[fb.Origin] = append(l.hist[fb.Origin], fb)
 			l.marks[fb.Origin] = fb.OriginSeq
 		}
 	}
 	return nil
+}
+
+// asReplicated returns fb as it replicates: an entry this ledger accepted
+// itself (no origin tags — the WAL spelling) is stamped with the ledger's
+// origin id and its Seq.
+func (l *Ledger) asReplicated(fb Feedback) Feedback {
+	if fb.Origin == "" {
+		fb.Origin, fb.OriginSeq = l.origin, fb.Seq
+	}
+	return fb
 }
 
 // AppendBatch validates and records a batch of locally-submitted feedback
@@ -385,8 +412,8 @@ func (l *Ledger) appendModeLocked(fb *Feedback, enqueue bool) error {
 // the OS (fsync deferred to the epoch boundary), AppendBatch finishes with
 // ONE fsync for the entire batch — thousands of ratings amortize a single
 // disk barrier, and a 202 for the batch means every entry in it is on disk.
-// Entries must be local (no Origin tags): replicated entries arrive one at a
-// time through AppendReplicated, whose watermark bookkeeping is per-entry.
+// Entries must be local (no Origin tags); replicated batches go through
+// AppendReplicated.
 func (l *Ledger) AppendBatch(entries []Feedback) (first, last uint64, err error) {
 	if len(entries) == 0 {
 		return 0, 0, fmt.Errorf("store: empty batch: %w", ErrInvalidFeedback)
@@ -400,42 +427,17 @@ func (l *Ledger) AppendBatch(entries []Feedback) (first, last uint64, err error)
 		}
 	}
 	l.mu.Lock()
-	if l.seq > math.MaxUint64-uint64(len(entries)) {
-		l.mu.Unlock()
-		return 0, 0, fmt.Errorf("store: ledger sequence space exhausted")
-	}
-	if l.w != nil {
-		l.enc = l.enc[:0]
-		for i := range entries {
-			entries[i].Seq = l.seq + 1 + uint64(i)
-			l.enc = append(AppendFeedback(l.enc, &entries[i]), '\n')
-		}
-		if err := l.writeWALLocked(l.enc); err != nil {
-			l.mu.Unlock()
-			return 0, 0, err
-		}
-		l.mWALAppends.Add(uint64(len(entries)))
-	}
-	for i := range entries {
-		entries[i].Seq = l.seq + 1 + uint64(i)
-		entries[i].Shard = ShardOf(entries[i].Subject, l.shards)
-		l.markDirtyLocked(entries[i].Shard)
-	}
-	l.seq += uint64(len(entries))
-	l.mEntries.Add(uint64(len(entries)))
-	l.pending = append(l.pending, entries...)
-	l.pendingN.Store(int64(len(l.pending)))
-	if l.hist != nil {
-		l.hist[""] = append(l.hist[""], entries...)
-	}
-	first, last = entries[0].Seq, entries[len(entries)-1].Seq
+	err = l.appendLocked(entries, true)
 	l.mu.Unlock()
+	if err != nil {
+		return 0, 0, err
+	}
 	// The one amortized disk barrier; Sync takes its own mutex, so a slow
 	// disk stalls only other syncers, never concurrent appends.
 	if err := l.Sync(); err != nil {
 		return 0, 0, err
 	}
-	return first, last, nil
+	return entries[0].Seq, entries[len(entries)-1].Seq, nil
 }
 
 // writeWALLocked writes whole encoded lines and flushes them to the OS. The
@@ -475,30 +477,32 @@ func (l *Ledger) resyncLocked() error {
 	return nil
 }
 
-// EnableReplication switches the ledger into cluster mode: every accepted
-// entry is retained in a per-origin in-memory history (so anti-entropy pulls
-// are answered without touching the WAL) and per-origin watermarks track the
-// highest replicated OriginSeq applied. replayed is the full entry list a
+// EnableReplication switches the ledger into cluster mode under origin, its
+// cluster id: every accepted entry is retained in a per-origin in-memory
+// history (so anti-entropy pulls are answered without touching the WAL) and
+// per-origin watermarks track the highest OriginSeq held. From here on every
+// replication read speaks origin ids, this ledger's own stream under origin:
+// its entries replicate as (origin, Seq). replayed is the full entry list a
 // boot-time OpenLedger returned (nil for a fresh or memory-only ledger); it
 // seeds the history and watermarks. Must be called before concurrent use.
 // The retained history mirrors the WAL, so memory grows with ledger size —
 // the standalone service never enables it and pays nothing.
-func (l *Ledger) EnableReplication(replayed []Feedback) error {
+func (l *Ledger) EnableReplication(origin string, replayed []Feedback) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.hist != nil {
 		return fmt.Errorf("store: replication already enabled")
 	}
+	l.origin = origin
 	marks := make(map[string]uint64)
 	hist := make(map[string][]Feedback)
 	for _, fb := range replayed {
-		if fb.Origin != "" {
-			if fb.OriginSeq <= marks[fb.Origin] {
-				return fmt.Errorf("store: ledger seq %d: origin %q seq %d not increasing (after %d)",
-					fb.Seq, fb.Origin, fb.OriginSeq, marks[fb.Origin])
-			}
-			marks[fb.Origin] = fb.OriginSeq
+		fb = l.asReplicated(fb)
+		if fb.OriginSeq <= marks[fb.Origin] {
+			return fmt.Errorf("store: ledger seq %d: origin %q seq %d not increasing (after %d)",
+				fb.Seq, fb.Origin, fb.OriginSeq, marks[fb.Origin])
 		}
+		marks[fb.Origin] = fb.OriginSeq
 		fb.Shard = ShardOf(fb.Subject, l.shards)
 		hist[fb.Origin] = append(hist[fb.Origin], fb)
 	}
@@ -506,64 +510,51 @@ func (l *Ledger) EnableReplication(replayed []Feedback) error {
 	return nil
 }
 
-// AppendReplicated applies one entry pulled from a peer, idempotently: an
-// entry at or below its origin's watermark reports (0, false, nil) and
-// changes nothing; a new entry is appended exactly like a local one — WAL
-// line (with its origin tags), local sequence number, pending window, shard
-// dirty set — and advances the origin's watermark. Requires
-// EnableReplication. Entries of one origin must be applied in ascending
-// OriginSeq order; the cluster layer's batch framing guarantees it.
-func (l *Ledger) AppendReplicated(fb Feedback) (uint64, bool, error) {
-	if fb.Origin == "" || fb.OriginSeq == 0 {
-		return 0, false, fmt.Errorf("store: replicated entry missing origin tags")
-	}
-	if err := l.check(fb.Rater, fb.Subject, fb.Value); err != nil {
-		return 0, false, err
-	}
+// AppendReplicated applies a batch of entries pulled from peers, all or
+// nothing, and returns the entries it applied. Every entry must carry a
+// remote origin's tags and a valid rating, or the whole batch is refused
+// before anything changes. An entry at or below its origin's running
+// watermark — applied earlier, or earlier in this batch — is a duplicate and
+// skipped; the rest go through the one append core exactly like local
+// entries (one WAL write for the batch, local sequence numbers) and advance
+// their origins' watermarks. enqueue=false keeps them out of the pending
+// window, for a bootstrap state transfer whose segments already reflect
+// their folds. Replicated appends are flushed, never fsynced (the epoch
+// boundary syncs). Requires EnableReplication.
+func (l *Ledger) AppendReplicated(entries []Feedback, enqueue bool) ([]Feedback, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.hist == nil {
-		return 0, false, fmt.Errorf("store: replication not enabled")
+		return nil, fmt.Errorf("store: replication not enabled")
 	}
-	if fb.OriginSeq <= l.marks[fb.Origin] {
-		return 0, false, nil // duplicate: already applied
+	var fresh []Feedback
+	running := make(map[string]uint64)
+	for i, fb := range entries {
+		if fb.Origin == "" || fb.Origin == l.origin || fb.OriginSeq == 0 {
+			return nil, fmt.Errorf("store: replicated entry %d: (%q, %d) names no remote origin stream", i, fb.Origin, fb.OriginSeq)
+		}
+		if err := l.check(fb.Rater, fb.Subject, fb.Value); err != nil {
+			return nil, fmt.Errorf("store: replicated entry %d: %w", i, err)
+		}
+		mark, ok := running[fb.Origin]
+		if !ok {
+			mark = l.marks[fb.Origin]
+		}
+		if fb.OriginSeq > mark {
+			running[fb.Origin] = fb.OriginSeq
+			fresh = append(fresh, fb)
+		}
 	}
-	if err := l.appendLocked(&fb); err != nil {
-		return 0, false, err
+	if err := l.appendLocked(fresh, enqueue); err != nil {
+		return nil, err
 	}
-	return fb.Seq, true, nil
+	return fresh, nil
 }
 
-// AppendReplicatedStored applies one replicated entry exactly like
-// AppendReplicated — WAL line, local sequence number, history, watermark —
-// but does NOT enqueue it in the pending window: the caller asserts its fold
-// is already reflected in state it is installing alongside (a bootstrap
-// state transfer). Same idempotency rule: at or below the origin watermark
-// reports (0, false, nil).
-func (l *Ledger) AppendReplicatedStored(fb Feedback) (uint64, bool, error) {
-	if fb.Origin == "" || fb.OriginSeq == 0 {
-		return 0, false, fmt.Errorf("store: replicated entry missing origin tags")
-	}
-	if err := l.check(fb.Rater, fb.Subject, fb.Value); err != nil {
-		return 0, false, err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.hist == nil {
-		return 0, false, fmt.Errorf("store: replication not enabled")
-	}
-	if fb.OriginSeq <= l.marks[fb.Origin] {
-		return 0, false, nil // duplicate: already applied
-	}
-	if err := l.appendModeLocked(&fb, false); err != nil {
-		return 0, false, err
-	}
-	return fb.Seq, true, nil
-}
-
-// OriginMarks returns a copy of the per-origin replication watermarks: for
-// each remote origin, the highest OriginSeq applied. The local stream's
-// watermark is Seq(). Nil before EnableReplication.
+// OriginMarks returns a copy of the per-origin replication watermarks, keyed
+// by origin id: for every stream this ledger holds entries of, its own
+// included, the highest origin sequence number held. Nil before
+// EnableReplication.
 func (l *Ledger) OriginMarks() map[string]uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -577,68 +568,35 @@ func (l *Ledger) OriginMarks() map[string]uint64 {
 	return out
 }
 
-// OriginMark returns the replication watermark of one origin stream. For a
-// remote origin that is the highest OriginSeq applied. For the local stream
-// ("") it is the Seq of the last locally-originated entry — NOT the raw
-// ledger seq, which also counts replicated appends: peers can only ever
-// catch up to the local stream's own entries, so that is the number a
-// digest must advertise for convergence to be detectable.
+// OriginMark returns the replication watermark of one origin stream (0
+// before EnableReplication). For the ledger's own stream that is the Seq of
+// its last locally accepted entry — NOT Seq(), which also counts replicated
+// appends: peers can only ever catch up to the stream's own entries, so that
+// is the number a digest must advertise for convergence to be detectable.
 func (l *Ledger) OriginMark(origin string) uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if origin == "" {
-		if l.hist != nil {
-			if h := l.hist[""]; len(h) > 0 {
-				return h[len(h)-1].Seq
-			}
-			return 0
-		}
-		return l.seq
-	}
 	return l.marks[origin]
 }
 
 // EntriesSince returns up to limit retained entries of one origin stream
-// ("" = locally accepted) whose origin sequence number exceeds after, in
-// ascending order — the payload of one anti-entropy pull. For the local
-// stream the ordering key is Seq; for a remote origin it is OriginSeq.
-// Requires EnableReplication (nil otherwise). The returned entries are
-// copies; local ones carry Origin=="" and the caller stamps its own node id
-// before putting them on the wire.
+// whose origin sequence number exceeds after, in ascending order — the
+// payload of one anti-entropy pull. The entries are copies, stamped as they
+// replicate: the ledger's own carry its origin id and their Seq. Nil before
+// EnableReplication.
 func (l *Ledger) EntriesSince(origin string, after uint64, limit int) []Feedback {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.hist == nil {
-		return nil
-	}
 	h := l.hist[origin]
-	key := func(fb Feedback) uint64 {
-		if origin == "" {
-			return fb.Seq
-		}
-		return fb.OriginSeq
-	}
-	// Binary search for the first entry past the watermark: both streams are
-	// appended in ascending key order.
-	lo, hi := 0, len(h)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if key(h[mid]) <= after {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= len(h) {
+	lo := sort.Search(len(h), func(i int) bool { return h[i].OriginSeq > after })
+	if lo == len(h) {
 		return nil
 	}
 	end := len(h)
-	if limit > 0 && lo+limit < end {
-		end = lo + limit
+	if limit > 0 {
+		end = min(end, lo+limit)
 	}
-	out := make([]Feedback, end-lo)
-	copy(out, h[lo:end])
-	return out
+	return append([]Feedback(nil), h[lo:end]...)
 }
 
 // Restore re-queues entries as pending without re-appending them to the

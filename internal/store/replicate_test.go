@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"os"
 	"path/filepath"
 	"testing"
@@ -8,19 +9,19 @@ import (
 
 func TestAppendReplicatedIdempotent(t *testing.T) {
 	l := NewLedger(10)
-	if err := l.EnableReplication(nil); err != nil {
+	if err := l.EnableReplication("self", nil); err != nil {
 		t.Fatal(err)
 	}
 	fb := Feedback{Origin: "peer-a", OriginSeq: 3, Rater: 1, Subject: 2, Value: 0.5}
-	seq, applied, err := l.AppendReplicated(fb)
-	if err != nil || !applied || seq != 1 {
-		t.Fatalf("first apply: seq=%d applied=%v err=%v", seq, applied, err)
+	applied, err := l.AppendReplicated([]Feedback{fb}, true)
+	if err != nil || len(applied) != 1 || applied[0].Seq != 1 {
+		t.Fatalf("first apply: applied=%+v err=%v", applied, err)
 	}
 	// Exact duplicate and an older entry are both no-ops.
 	for _, dup := range []Feedback{fb, {Origin: "peer-a", OriginSeq: 2, Rater: 4, Subject: 5, Value: 0.9}} {
-		seq, applied, err = l.AppendReplicated(dup)
-		if err != nil || applied || seq != 0 {
-			t.Fatalf("duplicate apply: seq=%d applied=%v err=%v", seq, applied, err)
+		applied, err = l.AppendReplicated([]Feedback{dup}, true)
+		if err != nil || len(applied) != 0 || l.Seq() != 1 {
+			t.Fatalf("duplicate apply: applied=%+v seq=%d err=%v", applied, l.Seq(), err)
 		}
 	}
 	if got := l.OriginMark("peer-a"); got != 3 {
@@ -29,28 +30,41 @@ func TestAppendReplicatedIdempotent(t *testing.T) {
 	if got := l.PendingCount(); got != 1 {
 		t.Fatalf("pending = %d, want 1", got)
 	}
+	// Within one batch the mark runs: an entry at or below one applied
+	// earlier in the same batch is a duplicate too.
+	batch := []Feedback{
+		{Origin: "peer-a", OriginSeq: 5, Rater: 1, Subject: 3, Value: 0.1},
+		{Origin: "peer-a", OriginSeq: 4, Rater: 1, Subject: 4, Value: 0.2},
+		{Origin: "peer-a", OriginSeq: 5, Rater: 1, Subject: 5, Value: 0.3},
+	}
+	if applied, err = l.AppendReplicated(batch, true); err != nil || len(applied) != 1 || applied[0].Subject != 3 {
+		t.Fatalf("running-mark batch applied %+v, err %v; want only seq 5's first copy", applied, err)
+	}
 }
 
 func TestAppendReplicatedValidation(t *testing.T) {
 	l := NewLedger(10)
-	if err := l.EnableReplication(nil); err != nil {
+	if err := l.EnableReplication("self", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := l.AppendReplicated(Feedback{Rater: 1, Subject: 2, Value: 0.5}); err == nil {
+	if _, err := l.AppendReplicated([]Feedback{{Rater: 1, Subject: 2, Value: 0.5}}, true); err == nil {
 		t.Fatal("entry without origin tags accepted")
 	}
-	if _, _, err := l.AppendReplicated(Feedback{Origin: "p", OriginSeq: 1, Rater: 99, Subject: 2, Value: 0.5}); err == nil {
+	if _, err := l.AppendReplicated([]Feedback{{Origin: "p", OriginSeq: 1, Rater: 99, Subject: 2, Value: 0.5}}, true); err == nil {
 		t.Fatal("out-of-range rater accepted")
 	}
+	if _, err := l.AppendReplicated([]Feedback{{Origin: "self", OriginSeq: 1, Rater: 1, Subject: 2, Value: 0.5}}, true); err == nil {
+		t.Fatal("entry of the ledger's own stream accepted as replicated")
+	}
 	l2 := NewLedger(10)
-	if _, _, err := l2.AppendReplicated(Feedback{Origin: "p", OriginSeq: 1, Rater: 1, Subject: 2, Value: 0.5}); err == nil {
+	if _, err := l2.AppendReplicated([]Feedback{{Origin: "p", OriginSeq: 1, Rater: 1, Subject: 2, Value: 0.5}}, true); err == nil {
 		t.Fatal("replicated append without EnableReplication accepted")
 	}
 }
 
 func TestEntriesSinceLocalAndRemote(t *testing.T) {
 	l := NewLedger(10)
-	if err := l.EnableReplication(nil); err != nil {
+	if err := l.EnableReplication("a", nil); err != nil {
 		t.Fatal(err)
 	}
 	// Interleave local and replicated entries; local seqs then have gaps
@@ -58,21 +72,28 @@ func TestEntriesSinceLocalAndRemote(t *testing.T) {
 	if _, err := l.Append(0, 1, 0.1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := l.AppendReplicated(Feedback{Origin: "b", OriginSeq: 1, Rater: 2, Subject: 3, Value: 0.2}); err != nil {
+	if _, err := l.AppendReplicated([]Feedback{{Origin: "b", OriginSeq: 1, Rater: 2, Subject: 3, Value: 0.2}}, true); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Append(4, 5, 0.3, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := l.AppendReplicated(Feedback{Origin: "b", OriginSeq: 4, Rater: 6, Subject: 7, Value: 0.4}); err != nil {
+	if _, err := l.AppendReplicated([]Feedback{{Origin: "b", OriginSeq: 4, Rater: 6, Subject: 7, Value: 0.4}}, true); err != nil {
 		t.Fatal(err)
 	}
 
-	local := l.EntriesSince("", 0, 0)
+	local := l.EntriesSince("a", 0, 0)
 	if len(local) != 2 || local[0].Seq != 1 || local[1].Seq != 3 {
 		t.Fatalf("local stream = %+v", local)
 	}
-	if got := l.EntriesSince("", 1, 0); len(got) != 1 || got[0].Seq != 3 {
+	// Local entries come back as they replicate: under the ledger's id, with
+	// their Seq as the origin seq.
+	for _, fb := range local {
+		if fb.Origin != "a" || fb.OriginSeq != fb.Seq {
+			t.Fatalf("local entry not stamped with the ledger's id: %+v", fb)
+		}
+	}
+	if got := l.EntriesSince("a", 1, 0); len(got) != 1 || got[0].Seq != 3 {
 		t.Fatalf("local past 1 = %+v", got)
 	}
 	remote := l.EntriesSince("b", 1, 0)
@@ -82,12 +103,12 @@ func TestEntriesSinceLocalAndRemote(t *testing.T) {
 	if got := l.EntriesSince("b", 4, 0); got != nil {
 		t.Fatalf("remote past watermark = %+v, want nil", got)
 	}
-	if got := l.EntriesSince("", 0, 1); len(got) != 1 || got[0].Seq != 1 {
+	if got := l.EntriesSince("a", 0, 1); len(got) != 1 || got[0].Seq != 1 {
 		t.Fatalf("limit=1 = %+v", got)
 	}
 	// TakePending drains the fold window but never the retained history.
 	l.TakePending()
-	if got := l.EntriesSince("", 0, 0); len(got) != 2 {
+	if got := l.EntriesSince("a", 0, 0); len(got) != 2 {
 		t.Fatalf("history after TakePending = %+v", got)
 	}
 }
@@ -102,13 +123,13 @@ func TestReplicationSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.EnableReplication(replayed); err != nil {
+	if err := l.EnableReplication("self", replayed); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Append(0, 1, 0.9, 42); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := l.AppendReplicated(Feedback{Origin: "peer-b", OriginSeq: 7, Rater: 2, Subject: 3, Value: 0.4, UnixNano: 43}); err != nil {
+	if _, err := l.AppendReplicated([]Feedback{{Origin: "peer-b", OriginSeq: 7, Rater: 2, Subject: 3, Value: 0.4, UnixNano: 43}}, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -120,7 +141,7 @@ func TestReplicationSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if err := l2.EnableReplication(replayed2); err != nil {
+	if err := l2.EnableReplication("self", replayed2); err != nil {
 		t.Fatal(err)
 	}
 	if got := l2.OriginMark("peer-b"); got != 7 {
@@ -129,7 +150,7 @@ func TestReplicationSurvivesReopen(t *testing.T) {
 	// The local stream's watermark is the last locally-originated entry's
 	// seq (1); the replicated entry consumed ledger seq 2 but belongs to
 	// peer-b's stream.
-	if got := l2.OriginMark(""); got != 1 {
+	if got := l2.OriginMark("self"); got != 1 {
 		t.Fatalf("reopened local-stream mark = %d, want 1", got)
 	}
 	if got := l2.Seq(); got != 2 {
@@ -140,8 +161,112 @@ func TestReplicationSurvivesReopen(t *testing.T) {
 		t.Fatalf("reopened remote stream = %+v", remote)
 	}
 	// A duplicate of the persisted entry is still recognised after reopen.
-	if _, applied, err := l2.AppendReplicated(Feedback{Origin: "peer-b", OriginSeq: 7, Rater: 2, Subject: 3, Value: 0.4}); err != nil || applied {
-		t.Fatalf("duplicate after reopen: applied=%v err=%v", applied, err)
+	if applied, err := l2.AppendReplicated([]Feedback{{Origin: "peer-b", OriginSeq: 7, Rater: 2, Subject: 3, Value: 0.4}}, true); err != nil || len(applied) != 0 {
+		t.Fatalf("duplicate after reopen: applied=%+v err=%v", applied, err)
+	}
+}
+
+// TestAppendReplicatedBatchAllOrNothing: a replicated batch that fails —
+// one invalid entry, or a write error — applies nothing, consumes no seq and
+// leaves the origin's mark where it was; the next valid batch applies
+// normally and replays.
+func TestAppendReplicatedBatchAllOrNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ledger.jsonl")
+	l, replayed, err := OpenLedger(path, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.EnableReplication("self", replayed); err != nil {
+		t.Fatal(err)
+	}
+	batch := func(lastRater int) []Feedback {
+		return []Feedback{
+			{Origin: "p", OriginSeq: 1, Rater: 1, Subject: 2, Value: 0.25, UnixNano: 10},
+			{Origin: "p", OriginSeq: 2, Rater: lastRater, Subject: 3, Value: 0.75, UnixNano: 11},
+		}
+	}
+	unmoved := func(what string) {
+		t.Helper()
+		if l.Seq() != 0 || l.OriginMark("p") != 0 || l.PendingCount() != 0 || l.EntriesSince("p", 0, 0) != nil {
+			t.Fatalf("%s moved state: seq=%d mark=%d pending=%d", what, l.Seq(), l.OriginMark("p"), l.PendingCount())
+		}
+	}
+	if applied, err := l.AppendReplicated(batch(99), true); err == nil || applied != nil {
+		t.Fatalf("batch with an out-of-range entry: applied=%+v err=%v", applied, err)
+	}
+	unmoved("invalid batch")
+
+	// As in TestLedgerAppendBatchRecoversAfterWriteError: a sticky failing
+	// writer plus a partial line already spilled into the backing file.
+	l.mu.Lock()
+	l.w = bufio.NewWriterSize(failingWriter{}, 1)
+	if _, err := l.f.WriteString(`{"seq":1,"ra`); err != nil {
+		l.mu.Unlock()
+		t.Fatal(err)
+	}
+	l.mu.Unlock()
+	if applied, err := l.AppendReplicated(batch(4), true); err == nil || applied != nil {
+		t.Fatalf("batch through a failing writer: applied=%+v err=%v", applied, err)
+	}
+	unmoved("failed write")
+
+	applied, err := l.AppendReplicated(batch(4), true)
+	if err != nil || len(applied) != 2 || applied[0].Seq != 1 || applied[1].Seq != 2 {
+		t.Fatalf("batch after the failures: applied=%+v err=%v", applied, err)
+	}
+	if l.OriginMark("p") != 2 || l.PendingCount() != 2 {
+		t.Fatalf("after valid batch: mark=%d pending=%d, want 2/2", l.OriginMark("p"), l.PendingCount())
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, replayed2, err := OpenLedger(path, 8)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer l2.Close()
+	if len(replayed2) != 2 || replayed2[1].Origin != "p" || replayed2[1].OriginSeq != 2 {
+		t.Fatalf("replayed %+v, want the valid batch only", replayed2)
+	}
+}
+
+// TestLedgerAppendReplicatedOneWrite mirrors TestLedgerAppendBatchOneWrite
+// for a replicated batch: 256 entries reach the file as ONE write through
+// the ledger's writer, and — unlike AppendBatch — with no fsync.
+func TestLedgerAppendReplicatedOneWrite(t *testing.T) {
+	const n, size = 64, 256
+	path := filepath.Join(t.TempDir(), "ledger.jsonl")
+	l, replayed, err := OpenLedger(path, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.EnableReplication("self", replayed); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(1, 2, 0.5, 0); err != nil {
+		t.Fatal(err)
+	}
+	cw := &countingWriter{w: l.f}
+	l.mu.Lock()
+	l.w.Reset(cw)
+	l.mu.Unlock()
+	batch := make([]Feedback, size)
+	for k := range batch {
+		batch[k] = Feedback{Origin: "peer", OriginSeq: uint64(k + 1), Rater: k % n, Subject: (k + 1) % n, Value: float64(k) / size, UnixNano: int64(k + 1)}
+	}
+	fsyncs := l.mFsyncs.Value()
+	if applied, err := l.AppendReplicated(batch, true); err != nil || len(applied) != size {
+		t.Fatalf("applied %d of %d: %v", len(applied), size, err)
+	}
+	if cw.writes != 1 {
+		t.Fatalf("replicated batch of %d entries issued %d writes, want exactly 1", size, cw.writes)
+	}
+	if got := l.mFsyncs.Value() - fsyncs; got != 0 {
+		t.Fatalf("replicated batch issued %d fsyncs, want 0", got)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != l.goodOff {
+		t.Fatalf("file size vs ledger's accounted %d: %v", l.goodOff, err)
 	}
 }
 
@@ -162,7 +287,7 @@ func TestEnableReplicationRejectsNonMonotonicWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.EnableReplication(replayed); err == nil {
+	if err := l.EnableReplication("self", replayed); err == nil {
 		t.Fatal("non-monotonic origin seq accepted")
 	}
 }

@@ -71,26 +71,11 @@ type StatePayload struct {
 	// Folded are retained entries already reflected in Segments; Tail are
 	// entries past the segments' fold points. Both in per-origin ascending
 	// order, every entry origin-stamped.
-	Folded []StateEntry
-	Tail   []StateEntry
+	Folded []FeedbackEntry
+	Tail   []FeedbackEntry
 	// Marks are the sender's per-origin watermarks at capture time, keyed by
 	// origin id (the sender's own stream under its id).
 	Marks map[string]uint64
-}
-
-// StateEntry is one ledger entry inside a state transfer. Unlike a
-// KindEntries batch — which carries one origin on the enclosing Message — a
-// state transfer mixes streams, so each entry is origin-stamped itself.
-type StateEntry struct {
-	// Origin is the node id whose ledger first accepted the entry; OriginSeq
-	// is the sequence number that ledger assigned.
-	Origin    string
-	OriginSeq uint64
-	// Rater and Subject are node ids; Value is the direct trust t_ij ∈ [0,1].
-	Rater, Subject int
-	Value          float64
-	// UnixNano is the ingest wall-clock time at the origin (0 when unknown).
-	UnixNano int64
 }
 
 // PeerView is one row of a gossiped membership view. Liveness is ordered by
@@ -111,12 +96,15 @@ type PeerView struct {
 }
 
 // FeedbackEntry is the wire form of one replicated feedback ledger entry: the
-// rating itself plus the sequence number its origin's ledger assigned it. The
-// (Origin, OriginSeq) pair — Origin rides on the enclosing Message — globally
+// rating itself plus its origin tags. The (Origin, OriginSeq) pair globally
 // identifies the entry, which is what makes replicated application
-// idempotent.
+// idempotent. Inside a KindEntries batch the enclosing Message's Origin
+// frame is authoritative; a state transfer mixes streams, so there each
+// entry's own Origin is.
 type FeedbackEntry struct {
-	// OriginSeq is the sequence number the origin node's ledger assigned.
+	// Origin is the node id whose ledger first accepted the entry; OriginSeq
+	// is the sequence number that ledger assigned.
+	Origin    string
 	OriginSeq uint64
 	// Rater and Subject are node ids; Value is the direct trust t_ij ∈ [0,1].
 	Rater, Subject int
