@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 
 	"diffgossip/internal/service"
 	"diffgossip/internal/store"
@@ -14,31 +15,24 @@ import (
 // KindStateRequest/KindState messages).
 
 // trimFloors computes the per-origin trim floors: the minimum, over this node
-// and every known member, of the watermark each has acknowledged for that
+// and every known peer, of the watermark each has acknowledged for that
 // origin. Entries at or below the floor are held by everyone and safe to
-// drop. Returns nil — trim nothing — when there are no members, or when any
-// member has never sent a digest (its ackMark is unknown): a silent member
-// may still need everything, so it stalls trimming rather than risking loss.
+// drop. Returns nil — trim nothing — when there are no peers, or when any
+// peer has never sent a digest (its acks are unknown): a silent member may
+// still need everything, so it stalls trimming rather than risking loss.
 func (n *Node) trimFloors() map[string]uint64 {
-	mine := n.svc.ReplicationMarks()
+	floors := n.svc.ReplicationMarks()
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if len(n.members) == 0 {
+	if len(n.peers) == 0 {
 		return nil
 	}
-	floors := make(map[string]uint64, len(mine))
-	for o, s := range mine {
-		floors[o] = s
-	}
-	for id := range n.members {
-		am := n.ackMark[id]
-		if am == nil {
+	for _, p := range n.peers {
+		if p.acks == nil {
 			return nil
 		}
-		for o := range floors {
-			if am[o] < floors[o] {
-				floors[o] = am[o]
-			}
+		for o, f := range floors {
+			floors[o] = min(f, p.acks[o])
 		}
 	}
 	return floors
@@ -57,8 +51,8 @@ func (n *Node) trimRetainedHistory() {
 		return
 	}
 	n.mu.Lock()
-	n.stats.histTrims++
-	n.stats.histTrimmed += uint64(dropped)
+	n.c.HistTrims++
+	n.c.HistTrimmedEntries += uint64(dropped)
 	n.mu.Unlock()
 	n.log.Debug("trimmed replication history", "dropped", dropped)
 }
@@ -67,13 +61,13 @@ func (n *Node) trimRetainedHistory() {
 // stays outstanding before a later digest may trigger a re-request.
 const bootstrapRetryAfter = 8
 
-// maybeRequestBootstrap decides, on a received digest, whether to ask the
-// sender for a full state transfer instead of pulling origin streams entry by
+// maybeRequestBootstrap decides, on a digest received from p, whether to ask
+// it for a full state transfer instead of pulling origin streams entry by
 // entry: a fresh node (empty ledger) requests on any lag at all, an
 // established one only when its total lag exceeds Config.BootstrapLag. One
 // request is outstanding at a time, retried after bootstrapRetryAfter
 // exchanges if unanswered.
-func (n *Node) maybeRequestBootstrap(msg transport.Message) {
+func (n *Node) maybeRequestBootstrap(p *peer, msg transport.Message) {
 	if n.bootstrapLag == 0 {
 		return
 	}
@@ -81,10 +75,7 @@ func (n *Node) maybeRequestBootstrap(msg transport.Message) {
 	fresh := n.svc.LedgerSeq() == 0
 	var lag uint64
 	for o, theirs := range msg.Watermarks {
-		if o == n.self {
-			continue
-		}
-		if have := mine[o]; theirs > have {
+		if have := mine[o]; o != n.self && theirs > have {
 			lag += theirs - have
 		}
 	}
@@ -97,36 +88,40 @@ func (n *Node) maybeRequestBootstrap(msg transport.Message) {
 		return // a request is already in flight
 	}
 	n.bootstrapReqAt = n.exchanges + 1
-	n.stats.stateReqsSent++
 	n.mu.Unlock()
 
-	err := n.tr.Send(msg.From, transport.Message{
-		Kind:       transport.KindStateRequest,
-		Watermarks: mine,
-	})
-	n.mu.Lock()
-	n.recordSendLocked(msg.From, err)
-	if err != nil {
+	if err := n.send(p, transport.Message{Kind: transport.KindStateRequest, Watermarks: mine}); err != nil {
+		n.mu.Lock()
 		n.bootstrapReqAt = 0 // failed to even send; retry on the next digest
+		n.mu.Unlock()
+		return
 	}
-	n.mu.Unlock()
-	if err == nil {
-		n.log.Info("requested bootstrap state", "peer", msg.From, "lag", lag, "fresh", fresh)
-	}
+	n.log.Info("requested bootstrap state", "peer", p.id, "lag", lag, "fresh", fresh)
 }
 
 // handleStateRequest serves a peer's bootstrap request: assemble the state
 // transfer against the requester's marks and ship it as one KindState
 // message. Every node serves requests regardless of its own BootstrapLag
 // setting.
-func (n *Node) handleStateRequest(msg transport.Message) {
-	st, err := n.svc.BootstrapState(msg.Watermarks)
+func (n *Node) handleStateRequest(p *peer, msg transport.Message) {
+	payload, err := n.statePayload(msg.Watermarks)
 	if err != nil {
-		n.mu.Lock()
-		n.stats.bootstrapErrs++
-		n.mu.Unlock()
-		n.log.Warn("bootstrap state assembly failed", "peer", msg.From, "err", err)
+		n.inc(&n.c.BootstrapErrors)
+		n.log.Warn("bootstrap state assembly failed", "peer", p.id, "err", err)
 		return
+	}
+	if n.send(p, transport.Message{Kind: transport.KindState, State: payload}) == nil {
+		n.log.Info("served bootstrap state", "peer", p.id,
+			"folded", len(payload.Folded), "tail", len(payload.Tail))
+	}
+}
+
+// statePayload assembles the service's state transfer against a requester's
+// marks, in wire form.
+func (n *Node) statePayload(marks map[string]uint64) (*transport.StatePayload, error) {
+	st, err := n.svc.BootstrapState(marks)
+	if err != nil {
+		return nil, err
 	}
 	payload := &transport.StatePayload{
 		Shards:   len(st.Segments),
@@ -139,32 +134,18 @@ func (n *Node) handleStateRequest(msg transport.Message) {
 		payload.N = seg.N
 		var buf bytes.Buffer
 		if err := seg.Save(&buf); err != nil {
-			n.mu.Lock()
-			n.stats.bootstrapErrs++
-			n.mu.Unlock()
-			n.log.Warn("bootstrap segment encode failed", "shard", i, "err", err)
-			return
+			return nil, fmt.Errorf("encode shard %d: %w", i, err)
 		}
 		payload.Segments[i] = buf.Bytes()
 	}
-	err = n.tr.Send(msg.From, transport.Message{Kind: transport.KindState, State: payload})
-	n.mu.Lock()
-	n.recordSendLocked(msg.From, err)
-	if err == nil {
-		n.stats.stateReqsServed++
-	}
-	n.mu.Unlock()
-	if err == nil {
-		n.log.Info("served bootstrap state", "peer", msg.From,
-			"folded", len(payload.Folded), "tail", len(payload.Tail))
-	}
+	return payload, nil
 }
 
 // handleState installs a solicited state transfer. Unsolicited KindState
 // messages — nothing outstanding, or a duplicate answer — are dropped: a
 // transfer rewrites the whole local state, so only an answer this node asked
 // for is trusted.
-func (n *Node) handleState(msg transport.Message) {
+func (n *Node) handleState(p *peer, msg transport.Message) {
 	n.mu.Lock()
 	pending := n.bootstrapReqAt != 0
 	n.bootstrapReqAt = 0
@@ -178,27 +159,22 @@ func (n *Node) handleState(msg transport.Message) {
 		Tail:     fromWire(msg.State.Tail),
 		Marks:    msg.State.Marks,
 	}
+	var err error
 	for i, raw := range msg.State.Segments {
-		seg, err := store.LoadShardSnapshot(bytes.NewReader(raw))
-		if err != nil {
-			n.mu.Lock()
-			n.stats.bootstrapErrs++
-			n.mu.Unlock()
-			n.log.Warn("bootstrap segment decode failed", "peer", msg.From, "shard", i, "err", err)
-			return
+		if st.Segments[i], err = store.LoadShardSnapshot(bytes.NewReader(raw)); err != nil {
+			err = fmt.Errorf("decode shard %d: %w", i, err)
+			break
 		}
-		st.Segments[i] = seg
 	}
-	if err := n.svc.InstallBootstrap(st); err != nil {
-		n.mu.Lock()
-		n.stats.bootstrapErrs++
-		n.mu.Unlock()
-		n.log.Warn("bootstrap install failed", "peer", msg.From, "err", err)
+	if err == nil {
+		err = n.svc.InstallBootstrap(st)
+	}
+	if err != nil {
+		n.inc(&n.c.BootstrapErrors)
+		n.log.Warn("bootstrap install failed", "peer", p.id, "err", err)
 		return
 	}
-	n.mu.Lock()
-	n.stats.statesInstalled++
-	n.mu.Unlock()
-	n.log.Info("installed bootstrap state", "peer", msg.From,
+	n.inc(&n.c.BootstrapsInstalled)
+	n.log.Info("installed bootstrap state", "peer", p.id,
 		"folded", len(st.Folded), "tail", len(st.Tail))
 }

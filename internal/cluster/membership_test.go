@@ -152,9 +152,10 @@ func TestSuspectDeadReviveLifecycle(t *testing.T) {
 // several batches' worth of writes and sends it none of them; then BOTH
 // agents are rebuilt over the surviving services — no agent state of any kind
 // carries over — and node-b's first digest is answered with its whole backlog
-// in consecutive batches.
+// in consecutive batches. node-b digests a second time before it has applied
+// that answer; the stale digest must not pull the backlog again.
 func TestReturningPeerDrainsBacklog(t *testing.T) {
-	const backlog, defaultMaxBatch = 700, 256 // ⌈700/256⌉ = 3 batches
+	const backlog, batch = 700, 256 // ⌈700/256⌉ = 3 batches
 	g := testGraph(t, 16)
 	hub := transport.NewHub()
 	clk := &logicalClock{}
@@ -197,20 +198,22 @@ func TestReturningPeerDrainsBacklog(t *testing.T) {
 	defer epB2.Close()
 	defer ndB2.Close()
 
-	// One digest round-trip: node-b announces itself, node-a streams the
-	// answer, node-b applies it.
+	// One digest round-trip: node-b announces itself twice before it drains,
+	// node-a streams the answer once, node-b applies it.
+	ndB2.Exchange()
 	ndB2.Exchange()
 	ndA2.Drain()
 	ndB2.Drain()
 	if got := svcB.ReplicationMark("node-a"); got != backlog {
 		t.Fatalf("node-b's watermark for node-a = %d after one round-trip, want %d; a stats %+v", got, backlog, ndA2.Stats())
 	}
-	want := uint64((backlog + defaultMaxBatch - 1) / defaultMaxBatch)
+	want := uint64((backlog + batch - 1) / batch)
 	if st := ndA2.Stats(); st.BatchesSent != want {
 		t.Fatalf("node-a sent %d batches, want %d; stats %+v", st.BatchesSent, want, st)
 	}
-	if st := ndB2.Stats(); st.EntriesApplied != backlog || st.BatchesGapped != 0 {
-		t.Fatalf("node-b applied %d entries with %d gapped batches, want %d / 0", st.EntriesApplied, st.BatchesGapped, backlog)
+	if st := ndB2.Stats(); st.EntriesApplied != backlog || st.EntriesDuplicate != 0 || st.BatchesGapped != 0 {
+		t.Fatalf("node-b applied %d entries (%d duplicate) with %d gapped batches, want %d / 0 / 0",
+			st.EntriesApplied, st.EntriesDuplicate, st.BatchesGapped, backlog)
 	}
 
 	// The streamed answer advanced node-a's push cache: nothing is re-sent.
@@ -235,11 +238,12 @@ func TestDigestAnswerBudget(t *testing.T) {
 	defer epA.Close()
 	ndA, err := New(Config{
 		Service: svcA, Transport: epA, Peers: []string{"node-b"},
-		Now: clk.now, SuspectAfter: 10, DeadAfter: 30, MaxBatch: 2,
+		Now: clk.now, SuspectAfter: 10, DeadAfter: 30,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ndA.maxBatch = 2
 	ndB, epB := seedNode(t, hub, "node-b", []string{"node-a"}, clk, svcB, 1)
 	defer epB.Close()
 	for k := 0; k < 40; k++ {
@@ -256,7 +260,120 @@ func TestDigestAnswerBudget(t *testing.T) {
 		}
 	}
 	if st := ndA.Stats(); st.BatchesSent != 20 {
-		t.Fatalf("node-a sent %d batches for 40 entries at MaxBatch 2, want 20", st.BatchesSent)
+		t.Fatalf("node-a sent %d batches for 40 entries at 2 per batch, want 20", st.BatchesSent)
+	}
+}
+
+// TestLostAnswerIsRepulled: a digest answer the network drops is re-pulled
+// by the first digest node-a handles once the in-flight window has passed —
+// at node-a's second exchange tick. Before that node-b's digests are taken to
+// predate the answer, so nothing is re-sent; after it the re-pulled answer is
+// itself in flight, so node-b's reciprocal digest racing it pulls nothing
+// twice.
+func TestLostAnswerIsRepulled(t *testing.T) {
+	const backlog, repulledAt = 300, 2 // 2 batches; node-a's exchange tick
+	g := testGraph(t, 16)
+	hub := transport.NewHub()
+	clk := &logicalClock{}
+	svcA := newClusterService(t, g, 1, "node-a")
+	svcB := newClusterService(t, g, 1, "node-b")
+	epA, err := hub.Endpoint("node-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer epA.Close()
+	lossy := transport.NewFault(epA, 1)
+	lossy.SetFilter(func(m transport.Message) bool { return m.Kind == transport.KindEntries })
+	lossy.SetDropProb(1)
+	ndA, err := New(Config{
+		Service: svcA, Transport: lossy, Peers: []string{"node-b"},
+		Now: clk.now, SuspectAfter: 10, DeadAfter: 30,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ndB, epB := seedNode(t, hub, "node-b", []string{"node-a"}, clk, svcB, 1)
+	defer epB.Close()
+	for k := 0; k < backlog; k++ {
+		if _, err := svcA.SubmitCtx(context.Background(), k%16, (k+1)%16, 0.5, int64(100+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ndB.Exchange()
+	ndA.Drain() // the answer goes out and is lost on the wire
+	if dropped, _, _ := lossy.Stats(); dropped != 2 {
+		t.Fatalf("dropped %d batches, want the whole 2-batch answer", dropped)
+	}
+	lossy.SetDropProb(0)
+	for tick := 1; tick <= repulledAt+1; tick++ {
+		ndA.Exchange()
+		ndB.Exchange()
+		for pass := 0; pass < 2; pass++ {
+			ndA.Drain()
+			ndB.Drain()
+		}
+		mark, sent := svcB.ReplicationMark("node-a"), ndA.Stats().BatchesSent
+		switch {
+		case tick < repulledAt && (mark != 0 || sent != 2):
+			t.Fatalf("tick %d: node-b's mark %d, node-a sent %d batches — want 0 and 2 (the answer may still be in flight)", tick, mark, sent)
+		case tick >= repulledAt && (mark != backlog || sent != 4):
+			t.Fatalf("tick %d: node-b's mark %d, node-a sent %d batches — want %d and 4 (re-pulled once at tick %d)", tick, mark, sent, backlog, repulledAt)
+		}
+	}
+	if st := ndB.Stats(); st.EntriesApplied != backlog || st.EntriesDuplicate != 0 || st.BatchesGapped != 0 {
+		t.Fatalf("node-b applied %d entries (%d duplicate, %d gapped batches), want %d / 0 / 0",
+			st.EntriesApplied, st.EntriesDuplicate, st.BatchesGapped, backlog)
+	}
+}
+
+// TestLostPushRecoveredUnderTraffic: node-a pushes a fresh entry every tick,
+// so batches to node-b are always in flight; one push is lost anyway. Its
+// loss predates the window the later pushes open, so node-b's digest still
+// re-pulls it within inflightTicks ticks while the traffic goes on.
+func TestLostPushRecoveredUnderTraffic(t *testing.T) {
+	const lostAt = 3
+	g := testGraph(t, 16)
+	hub := transport.NewHub()
+	clk := &logicalClock{}
+	svcA := newClusterService(t, g, 1, "node-a")
+	svcB := newClusterService(t, g, 1, "node-b")
+	epA, err := hub.Endpoint("node-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer epA.Close()
+	lossy := transport.NewFault(epA, 1)
+	lossy.SetFilter(func(m transport.Message) bool { return m.Kind == transport.KindEntries })
+	ndA, err := New(Config{
+		Service: svcA, Transport: lossy, Peers: []string{"node-b"},
+		Now: clk.now, SuspectAfter: 10, DeadAfter: 30,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ndB, epB := seedNode(t, hub, "node-b", []string{"node-a"}, clk, svcB, 1)
+	defer epB.Close()
+	for tick := 1; tick <= lostAt+inflightTicks+2; tick++ {
+		if _, err := svcA.SubmitCtx(context.Background(), tick%16, (tick+1)%16, 0.5, int64(tick)); err != nil {
+			t.Fatal(err)
+		}
+		if tick == lostAt {
+			lossy.SetDropProb(1)
+		}
+		ndA.Exchange()
+		lossy.SetDropProb(0)
+		ndB.Exchange()
+		for pass := 0; pass < 2; pass++ {
+			ndA.Drain()
+			ndB.Drain()
+		}
+		if got := svcB.ReplicationMark("node-a"); tick >= lostAt+inflightTicks && got != uint64(tick) {
+			t.Fatalf("tick %d: node-b's mark %d, want %d — the lost push was never re-pulled", tick, got, tick)
+		}
+	}
+	if dropped, _, _ := lossy.Stats(); dropped != 1 {
+		t.Fatalf("dropped %d batches, want exactly the one push", dropped)
 	}
 }
 

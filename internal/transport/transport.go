@@ -83,11 +83,9 @@ type StatePayload struct {
 // and its incarnation increases across restarts, so the pair advances
 // monotonically for a live peer and stalls forever for a dead one.
 type PeerView struct {
-	// ID is the peer's cluster identity (its transport address).
+	// ID is the peer's cluster identity and the transport address it is
+	// reached at.
 	ID string
-	// Addr is where the peer can be reached; today always equal to ID, kept
-	// separate so identity can outlive an address change.
-	Addr string
 	// Incarnation counts the peer's process restarts.
 	Incarnation uint64
 	// Heartbeat counts the peer's anti-entropy exchanges within one
