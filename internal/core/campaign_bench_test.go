@@ -1,0 +1,49 @@
+package core
+
+import (
+	"sort"
+	"testing"
+
+	"diffgossip/internal/graph"
+	"diffgossip/internal/rng"
+	"diffgossip/internal/trust"
+)
+
+// BenchmarkSparseCampaigns times campaigns of the shape a 5 %-dirty service
+// epoch runs: N = 2,500, 125 subjects of 48 raters each over frozen
+// trust.Columns, every one a sparse campaign on the 48-node circulant
+// overlay — the scalar engine's plain kernel — here cold and on one worker.
+// steps/op is the summed campaign step count, fixed by the seed, so a change
+// to the kernel that moves it has changed the dynamics, not the speed.
+func BenchmarkSparseCampaigns(b *testing.B) {
+	const n, subjects, raters = 2500, 125, 48
+	g := graph.MustPA(n, 2, 300)
+	src := rng.New(301)
+	subs := make([]int, subjects)
+	ids := make([][]int, subjects)
+	vals := make([][]float64, subjects)
+	for s := range subs {
+		subs[s] = s * (n / subjects)
+		ids[s] = src.Sample(n, raters)
+		sort.Ints(ids[s])
+		vals[s] = make([]float64, raters)
+		for x := range vals[s] {
+			vals[s][x] = src.Float64()
+		}
+	}
+	cols, err := trust.NewColumns(n, subs, ids, vals)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := Params{Epsilon: 1e-4, Seed: 302, SparseRaterFrac: 0.25}
+	var steps int
+	b.ReportAllocs()
+	for b.Loop() {
+		res, err := GlobalSubjectsAtRoot(g, cols, subs, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		steps = res.TotalSteps
+	}
+	b.ReportMetric(float64(steps), "steps/op")
+}

@@ -44,6 +44,7 @@ func (e *Engine) Crash(i int) error {
 	if e.down[i] {
 		return fmt.Errorf("gossip: crash node %d already down", i)
 	}
+	e.synced = false
 	e.lost.add(e.cur[i])
 	e.cur[i] = Pair{}
 	if e.count != nil {
@@ -71,6 +72,7 @@ func (e *Engine) Leave(i int) error {
 	if h < 0 {
 		return e.Crash(i)
 	}
+	e.synced = false
 	e.msgs.Gossip++
 	e.cur[h].add(e.cur[i])
 	e.cur[i] = Pair{}
@@ -132,6 +134,7 @@ func (e *Engine) Rejoin(i int, y, g float64) error {
 	if g < 0 {
 		return fmt.Errorf("gossip: rejoin node %d with negative weight %v", i, g)
 	}
+	e.synced = false
 	e.down[i] = false
 	e.cur[i] = Pair{y, g}
 	e.injected.add(e.cur[i])
@@ -164,7 +167,8 @@ func (e *Engine) AddNode(y, g float64) (int, error) {
 	e.down = append(e.down, false)
 	e.next = append(e.next, Pair{})
 	e.extRecv = append(e.extRecv, 0)
-	e.ks = append(e.ks, 1) // placeholder until RefreshFanouts
+	e.unconv = append(e.unconv, 0)
+	e.setFanouts(append(e.ks, 1)) // placeholder until RefreshFanouts
 	if e.count != nil {
 		e.count = append(e.count, 0)
 		e.nextCount = append(e.nextCount, 0)
@@ -176,7 +180,7 @@ func (e *Engine) AddNode(y, g float64) (int, error) {
 // RefreshFanouts recomputes every node's push fan-out from the current graph
 // degrees — the degree re-exchange a real deployment runs after membership
 // changes. Call it after the overlay gains nodes or edges.
-func (e *Engine) RefreshFanouts() { e.ks = e.cfg.fanouts() }
+func (e *Engine) RefreshFanouts() { e.setFanouts(e.cfg.fanouts()) }
 
 // SetLossProb changes the per-push loss probability mid-run (a churn
 // scenario's loss schedule).
@@ -208,6 +212,7 @@ func (e *Engine) Override(i int, y, g float64) error {
 	if g < 0 {
 		return fmt.Errorf("gossip: override node %d with negative weight %v", i, g)
 	}
+	e.synced = false
 	e.lost.add(e.cur[i])
 	e.cur[i] = Pair{y, g}
 	e.injected.add(e.cur[i])

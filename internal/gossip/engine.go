@@ -2,6 +2,8 @@ package gossip
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"diffgossip/internal/rng"
 )
@@ -57,6 +59,17 @@ type Engine struct {
 	msgs Messages
 	// trace of the max per-node ratio change each step, for diagnostics
 	lastDelta float64
+
+	// Plain-kernel state (plainStep): inv[i] = 1/(k_i+1); unconv[i] counts
+	// unconverged nodes in i's closed neighbourhood (i stops at 0), nUnconv
+	// those with a neighbour (the run ends at 0). synced: these agree with
+	// selfConv, u[i] is cur[i]'s ratio and no node is down. A write to node
+	// state or fan-outs outside a plain step clears it; the next one rebuilds.
+	inv     []float64
+	unconv  []int
+	flipped []int
+	nUnconv int
+	synced  bool
 }
 
 // Result summarises a finished run.
@@ -88,7 +101,6 @@ func NewEngine(cfg Config, y0, g0 []float64) (*Engine, error) {
 	e := &Engine{
 		cfg:      cfg,
 		n:        n,
-		ks:       cfg.fanouts(),
 		src:      new(rng.Source),
 		cur:      make([]Pair, n),
 		u:        make([]float64, n),
@@ -97,7 +109,10 @@ func NewEngine(cfg Config, y0, g0 []float64) (*Engine, error) {
 		down:     make([]bool, n),
 		next:     make([]Pair, n),
 		extRecv:  make([]int, n),
+		unconv:   make([]int, n),
+		flipped:  make([]int, 0, n),
 	}
+	e.setFanouts(cfg.fanouts())
 	if err := e.Reset(cfg.Seed, y0, g0); err != nil {
 		return nil, err
 	}
@@ -111,9 +126,11 @@ func NewEngine(cfg Config, y0, g0 []float64) (*Engine, error) {
 // charged again), convergence flags, departed-node marks, mass ledgers and
 // link-fault predicate all start over. core.GlobalSubjects leans on this to
 // run thousands of per-subject campaigns on one engine without allocating.
-// Only SetLossProb and SetMinSteps outlive a Reset. Engines with count gossip
-// enabled cannot be Reset; after an error the engine is half-reset and must
-// be Reset again before use.
+// Loss (SetLossProb), the floor (SetMinSteps) and the topology (nodes from
+// AddNode, fan-outs from construction or RefreshFanouts) outlive a Reset, so
+// with loss 0 it steps on the plain kernel (see Step) from the first step.
+// Engines with count gossip enabled cannot be Reset; after an error the
+// engine is half-reset and must be Reset again before use.
 func (e *Engine) Reset(seed uint64, y0, g0 []float64) error {
 	if e.count != nil {
 		return fmt.Errorf("gossip: Reset with count gossip enabled")
@@ -121,6 +138,7 @@ func (e *Engine) Reset(seed uint64, y0, g0 []float64) error {
 	if len(y0) != e.n || len(g0) != e.n {
 		return fmt.Errorf("gossip: initial vectors have length %d/%d, want %d", len(y0), len(g0), e.n)
 	}
+	e.synced = false
 	e.cfg.Seed = seed
 	e.src.Reseed(seed)
 	e.steps = 0
@@ -208,7 +226,15 @@ func (e *Engine) Estimates() []float64 {
 
 // Step executes one synchronous gossip step and returns true while the
 // protocol is still running (some node has not stopped).
+//
+// The engine has two kernels with bit-identical results: an engine with no
+// count mass, loss 0, no link fault and no node down — every per-subject
+// campaign — steps on plainStep; any other takes the general step below.
 func (e *Engine) Step() bool {
+	if e.count == nil && e.cfg.LossProb == 0 && e.linkFault == nil && (e.synced || !slices.Contains(e.down, true)) {
+		return e.plainStep()
+	}
+	e.synced = false
 	g := e.cfg.Graph
 	for i := range e.next {
 		e.next[i] = Pair{}
@@ -332,6 +358,122 @@ func (e *Engine) Step() bool {
 		}
 	}
 	return running
+}
+
+// plainStep is Step without the churn, loss and count branches: the same
+// float operations in the same order and the same draws, so the kernels can
+// alternate bit for bit (TestPlainStepMatchesGeneral). It skips the per-push
+// division, Floyd's sampler for k = 1 (making its one Intn draw directly), a
+// stopped node's division when its pair is unchanged (its ratio is u[i]),
+// and the full stop-rule scan (only flipped neighbourhoods are updated).
+func (e *Engine) plainStep() bool {
+	// Locals, not fields: the loops' stores through e would force reloads.
+	g, n, synced := e.cfg.Graph, e.n, e.synced
+	cur, next, recv, stopped := e.cur[:n], e.next[:n], e.extRecv[:n], e.stopped[:n]
+	inv, ks := e.inv[:n], e.ks[:n]
+	clear(next)
+	clear(recv)
+	active, pushes := 0, 0
+	for i := range cur {
+		nbrs := g.Neighbors(i)
+		if stopped[i] || len(nbrs) == 0 {
+			next[i].add(cur[i])
+			continue
+		}
+		active++
+		share := cur[i].scale(inv[i])
+		next[i].add(share)
+		if k := ks[i]; k == 1 {
+			t := nbrs[e.src.Intn(len(nbrs))]
+			next[t].add(share)
+			recv[t]++
+			pushes++
+		} else {
+			e.nbrs = g.AppendRandomNeighbors(e.nbrs[:0], i, k, e.src)
+			for _, t := range e.nbrs {
+				next[t].add(share)
+				recv[t]++
+			}
+			pushes += len(e.nbrs)
+		}
+	}
+	e.msgs.ActiveNodeSteps += active
+	e.msgs.Gossip += pushes
+
+	e.steps++ // collect: swap next in (the general step also clears it first)
+	e.cur, e.next = e.next, e.cur
+	cur, u, selfConv, flipped := e.cur[:n], e.u[:n], e.selfConv[:n], e.flipped[:0]
+	eps, floor := e.cfg.Epsilon, e.steps >= e.cfg.MinSteps
+	lastDelta := 0.0
+	for i := range cur {
+		r := u[i]
+		if !synced || !stopped[i] || recv[i] > 0 {
+			r = cur[i].ratio()
+		}
+		// math.Abs and b2u do not branch on what varies node to node; abs
+		// differs only in the sign of a zero delta, which no comparison sees.
+		delta := math.Abs(r - u[i])
+		if delta > lastDelta {
+			lastDelta = delta
+		}
+		conv := floor && b2u(delta <= eps)&b2u(cur[i].G > 0)&(b2u(selfConv[i])|b2u(stopped[i])|b2u(recv[i] > 0)) != 0
+		if conv != selfConv[i] {
+			selfConv[i] = conv
+			flipped = append(flipped, i)
+			e.msgs.Announce += len(g.Neighbors(i))
+		}
+		u[i] = r
+	}
+	e.lastDelta = lastDelta
+
+	// Stop rule: each flip moves ±1 through its closed neighbourhood's
+	// counts. A rebuild starts from "all stopped" and flips every unconverged
+	// node.
+	if !synced {
+		clear(e.unconv)
+		for i := range stopped {
+			stopped[i] = true
+		}
+		e.nUnconv, flipped = 0, flipped[:0]
+		for i, c := range selfConv {
+			if !c {
+				flipped = append(flipped, i)
+			}
+		}
+		e.synced = true
+	}
+	for _, f := range flipped {
+		nbrs := g.Neighbors(f)
+		if len(nbrs) == 0 {
+			continue // an isolated node blocks nobody, itself included
+		}
+		d := 1 - 2*int(b2u(selfConv[f])) // +1 if f revoked its flag, -1 if it announced
+		e.nUnconv += d
+		e.unconv[f] += d
+		stopped[f] = e.unconv[f] == 0
+		for _, v := range nbrs {
+			e.unconv[v] += d
+			stopped[v] = e.unconv[v] == 0
+		}
+	}
+	e.flipped = flipped
+	return e.nUnconv > 0
+}
+
+// b2u is 1 for true and 0 for false, compiled to a flag move, not a branch.
+func b2u(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// setFanouts installs the fan-outs and their 1/(k+1) shares.
+func (e *Engine) setFanouts(ks []int) {
+	e.ks, e.inv, e.synced = ks, make([]float64, len(ks)), false
+	for i, k := range ks {
+		e.inv[i] = 1 / float64(k+1)
+	}
 }
 
 // allConverged reports whether every listed neighbour either announced

@@ -325,26 +325,50 @@ func TestVectorWorkerSweepBitIdentical(t *testing.T) {
 }
 
 // TestEngineStepZeroAllocs pins the scalar engine's zero-allocation
-// steady-state invariant.
+// steady-state invariant, on a PA graph (fan-outs k > 1) and on the 48-node
+// circulant a service campaign runs on (k = 1 everywhere), where a whole
+// Reset + RunInto campaign must not allocate either.
 func TestEngineStepZeroAllocs(t *testing.T) {
-	n := 400
-	g := graph.MustPA(n, 2, 520)
-	src := rng.New(521)
-	xs := make([]float64, n)
-	g0 := make([]float64, n)
-	for i := range xs {
-		xs[i] = src.Float64()
-		g0[i] = 1
-	}
-	e, err := NewEngine(Config{Graph: g, Epsilon: 1e-12, Seed: 522, MinSteps: 1 << 30}, xs, g0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		e.Step() // warm the fan-out scratch buffer
-	}
-	if allocs := testing.AllocsPerRun(30, func() { e.Step() }); allocs != 0 {
-		t.Fatalf("Engine.Step allocated %v times per step in steady state", allocs)
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"pa", graph.MustPA(400, 2, 520)},
+		{"circulant-48", circulant(48)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.g.N()
+			src := rng.New(521)
+			xs := make([]float64, n)
+			g0 := make([]float64, n)
+			for i := range xs {
+				xs[i] = src.Float64()
+				g0[i] = 1
+			}
+			e, err := NewEngine(Config{Graph: tc.g, Epsilon: 1e-12, Seed: 522, MinSteps: 1 << 30}, xs, g0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5; i++ {
+				e.Step() // warm the fan-out scratch buffer
+			}
+			if allocs := testing.AllocsPerRun(30, func() { e.Step() }); allocs != 0 {
+				t.Fatalf("Engine.Step allocated %v times per step in steady state", allocs)
+			}
+
+			e.SetMinSteps(0)
+			est := make([]float64, n)
+			seed := uint64(0)
+			if allocs := testing.AllocsPerRun(20, func() {
+				seed++
+				if err := e.Reset(seed, xs, g0); err != nil {
+					t.Fatal(err)
+				}
+				e.RunInto(est)
+			}); allocs != 0 {
+				t.Fatalf("Reset + RunInto allocated %v times per campaign", allocs)
+			}
+		})
 	}
 }
 
