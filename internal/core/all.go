@@ -469,7 +469,7 @@ func GCLRAllFromReports(g *graph.Graph, honest, reported *trust.Matrix, p Params
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			out.Reputation[i][j] = combineGCLR(g, honest, i, j, p, res.Estimates[i][j], res.Counts[i][j])
+			out.Reputation[i][j] = combineGCLR(honest, i, j, p, res.Estimates[i][j], res.Counts[i][j])
 		}
 	}
 	return out, nil

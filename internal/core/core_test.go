@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -116,6 +119,80 @@ func TestGCLRSingleMatchesReference(t *testing.T) {
 		want := GCLRRef(g, tm, i, j, p)
 		if math.Abs(got-want) > 5e-3 {
 			t.Fatalf("node %d: Rep = %v, want %v", i, got, want)
+		}
+	}
+}
+
+// gclrSingleDigest folds everything a GCLRSingle run publishes — every
+// per-node reputation and count, the step count, the convergence flag and
+// the message tallies — into h.
+func gclrSingleDigest(h hash.Hash64, res *SingleResult) {
+	var b [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for i := range res.PerNode {
+		word(math.Float64bits(res.PerNode[i]))
+		word(math.Float64bits(res.Counts[i]))
+	}
+	conv := 0
+	if res.Converged {
+		conv = 1
+	}
+	for _, v := range []int{
+		res.Steps, conv,
+		res.Messages.Setup, res.Messages.Gossip, res.Messages.Announce,
+		res.Messages.Lost, res.Messages.ActiveNodeSteps,
+	} {
+		word(uint64(v))
+	}
+}
+
+// TestGCLRSinglePinnedDigest is the absolute guard on Algorithm 2's bits:
+// GCLRSingle over PA overlays with M = 1, 2, 3 (a tree of degree-1 leaves,
+// then hubs with fan-out k > 1), with and without packet loss, for a
+// well-rated, a thinly rated and an unrated subject, must hash to constants
+// captured before the count mass moved onto the plain step kernel.
+func TestGCLRSinglePinnedDigest(t *testing.T) {
+	const n = 150
+	rows := []struct {
+		m      int
+		loss   float64
+		digest uint64
+	}{
+		{1, 0, 0xc47815a053073bcb},
+		{1, 0.2, 0xfca4b54e81b8fd32},
+		{2, 0, 0x459e18d72795a51c},
+		{2, 0.2, 0x1c9bcef7c585dfe3},
+		{3, 0, 0x3fb6567415c7e7f7},
+		{3, 0.2, 0x567ff24582572bd6},
+	}
+	for _, row := range rows {
+		g := graph.MustPA(n, row.m, uint64(8000+row.m))
+		w, err := trust.GenerateWorkload(trust.WorkloadConfig{
+			N: n, Density: 0.2, NeighborDensity: 1, Adjacent: g.HasEdge, Seed: uint64(8010 + row.m),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tm := w.Matrix
+		for i := 0; i < n; i++ { // subject 9 is thinly rated, subject 11 unrated
+			if i%10 != 0 {
+				tm.Delete(i, 9)
+			}
+			tm.Delete(i, 11)
+		}
+		h := fnv.New64a()
+		for _, j := range []int{4, 9, 11} {
+			res, err := GCLRSingle(g, tm, j, Params{Epsilon: 1e-6, Seed: 8020, LossProb: row.loss})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gclrSingleDigest(h, res)
+		}
+		if got := h.Sum64(); got != row.digest {
+			t.Errorf("m=%d loss=%v: digest %#x, pinned %#x", row.m, row.loss, got, row.digest)
 		}
 	}
 }

@@ -90,7 +90,7 @@ func GCLRSingle(g *graph.Graph, t *trust.Matrix, j int, p Params) (*SingleResult
 		Messages:  res.Messages,
 	}
 	for i := 0; i < n; i++ {
-		out.PerNode[i] = combineGCLR(g, t, i, j, p, res.Estimates[i], res.Counts[i])
+		out.PerNode[i] = combineGCLR(t, i, j, p, res.Estimates[i], res.Counts[i])
 	}
 	return out, nil
 }
@@ -101,8 +101,7 @@ func GCLRSingle(g *graph.Graph, t *trust.Matrix, j int, p Params) (*SingleResult
 // NS_i by interaction, not overlay adjacency, so the weighted set is the
 // trust row of i; iteration is in sorted order to keep float summation
 // deterministic.
-func combineGCLR(g *graph.Graph, t *trust.Matrix, i, j int, p Params, sumEst, countEst float64) float64 {
-	_ = g // overlay structure does not constrain the weighted set
+func combineGCLR(t *trust.Matrix, i, j int, p Params, sumEst, countEst float64) float64 {
 	yhat := 0.0
 	wsum := 0.0
 	for _, k := range t.InteractedWith(i) {

@@ -227,11 +227,12 @@ func (e *Engine) Estimates() []float64 {
 // Step executes one synchronous gossip step and returns true while the
 // protocol is still running (some node has not stopped).
 //
-// The engine has two kernels with bit-identical results: an engine with no
-// count mass, loss 0, no link fault and no node down — every per-subject
-// campaign — steps on plainStep; any other takes the general step below.
+// The engine has two kernels with bit-identical results: an engine with
+// loss 0, no link fault and no node down — every per-subject campaign and
+// every Algorithm 2 run, count mass or not — steps on plainStep; any other
+// takes the general step below.
 func (e *Engine) Step() bool {
-	if e.count == nil && e.cfg.LossProb == 0 && e.linkFault == nil && (e.synced || !slices.Contains(e.down, true)) {
+	if e.cfg.LossProb == 0 && e.linkFault == nil && (e.synced || !slices.Contains(e.down, true)) {
 		return e.plainStep()
 	}
 	e.synced = false
@@ -360,38 +361,56 @@ func (e *Engine) Step() bool {
 	return running
 }
 
-// plainStep is Step without the churn, loss and count branches: the same
-// float operations in the same order and the same draws, so the kernels can
+// plainStep is Step without the churn and loss branches: the same float
+// operations in the same order and the same draws, so the kernels can
 // alternate bit for bit (TestPlainStepMatchesGeneral). It skips the per-push
 // division, Floyd's sampler for k = 1 (making its one Intn draw directly), a
 // stopped node's division when its pair is unchanged (its ratio is u[i]),
-// and the full stop-rule scan (only flipped neighbourhoods are updated).
+// and the full stop-rule scan (only flipped neighbourhoods are updated). The
+// count mass, when there is one, moves with the pair: cnt[i]*inv[i] to the
+// node and to each target, all of cnt[i] kept by a stopped or isolated node.
 func (e *Engine) plainStep() bool {
 	// Locals, not fields: the loops' stores through e would force reloads.
 	g, n, synced := e.cfg.Graph, e.n, e.synced
 	cur, next, recv, stopped := e.cur[:n], e.next[:n], e.extRecv[:n], e.stopped[:n]
 	inv, ks := e.inv[:n], e.ks[:n]
+	cnt, nextCnt := e.count, e.nextCount
 	clear(next)
 	clear(recv)
+	clear(nextCnt)
 	active, pushes := 0, 0
 	for i := range cur {
 		nbrs := g.Neighbors(i)
 		if stopped[i] || len(nbrs) == 0 {
 			next[i].add(cur[i])
+			if cnt != nil {
+				nextCnt[i] += cnt[i]
+			}
 			continue
 		}
 		active++
 		share := cur[i].scale(inv[i])
 		next[i].add(share)
+		var cshare float64
+		if cnt != nil {
+			cshare = cnt[i] * inv[i]
+			nextCnt[i] += cshare
+		}
 		if k := ks[i]; k == 1 {
 			t := nbrs[e.src.Intn(len(nbrs))]
 			next[t].add(share)
+			if cnt != nil {
+				nextCnt[t] += cshare
+			}
 			recv[t]++
 			pushes++
 		} else {
 			e.nbrs = g.AppendRandomNeighbors(e.nbrs[:0], i, k, e.src)
 			for _, t := range e.nbrs {
 				next[t].add(share)
+				if cnt != nil {
+					nextCnt[t] += cshare
+				}
 				recv[t]++
 			}
 			pushes += len(e.nbrs)
@@ -402,6 +421,7 @@ func (e *Engine) plainStep() bool {
 
 	e.steps++ // collect: swap next in (the general step also clears it first)
 	e.cur, e.next = e.next, e.cur
+	e.count, e.nextCount = e.nextCount, e.count
 	cur, u, selfConv, flipped := e.cur[:n], e.u[:n], e.selfConv[:n], e.flipped[:0]
 	eps, floor := e.cfg.Epsilon, e.steps >= e.cfg.MinSteps
 	lastDelta := 0.0

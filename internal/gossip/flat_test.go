@@ -327,8 +327,36 @@ func TestVectorWorkerSweepBitIdentical(t *testing.T) {
 // TestEngineStepZeroAllocs pins the scalar engine's zero-allocation
 // steady-state invariant, on a PA graph (fan-outs k > 1) and on the 48-node
 // circulant a service campaign runs on (k = 1 everywhere), where a whole
-// Reset + RunInto campaign must not allocate either.
+// Reset + RunInto campaign must not allocate either; and for an Algorithm 2
+// engine carrying a count mass, whose steps (it cannot Reset) must not.
 func TestEngineStepZeroAllocs(t *testing.T) {
+	t.Run("count", func(t *testing.T) {
+		const n = 400
+		g := graph.MustPA(n, 2, 523)
+		y0, g0, c0 := make([]float64, n), make([]float64, n), make([]float64, n)
+		g0[0] = 1
+		src := rng.New(524)
+		for i := 0; i < n; i += 4 {
+			y0[i], c0[i] = src.Float64(), 1
+		}
+		e, err := NewEngine(Config{Graph: g, Epsilon: 1e-12, Seed: 525, MinSteps: 1 << 30}, y0, g0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.EnableCountGossip(c0); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			e.Step()
+		}
+		if !e.synced {
+			t.Fatal("count engine is not on the plain kernel")
+		}
+		if allocs := testing.AllocsPerRun(30, func() { e.Step() }); allocs != 0 {
+			t.Fatalf("Engine.Step with a count mass allocated %v times per step in steady state", allocs)
+		}
+	})
+
 	for _, tc := range []struct {
 		name string
 		g    *graph.Graph

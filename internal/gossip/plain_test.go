@@ -87,7 +87,47 @@ func (w *twins) step(wantPlain bool) bool {
 	if !slices.Equal(w.plain.selfConv, w.general.selfConv) || !slices.Equal(w.plain.stopped, w.general.stopped) {
 		w.t.Fatalf("%s: convergence flags diverged", at)
 	}
+	if i, ok := sameBits(w.plain.count, w.general.count); !ok {
+		w.t.Fatalf("%s: node %d count diverged", at, i)
+	}
 	return a
+}
+
+// sameBits reports whether a and b hold the same floats bit for bit, and
+// else the first index where they differ.
+func sameBits(a, b []float64) (int, bool) {
+	if len(a) != len(b) {
+		return 0, false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+// withCount enables count gossip on both twins.
+func (w *twins) withCount(c0 []float64) *twins {
+	w.both(func(e *Engine) error { return e.EnableCountGossip(c0) })
+	return w
+}
+
+// finish runs both twins to the end and compares their results, counts
+// included.
+func (w *twins) finish() {
+	w.t.Helper()
+	w.run()
+	a, b := w.plain.Run(), w.general.Run()
+	if a.Steps != b.Steps || a.Converged != b.Converged || a.Messages != b.Messages {
+		w.t.Fatalf("%s: results %d/%v/%+v vs %d/%v/%+v", w.name, a.Steps, a.Converged, a.Messages, b.Steps, b.Converged, b.Messages)
+	}
+	if i, ok := sameBits(a.Estimates, b.Estimates); !ok {
+		w.t.Fatalf("%s: node %d estimate %v vs %v", w.name, i, a.Estimates[i], b.Estimates[i])
+	}
+	if i, ok := sameBits(a.Counts, b.Counts); !ok {
+		w.t.Fatalf("%s: Run().Counts diverged at node %d", w.name, i)
+	}
 }
 
 // run steps both engines to the end of the campaign on the plain kernel.
@@ -164,6 +204,41 @@ func TestPlainStepMatchesGeneral(t *testing.T) {
 
 	t.Run("min-steps", func(t *testing.T) {
 		newTwins(t, "min-steps", Config{Graph: circulant(48), Epsilon: 1e-3, Seed: 10, MinSteps: 25}, randomValues(48, 11), ones(48)).run()
+	})
+
+	t.Run("count", func(t *testing.T) {
+		// Algorithm 2's shape: y at the raters, g at the root only, count 1
+		// at the raters — on a leafy tree and on a graph with hubs.
+		const n = 300
+		for _, m := range []int{1, 3} {
+			y0, g0, c0 := make([]float64, n), make([]float64, n), make([]float64, n)
+			g0[0] = 1
+			vals := randomValues(n, uint64(60+m))
+			for i := 0; i < n; i += 3 {
+				y0[i], c0[i] = vals[i], 1
+			}
+			cfg := Config{Graph: graph.MustPA(n, m, uint64(50+m)), Epsilon: 1e-6, Seed: 51}
+			newTwins(t, fmt.Sprintf("gclr m=%d", m), cfg, y0, g0).withCount(c0).finish()
+		}
+
+		// Average mode with a count: unit weights everywhere.
+		c0 := randomValues(n, 62)
+		cfg := Config{Graph: graph.MustPA(n, 2, 63), Epsilon: 1e-6, Seed: 64}
+		newTwins(t, "average+count", cfg, randomValues(n, 65), ones(n)).withCount(c0).finish()
+
+		// Loss draws from the stream, so both twins step generally while it
+		// is on; the count mass must survive the hand-over both ways.
+		cfg = Config{Graph: graph.MustPA(n, 2, 66), Epsilon: 1e-6, Seed: 67}
+		w := newTwins(t, "loss+count", cfg, randomValues(n, 68), ones(n)).withCount(c0)
+		for i := 0; i < 3; i++ {
+			w.step(true)
+		}
+		w.both(func(e *Engine) error { return e.SetLossProb(0.2) })
+		for i := 0; i < 5; i++ {
+			w.step(false)
+		}
+		w.both(func(e *Engine) error { return e.SetLossProb(0) })
+		w.finish()
 	})
 
 	t.Run("events", func(t *testing.T) {
