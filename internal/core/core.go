@@ -10,8 +10,9 @@
 //     weights w = a^(b·t) (eq. 2), the gossip computes the network-wide sum
 //     and rater count (weight 1 at a single root), and each node combines
 //     them by eq. (6).
-//   - Variant 3 (GlobalAll): Algorithm 1 for all subjects simultaneously,
-//     gossiping whole vectors with the L1 convergence rule (7).
+//   - Variant 3 (GlobalAll): Algorithm 1 for every subject, one independent
+//     scalar campaign per subject on its own split randomness stream
+//     (GlobalSubjects over all subjects).
 //   - Variant 4 (GCLRAll): Algorithm 2 for all subjects simultaneously.
 //
 // All four share Params and are deterministic given Params.Seed.

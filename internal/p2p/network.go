@@ -10,10 +10,14 @@ import (
 )
 
 // Network owns the peers, routes messages between their goroutines and
-// advances the simulation in rounds. A round has two quiescent phases:
-// query flooding (queries spread, hits travel back) and transfer (requesters
-// pick a holder, holders serve according to reputation, requesters grade the
-// service). All message processing happens on the peers' own goroutines.
+// advances the simulation in rounds. A round has two phases, each ending
+// quiescent: query flooding (queries spread, hits travel back) and transfer
+// (requesters pick a holder, holders serve according to reputation,
+// requesters grade the service). Messages are processed on the peers' own
+// goroutines, and a round's outcome never depends on their interleaving:
+// flood reach is the TTL ball around the origin whichever copy arrives
+// first, holders serve their queued requests in requester order, and the
+// Network settles the transfers in peer order.
 type Network struct {
 	cfg     Config
 	peers   []*Peer
@@ -102,14 +106,19 @@ func (net *Network) serve(p *Peer) {
 	}
 }
 
-// send routes a message to peer "to". The inflight counter is balanced by
-// serve; a full mailbox falls back to a detached sender so routing can never
-// deadlock the handler goroutines.
+// send routes an overlay message to peer "to", counting it.
 func (net *Network) send(to int, m message) {
-	net.inflight.Add(1)
 	net.statsMu.Lock()
 	net.stats.MessagesRouted++
 	net.statsMu.Unlock()
+	net.deliver(to, m)
+}
+
+// deliver queues m in peer to's mailbox. The inflight counter is balanced by
+// the peer goroutine (Network.serve); a full mailbox falls back to a detached
+// sender so routing can never deadlock the handler goroutines.
+func (net *Network) deliver(to int, m message) {
+	net.inflight.Add(1)
 	p := net.peers[to]
 	select {
 	case p.inbox <- m:
@@ -128,23 +137,33 @@ func (net *Network) handle(p *Peer, m message) {
 		p.hits[m.hit.queryID] = append(p.hits[m.hit.queryID], m.hit.holder)
 		p.mu.Unlock()
 	case m.request != nil:
-		net.handleRequest(p, m.request)
+		p.mu.Lock()
+		p.requests = append(p.requests, *m.request)
+		p.mu.Unlock()
 	case m.response != nil:
-		net.handleResponse(p, m.response)
+		p.mu.Lock()
+		p.responses = append(p.responses, *m.response)
+		p.mu.Unlock()
+	case m.serve:
+		net.serveRequests(p)
 	}
 }
 
+// handleQuery answers a query's first copy with a hit when p holds the
+// resource, and forwards every copy that arrives with more TTL left than any
+// before it — so a copy that took a long path first cannot shrink the reach.
 func (net *Network) handleQuery(p *Peer, q *queryMsg) {
 	p.mu.Lock()
-	if p.seenQuery[q.id] {
+	best, seen := p.seenTTL[q.id]
+	if seen && q.ttl <= best {
 		p.mu.Unlock()
 		return
 	}
-	p.seenQuery[q.id] = true
+	p.seenTTL[q.id] = q.ttl
 	holds := p.resources[q.resource]
 	p.mu.Unlock()
 
-	if holds && p.id != q.origin {
+	if !seen && holds && p.id != q.origin {
 		net.send(q.origin, message{hit: &hitMsg{queryID: q.id, holder: p.id}})
 	}
 	if q.ttl > 0 {
@@ -156,45 +175,30 @@ func (net *Network) handleQuery(p *Peer, q *queryMsg) {
 	}
 }
 
-func (net *Network) handleRequest(p *Peer, r *requestMsg) {
+// serveRequests answers p's queued requests in requester order, so the
+// holder's quality draws never depend on which request arrived first.
+func (net *Network) serveRequests(p *Peer) {
 	p.mu.Lock()
-	holds := p.resources[r.resource]
+	reqs := p.requests
+	p.requests = nil
+	sort.Slice(reqs, func(a, b int) bool {
+		if reqs[a].requester != reqs[b].requester {
+			return reqs[a].requester < reqs[b].requester
+		}
+		return reqs[a].queryID < reqs[b].queryID
+	})
+	out := make([]responseMsg, len(reqs))
+	for k, r := range reqs {
+		quality := 0.0
+		if p.resources[r.resource] {
+			quality = p.serviceQuality(r.requester, &net.cfg)
+		}
+		out[k] = responseMsg{queryID: r.queryID, holder: p.id, resource: r.resource, quality: quality}
+	}
 	p.mu.Unlock()
-	quality := 0.0
-	if holds {
-		p.mu.Lock()
-		quality = p.serviceQuality(r.requester, &net.cfg)
-		p.mu.Unlock()
+	for k := range out {
+		net.send(reqs[k].requester, message{response: &out[k]})
 	}
-	net.send(r.requester, message{response: &responseMsg{
-		queryID:  r.queryID,
-		holder:   p.id,
-		resource: r.resource,
-		quality:  quality,
-	}})
-}
-
-func (net *Network) handleResponse(p *Peer, r *responseMsg) {
-	p.mu.Lock()
-	p.recordTransaction(r.holder, r.quality)
-	if r.quality > 0 {
-		p.resources[r.resource] = true
-	}
-	delete(p.want, r.queryID)
-	delete(p.hits, r.queryID)
-	free := p.free
-	p.mu.Unlock()
-
-	net.statsMu.Lock()
-	net.stats.Transfers++
-	if free {
-		net.stats.TransfersFreeRider++
-		net.stats.QualitySumFreeRider += r.quality
-	} else {
-		net.stats.TransfersHonest++
-		net.stats.QualitySumHonest += r.quality
-	}
-	net.statsMu.Unlock()
 }
 
 // Round advances the simulation one round: query issuance and flooding, then
@@ -247,8 +251,16 @@ func (net *Network) Round() error {
 			holder   int
 			resource int
 		}
+		// Query-id order: chooseHolder's tie draws must not follow the
+		// map's iteration order.
+		ids := make([]int64, 0, len(p.hits))
+		for id := range p.hits {
+			ids = append(ids, id)
+		}
+		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 		var picks []pick
-		for id, holders := range p.hits {
+		for _, id := range ids {
+			holders := p.hits[id]
 			res, ok := p.want[id]
 			if !ok || len(holders) == 0 {
 				continue
@@ -256,7 +268,6 @@ func (net *Network) Round() error {
 			best := net.chooseHolder(p, holders)
 			picks = append(picks, pick{queryID: id, holder: best, resource: res})
 		}
-		// Unanswered queries expire at end of round.
 		hit := len(picks)
 		p.mu.Unlock()
 
@@ -270,14 +281,37 @@ func (net *Network) Round() error {
 		}
 	}
 	net.inflight.Wait()
+	for _, p := range net.peers {
+		net.deliver(p.id, message{serve: true})
+	}
+	net.inflight.Wait()
 
-	// Expire leftover round state.
+	// Settle the transfers peer by peer, so the quality sums accumulate in
+	// one fixed order, and expire leftover round state (unanswered queries
+	// included).
+	net.statsMu.Lock()
+	defer net.statsMu.Unlock()
 	for _, p := range net.peers {
 		p.mu.Lock()
-		for id := range p.want {
-			delete(p.want, id)
-			delete(p.hits, id)
+		sort.Slice(p.responses, func(a, b int) bool { return p.responses[a].queryID < p.responses[b].queryID })
+		for _, r := range p.responses {
+			p.recordTransaction(r.holder, r.quality)
+			if r.quality > 0 {
+				p.resources[r.resource] = true
+			}
+			net.stats.Transfers++
+			if p.free {
+				net.stats.TransfersFreeRider++
+				net.stats.QualitySumFreeRider += r.quality
+			} else {
+				net.stats.TransfersHonest++
+				net.stats.QualitySumHonest += r.quality
+			}
 		}
+		p.responses = p.responses[:0]
+		clear(p.want)
+		clear(p.hits)
+		clear(p.seenTTL)
 		p.mu.Unlock()
 	}
 	return nil

@@ -116,7 +116,9 @@ type Stats struct {
 	QualitySumFreeRider float64
 	TransfersFreeRider  int
 	// MessagesRouted counts every overlay message (queries, hits,
-	// transfer requests and responses).
+	// transfer requests and responses). Unlike the other counters it
+	// depends on arrival order: a query copy that arrives with more TTL
+	// left than an earlier one is forwarded again.
 	MessagesRouted int
 }
 

@@ -14,6 +14,7 @@ type message struct {
 	hit      *hitMsg
 	request  *requestMsg
 	response *responseMsg
+	serve    bool // serve the queued requests
 }
 
 // queryMsg floods the overlay looking for a resource.
@@ -60,9 +61,11 @@ type Peer struct {
 	resources  map[int]bool
 	estimators map[int]*trust.Estimator // direct trust per counterparty
 	globalRep  []float64                // last aggregated reputation vector
-	seenQuery  map[int64]bool           // duplicate suppression for floods
+	seenTTL    map[int64]int            // highest TTL seen per flooded query
 	hits       map[int64][]int          // responders per outstanding query
 	want       map[int64]int            // resource wanted per outstanding query
+	requests   []requestMsg             // transfer requests awaiting a serve
+	responses  []responseMsg            // transfers awaiting settlement
 
 	src   *rng.Source
 	inbox chan message
@@ -77,7 +80,7 @@ func newPeer(id int, decency float64, free bool, src *rng.Source) *Peer {
 		free:       free,
 		resources:  make(map[int]bool),
 		estimators: make(map[int]*trust.Estimator),
-		seenQuery:  make(map[int64]bool),
+		seenTTL:    make(map[int64]int),
 		hits:       make(map[int64][]int),
 		want:       make(map[int64]int),
 		src:        src,

@@ -33,35 +33,41 @@ func rateAll(t *testing.T, s *Service, n, raters int) {
 }
 
 // TestIncrementalReplicatedFoldMatchesFromBoot is the bit-identity twin of the
-// subject-granular fold. Replicating service A folds a base batch and then
-// successive 5%-dirty batches, each epoch computing only the re-rated
-// subjects and carrying every other slot over; replicating service B — same
-// graph, seed and shards — receives the same entries and folds them all in
-// one epoch from boot, every subject cold. A replicating service pins
-// campaign seeds to (Params.Seed, subject id) and never starts warm, so the
-// carried values must equal B's recomputed ones bit for bit, for any
-// FoldWorkers. The count: each incremental epoch costs at most a tenth of a
-// full cold epoch's campaign steps.
+// subject-granular fold. Service A folds a base batch and then successive
+// 5%-dirty batches, each epoch computing only the re-rated subjects and
+// carrying every other slot over; replicating service B — same graph, seed
+// and shards — receives the same entries and folds them all in one epoch
+// from boot. Every service seeds each campaign from (Params.Seed, subject id)
+// and runs it cold, so A's carried values must equal B's recomputed ones bit
+// for bit, whether A replicates or runs standalone, for any FoldWorkers. The
+// count: each incremental epoch costs at most a tenth of a full epoch's
+// campaign steps.
 func TestIncrementalReplicatedFoldMatchesFromBoot(t *testing.T) {
 	const n, shards, raters, batches = 600, 12, 24, 4
 	g := testGraph(t, n, 7)
-	for _, fw := range []int{1, -1} {
-		twin := func() *Service {
-			return newTestService(t, n, Config{
+	for _, tc := range []struct {
+		mode string
+		fw   int
+	}{{"replicated", 1}, {"replicated", -1}, {"standalone", 1}, {"standalone", -1}} {
+		fw := tc.fw
+		twin := func(replicate bool) *Service {
+			cfg := Config{
 				Graph:       g,
 				Params:      core.Params{Epsilon: 1e-4, Seed: 11, Workers: fw},
 				Shards:      shards,
 				FoldWorkers: fw,
-				Replicate:   true,
-				Origin:      "node",
-			})
+			}
+			if replicate {
+				cfg.Replicate, cfg.Origin = true, "node"
+			}
+			return newTestService(t, n, cfg)
 		}
-		a, b := twin(), twin()
+		a, b := twin(tc.mode == "replicated"), twin(true)
 		src := rng.New(31)
 		stamp := int64(0)
 		rate := func(rater, subject int) {
 			t.Helper()
-			stamp++ // explicit stamps: both twins record identical LWW tags
+			stamp++ // explicit stamps: both twins resolve every cell alike
 			v := src.Float64()
 			for _, s := range []*Service{a, b} {
 				if _, err := s.SubmitCtx(context.Background(), rater, subject, v, stamp); err != nil {
@@ -75,9 +81,9 @@ func TestIncrementalReplicatedFoldMatchesFromBoot(t *testing.T) {
 				rate((j+1+i)%n, j)
 			}
 		}
-		coldSteps := mustEpoch(t, a).TotalSteps()
+		fullSteps := mustEpoch(t, a).TotalSteps()
 		if a.FoldedSubjects() != n {
-			t.Fatalf("foldWorkers=%d: base epoch ran %d campaigns, want %d", fw, a.FoldedSubjects(), n)
+			t.Fatalf("%s foldWorkers=%d: base epoch ran %d campaigns, want %d", tc.mode, fw, a.FoldedSubjects(), n)
 		}
 		for k := 0; k < batches; k++ {
 			// n/20 distinct subjects (19 is a unit mod n): an existing rater
@@ -92,28 +98,28 @@ func TestIncrementalReplicatedFoldMatchesFromBoot(t *testing.T) {
 			before := a.FoldedSubjects()
 			steps := mustEpoch(t, a).TotalSteps()
 			if got := a.FoldedSubjects() - before; got != n/20 {
-				t.Fatalf("foldWorkers=%d batch %d: ran %d campaigns, want the %d re-rated subjects", fw, k, got, n/20)
+				t.Fatalf("%s foldWorkers=%d batch %d: ran %d campaigns, want the %d re-rated subjects", tc.mode, fw, k, got, n/20)
 			}
-			if steps == 0 || 10*steps > coldSteps {
-				t.Fatalf("foldWorkers=%d batch %d: 5%%-dirty epoch spent %d campaign steps, want at most a tenth of a full cold epoch's %d",
-					fw, k, steps, coldSteps)
+			if steps == 0 || 10*steps > fullSteps {
+				t.Fatalf("%s foldWorkers=%d batch %d: 5%%-dirty epoch spent %d campaign steps, want at most a tenth of a full epoch's %d",
+					tc.mode, fw, k, steps, fullSteps)
 			}
 		}
 		mustEpoch(t, b)
 		if b.FoldedSubjects() != n {
-			t.Fatalf("foldWorkers=%d: from-boot epoch ran %d campaigns, want %d", fw, b.FoldedSubjects(), n)
+			t.Fatalf("%s foldWorkers=%d: from-boot epoch ran %d campaigns, want %d", tc.mode, fw, b.FoldedSubjects(), n)
 		}
 
 		va, vb := a.View(), b.View()
 		for sh := 0; sh < shards; sh++ {
 			sa, sb := va.Shard(sh), vb.Shard(sh)
 			if sa.Converged != sb.Converged {
-				t.Fatalf("foldWorkers=%d shard %d: converged %v incrementally, %v from boot", fw, sh, sa.Converged, sb.Converged)
+				t.Fatalf("%s foldWorkers=%d shard %d: converged %v incrementally, %v from boot", tc.mode, fw, sh, sa.Converged, sb.Converged)
 			}
 			for k := range sa.Global {
 				if sa.Global[k] != sb.Global[k] || sa.Raters[k] != sb.Raters[k] {
-					t.Fatalf("foldWorkers=%d subject %d: incremental %v (%d raters), from boot %v (%d raters)",
-						fw, sh+k*shards, sa.Global[k], sa.Raters[k], sb.Global[k], sb.Raters[k])
+					t.Fatalf("%s foldWorkers=%d subject %d: incremental %v (%d raters), from boot %v (%d raters)",
+						tc.mode, fw, sh+k*shards, sa.Global[k], sa.Raters[k], sb.Global[k], sb.Raters[k])
 				}
 			}
 		}
@@ -224,7 +230,7 @@ func TestCarryRuleEdges(t *testing.T) {
 			t.Fatalf("fold with no winner: computed %d, steps %d, total %d, converged %v", a.Computed, a.Steps, a.TotalSteps, a.Converged)
 		}
 		for k := range a.Global {
-			if a.Global[k] != b.Global[k] || a.Warm[k] != b.Warm[k] {
+			if a.Global[k] != b.Global[k] || a.Raters[k] != b.Raters[k] {
 				t.Fatalf("slot %d moved across a fold with no winner", k)
 			}
 		}

@@ -17,8 +17,8 @@ func (s *Service) Instrument(reg *obs.Registry) {
 	eh := obs.NewHistogram(obs.DefBuckets()...)
 	fh := obs.NewHistogram(obs.DefBuckets()...)
 	// Campaign step counts are small integers, not seconds — power-of-two
-	// buckets cover everything from a warm restart's handful of steps to a
-	// cold campaign's log²-shaped budget.
+	// buckets cover everything from a small sparse campaign's handful of
+	// steps to a dense campaign's log²-shaped budget.
 	sh := obs.NewHistogram(1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 	s.epochHist.Store(eh)
 	s.foldHist.Store(fh)
@@ -31,10 +31,6 @@ func (s *Service) Instrument(reg *obs.Registry) {
 		"Per-subject gossip campaigns run across all epochs.", s.foldedSubjects.Load)
 	reg.CounterFunc("diffgossip_service_campaign_steps_total", "",
 		"Gossip steps summed over shard folds (each fold contributes its slowest campaign's step count).", s.campaignSteps.Load)
-	reg.CounterFunc("diffgossip_service_warm_starts_total", "",
-		"Campaigns seeded from a previous epoch's recorded state instead of from scratch.", s.warmStarts.Load)
-	reg.CounterFunc("diffgossip_service_cold_starts_total", "",
-		"Campaigns seeded from their trust column alone (no usable recorded state).", s.coldStarts.Load)
 	reg.CounterFunc("diffgossip_service_epochs_converged_total", "",
 		"Epochs whose every shard fold hit the ξ convergence tolerance.", s.convergedEpochs.Load)
 	reg.CounterFunc("diffgossip_service_epoch_errors_total", "",
@@ -52,6 +48,6 @@ func (s *Service) Instrument(reg *obs.Registry) {
 	reg.Histogram("diffgossip_service_shard_fold_duration_seconds", "",
 		"Per-shard gossip campaign duration, in seconds.", fh)
 	reg.Histogram("diffgossip_service_campaign_steps", "",
-		"Gossip steps per per-subject campaign (warm restarts land in the low buckets).", sh)
+		"Gossip steps per per-subject campaign.", sh)
 	s.ledger.Instrument(reg)
 }

@@ -24,13 +24,14 @@
 // fold point) comes from one immutable shard publication; different shards
 // may sit at different fold points, which is what lets an epoch republish
 // only the k of S shards it touched — and, within them, compute only the
-// subjects it re-rated. Because every subject's campaign draws its own
-// randomness stream split by subject id, a fold of any dirty subset
-// reproduces exactly what a full recompute would have produced for those
-// subjects — sharding changes the work, never the answers. Submit returns
-// the ledger sequence number; the write is visible once
-// View.SubjectSeq(subject) reaches it (bounded by Config.EpochInterval when
-// the background scheduler runs).
+// subjects it re-rated. Every campaign runs cold from its own randomness
+// stream, seeded by (Params.Seed, subject id) in every epoch, so a subject's
+// result depends only on the seed, the overlay and its trust column: a fold
+// of any dirty subset reproduces bit for bit what a full recompute would have
+// produced for those subjects — sharding changes the work, never the
+// answers. Submit returns the ledger sequence number; the write is visible
+// once View.SubjectSeq(subject) reaches it (bounded by Config.EpochInterval
+// when the background scheduler runs).
 //
 // With Config.Dir set, feedback is write-ahead logged as JSON lines and
 // each dirty shard's snapshot segment is persisted by fsync + atomic rename
@@ -56,10 +57,8 @@ import (
 	"time"
 
 	"diffgossip/internal/core"
-	"diffgossip/internal/gossip"
 	"diffgossip/internal/graph"
 	"diffgossip/internal/obs"
-	"diffgossip/internal/rng"
 	"diffgossip/internal/store"
 	"diffgossip/internal/trust"
 )
@@ -70,12 +69,11 @@ type Config struct {
 	// never mutates it.
 	Graph *graph.Graph
 	// Params configures the per-epoch aggregation (epsilon, protocol,
-	// workers, ...). Params.Seed seeds epoch randomness: epoch e runs with a
-	// seed derived from (Seed, e) and each subject's campaign splits its own
-	// stream from that by subject id, so a given feedback history is fully
-	// reproducible for any shard and worker count. The zero value gets the
-	// core defaults. Params.Workers parallelises each shard fold across its
-	// subjects.
+	// workers, ...). Params.Seed seeds every campaign: subject j's runs cold
+	// from a stream split from (Seed, j), the same in every epoch, so a trust
+	// state is served bit-identically for any shard, worker and epoch count.
+	// Params.Warm is ignored. The zero value gets the core defaults.
+	// Params.Workers parallelises each shard fold across its subjects.
 	Params core.Params
 	// EpochInterval is the scheduler period. Zero disables the background
 	// scheduler; epochs then run only via RunEpoch.
@@ -102,19 +100,11 @@ type Config struct {
 	CompactEvery int
 	// Replicate switches the service into cluster mode: accepted entries are
 	// retained per origin and replicated entries apply idempotently, so an
-	// internal/cluster node can run anti-entropy over this service. It also
-	// makes epoch randomness depend only on Params.Seed and the subject id,
-	// not the epoch counter. Successive epochs then reuse the same gossip
-	// streams, which costs statistical freshness but buys the property
-	// cluster replication needs: any node that has folded the same trust
-	// state serves bit-identical reputations, regardless of how many epochs
-	// it took to get there. For the same reason a replicating service starts
-	// every campaign cold: warm-started results match cold ones within ξ but
-	// not bit for bit. (Sparse campaigns — Params.SparseRaterFrac, 0.25 here
-	// when left zero, negative disables — are deterministic functions of
-	// (seed, column) and stay on.) The standalone service leaves Replicate
-	// off, pays nothing, draws an independent stream per epoch and warm-starts
-	// its campaigns from the previous epoch's recorded state.
+	// internal/cluster node can run anti-entropy over this service. It does
+	// not change the folds: because campaigns depend only on (Params.Seed,
+	// subject id) and the trust column, any node that has folded the same
+	// trust state serves bit-identical reputations, regardless of how many
+	// epochs it took to get there. The standalone service leaves it off.
 	Replicate bool
 	// Origin is this node's cluster identity, read only with Replicate: the
 	// ledger's origin id, under which locally accepted entries replicate and
@@ -147,10 +137,6 @@ type Service struct {
 	n      int
 	shards int
 	ledger *store.Ledger
-
-	// graphFP fingerprints cfg.Graph; persisted warm state from a different
-	// graph is dropped at boot.
-	graphFP uint64
 
 	// epochMu serialises epoch compute and guards lww, the only mutable
 	// trust state (the folded values themselves live in the published shard
@@ -193,8 +179,6 @@ type Service struct {
 	// trace row. trace is the bounded per-epoch trace ring behind
 	// GET /v1/trace.
 	campaignSteps   atomic.Uint64
-	warmStarts      atomic.Uint64
-	coldStarts      atomic.Uint64
 	convergedEpochs atomic.Uint64
 	epochErrs       atomic.Uint64
 	epochHist       atomic.Pointer[obs.Histogram]
@@ -261,7 +245,6 @@ func New(cfg Config) (*Service, error) {
 		cfg:            cfg,
 		n:              n,
 		shards:         shards,
-		graphFP:        graphFingerprint(cfg.Graph),
 		lww:            make(map[uint64]store.LWWTag),
 		states:         make([]atomic.Pointer[store.ShardSnapshot], shards),
 		folded:         make([]*store.ShardSnapshot, shards),
@@ -269,9 +252,10 @@ func New(cfg Config) (*Service, error) {
 		persistedSeq:   make([]uint64, shards),
 		stop:           make(chan struct{}),
 	}
-	// Resolve the sparse-campaign threshold: the service defaults it ON (the
-	// core default is off, for the paper-experiment paths' bit-stability);
-	// negative means explicitly off.
+	// Every campaign runs cold. The sparse-campaign threshold defaults ON
+	// (the core default is off, for the paper-experiment paths'
+	// bit-stability); negative means explicitly off.
+	s.cfg.Params.Warm = nil
 	switch {
 	case s.cfg.Params.SparseRaterFrac == 0:
 		s.cfg.Params.SparseRaterFrac = 0.25
@@ -306,12 +290,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	var maxEpoch uint64
 	for sh, seg := range segs {
-		if seg.Warm != nil && (cfg.Replicate || seg.GraphFP != s.graphFP) {
-			// Persisted warm state is only a valid seed against the exact
-			// graph that shaped it (and a replicating service never starts
-			// warm); dropping it costs one cold epoch, nothing else.
-			seg.Warm = nil
-		}
 		s.states[sh].Store(seg)
 		s.persistedEpoch[sh] = seg.Epoch
 		if cfg.Dir != "" {
@@ -651,14 +629,13 @@ func (s *Service) FoldedSubjects() uint64 { return s.foldedSubjects.Load() }
 // FoldedShards returns the cumulative number of shard folds.
 func (s *Service) FoldedShards() uint64 { return s.foldedShards.Load() }
 
-// WarmStarts returns the cumulative number of campaigns seeded from a
-// previous epoch's recorded state; ColdStarts the rest. Together they equal
-// FoldedSubjects.
-func (s *Service) WarmStarts() uint64 { return s.warmStarts.Load() }
+// WarmStarts returns 0: every campaign starts cold. It stays for callers
+// that still split FoldedSubjects by seeding.
+func (s *Service) WarmStarts() uint64 { return 0 }
 
-// ColdStarts returns the cumulative number of campaigns seeded from their
-// trust column alone (see WarmStarts).
-func (s *Service) ColdStarts() uint64 { return s.coldStarts.Load() }
+// ColdStarts returns FoldedSubjects: every campaign starts cold from its
+// trust column (see WarmStarts).
+func (s *Service) ColdStarts() uint64 { return s.FoldedSubjects() }
 
 // Err returns the last epoch error observed by the background scheduler, or
 // nil. A successful epoch clears it.
@@ -733,10 +710,6 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 	sort.Ints(dirtyList)
 
 	epoch := s.epochs.Load() + 1
-	p := s.cfg.Params
-	if !s.cfg.Replicate {
-		p.Seed = epochSeed(p.Seed, epoch)
-	}
 
 	// Fold the dirty shards on a bounded worker pool. Each fold derives its
 	// shard's columns from the previous publication plus its cells, runs one
@@ -768,7 +741,7 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 					return
 				}
 				starts[idx] = time.Since(epochStart).Nanoseconds()
-				seg, err := s.foldShard(dirtyList[idx], cells[dirtyList[idx]], epoch, seq, p)
+				seg, err := s.foldShard(dirtyList[idx], cells[dirtyList[idx]], epoch, seq)
 				if err != nil {
 					errs[idx] = err
 					continue
@@ -778,8 +751,6 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 				s.foldedShards.Add(1)
 				s.foldedSubjects.Add(uint64(seg.Computed))
 				s.campaignSteps.Add(uint64(seg.Steps))
-				s.warmStarts.Add(uint64(seg.WarmStarts))
-				s.coldStarts.Add(uint64(seg.ColdStarts))
 				s.foldHist.Load().Observe(float64(seg.ElapsedNs) / 1e9)
 			}
 		}()
@@ -802,7 +773,6 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 		shardTraces[i] = ShardTrace{
 			Shard: seg.Shard, StartOffsetNs: starts[i], DurationNs: seg.ElapsedNs,
 			Steps: seg.Steps, Converged: seg.Converged, Computed: seg.Computed,
-			WarmStarts: seg.WarmStarts, ColdStarts: seg.ColdStarts,
 		}
 		if !seg.Converged {
 			allConverged = false
@@ -842,17 +812,15 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 // foldShard republishes one dirty shard at the given epoch: apply the batch's
 // winning cells to the shard's published trust columns (copy-on-write; the
 // previous publication keeps serving), run the campaigns of the subjects those
-// cells address — warm-seeded from that publication where the recorded states
-// still fit — and assemble the shard snapshot, carrying the new campaign
-// states forward as the next fold's warm seeds. Every other slot shares
-// Global[k], Raters[k] and the Warm[k] pointer with the previous immutable
-// segment: a subject's result depends only on (seed, overlay, its trust
-// column), so an untouched one has nothing to recompute. The carry needs a
-// previous segment this process folded itself (s.folded — a booted, resharded
-// or bootstrapped one may come from another seed or graph) whose campaigns
-// all converged; otherwise every subject of the shard is computed. Caller
-// holds epochMu, so the shard's publication cannot change underneath.
-func (s *Service) foldShard(shard int, cells []trust.Cell, epoch, seq uint64, p core.Params) (*store.ShardSnapshot, error) {
+// cells address, and assemble the shard snapshot. Every other slot shares
+// Global[k] and Raters[k] with the previous immutable segment: a subject's
+// result depends only on (seed, overlay, its trust column), so an untouched
+// one would recompute to the same bits. The carry needs a previous segment
+// this process folded itself (s.folded — a booted, resharded or bootstrapped
+// one may come from another seed or graph) whose campaigns all converged;
+// otherwise every subject of the shard is computed. Caller holds epochMu, so
+// the shard's publication cannot change underneath.
+func (s *Service) foldShard(shard int, cells []trust.Cell, epoch, seq uint64) (*store.ShardSnapshot, error) {
 	prev := s.states[shard].Load()
 	// Ledger entries were validated at append time, so With only fails on a
 	// publication that does not cover its own shard's subjects.
@@ -863,24 +831,10 @@ func (s *Service) foldShard(shard int, cells []trust.Cell, epoch, seq uint64, p 
 	subjects := cols.Subjects()
 	global := make([]float64, len(subjects))
 	raters := make([]int, len(subjects))
-	var states []*gossip.CampaignState // next fold's warm seeds; a replicating service keeps none
-	if !s.cfg.Replicate {
-		p.KeepStates = true
-		states = make([]*gossip.CampaignState, len(subjects))
-		if prev.Warm != nil && len(prev.Warm) == len(subjects) &&
-			prev.Shards == s.shards && prev.N == s.n && prev.GraphFP == s.graphFP {
-			warm := prev.Warm
-			shards := s.shards
-			p.Warm = func(j int) *gossip.CampaignState {
-				return warm[store.SlotOf(j, shards)]
-			}
-		}
-	}
 	todo := subjects
 	if s.folded[shard] == prev && prev.Converged {
 		copy(global, prev.Global)
 		copy(raters, prev.Raters)
-		copy(states, prev.Warm)
 		hit := make([]bool, len(subjects))
 		for _, c := range cells {
 			hit[store.SlotOf(c.Subject, s.shards)] = true
@@ -893,7 +847,7 @@ func (s *Service) foldShard(shard int, cells []trust.Cell, epoch, seq uint64, p 
 		}
 	}
 	start := time.Now()
-	res, err := core.GlobalSubjectsAtRoot(s.cfg.Graph, cols, todo, p)
+	res, err := core.GlobalSubjectsAtRoot(s.cfg.Graph, cols, todo, s.cfg.Params)
 	if err != nil {
 		return nil, fmt.Errorf("service: epoch %d shard %d gossip: %w", epoch, shard, err)
 	}
@@ -908,9 +862,6 @@ func (s *Service) foldShard(shard int, cells []trust.Cell, epoch, seq uint64, p 
 	for i, j := range todo {
 		k := store.SlotOf(j, s.shards)
 		global[k], raters[k] = res.AtRoot[i], res.Raters[i]
-		if states != nil {
-			states[k] = res.States[i]
-		}
 	}
 	seg := &store.ShardSnapshot{
 		Shard:           shard,
@@ -924,13 +875,9 @@ func (s *Service) foldShard(shard int, cells []trust.Cell, epoch, seq uint64, p 
 		Converged:       res.Converged,
 		Computed:        res.Computed,
 		TotalSteps:      res.TotalSteps,
-		WarmStarts:      res.WarmStarts,
-		ColdStarts:      res.ColdStarts,
 		ElapsedNs:       elapsed.Nanoseconds(),
 		CreatedUnixNano: time.Now().UnixNano(),
-		GraphFP:         s.graphFP,
 		Cols:            cols,
-		Warm:            states,
 	}
 	s.folded[shard] = seg
 	return seg, nil
@@ -991,29 +938,6 @@ func (s *Service) CompactWAL() (store.CompactStats, error) {
 // Returns the number of entries dropped.
 func (s *Service) TrimReplicationHistory(floors map[string]uint64) int {
 	return s.ledger.TrimHistory(floors)
-}
-
-// epochSeed mixes the base seed with the epoch number (SplitMix64-style
-// finaliser) so every epoch draws an independent, reproducible stream.
-func epochSeed(base, epoch uint64) uint64 {
-	return rng.Mix64(base + epoch*0x9e3779b97f4a7c15)
-}
-
-// graphFingerprint hashes the gossip overlay's node count and edge set, for
-// stamping shard snapshots: warm campaign state is only a valid seed against
-// the graph whose topology shaped it. Per-edge hashes combine by addition,
-// so the fingerprint is independent of adjacency construction order.
-func graphFingerprint(g *graph.Graph) uint64 {
-	n := g.N()
-	fp := epochSeed(0x67726170682d6670, uint64(n)) // "graph-fp"
-	for u := 0; u < n; u++ {
-		for _, v := range g.Neighbors(u) {
-			if v > u {
-				fp += epochSeed(uint64(u)<<32|uint64(v), 0x65646765)
-			}
-		}
-	}
-	return fp
 }
 
 // loop is the background epoch scheduler.

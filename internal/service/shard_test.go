@@ -30,29 +30,52 @@ func submitBatch(t *testing.T, s *Service, n, count int, seed uint64) {
 
 // TestShardedEpochMatchesGlobalAllBitwise is the acceptance criterion: a
 // full-dirty sharded epoch reproduces core.GlobalAll's values bit for bit at
-// the same seed, for S ∈ {1, 4, 17}, any per-shard worker count and any
+// Params.Seed, for S ∈ {1, 4, 17}, any per-shard worker count and any
 // fold-worker count.
 func TestShardedEpochMatchesGlobalAllBitwise(t *testing.T) {
-	const n = 60
-	const baseSeed = 23
-	g := testGraph(t, n, 9)
+	checkEpochsMatchGlobalAll(t, 1)
+}
 
-	// The reference: fold the same batch into a matrix and run GlobalAll
-	// with the seed epoch 1 will derive.
+// TestWarmEpochMatchesReference is the equivalence criterion for the epoch
+// after the first: it computes only the subjects a second batch re-rated,
+// carries every other slot over, and still serves core.GlobalAll's values
+// over the whole folded matrix bit for bit, at every shard, fold-worker and
+// per-shard worker count of the bitwise test.
+func TestWarmEpochMatchesReference(t *testing.T) {
+	checkEpochsMatchGlobalAll(t, 2)
+}
+
+// checkEpochsMatchGlobalAll submits the first `epochs` of two fixed feedback
+// batches, one epoch each, and checks every epoch's view against
+// core.GlobalAll over the matrix folded so far. From the second epoch on it
+// also checks that the epoch recomputed fewer than all n subjects.
+func checkEpochsMatchGlobalAll(t *testing.T, epochs int) {
+	t.Helper()
+	const n = 60
+	const seed = 23
+	g := testGraph(t, n, 9)
+	batches := [][2]uint64{{77, 500}, {78, 120}}[:epochs]
+
+	// The references: fold the batches into a matrix in submission order
+	// (ascending timestamps make last-write-wins equal last-Set-wins) and run
+	// GlobalAll at the service's seed after each. SparseRaterFrac matches the
+	// service default, so the reference runs the same sparse campaigns the
+	// folds do.
 	ref := trust.NewMatrix(n)
-	src := rng.New(77)
-	for k := 0; k < 500; k++ {
-		if err := ref.Set(src.Intn(n), src.Intn(n), src.Float64()); err != nil {
+	p := core.Params{Epsilon: 1e-6, Seed: seed, SparseRaterFrac: 0.25}
+	want := make([][]float64, len(batches))
+	for e, bs := range batches {
+		src := rng.New(bs[0])
+		for k := uint64(0); k < bs[1]; k++ {
+			if err := ref.Set(src.Intn(n), src.Intn(n), src.Float64()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		all, err := core.GlobalAll(g, ref, p)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	// SparseRaterFrac matches the service default, so the reference runs the
-	// same sparse campaigns the folds do. (Warm starts can't diverge here —
-	// epoch 1 has no previous state, so every campaign is cold.)
-	p := core.Params{Epsilon: 1e-6, Seed: epochSeed(baseSeed, 1), SparseRaterFrac: 0.25}
-	all, err := core.GlobalAll(g, ref, p)
-	if err != nil {
-		t.Fatal(err)
+		want[e] = all.Reputation[0]
 	}
 
 	for _, tc := range []struct{ shards, foldWorkers, workers int }{
@@ -64,23 +87,26 @@ func TestShardedEpochMatchesGlobalAllBitwise(t *testing.T) {
 	} {
 		s := newTestService(t, n, Config{
 			Graph:       g,
-			Params:      core.Params{Epsilon: 1e-6, Seed: baseSeed, Workers: tc.workers},
+			Params:      core.Params{Epsilon: 1e-6, Seed: seed, Workers: tc.workers},
 			Shards:      tc.shards,
 			FoldWorkers: tc.foldWorkers,
 		})
-		submitBatch(t, s, n, 500, 77)
-		v, ran, err := s.RunEpoch()
-		if err != nil || !ran {
-			t.Fatalf("S=%d: epoch (ran=%v, err=%v)", tc.shards, ran, err)
-		}
-		for j := 0; j < n; j++ {
-			got, err := v.Reputation(j)
-			if err != nil {
-				t.Fatal(err)
+		for e, bs := range batches {
+			submitBatch(t, s, n, int(bs[1]), bs[0])
+			before := s.FoldedSubjects()
+			v := mustEpoch(t, s)
+			if e > 0 && s.FoldedSubjects()-before >= uint64(n) {
+				t.Fatalf("S=%d: epoch %d computed %d subjects; the carry never ran", tc.shards, e+1, s.FoldedSubjects()-before)
 			}
-			if got != all.Reputation[0][j] {
-				t.Fatalf("S=%d foldWorkers=%d workers=%d subject %d: sharded %v != GlobalAll %v",
-					tc.shards, tc.foldWorkers, tc.workers, j, got, all.Reputation[0][j])
+			for j := 0; j < n; j++ {
+				got, err := v.Reputation(j)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want[e][j] {
+					t.Fatalf("S=%d foldWorkers=%d workers=%d epoch %d subject %d: sharded %v != GlobalAll %v",
+						tc.shards, tc.foldWorkers, tc.workers, e+1, j, got, want[e][j])
+				}
 			}
 		}
 	}
@@ -90,7 +116,7 @@ func TestShardedEpochMatchesGlobalAllBitwise(t *testing.T) {
 // the unit of publication, subjects the unit of recomputation. An epoch that
 // re-rates one subject republishes only that subject's shard and runs only
 // that subject's campaign (asserted via the fold counters); the shard's other
-// slots carry their values and recorded states over from the previous segment.
+// slots carry their values over from the previous segment.
 func TestDirtyShardIncrementality(t *testing.T) {
 	const n = 60
 	const shards = 6
@@ -144,9 +170,9 @@ func TestDirtyShardIncrementality(t *testing.T) {
 				if k == store.SlotOf(2, shards) {
 					continue
 				}
-				if a.Global[k] != b.Global[k] || a.Raters[k] != b.Raters[k] || a.Warm[k] != b.Warm[k] {
-					t.Fatalf("dirty shard %d: untouched slot %d was not carried over (global %v -> %v, raters %d -> %d, warm state shared: %v)",
-						sh, k, b.Global[k], a.Global[k], b.Raters[k], a.Raters[k], a.Warm[k] == b.Warm[k])
+				if a.Global[k] != b.Global[k] || a.Raters[k] != b.Raters[k] {
+					t.Fatalf("dirty shard %d: untouched slot %d was not carried over (global %v -> %v, raters %d -> %d)",
+						sh, k, b.Global[k], a.Global[k], b.Raters[k], a.Raters[k])
 				}
 			}
 			continue
@@ -428,8 +454,7 @@ func TestMidReshardCrashSelfHeals(t *testing.T) {
 // shard count regroups it in place — up (4→7) and down (7→3): the served
 // reputations and rater counts are preserved exactly, the unfolded tail is
 // still pending, only the live layout's segment files remain, and the first
-// epoch afterwards restarts every campaign cold (a reshard re-slots every
-// subject, so warm state is dropped).
+// epoch afterwards folds to the exact references.
 func TestReshardOnBoot(t *testing.T) {
 	const n = 40
 	dir := t.TempDir()
@@ -480,9 +505,6 @@ func TestReshardOnBoot(t *testing.T) {
 		submitBatch(t, s, n, 200, uint64(shards))
 		if want, _, err = s.RunEpoch(); err != nil {
 			t.Fatal(err)
-		}
-		if s.WarmStarts() != 0 || s.ColdStarts() == 0 {
-			t.Fatalf("S=%d: first post-reshard epoch ran %d warm / %d cold campaigns, want all cold", shards, s.WarmStarts(), s.ColdStarts())
 		}
 		for j := 0; j < n; j++ {
 			got, _ := want.Reputation(j)

@@ -16,10 +16,7 @@ type ShardStat struct {
 	Converged bool  `json:"converged"`
 	ElapsedNs int64 `json:"elapsed_ns"`
 	Computed  int   `json:"computed_subjects"`
-	// WarmStarts and ColdStarts split Computed by campaign seeding;
 	// TotalSteps sums the last fold's campaign step counts.
-	WarmStarts int `json:"warm_starts"`
-	ColdStarts int `json:"cold_starts"`
 	TotalSteps int `json:"total_steps"`
 	// Dirty reports pending feedback awaiting this shard's next fold.
 	Dirty bool `json:"dirty"`
@@ -37,12 +34,9 @@ type Stats struct {
 	Pending     int    `json:"pending"`
 	DirtyShards int    `json:"dirty_shards"`
 	// FoldedShards and FoldedSubjects are the cumulative incrementality
-	// meters (see Service.FoldedSubjects); WarmStarts and ColdStarts split
-	// FoldedSubjects by campaign seeding.
+	// meters (see Service.FoldedSubjects).
 	FoldedShards   uint64 `json:"folded_shards"`
 	FoldedSubjects uint64 `json:"folded_subjects"`
-	WarmStarts     uint64 `json:"warm_starts"`
-	ColdStarts     uint64 `json:"cold_starts"`
 	// LastEpochNs sums the newest epoch's shard fold durations.
 	LastEpochNs int64 `json:"last_epoch_ns"`
 	// PerShard has one entry per shard, in shard order.
@@ -60,8 +54,6 @@ func (s *Service) Stats() Stats {
 		DirtyShards:    s.ledger.DirtyCount(),
 		FoldedShards:   s.foldedShards.Load(),
 		FoldedSubjects: s.foldedSubjects.Load(),
-		WarmStarts:     s.warmStarts.Load(),
-		ColdStarts:     s.coldStarts.Load(),
 		PerShard:       make([]ShardStat, s.shards),
 	}
 	var newest uint64
@@ -75,8 +67,6 @@ func (s *Service) Stats() Stats {
 			Converged:  seg.Converged,
 			ElapsedNs:  seg.ElapsedNs,
 			Computed:   seg.Computed,
-			WarmStarts: seg.WarmStarts,
-			ColdStarts: seg.ColdStarts,
 			TotalSteps: seg.TotalSteps,
 			Dirty:      s.ledger.ShardDirty(sh),
 		}

@@ -23,11 +23,6 @@ type ShardTrace struct {
 	Steps     int  `json:"steps"`
 	Converged bool `json:"converged"`
 	Computed  int  `json:"computed_subjects"`
-	// WarmStarts and ColdStarts split Computed by campaign seeding: from a
-	// previous epoch's recorded state, or from the trust column alone. A
-	// carried-over subject is neither.
-	WarmStarts int `json:"warm_starts"`
-	ColdStarts int `json:"cold_starts"`
 }
 
 // EpochTrace is one row of the scheduler's bounded trace ring: everything

@@ -102,8 +102,8 @@ func (v *View) Steps() int {
 }
 
 // TotalSteps returns the summed campaign step counts of the newest epoch's
-// folds — the epoch's compute-cost meter (warm-started epochs spend far
-// fewer than cold ones for the same dirty set).
+// folds — the epoch's compute-cost meter, which grows with the subjects the
+// epoch re-rated, not with the size of the shards they live in.
 func (v *View) TotalSteps() int {
 	epoch := v.Epoch()
 	if epoch == 0 {

@@ -2,19 +2,30 @@ package sim
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
 func TestRunWhitewash(t *testing.T) {
-	rows, err := RunWhitewash(WhitewashConfig{
+	cfg := WhitewashConfig{
 		N:          100,
 		Priors:     []float64{0, 0.6},
 		Rounds:     24,
 		ResetEvery: 4,
 		Seed:       31,
-	})
+	}
+	rows, err := RunWhitewash(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The peers run on goroutines; the rows must not depend on how they
+	// interleave.
+	again, err := RunWhitewash(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rows, again) {
+		t.Fatalf("same seed, different rows:\n%+v\n%+v", rows, again)
 	}
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"diffgossip/internal/gossip"
 	"diffgossip/internal/trust"
 )
 
@@ -211,19 +210,9 @@ func FuzzShardSnapshotLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
-	// A second seed with a warm payload, so the fuzzer mutates the v2 fields
-	// too.
-	seg.GraphFP = 7
-	seg.Warm = []*gossip.CampaignState{
-		{Sparse: true, Raters: []int{1, 2}, PrevVals: []float64{0.5, 0.25},
-			Y: []float64{0.4, 0.35}, G: []float64{1, 1}, Steps: 5},
-		nil, nil,
-	}
-	buf.Reset()
-	if err := seg.Save(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
+	// A second seed in the shape older builds wrote, so the fuzzer mutates
+	// the fields this build skips too.
+	f.Add(parentSegment(f, seg, shardWireVersion))
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
 
@@ -243,41 +232,6 @@ func FuzzShardSnapshotLoad(f *testing.F) {
 		for k, j := range s.Cols.Subjects() {
 			if ShardOf(j, s.Shards) != s.Shard || SlotOf(j, s.Shards) != k {
 				t.Fatalf("accepted segment whose column %d holds foreign subject %d", k, j)
-			}
-		}
-		if s.Warm != nil && len(s.Warm) != want {
-			t.Fatalf("accepted segment with %d warm slots, want %d", len(s.Warm), want)
-		}
-		for k, ws := range s.Warm {
-			if ws == nil {
-				continue
-			}
-			// Anything accepted must be a sane campaign seed: aligned rater
-			// set in range, finite masses, non-negative weights.
-			if len(ws.PrevVals) != len(ws.Raters) || ws.Steps < 0 {
-				t.Fatalf("accepted warm slot %d with misaligned shape", k)
-			}
-			size := s.N
-			if ws.Sparse {
-				size = len(ws.Raters)
-			}
-			if len(ws.Y) != size || len(ws.G) != size {
-				t.Fatalf("accepted warm slot %d with %d/%d masses, want %d", k, len(ws.Y), len(ws.G), size)
-			}
-			prev := -1
-			for x, i := range ws.Raters {
-				if i <= prev || i >= s.N {
-					t.Fatalf("accepted warm slot %d with unsorted raters", k)
-				}
-				prev = i
-				if !(ws.PrevVals[x] >= 0 && ws.PrevVals[x] <= 1) {
-					t.Fatalf("accepted warm slot %d with out-of-range value", k)
-				}
-			}
-			for x := range ws.Y {
-				if math.IsNaN(ws.Y[x]) || math.IsInf(ws.Y[x], 0) || !(ws.G[x] >= 0) || math.IsInf(ws.G[x], 0) {
-					t.Fatalf("accepted warm slot %d with invalid mass", k)
-				}
 			}
 		}
 	})

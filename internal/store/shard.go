@@ -6,11 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 
-	"diffgossip/internal/gossip"
 	"diffgossip/internal/trust"
 )
 
@@ -25,6 +23,9 @@ import (
 //
 // One manifest version and one segment wire version are read; anything else
 // is refused with an error naming the supported version, never migrated.
+// Within version 2, gob skips stream fields the reader lacks: a segment
+// written with the campaign states and fingerprint older builds kept loads
+// with those ignored.
 
 // ShardSnapshot is one shard's immutable publication: the reputations and
 // frozen trust columns of the subjects congruent to Shard mod Shards, as of
@@ -51,31 +52,19 @@ type ShardSnapshot struct {
 	// at boot). Computed counts the campaigns that actually ran in the last
 	// fold — the per-shard increment of the service's incrementality fold
 	// counter: the rated subjects the fold's batch re-rated, since a fold
-	// carries every other slot (Global, Raters, Warm) over from the shard's
+	// carries every other slot (Global, Raters) over from the shard's
 	// previous segment. 0 when no write of the batch won its cell.
 	Steps     int
 	Converged bool
 	Computed  int
-	// TotalSteps sums every campaign's step count in the last fold;
-	// WarmStarts/ColdStarts split Computed by how each campaign was seeded
-	// (a carried-over slot is neither).
-	TotalSteps             int
-	WarmStarts, ColdStarts int
+	// TotalSteps sums every campaign's step count in the last fold.
+	TotalSteps int
 	// ElapsedNs is the last fold's wall-clock compute time.
 	ElapsedNs int64
 	// CreatedUnixNano is the publication wall-clock time.
 	CreatedUnixNano int64
-	// GraphFP fingerprints the gossip graph the fold ran over. Warm state is
-	// only valid against the same graph (the masses live on its nodes and its
-	// topology shaped them), so boot drops Warm when the fingerprint
-	// disagrees with the running service's.
-	GraphFP uint64
 	// Cols holds the frozen trust columns of this shard's subjects.
 	Cols *trust.Columns
-	// Warm[k] is subject slot k's recorded campaign state — next epoch's warm
-	// seed — or nil when none was kept. A nil slice (a reshard, a boot
-	// snapshot) means every campaign restarts cold.
-	Warm []*gossip.CampaignState
 }
 
 // NewBootShardSnapshot returns the empty shard state a fresh service
@@ -133,26 +122,9 @@ type shardWire struct {
 	Converged        bool
 	Computed         int
 	TotalSteps       int
-	WarmStarts       int
-	ColdStarts       int
 	ElapsedNs        int64
 	CreatedUnixNano  int64
-	GraphFP          uint64
 	Cols             []byte
-	Warm             []warmWire
-}
-
-// warmWire is a slot's campaign state on the wire. Gob cannot encode nil
-// pointers inside a slice, so absent states ride as the zero value with
-// Present=false instead of as nils.
-type warmWire struct {
-	Present   bool
-	Sparse    bool
-	Raters    []int
-	PrevVals  []float64
-	Y, G      []float64
-	Steps     int
-	Converged bool
 }
 
 // shardWireVersion is the one segment format this build reads and writes.
@@ -174,23 +146,8 @@ func (s *ShardSnapshot) Save(w io.Writer) error {
 		Epoch: s.Epoch, Seq: s.Seq,
 		Global: s.Global, Raters: s.Raters,
 		Steps: s.Steps, Converged: s.Converged, Computed: s.Computed,
-		TotalSteps: s.TotalSteps, WarmStarts: s.WarmStarts, ColdStarts: s.ColdStarts,
-		ElapsedNs: s.ElapsedNs, CreatedUnixNano: s.CreatedUnixNano,
-		GraphFP: s.GraphFP,
-		Cols:    cb.Bytes(),
-	}
-	if s.Warm != nil {
-		wire.Warm = make([]warmWire, len(s.Warm))
-		for k, ws := range s.Warm {
-			if ws == nil {
-				continue
-			}
-			wire.Warm[k] = warmWire{
-				Present: true, Sparse: ws.Sparse,
-				Raters: ws.Raters, PrevVals: ws.PrevVals,
-				Y: ws.Y, G: ws.G, Steps: ws.Steps, Converged: ws.Converged,
-			}
-		}
+		TotalSteps: s.TotalSteps, ElapsedNs: s.ElapsedNs, CreatedUnixNano: s.CreatedUnixNano,
+		Cols: cb.Bytes(),
 	}
 	if err := gob.NewEncoder(w).Encode(wire); err != nil {
 		return fmt.Errorf("store: encode shard snapshot: %w", err)
@@ -233,79 +190,14 @@ func LoadShardSnapshot(r io.Reader) (*ShardSnapshot, error) {
 			return nil, fmt.Errorf("store: shard snapshot column %d holds subject %d", k, j)
 		}
 	}
-	warm, err := decodeWarm(wire, want)
-	if err != nil {
-		return nil, err
-	}
 	return &ShardSnapshot{
 		Shard: wire.Shard, Shards: wire.Shards, N: wire.N,
 		Epoch: wire.Epoch, Seq: wire.Seq,
 		Global: wire.Global, Raters: wire.Raters,
 		Steps: wire.Steps, Converged: wire.Converged, Computed: wire.Computed,
-		TotalSteps: wire.TotalSteps, WarmStarts: wire.WarmStarts, ColdStarts: wire.ColdStarts,
-		ElapsedNs: wire.ElapsedNs, CreatedUnixNano: wire.CreatedUnixNano,
-		GraphFP: wire.GraphFP,
-		Cols:    cols,
-		Warm:    warm,
+		TotalSteps: wire.TotalSteps, ElapsedNs: wire.ElapsedNs, CreatedUnixNano: wire.CreatedUnixNano,
+		Cols: cols,
 	}, nil
-}
-
-// decodeWarm validates and unpacks a segment's warm payload. Warm state is an
-// optimisation, not ground truth, but a corrupt segment must still fail
-// loudly rather than inject NaNs or negative weight mass into next epoch's
-// campaigns — the same strictness the column payload gets.
-func decodeWarm(wire shardWire, want int) ([]*gossip.CampaignState, error) {
-	if wire.Warm == nil {
-		return nil, nil
-	}
-	if len(wire.Warm) != want {
-		return nil, fmt.Errorf("store: shard snapshot has %d warm slots, want %d", len(wire.Warm), want)
-	}
-	warm := make([]*gossip.CampaignState, want)
-	for k := range wire.Warm {
-		w := &wire.Warm[k]
-		if !w.Present {
-			continue
-		}
-		if len(w.Raters) > wire.N || len(w.PrevVals) != len(w.Raters) {
-			return nil, fmt.Errorf("store: warm slot %d has a malformed rater set", k)
-		}
-		prev := -1
-		for x, i := range w.Raters {
-			if i <= prev || i >= wire.N {
-				return nil, fmt.Errorf("store: warm slot %d raters not strictly ascending in range", k)
-			}
-			prev = i
-			v := w.PrevVals[x]
-			if !(v >= 0 && v <= 1) { // rejects NaN too
-				return nil, fmt.Errorf("store: warm slot %d value %v out of [0,1]", k, v)
-			}
-		}
-		size := wire.N
-		if w.Sparse {
-			size = len(w.Raters)
-		}
-		if len(w.Y) != size || len(w.G) != size {
-			return nil, fmt.Errorf("store: warm slot %d masses have length %d/%d, want %d", k, len(w.Y), len(w.G), size)
-		}
-		for x := range w.Y {
-			if math.IsNaN(w.Y[x]) || math.IsInf(w.Y[x], 0) {
-				return nil, fmt.Errorf("store: warm slot %d carries a non-finite value mass", k)
-			}
-			if !(w.G[x] >= 0) || math.IsInf(w.G[x], 0) {
-				return nil, fmt.Errorf("store: warm slot %d carries an invalid weight mass", k)
-			}
-		}
-		if w.Steps < 0 {
-			return nil, fmt.Errorf("store: warm slot %d has a negative step count", k)
-		}
-		warm[k] = &gossip.CampaignState{
-			Sparse: w.Sparse,
-			Raters: w.Raters, PrevVals: w.PrevVals,
-			Y: w.Y, G: w.G, Steps: w.Steps, Converged: w.Converged,
-		}
-	}
-	return warm, nil
 }
 
 // SaveFile writes the segment to path atomically and durably (fsync, rename,
@@ -422,9 +314,8 @@ func LoadManifestFile(path string) (*Manifest, error) {
 // minimum Seq over the old ones (entries above it may already be folded into
 // some shards, but refolding is idempotent, so the conservative fold point is
 // always safe) and the maximum Epoch (keeping the service's epoch counter
-// monotone). Warm state and the graph fingerprint are not carried — a
-// reshard re-slots every subject — so the first fold afterwards restarts
-// cold: correct, just slower.
+// monotone). A reshard re-slots every subject, so the service's first fold
+// of each new segment computes its whole shard: correct, just slower.
 func Reshard(segs []*ShardSnapshot, shards int) ([]*ShardSnapshot, error) {
 	if len(segs) == 0 {
 		return nil, fmt.Errorf("store: no segments to reshard")

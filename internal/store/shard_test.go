@@ -7,10 +7,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
-	"diffgossip/internal/gossip"
 	"diffgossip/internal/rng"
 	"diffgossip/internal/trust"
 )
@@ -67,8 +67,8 @@ func randomSegments(t testing.TB, n, shards int, seed uint64) []*ShardSnapshot {
 
 // TestReshardRoundTrip: Reshard moves every subject's column, global value
 // and rater count verbatim between any two layouts, stamps the conservative
-// fold point (Seq = min, Epoch = max) on every new segment, drops warm
-// state, and going back to the original shard count restores the data.
+// fold point (Seq = min, Epoch = max) on every new segment, and going back to
+// the original shard count restores the data.
 func TestReshardRoundTrip(t *testing.T) {
 	const n = 23
 	sameData := func(t *testing.T, got, want []*ShardSnapshot) {
@@ -94,8 +94,6 @@ func TestReshardRoundTrip(t *testing.T) {
 	}
 	for _, from := range []int{1, 3, 4, 7} {
 		segs := randomSegments(t, n, from, 9)
-		segs[0].Warm = make([]*gossip.CampaignState, len(segs[0].Global))
-		segs[0].GraphFP = 0xfeedbeef
 		for _, to := range []int{1, 3, 4, 7} {
 			out, err := Reshard(segs, to)
 			if err != nil {
@@ -112,9 +110,6 @@ func TestReshardRoundTrip(t *testing.T) {
 				// last shard with the highest Epoch.
 				if seg.Seq != 123 || seg.Epoch != uint64(5+from-1) {
 					t.Fatalf("%d→%d: segment %d at epoch %d/seq %d, want %d/123", from, to, sh, seg.Epoch, seg.Seq, 5+from-1)
-				}
-				if seg.Warm != nil || seg.GraphFP != 0 {
-					t.Fatalf("%d→%d: segment %d carried warm state across the reshard", from, to, sh)
 				}
 			}
 			sameData(t, out, segs)
@@ -147,6 +142,25 @@ func TestReshardRoundTrip(t *testing.T) {
 	}
 }
 
+// sameSegment fails unless got holds want's header, slots and trust columns
+// bit for bit.
+func sameSegment(t *testing.T, got, want *ShardSnapshot) {
+	t.Helper()
+	gh, wh := *got, *want
+	gh.Global, gh.Raters, gh.Cols = nil, nil, nil
+	wh.Global, wh.Raters, wh.Cols = nil, nil, nil
+	if !reflect.DeepEqual(gh, wh) || !reflect.DeepEqual(got.Global, want.Global) || !reflect.DeepEqual(got.Raters, want.Raters) {
+		t.Fatalf("reloaded segment %+v, want %+v", got, want)
+	}
+	for _, j := range want.Cols.Subjects() {
+		gi, gv := got.Cols.Column(j)
+		wi, wv := want.Cols.Column(j)
+		if !reflect.DeepEqual(gi, wi) || !reflect.DeepEqual(gv, wv) {
+			t.Fatalf("subject %d: reloaded column (%v, %v), want (%v, %v)", j, gi, gv, wi, wv)
+		}
+	}
+}
+
 // TestShardSnapshotFileRoundTrip pins the segment wire format.
 func TestShardSnapshotFileRoundTrip(t *testing.T) {
 	seg := randomSegments(t, 15, 4, 4)[2]
@@ -164,21 +178,7 @@ func TestShardSnapshotFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Shard != 2 || got.Shards != 4 || got.N != 15 || got.Epoch != seg.Epoch || got.Seq != seg.Seq || got.Computed != 3 {
-		t.Fatalf("reloaded header %+v", got)
-	}
-	for _, j := range got.Cols.Subjects() {
-		a, _ := seg.Reputation(j)
-		b, _ := got.Reputation(j)
-		if a != b {
-			t.Fatalf("subject %d: reloaded %v != %v", j, b, a)
-		}
-		sumA, cntA := seg.Cols.ColumnSum(j)
-		sumB, cntB := got.Cols.ColumnSum(j)
-		if sumA != sumB || cntA != cntB {
-			t.Fatalf("subject %d: reloaded columns differ", j)
-		}
-	}
+	sameSegment(t, got, seg)
 	// Missing files are a clean nil.
 	if s, err := LoadShardFile(filepath.Join(t.TempDir(), "nope.gob")); s != nil || err != nil {
 		t.Fatalf("missing segment = (%v, %v)", s, err)
@@ -225,6 +225,127 @@ func TestLoadShardRefusesOtherWireVersions(t *testing.T) {
 			t.Fatalf("the same segment at the current version is refused: %v", err)
 		}
 	}
+
+	// A segment in the older warm-payload shape is refused at every version
+	// but the current one; TestShardSnapshotWarmRoundTrip covers that one.
+	seg := randomSegments(t, 15, 3, 9)[1]
+	for _, version := range []int{1, shardWireVersion + 1} {
+		_, err := LoadShardSnapshot(bytes.NewReader(parentSegment(t, seg, version)))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d only", shardWireVersion)) {
+			t.Fatalf("version %d segment with a warm payload: err %v, want a version refusal", version, err)
+		}
+	}
+}
+
+// TestShardSnapshotWarmRoundTrip: older builds wrote version 2 with per-slot
+// campaign states, a graph fingerprint and warm/cold counts. Gob skips the
+// fields this build lacks, so such a segment loads with everything else bit
+// for bit; its campaign states, well-formed or corrupt, are dropped rather
+// than kept for any later epoch, and saving the loaded segment again writes
+// none of them.
+func TestShardSnapshotWarmRoundTrip(t *testing.T) {
+	seg := randomSegments(t, 15, 3, 9)[1] // subjects 1, 4, 7, 10, 13 → 5 slots
+	seg.Computed, seg.TotalSteps = 5, 42
+	for name, ws := range map[string]parentWarmWire{
+		"sparse": {Present: true, Sparse: true, Raters: []int{2, 9}, PrevVals: []float64{0.5, 0.25},
+			Y: []float64{0.4, 0.35}, G: []float64{1, 1}, Steps: 7, Converged: true},
+		"dense":             {Present: true, Raters: []int{3}, PrevVals: []float64{1}, Y: make([]float64, 15), G: make([]float64, 15), Steps: 12},
+		"absent":            {},
+		"nan-mass":          {Present: true, Sparse: true, Raters: []int{1}, PrevVals: []float64{0.5}, Y: []float64{math.NaN()}, G: []float64{1}},
+		"descending-raters": {Present: true, Sparse: true, Raters: []int{9, 2}, PrevVals: []float64{0.5, 0.5}, Y: []float64{0, 0}, G: []float64{1, 1}},
+		"dense-wrong-len":   {Present: true, Raters: []int{1}, PrevVals: []float64{0.5}, Y: []float64{0.5}, G: []float64{1}},
+	} {
+		got, err := LoadShardSnapshot(bytes.NewReader(encodeParentSegment(t, seg, shardWireVersion, ws)))
+		if err != nil {
+			t.Fatalf("%s: a segment with a warm payload is refused: %v", name, err)
+		}
+		sameSegment(t, got, seg)
+
+		var buf bytes.Buffer
+		if err := got.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var old parentShardWire
+		if err := gob.NewDecoder(&buf).Decode(&old); err != nil {
+			t.Fatal(err)
+		}
+		if old.Warm != nil || old.GraphFP != 0 || old.WarmStarts != 0 || old.ColdStarts != 0 {
+			t.Fatalf("%s: re-saved segment still carries warm fields: warm %d slots, fp %#x, warm/cold %d/%d",
+				name, len(old.Warm), old.GraphFP, old.WarmStarts, old.ColdStarts)
+		}
+		if old.Version != shardWireVersion || old.TotalSteps != 42 || old.Computed != 5 {
+			t.Fatalf("%s: re-saved header drifted: %+v", name, old)
+		}
+	}
+}
+
+// parentShardWire is the version-2 segment shape older builds wrote:
+// shardWire plus the fields they kept for warm-started campaigns.
+type parentShardWire struct {
+	Version          int
+	Shard, Shards, N int
+	Epoch, Seq       uint64
+	Global           []float64
+	Raters           []int
+	Steps            int
+	Converged        bool
+	Computed         int
+	TotalSteps       int
+	WarmStarts       int
+	ColdStarts       int
+	ElapsedNs        int64
+	CreatedUnixNano  int64
+	GraphFP          uint64
+	Cols             []byte
+	Warm             []parentWarmWire
+}
+
+// parentWarmWire is one slot's campaign state in parentShardWire.
+type parentWarmWire struct {
+	Present   bool
+	Sparse    bool
+	Raters    []int
+	PrevVals  []float64
+	Y, G      []float64
+	Steps     int
+	Converged bool
+}
+
+// parentSegment encodes seg in the parentShardWire shape at the given
+// version, with every warm-start field populated: a sparse state in slot 0,
+// absent states elsewhere.
+func parentSegment(t testing.TB, seg *ShardSnapshot, version int) []byte {
+	t.Helper()
+	return encodeParentSegment(t, seg, version, parentWarmWire{Present: true, Sparse: true,
+		Raters: []int{2, 9}, PrevVals: []float64{0.5, 0.25}, Y: []float64{0.4, 0.35}, G: []float64{1, 1},
+		Steps: 7, Converged: true})
+}
+
+// encodeParentSegment is parentSegment with slot 0's campaign state given.
+func encodeParentSegment(t testing.TB, seg *ShardSnapshot, version int, slot0 parentWarmWire) []byte {
+	t.Helper()
+	var cb bytes.Buffer
+	if err := seg.Cols.Save(&cb); err != nil {
+		t.Fatal(err)
+	}
+	warm := make([]parentWarmWire, len(seg.Global))
+	warm[0] = slot0
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(parentShardWire{
+		Version: version,
+		Shard:   seg.Shard, Shards: seg.Shards, N: seg.N,
+		Epoch: seg.Epoch, Seq: seg.Seq,
+		Global: seg.Global, Raters: seg.Raters,
+		Steps: seg.Steps, Converged: seg.Converged, Computed: seg.Computed,
+		TotalSteps: seg.TotalSteps, WarmStarts: 2, ColdStarts: 3,
+		ElapsedNs: seg.ElapsedNs, CreatedUnixNano: seg.CreatedUnixNano,
+		GraphFP: 0xfeedbeef,
+		Cols:    cb.Bytes(),
+		Warm:    warm,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func TestManifestRoundTrip(t *testing.T) {
@@ -291,88 +412,5 @@ func TestLedgerShardTracking(t *testing.T) {
 	}
 	if err := l.SetShards(0); err == nil {
 		t.Fatal("shard count 0 accepted")
-	}
-}
-
-// TestShardSnapshotWarmRoundTrip: wire v2 carries the per-slot campaign
-// states (sparse, dense, and absent alike) through save/load bit for bit,
-// and rejects corrupt warm payloads instead of seeding next epoch's
-// campaigns with them.
-func TestShardSnapshotWarmRoundTrip(t *testing.T) {
-	seg := randomSegments(t, 15, 3, 9)[1] // subjects 1, 4, 7, 10, 13 → 5 slots
-	seg.GraphFP = 0xfeedbeef
-	seg.TotalSteps = 42
-	seg.WarmStarts = 2
-	seg.ColdStarts = 3
-	seg.Warm = []*gossip.CampaignState{
-		{Sparse: true, Raters: []int{2, 9}, PrevVals: []float64{0.5, 0.25},
-			Y: []float64{0.4, 0.35}, G: []float64{1, 1}, Steps: 7},
-		nil,
-		{Sparse: false, Raters: []int{3}, PrevVals: []float64{1},
-			Y: make([]float64, 15), G: make([]float64, 15), Steps: 12},
-		nil,
-		nil,
-	}
-	seg.Warm[2].Y[3] = 1
-	seg.Warm[2].G[3] = 1
-
-	var buf bytes.Buffer
-	if err := seg.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadShardSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.GraphFP != seg.GraphFP || got.TotalSteps != 42 || got.WarmStarts != 2 || got.ColdStarts != 3 {
-		t.Fatalf("reloaded header %+v", got)
-	}
-	if len(got.Warm) != 5 || got.Warm[1] != nil || got.Warm[3] != nil || got.Warm[4] != nil {
-		t.Fatalf("reloaded warm layout wrong: %+v", got.Warm)
-	}
-	for _, k := range []int{0, 2} {
-		a, b := seg.Warm[k], got.Warm[k]
-		if b == nil || b.Sparse != a.Sparse || b.Steps != a.Steps {
-			t.Fatalf("slot %d header drifted: %+v vs %+v", k, a, b)
-		}
-		for x := range a.Raters {
-			if b.Raters[x] != a.Raters[x] || b.PrevVals[x] != a.PrevVals[x] {
-				t.Fatalf("slot %d rater %d drifted", k, x)
-			}
-		}
-		for x := range a.Y {
-			if b.Y[x] != a.Y[x] || b.G[x] != a.G[x] {
-				t.Fatalf("slot %d mass %d drifted", k, x)
-			}
-		}
-	}
-
-	// Segments without warm state still round-trip to nil.
-	seg.Warm = nil
-	buf.Reset()
-	if err := seg.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := LoadShardSnapshot(bytes.NewReader(buf.Bytes())); err != nil || got.Warm != nil {
-		t.Fatalf("no-warm round trip = (%v, %v)", got, err)
-	}
-
-	// Corrupt warm payloads must be refused: NaN mass, descending raters,
-	// mismatched shapes.
-	for name, ws := range map[string]*gossip.CampaignState{
-		"nan-mass":          {Sparse: true, Raters: []int{1}, PrevVals: []float64{0.5}, Y: []float64{math.NaN()}, G: []float64{1}},
-		"negative-weight":   {Sparse: true, Raters: []int{1}, PrevVals: []float64{0.5}, Y: []float64{0.5}, G: []float64{-1}},
-		"descending-raters": {Sparse: true, Raters: []int{9, 2}, PrevVals: []float64{0.5, 0.5}, Y: []float64{0, 0}, G: []float64{1, 1}},
-		"bad-prev-val":      {Sparse: true, Raters: []int{1}, PrevVals: []float64{1.5}, Y: []float64{0.5}, G: []float64{1}},
-		"dense-wrong-len":   {Sparse: false, Raters: []int{1}, PrevVals: []float64{0.5}, Y: []float64{0.5}, G: []float64{1}},
-	} {
-		seg.Warm = []*gossip.CampaignState{ws, nil, nil, nil, nil}
-		buf.Reset()
-		if err := seg.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadShardSnapshot(bytes.NewReader(buf.Bytes())); err == nil {
-			t.Fatalf("%s: corrupt warm payload accepted", name)
-		}
 	}
 }

@@ -36,10 +36,10 @@ type Service = service.Service
 // belongs to shard j mod S); FoldWorkers how many dirty shards fold
 // concurrently; CompactEvery the WAL compaction cadence in persisted epochs
 // (zero = never). Replicate and Origin switch on cluster mode for
-// internal/cluster: epoch seeds no longer depend on the epoch counter and
-// every campaign starts cold, so replicas that folded the same state serve
-// bit-identical values. Those nine fields are the whole configuration — the
-// trace ring's depth is a constant and warm starts are always on standalone.
+// internal/cluster: per-origin history and idempotent replicated entries.
+// Every service runs each campaign cold from (Params.Seed, subject id), so
+// replicas that folded the same state serve bit-identical values. Those nine
+// fields are the whole configuration — the trace ring's depth is a constant.
 type ServiceConfig = service.Config
 
 // View is one lock-free composite capture of the published per-shard
