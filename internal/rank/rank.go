@@ -11,7 +11,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Bloom is a fixed-size Bloom filter over peer ids.
@@ -170,11 +170,11 @@ func TopK(rep []float64, k int) []int {
 	for i := range ids {
 		ids[i] = i
 	}
-	sort.SliceStable(ids, func(a, b int) bool {
-		if rep[ids[a]] != rep[ids[b]] {
-			return rep[ids[a]] > rep[ids[b]]
+	slices.SortStableFunc(ids, func(a, b int) int {
+		if rep[a] > rep[b] || rep[a] == rep[b] && a < b {
+			return -1
 		}
-		return ids[a] < ids[b]
+		return 1
 	})
 	if k > len(ids) {
 		k = len(ids)

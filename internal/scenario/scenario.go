@@ -36,8 +36,9 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"diffgossip/internal/gossip"
 	"diffgossip/internal/graph"
@@ -258,7 +259,7 @@ func Run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("scenario: event %d round %d out of [0,%d)", i, events[i].Round, cfg.Rounds)
 		}
 	}
-	sort.SliceStable(events, func(i, j int) bool { return events[i].Round < events[j].Round })
+	slices.SortStableFunc(events, func(a, b Event) int { return cmp.Compare(a.Round, b.Round) })
 
 	tgt, err := newTarget(cfg, g, gossipSeed, valueSrc)
 	if err != nil {

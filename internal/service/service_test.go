@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"diffgossip/internal/core"
 	"diffgossip/internal/graph"
 	"diffgossip/internal/rng"
+	"diffgossip/internal/trust"
 )
 
 // epsTol is the acceptance tolerance for gossip estimates vs the exact
@@ -81,9 +83,15 @@ func TestEpochMatchesGlobalReference(t *testing.T) {
 	const n = 60
 	s := newTestService(t, n, Config{Shards: 4})
 	src := rng.New(99)
+	// The mirror takes the same cells in submit order; ascending stamps make
+	// that the LWW order too, so the last write to a cell wins in both.
+	mirror := trust.NewMatrix(n)
 	for k := 0; k < 400; k++ {
-		rater, subject := src.Intn(n), src.Intn(n)
-		if _, err := s.Submit(rater, subject, src.Float64()); err != nil {
+		rater, subject, value := src.Intn(n), src.Intn(n), src.Float64()
+		if _, err := s.SubmitCtx(context.Background(), rater, subject, value, int64(k+1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := mirror.Set(rater, subject, value); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,18 +114,20 @@ func TestEpochMatchesGlobalReference(t *testing.T) {
 			t.Errorf("subject %d: global %v, reference %v", j, got, want)
 		}
 	}
-	// Personal views come from the same frozen columns.
-	for _, pair := range [][2]int{{0, 5}, {7, 12}, {59, 0}} {
-		got, pv, err := s.PersonalReputation(pair[0], pair[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pv.SubjectEpoch(pair[1]) != v.SubjectEpoch(pair[1]) {
-			t.Fatal("personal read served a different shard epoch")
-		}
-		want := core.GCLRRef(s.cfg.Graph, pv, pair[0], pair[1], s.cfg.Params)
-		if math.Abs(got-want) > 1e-9 {
-			t.Errorf("personal (%d,%d): got %v, want %v", pair[0], pair[1], got, want)
+	// Every personal view — an observer's row stitched across the four
+	// shards — matches the reference over the independent mirror.
+	for o := 0; o < n; o++ {
+		for j := 0; j < n; j++ {
+			got, pv, err := s.PersonalReputation(o, j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pv.SubjectEpoch(j) != v.SubjectEpoch(j) {
+				t.Fatal("personal read served a different shard epoch")
+			}
+			if want := core.GCLRRef(s.cfg.Graph, mirror, o, j, s.cfg.Params); got != want {
+				t.Fatalf("personal (%d,%d): got %v, mirror reference %v", o, j, got, want)
+			}
 		}
 	}
 }

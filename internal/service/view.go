@@ -2,7 +2,7 @@ package service
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"diffgossip/internal/store"
 	"diffgossip/internal/trust"
@@ -213,10 +213,8 @@ func (v *View) InteractedWith(i int) []int {
 	}
 	var out []int
 	for _, seg := range v.segs {
-		for j := range seg.Cols.RowOf(i) {
-			out = append(out, j)
-		}
+		out = append(out, seg.Cols.InteractedWith(i)...)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }

@@ -3,6 +3,7 @@ package trust
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"diffgossip/internal/rng"
@@ -72,15 +73,15 @@ func TestColumnsReaderMatchesMatrix(t *testing.T) {
 				t.Fatalf("entry (%d,%d): columns (%v,%v) != matrix (%v,%v)", i, j, b, bok, a, aok)
 			}
 		}
-		// Row restricted to the covered subjects.
-		want := 0
+		// Row restricted to the covered subjects, ascending.
+		var want []int
 		for _, j := range m.InteractedWith(i) {
 			if covered[j] {
-				want++
+				want = append(want, j)
 			}
 		}
-		if got := len(c.InteractedWith(i)); got != want {
-			t.Fatalf("row %d: %d covered interactions, want %d", i, got, want)
+		if got := c.InteractedWith(i); !slices.Equal(got, want) {
+			t.Fatalf("row %d: covered interactions %v, want %v", i, got, want)
 		}
 	}
 	for _, j := range subjects {
@@ -156,6 +157,7 @@ func TestNewColumnsValidates(t *testing.T) {
 		vals     [][]float64
 	}{
 		{"dup subject", 5, []int{1, 1}, [][]int{{0}, {0}}, [][]float64{{0.5}, {0.5}}},
+		{"subjects not ascending", 5, []int{2, 1}, [][]int{{0}, {0}}, [][]float64{{0.5}, {0.5}}},
 		{"subject range", 5, []int{5}, [][]int{{0}}, [][]float64{{0.5}}},
 		{"rater range", 5, []int{1}, [][]int{{5}}, [][]float64{{0.5}}},
 		{"not ascending", 5, []int{1}, [][]int{{2, 2}}, [][]float64{{0.5, 0.5}}},
@@ -203,15 +205,8 @@ func checkColumnsEqual(t testing.TB, got, want *Columns) {
 				t.Fatalf("entry (%d,%d): (%v,%v), want (%v,%v)", i, j, a, aok, b, bok)
 			}
 		}
-		gw, ww := got.InteractedWith(i), want.InteractedWith(i)
-		gr, wr := got.RowOf(i), want.RowOf(i)
-		if len(gw) != len(ww) || len(gr) != len(wr) {
-			t.Fatalf("row %d: %d interactions / %d row entries, want %d / %d", i, len(gw), len(gr), len(ww), len(wr))
-		}
-		for k, j := range ww {
-			if gw[k] != j || gr[j] != wr[j] {
-				t.Fatalf("row %d entry %d drifted", i, j)
-			}
+		if gw, ww := got.InteractedWith(i), want.InteractedWith(i); !slices.Equal(gw, ww) {
+			t.Fatalf("row %d: interactions %v, want %v", i, gw, ww)
 		}
 	}
 	var gb, wb bytes.Buffer
@@ -401,9 +396,12 @@ func FuzzColumnsLoad(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, j := range got.Subjects() {
+		for k, j := range got.Subjects() {
 			if j < 0 || j >= got.N() {
 				t.Fatalf("accepted columns with out-of-range subject %d", j)
+			}
+			if k > 0 && j <= got.Subjects()[k-1] {
+				t.Fatalf("accepted columns with subjects not strictly ascending: %v", got.Subjects())
 			}
 			ids, vals := got.Column(j)
 			prev := -1
@@ -416,6 +414,20 @@ func FuzzColumnsLoad(f *testing.F) {
 				}
 				prev = i
 			}
+		}
+		// The row index holds exactly the column cells, each readable.
+		cells := 0
+		for i := 0; i < got.N(); i++ {
+			row := got.InteractedWith(i)
+			cells += len(row)
+			for _, j := range row {
+				if _, ok := got.Get(i, j); !ok {
+					t.Fatalf("row %d lists subject %d but Get(%d,%d) has no entry", i, j, i, j)
+				}
+			}
+		}
+		if cells != got.NumEntries() {
+			t.Fatalf("rows hold %d cells, NumEntries %d", cells, got.NumEntries())
 		}
 	})
 }

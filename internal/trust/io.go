@@ -28,8 +28,8 @@ type columnsWire struct {
 	Version  int
 }
 
-// Save serialises the column set with gob, deterministically (subjects in
-// construction order, raters ascending).
+// Save serialises the column set with gob, deterministically (subjects and
+// raters ascending).
 func (c *Columns) Save(w io.Writer) error {
 	wire := columnsWire{N: c.n, Version: wireVersion}
 	for s := range c.subjects {
