@@ -274,7 +274,7 @@ func run(c runConfig) error {
 	}
 	// In cluster mode the replication listener comes up before the service:
 	// its bound address is the node's origin id, which the service stamps
-	// into LWW tags on locally submitted entries.
+	// into the LWW stamps of locally submitted entries.
 	var tr *transport.TCPTransport
 	origin := ""
 	if c.clusterListen != "" {

@@ -43,7 +43,7 @@ func main() {
 			Shards:    4,
 			Replicate: true,
 			// Origin must match the cluster transport address: it is the
-			// node's identity in every entry's LWW tag.
+			// node's identity in every entry's LWW stamp.
 			Origin: names[i],
 		})
 		if err != nil {

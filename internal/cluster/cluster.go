@@ -207,8 +207,8 @@ type Node struct {
 
 // New builds a cluster node over an already-listening transport. The node's
 // origin id is the transport address; the service must carry the same id as
-// its Config.Origin, or the LWW tags this node computes for local entries
-// would disagree with the tags peers compute for their replicated copies.
+// its Config.Origin, or the LWW stamps this node folds for local entries
+// would disagree with the stamps peers fold for their replicated copies.
 func New(cfg Config) (*Node, error) {
 	if cfg.Service == nil {
 		return nil, fmt.Errorf("cluster: nil service")
@@ -222,7 +222,7 @@ func New(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("cluster: service was not built with Config.Replicate")
 	}
 	if got, want := cfg.Service.Origin(), cfg.Transport.Addr(); got != want {
-		return nil, fmt.Errorf("cluster: service origin %q != transport address %q — set service.Config.Origin to the cluster address so LWW tags agree across replicas", got, want)
+		return nil, fmt.Errorf("cluster: service origin %q != transport address %q — set service.Config.Origin to the cluster address so LWW stamps agree across replicas", got, want)
 	}
 	n := &Node{
 		svc:          cfg.Service,

@@ -22,8 +22,8 @@ type StateTransfer struct {
 	// fold points.
 	Segments []*store.ShardSnapshot
 	// Folded are retained ledger entries whose folds Segments already
-	// reflect: the receiver records them — WAL, watermarks, history, LWW
-	// tags — without re-queueing them for a fold. Every entry carries its
+	// reflect, stamps included: the receiver records them — WAL, watermarks,
+	// history — without re-queueing them for a fold. Every entry carries its
 	// origin id (the sender's ledger returns its own entries stamped).
 	Folded []store.Feedback
 	// Tail are retained entries past the segments' fold points, which the
@@ -64,7 +64,7 @@ func (s *Service) BootstrapState(reqMarks map[string]uint64) (*StateTransfer, er
 }
 
 // InstallBootstrap applies a peer's state transfer: folded entries are
-// recorded (WAL, watermarks, history, LWW tags) without re-queueing them,
+// recorded (WAL, watermarks, history) without re-queueing them,
 // the shipped segments are rebased into the local sequence space and
 // published, tail entries are enqueued like ordinary replicated entries, and
 // any locally retained entries the sender's transfer did not cover are
@@ -76,9 +76,10 @@ func (s *Service) BootstrapState(reqMarks map[string]uint64) (*StateTransfer, er
 // the boot guard checks.
 //
 // A transfer containing entries of this node's own origin is refused:
-// re-ingesting our own stream would re-number it and change its LWW tags.
+// re-ingesting our own stream would re-number it and change its LWW stamps.
 // (That only arises when a node loses its data directory but keeps its
-// identity; such a node must rejoin under a fresh identity.)
+// identity; such a node must rejoin under a fresh identity.) So is one from
+// an older build, whose cells carry no stamps and would lose to any write.
 func (s *Service) InstallBootstrap(st *StateTransfer) error {
 	if !s.cfg.Replicate || s.cfg.Origin == "" {
 		return fmt.Errorf("service: bootstrap requires replication mode with an origin id")
@@ -95,6 +96,9 @@ func (s *Service) InstallBootstrap(st *StateTransfer) error {
 		}
 		if seg.Shard != i || seg.Shards != len(st.Segments) {
 			return fmt.Errorf("service: bootstrap transfer segment %d does not fit the layout (shard %d/%d)", i, seg.Shard, seg.Shards)
+		}
+		if seg.Cols.Unstamped() {
+			return fmt.Errorf("service: bootstrap transfer segment %d holds %d cells without stamps: the sender runs an older build — upgrade it first", i, seg.Cols.NumEntries())
 		}
 	}
 	for _, list := range [][]store.Feedback{st.Folded, st.Tail} {
@@ -127,12 +131,8 @@ func (s *Service) InstallBootstrap(st *StateTransfer) error {
 	// 1. Record the folded entries. Their folds arrive with the segments, so
 	// they bypass the pending window entirely — the step that makes
 	// bootstrap O(state) instead of O(replay).
-	applied, err := s.ledger.AppendReplicated(st.Folded, false)
-	if err != nil {
+	if _, err := s.ledger.AppendReplicated(st.Folded, false); err != nil {
 		return fmt.Errorf("service: bootstrap: %w", err)
-	}
-	for _, fb := range applied {
-		s.recordTag(fb)
 	}
 	// rebased is the local fold point the installed segments may claim:
 	// every local ledger entry at or below it is recorded above, on the

@@ -5,18 +5,18 @@
 //     appends that never touch epoch state, tracking which subject shards
 //     the pending batch has dirtied;
 //   - the shard scheduler: RunEpoch (or the background loop) groups the
-//     pending batch's last-writer-wins cells by shard and republishes only
-//     the dirty shards, dispatched to a bounded worker pool. A fold runs one
-//     independent push-sum campaign (core.GlobalSubjectsAtRoot, on the flat
-//     gossip kernels) per subject the batch re-rated and carries the shard's
+//     pending batch by shard and republishes only the dirty shards,
+//     dispatched to a bounded worker pool. A fold runs one independent
+//     push-sum campaign (core.GlobalSubjectsAtRoot, on the flat gossip
+//     kernels) per subject a write of the batch won and carries the shard's
 //     other subjects over from its previous publication; clean shards cost
 //     zero compute;
 //   - the published shard snapshots: one atomic.Pointer per shard, stored as
 //     its fold completes. Readers stitch the current pointers into a
 //     composite View — lock-free, snapshot-consistent per shard. A shard's
-//     published columns are also the only copy of its folded trust state:
-//     the next fold builds its columns from them plus the batch's cells
-//     (trust.Columns.With).
+//     published columns are also the only copy of its folded trust state,
+//     last-writer-wins stamps included: the next fold builds its columns
+//     from them plus the batch's stamped cells (trust.Columns.With).
 //
 // # Consistency model
 //
@@ -108,10 +108,10 @@ type Config struct {
 	Replicate bool
 	// Origin is this node's cluster identity, read only with Replicate: the
 	// ledger's origin id, under which locally accepted entries replicate and
-	// take their last-writer-wins tie-break (replicated entries carry their
-	// own origin). It must equal the cluster transport address, so the tag a
-	// peer computes for a replicated copy matches the tag this node computes
-	// for the original — internal/cluster.New enforces the match.
+	// which their last-writer-wins stamps carry (replicated entries carry
+	// their own origin). It must equal the cluster transport address, so the
+	// stamp a peer folds for a replicated copy matches the stamp this node
+	// folds for the original — internal/cluster.New enforces the match.
 	// Standalone services leave it empty.
 	Origin string
 }
@@ -138,15 +138,11 @@ type Service struct {
 	shards int
 	ledger *store.Ledger
 
-	// epochMu serialises epoch compute and guards lww, the only mutable
-	// trust state (the folded values themselves live in the published shard
+	// epochMu serialises epoch compute and the publications it derives from
+	// (all trust state, stamps included, lives in the published shard
 	// columns). Readers never take it; neither does the persistence phase.
 	epochMu sync.Mutex
-	// lww maps cell id (rater*n + subject) to the winning write's tag; the
-	// fold skips any entry older than its cell's winner, making the folded
-	// state independent of arrival order. Rebuilt from the WAL on boot.
-	lww    map[uint64]store.LWWTag
-	epochs atomic.Uint64 // fold rounds completed (== newest published shard epoch)
+	epochs  atomic.Uint64 // fold rounds completed (== newest published shard epoch)
 
 	// lastEpoch is the wall-clock nanosecond of the last completed RunEpoch
 	// (including no-op epochs with nothing pending) — the readiness probe's
@@ -245,7 +241,6 @@ func New(cfg Config) (*Service, error) {
 		cfg:            cfg,
 		n:              n,
 		shards:         shards,
-		lww:            make(map[uint64]store.LWWTag),
 		states:         make([]atomic.Pointer[store.ShardSnapshot], shards),
 		folded:         make([]*store.ShardSnapshot, shards),
 		persistedEpoch: make([]uint64, shards),
@@ -406,6 +401,13 @@ func (s *Service) loadDir() ([]*store.ShardSnapshot, error) {
 		return fail(fmt.Errorf("service: ledger ends at seq %d but a segment has folded seq %d — ledger truncated or mismatched",
 			ledger.Seq(), maxSeq))
 	}
+	// An older build's segment has no stamps: its fold point drops to 0, so
+	// its shard's whole WAL re-pends below and the first fold re-stamps it.
+	for _, seg := range segs {
+		if seg.Cols.Unstamped() {
+			seg.Seq = 0
+		}
+	}
 
 	// Persist the (validated) layout before serving it: segments first,
 	// manifest last, so a crash mid-reshard leaves the old manifest in charge
@@ -432,11 +434,10 @@ func (s *Service) loadDir() ([]*store.ShardSnapshot, error) {
 	}
 	// Entries already folded into their subject's shard are dropped; the
 	// per-shard tails past each segment's Seq wait for the next epoch. The
-	// LWW tags rebuild from the FULL replay — folded entries' winners must
-	// be on record before any late replicated entry tries to beat them.
+	// folded entries' winners are on record in the segments' stamps, which
+	// any late replicated entry must beat.
 	var tail []store.Feedback
 	for _, fb := range replayed {
-		s.recordTag(fb)
 		var folded uint64
 		if segs != nil {
 			folded = segs[store.ShardOf(fb.Subject, s.shards)].Seq
@@ -447,19 +448,6 @@ func (s *Service) loadDir() ([]*store.ShardSnapshot, error) {
 	}
 	s.ledger.Restore(tail)
 	return segs, nil
-}
-
-// recordTag advances fb's cell to fb's tag if it is not older than the
-// current winner, reporting whether fb won (and should be folded). Caller
-// holds epochMu (or is single-threaded boot).
-func (s *Service) recordTag(fb store.Feedback) bool {
-	cell := uint64(fb.Rater)*uint64(s.n) + uint64(fb.Subject)
-	tag := s.ledger.TagOf(fb)
-	if cur, ok := s.lww[cell]; ok && tag.Before(cur) {
-		return false
-	}
-	s.lww[cell] = tag
-	return true
 }
 
 // Submit records one feedback entry ("rater now places trust value in
@@ -646,14 +634,15 @@ func (s *Service) Err() error {
 	return nil
 }
 
-// RunEpoch folds all pending feedback into the trust state, republishes every
-// dirty shard (one gossip campaign per re-rated subject, folds on a bounded
-// worker pool), publishes each shard snapshot as its fold completes, and
-// finally — outside the epoch critical section — persists the ledger and the
-// dirty segments. It reports whether an epoch actually ran: with no pending
-// feedback every shard is clean and the current view is returned unchanged.
-// Epochs are serialised; concurrent callers queue for the compute phase but
-// never for disk.
+// RunEpoch folds all pending feedback into the trust state — each entry, with
+// its last-writer-wins stamp, lands unless its cell carries a newer one —
+// republishes every dirty shard (one gossip campaign per re-rated subject,
+// folds on a bounded worker pool), publishes each shard snapshot as its fold
+// completes, and finally — outside the epoch critical section — persists the
+// ledger and the dirty segments. It reports whether an epoch ran: with no
+// pending feedback every shard is clean and the current view is returned
+// unchanged. Epochs are serialised; concurrent callers queue for the compute
+// phase but never for disk.
 //
 // Compute runs entirely off the read path — readers keep serving the old
 // shard snapshots until each new one is published in a single atomic store.
@@ -675,10 +664,10 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 	}
 	// On any compute failure the batch goes back to the front of the
 	// pending window so no feedback is ever dropped: the next epoch retries
-	// it. Only the LWW tags have moved by then — a shard whose fold failed
-	// still publishes its previous columns — and the retry is idempotent: an
-	// entry carrying its cell's recorded tag wins again, and shards that did
-	// republish already hold its value.
+	// it. A shard whose fold failed has moved nothing — it still publishes
+	// its previous columns — and the retry is idempotent: in shards that did
+	// republish, an entry's stamp equals the one its cell now carries, and an
+	// equal stamp wins again.
 	restore := func(err error) (*View, bool, error) {
 		s.epochErrs.Add(1)
 		s.ledger.Restore(batch)
@@ -686,21 +675,14 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 		return s.View(), false, err
 	}
 
-	// cells[sh] collects, in batch order, the writes shard sh's fold applies
-	// to its published columns. Every shard the batch touches is dirty, even
-	// with no winning cell: it republishes to advance its fold point (Seq),
-	// computing nothing.
+	// cells[sh] collects shard sh's writes, stamped, in batch order; With
+	// keeps a write unless it is older than its cell's, so the folded state
+	// never depends on arrival order. Every shard the batch touches is dirty,
+	// even with no winning write: it republishes to advance its fold point.
 	cells := make(map[int][]trust.Cell)
 	seq := uint64(0)
 	for _, fb := range batch {
-		// Last-writer-wins: an entry older than its cell's recorded winner
-		// is skipped, so the folded state depends only on the set of entries
-		// seen, never on their arrival order.
-		won := cells[fb.Shard]
-		if s.recordTag(fb) {
-			won = append(won, trust.Cell{Rater: fb.Rater, Subject: fb.Subject, Value: fb.Value})
-		}
-		cells[fb.Shard] = won
+		cells[fb.Shard] = append(cells[fb.Shard], trust.Cell{Rater: fb.Rater, Subject: fb.Subject, Value: fb.Value, Stamp: s.ledger.StampOf(fb)})
 		seq = fb.Seq
 	}
 	dirtyList := make([]int, 0, len(cells))
@@ -810,21 +792,21 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 }
 
 // foldShard republishes one dirty shard at the given epoch: apply the batch's
-// winning cells to the shard's published trust columns (copy-on-write; the
-// previous publication keeps serving), run the campaigns of the subjects those
-// cells address, and assemble the shard snapshot. Every other slot shares
-// Global[k] and Raters[k] with the previous immutable segment: a subject's
-// result depends only on (seed, overlay, its trust column), so an untouched
-// one would recompute to the same bits. The carry needs a previous segment
-// this process folded itself (s.folded — a booted, resharded or bootstrapped
-// one may come from another seed or graph) whose campaigns all converged;
-// otherwise every subject of the shard is computed. Caller holds epochMu, so
-// the shard's publication cannot change underneath.
+// cells to the shard's published trust columns (copy-on-write, settling
+// last-writer-wins; the previous publication keeps serving), run the
+// campaigns of the subjects a write won, and assemble the shard snapshot.
+// Every other slot shares Global[k] and Raters[k] with the previous immutable
+// segment: a subject's result depends only on (seed, overlay, its trust
+// column), so an untouched one would recompute to the same bits. The carry
+// needs a previous segment this process folded itself (s.folded — a booted,
+// resharded or bootstrapped one may come from another seed or graph) whose
+// campaigns all converged; otherwise every subject of the shard is computed.
+// Caller holds epochMu, so the shard's publication cannot change underneath.
 func (s *Service) foldShard(shard int, cells []trust.Cell, epoch, seq uint64) (*store.ShardSnapshot, error) {
 	prev := s.states[shard].Load()
 	// Ledger entries were validated at append time, so With only fails on a
 	// publication that does not cover its own shard's subjects.
-	cols, err := prev.Cols.With(cells)
+	cols, won, err := prev.Cols.With(cells)
 	if err != nil {
 		return nil, fmt.Errorf("service: fold shard %d: %w", shard, err)
 	}
@@ -835,16 +817,7 @@ func (s *Service) foldShard(shard int, cells []trust.Cell, epoch, seq uint64) (*
 	if s.folded[shard] == prev && prev.Converged {
 		copy(global, prev.Global)
 		copy(raters, prev.Raters)
-		hit := make([]bool, len(subjects))
-		for _, c := range cells {
-			hit[store.SlotOf(c.Subject, s.shards)] = true
-		}
-		todo = make([]int, 0, len(cells))
-		for k, j := range subjects {
-			if hit[k] {
-				todo = append(todo, j)
-			}
-		}
+		todo = won
 	}
 	start := time.Now()
 	res, err := core.GlobalSubjectsAtRoot(s.cfg.Graph, cols, todo, s.cfg.Params)

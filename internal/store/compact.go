@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"diffgossip/internal/trust"
 )
 
 // This file bounds the ledger's durable and in-memory footprint at unbounded
@@ -14,10 +16,11 @@ import (
 // entry, every superseded rating in that cell is dead weight. Compact
 // rewrites the WAL keeping just the live subset; TrimHistory applies the
 // same rule to the in-memory per-origin replication history once every known
-// peer's watermark has passed an entry.
+// peer's watermark has passed an entry. Which write of a cell is the latest
+// is trust.Stamp's order, the one the epoch fold settles cells by.
 
-// CompactConfig parameterises Compact. The LWW tags it ranks cell rivals by
-// take the ledger's own origin id (see TagOf).
+// CompactConfig parameterises Compact. The stamps it ranks cell rivals by
+// take the ledger's own origin id (see StampOf).
 type CompactConfig struct {
 	// FoldedSeq returns the highest ledger sequence number whose fold into
 	// subject's shard segment has been durably persisted. Entries at or below
@@ -45,36 +48,13 @@ type CompactStats struct {
 // from disk, as a restart would.
 var compactCrash func(stage string) error
 
-// LWWTag is the last-writer-wins coordinate of one (rater, subject) cell
-// write: entries to the same cell are ordered lexicographically by (ingest
-// UnixNano, origin id, origin sequence number) — a total order every replica
-// computes identically, so folds converge regardless of arrival order. The
-// epoch fold (internal/service) and compaction both rank cell rivals with
-// this one type: the entry compaction keeps is the fold's winner, so a
-// post-compaction replay cannot diverge.
-type LWWTag struct {
-	ts     int64
-	origin string
-	seq    uint64
-}
-
-// TagOf derives an entry's LWW tag from the (origin, origin-seq) pair it
-// replicates under — for a locally accepted entry, this ledger's origin id
-// and its Seq — so every replica orders the write identically.
-func (l *Ledger) TagOf(fb Feedback) LWWTag {
+// StampOf derives an entry's last-writer-wins stamp from the (origin,
+// origin-seq) pair it replicates under — this ledger's origin id and the Seq
+// for a locally accepted entry — so every replica orders it identically. The
+// fold (trust.Columns.With) and compaction rank cell rivals by it alike.
+func (l *Ledger) StampOf(fb Feedback) trust.Stamp {
 	fb = l.asReplicated(fb)
-	return LWWTag{ts: fb.UnixNano, origin: fb.Origin, seq: fb.OriginSeq}
-}
-
-// Before reports whether a is strictly older than b in the LWW total order.
-func (a LWWTag) Before(b LWWTag) bool {
-	if a.ts != b.ts {
-		return a.ts < b.ts
-	}
-	if a.origin != b.origin {
-		return a.origin < b.origin
-	}
-	return a.seq < b.seq
+	return trust.Stamp{UnixNano: fb.UnixNano, Origin: fb.Origin, Seq: fb.OriginSeq}
 }
 
 // compactionKeep marks which entries survive compaction. entries must be in
@@ -88,14 +68,14 @@ func (a LWWTag) Before(b LWWTag) bool {
 //     replay to exactly their pre-compaction values.
 //
 // Dropping a superseded entry is safe cluster-wide: the winner carries its
-// own tag, replicated application tolerates origin-sequence gaps (entries at
+// own stamp, replicated application tolerates origin-sequence gaps (entries at
 // or below the watermark are skipped, entries above are applied), and a peer
 // that never sees a loser converges to the same cells as one that did.
 func (l *Ledger) compactionKeep(entries []Feedback, folded func(Feedback) bool) []bool {
 	keep := make([]bool, len(entries))
 	type win struct {
 		i int
-		t LWWTag
+		t trust.Stamp
 	}
 	winners := make(map[uint64]win)
 	heads := make(map[string]int)
@@ -106,7 +86,7 @@ func (l *Ledger) compactionKeep(entries []Feedback, folded func(Feedback) bool) 
 		}
 		heads[fb.Origin] = i
 		cell := uint64(fb.Rater)*uint64(l.n) + uint64(fb.Subject)
-		t := l.TagOf(fb)
+		t := l.StampOf(fb)
 		if w, ok := winners[cell]; !ok || !t.Before(w.t) {
 			winners[cell] = win{i: i, t: t}
 		}

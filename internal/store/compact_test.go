@@ -393,7 +393,7 @@ func TestLedgerCompactConcurrentAppends(t *testing.T) {
 	}
 }
 
-// TestCompactionKeepTieBreak pins the tie rule: equal LWW tags resolve to the
+// TestCompactionKeepTieBreak pins the tie rule: equal LWW stamps resolve to the
 // later entry in apply order, matching the fold's overwrite semantics.
 func TestCompactionKeepTieBreak(t *testing.T) {
 	entries := []Feedback{

@@ -200,7 +200,7 @@ func FuzzShardSnapshotLoad(f *testing.F) {
 	// Seed with a genuine segment so the fuzzer mutates realistic bytes.
 	seg := NewBootShardSnapshot(9, 1, 3, 1) // subjects 1, 4, 7
 	var err error
-	if seg.Cols, err = seg.Cols.With([]trust.Cell{{Rater: 1, Subject: 4, Value: 0.5}, {Rater: 2, Subject: 4, Value: 0.25}}); err != nil {
+	if seg.Cols, _, err = seg.Cols.With([]trust.Cell{{Rater: 1, Subject: 4, Value: 0.5}, {Rater: 2, Subject: 4, Value: 0.25}}); err != nil {
 		f.Fatal(err)
 	}
 	seg.Global[1] = 0.375
@@ -215,6 +215,16 @@ func FuzzShardSnapshotLoad(f *testing.F) {
 	f.Add(parentSegment(f, seg, shardWireVersion))
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
+	// A segment whose cells carry stamps from two origins.
+	if seg.Cols, _, err = seg.Cols.With([]trust.Cell{{Rater: 0, Subject: 7, Value: 1, Stamp: trust.Stamp{UnixNano: 5, Origin: "a", Seq: 1}},
+		{Rater: 2, Subject: 4, Value: 0.75, Stamp: trust.Stamp{UnixNano: 6, Origin: "b", Seq: 3}}}); err != nil {
+		f.Fatal(err)
+	}
+	buf.Reset()
+	if err := seg.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := LoadShardSnapshot(bytes.NewReader(data))

@@ -18,7 +18,7 @@
 // Replication is the ledger's own concern too. Every entry belongs to one
 // origin stream and is identified by (origin, origin-seq); once
 // EnableReplication names the ledger's origin id, every replication read and
-// write — watermarks, pulls, history trims, replicated batches, LWW tags —
+// write — watermarks, pulls, history trims, replicated batches, LWW stamps —
 // speaks origin ids, the ledger's own stream under its own. Only the WAL and
 // the pending window spell a locally accepted entry without origin tags.
 package store

@@ -309,13 +309,14 @@ func LoadManifestFile(path string) (*Manifest, error) {
 // Reshard regroups one complete layout's segments along a new shard count —
 // what boot does when the manifest disagrees with the configured count, and
 // what a bootstrap install does when the sender shards differently. Trust
-// columns, globals and rater counts move verbatim, so the new layout serves
-// exactly the reputations the old one did. Every new segment takes the
-// minimum Seq over the old ones (entries above it may already be folded into
-// some shards, but refolding is idempotent, so the conservative fold point is
-// always safe) and the maximum Epoch (keeping the service's epoch counter
-// monotone). A reshard re-slots every subject, so the service's first fold
-// of each new segment computes its whole shard: correct, just slower.
+// columns with their stamps, globals and rater counts move verbatim, so the
+// new layout serves exactly the reputations the old one did. Every new
+// segment takes the minimum Seq over the old ones (entries above it may
+// already be folded into some shards, but refolding is idempotent, so the
+// conservative fold point is always safe) and the maximum Epoch (keeping the
+// service's epoch counter monotone). A reshard re-slots every subject, so the
+// service's first fold of each new segment computes its whole shard: correct,
+// just slower.
 func Reshard(segs []*ShardSnapshot, shards int) ([]*ShardSnapshot, error) {
 	if len(segs) == 0 {
 		return nil, fmt.Errorf("store: no segments to reshard")
@@ -348,15 +349,17 @@ func Reshard(segs []*ShardSnapshot, shards int) ([]*ShardSnapshot, error) {
 		seg.Shard, seg.Shards = sh, shards
 		seg.Global = make([]float64, len(subjects))
 		seg.Raters = make([]int, len(subjects))
-		raters := make([][]int, len(subjects))
-		vals := make([][]float64, len(subjects))
+		var cells []trust.Cell
 		for k, j := range subjects {
 			old, slot := segs[ShardOf(j, len(segs))], SlotOf(j, len(segs))
 			seg.Global[k], seg.Raters[k] = old.Global[slot], old.Raters[slot]
-			_, raters[k], vals[k] = old.Cols.ColumnAt(slot)
+			_, raters, vals, stamps := old.Cols.ColumnAt(slot)
+			for x, i := range raters {
+				cells = append(cells, trust.Cell{Rater: i, Subject: j, Value: vals[x], Stamp: stamps[x]})
+			}
 		}
 		var err error
-		if seg.Cols, err = trust.NewColumns(tmpl.N, subjects, raters, vals); err != nil {
+		if seg.Cols, _, err = NewBootShardSnapshot(tmpl.N, sh, shards, 0).Cols.With(cells); err != nil {
 			return nil, err
 		}
 		out[sh] = &seg

@@ -31,8 +31,9 @@ func TestShardHelpers(t *testing.T) {
 }
 
 // randomSegments builds a complete S-shard layout over n nodes with random
-// trust columns, the exact rater-mean as each subject's global value, and a
-// distinct fold point per shard.
+// trust columns, every cell stamped by one of four origins (so each shard's
+// origin table lists them in its own order), the exact rater-mean as each
+// subject's global value, and a distinct fold point per shard.
 func randomSegments(t testing.TB, n, shards int, seed uint64) []*ShardSnapshot {
 	t.Helper()
 	src := rng.New(seed)
@@ -43,12 +44,13 @@ func randomSegments(t testing.TB, n, shards int, seed uint64) []*ShardSnapshot {
 		for _, j := range seg.Cols.Subjects() {
 			for i := 0; i < n; i++ {
 				if i != j && src.Bool(0.3) {
-					cells = append(cells, trust.Cell{Rater: i, Subject: j, Value: src.Float64()})
+					cells = append(cells, trust.Cell{Rater: i, Subject: j, Value: src.Float64(), Stamp: trust.Stamp{
+						UnixNano: int64(src.Intn(100)), Origin: []string{"", "n1", "n2", "n3"}[src.Intn(4)], Seq: uint64(1 + src.Intn(9))}})
 				}
 			}
 		}
 		var err error
-		if seg.Cols, err = seg.Cols.With(cells); err != nil {
+		if seg.Cols, _, err = seg.Cols.With(cells); err != nil {
 			t.Fatal(err)
 		}
 		for k, j := range seg.Cols.Subjects() {
@@ -65,8 +67,8 @@ func randomSegments(t testing.TB, n, shards int, seed uint64) []*ShardSnapshot {
 	return segs
 }
 
-// TestReshardRoundTrip: Reshard moves every subject's column, global value
-// and rater count verbatim between any two layouts, stamps the conservative
+// TestReshardRoundTrip: Reshard moves every subject's column with its stamps,
+// global value and rater count verbatim between any two layouts, stamps the conservative
 // fold point (Seq = min, Epoch = max) on every new segment, and going back to
 // the original shard count restores the data.
 func TestReshardRoundTrip(t *testing.T) {
@@ -80,14 +82,14 @@ func TestReshardRoundTrip(t *testing.T) {
 			if gr != wr || g.RaterCount(j) != w.RaterCount(j) {
 				t.Fatalf("subject %d: (%v, %d raters), want (%v, %d)", j, gr, g.RaterCount(j), wr, w.RaterCount(j))
 			}
-			gi, gv := g.Cols.Column(j)
-			wi, wv := w.Cols.Column(j)
+			_, gi, gv, gs := g.Cols.ColumnAt(SlotOf(j, len(got)))
+			_, wi, wv, ws := w.Cols.ColumnAt(SlotOf(j, len(want)))
 			if len(gi) != len(wi) {
 				t.Fatalf("subject %d: %d column entries, want %d", j, len(gi), len(wi))
 			}
 			for k := range wi {
-				if gi[k] != wi[k] || gv[k] != wv[k] {
-					t.Fatalf("subject %d entry %d: (%d,%v), want (%d,%v)", j, k, gi[k], gv[k], wi[k], wv[k])
+				if gi[k] != wi[k] || gv[k] != wv[k] || gs[k] != ws[k] {
+					t.Fatalf("subject %d entry %d: (%d,%v,%+v), want (%d,%v,%+v)", j, k, gi[k], gv[k], gs[k], wi[k], wv[k], ws[k])
 				}
 			}
 		}
@@ -142,8 +144,8 @@ func TestReshardRoundTrip(t *testing.T) {
 	}
 }
 
-// sameSegment fails unless got holds want's header, slots and trust columns
-// bit for bit.
+// sameSegment fails unless got holds want's header, slots and trust columns,
+// stamps included, bit for bit.
 func sameSegment(t *testing.T, got, want *ShardSnapshot) {
 	t.Helper()
 	gh, wh := *got, *want
@@ -152,11 +154,11 @@ func sameSegment(t *testing.T, got, want *ShardSnapshot) {
 	if !reflect.DeepEqual(gh, wh) || !reflect.DeepEqual(got.Global, want.Global) || !reflect.DeepEqual(got.Raters, want.Raters) {
 		t.Fatalf("reloaded segment %+v, want %+v", got, want)
 	}
-	for _, j := range want.Cols.Subjects() {
-		gi, gv := got.Cols.Column(j)
-		wi, wv := want.Cols.Column(j)
-		if !reflect.DeepEqual(gi, wi) || !reflect.DeepEqual(gv, wv) {
-			t.Fatalf("subject %d: reloaded column (%v, %v), want (%v, %v)", j, gi, gv, wi, wv)
+	for s := range want.Cols.Subjects() {
+		j, gi, gv, gs := got.Cols.ColumnAt(s)
+		_, wi, wv, ws := want.Cols.ColumnAt(s)
+		if !reflect.DeepEqual(gi, wi) || !reflect.DeepEqual(gv, wv) || !reflect.DeepEqual(gs, ws) {
+			t.Fatalf("subject %d: reloaded column (%v, %v, %+v), want (%v, %v, %+v)", j, gi, gv, gs, wi, wv, ws)
 		}
 	}
 }

@@ -8,9 +8,9 @@ import (
 
 // Reader is the read-only surface the reputation evaluations
 // (WeightedColumn, the GCLR references, the service's query path) need from
-// trust state. Matrix implements it; so do the frozen per-shard Columns and
-// the composite view the sharded service stitches from them, which is how
-// one evaluation path serves both the monolithic and the sharded pipeline.
+// trust state: values only, never the stamps Columns keep for With. Matrix
+// implements it; so do the frozen per-shard Columns and the composite view
+// the sharded service stitches from them, one evaluation path for both.
 type Reader interface {
 	// N is the node-id bound.
 	N() int
@@ -48,8 +48,9 @@ var (
 // subslice views into them. The row index is compressed-sparse-row over the
 // same cells: row i's subject ids, ascending, are
 // rowSubj[rowStart[i]:rowStart[i+1]]; a value is found through its column.
-// Total memory scales with the number of ratings plus one offset per node —
-// never with N×subjects.
+// Each cell also carries the Stamp of the write that set it, by which With
+// settles last-writer-wins. Total memory scales with the number of ratings
+// plus one offset per node — never with N×subjects.
 type Columns struct {
 	n        int
 	subjects []int       // strictly ascending
@@ -57,6 +58,45 @@ type Columns struct {
 	vals     [][]float64 // aligned with raters; views into one flat backing
 	rowStart []int       // n+1 offsets into rowSubj
 	rowSubj  []int       // per row, ascending subject ids
+	stamps   [][]stamp   // aligned with raters, each slot its own allocation; nil holds none
+	origins  []string    // the stamps' origin table; entry 0 is ""
+}
+
+// Stamp is the last-writer-wins coordinate of a cell write: rival writes to
+// one (rater, subject) cell are ordered by (UnixNano, Origin, Seq) — ingest
+// time, then the origin id and origin sequence number it replicates under —
+// the same on every replica. The zero Stamp means none, older than any other.
+type Stamp struct {
+	UnixNano int64
+	Origin   string
+	Seq      uint64
+}
+
+// Before reports whether a is strictly older than b.
+func (a Stamp) Before(b Stamp) bool {
+	return b != (Stamp{}) && (a == (Stamp{}) ||
+		cmp.Or(cmp.Compare(a.UnixNano, b.UnixNano), cmp.Compare(a.Origin, b.Origin), cmp.Compare(a.Seq, b.Seq)) < 0)
+}
+
+// stamp is a Stamp inside a column set, org indexing its origin table, so
+// the zero stamp is the zero Stamp.
+type stamp struct {
+	ts  int64
+	seq uint64
+	org uint32
+}
+
+// public resolves st through c's origin table.
+func (c *Columns) public(st stamp) Stamp {
+	return Stamp{UnixNano: st.ts, Origin: c.origins[st.org], Seq: st.seq}
+}
+
+// stampAt returns the stamp of slot s's x-th cell.
+func (c *Columns) stampAt(s, x int) stamp {
+	if c.stamps[s] == nil {
+		return stamp{}
+	}
+	return c.stamps[s][x]
 }
 
 // ColumnsOf freezes the given subject columns of m. The subjects must be
@@ -158,78 +198,113 @@ func NewColumns(n int, subjects []int, raters [][]int, vals [][]float64) (*Colum
 	return c, nil
 }
 
-// Cell is one trust write: t_{Rater,Subject} = Value.
+// Cell is one trust write, t_{Rater,Subject} = Value, and its Stamp.
 type Cell struct {
 	Rater, Subject int
 	Value          float64
+	Stamp          Stamp
 }
 
-// With returns the column set that results from applying cells, in order, to
-// c — Matrix.Set's semantics: the last write to a (rater, subject) pair wins,
-// and a 0 value is an entry, not a deletion. c itself is not modified, so
-// readers holding it stay lock-free; the result shares c's subject list,
-// copies the flat backing once with the updated raters merged into their
-// slots' sorted lists, and rebuilds the row index whole. An empty cells
-// returns c. A cell for an uncovered subject, an out-of-range rater or a
-// value outside [0,1] is an error.
-func (c *Columns) With(cells []Cell) (*Columns, error) {
-	if len(cells) == 0 {
-		return c, nil
-	}
+// With returns c with cells applied, settling last-writer-wins per (rater,
+// subject) cell: a write wins unless its Stamp is Before the cell's, so an
+// equal stamp wins again and a cell without one loses to every write. Of a
+// call's writes to one cell the largest stamp counts, the later of equal
+// ones (Matrix.Set's semantics for unstamped writes); a 0 value is an entry.
+// won lists, ascending, the subjects with a winning write; with none, c
+// itself returns. c is never modified, so its readers stay lock-free: the
+// result shares c's subject list and untouched slots' stamps, copies the flat
+// backing once with the winners merged in, and rebuilds the row index. An
+// uncovered subject, out-of-range rater or value outside [0,1] is an error.
+func (c *Columns) With(cells []Cell) (*Columns, []int, error) {
 	type update struct {
 		slot, rater int
 		val         float64
+		st          stamp
 	}
+	out := &Columns{n: c.n, subjects: c.subjects, stamps: slices.Clone(c.stamps), origins: c.origins}
 	ups := make([]update, len(cells))
 	for k, cl := range cells {
 		s, ok := c.slot(cl.Subject)
 		if !ok {
-			return nil, fmt.Errorf("trust: subject %d not in this column set", cl.Subject)
+			return nil, nil, fmt.Errorf("trust: subject %d not in this column set", cl.Subject)
 		}
 		if cl.Rater < 0 || cl.Rater >= c.n {
-			return nil, fmt.Errorf("trust: column %d rater %d out of range [0,%d)", cl.Subject, cl.Rater, c.n)
+			return nil, nil, fmt.Errorf("trust: column %d rater %d out of range [0,%d)", cl.Subject, cl.Rater, c.n)
 		}
 		if !(cl.Value >= 0 && cl.Value <= 1) { // rejects NaN too
-			return nil, fmt.Errorf("trust: column %d value %v out of [0,1]", cl.Subject, cl.Value)
+			return nil, nil, fmt.Errorf("trust: column %d value %v out of [0,1]", cl.Subject, cl.Value)
 		}
-		ups[k] = update{s, cl.Rater, cl.Value}
+		org := slices.Index(out.origins, cl.Stamp.Origin)
+		if org < 0 {
+			org, out.origins = len(out.origins), append(slices.Clip(out.origins), cl.Stamp.Origin)
+		}
+		ups[k] = update{s, cl.Rater, cl.Value, stamp{cl.Stamp.UnixNano, cl.Stamp.Seq, uint32(org)}}
 	}
-	// Order by (slot, rater) for the merge; the stable sort keeps writes to
-	// one pair in call order, so the last of each run is the winner.
+	// Order by (slot, rater); the stable sort keeps writes to one cell in
+	// call order, and each run carries its largest stamp to its last write.
 	slices.SortStableFunc(ups, func(a, b update) int {
 		return cmp.Or(cmp.Compare(a.slot, b.slot), cmp.Compare(a.rater, b.rater))
 	})
+	older := func(a, b stamp) bool { return out.public(a).Before(out.public(b)) }
 
 	total := c.NumEntries() + len(ups)
 	ids := make([]int, 0, total)
 	vals := make([]float64, 0, total)
 	offs := make([]int, len(c.subjects)+1)
-	u := 0
+	won := make([]int, 0, min(len(ups), len(c.subjects)))
+	u, w := 0, 0 // ups[:w] collects the winners, in order
 	for s := range c.subjects {
 		oldIDs, oldVals := c.raters[s], c.vals[s]
-		x := 0
+		x, first, stamped := 0, w, c.stamps[s] != nil
 		for ; u < len(ups) && ups[u].slot == s; u++ {
-			i, v := ups[u].rater, ups[u].val
-			if u+1 < len(ups) && ups[u+1].slot == s && ups[u+1].rater == i {
-				continue // superseded within this call
+			up := ups[u]
+			if u+1 < len(ups) && ups[u+1].slot == s && ups[u+1].rater == up.rater {
+				if older(ups[u+1].st, up.st) {
+					ups[u+1] = up
+				}
+				continue
 			}
 			lo := x
-			for x < len(oldIDs) && oldIDs[x] < i {
+			for x < len(oldIDs) && oldIDs[x] < up.rater {
 				x++
 			}
-			ids = append(append(ids, oldIDs[lo:x]...), i)
-			vals = append(append(vals, oldVals[lo:x]...), v)
-			if x < len(oldIDs) && oldIDs[x] == i {
+			ids = append(ids, oldIDs[lo:x]...)
+			vals = append(vals, oldVals[lo:x]...)
+			if x < len(oldIDs) && oldIDs[x] == up.rater {
+				if older(up.st, c.stampAt(s, x)) {
+					continue // the cell keeps its write, copied with the next run
+				}
 				x++ // overwritten
 			}
+			ids, vals = append(ids, up.rater), append(vals, up.val)
+			ups[w], w, stamped = up, w+1, stamped || up.st != stamp{}
 		}
 		ids = append(ids, oldIDs[x:]...)
 		vals = append(vals, oldVals[x:]...)
 		offs[s+1] = len(ids)
+		if w > first {
+			won = append(won, c.subjects[s])
+		}
+		if w == first || !stamped {
+			continue
+		}
+		// The slot's own new stamps: the old cells', then the winners'.
+		st, merged := make([]stamp, offs[s+1]-offs[s]), ids[offs[s]:]
+		for x, i := range oldIDs {
+			k, _ := slices.BinarySearch(merged, i)
+			st[k] = c.stampAt(s, x)
+		}
+		for _, up := range ups[first:w] {
+			k, _ := slices.BinarySearch(merged, up.rater)
+			st[k] = up.st
+		}
+		out.stamps[s] = st
 	}
-	out := &Columns{n: c.n, subjects: c.subjects}
+	if len(won) == 0 {
+		return c, nil, nil
+	}
 	out.attachFlat(ids, vals, offs)
-	return out, nil
+	return out, won, nil
 }
 
 // newColumnsShell validates and copies the subject list; attachFlat fills
@@ -243,7 +318,7 @@ func newColumnsShell(n int, subjects []int) (*Columns, error) {
 			return nil, fmt.Errorf("trust: subjects not strictly ascending at %d", j)
 		}
 	}
-	return &Columns{n: n, subjects: slices.Clone(subjects)}, nil
+	return &Columns{n: n, subjects: slices.Clone(subjects), stamps: make([][]stamp, len(subjects)), origins: []string{""}}, nil
 }
 
 // slot returns subject j's position in the subject list.
@@ -258,25 +333,26 @@ func (c *Columns) N() int { return c.n }
 // mutate it.
 func (c *Columns) Subjects() []int { return c.subjects }
 
-// Covers reports whether subject j is part of this column set.
-func (c *Columns) Covers(j int) bool {
-	_, ok := c.slot(j)
-	return ok
-}
-
-// Column returns subject j's rater ids (ascending) and values, or nils when
-// j is not covered. The caller must not mutate the returned slices.
-func (c *Columns) Column(j int) ([]int, []float64) {
-	s, ok := c.slot(j)
-	if !ok {
-		return nil, nil
+// ColumnAt returns slot s's data, the cells' Stamps in a fresh slice (zero
+// where a cell has none): what regrouping cells into another set needs.
+func (c *Columns) ColumnAt(s int) (subject int, raters []int, vals []float64, stamps []Stamp) {
+	stamps = make([]Stamp, len(c.raters[s]))
+	for x := range stamps {
+		stamps[x] = c.public(c.stampAt(s, x))
 	}
-	return c.raters[s], c.vals[s]
+	return c.subjects[s], c.raters[s], c.vals[s], stamps
 }
 
-// ColumnAt returns slot s's data — the encode path's accessor.
-func (c *Columns) ColumnAt(s int) (subject int, raters []int, vals []float64) {
-	return c.subjects[s], c.raters[s], c.vals[s]
+// Unstamped reports whether c holds cells and not one of them carries a
+// Stamp: a set built by ColumnsOf or NewColumns, or decoded from a payload
+// written before cells had stamps.
+func (c *Columns) Unstamped() bool {
+	for _, st := range c.stamps {
+		if slices.ContainsFunc(st, func(x stamp) bool { return x != stamp{} }) {
+			return false
+		}
+	}
+	return c.NumEntries() > 0
 }
 
 // Get returns t_ij and whether i has rated j (false for uncovered subjects):

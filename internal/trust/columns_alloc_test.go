@@ -44,7 +44,7 @@ func TestColumnsWithAllocsFlat(t *testing.T) {
 	}
 	allocs := func(cells []Cell) float64 {
 		return testing.AllocsPerRun(20, func() {
-			if _, err := c.With(cells); err != nil {
+			if _, _, err := c.With(cells); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -2,6 +2,8 @@ package trust
 
 import (
 	"bytes"
+	"encoding/gob"
+	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -98,8 +100,8 @@ func TestColumnsReaderMatchesMatrix(t *testing.T) {
 	if sum, cnt := c.ColumnSum(2); sum != 0 || cnt != 0 {
 		t.Fatal("uncovered subject has a column sum")
 	}
-	if c.Covers(2) || !c.Covers(21) {
-		t.Fatal("Covers wrong")
+	if slices.Contains(c.Subjects(), 2) || !slices.Contains(c.Subjects(), 21) {
+		t.Fatal("subject set wrong")
 	}
 	// WeightedColumn over the Reader interface agrees for covered columns.
 	for _, o := range []int{0, 13, 39} {
@@ -147,6 +149,52 @@ func TestColumnsSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadColumnsValidatesStamps: a payload's stamps are all or none — one
+// per entry in each of the three arrays — and every origin index resolves in
+// the origin table, whose entry 0 is the empty origin. A stamped set that
+// passes re-saves byte for byte.
+func TestLoadColumnsValidatesStamps(t *testing.T) {
+	good := columnsWire{N: 6, Subjects: []int{2, 5}, Counts: []int{2, 1}, I: []int{0, 4, 1}, V: []float64{0.5, 1, 0.25},
+		Version: wireVersion, Origins: []string{"", "a"}, StampTS: []int64{7, -3, 0}, StampSeq: []uint64{1, 2, 0}, StampOrg: []uint32{1, 0, 0}}
+	encode := func(w columnsWire) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(w); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	c, err := LoadColumns(bytes.NewReader(encode(good)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, stamps := c.ColumnAt(0)
+	if !slices.Equal(stamps, []Stamp{{UnixNano: 7, Origin: "a", Seq: 1}, {UnixNano: -3, Seq: 2}}) || c.Unstamped() {
+		t.Fatalf("loaded stamps %+v, unstamped %v", stamps, c.Unstamped())
+	}
+	var buf bytes.Buffer
+	if err := c.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), encode(good)) {
+		t.Fatal("a stamped set does not re-save byte for byte")
+	}
+	for name, mutate := range map[string]func(w *columnsWire){
+		"short timestamps":      func(w *columnsWire) { w.StampTS = w.StampTS[:2] },
+		"long sequence numbers": func(w *columnsWire) { w.StampSeq = append(w.StampSeq, 1) },
+		"short origin indices":  func(w *columnsWire) { w.StampOrg = w.StampOrg[:2] },
+		"origin past the table": func(w *columnsWire) { w.StampOrg = []uint32{1, 2, 0} },
+		"no origin table":       func(w *columnsWire) { w.Origins = nil },
+		"table without \"\"":    func(w *columnsWire) { w.Origins = []string{"a", "b"} },
+		"stamps without cells":  func(w *columnsWire) { w.Counts, w.I, w.V = []int{0, 0}, nil, nil },
+	} {
+		w := good
+		mutate(&w)
+		if _, err := LoadColumns(bytes.NewReader(encode(w))); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 // TestNewColumnsValidates rejects malformed raw column data.
 func TestNewColumnsValidates(t *testing.T) {
 	cases := []struct {
@@ -172,17 +220,17 @@ func TestNewColumnsValidates(t *testing.T) {
 	}
 }
 
-// checkColumnsEqual fails unless got answers every Columns query, and
-// serialises, exactly like want.
+// checkColumnsEqual fails unless got answers every Columns query exactly like
+// want and, when got holds no stamp, serialises exactly like it.
 func checkColumnsEqual(t testing.TB, got, want *Columns) {
 	t.Helper()
 	if got.N() != want.N() || got.NumEntries() != want.NumEntries() || len(got.Subjects()) != len(want.Subjects()) {
 		t.Fatalf("shape: n=%d entries=%d subjects=%d, want %d/%d/%d", got.N(), got.NumEntries(), len(got.Subjects()),
 			want.N(), want.NumEntries(), len(want.Subjects()))
 	}
-	for _, j := range want.Subjects() {
-		gi, gv := got.Column(j)
-		wi, wv := want.Column(j)
+	for s, j := range want.Subjects() {
+		_, gi, gv, _ := got.ColumnAt(s)
+		_, wi, wv, _ := want.ColumnAt(s)
 		if len(gi) != len(wi) || len(gv) != len(wv) {
 			t.Fatalf("column %d: %d/%d entries, want %d/%d", j, len(gi), len(gv), len(wi), len(wv))
 		}
@@ -209,6 +257,9 @@ func checkColumnsEqual(t testing.TB, got, want *Columns) {
 			t.Fatalf("row %d: interactions %v, want %v", i, gw, ww)
 		}
 	}
+	if !got.Unstamped() && got.NumEntries() > 0 {
+		return
+	}
 	var gb, wb bytes.Buffer
 	if err := got.Save(&gb); err != nil {
 		t.Fatal(err)
@@ -221,25 +272,58 @@ func checkColumnsEqual(t testing.TB, got, want *Columns) {
 	}
 }
 
-// withMirror applies cells both to a mirror matrix (Set, in order) and to cur
-// through With, and checks the result against ColumnsOf(mirror) — the
-// differential every With test and FuzzColumnsWith share.
-func withMirror(t testing.TB, mirror *Matrix, cur *Columns, cells []Cell) *Columns {
+// mirror is the reference every With test and FuzzColumnsWith check against:
+// a Matrix that takes the same writes one at a time, each only when its stamp
+// is not Before the stamp its cell last took (none: the zero Stamp).
+type mirror struct {
+	m      *Matrix
+	stamps map[[2]int]Stamp
+}
+
+func newMirror(m *Matrix) *mirror { return &mirror{m: m, stamps: map[[2]int]Stamp{}} }
+
+// with applies cells both to the mirror and to cur through With, and checks
+// the result — values, stamps, the won report — against the mirror.
+func (mr *mirror) with(t testing.TB, cur *Columns, cells []Cell) *Columns {
 	t.Helper()
+	won := map[int]bool{}
 	for _, cl := range cells {
-		if err := mirror.Set(cl.Rater, cl.Subject, cl.Value); err != nil {
+		if cl.Stamp.Before(mr.stamps[[2]int{cl.Rater, cl.Subject}]) {
+			continue
+		}
+		if err := mr.m.Set(cl.Rater, cl.Subject, cl.Value); err != nil {
 			t.Fatal(err)
 		}
+		mr.stamps[[2]int{cl.Rater, cl.Subject}] = cl.Stamp
+		won[cl.Subject] = true
 	}
-	next, err := cur.With(cells)
+	next, gotWon, err := cur.With(cells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ColumnsOf(mirror, cur.Subjects())
+	if wantWon := slices.Sorted(maps.Keys(won)); !slices.Equal(gotWon, wantWon) || (next == cur) != (len(won) == 0) {
+		t.Fatalf("With won %v (receiver returned: %v), want %v", gotWon, next == cur, wantWon)
+	}
+	want, err := ColumnsOf(mr.m, cur.Subjects())
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkColumnsEqual(t, next, want)
+	unstamped := 0
+	for s, j := range next.Subjects() {
+		_, ids, _, stamps := next.ColumnAt(s)
+		for x, i := range ids {
+			if want := mr.stamps[[2]int{i, j}]; stamps[x] != want {
+				t.Fatalf("cell (%d,%d) carries stamp %+v, want %+v", i, j, stamps[x], want)
+			}
+			if stamps[x] == (Stamp{}) {
+				unstamped++
+			}
+		}
+	}
+	if want := unstamped > 0 && unstamped == next.NumEntries(); next.Unstamped() != want {
+		t.Fatalf("Unstamped() = %v with %d of %d cells unstamped", next.Unstamped(), unstamped, next.NumEntries())
+	}
 	return next
 }
 
@@ -249,26 +333,26 @@ func withMirror(t testing.TB, mirror *Matrix, cur *Columns, cells []Cell) *Colum
 func TestColumnsWithMatchesColumnsOf(t *testing.T) {
 	const n = 30
 	subjects := []int{2, 5, 8, 11, 14, 29}
-	mirror := NewMatrix(n)
-	cur, err := ColumnsOf(mirror, subjects)
+	mr := newMirror(NewMatrix(n))
+	cur, err := ColumnsOf(mr.m, subjects)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// The named edge cases, each its own call.
 	for _, cells := range [][]Cell{
-		{{10, 5, 0.5}},               // first entry of an empty column
-		{{3, 5, 0.25}},               // insert before the first rater
-		{{25, 5, 0.75}},              // insert after the last rater
-		{{10, 5, 0.9}},               // overwrite
-		{{3, 5, 0}},                  // a 0 value is an entry, not a delete
-		{{7, 8, 0.2}, {7, 8, 0.6}},   // same cell twice: the last write wins
-		{{29, 29, 1}, {0, 2, 0}},     // boundary ids, two slots in one call
-		{{12, 5, 0.1}, {11, 5, 0.3}}, // descending raters within one call
-		{{3, 5, 0.4}, {3, 14, 0.4}},  // one rater's row grows in two slots
-		{{10, 5, 0.9}, {10, 5, 0.9}}, // idempotent rewrite
+		{{Rater: 10, Subject: 5, Value: 0.5}},                                      // first entry of an empty column
+		{{Rater: 3, Subject: 5, Value: 0.25}},                                      // insert before the first rater
+		{{Rater: 25, Subject: 5, Value: 0.75}},                                     // insert after the last rater
+		{{Rater: 10, Subject: 5, Value: 0.9}},                                      // overwrite
+		{{Rater: 3, Subject: 5, Value: 0}},                                         // a 0 value is an entry, not a delete
+		{{Rater: 7, Subject: 8, Value: 0.2}, {Rater: 7, Subject: 8, Value: 0.6}},   // same cell twice: the last write wins
+		{{Rater: 29, Subject: 29, Value: 1}, {Rater: 0, Subject: 2, Value: 0}},     // boundary ids, two slots in one call
+		{{Rater: 12, Subject: 5, Value: 0.1}, {Rater: 11, Subject: 5, Value: 0.3}}, // descending raters within one call
+		{{Rater: 3, Subject: 5, Value: 0.4}, {Rater: 3, Subject: 14, Value: 0.4}},  // one rater's row grows in two slots
+		{{Rater: 10, Subject: 5, Value: 0.9}, {Rater: 10, Subject: 5, Value: 0.9}}, // idempotent rewrite
 	} {
-		cur = withMirror(t, mirror, cur, cells)
+		cur = mr.with(t, cur, cells)
 	}
 	if v, ok := cur.Get(7, 8); !ok || v != 0.6 {
 		t.Fatalf("same-cell-twice kept (%v,%v), want the last write 0.6", v, ok)
@@ -278,7 +362,7 @@ func TestColumnsWithMatchesColumnsOf(t *testing.T) {
 	}
 
 	// An empty call is the receiver itself.
-	if same, err := cur.With(nil); err != nil || same != cur {
+	if same, _, err := cur.With(nil); err != nil || same != cur {
 		t.Fatalf("With(nil) = (%p, %v), want the receiver %p", same, err, cur)
 	}
 
@@ -287,7 +371,7 @@ func TestColumnsWithMatchesColumnsOf(t *testing.T) {
 	for round := 0; round < 60; round++ {
 		cells := make([]Cell, src.Intn(9))
 		for k := range cells {
-			cells[k] = Cell{src.Intn(n), subjects[src.Intn(len(subjects))], src.Float64()}
+			cells[k] = Cell{Rater: src.Intn(n), Subject: subjects[src.Intn(len(subjects))], Value: src.Float64()}
 			if src.Bool(0.1) {
 				cells[k].Value = 0
 			}
@@ -295,19 +379,19 @@ func TestColumnsWithMatchesColumnsOf(t *testing.T) {
 				cells[k].Rater, cells[k].Subject = cells[k-1].Rater, cells[k-1].Subject
 			}
 		}
-		cur = withMirror(t, mirror, cur, cells)
+		cur = mr.with(t, cur, cells)
 	}
 
 	// Invalid cells are errors, wherever they sit in the call.
 	for name, bad := range map[string]Cell{
-		"uncovered subject": {1, 3, 0.5},
-		"negative rater":    {-1, 5, 0.5},
-		"rater == n":        {n, 5, 0.5},
-		"NaN value":         {1, 5, math.NaN()},
-		"value above 1":     {1, 5, 1.5},
-		"negative value":    {1, 5, -0.1},
+		"uncovered subject": {Rater: 1, Subject: 3, Value: 0.5},
+		"negative rater":    {Rater: -1, Subject: 5, Value: 0.5},
+		"rater == n":        {Rater: n, Subject: 5, Value: 0.5},
+		"NaN value":         {Rater: 1, Subject: 5, Value: math.NaN()},
+		"value above 1":     {Rater: 1, Subject: 5, Value: 1.5},
+		"negative value":    {Rater: 1, Subject: 5, Value: -0.1},
 	} {
-		if _, err := cur.With([]Cell{{1, 5, 0.5}, bad}); err == nil {
+		if _, _, err := cur.With([]Cell{{Rater: 1, Subject: 5, Value: 0.5}, bad}); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -332,9 +416,9 @@ func TestColumnsWithLeavesReceiverUnchanged(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		cells := make([]Cell, 1+src.Intn(12))
 		for k := range cells {
-			cells[k] = Cell{src.Intn(n), subjects[src.Intn(len(subjects))], src.Float64()}
+			cells[k] = Cell{Rater: src.Intn(n), Subject: subjects[src.Intn(len(subjects))], Value: src.Float64()}
 		}
-		next, err := c.With(cells)
+		next, _, err := c.With(cells)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +426,7 @@ func TestColumnsWithLeavesReceiverUnchanged(t *testing.T) {
 			t.Fatal("non-empty With returned its receiver")
 		}
 		// A second generation built on top must not reach back either.
-		if _, err := next.With(cells[:1]); err != nil {
+		if _, _, err := next.With(cells[:1]); err != nil {
 			t.Fatal(err)
 		}
 		checkColumnsEqual(t, c, frozen)
@@ -390,11 +474,44 @@ func FuzzColumnsLoad(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte("junk"))
+	// Stamped seeds: one set whose every cell is stamped, one with an
+	// unstamped cell beside stamped ones.
+	for _, cells := range [][]Cell{
+		{{Rater: 0, Subject: 2, Value: 0.5, Stamp: Stamp{UnixNano: 7, Origin: "a", Seq: 1}},
+			{Rater: 4, Subject: 2, Value: 1, Stamp: Stamp{UnixNano: -3, Origin: "b", Seq: 2}},
+			{Rater: 1, Subject: 5, Value: 0.25, Stamp: Stamp{UnixNano: 7, Seq: 4}}},
+		{{Rater: 3, Subject: 5, Value: 0.75, Stamp: Stamp{UnixNano: 1, Origin: "a", Seq: 9}}},
+	} {
+		stamped, _, err := c.With(cells)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var sb bytes.Buffer
+		if err := stamped.Save(&sb); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(sb.Bytes())
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := LoadColumns(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		// Whatever loads re-saves to bytes that load and re-save unchanged.
+		var first, second bytes.Buffer
+		if err := got.Save(&first); err != nil {
+			t.Fatal(err)
+		}
+		again, err := LoadColumns(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-saved columns refused: %v", err)
+		}
+		if err := again.Save(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatal("re-saved columns do not re-save byte for byte")
 		}
 		for k, j := range got.Subjects() {
 			if j < 0 || j >= got.N() {
@@ -403,7 +520,10 @@ func FuzzColumnsLoad(f *testing.F) {
 			if k > 0 && j <= got.Subjects()[k-1] {
 				t.Fatalf("accepted columns with subjects not strictly ascending: %v", got.Subjects())
 			}
-			ids, vals := got.Column(j)
+			_, ids, vals, stamps := got.ColumnAt(k)
+			if len(stamps) != len(ids) {
+				t.Fatalf("accepted column %d with %d stamps for %d raters", j, len(stamps), len(ids))
+			}
 			prev := -1
 			for k, i := range ids {
 				if i <= prev || i >= got.N() {
@@ -433,34 +553,96 @@ func FuzzColumnsLoad(f *testing.F) {
 }
 
 // FuzzColumnsWith is TestColumnsWithMatchesColumnsOf's differential over
-// fuzzed cell lists: every three bytes are one (rater, subject, value) write,
-// and a rater byte with its top bit set first flushes the cells gathered so
-// far as one With call.
+// fuzzed cell lists: every four bytes are one (rater, subject, value, stamp)
+// write, and a rater byte with its top bit set first flushes the cells
+// gathered so far as one With call. The stamp byte spans timestamps -8..7,
+// four origins and sequence numbers 0..3, so ties on every coordinate are
+// common; 0x80 is a write without a stamp.
 func FuzzColumnsWith(f *testing.F) {
 	const n = 12
 	subjects := []int{1, 4, 7, 10}
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 128, 3, 1, 255, 0x85, 2, 0, 5, 2, 7})
 	f.Add([]byte{11, 3, 255, 0, 3, 0, 0x80, 3, 9, 0x8b, 0, 1})
+	f.Add([]byte{2, 0, 9, 0x85, 2, 0, 40, 0x85, 0x82, 0, 70, 0x84, 2, 0, 99, 0x80})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		mirror := NewMatrix(n)
-		cur, err := ColumnsOf(mirror, subjects)
+		mr := newMirror(NewMatrix(n))
+		cur, err := ColumnsOf(mr.m, subjects)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var cells []Cell
-		for ; len(data) >= 3; data = data[3:] {
+		for ; len(data) >= 4; data = data[4:] {
 			if data[0]&0x80 != 0 {
-				cur = withMirror(t, mirror, cur, cells)
+				cur = mr.with(t, cur, cells)
 				cells = cells[:0]
 			}
 			cells = append(cells, Cell{
 				Rater:   int(data[0]&0x7f) % n,
 				Subject: subjects[int(data[1])%len(subjects)],
 				Value:   float64(data[2]) / 255,
+				Stamp:   Stamp{UnixNano: int64(data[3]>>4) - 8, Origin: []string{"", "a", "b", "c"}[data[3]>>2&3], Seq: uint64(data[3] & 3)},
 			})
 		}
-		withMirror(t, mirror, cur, cells)
+		mr.with(t, cur, cells)
 	})
+}
+
+// TestColumnsWithStampOrder: random stamped writes — ties on every
+// coordinate, timestamps at or below zero — applied in random order and split
+// over one to three calls settle every cell to the write a one-at-a-time
+// last-writer-wins reference keeps, and report exactly the subjects some write
+// won. Every write, whatever its timestamp, beats a cell without a stamp.
+func TestColumnsWithStampOrder(t *testing.T) {
+	const n = 12
+	subjects := []int{1, 4, 7, 10}
+	origins := []string{"", "a", "b"}
+	src := rng.New(29)
+	for trial := 0; trial < 300; trial++ {
+		mr := newMirror(randomMatrix(t, n, 0.2, uint64(trial))) // unstamped cells to beat
+		cur, err := ColumnsOf(mr.m, subjects)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writes := make([]Cell, 1+src.Intn(30))
+		for k := range writes {
+			writes[k] = Cell{Rater: src.Intn(n), Subject: subjects[src.Intn(len(subjects))], Value: src.Float64(),
+				Stamp: Stamp{UnixNano: int64(src.Intn(4)) - 2, Origin: origins[src.Intn(len(origins))], Seq: uint64(1 + src.Intn(2))}}
+			if src.Bool(0.05) {
+				writes[k].Stamp.UnixNano = math.MinInt64
+			}
+		}
+		calls := []int{0, len(writes)}
+		for c := src.Intn(3); c > 0; c-- {
+			calls = append(calls, src.Intn(len(writes)+1))
+		}
+		slices.Sort(calls)
+		for c := 1; c < len(calls); c++ {
+			cur = mr.with(t, cur, writes[calls[c-1]:calls[c]])
+		}
+	}
+
+	// The unstamped cell against the oldest stamps there are.
+	m := NewMatrix(n)
+	if err := m.Set(3, 4, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	base, err := ColumnsOf(m, subjects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []Stamp{{UnixNano: math.MinInt64}, {UnixNano: -1, Origin: "a"}, {Seq: 1}, {Origin: "a"}} {
+		next, won, err := base.With([]Cell{{Rater: 3, Subject: 4, Value: 0.25, Stamp: st}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := next.Get(3, 4); v != 0.25 || !slices.Equal(won, []int{4}) || next.Unstamped() {
+			t.Fatalf("write stamped %+v against an unstamped cell: value %v, won %v", st, v, won)
+		}
+		// A write without a stamp loses to it in turn.
+		if again, won, _ := next.With([]Cell{{Rater: 3, Subject: 4, Value: 1}}); again != next || won != nil {
+			t.Fatalf("unstamped write beat a cell stamped %+v", st)
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 )
 
 const wireVersion = 1
@@ -18,7 +19,8 @@ const maxWireN = 1 << 24
 
 // columnsWire is the gob representation of a frozen Columns: the subject
 // list plus one flat (rater, value) list, column by column, so the format
-// stays compact and deterministic.
+// stays compact and deterministic; beside it the origin table (entry 0 is "")
+// and one stamp per entry, all or none (older builds wrote none).
 type columnsWire struct {
 	N        int
 	Subjects []int
@@ -26,24 +28,32 @@ type columnsWire struct {
 	I        []int // rater ids, concatenated in subject order
 	V        []float64
 	Version  int
+	Origins  []string
+	StampTS  []int64
+	StampSeq []uint64
+	StampOrg []uint32
 }
 
 // Save serialises the column set with gob, deterministically (subjects and
 // raters ascending).
 func (c *Columns) Save(w io.Writer) error {
-	wire := columnsWire{N: c.n, Version: wireVersion}
-	for s := range c.subjects {
-		j, ids, vals := c.ColumnAt(s)
-		wire.Subjects = append(wire.Subjects, j)
+	wire := columnsWire{N: c.n, Subjects: c.subjects, Version: wireVersion, Origins: c.origins}
+	for s, ids := range c.raters {
 		wire.Counts = append(wire.Counts, len(ids))
 		wire.I = append(wire.I, ids...)
-		wire.V = append(wire.V, vals...)
+		wire.V = append(wire.V, c.vals[s]...)
+		for x := range ids {
+			st := c.stampAt(s, x)
+			wire.StampTS = append(wire.StampTS, st.ts)
+			wire.StampSeq = append(wire.StampSeq, st.seq)
+			wire.StampOrg = append(wire.StampOrg, st.org)
+		}
 	}
 	return gob.NewEncoder(w).Encode(wire)
 }
 
 // LoadColumns deserialises a column set written by (*Columns).Save,
-// validating shape, ranges and ordering.
+// validating shape, ranges, ordering and stamps.
 func LoadColumns(r io.Reader) (*Columns, error) {
 	var wire columnsWire
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
@@ -73,5 +83,21 @@ func LoadColumns(r io.Reader) (*Columns, error) {
 	if off != len(wire.I) {
 		return nil, fmt.Errorf("trust: malformed columns payload")
 	}
-	return NewColumns(wire.N, wire.Subjects, raters, vals)
+	c, err := NewColumns(wire.N, wire.Subjects, raters, vals)
+	if err != nil || len(wire.Origins)+len(wire.StampTS)+len(wire.StampSeq)+len(wire.StampOrg) == 0 {
+		return c, err
+	}
+	if len(wire.Origins) == 0 || wire.Origins[0] != "" || len(wire.StampTS) != off || len(wire.StampSeq) != off || len(wire.StampOrg) != off ||
+		slices.ContainsFunc(wire.StampOrg, func(org uint32) bool { return int(org) >= len(wire.Origins) }) {
+		return nil, fmt.Errorf("trust: malformed columns stamps (%d/%d/%d for %d entries, %d origins)", len(wire.StampTS), len(wire.StampSeq), len(wire.StampOrg), off, len(wire.Origins))
+	}
+	c.origins, off = wire.Origins, 0
+	for s, cnt := range wire.Counts {
+		c.stamps[s] = make([]stamp, cnt) // each slot its own allocation, as With keeps them
+		for x := range c.stamps[s] {
+			c.stamps[s][x] = stamp{wire.StampTS[off+x], wire.StampSeq[off+x], wire.StampOrg[off+x]}
+		}
+		off += cnt
+	}
+	return c, nil
 }
