@@ -227,36 +227,6 @@ func BenchmarkAblationTopology(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAsync compares the synchronous-round idealisation against
-// the asynchronous random-activation schedule the deployed agent uses,
-// reporting round-equivalents to the same accuracy.
-func BenchmarkAblationAsync(b *testing.B) {
-	g := graph.MustPA(2000, 2, 70)
-	xs := randomVals(2000, 71)
-	b.Run("sync", func(b *testing.B) {
-		var steps float64
-		for i := 0; i < b.N; i++ {
-			res, err := gossip.Average(gossip.Config{Graph: g, Epsilon: 1e-4, Seed: 72}, xs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			steps = float64(res.Steps)
-		}
-		b.ReportMetric(steps, "rounds")
-	})
-	b.Run("async", func(b *testing.B) {
-		var rounds float64
-		for i := 0; i < b.N; i++ {
-			res, err := gossip.AsyncAverage(gossip.Config{Graph: g, Epsilon: 1e-4, Seed: 72}, xs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rounds = float64(res.Rounds)
-		}
-		b.ReportMetric(rounds, "rounds")
-	})
-}
-
 // BenchmarkBaselineCollusion runs the cross-scheme collusion comparison,
 // reporting DGT's normalised RMSE under attack.
 func BenchmarkBaselineCollusion(b *testing.B) {

@@ -87,18 +87,12 @@ func GlobalSubjectsAtRoot(g *graph.Graph, t ColumnSource, subjects []int, p Para
 // selects whether each subject's N-wide column is built besides AtRoot.
 func globalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params, columns bool) (*SubjectsResult, error) {
 	p = p.withDefaults()
-	if g == nil || g.N() == 0 {
-		return nil, fmt.Errorf("core: empty graph")
+	if err := p.Validate(g); err != nil {
+		return nil, err
 	}
 	n := g.N()
 	if t == nil || t.N() != n {
 		return nil, fmt.Errorf("core: trust source size does not match graph size %d", n)
-	}
-	if err := p.Weights.Validate(); err != nil {
-		return nil, err
-	}
-	if p.Root < 0 || p.Root >= n {
-		return nil, fmt.Errorf("core: root %d out of range [0,%d)", p.Root, n)
 	}
 	seen := make(map[int]bool, len(subjects))
 	for _, j := range subjects {

@@ -99,18 +99,31 @@ func (p Params) gossipConfig(g *graph.Graph) gossip.Config {
 	}
 }
 
-func (p Params) validate(g *graph.Graph, t *trust.Matrix) error {
+// Validate reports whether every aggregation accepts p on g: a non-empty
+// graph, valid weights, a root inside the graph and a gossip configuration
+// the engines accept. Zero Epsilon and Weights take their defaults first, as
+// every aggregation does.
+func (p Params) Validate(g *graph.Graph) error {
+	p = p.withDefaults()
 	if g == nil || g.N() == 0 {
 		return fmt.Errorf("core: empty graph")
-	}
-	if t == nil || t.N() != g.N() {
-		return fmt.Errorf("core: trust matrix size %d does not match graph size %d", sizeOf(t), g.N())
 	}
 	if err := p.Weights.Validate(); err != nil {
 		return err
 	}
 	if p.Root < 0 || p.Root >= g.N() {
 		return fmt.Errorf("core: root %d out of range [0,%d)", p.Root, g.N())
+	}
+	cfg := p.gossipConfig(g)
+	return cfg.Validate()
+}
+
+func (p Params) validate(g *graph.Graph, t *trust.Matrix) error {
+	if err := p.Validate(g); err != nil {
+		return err
+	}
+	if t == nil || t.N() != g.N() {
+		return fmt.Errorf("core: trust matrix size %d does not match graph size %d", sizeOf(t), g.N())
 	}
 	return nil
 }

@@ -94,7 +94,7 @@ type Result struct {
 // to all neighbours so that k_i can be computed) is charged to
 // Messages.Setup.
 func NewEngine(cfg Config, y0, g0 []float64) (*Engine, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	n := cfg.Graph.N()

@@ -69,11 +69,6 @@ func TestProtocolStrings(t *testing.T) {
 			t.Fatalf("empty string for protocol %d", int(p))
 		}
 	}
-	for _, p := range []SpreadProtocol{SpreadPush, SpreadPull, SpreadPushPull, SpreadDifferentialPush, SpreadProtocol(99)} {
-		if p.String() == "" {
-			t.Fatalf("empty string for spread protocol %d", int(p))
-		}
-	}
 }
 
 func TestPairRatioSentinel(t *testing.T) {

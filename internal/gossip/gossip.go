@@ -90,7 +90,10 @@ type Config struct {
 	Workers int
 }
 
-func (c *Config) validate() error {
+// Validate reports whether every engine accepts c: a non-empty graph, ξ > 0,
+// a loss probability in [0,1), FixedK >= 1 under FixedPush and no negative
+// step bound.
+func (c *Config) Validate() error {
 	if c.Graph == nil || c.Graph.N() == 0 {
 		return fmt.Errorf("gossip: empty graph")
 	}

@@ -110,7 +110,7 @@ type VectorResult struct {
 // NewVectorEngine builds a vector gossip run from initial masses. y0 and g0
 // must be N×N (row i = node i's initial vector).
 func NewVectorEngine(cfg Config, y0, g0 [][]float64) (*VectorEngine, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	n := cfg.Graph.N()

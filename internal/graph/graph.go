@@ -206,16 +206,6 @@ func (g *Graph) DifferentialKs() []int {
 	return out
 }
 
-// RandomNeighbor returns a uniformly random neighbour of u, or -1 if u is
-// isolated.
-func (g *Graph) RandomNeighbor(u int, src *rng.Source) int {
-	nbrs := g.adj[u]
-	if len(nbrs) == 0 {
-		return -1
-	}
-	return nbrs[src.Intn(len(nbrs))]
-}
-
 // RandomNeighbors returns k neighbours of u chosen uniformly at random
 // without replacement (all of them if k >= deg(u)).
 func (g *Graph) RandomNeighbors(u, k int, src *rng.Source) []int {

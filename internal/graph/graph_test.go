@@ -184,21 +184,6 @@ func TestFigure2MatchesPaper(t *testing.T) {
 	}
 }
 
-func TestRandomNeighborMembership(t *testing.T) {
-	g := Figure2()
-	src := rng.New(1)
-	for trial := 0; trial < 200; trial++ {
-		u := src.Intn(g.N())
-		v := g.RandomNeighbor(u, src)
-		if !g.HasEdge(u, v) {
-			t.Fatalf("RandomNeighbor(%d) = %d not adjacent", u, v)
-		}
-	}
-	if got := New(1).RandomNeighbor(0, src); got != -1 {
-		t.Fatalf("isolated RandomNeighbor = %d, want -1", got)
-	}
-}
-
 func TestRandomNeighborsDistinct(t *testing.T) {
 	g := Figure2()
 	src := rng.New(2)

@@ -120,9 +120,9 @@ func TestLWWTimestampTieBreaksOnOrigin(t *testing.T) {
 	reputationsEqual(t, a, c)
 }
 
-// TestLWWTagsSurviveRestart proves the tags rebuild from the WAL: a write
-// folded before a restart still beats an older conflicting write that
-// arrives after it.
+// TestLWWTagsSurviveRestart proves the winners' stamps survive a restart in
+// the frozen columns of the persisted segments: a write folded before a
+// restart still beats an older conflicting write that arrives after it.
 func TestLWWTagsSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
 	mk := func() *Service {
@@ -155,7 +155,7 @@ func TestLWWTagsSurviveRestart(t *testing.T) {
 	s = mk()
 	defer s.Close()
 	// An older conflicting write straggles in after the restart; without
-	// the rebuilt tags it would clobber the folded winner.
+	// the persisted stamps it would clobber the folded winner.
 	if _, err := s.ApplyReplicated([]store.Feedback{{Origin: "node-b", OriginSeq: 1, Rater: 4, Subject: 6, Value: 0.2, UnixNano: 100}}); err != nil {
 		t.Fatal(err)
 	}

@@ -226,6 +226,9 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Graph == nil || cfg.Graph.N() == 0 {
 		return nil, fmt.Errorf("service: empty graph")
 	}
+	if err := cfg.Params.Validate(cfg.Graph); err != nil {
+		return nil, fmt.Errorf("service: params: %w", err)
+	}
 	if cfg.EpochInterval < 0 {
 		return nil, fmt.Errorf("service: negative epoch interval %v", cfg.EpochInterval)
 	}

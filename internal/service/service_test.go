@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"diffgossip/internal/core"
+	"diffgossip/internal/gossip"
 	"diffgossip/internal/graph"
 	"diffgossip/internal/rng"
 	"diffgossip/internal/trust"
@@ -44,19 +45,35 @@ func newTestService(t *testing.T, n int, cfg Config) *Service {
 	return s
 }
 
+// TestNewValidates pins that New refuses a bad Config up front, including
+// every Params field a fold would refuse: a service booted with those would
+// fail every epoch and never drain its pending batch.
 func TestNewValidates(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Error("nil graph accepted")
+	g := testGraph(t, 10, 1)
+	for name, cfg := range map[string]Config{
+		"nil graph":         {},
+		"negative interval": {Graph: g, EpochInterval: -time.Second},
+		"shards above N":    {Graph: g, Shards: 11},
+		"negative shards":   {Graph: g, Shards: -1},
+		"root above N":      {Graph: g, Params: core.Params{Root: 10}},
+		"negative root":     {Graph: g, Params: core.Params{Root: -1}},
+		"weight base below": {Graph: g, Params: core.Params{Weights: trust.WeightParams{A: 0.5, B: 1}}},
+		"negative scale":    {Graph: g, Params: core.Params{Weights: trust.WeightParams{A: 2, B: -1}}},
+		"negative epsilon":  {Graph: g, Params: core.Params{Epsilon: -1}},
+		"loss of one":       {Graph: g, Params: core.Params{LossProb: 1}},
+		"negative loss":     {Graph: g, Params: core.Params{LossProb: -0.1}},
+		"fixed push, no k":  {Graph: g, Params: core.Params{Protocol: gossip.FixedPush}},
+		"negative max step": {Graph: g, Params: core.Params{MaxSteps: -1}},
+	} {
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: New accepted %+v", name, cfg)
+		}
 	}
-	if _, err := New(Config{Graph: testGraph(t, 10, 1), EpochInterval: -time.Second}); err == nil {
-		t.Error("negative interval accepted")
+	s, err := New(Config{Graph: g, Params: core.Params{Root: 9, Protocol: gossip.FixedPush, FixedK: 2}})
+	if err != nil {
+		t.Fatalf("valid params refused: %v", err)
 	}
-	if _, err := New(Config{Graph: testGraph(t, 10, 1), Shards: 11}); err == nil {
-		t.Error("shard count above N accepted")
-	}
-	if _, err := New(Config{Graph: testGraph(t, 10, 1), Shards: -1}); err == nil {
-		t.Error("negative shard count accepted")
-	}
+	s.Close()
 }
 
 func TestBootViewAndEmptyEpoch(t *testing.T) {
