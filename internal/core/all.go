@@ -108,7 +108,6 @@ func globalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params, co
 	res := &SubjectsResult{
 		Subjects:       append([]int(nil), subjects...),
 		AtRoot:         make([]float64, len(subjects)),
-		Raters:         make([]int, len(subjects)),
 		StepsBySubject: make([]int, len(subjects)),
 		Converged:      true,
 	}
@@ -159,7 +158,6 @@ func globalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params, co
 			res.Columns[s] = col
 		}
 		k := len(ids)
-		res.Raters[s] = k
 		if k == 0 {
 			outs[s] = outcome{converged: true}
 			return

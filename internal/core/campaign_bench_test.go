@@ -20,19 +20,20 @@ func BenchmarkSparseCampaigns(b *testing.B) {
 	g := graph.MustPA(n, 2, 300)
 	src := rng.New(301)
 	subs := make([]int, subjects)
-	ids := make([][]int, subjects)
-	vals := make([][]float64, subjects)
+	var cells []trust.Cell
 	for s := range subs {
 		subs[s] = s * (n / subjects)
-		ids[s] = src.Sample(n, raters)
-		sort.Ints(ids[s])
-		vals[s] = make([]float64, raters)
-		for x := range vals[s] {
-			vals[s][x] = src.Float64()
+		ids := src.Sample(n, raters)
+		sort.Ints(ids)
+		for _, i := range ids {
+			cells = append(cells, trust.Cell{Rater: i, Subject: subs[s], Value: src.Float64()})
 		}
 	}
-	cols, err := trust.NewColumns(n, subs, ids, vals)
+	cols, err := trust.NewColumns(n, subs)
 	if err != nil {
+		b.Fatal(err)
+	}
+	if cols, _, err = cols.With(cells); err != nil {
 		b.Fatal(err)
 	}
 	p := Params{Epsilon: 1e-4, Seed: 302, SparseRaterFrac: 0.25}

@@ -169,8 +169,6 @@ type SubjectsResult struct {
 	// AtRoot[s] is node Params.Root's estimate for Subjects[s] — what
 	// Columns[s][Params.Root] holds when the columns are built.
 	AtRoot []float64
-	// Raters[s] is the number of direct raters of Subjects[s].
-	Raters []int
 	// Computed counts the campaigns that actually ran — subjects with at
 	// least one rater; the rest cost no gossip. The service's fold counter
 	// sums this across epochs to prove dirty-shard incrementality.

@@ -78,8 +78,7 @@ func (s *Service) BootstrapState(reqMarks map[string]uint64) (*StateTransfer, er
 // A transfer containing entries of this node's own origin is refused:
 // re-ingesting our own stream would re-number it and change its LWW stamps.
 // (That only arises when a node loses its data directory but keeps its
-// identity; such a node must rejoin under a fresh identity.) So is one from
-// an older build, whose cells carry no stamps and would lose to any write.
+// identity; such a node must rejoin under a fresh identity.)
 func (s *Service) InstallBootstrap(st *StateTransfer) error {
 	if !s.cfg.Replicate || s.cfg.Origin == "" {
 		return fmt.Errorf("service: bootstrap requires replication mode with an origin id")
@@ -96,9 +95,6 @@ func (s *Service) InstallBootstrap(st *StateTransfer) error {
 		}
 		if seg.Shard != i || seg.Shards != len(st.Segments) {
 			return fmt.Errorf("service: bootstrap transfer segment %d does not fit the layout (shard %d/%d)", i, seg.Shard, seg.Shards)
-		}
-		if seg.Cols.Unstamped() {
-			return fmt.Errorf("service: bootstrap transfer segment %d holds %d cells without stamps: the sender runs an older build — upgrade it first", i, seg.Cols.NumEntries())
 		}
 	}
 	for _, list := range [][]store.Feedback{st.Folded, st.Tail} {

@@ -117,9 +117,10 @@ func TestIncrementalReplicatedFoldMatchesFromBoot(t *testing.T) {
 				t.Fatalf("%s foldWorkers=%d shard %d: converged %v incrementally, %v from boot", tc.mode, fw, sh, sa.Converged, sb.Converged)
 			}
 			for k := range sa.Global {
-				if sa.Global[k] != sb.Global[k] || sa.Raters[k] != sb.Raters[k] {
+				j := sh + k*shards
+				if sa.Global[k] != sb.Global[k] || sa.RaterCount(j) != sb.RaterCount(j) {
 					t.Fatalf("%s foldWorkers=%d subject %d: incremental %v (%d raters), from boot %v (%d raters)",
-						tc.mode, fw, sh+k*shards, sa.Global[k], sa.Raters[k], sb.Global[k], sb.Raters[k])
+						tc.mode, fw, j, sa.Global[k], sa.RaterCount(j), sb.Global[k], sb.RaterCount(j))
 				}
 			}
 		}
@@ -229,8 +230,8 @@ func TestCarryRuleEdges(t *testing.T) {
 		if a.Computed != 0 || a.Steps != 0 || a.TotalSteps != 0 || !a.Converged {
 			t.Fatalf("fold with no winner: computed %d, steps %d, total %d, converged %v", a.Computed, a.Steps, a.TotalSteps, a.Converged)
 		}
-		for k := range a.Global {
-			if a.Global[k] != b.Global[k] || a.Raters[k] != b.Raters[k] {
+		for k, j := range a.Cols.Subjects() {
+			if a.Global[k] != b.Global[k] || a.RaterCount(j) != b.RaterCount(j) {
 				t.Fatalf("slot %d moved across a fold with no winner", k)
 			}
 		}

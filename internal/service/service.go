@@ -39,10 +39,11 @@
 // disk delays durability, never ingest, reads or the next epoch's compute.
 // The ledger is fsynced before any segment, so after a crash the on-disk
 // WAL always covers everything the on-disk segments claim to have folded;
-// a restarted service replays only the per-shard unfolded tails. One on-disk
-// format is read: a directory from the pre-shard format (a snapshot.gob and
-// no manifest) or a segment of another wire version is refused at boot,
-// untouched, with an error naming the file and the supported version.
+// a restarted service replays only the per-shard unfolded tails. A directory
+// from the pre-shard format (a snapshot.gob, no manifest) or a shard-NNNN.seg
+// this build cannot read is refused at boot, untouched, with an error naming
+// the file. An older build's shard-NNNN.gob segments are never opened: their
+// shards refold from the WAL.
 package service
 
 import (
@@ -216,7 +217,7 @@ const (
 func ledgerPath(dir string) string   { return filepath.Join(dir, ledgerFile) }
 func manifestPath(dir string) string { return filepath.Join(dir, manifestFile) }
 func shardPath(dir string, shard int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%04d.gob", shard))
+	return filepath.Join(dir, fmt.Sprintf("shard-%04d.seg", shard))
 }
 
 // New builds a Service, loading (and if needed resharding) persisted state
@@ -330,7 +331,7 @@ func (s *Service) loadDir() ([]*store.ShardSnapshot, error) {
 		// treating the directory as fresh would silently refold the whole WAL
 		// over state the operator believes is persisted.
 		if _, err := os.Stat(filepath.Join(dir, preShardFile)); err == nil {
-			return nil, fmt.Errorf("service: %s holds %s but no %s: a pre-shard data directory, which this build does not migrate (it reads only the %s + shard-NNNN.gob layout)",
+			return nil, fmt.Errorf("service: %s holds %s but no %s: a pre-shard data directory, which this build does not migrate (it reads only the %s + shard-NNNN.seg layout)",
 				dir, preShardFile, manifestFile, manifestFile)
 		}
 	} else {
@@ -404,14 +405,6 @@ func (s *Service) loadDir() ([]*store.ShardSnapshot, error) {
 		return fail(fmt.Errorf("service: ledger ends at seq %d but a segment has folded seq %d — ledger truncated or mismatched",
 			ledger.Seq(), maxSeq))
 	}
-	// An older build's segment has no stamps: its fold point drops to 0, so
-	// its shard's whole WAL re-pends below and the first fold re-stamps it.
-	for _, seg := range segs {
-		if seg.Cols.Unstamped() {
-			seg.Seq = 0
-		}
-	}
-
 	// Persist the (validated) layout before serving it: segments first,
 	// manifest last, so a crash mid-reshard leaves the old manifest in charge
 	// and the mismatched segments are discarded as never folded (above).
@@ -433,6 +426,14 @@ func (s *Service) loadDir() ([]*store.ShardSnapshot, error) {
 		// them (best effort) so the directory lists only the live layout.
 		for sh := s.shards; sh < manifest.Shards; sh++ {
 			os.Remove(shardPath(dir, sh))
+		}
+		// An older build's shard-NNNN.gob segments were never opened: their
+		// shards booted as never folded, so their whole WAL re-pends below.
+		// That loses nothing, since compaction keeps every cell's LWW winner
+		// in the WAL (store's compactionKeep). Remove them the same way.
+		old, _ := filepath.Glob(filepath.Join(dir, "shard-*.gob")) // errs only on a bad pattern
+		for _, path := range old {
+			os.Remove(path)
 		}
 	}
 	// Entries already folded into their subject's shard are dropped; the
@@ -798,12 +799,13 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 // cells to the shard's published trust columns (copy-on-write, settling
 // last-writer-wins; the previous publication keeps serving), run the
 // campaigns of the subjects a write won, and assemble the shard snapshot.
-// Every other slot shares Global[k] and Raters[k] with the previous immutable
-// segment: a subject's result depends only on (seed, overlay, its trust
-// column), so an untouched one would recompute to the same bits. The carry
-// needs a previous segment this process folded itself (s.folded — a booted,
-// resharded or bootstrapped one may come from another seed or graph) whose
-// campaigns all converged; otherwise every subject of the shard is computed.
+// Every other slot carries Global[k] over from the previous immutable
+// segment, as With carries its column: a subject's result depends only on
+// (seed, overlay, its trust column), so an untouched one would recompute to
+// the same bits. The carry needs a previous segment this process folded
+// itself (s.folded — a booted, resharded or bootstrapped one may come from
+// another seed or graph) whose campaigns all converged; otherwise every
+// subject of the shard is computed.
 // Caller holds epochMu, so the shard's publication cannot change underneath.
 func (s *Service) foldShard(shard int, cells []trust.Cell, epoch, seq uint64) (*store.ShardSnapshot, error) {
 	prev := s.states[shard].Load()
@@ -815,11 +817,9 @@ func (s *Service) foldShard(shard int, cells []trust.Cell, epoch, seq uint64) (*
 	}
 	subjects := cols.Subjects()
 	global := make([]float64, len(subjects))
-	raters := make([]int, len(subjects))
 	todo := subjects
 	if s.folded[shard] == prev && prev.Converged {
 		copy(global, prev.Global)
-		copy(raters, prev.Raters)
 		todo = won
 	}
 	start := time.Now()
@@ -836,8 +836,7 @@ func (s *Service) foldShard(shard int, cells []trust.Cell, epoch, seq uint64) (*
 		}
 	}
 	for i, j := range todo {
-		k := store.SlotOf(j, s.shards)
-		global[k], raters[k] = res.AtRoot[i], res.Raters[i]
+		global[store.SlotOf(j, s.shards)] = res.AtRoot[i]
 	}
 	seg := &store.ShardSnapshot{
 		Shard:           shard,
@@ -846,7 +845,6 @@ func (s *Service) foldShard(shard int, cells []trust.Cell, epoch, seq uint64) (*
 		Epoch:           epoch,
 		Seq:             seq,
 		Global:          global,
-		Raters:          raters,
 		Steps:           res.Steps,
 		Converged:       res.Converged,
 		Computed:        res.Computed,

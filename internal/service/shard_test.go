@@ -1,8 +1,6 @@
 package service
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 	"os"
 	"path/filepath"
@@ -170,9 +168,10 @@ func TestDirtyShardIncrementality(t *testing.T) {
 				if k == store.SlotOf(2, shards) {
 					continue
 				}
-				if a.Global[k] != b.Global[k] || a.Raters[k] != b.Raters[k] {
+				j := sh + k*shards
+				if a.Global[k] != b.Global[k] || a.RaterCount(j) != b.RaterCount(j) {
 					t.Fatalf("dirty shard %d: untouched slot %d was not carried over (global %v -> %v, raters %d -> %d)",
-						sh, k, b.Global[k], a.Global[k], b.Raters[k], a.Raters[k])
+						sh, k, b.Global[k], a.Global[k], b.RaterCount(j), a.RaterCount(j))
 				}
 			}
 			continue
@@ -332,7 +331,7 @@ func foldedDir(t *testing.T, dir string) (Config, *View) {
 // the pre-shard format (snapshot.gob, no manifest) is refused by name and
 // left untouched — never mistaken for a fresh directory, which would refold
 // the whole WAL over state the operator believes is persisted — and so is a
-// directory holding a segment of another wire version.
+// directory holding a shard-NNNN.seg of another version.
 func TestBootRefusesPreShardDir(t *testing.T) {
 	// snapshot.gob beside a WAL, no manifest.
 	dir := t.TempDir()
@@ -355,18 +354,18 @@ func TestBootRefusesPreShardDir(t *testing.T) {
 	cfg.Dir = lone
 	refusedUntouched(t, cfg, preShardFile, manifestFile)
 
-	// A current-layout directory with one wire-v1 segment. Gob matches fields
-	// by name, so this header is what a v1 writer's segment decodes as.
+	// A current-layout directory with one segment of another version.
 	dir = t.TempDir()
 	cfg, _ = foldedDir(t, dir)
-	var v1 bytes.Buffer
-	if err := gob.NewEncoder(&v1).Encode(struct{ Version, Shard, Shards, N int }{1, 1, 4, 40}); err != nil {
+	b, err := os.ReadFile(shardPath(dir, 1))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(shardPath(dir, 1), v1.Bytes(), 0o644); err != nil {
+	b[4]++ // the version follows the 4-byte magic
+	if err := os.WriteFile(shardPath(dir, 1), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	refusedUntouched(t, cfg, "shard-0001.gob", "version 1", "version 2 only")
+	refusedUntouched(t, cfg, "shard-0001.seg", "version 4", "version 3 only")
 }
 
 // TestReshardGuardLeavesDirUntouched: a directory whose ledger was truncated
@@ -487,7 +486,7 @@ func TestReshardOnBoot(t *testing.T) {
 		if s.Pending() != 2 {
 			t.Fatalf("S=%d: reshard replayed %d pending entries, want the 2 unfolded tail entries", shards, s.Pending())
 		}
-		files, err := filepath.Glob(filepath.Join(dir, "shard-*.gob"))
+		files, err := filepath.Glob(filepath.Join(dir, "shard-*.seg"))
 		if err != nil {
 			t.Fatal(err)
 		}

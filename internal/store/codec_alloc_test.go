@@ -5,6 +5,9 @@ package store
 import (
 	"path/filepath"
 	"testing"
+
+	"diffgossip/internal/rng"
+	"diffgossip/internal/trust"
 )
 
 // The write path's mechanism as counts (the race detector changes what
@@ -55,5 +58,49 @@ func TestLedgerAppendBatchWALAllocs(t *testing.T) {
 	t.Logf("%.0f allocations per %d-entry batch", avg, size)
 	if avg > 1+2 {
 		t.Fatalf("WAL-backed AppendBatch of %d entries allocates %.1f times per call, want at most 3", size, avg)
+	}
+}
+
+// TestShardSnapshotDecodeAllocs pins the allocations of one segment decode at
+// the benchmark's shape (N = 2,500, 20 shards, 48 stamped raters per
+// subject): a fixed 13 — the snapshot, its Global slots, the columns and
+// their subject list, offsets, origin table, stamp index, flat raters and
+// values, per-slot rater and value views, and the row index's two arrays —
+// plus one per non-empty origin and one per slot holding a stamp. A boot
+// segment's three cell-sized arrays are empty and allocate nothing. Each
+// stamped slot owning its stamps is what lets With free a rewritten slot's
+// old ones; a single shared backing would keep them all alive.
+func TestShardSnapshotDecodeAllocs(t *testing.T) {
+	const n, shards, per = 2500, 20, 48
+	origins := []string{"node-a", "node-b"}
+	seg := NewBootShardSnapshot(n, 3, shards, 1)
+	src := rng.New(11)
+	var cells []trust.Cell
+	for _, j := range seg.Cols.Subjects() {
+		for _, i := range src.Sample(n, per) {
+			cells = append(cells, trust.Cell{Rater: i, Subject: j, Value: src.Float64(),
+				Stamp: trust.Stamp{UnixNano: int64(1 + src.Intn(1000)), Origin: origins[src.Intn(2)], Seq: uint64(1 + src.Intn(50))}})
+		}
+	}
+	var err error
+	if seg.Cols, _, err = seg.Cols.With(cells); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		seg  *ShardSnapshot
+		want float64
+	}{
+		{NewBootShardSnapshot(n, 3, shards, 1), 10},
+		{seg, 13 + float64(len(origins)+len(seg.Global))},
+	} {
+		b := saveBytes(t, tc.seg)
+		if got := testing.AllocsPerRun(20, func() {
+			if _, err := decodeShardSnapshot(b); err != nil {
+				t.Fatal(err)
+			}
+		}); got != tc.want {
+			t.Fatalf("decoding a %d-cell segment allocates %v times, want %v", tc.seg.Cols.NumEntries(), got, tc.want)
+		}
+		t.Logf("%d cells: %d bytes, %v allocations", tc.seg.Cols.NumEntries(), len(b), tc.want)
 	}
 }

@@ -195,7 +195,8 @@ func FuzzFeedbackEncode(f *testing.F) {
 // FuzzShardSnapshotLoad throws arbitrary bytes at the shard segment decoder
 // (which nests the trust columns decoder). It must reject corrupt input with
 // an error — never a panic or an out-of-bounds allocation — and anything it
-// accepts must satisfy the segment's layout invariants.
+// accepts must satisfy the segment's layout invariants and re-save to the
+// very bytes it was read from, so load→save→load→save is byte-identical.
 func FuzzShardSnapshotLoad(f *testing.F) {
 	// Seed with a genuine segment so the fuzzer mutates realistic bytes.
 	seg := NewBootShardSnapshot(9, 1, 3, 1) // subjects 1, 4, 7
@@ -204,15 +205,16 @@ func FuzzShardSnapshotLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	seg.Global[1] = 0.375
-	seg.Raters[1] = 2
-	var buf bytes.Buffer
-	if err := seg.Save(&buf); err != nil {
+	f.Add(saveBytes(f, seg))
+	// A second seed an older build wrote (gob), which must be refused.
+	old, err := os.ReadFile(filepath.Join("testdata", "shard-0001.gob"))
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(buf.Bytes())
-	// A second seed in the shape older builds wrote, so the fuzzer mutates
-	// the fields this build skips too.
-	f.Add(parentSegment(f, seg, shardWireVersion))
+	if _, err := LoadShardSnapshot(bytes.NewReader(old)); err == nil {
+		f.Fatal("an older build's segment is accepted")
+	}
+	f.Add(old)
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
 	// A segment whose cells carry stamps from two origins.
@@ -220,24 +222,23 @@ func FuzzShardSnapshotLoad(f *testing.F) {
 		{Rater: 2, Subject: 4, Value: 0.75, Stamp: trust.Stamp{UnixNano: 6, Origin: "b", Seq: 3}}}); err != nil {
 		f.Fatal(err)
 	}
-	buf.Reset()
-	if err := seg.Save(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
+	f.Add(saveBytes(f, seg))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := LoadShardSnapshot(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
+		if !bytes.Equal(saveBytes(t, s), data) {
+			t.Fatal("accepted segment does not re-save byte for byte")
+		}
 		if s.Shard < 0 || s.Shard >= s.Shards || s.N < 0 {
 			t.Fatalf("accepted segment with bad layout: shard %d/%d over N=%d", s.Shard, s.Shards, s.N)
 		}
 		want := len(ShardSubjects(s.N, s.Shard, s.Shards))
-		if len(s.Global) != want || len(s.Raters) != want || len(s.Cols.Subjects()) != want {
-			t.Fatalf("accepted segment with inconsistent slots: %d/%d/%d want %d",
-				len(s.Global), len(s.Raters), len(s.Cols.Subjects()), want)
+		if len(s.Global) != want || len(s.Cols.Subjects()) != want {
+			t.Fatalf("accepted segment with inconsistent slots: %d/%d want %d",
+				len(s.Global), len(s.Cols.Subjects()), want)
 		}
 		for k, j := range s.Cols.Subjects() {
 			if ShardOf(j, s.Shards) != s.Shard || SlotOf(j, s.Shards) != k {

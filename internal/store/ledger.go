@@ -8,9 +8,9 @@
 // pending batch into the dirty shards' trust columns, recomputes their
 // reputations by gossip, and publishes a new ShardSnapshot per dirty shard.
 // A ShardSnapshot is frozen at construction and never mutated afterwards, so
-// readers may share one across goroutines without locks; persistence uses
-// gob (nesting trust.Columns' wire format) with atomic rename, so a crash
-// leaves either the old segment or the new one, never a torn file.
+// readers may share one across goroutines without locks; each segment is one
+// flat checksummed record written by atomic rename, so a crash leaves either
+// the old segment or the new one, never a torn file.
 //
 // Every WAL line is written and read by the one Feedback codec in codec.go,
 // with encoding/json behind it: the file format is what it always was.

@@ -1,11 +1,12 @@
 package store
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -13,7 +14,7 @@ import (
 )
 
 // This file is the sharded persistence format: a static manifest.json naming
-// the layout plus one shard-NNNN.gob segment per subject shard. Segments are
+// the layout plus one shard-NNNN.seg segment per subject shard. Segments are
 // written individually with fsync + atomic rename as their shards fold — a
 // clean shard's segment is never rewritten — and the write ordering (ledger
 // fsync before any segment) keeps the boot invariant that the on-disk WAL
@@ -21,11 +22,11 @@ import (
 // is written once, when the directory is initialised or resharded, never per
 // epoch, so there is no per-epoch global commit point to contend on.
 //
-// One manifest version and one segment wire version are read; anything else
-// is refused with an error naming the supported version, never migrated.
-// Within version 2, gob skips stream fields the reader lacks: a segment
-// written with the campaign states and fingerprint older builds kept loads
-// with those ignored.
+// A segment is one flat little-endian record (see Save) closed by a CRC-32C
+// of everything before it. One manifest version and one segment version are
+// read; a segment this build cannot read is refused with an error naming the
+// file, never migrated. A segment is a cache of the WAL: the service rebuilds
+// an older build's segments, which it never opens, from the WAL.
 
 // ShardSnapshot is one shard's immutable publication: the reputations and
 // frozen trust columns of the subjects congruent to Shard mod Shards, as of
@@ -43,17 +44,15 @@ type ShardSnapshot struct {
 	// through which this shard's subjects are folded: every ledger entry
 	// for these subjects with Seq <= this value is reflected here.
 	Epoch, Seq uint64
-	// Global[k] is the global reputation of subject Shard + k*Shards;
-	// Raters[k] its distinct-rater count.
+	// Global[k] is the global reputation of subject Shard + k*Shards.
 	Global []float64
-	Raters []int
 	// Steps is the slowest campaign of the last fold; Converged is whether
 	// every campaign behind the published values converged (vacuously true
 	// at boot). Computed counts the campaigns that actually ran in the last
 	// fold — the per-shard increment of the service's incrementality fold
 	// counter: the rated subjects the fold's batch re-rated, since a fold
-	// carries every other slot (Global, Raters) over from the shard's
-	// previous segment. 0 when no write of the batch won its cell.
+	// carries every other slot's Global over from the shard's previous
+	// segment. 0 when no write of the batch won its cell.
 	Steps     int
 	Converged bool
 	Computed  int
@@ -71,7 +70,7 @@ type ShardSnapshot struct {
 // publishes before any feedback for the shard has been folded.
 func NewBootShardSnapshot(n, shard, shards int, createdUnixNano int64) *ShardSnapshot {
 	subjects := ShardSubjects(n, shard, shards)
-	cols, err := trust.NewColumns(n, subjects, make([][]int, len(subjects)), make([][]float64, len(subjects)))
+	cols, err := trust.NewColumns(n, subjects)
 	if err != nil {
 		panic(err) // shard layout is internally generated; cannot fail
 	}
@@ -80,7 +79,6 @@ func NewBootShardSnapshot(n, shard, shards int, createdUnixNano int64) *ShardSna
 		Shards:          shards,
 		N:               n,
 		Global:          make([]float64, len(subjects)),
-		Raters:          make([]int, len(subjects)),
 		Converged:       true,
 		CreatedUnixNano: createdUnixNano,
 		Cols:            cols,
@@ -101,103 +99,121 @@ func (s *ShardSnapshot) Reputation(j int) (float64, error) {
 	return s.Global[SlotOf(j, s.Shards)], nil
 }
 
-// RaterCount returns the distinct-rater count of subject j (0 when j is not
-// in this shard).
+// RaterCount returns the distinct-rater count of subject j, the length of
+// its trust column (0 when j is not in this shard).
 func (s *ShardSnapshot) RaterCount(j int) int {
-	if !s.Covers(j) {
-		return 0
-	}
-	return s.Raters[SlotOf(j, s.Shards)]
+	_, k := s.Cols.ColumnSum(j)
+	return k
 }
 
-// shardWire is the gob representation of a segment; the frozen columns ride
-// as their own payload so trust's versioned wire format is reused.
-type shardWire struct {
-	Version          int
-	Shard, Shards, N int
-	Epoch, Seq       uint64
-	Global           []float64
-	Raters           []int
-	Steps            int
-	Converged        bool
-	Computed         int
-	TotalSteps       int
-	ElapsedNs        int64
-	CreatedUnixNano  int64
-	Cols             []byte
-}
+// segMagic opens every segment. segVersion is the one segment format this
+// build reads and writes; it follows the two gob versions older builds wrote
+// as shard-NNNN.gob.
+const (
+	segMagic   = "DGSG"
+	segVersion = 3
+)
 
-// shardWireVersion is the one segment format this build reads and writes.
-const shardWireVersion = 2
+// segHeaderLen is the fixed header: magic, version uint32, N, Shard and
+// Shards uint32, Epoch and Seq uint64, Steps, Computed, TotalSteps,
+// ElapsedNs and CreatedUnixNano int64, Converged one byte.
+const segHeaderLen = 4 + 4 + 3*4 + 2*8 + 5*8 + 1
 
-// maxShardWireN caps the node count accepted from a serialised segment,
-// mirroring trust's maxWireN: decode allocates Θ(N) before reading entries.
-const maxShardWireN = 1 << 24
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Save serialises the segment with gob.
+// Save writes the segment: the fixed header, the Global slots as float64
+// bits, the trust columns' section (trust.Columns.AppendBinary), then the
+// CRC-32C of all of it; little-endian throughout.
 func (s *ShardSnapshot) Save(w io.Writer) error {
-	var cb bytes.Buffer
-	if err := s.Cols.Save(&cb); err != nil {
-		return fmt.Errorf("store: encode shard columns: %w", err)
+	le := binary.LittleEndian
+	b := make([]byte, 0, segHeaderLen+8*len(s.Global))
+	b = append(b, segMagic...)
+	b = le.AppendUint32(b, segVersion)
+	for _, v := range []int{s.N, s.Shard, s.Shards} {
+		b = le.AppendUint32(b, uint32(v))
 	}
-	wire := shardWire{
-		Version: shardWireVersion,
-		Shard:   s.Shard, Shards: s.Shards, N: s.N,
-		Epoch: s.Epoch, Seq: s.Seq,
-		Global: s.Global, Raters: s.Raters,
-		Steps: s.Steps, Converged: s.Converged, Computed: s.Computed,
-		TotalSteps: s.TotalSteps, ElapsedNs: s.ElapsedNs, CreatedUnixNano: s.CreatedUnixNano,
-		Cols: cb.Bytes(),
+	b = le.AppendUint64(b, s.Epoch)
+	b = le.AppendUint64(b, s.Seq)
+	for _, v := range []int64{int64(s.Steps), int64(s.Computed), int64(s.TotalSteps), s.ElapsedNs, s.CreatedUnixNano} {
+		b = le.AppendUint64(b, uint64(v))
 	}
-	if err := gob.NewEncoder(w).Encode(wire); err != nil {
-		return fmt.Errorf("store: encode shard snapshot: %w", err)
+	converged := byte(0)
+	if s.Converged {
+		converged = 1
+	}
+	b = append(b, converged)
+	for _, v := range s.Global {
+		b = le.AppendUint64(b, math.Float64bits(v))
+	}
+	b = s.Cols.AppendBinary(b)
+	if _, err := w.Write(le.AppendUint32(b, crc32.Checksum(b, castagnoli))); err != nil {
+		return fmt.Errorf("store: write shard snapshot: %w", err)
 	}
 	return nil
 }
 
-// LoadShardSnapshot deserialises a segment written by Save, validating its
-// shape against the shard layout it claims.
+// LoadShardSnapshot reads a segment written by Save, validating its shape
+// against the shard layout it claims.
 func LoadShardSnapshot(r io.Reader) (*ShardSnapshot, error) {
-	var wire shardWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("store: decode shard snapshot: %w", err)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("store: read shard snapshot: %w", err)
 	}
-	if wire.Version != shardWireVersion {
-		return nil, fmt.Errorf("store: unsupported shard snapshot version %d (this build reads version %d only)", wire.Version, shardWireVersion)
+	return decodeShardSnapshot(b)
+}
+
+// decodeShardSnapshot decodes one whole segment. The magic and version are
+// checked before the checksum, so an older build's file or another version
+// is refused as such whatever its trailer.
+func decodeShardSnapshot(b []byte) (*ShardSnapshot, error) {
+	le := binary.LittleEndian
+	if len(b) < segHeaderLen+4 || string(b[:4]) != segMagic {
+		return nil, fmt.Errorf("store: not a whole shard segment of this format, which opens with %q (%d bytes): an older build's gob segment, or not a segment", segMagic, len(b))
 	}
-	if wire.N < 0 || wire.Shards < 1 || wire.Shard < 0 || wire.Shard >= wire.Shards {
+	if v := le.Uint32(b[4:]); v != segVersion {
+		return nil, fmt.Errorf("store: unsupported shard snapshot version %d (this build reads version %d only)", v, segVersion)
+	}
+	body := b[:len(b)-4]
+	if got, want := crc32.Checksum(body, castagnoli), le.Uint32(b[len(body):]); got != want {
+		return nil, fmt.Errorf("store: shard snapshot checksum mismatch (stored %08x, computed %08x)", want, got)
+	}
+	s := &ShardSnapshot{
+		N: int(le.Uint32(b[8:])), Shard: int(le.Uint32(b[12:])), Shards: int(le.Uint32(b[16:])),
+		Epoch: le.Uint64(b[20:]), Seq: le.Uint64(b[28:]),
+		Steps: int(int64(le.Uint64(b[36:]))), Computed: int(int64(le.Uint64(b[44:]))), TotalSteps: int(int64(le.Uint64(b[52:]))),
+		ElapsedNs: int64(le.Uint64(b[60:])), CreatedUnixNano: int64(le.Uint64(b[68:])),
+		Converged: b[76] == 1,
+	}
+	if b[76] > 1 || s.Shards < 1 || s.Shard >= s.Shards {
 		return nil, fmt.Errorf("store: malformed shard snapshot header")
 	}
-	if wire.N > maxShardWireN {
-		// Bound before ShardSubjects allocates Θ(N) — a corrupt header must
-		// be an error, not an out-of-range allocation (same guard class as
-		// trust's maxWireN, found by fuzzing).
-		return nil, fmt.Errorf("store: shard snapshot size %d exceeds the wire-format bound %d", wire.N, maxShardWireN)
+	slots := (s.N - s.Shard + s.Shards - 1) / s.Shards // 0 when Shard >= N
+	body = body[segHeaderLen:]
+	if slots > len(body)/8 {
+		return nil, fmt.Errorf("store: shard snapshot claims %d slots in %d bytes", slots, len(body))
 	}
-	want := len(ShardSubjects(wire.N, wire.Shard, wire.Shards))
-	if len(wire.Global) != want || len(wire.Raters) != want {
-		return nil, fmt.Errorf("store: shard snapshot has %d/%d slots, want %d", len(wire.Global), len(wire.Raters), want)
+	s.Global = make([]float64, slots)
+	for k := range s.Global {
+		v := math.Float64frombits(le.Uint64(body[8*k:]))
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("store: shard snapshot slot %d holds reputation %v", k, v)
+		}
+		s.Global[k] = v
 	}
-	cols, err := trust.LoadColumns(bytes.NewReader(wire.Cols))
+	cols, rest, err := trust.DecodeColumns(body[8*slots:])
 	if err != nil {
 		return nil, err
 	}
-	if cols.N() != wire.N || len(cols.Subjects()) != want {
-		return nil, fmt.Errorf("store: shard snapshot columns do not match the shard layout")
+	if len(rest) != 0 || cols.N() != s.N || len(cols.Subjects()) != slots {
+		return nil, fmt.Errorf("store: shard snapshot columns do not match the shard layout (%d bytes after them)", len(rest))
 	}
 	for k, j := range cols.Subjects() {
-		if j != wire.Shard+k*wire.Shards {
+		if j != s.Shard+k*s.Shards {
 			return nil, fmt.Errorf("store: shard snapshot column %d holds subject %d", k, j)
 		}
 	}
-	return &ShardSnapshot{
-		Shard: wire.Shard, Shards: wire.Shards, N: wire.N,
-		Epoch: wire.Epoch, Seq: wire.Seq,
-		Global: wire.Global, Raters: wire.Raters,
-		Steps: wire.Steps, Converged: wire.Converged, Computed: wire.Computed,
-		TotalSteps: wire.TotalSteps, ElapsedNs: wire.ElapsedNs, CreatedUnixNano: wire.CreatedUnixNano,
-		Cols: cols,
-	}, nil
+	s.Cols = cols
+	return s, nil
 }
 
 // SaveFile writes the segment to path atomically and durably (fsync, rename,
@@ -213,15 +229,14 @@ func (s *ShardSnapshot) SaveFile(path string) error {
 // LoadShardFile reads a segment written by SaveFile; (nil, nil) when the
 // file does not exist (a shard that never folded has no segment).
 func LoadShardFile(path string) (*ShardSnapshot, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("store: open shard snapshot: %w", err)
 	}
-	defer f.Close()
-	seg, err := LoadShardSnapshot(f)
+	seg, err := decodeShardSnapshot(b)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -309,7 +324,7 @@ func LoadManifestFile(path string) (*Manifest, error) {
 // Reshard regroups one complete layout's segments along a new shard count —
 // what boot does when the manifest disagrees with the configured count, and
 // what a bootstrap install does when the sender shards differently. Trust
-// columns with their stamps, globals and rater counts move verbatim, so the
+// columns with their stamps and the globals move verbatim, so the
 // new layout serves exactly the reputations the old one did. Every new
 // segment takes the minimum Seq over the old ones (entries above it may
 // already be folded into some shards, but refolding is idempotent, so the
@@ -348,11 +363,10 @@ func Reshard(segs []*ShardSnapshot, shards int) ([]*ShardSnapshot, error) {
 		seg := tmpl
 		seg.Shard, seg.Shards = sh, shards
 		seg.Global = make([]float64, len(subjects))
-		seg.Raters = make([]int, len(subjects))
 		var cells []trust.Cell
 		for k, j := range subjects {
 			old, slot := segs[ShardOf(j, len(segs))], SlotOf(j, len(segs))
-			seg.Global[k], seg.Raters[k] = old.Global[slot], old.Raters[slot]
+			seg.Global[k] = old.Global[slot]
 			_, raters, vals, stamps := old.Cols.ColumnAt(slot)
 			for x, i := range raters {
 				cells = append(cells, trust.Cell{Rater: i, Subject: j, Value: vals[x], Stamp: stamps[x]})

@@ -2,12 +2,13 @@ package store
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -54,9 +55,7 @@ func randomSegments(t testing.TB, n, shards int, seed uint64) []*ShardSnapshot {
 			t.Fatal(err)
 		}
 		for k, j := range seg.Cols.Subjects() {
-			sum, cnt := seg.Cols.ColumnSum(j)
-			seg.Raters[k] = cnt
-			if cnt > 0 {
+			if sum, cnt := seg.Cols.ColumnSum(j); cnt > 0 {
 				seg.Global[k] = sum / float64(cnt)
 			}
 		}
@@ -67,8 +66,8 @@ func randomSegments(t testing.TB, n, shards int, seed uint64) []*ShardSnapshot {
 	return segs
 }
 
-// TestReshardRoundTrip: Reshard moves every subject's column with its stamps,
-// global value and rater count verbatim between any two layouts, stamps the conservative
+// TestReshardRoundTrip: Reshard moves every subject's column with its stamps
+// and global value verbatim between any two layouts, stamps the conservative
 // fold point (Seq = min, Epoch = max) on every new segment, and going back to
 // the original shard count restores the data.
 func TestReshardRoundTrip(t *testing.T) {
@@ -149,26 +148,38 @@ func TestReshardRoundTrip(t *testing.T) {
 func sameSegment(t *testing.T, got, want *ShardSnapshot) {
 	t.Helper()
 	gh, wh := *got, *want
-	gh.Global, gh.Raters, gh.Cols = nil, nil, nil
-	wh.Global, wh.Raters, wh.Cols = nil, nil, nil
-	if !reflect.DeepEqual(gh, wh) || !reflect.DeepEqual(got.Global, want.Global) || !reflect.DeepEqual(got.Raters, want.Raters) {
+	gh.Global, gh.Cols = nil, nil
+	wh.Global, wh.Cols = nil, nil
+	if !reflect.DeepEqual(gh, wh) || !reflect.DeepEqual(got.Global, want.Global) {
 		t.Fatalf("reloaded segment %+v, want %+v", got, want)
 	}
 	for s := range want.Cols.Subjects() {
 		j, gi, gv, gs := got.Cols.ColumnAt(s)
 		_, wi, wv, ws := want.Cols.ColumnAt(s)
-		if !reflect.DeepEqual(gi, wi) || !reflect.DeepEqual(gv, wv) || !reflect.DeepEqual(gs, ws) {
+		if !slices.Equal(gi, wi) || !slices.Equal(gv, wv) || !slices.Equal(gs, ws) {
 			t.Fatalf("subject %d: reloaded column (%v, %v, %+v), want (%v, %v, %+v)", j, gi, gv, gs, wi, wv, ws)
 		}
 	}
 }
 
-// TestShardSnapshotFileRoundTrip pins the segment wire format.
+// saveBytes returns seg's encoding.
+func saveBytes(t testing.TB, seg *ShardSnapshot) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := seg.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestShardSnapshotFileRoundTrip pins the segment wire format: every segment
+// shape here — empty boot segments, stamped and unstamped cells, a resharded
+// layout — reloads bit for bit and re-saves byte for byte.
 func TestShardSnapshotFileRoundTrip(t *testing.T) {
 	seg := randomSegments(t, 15, 4, 4)[2]
 	seg.Computed = 3
 	dir := t.TempDir()
-	path := filepath.Join(dir, "shard-0002.gob")
+	path := filepath.Join(dir, "shard-0002.seg")
 	if err := seg.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +192,29 @@ func TestShardSnapshotFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameSegment(t, got, seg)
+
+	unstamped := NewBootShardSnapshot(11, 0, 2, 7)
+	if unstamped.Cols, _, err = unstamped.Cols.With([]trust.Cell{{Rater: 3, Subject: 2, Value: 0.5}, {Rater: 9, Subject: 10, Value: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	resharded, err := Reshard(randomSegments(t, 23, 3, 9), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes := append([]*ShardSnapshot{seg, NewBootShardSnapshot(1, 0, 1, 0), NewBootShardSnapshot(5, 4, 7, 1), unstamped}, resharded...)
+	for k, want := range shapes {
+		b := saveBytes(t, want)
+		got, err := LoadShardSnapshot(bytes.NewReader(b))
+		if err != nil {
+			t.Fatalf("shape %d: %v", k, err)
+		}
+		sameSegment(t, got, want)
+		if !bytes.Equal(saveBytes(t, got), b) {
+			t.Fatalf("shape %d: load→save is not byte-identical", k)
+		}
+	}
 	// Missing files are a clean nil.
-	if s, err := LoadShardFile(filepath.Join(t.TempDir(), "nope.gob")); s != nil || err != nil {
+	if s, err := LoadShardFile(filepath.Join(t.TempDir(), "nope.seg")); s != nil || err != nil {
 		t.Fatalf("missing segment = (%v, %v)", s, err)
 	}
 	// Corrupt payloads fail loudly.
@@ -192,162 +224,72 @@ func TestShardSnapshotFileRoundTrip(t *testing.T) {
 }
 
 // TestLoadShardRefusesOtherWireVersions: exactly one segment format is read.
-// A segment of any other version — the pre-warm v1 included — is an error
-// naming the file and the supported version, never a best-effort decode.
+// A segment of any other version is an error naming the file and the
+// supported version, never a best-effort decode; an older build's gob
+// segment is refused as one.
 func TestLoadShardRefusesOtherWireVersions(t *testing.T) {
-	// Everything but the version is a well-formed empty 1-shard segment.
-	var cb bytes.Buffer
-	if err := NewBootShardSnapshot(3, 0, 1, 0).Cols.Save(&cb); err != nil {
-		t.Fatal(err)
-	}
-	for _, version := range []int{0, 1, shardWireVersion + 1} {
-		wire := shardWire{Version: version, Shards: 1, N: 3, Global: make([]float64, 3), Raters: make([]int, 3), Cols: cb.Bytes()}
-		path := filepath.Join(t.TempDir(), "shard-0000.gob")
-		f, err := os.Create(path)
-		if err != nil {
+	good := saveBytes(t, randomSegments(t, 15, 3, 9)[1])
+	for _, version := range []uint32{0, 1, 2, segVersion + 1} {
+		b := slices.Clone(good)
+		binary.LittleEndian.PutUint32(b[len(segMagic):], version)
+		path := filepath.Join(t.TempDir(), "shard-0000.seg")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := gob.NewEncoder(f).Encode(wire); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		_, err = LoadShardFile(path)
+		_, err := LoadShardFile(path)
 		if err == nil {
 			t.Fatalf("version %d segment accepted", version)
 		}
-		if msg := err.Error(); !strings.Contains(msg, "shard-0000.gob") || !strings.Contains(msg, fmt.Sprintf("version %d only", shardWireVersion)) {
+		if msg := err.Error(); !strings.Contains(msg, "shard-0000.seg") || !strings.Contains(msg, fmt.Sprintf("version %d only", segVersion)) {
 			t.Fatalf("version %d refusal does not name the file and the supported version: %v", version, err)
 		}
-		wire.Version = shardWireVersion
-		var ok bytes.Buffer
-		if err := gob.NewEncoder(&ok).Encode(wire); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadShardSnapshot(&ok); err != nil {
-			t.Fatalf("the same segment at the current version is refused: %v", err)
-		}
+	}
+	if _, err := LoadShardSnapshot(bytes.NewReader(good)); err != nil {
+		t.Fatalf("the same segment at the current version is refused: %v", err)
 	}
 
-	// A segment in the older warm-payload shape is refused at every version
-	// but the current one; TestShardSnapshotWarmRoundTrip covers that one.
-	seg := randomSegments(t, 15, 3, 9)[1]
-	for _, version := range []int{1, shardWireVersion + 1} {
-		_, err := LoadShardSnapshot(bytes.NewReader(parentSegment(t, seg, version)))
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d only", shardWireVersion)) {
-			t.Fatalf("version %d segment with a warm payload: err %v, want a version refusal", version, err)
-		}
+	// A segment an older build wrote (gob, testdata/shard-0001.gob).
+	path := filepath.Join("testdata", "shard-0001.gob")
+	if _, err := LoadShardFile(path); err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "older build") {
+		t.Fatalf("older build's segment: err %v, want a refusal naming the file and the older build", err)
 	}
 }
 
-// TestShardSnapshotWarmRoundTrip: older builds wrote version 2 with per-slot
-// campaign states, a graph fingerprint and warm/cold counts. Gob skips the
-// fields this build lacks, so such a segment loads with everything else bit
-// for bit; its campaign states, well-formed or corrupt, are dropped rather
-// than kept for any later epoch, and saving the loaded segment again writes
-// none of them.
-func TestShardSnapshotWarmRoundTrip(t *testing.T) {
-	seg := randomSegments(t, 15, 3, 9)[1] // subjects 1, 4, 7, 10, 13 → 5 slots
-	seg.Computed, seg.TotalSteps = 5, 42
-	for name, ws := range map[string]parentWarmWire{
-		"sparse": {Present: true, Sparse: true, Raters: []int{2, 9}, PrevVals: []float64{0.5, 0.25},
-			Y: []float64{0.4, 0.35}, G: []float64{1, 1}, Steps: 7, Converged: true},
-		"dense":             {Present: true, Raters: []int{3}, PrevVals: []float64{1}, Y: make([]float64, 15), G: make([]float64, 15), Steps: 12},
-		"absent":            {},
-		"nan-mass":          {Present: true, Sparse: true, Raters: []int{1}, PrevVals: []float64{0.5}, Y: []float64{math.NaN()}, G: []float64{1}},
-		"descending-raters": {Present: true, Sparse: true, Raters: []int{9, 2}, PrevVals: []float64{0.5, 0.5}, Y: []float64{0, 0}, G: []float64{1, 1}},
-		"dense-wrong-len":   {Present: true, Raters: []int{1}, PrevVals: []float64{0.5}, Y: []float64{0.5}, G: []float64{1}},
-	} {
-		got, err := LoadShardSnapshot(bytes.NewReader(encodeParentSegment(t, seg, shardWireVersion, ws)))
-		if err != nil {
-			t.Fatalf("%s: a segment with a warm payload is refused: %v", name, err)
-		}
-		sameSegment(t, got, seg)
-
-		var buf bytes.Buffer
-		if err := got.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		var old parentShardWire
-		if err := gob.NewDecoder(&buf).Decode(&old); err != nil {
-			t.Fatal(err)
-		}
-		if old.Warm != nil || old.GraphFP != 0 || old.WarmStarts != 0 || old.ColdStarts != 0 {
-			t.Fatalf("%s: re-saved segment still carries warm fields: warm %d slots, fp %#x, warm/cold %d/%d",
-				name, len(old.Warm), old.GraphFP, old.WarmStarts, old.ColdStarts)
-		}
-		if old.Version != shardWireVersion || old.TotalSteps != 42 || old.Computed != 5 {
-			t.Fatalf("%s: re-saved header drifted: %+v", name, old)
-		}
-	}
-}
-
-// parentShardWire is the version-2 segment shape older builds wrote:
-// shardWire plus the fields they kept for warm-started campaigns.
-type parentShardWire struct {
-	Version          int
-	Shard, Shards, N int
-	Epoch, Seq       uint64
-	Global           []float64
-	Raters           []int
-	Steps            int
-	Converged        bool
-	Computed         int
-	TotalSteps       int
-	WarmStarts       int
-	ColdStarts       int
-	ElapsedNs        int64
-	CreatedUnixNano  int64
-	GraphFP          uint64
-	Cols             []byte
-	Warm             []parentWarmWire
-}
-
-// parentWarmWire is one slot's campaign state in parentShardWire.
-type parentWarmWire struct {
-	Present   bool
-	Sparse    bool
-	Raters    []int
-	PrevVals  []float64
-	Y, G      []float64
-	Steps     int
-	Converged bool
-}
-
-// parentSegment encodes seg in the parentShardWire shape at the given
-// version, with every warm-start field populated: a sparse state in slot 0,
-// absent states elsewhere.
-func parentSegment(t testing.TB, seg *ShardSnapshot, version int) []byte {
-	t.Helper()
-	return encodeParentSegment(t, seg, version, parentWarmWire{Present: true, Sparse: true,
-		Raters: []int{2, 9}, PrevVals: []float64{0.5, 0.25}, Y: []float64{0.4, 0.35}, G: []float64{1, 1},
-		Steps: 7, Converged: true})
-}
-
-// encodeParentSegment is parentSegment with slot 0's campaign state given.
-func encodeParentSegment(t testing.TB, seg *ShardSnapshot, version int, slot0 parentWarmWire) []byte {
-	t.Helper()
-	var cb bytes.Buffer
-	if err := seg.Cols.Save(&cb); err != nil {
+// TestShardSnapshotRefusesEveryFlippedByte: flipping any one byte of a
+// segment makes it unreadable — the magic and version bytes by their own
+// checks, every other byte by the CRC-32C trailer.
+func TestShardSnapshotRefusesEveryFlippedByte(t *testing.T) {
+	seg := NewBootShardSnapshot(9, 1, 3, 1)
+	var err error
+	if seg.Cols, _, err = seg.Cols.With([]trust.Cell{{Rater: 1, Subject: 4, Value: 0.5, Stamp: trust.Stamp{UnixNano: 5, Origin: "a", Seq: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	warm := make([]parentWarmWire, len(seg.Global))
-	warm[0] = slot0
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(parentShardWire{
-		Version: version,
-		Shard:   seg.Shard, Shards: seg.Shards, N: seg.N,
-		Epoch: seg.Epoch, Seq: seg.Seq,
-		Global: seg.Global, Raters: seg.Raters,
-		Steps: seg.Steps, Converged: seg.Converged, Computed: seg.Computed,
-		TotalSteps: seg.TotalSteps, WarmStarts: 2, ColdStarts: 3,
-		ElapsedNs: seg.ElapsedNs, CreatedUnixNano: seg.CreatedUnixNano,
-		GraphFP: 0xfeedbeef,
-		Cols:    cb.Bytes(),
-		Warm:    warm,
-	}); err != nil {
-		t.Fatal(err)
+	seg.Global[1] = 0.5
+	good := saveBytes(t, seg)
+	for k := range good {
+		b := slices.Clone(good)
+		b[k] ^= 0xff
+		_, err := LoadShardSnapshot(bytes.NewReader(b))
+		if err == nil {
+			t.Fatalf("byte %d of %d flipped: accepted", k, len(good))
+		}
+		if k >= len(segMagic)+4 && !strings.Contains(err.Error(), "checksum") {
+			t.Fatalf("byte %d of %d flipped: refused by %v, not the checksum", k, len(good), err)
+		}
 	}
-	return buf.Bytes()
+}
+
+// TestLoadShardRefusesNonFiniteReputation: a segment whose Global holds NaN
+// or ±Inf is refused. The engine never publishes one, and the read path
+// could not encode one as JSON.
+func TestLoadShardRefusesNonFiniteReputation(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		seg := randomSegments(t, 15, 3, 9)[1]
+		seg.Global[2] = v
+		if _, err := LoadShardSnapshot(bytes.NewReader(saveBytes(t, seg))); err == nil || !strings.Contains(err.Error(), "slot 2") {
+			t.Fatalf("Global %v: err %v, want a refusal naming slot 2", v, err)
+		}
+	}
 }
 
 func TestManifestRoundTrip(t *testing.T) {

@@ -102,7 +102,7 @@ func (c *Columns) stampAt(s, x int) stamp {
 // ColumnsOf freezes the given subject columns of m. The subjects must be
 // strictly ascending and in range.
 func ColumnsOf(m *Matrix, subjects []int) (*Columns, error) {
-	c, err := newColumnsShell(m.n, subjects)
+	c, err := newColumnsShell(m.n, slices.Clone(subjects))
 	if err != nil {
 		return nil, err
 	}
@@ -152,49 +152,15 @@ func (c *Columns) attachFlat(ids []int, vals []float64, offs []int) {
 	c.rowStart, c.rowSubj = start, subj
 }
 
-// NewColumns assembles a frozen Columns from raw per-subject rater lists —
-// the decode path of the shard-snapshot wire format. The subjects must be
-// strictly ascending and each raters[s] strictly ascending with values in
-// [0,1]; the entries are compacted into the flat backing, so the input
-// slices stay the caller's.
-func NewColumns(n int, subjects []int, raters [][]int, vals [][]float64) (*Columns, error) {
-	c, err := newColumnsShell(n, subjects)
+// NewColumns returns the column set over subjects with no cells, what a
+// shard holds before its first fold; With adds cells. The subjects must be
+// strictly ascending and in range.
+func NewColumns(n int, subjects []int) (*Columns, error) {
+	c, err := newColumnsShell(n, slices.Clone(subjects))
 	if err != nil {
 		return nil, err
 	}
-	if len(raters) != len(subjects) || len(vals) != len(subjects) {
-		return nil, fmt.Errorf("trust: columns payload has %d/%d columns, want %d", len(raters), len(vals), len(subjects))
-	}
-	total := 0
-	for s := range subjects {
-		ids, vs := raters[s], vals[s]
-		if len(ids) != len(vs) {
-			return nil, fmt.Errorf("trust: column %d has %d raters but %d values", subjects[s], len(ids), len(vs))
-		}
-		prev := -1
-		for k, i := range ids {
-			if i < 0 || i >= n {
-				return nil, fmt.Errorf("trust: column %d rater %d out of range [0,%d)", subjects[s], i, n)
-			}
-			if i <= prev {
-				return nil, fmt.Errorf("trust: column %d raters not strictly ascending", subjects[s])
-			}
-			if vs[k] < 0 || vs[k] > 1 || vs[k] != vs[k] {
-				return nil, fmt.Errorf("trust: column %d value %v out of [0,1]", subjects[s], vs[k])
-			}
-			prev = i
-		}
-		total += len(ids)
-	}
-	flatIDs := make([]int, 0, total)
-	flatVals := make([]float64, 0, total)
-	offs := make([]int, len(subjects)+1)
-	for s := range subjects {
-		flatIDs = append(flatIDs, raters[s]...)
-		flatVals = append(flatVals, vals[s]...)
-		offs[s+1] = len(flatIDs)
-	}
-	c.attachFlat(flatIDs, flatVals, offs)
+	c.attachFlat(nil, nil, make([]int, len(subjects)+1))
 	return c, nil
 }
 
@@ -307,8 +273,8 @@ func (c *Columns) With(cells []Cell) (*Columns, []int, error) {
 	return out, won, nil
 }
 
-// newColumnsShell validates and copies the subject list; attachFlat fills
-// in the rest.
+// newColumnsShell validates the subject list, which it keeps; attachFlat
+// fills in the rest.
 func newColumnsShell(n int, subjects []int) (*Columns, error) {
 	for s, j := range subjects {
 		if j < 0 || j >= n {
@@ -318,8 +284,12 @@ func newColumnsShell(n int, subjects []int) (*Columns, error) {
 			return nil, fmt.Errorf("trust: subjects not strictly ascending at %d", j)
 		}
 	}
-	return &Columns{n: n, subjects: slices.Clone(subjects), stamps: make([][]stamp, len(subjects)), origins: []string{""}}, nil
+	return &Columns{n: n, subjects: subjects, stamps: make([][]stamp, len(subjects)), origins: noOrigins}, nil
 }
+
+// noOrigins is the origin table of a set no stamp has touched, shared: With
+// appends to a clipped copy and DecodeColumns replaces it, so none writes it.
+var noOrigins = []string{""}
 
 // slot returns subject j's position in the subject list.
 func (c *Columns) slot(j int) (int, bool) {
@@ -341,18 +311,6 @@ func (c *Columns) ColumnAt(s int) (subject int, raters []int, vals []float64, st
 		stamps[x] = c.public(c.stampAt(s, x))
 	}
 	return c.subjects[s], c.raters[s], c.vals[s], stamps
-}
-
-// Unstamped reports whether c holds cells and not one of them carries a
-// Stamp: a set built by ColumnsOf or NewColumns, or decoded from a payload
-// written before cells had stamps.
-func (c *Columns) Unstamped() bool {
-	for _, st := range c.stamps {
-		if slices.ContainsFunc(st, func(x stamp) bool { return x != stamp{} }) {
-			return false
-		}
-	}
-	return c.NumEntries() > 0
 }
 
 // Get returns t_ij and whether i has rated j (false for uncovered subjects):

@@ -4,44 +4,43 @@ package trust
 
 import (
 	"runtime"
-	"slices"
 	"testing"
 
 	"diffgossip/internal/rng"
 )
 
-// shardFixture returns shard sh of shards over n nodes as NewColumns input:
-// the subjects j ≡ sh (mod shards), ascending, each rated by per distinct
-// random raters.
-func shardFixture(n, sh, shards, per int, src *rng.Source) (subjects []int, raters [][]int, vals [][]float64) {
+// shardFixture returns shard sh of shards over n nodes: the subjects
+// j ≡ sh (mod shards), ascending, and cells rating each by per distinct
+// random raters, unstamped.
+func shardFixture(n, sh, shards, per int, src *rng.Source) (subjects []int, cells []Cell) {
 	for j := sh; j < n; j += shards {
-		ids := make([]int, 0, per)
-		for len(ids) < per {
-			if i := src.Intn(n); !slices.Contains(ids, i) {
-				ids = append(ids, i)
-			}
-		}
-		slices.Sort(ids)
-		vs := make([]float64, per)
-		for k := range vs {
-			vs[k] = src.Float64()
-		}
 		subjects = append(subjects, j)
-		raters = append(raters, ids)
-		vals = append(vals, vs)
+		for _, i := range src.Sample(n, per) {
+			cells = append(cells, Cell{Rater: i, Subject: j, Value: src.Float64()})
+		}
 	}
-	return subjects, raters, vals
+	return subjects, cells
+}
+
+// buildColumns is NewColumns(n, subjects).With(cells).
+func buildColumns(t testing.TB, n int, subjects []int, cells []Cell) *Columns {
+	t.Helper()
+	c, err := NewColumns(n, subjects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, _, err = c.With(cells); err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // TestColumnsWithAllocsFlat: With allocates a fixed number of times however
 // many raters a call touches — no per-rater structure is cloned.
 func TestColumnsWithAllocsFlat(t *testing.T) {
 	const n = 2500
-	subjects, raters, vals := shardFixture(n, 0, 20, 48, rng.New(5))
-	c, err := NewColumns(n, subjects, raters, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
+	subjects, cells := shardFixture(n, 0, 20, 48, rng.New(5))
+	c := buildColumns(t, n, subjects, cells)
 	allocs := func(cells []Cell) float64 {
 		return testing.AllocsPerRun(20, func() {
 			if _, _, err := c.With(cells); err != nil {
@@ -67,23 +66,19 @@ func TestColumnsHeapPerCell(t *testing.T) {
 	const n, shards, per = 2500, 20, 48
 	type input struct {
 		subjects []int
-		raters   [][]int
-		vals     [][]float64
+		cells    []Cell
 	}
 	src := rng.New(9)
 	in := make([]input, shards)
 	for sh := range in {
-		in[sh].subjects, in[sh].raters, in[sh].vals = shardFixture(n, sh, shards, per, src)
+		in[sh].subjects, in[sh].cells = shardFixture(n, sh, shards, per, src)
 	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	cols := make([]*Columns, shards)
 	for sh, x := range in {
-		var err error
-		if cols[sh], err = NewColumns(n, x.subjects, x.raters, x.vals); err != nil {
-			t.Fatal(err)
-		}
+		cols[sh] = buildColumns(t, n, x.subjects, x.cells)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)

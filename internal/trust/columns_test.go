@@ -2,7 +2,7 @@ package trust
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"maps"
 	"math"
 	"slices"
@@ -115,7 +115,8 @@ func TestColumnsReaderMatchesMatrix(t *testing.T) {
 	}
 }
 
-// TestColumnsSaveLoadRoundTrip pins the gob wire format.
+// TestColumnsSaveLoadRoundTrip pins the wire section: what AppendBinary
+// writes DecodeColumns reads back whole, leaving the bytes after it.
 func TestColumnsSaveLoadRoundTrip(t *testing.T) {
 	m := randomMatrix(t, 30, 0.3, 13)
 	subjects := []int{2, 5, 8, 11, 29}
@@ -123,99 +124,87 @@ func TestColumnsSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadColumns(&buf)
+	got, rest, err := DecodeColumns(append(c.AppendBinary(nil), "tail"...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.N() != c.N() || got.NumEntries() != c.NumEntries() {
-		t.Fatalf("reload shape: n=%d entries=%d", got.N(), got.NumEntries())
+	if string(rest) != "tail" {
+		t.Fatalf("decode left %q after the section, want \"tail\"", rest)
 	}
-	for i := 0; i < 30; i++ {
-		for _, j := range subjects {
-			a, aok := c.Get(i, j)
-			b, bok := got.Get(i, j)
-			if a != b || aok != bok {
-				t.Fatalf("entry (%d,%d) drifted through the wire", i, j)
-			}
-		}
-	}
+	checkColumnsEqual(t, got, c)
 	// Corruption fails loudly.
-	if _, err := LoadColumns(bytes.NewReader([]byte("junk"))); err == nil {
+	if _, _, err := DecodeColumns([]byte("junk")); err == nil {
 		t.Fatal("garbage columns accepted")
 	}
 }
 
-// TestLoadColumnsValidatesStamps: a payload's stamps are all or none — one
-// per entry in each of the three arrays — and every origin index resolves in
-// the origin table, whose entry 0 is the empty origin. A stamped set that
-// passes re-saves byte for byte.
+// TestLoadColumnsValidatesStamps: every stamp's origin index resolves in the
+// origin table, whose entry 0 is the empty origin; the subjects, raters and
+// values keep every Columns invariant; and a section whose counts overrun its
+// bytes is refused. A stamped set that passes re-saves byte for byte.
 func TestLoadColumnsValidatesStamps(t *testing.T) {
-	good := columnsWire{N: 6, Subjects: []int{2, 5}, Counts: []int{2, 1}, I: []int{0, 4, 1}, V: []float64{0.5, 1, 0.25},
-		Version: wireVersion, Origins: []string{"", "a"}, StampTS: []int64{7, -3, 0}, StampSeq: []uint64{1, 2, 0}, StampOrg: []uint32{1, 0, 0}}
-	encode := func(w columnsWire) []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	c, err := LoadColumns(bytes.NewReader(encode(good)))
+	c, err := NewColumns(6, []int{2, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, stamps := c.ColumnAt(0)
-	if !slices.Equal(stamps, []Stamp{{UnixNano: 7, Origin: "a", Seq: 1}, {UnixNano: -3, Seq: 2}}) || c.Unstamped() {
-		t.Fatalf("loaded stamps %+v, unstamped %v", stamps, c.Unstamped())
-	}
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
+	if c, _, err = c.With([]Cell{{Rater: 0, Subject: 2, Value: 0.5, Stamp: Stamp{UnixNano: 7, Origin: "a", Seq: 1}},
+		{Rater: 4, Subject: 2, Value: 1, Stamp: Stamp{UnixNano: -3, Seq: 2}}, {Rater: 1, Subject: 5, Value: 0.25}}); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), encode(good)) {
+	good := c.AppendBinary(nil)
+	got, rest, err := DecodeColumns(good)
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("decode: err %v, %d bytes left", err, len(rest))
+	}
+	_, _, _, stamps := got.ColumnAt(0)
+	if !slices.Equal(stamps, []Stamp{{UnixNano: 7, Origin: "a", Seq: 1}, {UnixNano: -3, Seq: 2}}) {
+		t.Fatalf("loaded stamps %+v", stamps)
+	}
+	if !bytes.Equal(got.AppendBinary(nil), good) {
 		t.Fatal("a stamped set does not re-save byte for byte")
 	}
-	for name, mutate := range map[string]func(w *columnsWire){
-		"short timestamps":      func(w *columnsWire) { w.StampTS = w.StampTS[:2] },
-		"long sequence numbers": func(w *columnsWire) { w.StampSeq = append(w.StampSeq, 1) },
-		"short origin indices":  func(w *columnsWire) { w.StampOrg = w.StampOrg[:2] },
-		"origin past the table": func(w *columnsWire) { w.StampOrg = []uint32{1, 2, 0} },
-		"no origin table":       func(w *columnsWire) { w.Origins = nil },
-		"table without \"\"":    func(w *columnsWire) { w.Origins = []string{"a", "b"} },
-		"stamps without cells":  func(w *columnsWire) { w.Counts, w.I, w.V = []int{0, 0}, nil, nil },
+	// Offsets into good: the header and 2 subjects, 2 counts (24 bytes),
+	// then three 32-byte cells, then the origin table ["", "a"].
+	const cells, org0, table = 24, 24 + 28, 24 + 3*32
+	le := binary.LittleEndian
+	for name, mutate := range map[string]func(b []byte) []byte{
+		"origin past the table":  func(b []byte) []byte { le.PutUint32(b[org0:], 2); return b },
+		"no origin table":        func(b []byte) []byte { return le.AppendUint32(b[:table], 0) },
+		"table without \"\"":     func(b []byte) []byte { return append(le.AppendUint32(le.AppendUint32(b[:table], 1), 1), 'a') },
+		"origin overruns":        func(b []byte) []byte { le.PutUint32(b[table+4:], 9); return b },
+		"truncated table":        func(b []byte) []byte { return b[:len(b)-1] },
+		"truncated cells":        func(b []byte) []byte { return b[:cells+3*32-1] },
+		"counts overrun cells":   func(b []byte) []byte { le.PutUint32(b[20:], 4); return b },
+		"subjects over N":        func(b []byte) []byte { le.PutUint32(b[4:], 7); return b },
+		"subject out of range":   func(b []byte) []byte { le.PutUint32(b[12:], 6); return b },
+		"subjects not ascending": func(b []byte) []byte { le.PutUint32(b[12:], 2); return b },
+		"rater out of range":     func(b []byte) []byte { le.PutUint32(b[cells:], 6); return b },
+		"raters not ascending":   func(b []byte) []byte { le.PutUint32(b[cells+32:], 0); return b },
+		"value out of [0,1]":     func(b []byte) []byte { le.PutUint64(b[cells+4:], math.Float64bits(1.5)); return b },
+		"NaN value":              func(b []byte) []byte { le.PutUint64(b[cells+4:], math.Float64bits(math.NaN())); return b },
 	} {
-		w := good
-		mutate(&w)
-		if _, err := LoadColumns(bytes.NewReader(encode(w))); err == nil {
+		if _, _, err := DecodeColumns(mutate(slices.Clone(good))); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 }
 
-// TestNewColumnsValidates rejects malformed raw column data.
+// TestNewColumnsValidates rejects malformed subject lists, and With the
+// cells a column set cannot hold.
 func TestNewColumnsValidates(t *testing.T) {
-	cases := []struct {
-		name     string
-		n        int
-		subjects []int
-		raters   [][]int
-		vals     [][]float64
-	}{
-		{"dup subject", 5, []int{1, 1}, [][]int{{0}, {0}}, [][]float64{{0.5}, {0.5}}},
-		{"subjects not ascending", 5, []int{2, 1}, [][]int{{0}, {0}}, [][]float64{{0.5}, {0.5}}},
-		{"subject range", 5, []int{5}, [][]int{{0}}, [][]float64{{0.5}}},
-		{"rater range", 5, []int{1}, [][]int{{5}}, [][]float64{{0.5}}},
-		{"not ascending", 5, []int{1}, [][]int{{2, 2}}, [][]float64{{0.5, 0.5}}},
-		{"value range", 5, []int{1}, [][]int{{0}}, [][]float64{{1.5}}},
-		{"length mismatch", 5, []int{1}, [][]int{{0, 1}}, [][]float64{{0.5}}},
-		{"column count", 5, []int{1, 2}, [][]int{{0}}, [][]float64{{0.5}}},
+	for name, subjects := range map[string][]int{"dup subject": {1, 1}, "subjects not ascending": {2, 1}, "subject range": {5}, "negative subject": {-1}} {
+		if _, err := NewColumns(5, subjects); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
-	for _, tc := range cases {
-		if _, err := NewColumns(tc.n, tc.subjects, tc.raters, tc.vals); err == nil {
-			t.Errorf("%s: accepted", tc.name)
+	c, err := NewColumns(5, []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, cl := range map[string]Cell{"rater range": {Rater: 5, Subject: 1, Value: 0.5}, "value range": {Subject: 1, Value: 1.5},
+		"NaN value": {Subject: 1, Value: math.NaN()}, "uncovered subject": {Subject: 2, Value: 0.5}} {
+		if _, _, err := c.With([]Cell{cl}); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }
@@ -257,19 +246,19 @@ func checkColumnsEqual(t testing.TB, got, want *Columns) {
 			t.Fatalf("row %d: interactions %v, want %v", i, gw, ww)
 		}
 	}
-	if !got.Unstamped() && got.NumEntries() > 0 {
-		return
+	if !hasStamp(got) && !bytes.Equal(got.AppendBinary(nil), want.AppendBinary(nil)) {
+		t.Fatal("AppendBinary bytes differ")
 	}
-	var gb, wb bytes.Buffer
-	if err := got.Save(&gb); err != nil {
-		t.Fatal(err)
+}
+
+// hasStamp reports whether any cell of c carries a Stamp.
+func hasStamp(c *Columns) bool {
+	for s := range c.Subjects() {
+		if _, _, _, st := c.ColumnAt(s); slices.ContainsFunc(st, func(x Stamp) bool { return x != Stamp{} }) {
+			return true
+		}
 	}
-	if err := want.Save(&wb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
-		t.Fatal("Save bytes differ")
-	}
+	return false
 }
 
 // mirror is the reference every With test and FuzzColumnsWith check against:
@@ -309,20 +298,13 @@ func (mr *mirror) with(t testing.TB, cur *Columns, cells []Cell) *Columns {
 		t.Fatal(err)
 	}
 	checkColumnsEqual(t, next, want)
-	unstamped := 0
 	for s, j := range next.Subjects() {
 		_, ids, _, stamps := next.ColumnAt(s)
 		for x, i := range ids {
 			if want := mr.stamps[[2]int{i, j}]; stamps[x] != want {
 				t.Fatalf("cell (%d,%d) carries stamp %+v, want %+v", i, j, stamps[x], want)
 			}
-			if stamps[x] == (Stamp{}) {
-				unstamped++
-			}
 		}
-	}
-	if want := unstamped > 0 && unstamped == next.NumEntries(); next.Unstamped() != want {
-		t.Fatalf("Unstamped() = %v with %d of %d cells unstamped", next.Unstamped(), unstamped, next.NumEntries())
 	}
 	return next
 }
@@ -455,7 +437,7 @@ func BenchmarkRatersOfInto(b *testing.B) {
 	}
 }
 
-// FuzzColumnsLoad hammers the gob columns decoder: arbitrary bytes must be
+// FuzzColumnsLoad hammers the columns section decoder: arbitrary bytes must be
 // rejected with an error — never a panic or a hostile allocation — and any
 // accepted column set must satisfy the Columns invariants.
 func FuzzColumnsLoad(f *testing.F) {
@@ -467,11 +449,7 @@ func FuzzColumnsLoad(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
+	f.Add(c.AppendBinary(nil))
 	f.Add([]byte{})
 	f.Add([]byte("junk"))
 	// Stamped seeds: one set whose every cell is stamped, one with an
@@ -486,32 +464,17 @@ func FuzzColumnsLoad(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		var sb bytes.Buffer
-		if err := stamped.Save(&sb); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(sb.Bytes())
+		f.Add(stamped.AppendBinary(nil))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := LoadColumns(bytes.NewReader(data))
+		got, rest, err := DecodeColumns(data)
 		if err != nil {
 			return
 		}
-		// Whatever loads re-saves to bytes that load and re-save unchanged.
-		var first, second bytes.Buffer
-		if err := got.Save(&first); err != nil {
-			t.Fatal(err)
-		}
-		again, err := LoadColumns(bytes.NewReader(first.Bytes()))
-		if err != nil {
-			t.Fatalf("re-saved columns refused: %v", err)
-		}
-		if err := again.Save(&second); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Fatal("re-saved columns do not re-save byte for byte")
+		// Whatever loads re-saves to the bytes it was read from.
+		if first := got.AppendBinary(nil); !bytes.Equal(first, data[:len(data)-len(rest)]) {
+			t.Fatal("decoded columns do not re-save byte for byte")
 		}
 		for k, j := range got.Subjects() {
 			if j < 0 || j >= got.N() {
@@ -637,7 +600,7 @@ func TestColumnsWithStampOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v, _ := next.Get(3, 4); v != 0.25 || !slices.Equal(won, []int{4}) || next.Unstamped() {
+		if v, _ := next.Get(3, 4); v != 0.25 || !slices.Equal(won, []int{4}) || !hasStamp(next) {
 			t.Fatalf("write stamped %+v against an unstamped cell: value %v, won %v", st, v, won)
 		}
 		// A write without a stamp loses to it in turn.
