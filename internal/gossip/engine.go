@@ -3,6 +3,7 @@ package gossip
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"diffgossip/internal/rng"
@@ -364,13 +365,16 @@ func (e *Engine) Step() bool {
 // plainStep is Step without the churn and loss branches: the same float
 // operations in the same order and the same draws, so the kernels can
 // alternate bit for bit (TestPlainStepMatchesGeneral). It skips the per-push
-// division, Floyd's sampler for k = 1 (making its one Intn draw directly), a
+// division, Floyd's sampler for k = 1 (drawing its one target inline, with
+// Intn's fast path spelled out and only the rare rejection a call), a
 // stopped node's division when its pair is unchanged (its ratio is u[i]),
 // and the full stop-rule scan (only flipped neighbourhoods are updated). The
 // count mass, when there is one, moves with the pair: cnt[i]*inv[i] to the
 // node and to each target, all of cnt[i] kept by a stopped or isolated node.
 func (e *Engine) plainStep() bool {
 	// Locals, not fields: the loops' stores through e would force reloads.
+	// That holds for the generator state too, so the push loop draws from a
+	// copy, written back before any draw through e.src.
 	g, n, synced := e.cfg.Graph, e.n, e.synced
 	cur, next, recv, stopped := e.cur[:n], e.next[:n], e.extRecv[:n], e.stopped[:n]
 	inv, ks := e.inv[:n], e.ks[:n]
@@ -379,6 +383,7 @@ func (e *Engine) plainStep() bool {
 	clear(recv)
 	clear(nextCnt)
 	active, pushes := 0, 0
+	src := *e.src
 	for i := range cur {
 		nbrs := g.Neighbors(i)
 		if stopped[i] || len(nbrs) == 0 {
@@ -397,7 +402,13 @@ func (e *Engine) plainStep() bool {
 			nextCnt[i] += cshare
 		}
 		if k := ks[i]; k == 1 {
-			t := nbrs[e.src.Intn(len(nbrs))]
+			// src.Intn(len(nbrs)) with its fast path spelled out.
+			d := uint64(len(nbrs))
+			hi, lo := bits.Mul64(src.Uint64(), d)
+			if lo < d {
+				hi = src.Reject(d, hi, lo)
+			}
+			t := nbrs[hi]
 			next[t].add(share)
 			if cnt != nil {
 				nextCnt[t] += cshare
@@ -405,7 +416,9 @@ func (e *Engine) plainStep() bool {
 			recv[t]++
 			pushes++
 		} else {
+			*e.src = src
 			e.nbrs = g.AppendRandomNeighbors(e.nbrs[:0], i, k, e.src)
+			src = *e.src
 			for _, t := range e.nbrs {
 				next[t].add(share)
 				if cnt != nil {
@@ -416,6 +429,7 @@ func (e *Engine) plainStep() bool {
 			pushes += len(e.nbrs)
 		}
 	}
+	*e.src = src
 	e.msgs.ActiveNodeSteps += active
 	e.msgs.Gossip += pushes
 

@@ -81,21 +81,36 @@ func (s *Source) SplitN(n int) []*Source {
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
+//
+// It is Lemire's nearly-divisionless bounded sampling in two pieces, so a
+// hot loop too large to inline Intn can spell out the first and draw the
+// same values from the same stream (n as a uint64):
+//
+//	hi, lo := bits.Mul64(s.Uint64(), n)
+//	if lo < n {
+//		hi = s.Reject(n, hi, lo)
+//	}
 func (s *Source) Intn(n int) int {
 	if n <= 0 {
 		panic("rng: Intn with non-positive n")
 	}
-	// Lemire's nearly-divisionless bounded sampling.
-	v := s.Uint64()
-	hi, lo := bits.Mul64(v, uint64(n))
+	hi, lo := bits.Mul64(s.Uint64(), uint64(n))
 	if lo < uint64(n) {
-		thresh := uint64(-n) % uint64(n)
-		for lo < thresh {
-			v = s.Uint64()
-			hi, lo = bits.Mul64(v, uint64(n))
-		}
+		hi = s.Reject(uint64(n), hi, lo)
 	}
 	return int(hi)
+}
+
+// Reject finishes a bounded draw in [0, n) whose first product (hi, lo) =
+// bits.Mul64(s.Uint64(), n) has lo < n: while lo falls below 2⁶⁴ mod n it
+// draws again, and it returns the accepted product's high word. Only about
+// n/2⁶⁴ of draws get here.
+func (s *Source) Reject(n, hi, lo uint64) uint64 {
+	thresh := -n % n
+	for lo < thresh {
+		hi, lo = bits.Mul64(s.Uint64(), n)
+	}
+	return hi
 }
 
 // Int63 returns a uniform non-negative int64.

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -278,6 +279,38 @@ func BenchmarkIntn(b *testing.B) {
 	s := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = s.Intn(1000)
+	}
+}
+
+// TestIntnRejectionBranch reaches Lemire's rejection branch, which only about
+// n/2⁶⁴ of draws take, by setting s1 = 0: xoshiro256**'s next output is then
+// 0, whose low product word 0 is below 2⁶⁴ mod 10 = 6 and must be discarded.
+// Intn and the split form (the fast path spelled out, then Reject) must both
+// return the bound of the next output, which an independent Lemire loop
+// computes, and must consume exactly those two draws.
+func TestIntnRejectionBranch(t *testing.T) {
+	n := uint64(10)
+	start := *New(3)
+	start.s1 = 0
+	ref := start
+	if v := ref.Uint64(); v != 0 {
+		t.Fatalf("output with s1 = 0 is %#x, want 0", v)
+	}
+	want, lo := bits.Mul64(ref.Uint64(), n)
+	if lo < -n%n {
+		t.Fatal("the second draw rejects too; pick another seed")
+	}
+	a := start
+	if got := a.Intn(int(n)); uint64(got) != want || a != ref {
+		t.Fatalf("Intn = %d (state %+v), want %d after two draws (state %+v)", got, a, want, ref)
+	}
+	b := start
+	hi, lo := bits.Mul64(b.Uint64(), n)
+	if lo >= n {
+		t.Fatalf("fast path accepted low word %d", lo)
+	}
+	if got := b.Reject(n, hi, lo); got != want || b != ref {
+		t.Fatalf("split form = %d (state %+v), want %d after two draws (state %+v)", got, b, want, ref)
 	}
 }
 

@@ -13,14 +13,17 @@ import (
 // TestDirtyEpochAllocBudget pins, as a hardware-independent count, that a
 // 5%-dirty epoch allocates in proportion to what was re-rated: at the
 // epoch-dirty5 benchmark's shape (N = 2,500, 48 raters per subject, 20
-// shards, 125 re-ratings) one RunEpoch stays under 5 MB (it measures about
-// 4.3 MB). Before folds were subject-granular and the service stopped
-// building an N-wide result column per campaign the same epoch allocated
-// about 57 MB. (The race detector changes allocation sizes, so the file is
-// built without it.)
+// shards, 125 re-ratings of existing cells) one RunEpoch stays under 2.5 MB
+// (it measures about 1.8 MB). A fold that only re-rates copies each dirty
+// shard's values and keeps its rater lists and row index; while every fold
+// copied the rater ids too and rebuilt the row index the same epoch
+// allocated about 4.3 MB, and before folds were subject-granular and the
+// service stopped building an N-wide result column per campaign about 57 MB.
+// (The race detector changes allocation sizes, so the file is built without
+// it.)
 func TestDirtyEpochAllocBudget(t *testing.T) {
 	const n, raters, shards, dirty = 2500, 48, 20, 125
-	const budget = 5 << 20
+	const budget = 5 << 19
 	s := newTestService(t, n, Config{
 		Graph:       testGraph(t, n, 7),
 		Params:      core.Params{Epsilon: 1e-4, Seed: 11, Workers: -1},

@@ -96,6 +96,13 @@ func TestBootViewAndEmptyEpoch(t *testing.T) {
 	}
 }
 
+// TestEpochMatchesGlobalReference folds three epochs into a four-shard
+// service: 400 random cells; then 200 writes that only re-rate cells it holds,
+// so each shard's new columns share the previous publication's rater lists
+// and row index; then 200 re-ratings with every fourth write a new pair.
+// After each epoch every global read matches the reference over the folded
+// view and every personal read (o, j) matches GCLRRef over an independent
+// mirror bit for bit.
 func TestEpochMatchesGlobalReference(t *testing.T) {
 	const n = 60
 	s := newTestService(t, n, Config{Shards: 4})
@@ -103,47 +110,91 @@ func TestEpochMatchesGlobalReference(t *testing.T) {
 	// The mirror takes the same cells in submit order; ascending stamps make
 	// that the LWW order too, so the last write to a cell wins in both.
 	mirror := trust.NewMatrix(n)
-	for k := 0; k < 400; k++ {
-		rater, subject, value := src.Intn(n), src.Intn(n), src.Float64()
-		if _, err := s.SubmitCtx(context.Background(), rater, subject, value, int64(k+1)); err != nil {
+	var rated [][2]int // every cell written so far, once
+	seq := 0
+	submit := func(rater, subject int) {
+		t.Helper()
+		value := src.Float64()
+		seq++
+		if _, err := s.SubmitCtx(context.Background(), rater, subject, value, int64(seq)); err != nil {
 			t.Fatal(err)
+		}
+		if _, ok := mirror.Get(rater, subject); !ok {
+			rated = append(rated, [2]int{rater, subject})
 		}
 		if err := mirror.Set(rater, subject, value); err != nil {
 			t.Fatal(err)
 		}
 	}
-	v, ran, err := s.RunEpoch()
-	if err != nil || !ran {
-		t.Fatalf("epoch = (ran=%v, err=%v)", ran, err)
+	rerate := func() {
+		c := rated[src.Intn(len(rated))]
+		submit(c[0], c[1])
 	}
-	if v.Epoch() != 1 || v.Seq() != 400 || !v.Converged() {
-		t.Fatalf("view: epoch %d seq %d converged %v", v.Epoch(), v.Seq(), v.Converged())
-	}
-	for j := 0; j < n; j++ {
-		got, err := v.Reputation(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The view doubles as a trust.Reader over its frozen shard columns,
-		// so the reference evaluates against exactly the folded state.
-		want := core.GlobalRef(v, j)
-		if math.Abs(got-want) > epsTol {
-			t.Errorf("subject %d: global %v, reference %v", j, got, want)
+	newPair := func() {
+		for {
+			rater, subject := src.Intn(n), src.Intn(n)
+			if _, ok := mirror.Get(rater, subject); !ok {
+				submit(rater, subject)
+				return
+			}
 		}
 	}
-	// Every personal view — an observer's row stitched across the four
-	// shards — matches the reference over the independent mirror.
-	for o := 0; o < n; o++ {
+	batches := []struct {
+		writes int
+		write  func(k int)
+	}{
+		{400, func(int) { submit(src.Intn(n), src.Intn(n)) }},
+		{200, func(int) { rerate() }},
+		{200, func(k int) {
+			if k%4 == 0 {
+				newPair()
+			} else {
+				rerate()
+			}
+		}},
+	}
+	for e, batch := range batches {
+		before := len(rated)
+		for k := 0; k < batch.writes; k++ {
+			batch.write(k)
+		}
+		if e == 1 && len(rated) != before || e == 2 && len(rated) != before+batch.writes/4 {
+			t.Fatalf("epoch %d added %d pairs", e+1, len(rated)-before)
+		}
+		v, ran, err := s.RunEpoch()
+		if err != nil || !ran {
+			t.Fatalf("epoch = (ran=%v, err=%v)", ran, err)
+		}
+		if v.Epoch() != uint64(e+1) || v.Seq() != uint64(seq) || !v.Converged() {
+			t.Fatalf("view: epoch %d seq %d converged %v", v.Epoch(), v.Seq(), v.Converged())
+		}
 		for j := 0; j < n; j++ {
-			got, pv, err := s.PersonalReputation(o, j)
+			got, err := v.Reputation(j)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if pv.SubjectEpoch(j) != v.SubjectEpoch(j) {
-				t.Fatal("personal read served a different shard epoch")
+			// The view doubles as a trust.Reader over its frozen shard
+			// columns, so the reference evaluates against exactly the folded
+			// state.
+			want := core.GlobalRef(v, j)
+			if math.Abs(got-want) > epsTol {
+				t.Errorf("epoch %d subject %d: global %v, reference %v", e+1, j, got, want)
 			}
-			if want := core.GCLRRef(s.cfg.Graph, mirror, o, j, s.cfg.Params); got != want {
-				t.Fatalf("personal (%d,%d): got %v, mirror reference %v", o, j, got, want)
+		}
+		// Every personal view — an observer's row stitched across the four
+		// shards — matches the reference over the independent mirror.
+		for o := 0; o < n; o++ {
+			for j := 0; j < n; j++ {
+				got, pv, err := s.PersonalReputation(o, j)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pv.SubjectEpoch(j) != v.SubjectEpoch(j) {
+					t.Fatal("personal read served a different shard epoch")
+				}
+				if want := core.GCLRRef(s.cfg.Graph, mirror, o, j, s.cfg.Params); got != want {
+					t.Fatalf("epoch %d personal (%d,%d): got %v, mirror reference %v", e+1, o, j, got, want)
+				}
 			}
 		}
 	}

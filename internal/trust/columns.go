@@ -121,16 +121,10 @@ func ColumnsOf(m *Matrix, subjects []int) (*Columns, error) {
 
 // attachFlat carves the per-slot column views out of one flat (ids, vals)
 // backing, slot s owning [offs[s], offs[s+1]), and builds the row index in
-// one counting pass — the one way every constructor ends. Full-capacity
-// slicing keeps a stray append on one view from clobbering its neighbour.
+// one counting pass — the way every constructor ends but a With that only
+// re-rates, which keeps its receiver's raters and index.
 func (c *Columns) attachFlat(ids []int, vals []float64, offs []int) {
-	c.raters = make([][]int, len(c.subjects))
-	c.vals = make([][]float64, len(c.subjects))
-	for s := range c.subjects {
-		lo, hi := offs[s], offs[s+1]
-		c.raters[s] = ids[lo:hi:hi]
-		c.vals[s] = vals[lo:hi:hi]
-	}
+	c.raters, c.vals = carve(ids, offs), carve(vals, offs)
 	// After the prefix sum rowStart[i] is the end of row i; filling back to
 	// front moves it down to the row's start and, the subjects being
 	// ascending, leaves every row ascending.
@@ -150,6 +144,17 @@ func (c *Columns) attachFlat(ids []int, vals []float64, offs []int) {
 		}
 	}
 	c.rowStart, c.rowSubj = start, subj
+}
+
+// carve returns the views flat[offs[s]:offs[s+1]], one per slot. Full-capacity
+// slicing keeps a stray append on one view from clobbering its neighbour.
+func carve[T any](flat []T, offs []int) [][]T {
+	views := make([][]T, len(offs)-1)
+	for s := range views {
+		lo, hi := offs[s], offs[s+1]
+		views[s] = flat[lo:hi:hi]
+	}
+	return views
 }
 
 // NewColumns returns the column set over subjects with no cells, what a
@@ -178,17 +183,23 @@ type Cell struct {
 // ones (Matrix.Set's semantics for unstamped writes); a 0 value is an entry.
 // won lists, ascending, the subjects with a winning write; with none, c
 // itself returns. c is never modified, so its readers stay lock-free: the
-// result shares c's subject list and untouched slots' stamps, copies the flat
-// backing once with the winners merged in, and rebuilds the row index. An
-// uncovered subject, out-of-range rater or value outside [0,1] is an error.
+// result shares c's subject list and untouched slots' stamps and copies the
+// flat value backing once with the winners written in. When every write
+// re-rates a cell c already holds, it shares c's rater lists and row index
+// too; a call that adds a pair merges the rater backing afresh and rebuilds
+// the row index. An uncovered subject, out-of-range rater or value outside
+// [0,1] is an error.
 func (c *Columns) With(cells []Cell) (*Columns, []int, error) {
 	type update struct {
 		slot, rater int
+		x           int  // the rater's index in the slot's column, or where it would go
+		hit         bool // the cell exists
 		val         float64
 		st          stamp
 	}
 	out := &Columns{n: c.n, subjects: c.subjects, stamps: slices.Clone(c.stamps), origins: c.origins}
 	ups := make([]update, len(cells))
+	rerate := true // every write hits a cell c holds
 	for k, cl := range cells {
 		s, ok := c.slot(cl.Subject)
 		if !ok {
@@ -204,72 +215,94 @@ func (c *Columns) With(cells []Cell) (*Columns, []int, error) {
 		if org < 0 {
 			org, out.origins = len(out.origins), append(slices.Clip(out.origins), cl.Stamp.Origin)
 		}
-		ups[k] = update{s, cl.Rater, cl.Value, stamp{cl.Stamp.UnixNano, cl.Stamp.Seq, uint32(org)}}
+		x, hit := slices.BinarySearch(c.raters[s], cl.Rater)
+		ups[k] = update{s, cl.Rater, x, hit, cl.Value, stamp{cl.Stamp.UnixNano, cl.Stamp.Seq, uint32(org)}}
+		rerate = rerate && hit
 	}
 	// Order by (slot, rater); the stable sort keeps writes to one cell in
-	// call order, and each run carries its largest stamp to its last write.
+	// call order, and each run carries its largest stamp to its last write,
+	// which wins unless the cell's own stamp is newer. ups[:w] collects the
+	// winners, one per cell, in order.
 	slices.SortStableFunc(ups, func(a, b update) int {
 		return cmp.Or(cmp.Compare(a.slot, b.slot), cmp.Compare(a.rater, b.rater))
 	})
 	older := func(a, b stamp) bool { return out.public(a).Before(out.public(b)) }
+	w := 0
+	for u, up := range ups {
+		if u+1 < len(ups) && ups[u+1].slot == up.slot && ups[u+1].rater == up.rater {
+			if older(ups[u+1].st, up.st) {
+				ups[u+1] = up
+			}
+			continue
+		}
+		if up.hit && older(up.st, c.stampAt(up.slot, up.x)) {
+			continue // the cell keeps its write
+		}
+		ups[w], w = up, w+1
+	}
+	if ups = ups[:w]; w == 0 {
+		return c, nil, nil
+	}
 
-	total := c.NumEntries() + len(ups)
-	ids := make([]int, 0, total)
-	vals := make([]float64, 0, total)
+	// Merge the winners into a copy of the flat value backing, and of the
+	// rater backing unless every write re-rates: then the cells, and with
+	// them c's rater lists and row index, stay as they are.
+	vals := make([]float64, 0, c.NumEntries()+w)
+	var ids []int
+	if !rerate {
+		ids = make([]int, 0, c.NumEntries()+w)
+	}
 	offs := make([]int, len(c.subjects)+1)
-	won := make([]int, 0, min(len(ups), len(c.subjects)))
-	u, w := 0, 0 // ups[:w] collects the winners, in order
+	won := make([]int, 0, min(w, len(c.subjects)))
+	u := 0
 	for s := range c.subjects {
-		oldIDs, oldVals := c.raters[s], c.vals[s]
-		x, first, stamped := 0, w, c.stamps[s] != nil
-		for ; u < len(ups) && ups[u].slot == s; u++ {
+		oldIDs, oldVals, x, first := c.raters[s], c.vals[s], 0, u
+		for ; u < w && ups[u].slot == s; u++ {
 			up := ups[u]
-			if u+1 < len(ups) && ups[u+1].slot == s && ups[u+1].rater == up.rater {
-				if older(ups[u+1].st, up.st) {
-					ups[u+1] = up
-				}
-				continue
+			vals = append(append(vals, oldVals[x:up.x]...), up.val)
+			if !rerate {
+				ids = append(append(ids, oldIDs[x:up.x]...), up.rater)
 			}
-			lo := x
-			for x < len(oldIDs) && oldIDs[x] < up.rater {
-				x++
-			}
-			ids = append(ids, oldIDs[lo:x]...)
-			vals = append(vals, oldVals[lo:x]...)
-			if x < len(oldIDs) && oldIDs[x] == up.rater {
-				if older(up.st, c.stampAt(s, x)) {
-					continue // the cell keeps its write, copied with the next run
-				}
+			if x = up.x; up.hit {
 				x++ // overwritten
 			}
-			ids, vals = append(ids, up.rater), append(vals, up.val)
-			ups[w], w, stamped = up, w+1, stamped || up.st != stamp{}
 		}
-		ids = append(ids, oldIDs[x:]...)
 		vals = append(vals, oldVals[x:]...)
-		offs[s+1] = len(ids)
-		if w > first {
-			won = append(won, c.subjects[s])
+		if !rerate {
+			ids = append(ids, oldIDs[x:]...)
 		}
-		if w == first || !stamped {
+		offs[s+1] = len(vals)
+		if u == first {
+			continue
+		}
+		won = append(won, c.subjects[s])
+		if c.stamps[s] == nil && !slices.ContainsFunc(ups[first:u], func(up update) bool { return up.st != stamp{} }) {
 			continue
 		}
 		// The slot's own new stamps: the old cells', then the winners'.
-		st, merged := make([]stamp, offs[s+1]-offs[s]), ids[offs[s]:]
-		for x, i := range oldIDs {
-			k, _ := slices.BinarySearch(merged, i)
-			st[k] = c.stampAt(s, x)
+		st, merged := make([]stamp, offs[s+1]-offs[s]), oldIDs
+		if !rerate {
+			merged = ids[offs[s]:]
 		}
-		for _, up := range ups[first:w] {
+		if len(merged) == len(oldIDs) {
+			copy(st, c.stamps[s]) // the same raters
+		} else {
+			for x, i := range oldIDs {
+				k, _ := slices.BinarySearch(merged, i)
+				st[k] = c.stampAt(s, x)
+			}
+		}
+		for _, up := range ups[first:u] {
 			k, _ := slices.BinarySearch(merged, up.rater)
 			st[k] = up.st
 		}
 		out.stamps[s] = st
 	}
-	if len(won) == 0 {
-		return c, nil, nil
+	if rerate {
+		out.raters, out.rowStart, out.rowSubj, out.vals = c.raters, c.rowStart, c.rowSubj, carve(vals, offs)
+	} else {
+		out.attachFlat(ids, vals, offs)
 	}
-	out.attachFlat(ids, vals, offs)
 	return out, won, nil
 }
 

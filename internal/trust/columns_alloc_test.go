@@ -4,36 +4,11 @@ package trust
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"diffgossip/internal/rng"
 )
-
-// shardFixture returns shard sh of shards over n nodes: the subjects
-// j ≡ sh (mod shards), ascending, and cells rating each by per distinct
-// random raters, unstamped.
-func shardFixture(n, sh, shards, per int, src *rng.Source) (subjects []int, cells []Cell) {
-	for j := sh; j < n; j += shards {
-		subjects = append(subjects, j)
-		for _, i := range src.Sample(n, per) {
-			cells = append(cells, Cell{Rater: i, Subject: j, Value: src.Float64()})
-		}
-	}
-	return subjects, cells
-}
-
-// buildColumns is NewColumns(n, subjects).With(cells).
-func buildColumns(t testing.TB, n int, subjects []int, cells []Cell) *Columns {
-	t.Helper()
-	c, err := NewColumns(n, subjects)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c, _, err = c.With(cells); err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
 
 // TestColumnsWithAllocsFlat: With allocates a fixed number of times however
 // many raters a call touches — no per-rater structure is cloned.
@@ -55,6 +30,42 @@ func TestColumnsWithAllocsFlat(t *testing.T) {
 	}
 	if got := allocs(many); got != one {
 		t.Fatalf("With allocates %v times for 64 raters, %v for one", got, one)
+	}
+}
+
+// TestColumnsWithRerateAllocs pins the re-rate path: a call whose every write
+// re-rates an unstamped cell the receiver holds allocates rerateAllocs times
+// however many cells it re-rates (the result, the call's updates, the stamps
+// table, the value backing, its offsets and views, the won list) and fewer
+// than a call that adds one pair, which also merges the rater backing and
+// rebuilds the row index.
+func TestColumnsWithRerateAllocs(t *testing.T) {
+	const n, rerateAllocs = 2500, 7
+	subjects, cells := shardFixture(n, 0, 20, 48, rng.New(5))
+	c := buildColumns(t, n, subjects, cells)
+	allocs := func(cells []Cell) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, _, err := c.With(cells); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	rerate := make([]Cell, 64)
+	for k := range rerate {
+		rerate[k] = cells[(37*k)%len(cells)]
+		rerate[k].Value = 0.25
+	}
+	for _, m := range []int{1, 6, 64} {
+		if got := allocs(rerate[:m]); got != rerateAllocs {
+			t.Errorf("re-rating %d cells allocates %v times, want %d", m, got, rerateAllocs)
+		}
+	}
+	grow := append(slices.Clone(rerate[:6]), Cell{Rater: 1, Subject: subjects[0], Value: 0.5})
+	if _, ok := c.Get(1, subjects[0]); ok {
+		t.Fatal("fixture already holds the new pair")
+	}
+	if got := allocs(grow); got <= rerateAllocs {
+		t.Errorf("a call adding a pair allocates %v times, want more than the re-rate path's %d", got, rerateAllocs)
 	}
 }
 

@@ -415,6 +415,139 @@ func TestColumnsWithLeavesReceiverUnchanged(t *testing.T) {
 	}
 }
 
+// shardFixture returns shard sh of shards over n nodes: the subjects
+// j ≡ sh (mod shards), ascending, and cells rating each by per distinct
+// random raters, unstamped.
+func shardFixture(n, sh, shards, per int, src *rng.Source) (subjects []int, cells []Cell) {
+	for j := sh; j < n; j += shards {
+		subjects = append(subjects, j)
+		for _, i := range src.Sample(n, per) {
+			cells = append(cells, Cell{Rater: i, Subject: j, Value: src.Float64()})
+		}
+	}
+	return subjects, cells
+}
+
+// buildColumns is NewColumns(n, subjects).With(cells).
+func buildColumns(t testing.TB, n int, subjects []int, cells []Cell) *Columns {
+	t.Helper()
+	c, err := NewColumns(n, subjects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, _, err = c.With(cells); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestColumnsWithRerateSharesRows: a call whose every winning write re-rates
+// a cell the receiver holds copies only the value backing, so its result
+// shares the receiver's rater lists and row index; one write that adds a pair
+// sends the whole call down the merge-and-rebuild path. Either way the result
+// serialises exactly like a fresh build over the same cells.
+func TestColumnsWithRerateSharesRows(t *testing.T) {
+	const n = 200
+	subjects, cells := shardFixture(n, 3, 10, 8, rng.New(21))
+	for k := range cells {
+		cells[k].Stamp = Stamp{UnixNano: 1, Origin: "a"}
+	}
+	c := buildColumns(t, n, subjects, cells)
+	// step applies writes to c and to the cells a fresh build takes.
+	step := func(writes []Cell) *Columns {
+		t.Helper()
+		next, _, err := c.With(writes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range writes {
+			if k := slices.IndexFunc(cells, func(cl Cell) bool { return cl.Rater == w.Rater && cl.Subject == w.Subject }); k >= 0 {
+				cells[k] = w
+			} else {
+				cells = append(cells, w)
+			}
+		}
+		if !bytes.Equal(next.AppendBinary(nil), buildColumns(t, n, subjects, cells).AppendBinary(nil)) {
+			t.Fatal("AppendBinary bytes differ from a fresh build over the same cells")
+		}
+		return next
+	}
+	sharesRows := func(a, b *Columns) bool {
+		for s := range a.raters {
+			if &a.raters[s][0] != &b.raters[s][0] {
+				return false
+			}
+		}
+		return &a.rowStart[0] == &b.rowStart[0] && &a.rowSubj[0] == &b.rowSubj[0]
+	}
+	rerate := func(ks ...int) []Cell {
+		writes := make([]Cell, len(ks))
+		for x, k := range ks {
+			writes[x] = Cell{Rater: cells[k].Rater, Subject: cells[k].Subject, Value: float64(k) / 128, Stamp: Stamp{UnixNano: 2, Origin: "a", Seq: uint64(x)}}
+		}
+		return writes
+	}
+
+	next := step(rerate(0, 9, 30, 31, 79))
+	if !sharesRows(next, c) {
+		t.Fatal("a re-rate-only call rebuilt the rater lists or the row index")
+	}
+	for s := range c.vals {
+		if &next.vals[s][0] == &c.vals[s][0] {
+			t.Fatalf("slot %d shares the receiver's values", s)
+		}
+	}
+
+	c = next
+	fresh := 0
+	for _, ok := c.Get(fresh, subjects[1]); ok; _, ok = c.Get(fresh, subjects[1]) {
+		fresh++
+	}
+	grown := step(append(rerate(2, 40), Cell{Rater: fresh, Subject: subjects[1], Value: 0.5, Stamp: Stamp{UnixNano: 3, Origin: "a"}}))
+	if &grown.rowSubj[0] == &c.rowSubj[0] || &grown.raters[0][0] == &c.raters[0][0] {
+		t.Fatal("a call adding a pair shared the receiver's row index or rater backing")
+	}
+	if !slices.Contains(grown.InteractedWith(fresh), subjects[1]) {
+		t.Fatalf("row %d lacks the new pair's subject %d", fresh, subjects[1])
+	}
+}
+
+// BenchmarkColumnsWith times one shard's With at the epoch-dirty5 shape: N =
+// 2,500 over 20 shards, so 125 subjects with 48 stamped raters each, taking
+// 6 writes on 6 subjects. rerate only re-rates cells the shard holds and
+// copies the values; newpair turns one of the 6 into a new pair, which merges
+// the rater backing and rebuilds the row index.
+func BenchmarkColumnsWith(b *testing.B) {
+	const n, per = 2500, 48
+	subjects, cells := shardFixture(n, 0, 20, per, rng.New(5))
+	for k := range cells {
+		cells[k].Stamp = Stamp{UnixNano: 1}
+	}
+	c := buildColumns(b, n, subjects, cells)
+	rerate := make([]Cell, 6)
+	for k := range rerate {
+		cl := cells[per*20*k+k] // slot 20k's k-th rater
+		rerate[k] = Cell{Rater: cl.Rater, Subject: cl.Subject, Value: 0.5, Stamp: Stamp{UnixNano: 2}}
+	}
+	newpair := slices.Clone(rerate)
+	for _, ok := c.Get(newpair[5].Rater, newpair[5].Subject); ok; _, ok = c.Get(newpair[5].Rater, newpair[5].Subject) {
+		newpair[5].Rater = (newpair[5].Rater + 1) % n
+	}
+	for _, bc := range []struct {
+		name  string
+		cells []Cell
+	}{{"rerate", rerate}, {"newpair", newpair}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := c.With(bc.cells); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkRatersOf vs BenchmarkRatersOfInto: the satellite's alloc+sort
 // churn comparison — Into reuses buffers and skips the redundant sort.
 func BenchmarkRatersOf(b *testing.B) {
@@ -528,6 +661,9 @@ func FuzzColumnsWith(f *testing.F) {
 	f.Add([]byte{3, 1, 128, 3, 1, 255, 0x85, 2, 0, 5, 2, 7})
 	f.Add([]byte{11, 3, 255, 0, 3, 0, 0x80, 3, 9, 0x8b, 0, 1})
 	f.Add([]byte{2, 0, 9, 0x85, 2, 0, 40, 0x85, 0x82, 0, 70, 0x84, 2, 0, 99, 0x80})
+	// The second call re-rates both of the first call's cells with newer
+	// stamps, so it shares the first result's rater lists and row index.
+	f.Add([]byte{3, 1, 10, 0x84, 5, 2, 20, 0x84, 0x83, 1, 200, 0x95, 5, 2, 90, 0x94})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mr := newMirror(NewMatrix(n))
