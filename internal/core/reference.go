@@ -34,17 +34,3 @@ func GCLRRef(g *graph.Graph, t trust.Reader, i, j int, p Params) float64 {
 	p = p.withDefaults()
 	return trust.WeightedColumn(t, i, j, t.InteractedWith(i), p.Weights, true)
 }
-
-// GCLRRefAll evaluates GCLRRef for every (observer, subject) pair; the
-// centralised oracle the gossip results and the collusion experiments are
-// compared against.
-func GCLRRefAll(g *graph.Graph, t *trust.Matrix, p Params) [][]float64 {
-	n := t.N()
-	out := zeros(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			out[i][j] = GCLRRef(g, t, i, j, p)
-		}
-	}
-	return out
-}

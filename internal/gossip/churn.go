@@ -234,20 +234,6 @@ func (e *Engine) MassLedger() (base, injected, lost Pair) {
 	return e.base, e.injected, e.lost
 }
 
-// MassCount returns the total rater-count mass (0 when count gossip is off).
-func (e *Engine) MassCount() float64 {
-	total := 0.0
-	for _, c := range e.count {
-		total += c
-	}
-	return total
-}
-
-// CountLedger returns the count-mass accounting, mirroring MassLedger.
-func (e *Engine) CountLedger() (base, injected, lost float64) {
-	return e.baseCount, e.injectedCount, e.lostCount
-}
-
 // N returns the current node count (it grows as AddNode admits newcomers).
 func (e *Engine) N() int { return e.n }
 

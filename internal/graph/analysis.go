@@ -77,18 +77,6 @@ func (g *Graph) Eccentricity(u int) int {
 	return ecc
 }
 
-// Diameter computes the exact diameter by running BFS from every node. It is
-// O(N·M); use DiameterApprox for large graphs.
-func (g *Graph) Diameter() int {
-	diam := 0
-	for u := 0; u < g.N(); u++ {
-		if e := g.Eccentricity(u); e > diam {
-			diam = e
-		}
-	}
-	return diam
-}
-
 // DiameterApprox lower-bounds the diameter with a double BFS sweep: BFS from
 // an arbitrary node, then BFS from the farthest node found. On power-law
 // graphs this is typically exact or off by one.

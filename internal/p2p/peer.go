@@ -98,13 +98,6 @@ func (p *Peer) Decency() float64 { return p.decency }
 // IsFreeRider reports whether the peer was assigned the free-riding role.
 func (p *Peer) IsFreeRider() bool { return p.free }
 
-// HasResource reports whether the peer currently holds the resource.
-func (p *Peer) HasResource(r int) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.resources[r]
-}
-
 // NumResources returns the peer's current catalogue size.
 func (p *Peer) NumResources() int {
 	p.mu.Lock()

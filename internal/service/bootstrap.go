@@ -63,39 +63,39 @@ func (s *Service) BootstrapState(reqMarks map[string]uint64) (*StateTransfer, er
 	return out, nil
 }
 
-// InstallBootstrap applies a peer's state transfer: folded entries are
-// recorded (WAL, watermarks, history) without re-queueing them,
-// the shipped segments are rebased into the local sequence space and
-// published, tail entries are enqueued like ordinary replicated entries, and
-// any locally retained entries the sender's transfer did not cover are
-// re-queued so their folds are not lost. An installed segment never claims a
-// fold point at or above an entry of its shard that is still unfolded here —
-// re-queued, or pulled earlier and still pending — so a restart before the
-// next epoch re-pends it. With persistence on, the ledger is fsynced before
-// the installed segments are saved — the same WAL-covers-segments invariant
-// the boot guard checks.
+// InstallBootstrap applies a peer's state transfer through the service's
+// one install path, under epochMu:
 //
-// A transfer containing entries of this node's own origin is refused:
-// re-ingesting our own stream would re-number it and change its LWW stamps.
-// (That only arises when a node loses its data directory but keeps its
-// identity; such a node must rejoin under a fresh identity.)
+//  1. the transfer's own checks: a transfer carrying entries of this node's
+//     own origin is refused — re-ingesting our own stream would re-number it
+//     and change its LWW stamps (that only arises when a node loses its data
+//     directory but keeps its identity; such a node must rejoin under a
+//     fresh identity);
+//  2. the re-pend list: entries this node holds past the sender's marks,
+//     which the sender had never seen, must refold, or replacing the
+//     published columns would silently drop their writes;
+//  3. install validates the segments' layout and N and regroups them along
+//     this node's shard count, then hands the copies back for the transfer's
+//     one ledger call: Folded entries are recorded (WAL, watermarks, history)
+//     without entering the pending window — the step that makes bootstrap
+//     O(state) instead of O(replay) — and Tail entries are enqueued like any
+//     replicated entry, all or nothing, every entry's rating and origin tags
+//     checked before any is written;
+//  4. the copies are rebased into the local sequence space: the next epoch
+//     number, and a fold point at the ledger's end;
+//  5. install backs each shard's fold point off below its oldest entry still
+//     to fold — the tail, the re-pend list or a locally pending entry — then
+//     publishes, persists (ledger fsync first, then segments) with Config.Dir
+//     set, and re-pends the list ahead of the pending window.
+//
+// A refusal at any check changes nothing: views, epoch count, ledger,
+// pending window, marks and data directory stay as they were.
 func (s *Service) InstallBootstrap(st *StateTransfer) error {
 	if !s.cfg.Replicate || s.cfg.Origin == "" {
 		return fmt.Errorf("service: bootstrap requires replication mode with an origin id")
 	}
 	if st == nil || len(st.Segments) == 0 {
 		return fmt.Errorf("service: bootstrap transfer has no segments")
-	}
-	for i, seg := range st.Segments {
-		if seg == nil {
-			return fmt.Errorf("service: bootstrap transfer segment %d missing", i)
-		}
-		if seg.N != s.n {
-			return fmt.Errorf("service: bootstrap transfer is for N=%d, this service has N=%d", seg.N, s.n)
-		}
-		if seg.Shard != i || seg.Shards != len(st.Segments) {
-			return fmt.Errorf("service: bootstrap transfer segment %d does not fit the layout (shard %d/%d)", i, seg.Shard, seg.Shards)
-		}
 	}
 	for _, list := range [][]store.Feedback{st.Folded, st.Tail} {
 		for _, fb := range list {
@@ -104,99 +104,21 @@ func (s *Service) InstallBootstrap(st *StateTransfer) error {
 			}
 		}
 	}
-	// The transfer's segments are the sender's live publications when the
-	// hand-off is in-process, so the rebase below must write into copies.
-	var segs []*store.ShardSnapshot
-	if len(st.Segments) != s.shards {
-		// The sender runs a different shard layout; regroup along ours.
-		var err error
-		if segs, err = store.Reshard(st.Segments, s.shards); err != nil {
-			return fmt.Errorf("service: bootstrap: %w", err)
-		}
-	} else {
-		segs = make([]*store.ShardSnapshot, s.shards)
-		for sh, seg := range st.Segments {
-			cp := *seg
-			segs[sh] = &cp
-		}
-	}
 
 	s.epochMu.Lock()
 	defer s.epochMu.Unlock()
-
-	// 1. Record the folded entries. Their folds arrive with the segments, so
-	// they bypass the pending window entirely — the step that makes
-	// bootstrap O(state) instead of O(replay).
-	if _, err := s.ledger.AppendReplicated(st.Folded, false); err != nil {
-		return fmt.Errorf("service: bootstrap: %w", err)
-	}
-	// rebased is the local fold point the installed segments may claim:
-	// every local ledger entry at or below it is recorded above, on the
-	// re-pend list computed next, or still pending (step 3 backs off for both).
-	rebased := s.ledger.Seq()
-
-	// 2. Anything we retain past the sender's shipped coverage — entries the
-	// sender had never seen when it captured its marks — must refold, or
-	// replacing the published columns below would silently drop their writes.
 	var repend []store.Feedback
 	for o := range s.ledger.OriginMarks() {
 		repend = append(repend, s.ledger.EntriesSince(o, st.Marks[o], 0)...)
 	}
-
-	// 3. Rebase and publish the segments. A shard's claimed fold point backs
-	// off below its oldest unfolded entry — re-pended above or pending here
-	// already — so a crash before the refold persists still re-pends that
-	// entry at next boot. An entry this node pulled itself while the transfer
-	// was in flight is covered by the sender's marks, so it is in no list
-	// above, yet it may sit in the sender's unfolded tail: the shipped
-	// columns cannot be assumed to hold it. (The window is read by taking and
-	// restoring it: epochMu keeps epochs out, and an entry appended meanwhile
-	// carries a seq above rebased.)
-	local := s.ledger.TakePending()
-	s.ledger.Restore(local)
-	segSeq := make([]uint64, s.shards)
-	for sh := range segSeq {
-		segSeq[sh] = rebased
-	}
-	for _, unfolded := range [][]store.Feedback{repend, local} {
-		for _, fb := range unfolded {
-			sh := store.ShardOf(fb.Subject, s.shards)
-			if fb.Seq > 0 && fb.Seq-1 < segSeq[sh] {
-				segSeq[sh] = fb.Seq - 1
-			}
+	return s.install(st.Segments, repend, func(segs []*store.ShardSnapshot) error {
+		if _, err := s.ledger.AppendReplicated(st.Folded, st.Tail); err != nil {
+			return fmt.Errorf("service: bootstrap: %w", err)
 		}
-	}
-	epoch := s.epochs.Load() + 1
-	for sh, seg := range segs {
-		seg.Epoch = epoch
-		seg.Seq = segSeq[sh]
-		s.states[sh].Store(seg)
-	}
-	s.epochs.Store(epoch)
-
-	// 4. Tail entries fold at the next epoch, like any replicated entry.
-	if _, err := s.ledger.AppendReplicated(st.Tail, true); err != nil {
-		return fmt.Errorf("service: bootstrap: %w", err)
-	}
-	// 5. Re-pend ahead of the tail (Restore prepends): these entries are
-	// older, and LWW folding makes any interleaving converge identically.
-	s.ledger.Restore(repend)
-
-	// 6. Durability, same invariant as the epoch persistence phase: ledger
-	// first, then segments.
-	if s.cfg.Dir != "" {
-		s.persistMu.Lock()
-		defer s.persistMu.Unlock()
-		if err := s.ledger.Sync(); err != nil {
-			return err
+		epoch, seq := s.epochs.Load()+1, s.ledger.Seq()
+		for _, seg := range segs {
+			seg.Epoch, seg.Seq = epoch, seq
 		}
-		for sh, seg := range segs {
-			if err := seg.SaveFile(shardPath(s.cfg.Dir, sh)); err != nil {
-				return err
-			}
-			s.persistedEpoch[sh] = seg.Epoch
-			s.persistedSeq[sh] = seg.Seq
-		}
-	}
-	return nil
+		return nil
+	})
 }

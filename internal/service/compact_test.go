@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"diffgossip/internal/core"
@@ -323,6 +324,89 @@ func TestBootstrapRependsLocallyPendingEntries(t *testing.T) {
 		want, _ := va.Reputation(j)
 		if got, _ := vb.Reputation(j); got != want {
 			t.Fatalf("subject %d: rebooted receiver serves %v, sender %v", j, got, want)
+		}
+	}
+}
+
+// TestRefusedBootstrapChangesNothing: an install is refused before anything
+// is written, published or re-pended. The receiver has folded a rating of
+// its own that the sender never saw; a transfer whose Tail carries an
+// out-of-range rating must leave its views, epoch count, ledger, pending
+// window, marks and data directory exactly as they were. A valid install
+// afterwards re-pends the receiver's rating, so its next fold counts both
+// raters of the subject — also across a reopen before that fold.
+func TestRefusedBootstrapChangesNothing(t *testing.T) {
+	const n = 30
+	g := testGraph(t, n, 7)
+	for _, persisted := range []bool{false, true} {
+		cfg := func(origin string) Config {
+			c := Config{Graph: g, Params: core.Params{Epsilon: 1e-6, Seed: 11}, Shards: 3, Replicate: true, Origin: origin}
+			if persisted && origin == "node-b" {
+				c.Dir = t.TempDir()
+			}
+			return c
+		}
+		a := newTestService(t, n, cfg("node-a"))
+		if _, err := a.Submit(3, 7, 0.25); err != nil {
+			t.Fatal(err)
+		}
+		mustEpoch(t, a)
+		if _, err := a.Submit(4, 8, 0.5); err != nil { // A's unfolded tail
+			t.Fatal(err)
+		}
+		bcfg := cfg("node-b")
+		b, err := New(bcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { b.Close() })
+		if _, err := b.Submit(5, 7, 0.75); err != nil {
+			t.Fatal(err)
+		}
+		mustEpoch(t, b)
+
+		st, err := a.BootstrapState(b.ReplicationMarks())
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := *st
+		bad.Tail = append(append([]store.Feedback(nil), st.Tail...),
+			store.Feedback{Rater: 1, Subject: 2, Value: 1.5, UnixNano: 9, Origin: "node-a", OriginSeq: 99})
+		before, epochs, seq, marks := b.View(), b.Epochs(), b.LedgerSeq(), b.ReplicationMarks()
+		var files map[string]string
+		if persisted {
+			files = dirListing(t, bcfg.Dir)
+		}
+		if err := b.InstallBootstrap(&bad); err == nil {
+			t.Fatalf("persisted=%v: a transfer with an out-of-range rating was installed", persisted)
+		}
+		after := b.View()
+		for sh := 0; sh < b.Shards(); sh++ {
+			if after.Shard(sh) != before.Shard(sh) {
+				t.Fatalf("persisted=%v: refused install republished shard %d", persisted, sh)
+			}
+		}
+		if b.Epochs() != epochs || b.LedgerSeq() != seq || b.Pending() != 0 || !reflect.DeepEqual(b.ReplicationMarks(), marks) {
+			t.Fatalf("persisted=%v: refused install moved epochs %d -> %d, ledger seq %d -> %d, pending 0 -> %d, marks %v -> %v",
+				persisted, epochs, b.Epochs(), seq, b.LedgerSeq(), b.Pending(), marks, b.ReplicationMarks())
+		}
+		if persisted && !reflect.DeepEqual(dirListing(t, bcfg.Dir), files) {
+			t.Fatalf("refused install changed the data directory")
+		}
+
+		if err := b.InstallBootstrap(st); err != nil {
+			t.Fatal(err)
+		}
+		if persisted {
+			if err := b.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if b, err = New(bcfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := mustEpoch(t, b).Raters(7); got != 2 {
+			t.Fatalf("persisted=%v: subject 7 has %d raters after the valid install folded, want 2", persisted, got)
 		}
 	}
 }

@@ -44,6 +44,18 @@
 // this build cannot read is refused at boot, untouched, with an error naming
 // the file. An older build's shard-NNNN.gob segments are never opened: their
 // shards refold from the WAL.
+//
+// # One way in
+//
+// State enters a service by one path, install: the boot segments of an
+// in-memory start, the segments and unfolded WAL tail a data directory
+// holds, and a peer's state transfer (InstallBootstrap). It validates the
+// layout, regroups along the service's shard count, backs each shard's fold
+// point off below its oldest entry still to fold, checks the ledger covers
+// every claimed fold point, publishes, persists ledger-first when the
+// segments are not already the directory's files, and re-pends. Every check
+// runs before the first change, so a refused install leaves the service as
+// it was.
 package service
 
 import (
@@ -154,8 +166,8 @@ type Service struct {
 	// into their own shard's pointer as each fold completes. folded[s]
 	// (guarded by epochMu, each fold touching only its own shard's slot) is
 	// the last segment foldShard built for shard s — nil after boot, and no
-	// longer the publication once InstallBootstrap replaces it — the mark
-	// that lets the next fold carry untouched subjects over from it.
+	// longer the publication once an install replaces it — the mark that
+	// lets the next fold carry untouched subjects over from it.
 	states []atomic.Pointer[store.ShardSnapshot]
 	folded []*store.ShardSnapshot
 
@@ -220,9 +232,9 @@ func shardPath(dir string, shard int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%04d.seg", shard))
 }
 
-// New builds a Service, loading (and if needed resharding) persisted state
-// from cfg.Dir when set, and starts the epoch scheduler if cfg.EpochInterval
-// > 0. Close releases it.
+// New builds a Service, installing boot segments or — with cfg.Dir set —
+// the persisted state (resharded if needed), and starts the epoch scheduler
+// if cfg.EpochInterval > 0. Close releases it.
 func New(cfg Config) (*Service, error) {
 	if cfg.Graph == nil || cfg.Graph.N() == 0 {
 		return nil, fmt.Errorf("service: empty graph")
@@ -262,47 +274,19 @@ func New(cfg Config) (*Service, error) {
 		s.cfg.Params.SparseRaterFrac = 0
 	}
 
-	var segs []*store.ShardSnapshot
-	if cfg.Dir != "" {
-		var err error
-		segs, err = s.loadDir()
-		if err != nil {
-			return nil, err
-		}
-	} else {
+	var err error
+	if cfg.Dir == "" {
 		s.ledger = store.NewLedger(n)
-		if err := s.ledger.SetShards(shards); err != nil {
-			return nil, err
-		}
-		if cfg.Replicate {
-			if err := s.ledger.EnableReplication(cfg.Origin, nil); err != nil {
-				return nil, err
-			}
-		}
+		err = s.boot(nil, nil)
+	} else {
+		err = s.loadDir()
 	}
-	if segs == nil {
-		segs = make([]*store.ShardSnapshot, shards)
-		now := time.Now().UnixNano()
-		for sh := range segs {
-			segs[sh] = store.NewBootShardSnapshot(n, sh, shards, now)
+	if err != nil {
+		if s.ledger != nil {
+			s.ledger.Close()
 		}
+		return nil, err
 	}
-	var maxEpoch uint64
-	for sh, seg := range segs {
-		s.states[sh].Store(seg)
-		s.persistedEpoch[sh] = seg.Epoch
-		if cfg.Dir != "" {
-			// Loaded segments are durable by definition; boot segments for a
-			// fresh dir carry Seq 0, so nothing is compactable until a real
-			// fold persists.
-			s.persistedSeq[sh] = seg.Seq
-		}
-		if seg.Epoch > maxEpoch {
-			maxEpoch = seg.Epoch
-		}
-	}
-	s.epochs.Store(maxEpoch)
-
 	if cfg.EpochInterval > 0 {
 		s.wg.Add(1)
 		go s.loop()
@@ -310,40 +294,41 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// loadDir opens (creating or resharding as needed) a persistent data
-// directory: it returns the shard segments to publish (nil for a fresh
-// directory) and leaves s.ledger open with the unfolded tail pending.
-func (s *Service) loadDir() ([]*store.ShardSnapshot, error) {
+// loadDir boots from a persistent data directory (creating it if needed). It
+// reads the manifest, the shard segments and the ledger, refusing — before
+// anything is written — a pre-shard directory, one for another N and a
+// segment this build cannot read; boot's install refuses a truncated
+// ledger. Once the state is installed, the manifest is written last.
+func (s *Service) loadDir() error {
 	dir := s.cfg.Dir
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("service: data dir: %w", err)
+		return fmt.Errorf("service: data dir: %w", err)
 	}
 	manifest, err := store.LoadManifestFile(manifestPath(dir))
 	if err != nil {
-		return nil, err
+		return err
 	}
 
-	var segs []*store.ShardSnapshot
-	freshLayout := false // segments/manifest need (re)writing before use
+	var segs []*store.ShardSnapshot // nil: a fresh directory
 	if manifest == nil {
-		// No manifest: a fresh directory (boot segments, manifest written
-		// below) — unless the pre-shard format's file is there, in which case
-		// treating the directory as fresh would silently refold the whole WAL
-		// over state the operator believes is persisted.
+		// No manifest: a fresh directory — unless the pre-shard format's file
+		// is there, in which case treating the directory as fresh would
+		// silently refold the whole WAL over state the operator believes is
+		// persisted.
 		if _, err := os.Stat(filepath.Join(dir, preShardFile)); err == nil {
-			return nil, fmt.Errorf("service: %s holds %s but no %s: a pre-shard data directory, which this build does not migrate (it reads only the %s + shard-NNNN.seg layout)",
+			return fmt.Errorf("service: %s holds %s but no %s: a pre-shard data directory, which this build does not migrate (it reads only the %s + shard-NNNN.seg layout)",
 				dir, preShardFile, manifestFile, manifestFile)
 		}
 	} else {
 		if manifest.N != s.n {
-			return nil, fmt.Errorf("service: data dir is for N=%d, graph has N=%d", manifest.N, s.n)
+			return fmt.Errorf("service: data dir is for N=%d, graph has N=%d", manifest.N, s.n)
 		}
 		segs = make([]*store.ShardSnapshot, manifest.Shards)
 		now := time.Now().UnixNano()
 		for sh := range segs {
 			seg, err := store.LoadShardFile(shardPath(dir, sh))
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if seg != nil && (seg.Shard != sh || seg.Shards != manifest.Shards || seg.N != s.n) {
 				// A valid segment whose layout disagrees with the manifest
@@ -351,7 +336,7 @@ func (s *Service) loadDir() ([]*store.ShardSnapshot, error) {
 				// segments written, manifest not yet flipped). The WAL is
 				// the full feedback history, so the safe recovery is to
 				// treat the shard as never folded: its entire tail
-				// re-pends below and the next epoch refolds it.
+				// re-pends and the next epoch refolds it.
 				seg = nil
 			}
 			if seg == nil {
@@ -360,65 +345,22 @@ func (s *Service) loadDir() ([]*store.ShardSnapshot, error) {
 			}
 			segs[sh] = seg
 		}
-		if manifest.Shards != s.shards {
-			// Reshard: the new segments take the conservative minimum Seq,
-			// so any entries some old shards had already folded simply
-			// replay (folds are idempotent).
-			if segs, err = store.Reshard(segs, s.shards); err != nil {
-				return nil, err
-			}
-			freshLayout = true
-		}
 	}
-
-	// Validate before mutating: the ledger-truncation guard must run before
-	// any reshard write, so a directory that should be refused is refused
-	// untouched (and the operator diagnoses exactly what the last process
-	// left behind).
 	ledger, replayed, err := store.OpenLedger(ledgerPath(dir), s.n)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.ledger = ledger
-	fail := func(err error) ([]*store.ShardSnapshot, error) {
-		ledger.Close()
-		return nil, err
+	if err := s.boot(segs, replayed); err != nil {
+		return err
 	}
-	if err := s.ledger.SetShards(s.shards); err != nil {
-		return fail(err)
-	}
-	if s.cfg.Replicate {
-		// Seed the per-origin history and watermarks from the full replay,
-		// so anti-entropy pulls and duplicate detection survive restarts.
-		if err := s.ledger.EnableReplication(s.cfg.Origin, replayed); err != nil {
-			return fail(err)
-		}
-	}
-	// A segment claiming more folded entries than the ledger ever assigned
-	// means the ledger file was truncated or swapped out from under the
-	// snapshots — refuse to serve silently-corrupt state.
-	var maxSeq uint64
-	for _, seg := range segs {
-		maxSeq = max(maxSeq, seg.Seq)
-	}
-	if ledger.Seq() < maxSeq {
-		return fail(fmt.Errorf("service: ledger ends at seq %d but a segment has folded seq %d — ledger truncated or mismatched",
-			ledger.Seq(), maxSeq))
-	}
-	// Persist the (validated) layout before serving it: segments first,
-	// manifest last, so a crash mid-reshard leaves the old manifest in charge
-	// and the mismatched segments are discarded as never folded (above).
-	if freshLayout {
-		for _, seg := range segs {
-			if err := seg.SaveFile(shardPath(dir, seg.Shard)); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	if freshLayout || manifest == nil {
+	// A reshard's segments are saved by now (install), so the manifest goes
+	// last: a crash mid-reshard leaves the old manifest in charge and the
+	// mismatched segments are discarded as never folded (above).
+	if manifest == nil || manifest.Shards != s.shards {
 		m := store.Manifest{N: s.n, Shards: s.shards, CreatedUnixNano: time.Now().UnixNano()}
 		if err := store.SaveManifestFile(m, manifestPath(dir)); err != nil {
-			return fail(err)
+			return err
 		}
 	}
 	if manifest != nil {
@@ -428,30 +370,133 @@ func (s *Service) loadDir() ([]*store.ShardSnapshot, error) {
 			os.Remove(shardPath(dir, sh))
 		}
 		// An older build's shard-NNNN.gob segments were never opened: their
-		// shards booted as never folded, so their whole WAL re-pends below.
-		// That loses nothing, since compaction keeps every cell's LWW winner
-		// in the WAL (store's compactionKeep). Remove them the same way.
+		// shards booted as never folded, so their whole WAL re-pended. That
+		// loses nothing, since compaction keeps every cell's LWW winner in
+		// the WAL (store's compactionKeep). Remove them the same way.
 		old, _ := filepath.Glob(filepath.Join(dir, "shard-*.gob")) // errs only on a bad pattern
 		for _, path := range old {
 			os.Remove(path)
 		}
 	}
-	// Entries already folded into their subject's shard are dropped; the
-	// per-shard tails past each segment's Seq wait for the next epoch. The
-	// folded entries' winners are on record in the segments' stamps, which
-	// any late replicated entry must beat.
+	return nil
+}
+
+// boot sets up s.ledger — the shard count, and in replication mode the
+// per-origin history and watermarks, seeded from the full replay so
+// anti-entropy pulls and duplicate detection survive restarts — and installs
+// segs (boot segments when nil) with the replayed entries they have not
+// folded pending. The folded entries' winners are on record in the
+// segments' stamps, which any late replicated entry must beat.
+func (s *Service) boot(segs []*store.ShardSnapshot, replayed []store.Feedback) error {
+	if err := s.ledger.SetShards(s.shards); err != nil {
+		return err
+	}
+	if s.cfg.Replicate {
+		if err := s.ledger.EnableReplication(s.cfg.Origin, replayed); err != nil {
+			return err
+		}
+	}
+	if segs == nil {
+		segs = make([]*store.ShardSnapshot, s.shards)
+		now := time.Now().UnixNano()
+		for sh := range segs {
+			segs[sh] = store.NewBootShardSnapshot(s.n, sh, s.shards, now)
+		}
+	}
 	var tail []store.Feedback
 	for _, fb := range replayed {
-		var folded uint64
-		if segs != nil {
-			folded = segs[store.ShardOf(fb.Subject, s.shards)].Seq
-		}
-		if fb.Seq > folded {
+		if fb.Seq > segs[store.ShardOf(fb.Subject, len(segs))].Seq {
 			tail = append(tail, fb)
 		}
 	}
-	s.ledger.Restore(tail)
-	return segs, nil
+	return s.install(segs, tail, nil)
+}
+
+// install is the one way state enters a service: New's boot segments, a
+// data directory's segments and a peer's state transfer all publish
+// through it. Every check runs before the first change, so a refused
+// install leaves the service as it was. In order:
+//
+//  1. validate the segments' layout and N;
+//  2. regroup them along this service's shard count (store.Reshard; at an
+//     equal count, shallow copies for the steps below to re-point), then run
+//     admit, when given, on the copies — a bootstrap records the transfer's
+//     entries there and rebases the copies into the local sequence space;
+//  3. back each shard's fold point off below its oldest entry still to
+//     fold — on unfolded, or in the ledger's pending window — so a restart
+//     before that entry folds re-pends it;
+//  4. refuse a segment claiming a seq the ledger never assigned (a truncated
+//     or swapped ledger);
+//  5. publish, and set the epoch counter and the persisted fold points;
+//  6. when the segments differ from the directory's files — regrouped to
+//     another count, or admitted from a transfer — persist them: ledger
+//     fsync first, then each segment, so the WAL on disk covers whatever
+//     the segments claim;
+//  7. re-pend unfolded ahead of the pending window, even after a
+//     persistence error: the published columns do not hold their writes.
+//
+// An installed segment is never s.folded, so each shard's first fold
+// afterwards computes every subject. Callers hold epochMu, or run inside
+// New.
+func (s *Service) install(segs []*store.ShardSnapshot, unfolded []store.Feedback, admit func([]*store.ShardSnapshot) error) error {
+	if len(segs) > 0 && segs[0] != nil && segs[0].N != s.n {
+		return fmt.Errorf("service: segments are for N=%d, this service has N=%d", segs[0].N, s.n)
+	}
+	regrouped, err := store.Reshard(segs, s.shards)
+	if err != nil {
+		return fmt.Errorf("service: install: %w", err)
+	}
+	save := s.cfg.Dir != "" && (len(segs) != s.shards || admit != nil)
+	if admit != nil {
+		if err := admit(regrouped); err != nil {
+			return err
+		}
+	}
+
+	// The pending window is read by taking and restoring it: epochMu keeps
+	// epochs out, and an entry appended meanwhile carries a seq above every
+	// fold point here.
+	pending := s.ledger.TakePending()
+	s.ledger.Restore(pending)
+	for _, list := range [][]store.Feedback{unfolded, pending} {
+		for _, fb := range list {
+			seg := regrouped[store.ShardOf(fb.Subject, s.shards)]
+			seg.Seq = min(seg.Seq, fb.Seq-1)
+		}
+	}
+
+	var maxSeq, maxEpoch uint64
+	for _, seg := range regrouped {
+		maxSeq, maxEpoch = max(maxSeq, seg.Seq), max(maxEpoch, seg.Epoch)
+	}
+	if s.ledger.Seq() < maxSeq {
+		return fmt.Errorf("service: ledger ends at seq %d but a segment has folded seq %d — ledger truncated or mismatched",
+			s.ledger.Seq(), maxSeq)
+	}
+
+	for sh, seg := range regrouped {
+		s.states[sh].Store(seg)
+		if !save {
+			s.persistedEpoch[sh], s.persistedSeq[sh] = seg.Epoch, seg.Seq
+		}
+	}
+	s.epochs.Store(maxEpoch)
+
+	if save {
+		s.persistMu.Lock()
+		err = s.ledger.Sync()
+		for sh, seg := range regrouped {
+			if err != nil {
+				break
+			}
+			if err = seg.SaveFile(shardPath(s.cfg.Dir, sh)); err == nil {
+				s.persistedEpoch[sh], s.persistedSeq[sh] = seg.Epoch, seg.Seq
+			}
+		}
+		s.persistMu.Unlock()
+	}
+	s.ledger.Restore(unfolded)
+	return err
 }
 
 // Submit records one feedback entry ("rater now places trust value in
@@ -570,7 +615,7 @@ func (s *Service) SetReplicator(r Replicator) {
 // counts the rest. Requires Config.Replicate. Applied entries take effect
 // like local submissions — when their subjects' shards next fold.
 func (s *Service) ApplyReplicated(entries []store.Feedback) (applied int, err error) {
-	fresh, err := s.ledger.AppendReplicated(entries, true)
+	fresh, err := s.ledger.AppendReplicated(nil, entries)
 	return len(fresh), err
 }
 

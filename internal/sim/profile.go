@@ -96,31 +96,3 @@ func ProfileTable(points []ProfilePoint) *Table {
 	}
 	return t
 }
-
-// GeometricDecayRate fits the average per-step error contraction over the
-// tail of a profile (last half), for the Theorem 5.2 check: differential
-// push's rate should be at most normal push's.
-func GeometricDecayRate(points []ProfilePoint, protocol string) float64 {
-	var series []float64
-	for _, p := range points {
-		if p.Protocol == protocol {
-			series = append(series, p.MaxError)
-		}
-	}
-	if len(series) < 4 {
-		return math.NaN()
-	}
-	half := series[len(series)/2:]
-	// Mean of log ratios, ignoring zero/NaN plateaus.
-	sum, n := 0.0, 0
-	for i := 1; i < len(half); i++ {
-		if half[i] > 0 && half[i-1] > 0 {
-			sum += math.Log(half[i] / half[i-1])
-			n++
-		}
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return math.Exp(sum / float64(n))
-}

@@ -49,14 +49,14 @@ func TestGeometricDecayRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rate := GeometricDecayRate(points, "differential-push")
+	rate := geometricDecayRate(points, "differential-push")
 	if math.IsNaN(rate) {
 		t.Fatal("no decay rate")
 	}
 	if rate >= 1 {
 		t.Fatalf("tail not contracting: rate %v", rate)
 	}
-	if math.IsNaN(GeometricDecayRate(nil, "x")) == false {
+	if math.IsNaN(geometricDecayRate(nil, "x")) == false {
 		t.Fatal("empty series should give NaN")
 	}
 }
@@ -75,4 +75,32 @@ func TestProfileTable(t *testing.T) {
 	if !bytes.Contains([]byte(out), []byte("0.5")) {
 		t.Fatalf("step 1 missing: %s", out)
 	}
+}
+
+// geometricDecayRate fits the average per-step error contraction over the
+// tail of a profile (last half), for the Theorem 5.2 check: differential
+// push's rate should be at most normal push's.
+func geometricDecayRate(points []ProfilePoint, protocol string) float64 {
+	var series []float64
+	for _, p := range points {
+		if p.Protocol == protocol {
+			series = append(series, p.MaxError)
+		}
+	}
+	if len(series) < 4 {
+		return math.NaN()
+	}
+	half := series[len(series)/2:]
+	// Mean of log ratios, ignoring zero/NaN plateaus.
+	sum, n := 0.0, 0
+	for i := 1; i < len(half); i++ {
+		if half[i] > 0 && half[i-1] > 0 {
+			sum += math.Log(half[i] / half[i-1])
+			n++
+		}
+	}
+	if n == 0 {
+		return math.NaN()
+	}
+	return math.Exp(sum / float64(n))
 }

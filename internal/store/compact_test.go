@@ -120,7 +120,7 @@ func TestLedgerCompactKeepsLWWWinnerNotLastAppend(t *testing.T) {
 	if _, err := l.Append(1, 2, 0.9, 2000); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendReplicated([]Feedback{{Rater: 1, Subject: 2, Value: 0.1, UnixNano: 1000, Origin: "node-b", OriginSeq: 5}}, true); err != nil {
+	if _, err := l.AppendReplicated(nil, []Feedback{{Rater: 1, Subject: 2, Value: 0.1, UnixNano: 1000, Origin: "node-b", OriginSeq: 5}}); err != nil {
 		t.Fatal(err)
 	}
 	seq := l.Seq()
@@ -313,7 +313,7 @@ func TestLedgerTrimHistory(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		fb := Feedback{Rater: 4, Subject: 5, Value: 0.5, UnixNano: int64(2000 + i), Origin: "node-b", OriginSeq: uint64(i + 1)}
-		if _, err := l.AppendReplicated([]Feedback{fb}, true); err != nil {
+		if _, err := l.AppendReplicated(nil, []Feedback{fb}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -327,7 +327,7 @@ func (l *Ledger) Append(rater, subject int, value float64, unixNano int64) (uint
 	one := [1]Feedback{{Rater: rater, Subject: subject, Value: value, UnixNano: unixNano}}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.appendLocked(one[:], true); err != nil {
+	if err := l.appendLocked(one[:], 0); err != nil {
 		return 0, err
 	}
 	return one[0].Seq, nil
@@ -335,13 +335,14 @@ func (l *Ledger) Append(rater, subject int, value float64, unixNano int64) (uint
 
 // appendLocked is the one append core: it assigns the entries consecutive
 // local sequence numbers, encodes their WAL lines into the ledger's buffer
-// and writes them as one unit, then admits them — to the pending window and
-// dirty set if enqueue, and in replication mode to the retained history and
-// watermarks. enqueue=false is for entries whose fold is already reflected
-// in state installed alongside them (a bootstrap state transfer). Callers
-// hold mu and have validated the entries; Seq and Shard are filled in place,
-// and on error nothing — file or memory — has changed.
-func (l *Ledger) appendLocked(entries []Feedback, enqueue bool) error {
+// and writes them as one unit, then admits them — entries[unqueued:] to the
+// pending window and dirty set, and in replication mode all of them to the
+// retained history and watermarks. The first unqueued entries are ones whose
+// fold is already reflected in state installed alongside them (a bootstrap
+// state transfer). Callers hold mu and have validated the entries; Seq and
+// Shard are filled in place, and on error nothing — file or memory — has
+// changed.
+func (l *Ledger) appendLocked(entries []Feedback, unqueued int) error {
 	if len(entries) == 0 {
 		return nil
 	}
@@ -367,11 +368,11 @@ func (l *Ledger) appendLocked(entries []Feedback, enqueue bool) error {
 	}
 	l.seq += uint64(len(entries))
 	l.mEntries.Add(uint64(len(entries)))
-	if enqueue {
-		l.pending = append(l.pending, entries...)
+	if queued := entries[unqueued:]; len(queued) > 0 {
+		l.pending = append(l.pending, queued...)
 		l.pendingN.Store(int64(len(l.pending)))
-		for i := range entries {
-			l.markDirtyLocked(entries[i].Shard)
+		for i := range queued {
+			l.markDirtyLocked(queued[i].Shard)
 		}
 	}
 	if l.hist != nil {
@@ -427,7 +428,7 @@ func (l *Ledger) AppendBatch(entries []Feedback) (first, last uint64, err error)
 		}
 	}
 	l.mu.Lock()
-	err = l.appendLocked(entries, true)
+	err = l.appendLocked(entries, 0)
 	l.mu.Unlock()
 	if err != nil {
 		return 0, 0, err
@@ -510,42 +511,49 @@ func (l *Ledger) EnableReplication(origin string, replayed []Feedback) error {
 	return nil
 }
 
-// AppendReplicated applies a batch of entries pulled from peers, all or
-// nothing, and returns the entries it applied. Every entry must carry a
-// remote origin's tags and a valid rating, or the whole batch is refused
+// AppendReplicated applies entries pulled from peers, folded then queued,
+// all or nothing, and returns the entries it applied. Every entry must carry
+// a remote origin's tags and a valid rating, or the whole call is refused
 // before anything changes. An entry at or below its origin's running
-// watermark — applied earlier, or earlier in this batch — is a duplicate and
+// watermark — applied earlier, or earlier in this call — is a duplicate and
 // skipped; the rest go through the one append core exactly like local
-// entries (one WAL write for the batch, local sequence numbers) and advance
-// their origins' watermarks. enqueue=false keeps them out of the pending
-// window, for a bootstrap state transfer whose segments already reflect
-// their folds. Replicated appends are flushed, never fsynced (the epoch
-// boundary syncs). Requires EnableReplication.
-func (l *Ledger) AppendReplicated(entries []Feedback, enqueue bool) ([]Feedback, error) {
+// entries (one WAL write for the call, local sequence numbers) and advance
+// their origins' watermarks. Queued entries fold at the next epoch; folded
+// ones, which a bootstrap state transfer's segments already reflect, are
+// recorded without entering the pending window. Replicated appends are
+// flushed, never fsynced (the epoch boundary syncs). Requires
+// EnableReplication.
+func (l *Ledger) AppendReplicated(folded, queued []Feedback) ([]Feedback, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.hist == nil {
 		return nil, fmt.Errorf("store: replication not enabled")
 	}
 	var fresh []Feedback
+	unqueued := 0
 	running := make(map[string]uint64)
-	for i, fb := range entries {
-		if fb.Origin == "" || fb.Origin == l.origin || fb.OriginSeq == 0 {
-			return nil, fmt.Errorf("store: replicated entry %d: (%q, %d) names no remote origin stream", i, fb.Origin, fb.OriginSeq)
-		}
-		if err := l.check(fb.Rater, fb.Subject, fb.Value); err != nil {
-			return nil, fmt.Errorf("store: replicated entry %d: %w", i, err)
-		}
-		mark, ok := running[fb.Origin]
-		if !ok {
-			mark = l.marks[fb.Origin]
-		}
-		if fb.OriginSeq > mark {
-			running[fb.Origin] = fb.OriginSeq
-			fresh = append(fresh, fb)
+	for k, entries := range [][]Feedback{folded, queued} {
+		for i, fb := range entries {
+			if fb.Origin == "" || fb.Origin == l.origin || fb.OriginSeq == 0 {
+				return nil, fmt.Errorf("store: replicated entry %d: (%q, %d) names no remote origin stream", i, fb.Origin, fb.OriginSeq)
+			}
+			if err := l.check(fb.Rater, fb.Subject, fb.Value); err != nil {
+				return nil, fmt.Errorf("store: replicated entry %d: %w", i, err)
+			}
+			mark, ok := running[fb.Origin]
+			if !ok {
+				mark = l.marks[fb.Origin]
+			}
+			if fb.OriginSeq > mark {
+				running[fb.Origin] = fb.OriginSeq
+				fresh = append(fresh, fb)
+				if k == 0 {
+					unqueued++
+				}
+			}
 		}
 	}
-	if err := l.appendLocked(fresh, enqueue); err != nil {
+	if err := l.appendLocked(fresh, unqueued); err != nil {
 		return nil, err
 	}
 	return fresh, nil

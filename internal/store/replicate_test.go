@@ -13,13 +13,13 @@ func TestAppendReplicatedIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	fb := Feedback{Origin: "peer-a", OriginSeq: 3, Rater: 1, Subject: 2, Value: 0.5}
-	applied, err := l.AppendReplicated([]Feedback{fb}, true)
+	applied, err := l.AppendReplicated(nil, []Feedback{fb})
 	if err != nil || len(applied) != 1 || applied[0].Seq != 1 {
 		t.Fatalf("first apply: applied=%+v err=%v", applied, err)
 	}
 	// Exact duplicate and an older entry are both no-ops.
 	for _, dup := range []Feedback{fb, {Origin: "peer-a", OriginSeq: 2, Rater: 4, Subject: 5, Value: 0.9}} {
-		applied, err = l.AppendReplicated([]Feedback{dup}, true)
+		applied, err = l.AppendReplicated(nil, []Feedback{dup})
 		if err != nil || len(applied) != 0 || l.Seq() != 1 {
 			t.Fatalf("duplicate apply: applied=%+v seq=%d err=%v", applied, l.Seq(), err)
 		}
@@ -37,7 +37,7 @@ func TestAppendReplicatedIdempotent(t *testing.T) {
 		{Origin: "peer-a", OriginSeq: 4, Rater: 1, Subject: 4, Value: 0.2},
 		{Origin: "peer-a", OriginSeq: 5, Rater: 1, Subject: 5, Value: 0.3},
 	}
-	if applied, err = l.AppendReplicated(batch, true); err != nil || len(applied) != 1 || applied[0].Subject != 3 {
+	if applied, err = l.AppendReplicated(nil, batch); err != nil || len(applied) != 1 || applied[0].Subject != 3 {
 		t.Fatalf("running-mark batch applied %+v, err %v; want only seq 5's first copy", applied, err)
 	}
 }
@@ -47,17 +47,17 @@ func TestAppendReplicatedValidation(t *testing.T) {
 	if err := l.EnableReplication("self", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendReplicated([]Feedback{{Rater: 1, Subject: 2, Value: 0.5}}, true); err == nil {
+	if _, err := l.AppendReplicated(nil, []Feedback{{Rater: 1, Subject: 2, Value: 0.5}}); err == nil {
 		t.Fatal("entry without origin tags accepted")
 	}
-	if _, err := l.AppendReplicated([]Feedback{{Origin: "p", OriginSeq: 1, Rater: 99, Subject: 2, Value: 0.5}}, true); err == nil {
+	if _, err := l.AppendReplicated(nil, []Feedback{{Origin: "p", OriginSeq: 1, Rater: 99, Subject: 2, Value: 0.5}}); err == nil {
 		t.Fatal("out-of-range rater accepted")
 	}
-	if _, err := l.AppendReplicated([]Feedback{{Origin: "self", OriginSeq: 1, Rater: 1, Subject: 2, Value: 0.5}}, true); err == nil {
+	if _, err := l.AppendReplicated(nil, []Feedback{{Origin: "self", OriginSeq: 1, Rater: 1, Subject: 2, Value: 0.5}}); err == nil {
 		t.Fatal("entry of the ledger's own stream accepted as replicated")
 	}
 	l2 := NewLedger(10)
-	if _, err := l2.AppendReplicated([]Feedback{{Origin: "p", OriginSeq: 1, Rater: 1, Subject: 2, Value: 0.5}}, true); err == nil {
+	if _, err := l2.AppendReplicated(nil, []Feedback{{Origin: "p", OriginSeq: 1, Rater: 1, Subject: 2, Value: 0.5}}); err == nil {
 		t.Fatal("replicated append without EnableReplication accepted")
 	}
 }
@@ -72,13 +72,13 @@ func TestEntriesSinceLocalAndRemote(t *testing.T) {
 	if _, err := l.Append(0, 1, 0.1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendReplicated([]Feedback{{Origin: "b", OriginSeq: 1, Rater: 2, Subject: 3, Value: 0.2}}, true); err != nil {
+	if _, err := l.AppendReplicated(nil, []Feedback{{Origin: "b", OriginSeq: 1, Rater: 2, Subject: 3, Value: 0.2}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Append(4, 5, 0.3, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendReplicated([]Feedback{{Origin: "b", OriginSeq: 4, Rater: 6, Subject: 7, Value: 0.4}}, true); err != nil {
+	if _, err := l.AppendReplicated(nil, []Feedback{{Origin: "b", OriginSeq: 4, Rater: 6, Subject: 7, Value: 0.4}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -129,7 +129,7 @@ func TestReplicationSurvivesReopen(t *testing.T) {
 	if _, err := l.Append(0, 1, 0.9, 42); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendReplicated([]Feedback{{Origin: "peer-b", OriginSeq: 7, Rater: 2, Subject: 3, Value: 0.4, UnixNano: 43}}, true); err != nil {
+	if _, err := l.AppendReplicated(nil, []Feedback{{Origin: "peer-b", OriginSeq: 7, Rater: 2, Subject: 3, Value: 0.4, UnixNano: 43}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -161,15 +161,15 @@ func TestReplicationSurvivesReopen(t *testing.T) {
 		t.Fatalf("reopened remote stream = %+v", remote)
 	}
 	// A duplicate of the persisted entry is still recognised after reopen.
-	if applied, err := l2.AppendReplicated([]Feedback{{Origin: "peer-b", OriginSeq: 7, Rater: 2, Subject: 3, Value: 0.4}}, true); err != nil || len(applied) != 0 {
+	if applied, err := l2.AppendReplicated(nil, []Feedback{{Origin: "peer-b", OriginSeq: 7, Rater: 2, Subject: 3, Value: 0.4}}); err != nil || len(applied) != 0 {
 		t.Fatalf("duplicate after reopen: applied=%+v err=%v", applied, err)
 	}
 }
 
 // TestAppendReplicatedBatchAllOrNothing: a replicated batch that fails —
-// one invalid entry, or a write error — applies nothing, consumes no seq and
-// leaves the origin's mark where it was; the next valid batch applies
-// normally and replays.
+// one invalid entry, folded or queued, or a write error — applies nothing,
+// consumes no seq and leaves the origin's mark where it was; the next valid
+// batch applies normally, queues only its queued entries, and replays.
 func TestAppendReplicatedBatchAllOrNothing(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ledger.jsonl")
 	l, replayed, err := OpenLedger(path, 8)
@@ -191,10 +191,14 @@ func TestAppendReplicatedBatchAllOrNothing(t *testing.T) {
 			t.Fatalf("%s moved state: seq=%d mark=%d pending=%d", what, l.Seq(), l.OriginMark("p"), l.PendingCount())
 		}
 	}
-	if applied, err := l.AppendReplicated(batch(99), true); err == nil || applied != nil {
+	if applied, err := l.AppendReplicated(nil, batch(99)); err == nil || applied != nil {
 		t.Fatalf("batch with an out-of-range entry: applied=%+v err=%v", applied, err)
 	}
 	unmoved("invalid batch")
+	if applied, err := l.AppendReplicated(batch(4)[:1], batch(99)[1:]); err == nil || applied != nil {
+		t.Fatalf("valid folded entry, out-of-range queued one: applied=%+v err=%v", applied, err)
+	}
+	unmoved("invalid queued entry")
 
 	// As in TestLedgerAppendBatchRecoversAfterWriteError: a sticky failing
 	// writer plus a partial line already spilled into the backing file.
@@ -205,17 +209,17 @@ func TestAppendReplicatedBatchAllOrNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.mu.Unlock()
-	if applied, err := l.AppendReplicated(batch(4), true); err == nil || applied != nil {
+	if applied, err := l.AppendReplicated(nil, batch(4)); err == nil || applied != nil {
 		t.Fatalf("batch through a failing writer: applied=%+v err=%v", applied, err)
 	}
 	unmoved("failed write")
 
-	applied, err := l.AppendReplicated(batch(4), true)
+	applied, err := l.AppendReplicated(batch(4)[:1], batch(4)[1:])
 	if err != nil || len(applied) != 2 || applied[0].Seq != 1 || applied[1].Seq != 2 {
 		t.Fatalf("batch after the failures: applied=%+v err=%v", applied, err)
 	}
-	if l.OriginMark("p") != 2 || l.PendingCount() != 2 {
-		t.Fatalf("after valid batch: mark=%d pending=%d, want 2/2", l.OriginMark("p"), l.PendingCount())
+	if l.OriginMark("p") != 2 || l.PendingCount() != 1 {
+		t.Fatalf("after valid batch: mark=%d pending=%d, want 2/1", l.OriginMark("p"), l.PendingCount())
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -256,7 +260,7 @@ func TestLedgerAppendReplicatedOneWrite(t *testing.T) {
 		batch[k] = Feedback{Origin: "peer", OriginSeq: uint64(k + 1), Rater: k % n, Subject: (k + 1) % n, Value: float64(k) / size, UnixNano: int64(k + 1)}
 	}
 	fsyncs := l.mFsyncs.Value()
-	if applied, err := l.AppendReplicated(batch, true); err != nil || len(applied) != size {
+	if applied, err := l.AppendReplicated(nil, batch); err != nil || len(applied) != size {
 		t.Fatalf("applied %d of %d: %v", len(applied), size, err)
 	}
 	if cw.writes != 1 {

@@ -321,10 +321,12 @@ func LoadManifestFile(path string) (*Manifest, error) {
 	return &m, nil
 }
 
-// Reshard regroups one complete layout's segments along a new shard count —
-// what boot does when the manifest disagrees with the configured count, and
-// what a bootstrap install does when the sender shards differently. Trust
-// columns with their stamps and the globals move verbatim, so the
+// Reshard regroups one complete layout's segments along a shard count —
+// what the service does to every set of segments it installs, whether read
+// at boot or received in a bootstrap transfer. At the same count it checks
+// the layout and returns shallow copies, sharing each segment's globals and
+// columns, for the caller to re-point. At another count trust columns with
+// their stamps and the globals move verbatim, so the
 // new layout serves exactly the reputations the old one did. Every new
 // segment takes the minimum Seq over the old ones (entries above it may
 // already be folded into some shards, but refolding is idempotent, so the
@@ -358,6 +360,13 @@ func Reshard(segs []*ShardSnapshot, shards int) ([]*ShardSnapshot, error) {
 		return nil, fmt.Errorf("store: cannot reshard N=%d into %d shards", tmpl.N, shards)
 	}
 	out := make([]*ShardSnapshot, shards)
+	if shards == len(segs) {
+		for sh, seg := range segs {
+			cp := *seg
+			out[sh] = &cp
+		}
+		return out, nil
+	}
 	for sh := range out {
 		subjects := ShardSubjects(tmpl.N, sh, shards)
 		seg := tmpl

@@ -69,7 +69,9 @@ func randomSegments(t testing.TB, n, shards int, seed uint64) []*ShardSnapshot {
 // TestReshardRoundTrip: Reshard moves every subject's column with its stamps
 // and global value verbatim between any two layouts, stamps the conservative
 // fold point (Seq = min, Epoch = max) on every new segment, and going back to
-// the original shard count restores the data.
+// the original shard count restores the data. At the same count it returns
+// copies that keep their own fold points and share the segments' globals and
+// columns.
 func TestReshardRoundTrip(t *testing.T) {
 	const n = 23
 	sameData := func(t *testing.T, got, want []*ShardSnapshot) {
@@ -106,6 +108,12 @@ func TestReshardRoundTrip(t *testing.T) {
 			for sh, seg := range out {
 				if seg.Shard != sh || seg.Shards != to || seg.N != n {
 					t.Fatalf("%d→%d: segment %d claims shard %d/%d over N=%d", from, to, sh, seg.Shard, seg.Shards, seg.N)
+				}
+				if from == to {
+					if seg == segs[sh] || seg.Epoch != segs[sh].Epoch || seg.Seq != segs[sh].Seq || seg.Cols != segs[sh].Cols || &seg.Global[0] != &segs[sh].Global[0] {
+						t.Fatalf("%d→%d: segment %d is not a shallow copy", from, to, sh)
+					}
+					continue
 				}
 				// randomSegments stamps shard 0 with the lowest Seq and the
 				// last shard with the highest Epoch.

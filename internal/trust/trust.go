@@ -169,21 +169,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// ColumnMean returns the mean of column j over all N nodes (missing entries
-// count as 0) — the paper's global reputation definition, eq. (1)/(8).
-func (m *Matrix) ColumnMean(j int) float64 {
-	if m.n == 0 {
-		return 0
-	}
-	sum := 0.0
-	for i := 0; i < m.n; i++ {
-		if m.rows[i] != nil {
-			sum += m.rows[i][j]
-		}
-	}
-	return sum / float64(m.n)
-}
-
 // ColumnRaterMean returns the mean of column j over raters only — the value
 // Algorithm 1's gossip converges to (Σ_i y_ij / Σ_i g_ij with g=1 for
 // raters).
