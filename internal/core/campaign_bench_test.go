@@ -12,7 +12,7 @@ import (
 // BenchmarkSparseCampaigns times campaigns of the shape a 5 %-dirty service
 // epoch runs: N = 2,500, 125 subjects of 48 raters each over frozen
 // trust.Columns, every one a sparse campaign on the 48-node circulant
-// overlay — the scalar engine's plain kernel — here cold and on one worker.
+// overlay — the scalar engine's step kernel — here cold and on one worker.
 // steps/op is the summed campaign step count, fixed by the seed, so a change
 // to the kernel that moves it has changed the dynamics, not the speed.
 func BenchmarkSparseCampaigns(b *testing.B) {
@@ -52,7 +52,7 @@ func BenchmarkSparseCampaigns(b *testing.B) {
 // BenchmarkGCLRSingle times Algorithm 2 at the lib-aggregate shape: N =
 // 5,000 on a PA overlay with M = 2, one GCLRSingle call for each of 10
 // subjects rated by 500 random raters, ξ = 1e-4. The count mass rides every
-// step, so this is the plain kernel carrying three masses. steps/op is the
+// step, so the kernel carries three masses. steps/op is the
 // summed step count of the 10 calls, fixed by the seed.
 func BenchmarkGCLRSingle(b *testing.B) {
 	const n, subjects, raters = 5000, 10, 500

@@ -52,6 +52,7 @@ func (e *Engine) Crash(i int) error {
 		e.count[i] = 0
 	}
 	e.down[i] = true
+	e.nDown++
 	e.selfConv[i] = false
 	e.stopped[i] = false
 	e.u[i] = Sentinel
@@ -85,6 +86,7 @@ func (e *Engine) Leave(i int) error {
 	// protocol is revocable), but its last-seen ratio must reflect the
 	// handover so the next delta is measured from the true current state.
 	e.down[i] = true
+	e.nDown++
 	e.selfConv[i] = false
 	e.stopped[i] = false
 	e.u[i] = Sentinel
@@ -136,6 +138,7 @@ func (e *Engine) Rejoin(i int, y, g float64) error {
 	}
 	e.synced = false
 	e.down[i] = false
+	e.nDown--
 	e.cur[i] = Pair{y, g}
 	e.injected.add(e.cur[i])
 	e.u[i] = e.cur[i].ratio()

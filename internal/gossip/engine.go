@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"diffgossip/internal/rng"
 )
@@ -22,7 +21,9 @@ import (
 //     by at most ξ announces convergence to its neighbours (sticky);
 //  4. a node stops pushing once it and all its neighbours have announced.
 //
-// The run ends when every node has stopped, or MaxSteps elapses.
+// The run ends when every node has stopped, or MaxSteps elapses. Loss, link
+// faults and churn (see churn.go) run on the same Step as a fault-free
+// campaign.
 type Engine struct {
 	cfg   Config
 	n     int
@@ -58,18 +59,18 @@ type Engine struct {
 	nbrs      []int
 
 	msgs Messages
-	// trace of the max per-node ratio change each step, for diagnostics
-	lastDelta float64
 
-	// Plain-kernel state (plainStep): inv[i] = 1/(k_i+1); unconv[i] counts
-	// unconverged nodes in i's closed neighbourhood (i stops at 0), nUnconv
-	// those with a neighbour (the run ends at 0). synced: these agree with
-	// selfConv, u[i] is cur[i]'s ratio and no node is down. A write to node
-	// state or fan-outs outside a plain step clears it; the next one rebuilds.
+	// Step's own state: inv[i] = 1/(k_i+1); unconv[i] counts unconverged,
+	// present nodes in i's closed neighbourhood (i stops at 0), nUnconv those
+	// with a neighbour (the run ends at 0); nDown counts departed nodes.
+	// synced: unconv agrees with selfConv and down, and u[i] is cur[i]'s
+	// ratio. A write to node state or fan-outs outside Step clears it; the
+	// next step rebuilds.
 	inv     []float64
 	unconv  []int
 	flipped []int
 	nUnconv int
+	nDown   int
 	synced  bool
 }
 
@@ -128,8 +129,7 @@ func NewEngine(cfg Config, y0, g0 []float64) (*Engine, error) {
 // link-fault predicate all start over. core.GlobalSubjects leans on this to
 // run thousands of per-subject campaigns on one engine without allocating.
 // Loss (SetLossProb), the floor (SetMinSteps) and the topology (nodes from
-// AddNode, fan-outs from construction or RefreshFanouts) outlive a Reset, so
-// with loss 0 it steps on the plain kernel (see Step) from the first step.
+// AddNode, fan-outs from construction or RefreshFanouts) outlive a Reset.
 // Engines with count gossip enabled cannot be Reset; after an error the
 // engine is half-reset and must be Reset again before use.
 func (e *Engine) Reset(seed uint64, y0, g0 []float64) error {
@@ -144,7 +144,7 @@ func (e *Engine) Reset(seed uint64, y0, g0 []float64) error {
 	e.src.Reseed(seed)
 	e.steps = 0
 	e.msgs = Messages{}
-	e.lastDelta = 0
+	e.nDown = 0
 	e.base, e.injected, e.lost = Pair{}, Pair{}, Pair{}
 	e.linkFault = nil
 	for i := 0; i < e.n; i++ {
@@ -228,150 +228,25 @@ func (e *Engine) Estimates() []float64 {
 // Step executes one synchronous gossip step and returns true while the
 // protocol is still running (some node has not stopped).
 //
-// The engine has two kernels with bit-identical results: an engine with
-// loss 0, no link fault and no node down — every per-subject campaign and
-// every Algorithm 2 run, count mass or not — steps on plainStep; any other
-// takes the general step below.
+// It is the engine's only step, churn or not. Loss, a link fault or a
+// departed node make a step faulty (decided once, at its start), which adds
+// three cases to the same loop: a departed node holds and sends nothing; once
+// a node's targets are drawn, each of its pushes takes a loss draw, and a
+// push that is lost, addressed to a departed node or across a faulted link
+// fails like a lost packet — the sender re-absorbs the share at that point in
+// its sum and the push counts as Lost; and a departed node, whose ratio is
+// the sentinel and whose flag never flips, counts as converged in the stop
+// rule.
+//
+// The loop skips the per-push division, Floyd's sampler for k = 1 (drawing
+// its one target inline, with Intn's fast path spelled out and only the rare
+// rejection a call), a stopped node's division when its pair is unchanged
+// (its ratio is u[i]), and the full stop-rule scan (only flipped
+// neighbourhoods are updated). The count mass, when there is one, moves with
+// the pair: cnt[i]*inv[i] to the node and to each target, all of cnt[i] kept
+// by a stopped or isolated node. TestStepMatchesReference holds it bit for
+// bit to the textbook step, which the test keeps.
 func (e *Engine) Step() bool {
-	if e.cfg.LossProb == 0 && e.linkFault == nil && (e.synced || !slices.Contains(e.down, true)) {
-		return e.plainStep()
-	}
-	e.synced = false
-	g := e.cfg.Graph
-	for i := range e.next {
-		e.next[i] = Pair{}
-		e.extRecv[i] = 0
-	}
-	if e.nextCount != nil {
-		for i := range e.nextCount {
-			e.nextCount[i] = 0
-		}
-	}
-
-	// Push phase.
-	for i := 0; i < e.n; i++ {
-		if e.down[i] {
-			// A departed node holds no mass and transmits nothing.
-			continue
-		}
-		if e.stopped[i] || g.Degree(i) == 0 {
-			// A stopped or isolated node retains its entire mass.
-			e.next[i].add(e.cur[i])
-			if e.nextCount != nil {
-				e.nextCount[i] += e.count[i]
-			}
-			continue
-		}
-		e.msgs.ActiveNodeSteps++
-		k := e.ks[i]
-		f := 1 / float64(k+1)
-		share := e.cur[i].scale(f)
-		var countShare float64
-		if e.nextCount != nil {
-			countShare = e.count[i] * f
-		}
-		// Self delivery.
-		e.next[i].add(share)
-		if e.nextCount != nil {
-			e.nextCount[i] += countShare
-		}
-		e.nbrs = g.AppendRandomNeighbors(e.nbrs[:0], i, k, e.src)
-		for _, t := range e.nbrs {
-			e.msgs.Gossip++
-			// The loss draw is taken before the down/partition checks so a
-			// churn-free run consumes exactly the stream the seed implies.
-			dropped := e.cfg.LossProb > 0 && e.src.Bool(e.cfg.LossProb)
-			if !dropped && (e.down[t] || (e.linkFault != nil && e.linkFault(i, t))) {
-				// A push to a departed node, or across a faulted link,
-				// fails like a lost packet: no ack arrives.
-				dropped = true
-			}
-			if dropped {
-				// Lost push: no ack, so the sender re-absorbs the
-				// share (paper §5.3) and mass is conserved.
-				e.msgs.Lost++
-				e.next[i].add(share)
-				if e.nextCount != nil {
-					e.nextCount[i] += countShare
-				}
-				continue
-			}
-			e.next[t].add(share)
-			if e.nextCount != nil {
-				e.nextCount[t] += countShare
-			}
-			e.extRecv[t]++
-		}
-	}
-
-	// Collect phase + convergence detection.
-	e.steps++
-	e.lastDelta = 0
-	for i := 0; i < e.n; i++ {
-		e.cur[i] = e.next[i]
-		if e.nextCount != nil {
-			e.count[i] = e.nextCount[i]
-		}
-		if e.down[i] {
-			// Departed nodes carry no estimate and play no part in the
-			// convergence protocol until they rejoin.
-			e.u[i] = Sentinel
-			continue
-		}
-		r := e.cur[i].ratio()
-		delta := abs(r - e.u[i])
-		if delta > e.lastDelta {
-			e.lastDelta = delta
-		}
-		// A node with zero weight mass has no estimate yet (sentinel
-		// ratio): it must not satisfy the convergence test, or sum-mode
-		// gossip (weight at a single root) would stop instantly.
-		//
-		// The announcement is revocable: the ratio trajectory is not
-		// monotone, so a one-step delta below ξ at a turning point must
-		// not freeze the node forever. A node re-announces on every
-		// converged/unconverged transition (each costing deg messages);
-		// the run stops only when a whole closed neighbourhood holds the
-		// flag simultaneously, which is exactly the paper's stop rule
-		// evaluated on current rather than historical state.
-		// Reception (|S| > 1 in the paper) gates only the *initial*
-		// detection: a node that has heard nothing new keeps whatever
-		// flag it holds as long as its ratio stays within ξ.
-		heard := e.extRecv[i] >= 1 || e.selfConv[i] || e.stopped[i]
-		conv := e.cur[i].G > 0 && heard && delta <= e.cfg.Epsilon && e.steps >= e.cfg.MinSteps
-		if conv != e.selfConv[i] {
-			e.selfConv[i] = conv
-			e.msgs.Announce += g.Degree(i)
-		}
-		e.u[i] = r
-	}
-
-	// Stop rule: a node pauses while it and all its neighbours hold the
-	// convergence flag; it resumes if any flag in its closed neighbourhood
-	// is revoked. The run ends when every node pauses at once.
-	running := false
-	for i := 0; i < e.n; i++ {
-		// Isolated and departed nodes cannot gossip and must not block
-		// termination; a departed neighbour likewise never announces, so
-		// the stop rule treats it as converged (ack-timeout semantics).
-		e.stopped[i] = (e.selfConv[i] || g.Degree(i) == 0 || e.down[i]) && allConverged(e.selfConv, e.down, g.Neighbors(i))
-		if !e.stopped[i] {
-			running = true
-		}
-	}
-	return running
-}
-
-// plainStep is Step without the churn and loss branches: the same float
-// operations in the same order and the same draws, so the kernels can
-// alternate bit for bit (TestPlainStepMatchesGeneral). It skips the per-push
-// division, Floyd's sampler for k = 1 (drawing its one target inline, with
-// Intn's fast path spelled out and only the rare rejection a call), a
-// stopped node's division when its pair is unchanged (its ratio is u[i]),
-// and the full stop-rule scan (only flipped neighbourhoods are updated). The
-// count mass, when there is one, moves with the pair: cnt[i]*inv[i] to the
-// node and to each target, all of cnt[i] kept by a stopped or isolated node.
-func (e *Engine) plainStep() bool {
 	// Locals, not fields: the loops' stores through e would force reloads.
 	// That holds for the generator state too, so the push loop draws from a
 	// copy, written back before any draw through e.src.
@@ -379,6 +254,7 @@ func (e *Engine) plainStep() bool {
 	cur, next, recv, stopped := e.cur[:n], e.next[:n], e.extRecv[:n], e.stopped[:n]
 	inv, ks := e.inv[:n], e.ks[:n]
 	cnt, nextCnt := e.count, e.nextCount
+	faulty := e.cfg.LossProb > 0 || e.linkFault != nil || e.nDown > 0
 	clear(next)
 	clear(recv)
 	clear(nextCnt)
@@ -386,6 +262,9 @@ func (e *Engine) plainStep() bool {
 	src := *e.src
 	for i := range cur {
 		nbrs := g.Neighbors(i)
+		if faulty && e.down[i] {
+			continue
+		}
 		if stopped[i] || len(nbrs) == 0 {
 			next[i].add(cur[i])
 			if cnt != nil {
@@ -409,47 +288,56 @@ func (e *Engine) plainStep() bool {
 				hi = src.Reject(d, hi, lo)
 			}
 			t := nbrs[hi]
+			pushes++
+			if faulty && (e.cfg.LossProb > 0 && src.Bool(e.cfg.LossProb) || e.cut(i, t)) {
+				// No ack arrives, so the sender re-absorbs the share (paper
+				// §5.3): it goes to i, which does not count it as heard.
+				e.msgs.Lost++
+				t = i
+			} else {
+				recv[t]++
+			}
 			next[t].add(share)
 			if cnt != nil {
 				nextCnt[t] += cshare
 			}
-			recv[t]++
-			pushes++
 		} else {
 			*e.src = src
 			e.nbrs = g.AppendRandomNeighbors(e.nbrs[:0], i, k, e.src)
 			src = *e.src
+			pushes += len(e.nbrs)
 			for _, t := range e.nbrs {
+				if faulty && (e.cfg.LossProb > 0 && src.Bool(e.cfg.LossProb) || e.cut(i, t)) {
+					e.msgs.Lost++
+					t = i
+				} else {
+					recv[t]++
+				}
 				next[t].add(share)
 				if cnt != nil {
 					nextCnt[t] += cshare
 				}
-				recv[t]++
 			}
-			pushes += len(e.nbrs)
 		}
 	}
 	*e.src = src
 	e.msgs.ActiveNodeSteps += active
 	e.msgs.Gossip += pushes
 
-	e.steps++ // collect: swap next in (the general step also clears it first)
+	e.steps++ // collect: swap next in (a departed node's slot stays zero)
 	e.cur, e.next = e.next, e.cur
 	e.count, e.nextCount = e.nextCount, e.count
 	cur, u, selfConv, flipped := e.cur[:n], e.u[:n], e.selfConv[:n], e.flipped[:0]
 	eps, floor := e.cfg.Epsilon, e.steps >= e.cfg.MinSteps
-	lastDelta := 0.0
 	for i := range cur {
 		r := u[i]
 		if !synced || !stopped[i] || recv[i] > 0 {
 			r = cur[i].ratio()
 		}
-		// math.Abs and b2u do not branch on what varies node to node; abs
-		// differs only in the sign of a zero delta, which no comparison sees.
+		// math.Abs and b2u do not branch on what varies node to node. A
+		// departed node's zero pair gives the sentinel ratio and never
+		// satisfies G > 0, so it keeps u = Sentinel and its flag down.
 		delta := math.Abs(r - u[i])
-		if delta > lastDelta {
-			lastDelta = delta
-		}
 		conv := floor && b2u(delta <= eps)&b2u(cur[i].G > 0)&(b2u(selfConv[i])|b2u(stopped[i])|b2u(recv[i] > 0)) != 0
 		if conv != selfConv[i] {
 			selfConv[i] = conv
@@ -458,11 +346,10 @@ func (e *Engine) plainStep() bool {
 		}
 		u[i] = r
 	}
-	e.lastDelta = lastDelta
 
 	// Stop rule: each flip moves ±1 through its closed neighbourhood's
 	// counts. A rebuild starts from "all stopped" and flips every unconverged
-	// node.
+	// node; a departed node counts as converged (ack-timeout semantics).
 	if !synced {
 		clear(e.unconv)
 		for i := range stopped {
@@ -470,7 +357,7 @@ func (e *Engine) plainStep() bool {
 		}
 		e.nUnconv, flipped = 0, flipped[:0]
 		for i, c := range selfConv {
-			if !c {
+			if !c && !e.down[i] {
 				flipped = append(flipped, i)
 			}
 		}
@@ -494,6 +381,12 @@ func (e *Engine) plainStep() bool {
 	return e.nUnconv > 0
 }
 
+// cut reports whether a push from → to fails without a loss draw: it is
+// addressed to a departed node, or crosses a faulted link.
+func (e *Engine) cut(from, to int) bool {
+	return e.down[to] || e.linkFault != nil && e.linkFault(from, to)
+}
+
 // b2u is 1 for true and 0 for false, compiled to a flag move, not a branch.
 func b2u(b bool) uint8 {
 	if b {
@@ -509,28 +402,6 @@ func (e *Engine) setFanouts(ks []int) {
 		e.inv[i] = 1 / float64(k+1)
 	}
 }
-
-// allConverged reports whether every listed neighbour either announced
-// convergence or has departed (down may be nil when churn is impossible).
-func allConverged(conv, down []bool, nbrs []int) bool {
-	for _, v := range nbrs {
-		if !conv[v] && (down == nil || !down[v]) {
-			return false
-		}
-	}
-	return true
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// LastDelta returns the largest per-node ratio change in the most recent
-// step — a convergence diagnostic.
-func (e *Engine) LastDelta() float64 { return e.lastDelta }
 
 // runToStop drives Step until every node stops or the step budget is
 // exhausted, and reports whether the run converged within it.
@@ -583,21 +454,6 @@ func Average(cfg Config, xs []float64) (Result, error) {
 	for i := range g0 {
 		g0[i] = 1
 	}
-	e, err := NewEngine(cfg, xs, g0)
-	if err != nil {
-		return Result{}, err
-	}
-	return e.Run(), nil
-}
-
-// Sum gossips xs with weight 1 at exactly one node (root) and 0 elsewhere,
-// so every estimate converges to the network-wide sum Σ xs.
-func Sum(cfg Config, xs []float64, root int) (Result, error) {
-	if root < 0 || root >= len(xs) {
-		return Result{}, fmt.Errorf("gossip: root %d out of range", root)
-	}
-	g0 := make([]float64, len(xs))
-	g0[root] = 1
 	e, err := NewEngine(cfg, xs, g0)
 	if err != nil {
 		return Result{}, err

@@ -119,10 +119,15 @@ func TestAverageOnPAGraphDifferential(t *testing.T) {
 func TestSumMode(t *testing.T) {
 	g := graph.MustPA(100, 2, 6)
 	xs := randomValues(100, 7)
-	res, err := Sum(Config{Graph: g, Epsilon: 1e-10, Seed: 8}, xs, 0)
+	// Weight 1 at one root and 0 elsewhere: every estimate converges to
+	// the network-wide sum.
+	g0 := make([]float64, len(xs))
+	g0[0] = 1
+	e, err := NewEngine(Config{Graph: g, Epsilon: 1e-10, Seed: 8}, xs, g0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := e.Run()
 	if !res.Converged {
 		t.Fatal("sum gossip did not converge")
 	}
@@ -134,13 +139,6 @@ func TestSumMode(t *testing.T) {
 		if math.Abs(est-want)/want > 1e-3 {
 			t.Fatalf("node %d sum estimate %v, want %v", i, est, want)
 		}
-	}
-}
-
-func TestSumRejectsBadRoot(t *testing.T) {
-	g := graph.Ring(5)
-	if _, err := Sum(Config{Graph: g, Epsilon: 0.01}, ones(5), 9); err == nil {
-		t.Fatal("bad root accepted")
 	}
 }
 
@@ -474,14 +472,24 @@ func TestLastDeltaShrinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for s := 0; s < 5; s++ {
+	// stepDelta steps once and returns the largest per-node ratio move.
+	stepDelta := func() float64 {
+		before := e.Estimates()
+		e.Step()
+		d := 0.0
+		for i, r := range e.Estimates() {
+			d = math.Max(d, math.Abs(r-before[i]))
+		}
+		return d
+	}
+	for s := 0; s < 4; s++ {
 		e.Step()
 	}
-	early := e.LastDelta()
-	for s := 0; s < 60; s++ {
+	early := stepDelta()
+	for s := 0; s < 59; s++ {
 		e.Step()
 	}
-	late := e.LastDelta()
+	late := stepDelta()
 	if late >= early {
 		t.Fatalf("delta did not shrink: early=%v late=%v", early, late)
 	}

@@ -328,8 +328,37 @@ func TestVectorWorkerSweepBitIdentical(t *testing.T) {
 // steady-state invariant, on a PA graph (fan-outs k > 1) and on the 48-node
 // circulant a service campaign runs on (k = 1 everywhere), where a whole
 // Reset + RunInto campaign must not allocate either; and for an Algorithm 2
-// engine carrying a count mass, whose steps (it cannot Reset) must not.
+// engine carrying a count mass, whose steps (it cannot Reset) must not; nor
+// may the steps of a lossy engine or of one with a crashed node.
 func TestEngineStepZeroAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		fault func(e *Engine) error
+	}{
+		{"loss", func(e *Engine) error { return e.SetLossProb(0.2) }},
+		{"crash", func(e *Engine) error { return e.Crash(7) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 400
+			e, err := NewEngine(Config{Graph: graph.MustPA(n, 2, 526), Epsilon: 1e-12, Seed: 527, MinSteps: 1 << 30}, randomValues(n, 528), ones(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.fault(e); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5; i++ {
+				e.Step()
+			}
+			if allocs := testing.AllocsPerRun(30, func() { e.Step() }); allocs != 0 {
+				t.Fatalf("Engine.Step allocated %v times per step in steady state", allocs)
+			}
+			if e.Messages().Lost == 0 {
+				t.Fatal("no push was dropped")
+			}
+		})
+	}
+
 	t.Run("count", func(t *testing.T) {
 		const n = 400
 		g := graph.MustPA(n, 2, 523)
@@ -348,9 +377,6 @@ func TestEngineStepZeroAllocs(t *testing.T) {
 		}
 		for i := 0; i < 5; i++ {
 			e.Step()
-		}
-		if !e.synced {
-			t.Fatal("count engine is not on the plain kernel")
 		}
 		if allocs := testing.AllocsPerRun(30, func() { e.Step() }); allocs != 0 {
 			t.Fatalf("Engine.Step with a count mass allocated %v times per step in steady state", allocs)

@@ -560,3 +560,14 @@ func (e *VectorEngine) Run() VectorResult {
 
 // Steps returns the number of gossip steps executed so far.
 func (e *VectorEngine) Steps() int { return e.steps }
+
+// allConverged reports whether every listed neighbour either announced
+// convergence or has departed (down may be nil when churn is impossible).
+func allConverged(conv, down []bool, nbrs []int) bool {
+	for _, v := range nbrs {
+		if !conv[v] && (down == nil || !down[v]) {
+			return false
+		}
+	}
+	return true
+}

@@ -71,14 +71,15 @@ func (s *Service) BootstrapState(reqMarks map[string]uint64) (*StateTransfer, er
 //     and change its LWW stamps (that only arises when a node loses its data
 //     directory but keeps its identity; such a node must rejoin under a
 //     fresh identity);
-//  2. the re-pend list: entries this node holds past the sender's marks,
-//     which the sender had never seen, must refold, or replacing the
-//     published columns would silently drop their writes;
-//  3. install validates the segments' layout and N and regroups them along
-//     this node's shard count, then hands the copies back for the transfer's
-//     one ledger call: Folded entries are recorded (WAL, watermarks, history)
-//     without entering the pending window — the step that makes bootstrap
-//     O(state) instead of O(replay) — and Tail entries are enqueued like any
+//  2. install validates the segments' layout and N and regroups them along
+//     this node's shard count, then hands the copies back;
+//  3. the re-pend list (repends): entries this node holds past the sender's
+//     marks, and the entries behind its published cells that the copies lack
+//     or hold older, must refold, or replacing the published columns would
+//     silently drop their writes; then the transfer's one ledger call:
+//     Folded entries are recorded (WAL, watermarks, history) without
+//     entering the pending window — the step that makes bootstrap O(state)
+//     instead of O(replay) — and Tail entries are enqueued like any
 //     replicated entry, all or nothing, every entry's rating and origin tags
 //     checked before any is written;
 //  4. the copies are rebased into the local sequence space: the next epoch
@@ -107,18 +108,52 @@ func (s *Service) InstallBootstrap(st *StateTransfer) error {
 
 	s.epochMu.Lock()
 	defer s.epochMu.Unlock()
-	var repend []store.Feedback
-	for o := range s.ledger.OriginMarks() {
-		repend = append(repend, s.ledger.EntriesSince(o, st.Marks[o], 0)...)
-	}
-	return s.install(st.Segments, repend, func(segs []*store.ShardSnapshot) error {
+	return s.install(st.Segments, nil, func(segs []*store.ShardSnapshot) ([]store.Feedback, error) {
+		repend := s.repends(segs, st.Marks)
 		if _, err := s.ledger.AppendReplicated(st.Folded, st.Tail); err != nil {
-			return fmt.Errorf("service: bootstrap: %w", err)
+			return nil, fmt.Errorf("service: bootstrap: %w", err)
 		}
 		epoch, seq := s.epochs.Load()+1, s.ledger.Seq()
 		for _, seg := range segs {
 			seg.Epoch, seg.Seq = epoch, seq
 		}
-		return nil
+		return repend, nil
 	})
+}
+
+// repends returns the entries this node must fold again once segs, a
+// transfer's segments regrouped along its shard count, replace its published
+// shards: every entry it holds past the sender's marks, which the sender
+// never saw, and the entry behind each published cell that segs lack or hold
+// with an older stamp — a write this node folded that the sender holds but
+// has not folded yet. Such a cell's entry is in the retained history, which
+// only ever drops superseded entries; if it was dropped, the write that
+// superseded it is still pending here.
+func (s *Service) repends(segs []*store.ShardSnapshot, marks map[string]uint64) []store.Feedback {
+	var out []store.Feedback
+	for o := range s.ledger.OriginMarks() {
+		out = append(out, s.ledger.EntriesSince(o, marks[o], 0)...)
+	}
+	for sh, seg := range segs {
+		cols := s.states[sh].Load().Cols
+		for slot := range cols.Subjects() {
+			_, raters, _, stamps := cols.ColumnAt(slot)
+			_, theirs, _, theirStamps := seg.Cols.ColumnAt(slot)
+			x := 0
+			for k, i := range raters {
+				for x < len(theirs) && theirs[x] < i {
+					x++
+				}
+				st := stamps[k]
+				held := x < len(theirs) && theirs[x] == i && !theirStamps[x].Before(st)
+				if held || st.Seq == 0 || st.Seq > marks[st.Origin] {
+					continue // segs hold this write or a newer one, it is unstamped, or the loop above has it
+				}
+				if fb := s.ledger.EntriesSince(st.Origin, st.Seq-1, 1); len(fb) == 1 && fb[0].OriginSeq == st.Seq {
+					out = append(out, fb[0])
+				}
+			}
+		}
+	}
+	return out
 }

@@ -410,3 +410,70 @@ func TestRefusedBootstrapChangesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestBootstrapKeepsReceiverFoldedWrite: a transfer's segments replace the
+// receiver's published columns, so a write the receiver has folded and the
+// sender holds but has not folded yet — inside the sender's marks, so
+// neither the transfer's entry lists nor the re-pend-past-marks rule carries
+// it — must be re-pended from the receiver's history, or its cell is gone
+// for good: both services fold afterwards and must serve the same raters,
+// also when the receiver reopens before that fold.
+func TestBootstrapKeepsReceiverFoldedWrite(t *testing.T) {
+	const n = 16
+	g := testGraph(t, n, 7)
+	for _, persisted := range []bool{false, true} {
+		cfg := func(origin string) Config {
+			c := Config{Graph: g, Params: core.Params{Epsilon: 1e-6, Seed: 11}, Shards: 2, Replicate: true, Origin: origin}
+			if persisted && origin == "node-b" {
+				c.Dir = t.TempDir()
+			}
+			return c
+		}
+		a := newTestService(t, n, cfg("node-a"))
+		if _, err := a.Submit(3, 7, 0.25); err != nil {
+			t.Fatal(err)
+		}
+		bcfg := cfg("node-b")
+		b, err := New(bcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { b.Close() })
+		if _, err := b.ApplyReplicated(a.ReplicationEntriesSince(a.Origin(), 0, 0)); err != nil {
+			t.Fatal(err)
+		}
+		if got := mustEpoch(t, b).Raters(7); got != 1 {
+			t.Fatalf("persisted=%v: receiver folded %d raters of subject 7, want 1", persisted, got)
+		}
+
+		st, err := a.BootstrapState(b.ReplicationMarks())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.InstallBootstrap(st); err != nil {
+			t.Fatal(err)
+		}
+		if persisted {
+			if err := b.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if b, err = New(bcfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		va := mustEpoch(t, a)
+		vb, _, err := b.RunEpoch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if va.Raters(7) != 1 || vb.Raters(7) != 1 {
+			t.Fatalf("persisted=%v: subject 7 raters: sender %d, receiver %d, want 1 and 1", persisted, va.Raters(7), vb.Raters(7))
+		}
+		for j := 0; j < n; j++ {
+			want, _ := va.Reputation(j)
+			if got, _ := vb.Reputation(j); got != want {
+				t.Fatalf("persisted=%v: subject %d: receiver serves %v, sender %v", persisted, j, got, want)
+			}
+		}
+	}
+}

@@ -421,7 +421,8 @@ func (s *Service) boot(segs []*store.ShardSnapshot, replayed []store.Feedback) e
 //  2. regroup them along this service's shard count (store.Reshard; at an
 //     equal count, shallow copies for the steps below to re-point), then run
 //     admit, when given, on the copies — a bootstrap records the transfer's
-//     entries there and rebases the copies into the local sequence space;
+//     entries there, rebases the copies into the local sequence space and
+//     returns the local entries the copies do not hold, which join unfolded;
 //  3. back each shard's fold point off below its oldest entry still to
 //     fold — on unfolded, or in the ledger's pending window — so a restart
 //     before that entry folds re-pends it;
@@ -438,7 +439,7 @@ func (s *Service) boot(segs []*store.ShardSnapshot, replayed []store.Feedback) e
 // An installed segment is never s.folded, so each shard's first fold
 // afterwards computes every subject. Callers hold epochMu, or run inside
 // New.
-func (s *Service) install(segs []*store.ShardSnapshot, unfolded []store.Feedback, admit func([]*store.ShardSnapshot) error) error {
+func (s *Service) install(segs []*store.ShardSnapshot, unfolded []store.Feedback, admit func([]*store.ShardSnapshot) ([]store.Feedback, error)) error {
 	if len(segs) > 0 && segs[0] != nil && segs[0].N != s.n {
 		return fmt.Errorf("service: segments are for N=%d, this service has N=%d", segs[0].N, s.n)
 	}
@@ -448,9 +449,11 @@ func (s *Service) install(segs []*store.ShardSnapshot, unfolded []store.Feedback
 	}
 	save := s.cfg.Dir != "" && (len(segs) != s.shards || admit != nil)
 	if admit != nil {
-		if err := admit(regrouped); err != nil {
+		more, err := admit(regrouped)
+		if err != nil {
 			return err
 		}
+		unfolded = append(unfolded, more...)
 	}
 
 	// The pending window is read by taking and restoring it: epochMu keeps
