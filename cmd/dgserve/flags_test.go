@@ -75,7 +75,7 @@ func TestDefaultConfigs(t *testing.T) {
 	}
 	cc.Incarnation, cc.Logger = 0, nil
 	if want := (cluster.Config{
-		Interval: time.Second, TrimEvery: 16, BootstrapLag: 8192,
+		Interval: time.Second, BootstrapLag: 8192,
 	}); !reflect.DeepEqual(cc, want) {
 		t.Fatalf("cluster.Config\n got %+v\nwant %+v", cc, want)
 	}

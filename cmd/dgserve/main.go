@@ -96,7 +96,6 @@ const (
 	gossipWorkers = -1   // per-shard gossip workers: GOMAXPROCS
 	foldWorkers   = 1    // dirty shards folding concurrently per epoch
 	compactEvery  = 256  // persisted epochs between WAL compactions
-	histTrimEvery = 16   // exchanges between replication-history trims
 	bootstrapLag  = 8192 // entries behind the cluster before a snapshot bootstrap is requested
 
 	// The http.Server deadlines bound how long any one connection can hold
@@ -177,9 +176,9 @@ func parseFlags(args []string) (runConfig, error) {
 }
 
 // serviceConfig is the service the flags describe, over overlay g. In
-// cluster mode the service replicates — which also fixes its epoch seeds, so
-// converged replicas serve bit-identical reputations — with the cluster
-// address as its LWW origin tag.
+// cluster mode the service replicates, with the cluster address as its LWW
+// origin tag; campaigns are seeded by (-seed, subject) in every mode, so
+// converged replicas serve bit-identical reputations.
 func (c runConfig) serviceConfig(g *graph.Graph, origin string) service.Config {
 	return service.Config{
 		Graph:         g,
@@ -231,7 +230,6 @@ func (c runConfig) clusterConfig(svc *service.Service, tr transport.Transport) c
 		Peers:        c.peers,
 		Interval:     c.antiEntropy,
 		Incarnation:  uint64(time.Now().UnixNano()),
-		TrimEvery:    histTrimEvery,
 		BootstrapLag: bootstrapLag,
 		Logger:       obs.Logger("cluster"),
 	}

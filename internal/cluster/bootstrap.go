@@ -9,53 +9,9 @@ import (
 	"diffgossip/internal/transport"
 )
 
-// This file is the cluster half of bounded storage: history trimming (drop
-// retained entries every member has acknowledged) and snapshot-shipped
-// bootstrap (serve and install service.StateTransfer over the transport's
-// KindStateRequest/KindState messages).
-
-// trimFloors computes the per-origin trim floors: the minimum, over this node
-// and every known peer, of the watermark each has acknowledged for that
-// origin. Entries at or below the floor are held by everyone and safe to
-// drop. Returns nil — trim nothing — when there are no peers, or when any
-// peer has never sent a digest (its acks are unknown): a silent member may
-// still need everything, so it stalls trimming rather than risking loss.
-func (n *Node) trimFloors() map[string]uint64 {
-	floors := n.svc.ReplicationMarks()
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if len(n.peers) == 0 {
-		return nil
-	}
-	for _, p := range n.peers {
-		if p.acks == nil {
-			return nil
-		}
-		for o, f := range floors {
-			floors[o] = min(f, p.acks[o])
-		}
-	}
-	return floors
-}
-
-// trimRetainedHistory runs one history-trim pass (the Config.TrimEvery
-// cadence): superseded entries below every member's acknowledged watermark
-// are dropped from the in-memory replication history.
-func (n *Node) trimRetainedHistory() {
-	floors := n.trimFloors()
-	if floors == nil {
-		return
-	}
-	dropped := n.svc.TrimReplicationHistory(floors)
-	if dropped == 0 {
-		return
-	}
-	n.mu.Lock()
-	n.c.HistTrims++
-	n.c.HistTrimmedEntries += uint64(dropped)
-	n.mu.Unlock()
-	n.log.Debug("trimmed replication history", "dropped", dropped)
-}
+// This file is the cluster half of snapshot-shipped bootstrap: serve and
+// install service.StateTransfer over the transport's
+// KindStateRequest/KindState messages.
 
 // bootstrapRetryAfter is how many exchange ticks an unanswered state request
 // stays outstanding before a later digest may trigger a re-request.

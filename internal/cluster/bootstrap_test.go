@@ -4,15 +4,38 @@ import (
 	"reflect"
 	"testing"
 
+	"diffgossip/internal/core"
+	"diffgossip/internal/graph"
 	"diffgossip/internal/rng"
+	"diffgossip/internal/service"
 	"diffgossip/internal/transport"
 )
 
+// newDurableClusterService is newClusterService over its own data directory,
+// so CompactWAL can trim the node's WAL and with it its replication history.
+func newDurableClusterService(t *testing.T, g *graph.Graph, shards int, origin string) *service.Service {
+	t.Helper()
+	svc, err := service.New(service.Config{
+		Graph:     g,
+		Params:    core.Params{Epsilon: 1e-6, Seed: 11},
+		Dir:       t.TempDir(),
+		Shards:    shards,
+		Replicate: true,
+		Origin:    origin,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.Close() })
+	return svc
+}
+
 // TestClusterSnapshotBootstrap is the acceptance scenario for snapshot-shipped
 // bootstrap: an established node has ingested and folded heavy supersession
-// traffic (and trimmed its retained history down to the live subset), and a
-// fresh node joins. The join must go through one state transfer — not an
-// entry-by-entry replay of the full history — and end bit-identical.
+// traffic (and compacted its WAL, and with it its retained history, down to
+// the live subset), and a fresh node joins. The join must go through one
+// state transfer — not an entry-by-entry replay of the full history — that
+// ships exactly the compacted entries, and end bit-identical.
 func TestClusterSnapshotBootstrap(t *testing.T) {
 	const n = 48
 	g := testGraph(t, n)
@@ -22,15 +45,15 @@ func TestClusterSnapshotBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { epA.Close() })
-	svcA := newClusterService(t, g, 3, "node-a")
+	svcA := newDurableClusterService(t, g, 3, "node-a")
 	a, err := New(Config{Service: svcA, Transport: epA, Peers: []string{"node-b"}, BootstrapLag: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Established traffic with heavy supersession, folded over several
-	// epochs, then the history trimmed to its live subset (a lone node's
-	// floors are its own marks): the transfer ships live state, not history.
+	// epochs, then compacted to its live subset: the transfer ships live
+	// state, not history.
 	vals := rng.New(3)
 	for k := 0; k < 600; k++ {
 		if _, err := svcA.Submit(k%16, (k+1)%16, vals.Float64()); err != nil {
@@ -43,8 +66,11 @@ func TestClusterSnapshotBootstrap(t *testing.T) {
 		}
 	}
 	svcA.Submit(20, 21, 0.5) // unfolded tail travels with the transfer
-	trimmed := svcA.TrimReplicationHistory(map[string]uint64{"node-a": svcA.ReplicationMark(svcA.Origin())})
-	if trimmed == 0 {
+	compacted, err := svcA.CompactWAL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if compacted.EntriesAfter >= compacted.EntriesBefore {
 		t.Fatal("test degenerated: nothing was superseded, transfer would not be O(state)")
 	}
 
@@ -81,6 +107,10 @@ func TestClusterSnapshotBootstrap(t *testing.T) {
 	if !reflect.DeepEqual(a.Stats().Marks, stB.Marks) {
 		t.Fatalf("marks after bootstrap: A %v, B %v", a.Stats().Marks, stB.Marks)
 	}
+	// The transfer carried A's compacted WAL, entry for entry.
+	if got := svcB.LedgerSeq(); got != uint64(compacted.EntriesAfter) {
+		t.Fatalf("B holds %d entries after bootstrap, want A's %d compacted ones", got, compacted.EntriesAfter)
+	}
 	// Only the unfolded tail awaits an epoch on B.
 	if got := svcB.Pending(); got != 1 {
 		t.Fatalf("B has %d pending entries after bootstrap, want only the tail", got)
@@ -114,73 +144,83 @@ func TestClusterSnapshotBootstrap(t *testing.T) {
 	}
 }
 
-// TestClusterHistoryTrim drives the TrimEvery cadence: once every member's
-// watermarks have passed the superseded entries, the trim drops them — and
-// replication stays correct afterwards.
-func TestClusterHistoryTrim(t *testing.T) {
+// TestClusterCompactionTrimsHistory pins the one retention rule in a live
+// cluster: CompactWAL trims a node's replication history with its WAL,
+// whether or not every member it lists has ever answered (node-0 also lists
+// a seed that never does), and replication stays correct afterwards — a
+// node that joins later pulls only the compacted streams, entry by entry,
+// and still serves bit-identical reads.
+func TestClusterCompactionTrimsHistory(t *testing.T) {
 	const n = 32
 	g := testGraph(t, n)
 	hub := transport.NewHub()
-	names := []string{"node-0", "node-1"}
-	eps := make([]*transport.ChannelTransport, 2)
-	nodes := make([]*Node, 2)
+	names := []string{"node-0", "node-1", "node-2"}
+	peers := [][]string{{"node-1", "node-silent"}, {"node-0"}, {"node-0", "node-1"}}
+	svcs := make([]*service.Service, 3)
+	nodes := make([]*Node, 3)
 	for i, nm := range names {
 		ep, err := hub.Endpoint(nm)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { ep.Close() })
-		eps[i] = ep
-	}
-	svc0 := newClusterService(t, g, 2, names[0])
-	svc1 := newClusterService(t, g, 2, names[1])
-	var err error
-	nodes[0], err = New(Config{Service: svc0, Transport: eps[0], Peers: []string{names[1]}, TrimEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes[1], err = New(Config{Service: svc1, Transport: eps[1], Peers: []string{names[0]}, TrimEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// No digest seen from the peer yet: trimming must refuse to guess.
-	for k := 0; k < 50; k++ {
-		if _, err := svc0.Submit(k%4, (k+1)%4, 0.5); err != nil {
+		svcs[i] = newDurableClusterService(t, g, 2, nm)
+		if nodes[i], err = New(Config{Service: svcs[i], Transport: ep, Peers: peers[i]}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	nodes[0].Exchange()
-	if st := nodes[0].Stats(); st.HistTrims != 0 {
-		t.Fatalf("trimmed before any peer digest: %+v", st)
+	epoch := func(svcs ...*service.Service) {
+		t.Helper()
+		for _, svc := range svcs {
+			if _, ran, err := svc.RunEpoch(); err != nil || !ran {
+				t.Fatalf("%s epoch: ran=%v err=%v", svc.Origin(), ran, err)
+			}
+		}
 	}
 
-	// Converge, then exchange once more: now both watermarks cover the
-	// superseded entries and the trim fires.
-	converge(t, nodes)
-	nodes[0].Exchange()
-	st := nodes[0].Stats()
-	if st.HistTrims == 0 || st.HistTrimmedEntries == 0 {
-		t.Fatalf("trim never fired after full acknowledgement: %+v", st)
+	// 50 ratings over 4 cells, replicated to node-1 and folded on both.
+	for k := 0; k < 50; k++ {
+		if _, err := svcs[0].Submit(k%4, (k+1)%4, float64(k)/50); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Replication still works after the trim: fresh feedback flows, folds,
-	// and serves identically.
-	if _, err := svc1.Submit(9, 10, 0.7); err != nil {
+	converge(t, nodes[:2])
+	epoch(svcs[0], svcs[1])
+	for _, svc := range svcs[:2] {
+		st, err := svc.CompactWAL()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.EntriesBefore != 50 || st.EntriesAfter != 4 {
+			t.Fatalf("%s compacted %d entries to %d, want 50 to 4", svc.Origin(), st.EntriesBefore, st.EntriesAfter)
+		}
+		if got := len(svc.ReplicationEntriesSince("node-0", 0, 0)); got != st.EntriesAfter {
+			t.Fatalf("%s retains %d node-0 history entries, want the WAL's %d", svc.Origin(), got, st.EntriesAfter)
+		}
+		if got := svc.ReplicationMark("node-0"); got != 50 {
+			t.Fatalf("%s node-0 mark %d after compaction, want 50", svc.Origin(), got)
+		}
+	}
+
+	// Fresh feedback flows both ways past the compaction, node-2 joins and
+	// pulls the compacted streams, and all three serve identically.
+	if _, err := svcs[1].Submit(9, 10, 0.7); err != nil {
 		t.Fatal(err)
 	}
 	converge(t, nodes)
-	if _, ran, err := svc0.RunEpoch(); err != nil || !ran {
-		t.Fatalf("svc0 epoch: ran=%v err=%v", ran, err)
+	if st := nodes[2].Stats(); st.EntriesApplied != 5 || st.BootstrapsInstalled != 0 {
+		t.Fatalf("node-2 applied %d entries (%d bootstraps), want the 4 compacted + 1 new by entry replay", st.EntriesApplied, st.BootstrapsInstalled)
 	}
-	if _, ran, err := svc1.RunEpoch(); err != nil || !ran {
-		t.Fatalf("svc1 epoch: ran=%v err=%v", ran, err)
-	}
-	v0, v1 := svc0.View(), svc1.View()
-	for j := 0; j < n; j++ {
-		r0, _ := v0.Reputation(j)
-		r1, _ := v1.Reputation(j)
-		if r0 != r1 {
-			t.Fatalf("subject %d diverged after trim: %v vs %v", j, r0, r1)
+	epoch(svcs...)
+	v0 := svcs[0].View()
+	for _, svc := range svcs[1:] {
+		v := svc.View()
+		for j := 0; j < n; j++ {
+			r0, _ := v0.Reputation(j)
+			r, _ := v.Reputation(j)
+			if r0 != r {
+				t.Fatalf("subject %d: %s serves %v, node-0 %v", j, svc.Origin(), r, r0)
+			}
 		}
 	}
 }

@@ -34,9 +34,10 @@
 // peer returning from a long outage gets its whole backlog on first contact
 // rather than one chunk per exchange. That is why nothing is buffered on
 // behalf of an unreachable peer: what it is owed is already retained — per
-// origin, in memory and in the WAL — by the replicating ledger, which history
-// trimming never cuts past a member that has not acknowledged it, and the
-// peer's first digest says exactly where to resume. Lags deeper than the
+// origin, in memory and in the WAL — by the replicating ledger, whose
+// compaction drops only folded entries a kept write supersedes (a peer that
+// never sees one converges to the same cells), and the peer's first digest
+// says exactly where to resume. Lags deeper than the
 // budget continue on the next digest or, past Config.BootstrapLag, go by
 // snapshot.
 //
@@ -148,14 +149,6 @@ type Config struct {
 	// (10s/30s when Interval is 0). DeadAfter must exceed SuspectAfter.
 	SuspectAfter time.Duration
 	DeadAfter    time.Duration
-	// TrimEvery, when > 0, trims the in-memory replication history every
-	// TrimEvery-th exchange: superseded entries that every known member's
-	// watermark has passed are dropped (cell winners and per-stream heads
-	// are always retained), bounding cluster-mode memory by live state plus
-	// peer lag instead of lifetime traffic. Trimming waits until a digest
-	// has been seen from every member — a long-dead member stalls trimming
-	// rather than risking entries it may still need. 0 disables trimming.
-	TrimEvery int
 	// BootstrapLag, when > 0, enables requesting snapshot-shipped bootstrap:
 	// on receiving a digest, a node that is fresh (empty ledger) or trails
 	// the cluster by more than BootstrapLag entries in total asks the sender
@@ -184,7 +177,6 @@ type Node struct {
 	now          func() int64
 	suspectAfter int64 // nanos of the local clock
 	deadAfter    int64
-	trimEvery    int
 	bootstrapLag uint64
 	log          *slog.Logger
 
@@ -193,7 +185,7 @@ type Node struct {
 	// from Config.Peers, grown by view merges and direct messages).
 	selfInc, selfHB uint64
 	peers           map[string]*peer
-	exchanges       uint64 // exchange ticks: the dead-probe, trim and in-flight clock
+	exchanges       uint64 // exchange ticks: the dead-probe and in-flight clock
 	// bootstrapReqAt is n.exchanges+1 at the moment an outstanding state
 	// request went out (0 = none); it rate-limits re-requests and gates
 	// KindState handling to solicited transfers.
@@ -231,7 +223,6 @@ func New(cfg Config) (*Node, error) {
 		interval:     cfg.Interval,
 		maxBatch:     256,
 		now:          cfg.Now,
-		trimEvery:    cfg.TrimEvery,
 		bootstrapLag: cfg.BootstrapLag,
 		selfInc:      max(cfg.Incarnation, 1),
 		peers:        make(map[string]*peer),

@@ -40,7 +40,6 @@ func (n *Node) Exchange() {
 	n.updateStatesLocked(n.now())
 	n.exchanges++
 	probe := n.exchanges%deadProbeEvery == 0
-	trim := n.trimEvery > 0 && n.exchanges%uint64(n.trimEvery) == 0
 	view := n.viewLocked()
 	var digest, push []*peer
 	for _, p := range n.sortedPeersLocked() {
@@ -58,9 +57,6 @@ func (n *Node) Exchange() {
 	}
 	for _, p := range push {
 		n.catchUp(p, mine, 1)
-	}
-	if trim {
-		n.trimRetainedHistory()
 	}
 }
 

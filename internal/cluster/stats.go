@@ -21,11 +21,6 @@ type Counters struct {
 	EntriesApplied   uint64 `json:"entries_applied"`
 	EntriesDuplicate uint64 `json:"entries_duplicate"`
 	BatchesGapped    uint64 `json:"batches_gapped,omitempty"`
-	// HistTrims counts history-trim passes that dropped anything, and
-	// HistTrimmedEntries the lifetime total of superseded entries dropped
-	// from the in-memory replication history.
-	HistTrims          uint64 `json:"hist_trims,omitempty"`
-	HistTrimmedEntries uint64 `json:"hist_trimmed_entries,omitempty"`
 	// BootstrapRequestsSent/Served count snapshot-shipped bootstrap
 	// requests from each side; BootstrapsInstalled counts transfers this
 	// node applied, and BootstrapErrors failed serves or installs.
@@ -148,10 +143,6 @@ func (n *Node) Instrument(reg *obs.Registry) {
 		"Replicated entries skipped as idempotent re-deliveries.", stat(&n.c.EntriesDuplicate))
 	reg.CounterFunc("diffgossip_cluster_batches_gapped_total", "",
 		"Entries batches discarded because an earlier batch was lost.", stat(&n.c.BatchesGapped))
-	reg.CounterFunc("diffgossip_cluster_hist_trims_total", "",
-		"History-trim passes that dropped superseded replication entries.", stat(&n.c.HistTrims))
-	reg.CounterFunc("diffgossip_cluster_hist_trimmed_entries_total", "",
-		"Superseded entries dropped from the in-memory replication history.", stat(&n.c.HistTrimmedEntries))
 	reg.CounterFunc("diffgossip_cluster_bootstrap_requests_sent_total", "",
 		"Snapshot-shipped bootstrap state requests sent.", stat(&n.c.BootstrapRequestsSent))
 	reg.CounterFunc("diffgossip_cluster_bootstrap_requests_served_total", "",

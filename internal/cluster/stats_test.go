@@ -53,7 +53,7 @@ func TestStatsJSONKeys(t *testing.T) {
 			"batches_gapped", "batches_received", "batches_sent",
 			"bootstrap_errors", "bootstrap_requests_sent", "bootstrap_requests_served", "bootstraps_installed",
 			"dial_failures", "digests_received", "digests_sent", "entries_applied", "entries_duplicate",
-			"heartbeat", "hist_trimmed_entries", "hist_trims", "incarnation", "marks", "members", "peers", "self",
+			"heartbeat", "incarnation", "marks", "members", "peers", "self",
 		}},
 		{"member", st.Members[0], []string{"addr", "heartbeat", "id", "incarnation", "last_advance_unix_nano", "state"}},
 		{"peer", st.Peers[0], []string{"addr", "last_err", "last_seen_unix_nano"}},

@@ -10,10 +10,10 @@ import (
 // peer's folded shard segments plus the compacted ledger suffix instead of
 // replaying whole origin streams entry by entry. The transfer is O(current
 // state + unfolded tail), not O(lifetime traffic) — the property that makes
-// replica placement free once WAL compaction and history trimming bound the
-// sender's retained suffix. The cluster layer frames a StateTransfer on the
-// wire (transport.KindStateRequest / KindState); this file is the
-// service-side assembly and installation.
+// replica placement free once WAL compaction, which trims the retained
+// history with the WAL, bounds the sender's suffix. The cluster layer
+// frames a StateTransfer on the wire (transport.KindStateRequest /
+// KindState); this file is the service-side assembly and installation.
 
 // StateTransfer is the materialised payload of a snapshot-shipped bootstrap.
 type StateTransfer struct {
@@ -26,8 +26,12 @@ type StateTransfer struct {
 	// history — without re-queueing them for a fold. Every entry carries its
 	// origin id (the sender's ledger returns its own entries stamped).
 	Folded []store.Feedback
-	// Tail are retained entries past the segments' fold points, which the
-	// receiver enqueues for its next epoch like any replicated entry.
+	// Tail are, per origin, the retained entries from the first one past
+	// its shard's fold point on, which the receiver enqueues for its next
+	// epoch like any replicated entry. The receiver applies Folded before
+	// Tail and skips an entry at or below its origin's running mark, so no
+	// Folded entry may follow a Tail entry of its origin: one that does
+	// ships in Tail and refolds harmlessly.
 	Tail []store.Feedback
 	// Marks are the sender's per-origin watermarks, captured before the
 	// entry lists were read so the lists always cover them. Keyed by origin
@@ -52,13 +56,13 @@ func (s *Service) BootstrapState(reqMarks map[string]uint64) (*StateTransfer, er
 	view := s.View()
 	out := &StateTransfer{Segments: view.segs, Marks: s.ledger.OriginMarks()}
 	for o := range out.Marks {
-		for _, fb := range s.ledger.EntriesSince(o, reqMarks[o], 0) {
-			if fb.Seq <= view.segs[store.ShardOf(fb.Subject, s.shards)].Seq {
-				out.Folded = append(out.Folded, fb)
-			} else {
-				out.Tail = append(out.Tail, fb)
-			}
+		ents := s.ledger.EntriesSince(o, reqMarks[o], 0)
+		k := 0
+		for k < len(ents) && ents[k].Seq <= view.segs[store.ShardOf(ents[k].Subject, s.shards)].Seq {
+			k++
 		}
+		out.Folded = append(out.Folded, ents[:k]...)
+		out.Tail = append(out.Tail, ents[k:]...)
 	}
 	return out, nil
 }
@@ -126,9 +130,9 @@ func (s *Service) InstallBootstrap(st *StateTransfer) error {
 // shards: every entry it holds past the sender's marks, which the sender
 // never saw, and the entry behind each published cell that segs lack or hold
 // with an older stamp — a write this node folded that the sender holds but
-// has not folded yet. Such a cell's entry is in the retained history, which
-// only ever drops superseded entries; if it was dropped, the write that
-// superseded it is still pending here.
+// has not folded yet. Such a cell's entry is in the retained history:
+// compaction drops only entries whose cell's persisted winner is newer, so
+// a published cell never names a dropped entry.
 func (s *Service) repends(segs []*store.ShardSnapshot, marks map[string]uint64) []store.Feedback {
 	var out []store.Feedback
 	for o := range s.ledger.OriginMarks() {

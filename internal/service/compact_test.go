@@ -120,6 +120,71 @@ func TestServiceCompactEverySchedules(t *testing.T) {
 	}
 }
 
+// TestCompactionTrimsReplicationHistory pins that a replicating node's
+// history is its WAL held in memory: after CompactWAL the node pulls,
+// bootstraps and marks exactly what the same node reopened on the compacted
+// directory does — the superseded folded entries are gone from both, not
+// only from the file.
+func TestCompactionTrimsReplicationHistory(t *testing.T) {
+	const n = 48
+	cfg := Config{Graph: testGraph(t, n, 7), Params: core.Params{Epsilon: 1e-6, Seed: 11},
+		Dir: t.TempDir(), Shards: 3, Replicate: true, Origin: "node-a"}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := rng.New(3)
+	for k := 0; k < 600; k++ {
+		if _, err := s.Submit(k%16, (k+1)%16, vals.Float64()); err != nil {
+			t.Fatal(err)
+		}
+		if k%200 == 199 {
+			if _, _, err := s.RunEpoch(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st, err := s.CompactWAL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.EntriesBefore != 600 || st.EntriesAfter != 16 {
+		t.Fatalf("compact kept %d of %d entries, want 16 of 600", st.EntriesAfter, st.EntriesBefore)
+	}
+	history := func(s *Service) map[string][]store.Feedback {
+		out := make(map[string][]store.Feedback)
+		for o := range s.ReplicationMarks() {
+			out[o] = s.ReplicationEntriesSince(o, 0, 0)
+		}
+		return out
+	}
+	live, marks := history(s), s.ReplicationMarks()
+	if got := len(live["node-a"]); got != st.EntriesAfter {
+		t.Fatalf("compacted node retains %d history entries, want the WAL's %d", got, st.EntriesAfter)
+	}
+	if marks["node-a"] != 600 {
+		t.Fatalf("compaction moved the local mark to %d, want 600", marks["node-a"])
+	}
+	bs, err := s.BootstrapState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(bs.Folded) + len(bs.Tail); got != st.EntriesAfter {
+		t.Fatalf("bootstrap ships %d entries, want the WAL's %d", got, st.EntriesAfter)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened := newTestService(t, n, cfg)
+	if got := reopened.ReplicationMarks(); !reflect.DeepEqual(got, marks) {
+		t.Fatalf("reopened marks %v, compacted node's %v", got, marks)
+	}
+	if got := history(reopened); !reflect.DeepEqual(got, live) {
+		t.Fatalf("reopened history differs from the compacted node's:\n got %v\nwant %v", got, live)
+	}
+}
+
 // TestServiceBootstrapInstall ships a snapshot bootstrap between two
 // replicated services directly (the cluster layer adds only wire framing):
 // the receiver must serve bit-identical reputations without folding the

@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"diffgossip/internal/core"
@@ -73,9 +75,13 @@ const histMaxOps = 48
 //	4     reopen
 //	5     reopen at shard count 1..5
 //	6     CompactWAL
-//	7     replicating: BootstrapState → InstallBootstrap into a fresh node
+//	7     replicating: BootstrapState → InstallBootstrap into a new node
 //	      (its own directory, origin and shard count 1..5), which the
-//	      program then continues on; standalone: RunEpoch
+//	      program then continues on; standalone: RunEpoch. With the top bit
+//	      of the argument set the new node lags instead of starting fresh:
+//	      it first applies a program-chosen prefix of each of the sender's
+//	      streams (one byte per origin, in id order) and folds it, and the
+//	      transfer is assembled against its marks
 //	8     reopen under the next Params.Seed
 //
 // Stamps 1..8 make equal stamps and writes older than their cell common.
@@ -88,7 +94,9 @@ const histMaxOps = 48
 //     an earlier seed computed, by design);
 //   - LedgerSeq equals the count of entries the node's ledger holds, and a
 //     standalone oracle assigns every entry the seq the node did;
-//   - Pending is 0.
+//   - Pending is 0;
+//   - a replicating node's marks and retained history equal those of the
+//     same node reopened: the history is the WAL held in memory.
 //
 // A replicating program's oracle replicates too and is fed through
 // ApplyReplicated under each entry's origin tags.
@@ -194,25 +202,22 @@ func FuzzServiceHistory(f *testing.F) {
 					epoch()
 					continue
 				}
-				st, err := s.BootstrapState(nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+				arg := p.next()
 				nodes++
-				cfg.Dir, cfg.Origin, cfg.Shards = t.TempDir(), fmt.Sprintf("node-%d", nodes), 1+p.next()%5
-				fresh, err := New(cfg)
+				cfg.Dir, cfg.Origin, cfg.Shards = t.TempDir(), fmt.Sprintf("node-%d", nodes), 1+arg%5
+				recv, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := fresh.InstallBootstrap(st); err != nil {
-					fresh.Close()
+				// Compaction drops superseded folded entries from the
+				// sender's history, so the receiver holds what it applied
+				// and what was shipped, not everything accepted.
+				if wantSeq, err = bootstrapInto(p, s, recv, arg&0x80 != 0); err != nil {
+					recv.Close()
 					t.Fatal(err)
 				}
 				s.Close()
-				s = fresh
-				// Compaction and a reopen drop superseded folded entries from
-				// the sender's history, so the receiver holds what was shipped.
-				wantSeq = uint64(len(st.Folded) + len(st.Tail))
+				s = recv
 			case 8:
 				cfg.Params.Seed++
 				for j := range stale {
@@ -270,7 +275,56 @@ func FuzzServiceHistory(f *testing.F) {
 				}
 			}
 		}
+
+		if !replicate {
+			return
+		}
+		marks := s.ReplicationMarks()
+		history := make(map[string][]store.Feedback)
+		for o := range marks {
+			history[o] = s.ReplicationEntriesSince(o, 0, 0)
+		}
+		reopen()
+		if got := s.ReplicationMarks(); !maps.Equal(got, marks) {
+			t.Fatalf("marks %v, reopened %v", marks, got)
+		}
+		for o, live := range history {
+			if again := s.ReplicationEntriesSince(o, 0, 0); !slices.Equal(live, again) {
+				t.Fatalf("origin %s history: live %v, reopened %v", o, live, again)
+			}
+		}
 	})
+}
+
+// bootstrapInto installs sender's state transfer into recv and returns the
+// number of entries recv's ledger then holds. A lagging receiver first
+// applies a program-chosen prefix of each sender stream, one byte per origin
+// in id order, and folds it, so the transfer is assembled against its marks.
+func bootstrapInto(p *histProgram, sender, recv *Service, lagging bool) (uint64, error) {
+	var held uint64
+	var marks map[string]uint64
+	if lagging {
+		for _, o := range slices.Sorted(maps.Keys(sender.ReplicationMarks())) {
+			ents := sender.ReplicationEntriesSince(o, 0, 0)
+			applied, err := recv.ApplyReplicated(ents[:p.next()%(len(ents)+1)])
+			if err != nil {
+				return 0, err
+			}
+			held += uint64(applied)
+		}
+		if _, _, err := recv.RunEpoch(); err != nil {
+			return 0, err
+		}
+		marks = recv.ReplicationMarks()
+	}
+	st, err := sender.BootstrapState(marks)
+	if err != nil {
+		return 0, err
+	}
+	if err := recv.InstallBootstrap(st); err != nil {
+		return 0, err
+	}
+	return held + uint64(len(st.Folded)+len(st.Tail)), nil
 }
 
 // historyOracle folds accepted, once, into a fresh one-shard in-memory

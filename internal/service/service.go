@@ -108,12 +108,15 @@ type Config struct {
 	// log every CompactEvery-th epoch, keeping only the latest entry per
 	// (rater, subject) cell among durably folded entries plus the unfolded
 	// tail — bounding WAL size by live state instead of lifetime traffic.
-	// 0 disables scheduled compaction (CompactWAL can still be called
+	// With Replicate it trims the retained replication history by the same
+	// rule. 0 disables scheduled compaction (CompactWAL can still be called
 	// directly).
 	CompactEvery int
 	// Replicate switches the service into cluster mode: accepted entries are
 	// retained per origin and replicated entries apply idempotently, so an
-	// internal/cluster node can run anti-entropy over this service. It does
+	// internal/cluster node can run anti-entropy over this service. The
+	// retained history is the WAL held in memory: compaction trims both, and
+	// without Dir (nothing to compact) every entry is kept. It does
 	// not change the folds: because campaigns depend only on (Params.Seed,
 	// subject id) and the trust column, any node that has folded the same
 	// trust state serves bit-identical reputations, regardless of how many
@@ -936,6 +939,8 @@ func (s *Service) persist(segs []*store.ShardSnapshot) error {
 // stream, its highest folded entry (so replication watermarks replay
 // unchanged) and the whole unfolded tail. Sequence numbers are preserved, so
 // a compacted file replays with gaps and a min seq > 1, which boot accepts.
+// With Config.Replicate the retained replication history becomes the kept
+// entries too, the history a reopen would seed.
 // The scheduler calls it every Config.CompactEvery epochs; operators and
 // tests may call it directly. Requires persistence (Config.Dir).
 func (s *Service) CompactWAL() (store.CompactStats, error) {
@@ -948,18 +953,6 @@ func (s *Service) CompactWAL() (store.CompactStats, error) {
 			return seqs[store.ShardOf(subject, s.shards)]
 		},
 	})
-}
-
-// TrimReplicationHistory drops superseded entries from the in-memory
-// per-origin replication history, given per-stream floors: for each origin
-// id (this node's own stream under Origin()), the highest origin sequence
-// number every known peer's watermark has passed. The cluster layer computes
-// the floors from its acknowledgement table and calls this periodically;
-// entries above a stream's floor — or in streams with no floor — are never
-// dropped, so any peer can still pull everything it might be missing.
-// Returns the number of entries dropped.
-func (s *Service) TrimReplicationHistory(floors map[string]uint64) int {
-	return s.ledger.TrimHistory(floors)
 }
 
 // loop is the background epoch scheduler.

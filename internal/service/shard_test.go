@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -325,6 +326,88 @@ func foldedDir(t *testing.T, dir string) (Config, *View) {
 		t.Fatal(err)
 	}
 	return cfg, v
+}
+
+// TestReshardRependsPerOldShard counts a reshard's boot tail: it is taken
+// against the segments as read, so an entry re-pends only when its old
+// shard had not folded it — not when the regrouped segment's fold point,
+// the minimum of the old ones, lies below it. Shard 0 folds ten entries
+// more than shard 1; reopened at S=3, only the seven entries above their
+// own shard's fold point are pending, and after one epoch every read is
+// bit-identical to a single fold of the whole history.
+func TestReshardRependsPerOldShard(t *testing.T) {
+	const n = 40
+	cfg := Config{Graph: testGraph(t, n, 7), Params: core.Params{Epsilon: 1e-6, Seed: 11}, Dir: t.TempDir(), Shards: 2}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepted []histEntry
+	submit := func(rater, subject int) {
+		t.Helper()
+		ts := int64(len(accepted) + 1)
+		value := float64(rater+subject) / (2 * n)
+		seq, err := s.SubmitCtx(context.Background(), rater, subject, value, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		accepted = append(accepted, histEntry{rater, subject, value, histStamp{ts: ts, seq: seq}})
+	}
+	epoch := func() {
+		t.Helper()
+		if _, ran, err := s.RunEpoch(); err != nil || !ran {
+			t.Fatalf("epoch: ran=%v err=%v", ran, err)
+		}
+	}
+	for k := 0; k < 40; k++ {
+		submit(k, (7*k+1)%n) // both shards
+	}
+	epoch()
+	for k := 0; k < 10; k++ {
+		submit(k, 2*k) // shard 0 only
+	}
+	epoch()
+	for k := 0; k < 7; k++ {
+		submit(20+k, (2*k+k/3)%n) // unfolded tail: 4 entries of shard 0, 3 of shard 1
+	}
+	v := s.View()
+	folded := []uint64{v.Shard(0).Seq, v.Shard(1).Seq}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, belowMin := 0, 0
+	for _, e := range accepted {
+		if e.stamp.seq > folded[e.subject%2] {
+			want++
+		}
+		if e.stamp.seq > min(folded[0], folded[1]) {
+			belowMin++
+		}
+	}
+	if want != 7 || belowMin != 17 {
+		t.Fatalf("test degenerated: fold points %v leave %d entries unfolded (%d above the minimum), want 7 (17)", folded, want, belowMin)
+	}
+
+	cfg.Shards = 3
+	if s, err = New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	if got := s.Pending(); got != want {
+		t.Fatalf("reshard 2 -> 3 re-pended %d entries, want the %d above their old shard's fold point", got, want)
+	}
+	epoch()
+	oracle := historyOracle(t, cfg, accepted)
+	v = s.View()
+	for j := 0; j < n; j++ {
+		got, err := v.Reputation(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref, _, _ := oracle.Reputation(j); got != ref {
+			t.Fatalf("subject %d: resharded node serves %v, one fold of the history %v", j, got, ref)
+		}
+	}
 }
 
 // TestBootRefusesPreShardDir: one on-disk format is read. A directory from

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"diffgossip/internal/trust"
 )
@@ -14,10 +13,11 @@ import (
 // traffic. The paper's model needs only the latest rating per (rater,
 // subject) cell at fold time, so once an epoch has durably folded past an
 // entry, every superseded rating in that cell is dead weight. Compact
-// rewrites the WAL keeping just the live subset; TrimHistory applies the
-// same rule to the in-memory per-origin replication history once every known
-// peer's watermark has passed an entry. Which write of a cell is the latest
-// is trust.Stamp's order, the one the epoch fold settles cells by.
+// rewrites the WAL keeping just the live subset, and in replication mode
+// rebuilds the in-memory per-origin history from the same kept lines: the
+// history is the WAL held in memory, so a compacted node serves replication
+// pulls exactly as it would after a reopen. Which write of a cell is the
+// latest is trust.Stamp's order, the one the epoch fold settles cells by.
 
 // CompactConfig parameterises Compact. The stamps it ranks cell rivals by
 // take the ledger's own origin id (see StampOf).
@@ -107,7 +107,9 @@ func (l *Ledger) compactionKeep(entries []Feedback, folded func(Feedback) bool) 
 // crash contract as snapshot publication: temp file in the same directory,
 // fsync, rename over the ledger path, directory fsync — after a crash the
 // path holds either the old file or the compacted one, never a torn mix.
-// The in-memory pending window, history and watermarks are untouched.
+// In replication mode the retained history is rebuilt from the kept lines,
+// as EnableReplication seeds it at boot; the pending window and watermarks
+// are untouched (every origin's head is kept).
 func (l *Ledger) Compact(cfg CompactConfig) (CompactStats, error) {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
@@ -143,6 +145,18 @@ func (l *Ledger) Compact(cfg CompactConfig) (CompactStats, error) {
 	keep := l.compactionKeep(entries, func(fb Feedback) bool {
 		return cfg.FoldedSeq != nil && fb.Seq <= cfg.FoldedSeq(fb.Subject)
 	})
+	kept := entries[:0]
+	for i := range entries {
+		if keep[i] {
+			kept = append(kept, entries[i])
+		}
+	}
+	var hist map[string][]Feedback
+	if l.hist != nil {
+		if _, hist, err = l.replicationState(kept); err != nil {
+			return st, fmt.Errorf("store: compact: %w", err)
+		}
+	}
 
 	dir := filepath.Dir(l.path)
 	tmp, err := os.CreateTemp(dir, ".ledger-compact-*.tmp")
@@ -155,11 +169,8 @@ func (l *Ledger) Compact(cfg CompactConfig) (CompactStats, error) {
 		return st, err
 	}
 	w := bufio.NewWriter(tmp)
-	for i := range entries {
-		if !keep[i] {
-			continue
-		}
-		l.enc = append(AppendFeedback(l.enc[:0], &entries[i]), '\n')
+	for i := range kept {
+		l.enc = append(AppendFeedback(l.enc[:0], &kept[i]), '\n')
 		if _, err := w.Write(l.enc); err != nil {
 			return fail(fmt.Errorf("store: compact: write: %w", err))
 		}
@@ -197,6 +208,9 @@ func (l *Ledger) Compact(cfg CompactConfig) (CompactStats, error) {
 	old := l.f
 	l.f, l.w = tmp, w
 	l.goodOff = st.BytesAfter
+	if hist != nil {
+		l.hist = hist
+	}
 	l.mCompactions.Inc()
 	if d := st.EntriesBefore - st.EntriesAfter; d > 0 {
 		l.mCompactDrops.Add(uint64(d))
@@ -206,51 +220,4 @@ func (l *Ledger) Compact(cfg CompactConfig) (CompactStats, error) {
 		return st, fmt.Errorf("store: compact: close previous ledger handle: %w", err)
 	}
 	return st, nil
-}
-
-// TrimHistory compacts the in-memory per-origin replication history to the
-// same live subset Compact keeps on disk, dropping superseded entries that
-// every known peer has already passed. floors maps origin ids (this
-// ledger's own stream under its own) to the highest origin sequence number
-// all peers' watermarks have passed: an entry is a trim candidate only at or
-// below its stream's floor, so any peer — live, suspect, or dead — can still
-// pull every entry it might be missing. Streams without a floor entry are
-// never trimmed. Returns the number of entries dropped. Requires
-// EnableReplication (0 otherwise). The WAL, pending window and watermarks
-// are untouched.
-func (l *Ledger) TrimHistory(floors map[string]uint64) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.hist) == 0 || len(floors) == 0 {
-		return 0
-	}
-	total := 0
-	for _, h := range l.hist {
-		total += len(h)
-	}
-	all := make([]Feedback, 0, total)
-	for _, h := range l.hist {
-		all = append(all, h...)
-	}
-	// Global ledger order (local Seq) restores apply order across streams,
-	// which the cell-winner tie-break depends on.
-	sort.Slice(all, func(i, j int) bool { return all[i].Seq < all[j].Seq })
-	keep := l.compactionKeep(all, func(fb Feedback) bool {
-		floor, ok := floors[fb.Origin]
-		return ok && fb.OriginSeq <= floor
-	})
-	nh := make(map[string][]Feedback, len(l.hist))
-	removed := 0
-	for i, fb := range all {
-		if keep[i] {
-			nh[fb.Origin] = append(nh[fb.Origin], fb)
-		} else {
-			removed++
-		}
-	}
-	l.hist = nh
-	if removed > 0 {
-		l.mHistTrims.Add(uint64(removed))
-	}
-	return removed
 }

@@ -301,8 +301,18 @@ type failingWriter struct{}
 
 func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("injected write error") }
 
-func TestLedgerTrimHistory(t *testing.T) {
-	l := NewLedger(8)
+// TestLedgerCompactTrimsHistory pins the one retention rule: in replication
+// mode Compact trims the in-memory per-origin history to the lines it keeps
+// in the WAL, for remote streams as for the local one, and leaves the
+// watermarks where they were — exactly the history and marks a reopen
+// seeds from the compacted file.
+func TestLedgerCompactTrimsHistory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ledger.jsonl")
+	l, _, err := OpenLedger(path, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
 	if err := l.EnableReplication("node-a", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -317,31 +327,49 @@ func TestLedgerTrimHistory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// No floor for node-b: its stream must not be trimmed at all.
-	removed := l.TrimHistory(map[string]uint64{"node-a": 20})
-	if removed != 16 {
-		t.Fatalf("trimmed %d local entries, want 16 (4 cells survive)", removed)
+	marks := l.OriginMarks()
+	// Folded through seq 25: the local stream keeps its 4 cell winners (its
+	// head among them), node-b its folded winner-and-head (origin seq 5)
+	// and its unfolded tail 6..10.
+	st, err := l.Compact(CompactConfig{FoldedSeq: func(int) uint64 { return 25 }})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := len(l.EntriesSince("node-b", 0, 0)); got != 10 {
-		t.Fatalf("node-b stream trimmed to %d entries despite missing floor", got)
+	if st.EntriesBefore != 30 || st.EntriesAfter != 10 {
+		t.Fatalf("compact kept %d of %d entries, want 10 of 30", st.EntriesAfter, st.EntriesBefore)
 	}
-	// Floor below the node-b head: everything at or below it is superseded
-	// except the cell winner... which is the head here (same cell, rising
-	// timestamps), so 9 drop once the floor passes seq 9.
-	removed = l.TrimHistory(map[string]uint64{"node-b": 9})
-	if removed != 8 {
-		t.Fatalf("trimmed %d node-b entries, want 8 (floor at 9 spares seq 10 and the seq-9 winner-at-floor)", removed)
+	for origin, want := range map[string][]uint64{"node-a": {17, 18, 19, 20}, "node-b": {5, 6, 7, 8, 9, 10}} {
+		var got []uint64
+		for _, fb := range l.EntriesSince(origin, 0, 0) {
+			got = append(got, fb.OriginSeq)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s history after compaction: origin seqs %v, want %v", origin, got, want)
+		}
 	}
-	after := l.EntriesSince("node-b", 0, 0)
-	if len(after) != 2 || after[len(after)-1].OriginSeq != 10 {
-		t.Fatalf("node-b stream after trim: %+v", after)
+	if got := l.OriginMarks(); !reflect.DeepEqual(got, marks) {
+		t.Fatalf("compaction moved the watermarks: %v, want %v", got, marks)
 	}
-	// Watermarks and pull answers still work past the trim point.
-	if got := l.OriginMark("node-b"); got != 10 {
-		t.Fatalf("node-b watermark %d after trim, want 10", got)
+	// Pull answers past a dropped entry still work.
+	if ents := l.EntriesSince("node-b", 2, 1); len(ents) != 1 || ents[0].OriginSeq != 5 {
+		t.Fatalf("EntriesSince past a dropped entry: %+v", ents)
 	}
-	if ents := l.EntriesSince("node-b", 9, 0); len(ents) != 1 || ents[0].OriginSeq != 10 {
-		t.Fatalf("EntriesSince past trim: %+v", ents)
+
+	reopened, replayed, err := OpenLedger(path, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if err := reopened.EnableReplication("node-a", replayed); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(reopened.OriginMarks(), marks) {
+		t.Fatalf("reopened marks %v, want %v", reopened.OriginMarks(), marks)
+	}
+	for origin := range marks {
+		if live, again := l.EntriesSince(origin, 0, 0), reopened.EntriesSince(origin, 0, 0); !reflect.DeepEqual(live, again) {
+			t.Fatalf("%s history: compacted node holds %+v, reopened node %+v", origin, live, again)
+		}
 	}
 }
 

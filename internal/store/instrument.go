@@ -35,6 +35,4 @@ func (l *Ledger) Instrument(reg *obs.Registry) {
 		"WAL compaction rewrites completed.", &l.mCompactions)
 	reg.Counter("diffgossip_store_wal_compaction_dropped_entries_total", "",
 		"Superseded WAL entries dropped by compaction.", &l.mCompactDrops)
-	reg.Counter("diffgossip_store_hist_trimmed_entries_total", "",
-		"Superseded replication-history entries trimmed from memory.", &l.mHistTrims)
 }

@@ -148,10 +148,10 @@ type Ledger struct {
 	// Replication state, set by EnableReplication. origin is this ledger's
 	// cluster id ("" standalone); it is fixed before concurrent use and read
 	// without mu. marks holds the highest OriginSeq per origin stream, this
-	// ledger's own included, and hist retains every accepted entry per
-	// origin, stamped as it replicates, so anti-entropy pulls are answered
-	// from memory instead of re-reading the WAL. Both nil until then and
-	// guarded by mu.
+	// ledger's own included, and hist holds the WAL's entries per origin,
+	// stamped as they replicate (Compact trims both alike), so anti-entropy
+	// pulls are answered from memory instead of re-reading the WAL. Both
+	// nil until then and guarded by mu.
 	origin string
 	marks  map[string]uint64
 	hist   map[string][]Feedback
@@ -166,7 +166,6 @@ type Ledger struct {
 	mFsyncHist    atomic.Pointer[obs.Histogram]
 	mCompactions  obs.Counter
 	mCompactDrops obs.Counter
-	mHistTrims    obs.Counter
 }
 
 // NewLedger returns a memory-only ledger over n nodes with a single shard.
@@ -486,8 +485,9 @@ func (l *Ledger) resyncLocked() error {
 // its entries replicate as (origin, Seq). replayed is the full entry list a
 // boot-time OpenLedger returned (nil for a fresh or memory-only ledger); it
 // seeds the history and watermarks. Must be called before concurrent use.
-// The retained history mirrors the WAL, so memory grows with ledger size —
-// the standalone service never enables it and pays nothing.
+// The retained history is the WAL held in memory: Compact trims both by one
+// rule, and a memory-only ledger keeps every entry — the standalone service
+// never enables it and pays nothing.
 func (l *Ledger) EnableReplication(origin string, replayed []Feedback) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -495,20 +495,32 @@ func (l *Ledger) EnableReplication(origin string, replayed []Feedback) error {
 		return fmt.Errorf("store: replication already enabled")
 	}
 	l.origin = origin
+	marks, hist, err := l.replicationState(replayed)
+	if err != nil {
+		return err
+	}
+	l.marks, l.hist = marks, hist
+	return nil
+}
+
+// replicationState builds the per-origin watermarks and retained history
+// that entries, WAL lines in ledger order, replicate as: a boot replay
+// (EnableReplication) or the lines a compaction keeps (Compact). Callers
+// hold mu.
+func (l *Ledger) replicationState(entries []Feedback) (map[string]uint64, map[string][]Feedback, error) {
 	marks := make(map[string]uint64)
 	hist := make(map[string][]Feedback)
-	for _, fb := range replayed {
+	for _, fb := range entries {
 		fb = l.asReplicated(fb)
 		if fb.OriginSeq <= marks[fb.Origin] {
-			return fmt.Errorf("store: ledger seq %d: origin %q seq %d not increasing (after %d)",
+			return nil, nil, fmt.Errorf("store: ledger seq %d: origin %q seq %d not increasing (after %d)",
 				fb.Seq, fb.Origin, fb.OriginSeq, marks[fb.Origin])
 		}
 		marks[fb.Origin] = fb.OriginSeq
 		fb.Shard = ShardOf(fb.Subject, l.shards)
 		hist[fb.Origin] = append(hist[fb.Origin], fb)
 	}
-	l.marks, l.hist = marks, hist
-	return nil
+	return marks, hist, nil
 }
 
 // AppendReplicated applies entries pulled from peers, folded then queued,
