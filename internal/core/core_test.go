@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"diffgossip/internal/collusion"
 	"diffgossip/internal/gossip"
 	"diffgossip/internal/graph"
 	"diffgossip/internal/rng"
@@ -347,6 +348,82 @@ func TestGCLRAllFromReportsSizeCheck(t *testing.T) {
 	}
 	if _, err := GCLRAllFromReports(g, tm, nil, params(1e-6, 91)); err == nil {
 		t.Fatal("nil reported matrix accepted")
+	}
+}
+
+// gclrAllDigest folds everything a GCLRAllFromReports run publishes — every
+// reputation and count cell, the step count, the convergence flag and the
+// message tallies — into one FNV-64a word.
+func gclrAllDigest(res *AllResult) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for i := range res.Reputation {
+		for j := range res.Reputation[i] {
+			word(math.Float64bits(res.Reputation[i][j]))
+			word(math.Float64bits(res.Counts[i][j]))
+		}
+	}
+	conv := 0
+	if res.Converged {
+		conv = 1
+	}
+	for _, v := range []int{
+		res.Steps, conv,
+		res.Messages.Setup, res.Messages.Gossip, res.Messages.Announce,
+		res.Messages.Lost, res.Messages.ActiveNodeSteps,
+	} {
+		word(uint64(v))
+	}
+	return h.Sum64()
+}
+
+// TestGCLRAllPinnedDigest is the absolute guard on the all-subjects
+// variant's bits (Figs. 5–6): GCLRAllFromReports over a PA overlay with an
+// unrated subject (the vector engine's sparse path), for honest and
+// colluding reports, with and without packet loss, at one worker and at
+// GOMAXPROCS workers, must hash to constants captured before the vector
+// engine lost its churn surface.
+func TestGCLRAllPinnedDigest(t *testing.T) {
+	const n = 60
+	g, honest := denseWorkload(t, n, 0.2, 8100)
+	for i := 0; i < n; i++ { // subject 11 unrated
+		honest.Delete(i, 11)
+	}
+	a, err := collusion.Model{N: n, Fraction: 0.2, GroupSize: 3, Seed: 8101}.Assign()
+	if err != nil {
+		t.Fatal(err)
+	}
+	colluding, err := a.Reported(honest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []struct {
+		name     string
+		reported *trust.Matrix
+		loss     float64
+		digest   uint64
+	}{
+		{"honest", honest, 0, 0x274b5c5e1c44cd54},
+		{"honest", honest, 0.2, 0xc15d9a01655bb48a},
+		{"colluding", colluding, 0, 0x3e0e27ca3d88f659},
+		{"colluding", colluding, 0.2, 0x328d4634e90dc12a},
+	}
+	for _, row := range rows {
+		for _, workers := range []int{0, -1} {
+			res, err := GCLRAllFromReports(g, honest, row.reported, Params{
+				Epsilon: 1e-6, Seed: 8102, LossProb: row.loss, Workers: workers,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := gclrAllDigest(res); got != row.digest {
+				t.Errorf("%s loss=%v workers=%d: digest %#x, pinned %#x", row.name, row.loss, workers, got, row.digest)
+			}
+		}
 	}
 }
 
