@@ -41,10 +41,6 @@ func TestGoldenOutputs(t *testing.T) {
 		{"scenario", func(w io.Writer) error {
 			return runScenario(w, "crash=0.1,join=0.1,leave=0.05,loss=0.2,rounds=80,partition-span=15,partition-at=30,collude=0.1,collude-at=50,lie=1", 150, 7, false)
 		}},
-		// A vector-target scenario exercises the Θ(N²) engine's churn path.
-		{"scenario_vector", func(w io.Writer) error {
-			return runScenario(w, "target=vector,crash=0.1,join=0.1,rejoin=0.05,loss=0.1,rounds=60", 50, 9, false)
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -55,3 +55,17 @@ func TestRunAllQuick(t *testing.T) {
 		}
 	}
 }
+
+// TestScenarioVectorTargetRefused pins that the vector engine is no scenario
+// target: it runs only on a static overlay, so the spec is refused with the
+// names of the targets that exist.
+func TestScenarioVectorTargetRefused(t *testing.T) {
+	var buf bytes.Buffer
+	err := runScenario(&buf, "target=vector,crash=0.1,rounds=10", 30, 1, false)
+	if err == nil || !strings.Contains(err.Error(), "scalar|service|cluster") {
+		t.Fatalf("target=vector: error %v, want one naming scalar|service|cluster", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("target=vector printed output: %q", buf.String())
+	}
+}

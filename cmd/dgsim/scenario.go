@@ -14,7 +14,8 @@ import (
 // a scenario config. Example:
 //
 //	-scenario "crash=0.1,join=0.1,loss=0.2,rounds=250"
-//	-scenario "target=vector,leave=0.05,partition-span=30,partition-at=40"
+//	-scenario "leave=0.05,partition=0.3,partition-span=30,partition-at=40"
+//	-scenario "target=cluster,crash=0.1,rejoin=0.1,loss=0.2,rounds=40"
 //	-scenario "target=service,crash=0.2,rejoin=0.1,collude=0.1,lie=1"
 //
 // Unset keys keep the scenario package's defaults; -n and -seed supply the

@@ -226,134 +226,6 @@ func TestEngineSetLossProbMidRun(t *testing.T) {
 	}
 }
 
-// checkVectorLedger asserts per-subject mass matches the churn ledgers.
-func checkVectorLedger(t *testing.T, e *VectorEngine, ctx string) {
-	t.Helper()
-	for j := 0; j < e.N(); j++ {
-		base, inj, lost := e.MassLedger(j)
-		if err := ledgerErr(e.MassY(j), base.Y+inj.Y-lost.Y); err > 1e-9 {
-			t.Fatalf("%s: subject %d Y mass drift %v", ctx, j, err)
-		}
-		if err := ledgerErr(e.MassG(j), base.G+inj.G-lost.G); err > 1e-9 {
-			t.Fatalf("%s: subject %d G mass drift %v", ctx, j, err)
-		}
-	}
-}
-
-func newChurnVectorEngine(t *testing.T, n int, seed uint64, sparse bool) (*VectorEngine, *graph.Graph) {
-	t.Helper()
-	g := graph.MustPA(n, 2, seed)
-	src := rng.New(seed + 1)
-	y0 := make([][]float64, n)
-	g0 := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		y0[i] = make([]float64, n)
-		g0[i] = make([]float64, n)
-	}
-	stride := 1
-	if sparse {
-		stride = 5
-	}
-	for j := 0; j < n; j += stride {
-		for i := 0; i < n; i++ {
-			y0[i][j] = src.Float64()
-			g0[i][j] = 1
-		}
-	}
-	e, err := NewVectorEngine(Config{Graph: g, Epsilon: 1e-4, Seed: seed + 2}, y0, g0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e, g
-}
-
-func TestVectorEngineChurnRoundTrip(t *testing.T) {
-	for _, sparse := range []bool{false, true} {
-		name := "dense"
-		if sparse {
-			name = "sparse"
-		}
-		t.Run(name, func(t *testing.T) {
-			e, g := newChurnVectorEngine(t, 30, 11, sparse)
-			for i := 0; i < 3; i++ {
-				e.Step()
-			}
-			if err := e.Crash(5); err != nil {
-				t.Fatal(err)
-			}
-			checkVectorLedger(t, e, "after crash")
-			if err := e.Leave(6); err != nil {
-				t.Fatal(err)
-			}
-			checkVectorLedger(t, e, "after leave")
-			for i := 0; i < 10; i++ {
-				e.Step()
-				checkVectorLedger(t, e, "stepping")
-			}
-			// Whitewash node 5 back in with fresh ratings.
-			y := make([]float64, e.N())
-			gw := make([]float64, e.N())
-			for _, j := range g.Neighbors(5) {
-				y[j] = 0.4
-				gw[j] = 1
-			}
-			if err := e.Rejoin(5, y, gw); err != nil {
-				t.Fatal(err)
-			}
-			checkVectorLedger(t, e, "after rejoin")
-			// Join a new node.
-			src := rng.New(77)
-			id := graph.AttachPreferential(g, 2, src, func(v int) bool { return !e.Down(v) })
-			yj := make([]float64, e.N()+1)
-			gj := make([]float64, e.N()+1)
-			for _, j := range g.Neighbors(id) {
-				yj[j] = 0.8
-				gj[j] = 1
-			}
-			got, err := e.AddNode(yj, gj)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != id {
-				t.Fatalf("engine id %d, graph id %d", got, id)
-			}
-			checkVectorLedger(t, e, "after join")
-			for i := 0; i < 30; i++ {
-				e.Step()
-				checkVectorLedger(t, e, "stepping after join")
-			}
-			if e.N() != 31 {
-				t.Fatalf("engine N=%d after join", e.N())
-			}
-		})
-	}
-}
-
-func TestVectorEngineAddNodePreservesEstimates(t *testing.T) {
-	// The rebuild on AddNode must not disturb held mass: estimates for old
-	// subjects are bit-identical before and after the grow.
-	e, g := newChurnVectorEngine(t, 25, 13, false)
-	for i := 0; i < 5; i++ {
-		e.Step()
-	}
-	before := make([]float64, 25)
-	for j := range before {
-		before[j] = e.Estimate(3, j)
-	}
-	src := rng.New(5)
-	graph.AttachPreferential(g, 2, src, nil)
-	y := make([]float64, 26)
-	gw := make([]float64, 26)
-	if _, err := e.AddNode(y, gw); err != nil {
-		t.Fatal(err)
-	}
-	for j := range before {
-		if math.Float64bits(e.Estimate(3, j)) != math.Float64bits(before[j]) {
-			t.Fatalf("estimate (3,%d) changed across AddNode: %v vs %v", j, e.Estimate(3, j), before[j])
-		}
-	}
-}
-
 func TestOverrideWakesConvergedRegion(t *testing.T) {
 	// Regression: Override on a node whose whole neighbourhood had
 	// converged used to leave it stopped, so a collusion lie injected into

@@ -168,7 +168,7 @@ func (e *refVectorEngine) step() bool {
 	}
 	running := false
 	for i := 0; i < e.n; i++ {
-		e.stopped[i] = (e.selfConv[i] || g.Degree(i) == 0) && allConverged(e.selfConv, nil, g.Neighbors(i))
+		e.stopped[i] = (e.selfConv[i] || g.Degree(i) == 0) && allConverged(e.selfConv, g.Neighbors(i))
 		if !e.stopped[i] {
 			running = true
 		}

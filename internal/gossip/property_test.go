@@ -7,7 +7,7 @@ import (
 	"diffgossip/internal/rng"
 )
 
-// The property tests drive the engines through randomized op sequences —
+// The property tests drive the scalar engine through randomized op sequences —
 // steps interleaved with crashes, graceful leaves, whitewashing rejoins,
 // preferential-attachment joins, loss-probability changes and link-fault
 // toggles — and check the push-sum conservation invariant after every
@@ -144,118 +144,6 @@ func TestEngineMassConservationProperty(t *testing.T) {
 					t.Fatalf("seed=%d round=%d: count mass drift %v", seed, r, err)
 				}
 			}
-		}
-	}
-}
-
-func TestVectorEngineMassConservationProperty(t *testing.T) {
-	trials := 12
-	rounds := 30
-	if testing.Short() {
-		trials = 4
-	}
-	for trial := 0; trial < trials; trial++ {
-		seed := uint64(0x5A5A + 1237*trial)
-		src := rng.New(seed)
-		n := 15 + src.Intn(20)
-		g := graph.MustPA(n, 2, src.Uint64())
-		y0 := make([][]float64, n)
-		g0 := make([][]float64, n)
-		stride := 1 + src.Intn(4) // exercises dense and sparse active sets
-		for i := 0; i < n; i++ {
-			y0[i] = make([]float64, n)
-			g0[i] = make([]float64, n)
-		}
-		for j := 0; j < n; j += stride {
-			for i := 0; i < n; i++ {
-				y0[i][j] = src.Float64()
-				g0[i][j] = 1
-			}
-		}
-		e, err := NewVectorEngine(Config{
-			Graph:    g,
-			Epsilon:  1e-4,
-			Seed:     src.Uint64(),
-			LossProb: 0.3 * src.Float64(),
-		}, y0, g0)
-		if err != nil {
-			t.Fatalf("seed=%d: %v", seed, err)
-		}
-		check := func(r int) {
-			for j := 0; j < e.N(); j++ {
-				base, inj, lost := e.MassLedger(j)
-				if err := ledgerErr(e.MassY(j), base.Y+inj.Y-lost.Y); err > 1e-9 {
-					t.Fatalf("seed=%d round=%d subject=%d: Y mass drift %v", seed, r, j, err)
-				}
-				if err := ledgerErr(e.MassG(j), base.G+inj.G-lost.G); err > 1e-9 {
-					t.Fatalf("seed=%d round=%d subject=%d: G mass drift %v", seed, r, j, err)
-				}
-			}
-		}
-		for r := 0; r < rounds; r++ {
-			e.Step()
-			check(r)
-			switch src.Intn(6) {
-			case 0:
-				// crash a random alive node (keep at least two alive)
-				alive := make([]int, 0, e.N())
-				for i := 0; i < e.N(); i++ {
-					if !e.Down(i) {
-						alive = append(alive, i)
-					}
-				}
-				if len(alive) > 2 {
-					i := alive[src.Intn(len(alive))]
-					if err := e.Crash(i); err != nil {
-						t.Fatalf("seed=%d crash: %v", seed, err)
-					}
-				}
-			case 1:
-				alive := make([]int, 0, e.N())
-				for i := 0; i < e.N(); i++ {
-					if !e.Down(i) {
-						alive = append(alive, i)
-					}
-				}
-				if len(alive) > 2 {
-					i := alive[src.Intn(len(alive))]
-					if err := e.Leave(i); err != nil {
-						t.Fatalf("seed=%d leave: %v", seed, err)
-					}
-				}
-			case 2:
-				for i := 0; i < e.N(); i++ {
-					if e.Down(i) {
-						y := make([]float64, e.N())
-						gw := make([]float64, e.N())
-						for _, nb := range g.Neighbors(i) {
-							y[nb] = src.Float64()
-							gw[nb] = 1
-						}
-						if err := e.Rejoin(i, y, gw); err != nil {
-							t.Fatalf("seed=%d rejoin(%d): %v", seed, i, err)
-						}
-						break
-					}
-				}
-			case 3:
-				id := graph.AttachPreferential(g, 2, src, func(v int) bool { return !e.Down(v) })
-				y := make([]float64, e.N()+1)
-				gw := make([]float64, e.N()+1)
-				for _, nb := range g.Neighbors(id) {
-					y[nb] = src.Float64()
-					gw[nb] = 1
-				}
-				if _, err := e.AddNode(y, gw); err != nil {
-					t.Fatalf("seed=%d join: %v", seed, err)
-				}
-			case 4:
-				if err := e.SetLossProb(0.4 * src.Float64()); err != nil {
-					t.Fatalf("seed=%d setloss: %v", seed, err)
-				}
-			default:
-			}
-			check(r)
 		}
 	}
 }

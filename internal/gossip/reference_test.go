@@ -128,12 +128,23 @@ func (e *Engine) referenceStep() bool {
 		// Isolated and departed nodes cannot gossip and must not block
 		// termination; a departed neighbour likewise never announces, so
 		// the stop rule treats it as converged (ack-timeout semantics).
-		e.stopped[i] = (e.selfConv[i] || g.Degree(i) == 0 || e.down[i]) && allConverged(e.selfConv, e.down, g.Neighbors(i))
+		e.stopped[i] = (e.selfConv[i] || g.Degree(i) == 0 || e.down[i]) && convergedOrDown(e.selfConv, e.down, g.Neighbors(i))
 		if !e.stopped[i] {
 			running = true
 		}
 	}
 	return running
+}
+
+// convergedOrDown reports whether every listed neighbour either announced
+// convergence or has departed.
+func convergedOrDown(conv, down []bool, nbrs []int) bool {
+	for _, v := range nbrs {
+		if !conv[v] && !down[v] {
+			return false
+		}
+	}
+	return true
 }
 
 // twins steps two engines over the same inputs and the same graph: kernel on

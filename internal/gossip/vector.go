@@ -35,6 +35,11 @@ import (
 // influence any estimate, and is skipped by the accumulation and the
 // convergence scan alike.
 //
+// The overlay is static: the engine has no churn hooks, and packet loss
+// (Config.LossProb, fixed at construction) is its only fault. Its one caller
+// is core.GCLRAllFromReports (and GCLRAll through it), the all-subjects
+// variant behind Figs. 5–6; churn runs on the scalar Engine.
+//
 // Memory is Θ(N²); the experiment harness uses the engine for the collusion
 // figures at moderate N and falls back to the scalar engine for the large-N
 // timing figures. A single subject's campaign needs no vector at all: it is
@@ -54,17 +59,7 @@ type VectorEngine struct {
 
 	selfConv []bool
 	stopped  []bool
-	down     []bool // node crashed or left; holds no mass, drops pushes
 
-	// Per-subject mass accounting for churn scenarios (see MassLedger):
-	// baseY/baseG are the construction-time column totals, injY/injG
-	// accumulate mass added by Rejoin/AddNode, lostY/lostG mass destroyed
-	// by crashes and heirless leaves.
-	baseY, baseG, injY, injG, lostY, lostG []float64
-
-	// linkFault, when set, drops any push for which it returns true (the
-	// sender re-absorbs the share); models partitions and lossy links.
-	linkFault func(from, to int) bool
 	// active[j] is true when some node started with weight mass for
 	// subject j; only active subjects gate a node's convergence (a column
 	// nobody rated carries no campaign and must not block termination).
@@ -86,12 +81,10 @@ type VectorEngine struct {
 	// accumulate-and-scan entirely and are not view-swapped.
 	recomputed []bool
 	nbrs       []int // scratch for fan-out target sampling
-	// wg is held by pointer so AddNode can rebuild the engine with a plain
-	// struct copy without copying a lock value.
-	wg *sync.WaitGroup
+	wg         sync.WaitGroup
 
 	msgs Messages
-	// vectorCost scales the per-push message accounting: pushing an
+	// perPushUnits scales the per-push message accounting: pushing an
 	// N-slot vector costs N logical message units when
 	// CountVectorMessages is set; 1 otherwise (one packet per push).
 	perPushUnits int
@@ -125,37 +118,16 @@ func NewVectorEngine(cfg Config, y0, g0 [][]float64) (*VectorEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := newVectorEngineBuffers(cfg)
-	e.y, e.g = y, g
-	if err := e.initState(); err != nil {
-		return nil, err
-	}
-	// Construction-time degree exchange: every node announces its degree to
-	// each neighbour before the first round.
-	for i := 0; i < n; i++ {
-		e.msgs.Setup += cfg.Graph.Degree(i)
-	}
-	return e, nil
-}
-
-// newVectorEngineBuffers allocates every fixed-shape buffer of an engine over
-// cfg.Graph. The mass matrices y and g are left for the caller to attach.
-func newVectorEngineBuffers(cfg Config) *VectorEngine {
-	n := cfg.Graph.N()
 	e := &VectorEngine{
 		cfg:          cfg,
 		n:            n,
 		ks:           cfg.fanouts(),
+		src:          rng.New(cfg.Seed),
+		y:            y,
+		g:            g,
 		prevR:        alloc(n),
 		selfConv:     make([]bool, n),
 		stopped:      make([]bool, n),
-		down:         make([]bool, n),
-		baseY:        make([]float64, n),
-		baseG:        make([]float64, n),
-		injY:         make([]float64, n),
-		injG:         make([]float64, n),
-		lostY:        make([]float64, n),
-		lostG:        make([]float64, n),
 		nextY:        alloc(n),
 		nextG:        alloc(n),
 		extRecv:      make([]int, n),
@@ -164,34 +136,25 @@ func newVectorEngineBuffers(cfg Config) *VectorEngine {
 		hasWeight:    make([]bool, n),
 		recomputed:   make([]bool, n),
 		active:       make([]bool, n),
-		wg:           new(sync.WaitGroup),
 		perPushUnits: 1,
 	}
-	// A node can receive at most one share from each neighbour, one self
-	// share, and k_i loss-returned shares per step, so per-destination push
-	// lists can be sized once, up front — Step never grows them.
 	for i := 0; i < n; i++ {
+		// A node can receive at most one share from each neighbour, one
+		// self share, and k_i loss-returned shares per step, so
+		// per-destination push lists are sized once, up front — Step never
+		// grows them.
 		e.incoming[i] = make([]push, 0, 1+e.ks[i]+cfg.Graph.Degree(i))
-	}
-	return e
-}
-
-// initState derives the run state of a freshly allocated engine from its y/g
-// masses and cfg.Seed: the randomness stream, active-subject index, base mass
-// ledgers, previous ratios and the sparse-mode buffer pinning.
-func (e *VectorEngine) initState() error {
-	e.src = rng.New(e.cfg.Seed)
-	for i := 0; i < e.n; i++ {
-		for s := 0; s < e.n; s++ {
-			if e.g[i][s] < 0 {
-				return fmt.Errorf("gossip: negative initial weight g0[%d][%d]", i, s)
+		// Construction-time degree exchange: every node announces its
+		// degree to each neighbour before the first round.
+		e.msgs.Setup += cfg.Graph.Degree(i)
+		for s := 0; s < n; s++ {
+			if g[i][s] < 0 {
+				return nil, fmt.Errorf("gossip: negative initial weight g0[%d][%d]", i, s)
 			}
-			if e.g[i][s] > 0 {
+			if g[i][s] > 0 {
 				e.active[s] = true
 			}
-			e.baseY[s] += e.y[i][s]
-			e.baseG[s] += e.g[i][s]
-			e.prevR[i][s] = ratioOr(e.y[i][s], e.g[i][s])
+			e.prevR[i][s] = ratioOr(y[i][s], g[i][s])
 		}
 	}
 	for s, a := range e.active {
@@ -199,34 +162,34 @@ func (e *VectorEngine) initState() error {
 			e.activeIdx = append(e.activeIdx, s)
 		}
 	}
-	e.denseActive = len(e.activeIdx) == e.n
+	e.denseActive = len(e.activeIdx) == n
 	// Sparse mode never rewrites inactive columns, so pin them to their
 	// initial values in both buffers: rows then carry identical bits for
 	// those subjects whichever buffer is current, and the MassY invariant
 	// holds for unrated subjects too (their mass simply never moves).
 	if !e.denseActive {
-		for i := 0; i < e.n; i++ {
+		for i := 0; i < n; i++ {
 			for s, a := range e.active {
 				if !a {
-					e.nextY[i][s] = e.y[i][s]
-					e.nextG[i][s] = e.g[i][s]
+					e.nextY[i][s] = y[i][s]
+					e.nextG[i][s] = g[i][s]
 				}
 			}
 		}
 	}
 	// Seed hasWeight so rows that stay untouched from step one (isolated
 	// nodes) report the same flag the full scan would compute.
-	for i := 0; i < e.n; i++ {
+	for i := 0; i < n; i++ {
 		hw := true
 		for _, s := range e.activeIdx {
-			if e.g[i][s] == 0 {
+			if g[i][s] == 0 {
 				hw = false
 				break
 			}
 		}
 		e.hasWeight[i] = hw
 	}
-	return nil
+	return e, nil
 }
 
 // deepCopy copies an N×N matrix into a single contiguous backing block and
@@ -340,7 +303,7 @@ func (e *VectorEngine) Step() bool {
 		e.extRecv[i] = 0
 	}
 	for i := 0; i < e.n; i++ {
-		if e.down[i] || e.stopped[i] || g.Degree(i) == 0 {
+		if e.stopped[i] || g.Degree(i) == 0 {
 			e.incoming[i] = append(e.incoming[i], push{src: i, f: 1})
 			continue
 		}
@@ -351,14 +314,10 @@ func (e *VectorEngine) Step() bool {
 		e.nbrs = g.AppendRandomNeighbors(e.nbrs[:0], i, k, e.src)
 		for _, t := range e.nbrs {
 			e.msgs.Gossip += e.perPushUnits
-			// Loss draw first, so churn-free runs consume the exact stream
-			// the seed implies; pushes to departed nodes or across faulted
-			// links fail like lost packets (no ack, sender re-absorbs).
-			dropped := e.cfg.LossProb > 0 && e.src.Bool(e.cfg.LossProb)
-			if !dropped && (e.down[t] || (e.linkFault != nil && e.linkFault(i, t))) {
-				dropped = true
-			}
-			if dropped {
+			// The loss draw comes first in the push, so a run consumes
+			// exactly the stream its seed implies; a lost push gets no ack
+			// and the sender re-absorbs the share.
+			if e.cfg.LossProb > 0 && e.src.Bool(e.cfg.LossProb) {
 				e.msgs.Lost += e.perPushUnits
 				e.incoming[i] = append(e.incoming[i], push{src: i, f: f})
 				continue
@@ -388,7 +347,7 @@ func (e *VectorEngine) Step() bool {
 	nxi := float64(e.n) * e.cfg.Epsilon
 	for i := 0; i < e.n; i++ {
 		heard := e.extRecv[i] >= 1 || e.selfConv[i] || e.stopped[i]
-		conv := !e.down[i] && e.hasWeight[i] && heard && e.l1[i] <= nxi && e.steps >= e.cfg.MinSteps
+		conv := e.hasWeight[i] && heard && e.l1[i] <= nxi && e.steps >= e.cfg.MinSteps
 		if conv != e.selfConv[i] {
 			e.selfConv[i] = conv
 			e.msgs.Announce += g.Degree(i)
@@ -396,7 +355,7 @@ func (e *VectorEngine) Step() bool {
 	}
 	running := false
 	for i := 0; i < e.n; i++ {
-		e.stopped[i] = (e.selfConv[i] || g.Degree(i) == 0 || e.down[i]) && allConverged(e.selfConv, e.down, g.Neighbors(i))
+		e.stopped[i] = (e.selfConv[i] || g.Degree(i) == 0) && allConverged(e.selfConv, g.Neighbors(i))
 		if !e.stopped[i] {
 			running = true
 		}
@@ -561,11 +520,10 @@ func (e *VectorEngine) Run() VectorResult {
 // Steps returns the number of gossip steps executed so far.
 func (e *VectorEngine) Steps() int { return e.steps }
 
-// allConverged reports whether every listed neighbour either announced
-// convergence or has departed (down may be nil when churn is impossible).
-func allConverged(conv, down []bool, nbrs []int) bool {
+// allConverged reports whether every listed neighbour announced convergence.
+func allConverged(conv []bool, nbrs []int) bool {
 	for _, v := range nbrs {
-		if !conv[v] && (down == nil || !down[v]) {
+		if !conv[v] {
 			return false
 		}
 	}

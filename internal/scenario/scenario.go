@@ -1,6 +1,6 @@
 // Package scenario is the deterministic churn & fault engine: it drives a
-// gossip run — the scalar engine, the vector engine, or the service epoch
-// loop — through a scripted or randomized timeline of membership and network
+// gossip run — the scalar engine, the service epoch loop, or a replicating
+// cluster of services — through a scripted or randomized timeline of membership and network
 // events, checking protocol invariants after every round.
 //
 // The event vocabulary covers the dynamics the paper's static-overlay
@@ -27,8 +27,9 @@
 // seed through rng.Source.Split, so a Result (event log, final reputations,
 // mass ledgers) is a pure function of its Config and replays bit-identically.
 //
-// After every round the runner checks mass conservation against the
-// engines' churn ledgers: total mass must equal base + injected − lost
+// After every round the runner checks the target's invariants. On the scalar
+// engine that is mass conservation against its churn ledgers (the paper's
+// Proposition A.1): total mass must equal base + injected − lost
 // (crashes destroy exactly the mass the dead node held; lost packets are
 // re-absorbed by their senders) up to floating-point accumulation error.
 // Violations are collected, not fatal, so a broken engine produces a
@@ -151,8 +152,8 @@ type Config struct {
 	// 0..Replicas-1 of the timeline are dgserve replicas, the rest are
 	// feedback clients homed on replica id mod Replicas.
 	Replicas int
-	// Workers parallelises the vector engine's accumulation (same
-	// convention as gossip.Config.Workers; results are identical).
+	// Workers parallelises the service and cluster targets' per-subject
+	// campaigns (core.Params.Workers; results are identical).
 	Workers int
 }
 

@@ -236,6 +236,5 @@ func (t *serviceTarget) Close() error { return t.svc.Close() }
 // ensure interface compliance
 var (
 	_ target = (*scalarTarget)(nil)
-	_ target = (*vectorTarget)(nil)
 	_ target = (*serviceTarget)(nil)
 )

@@ -16,9 +16,6 @@ const (
 	// TargetScalar drives the scalar push-sum Engine averaging one value
 	// per node (the Fig. 3/4 workload class under churn).
 	TargetScalar TargetKind = iota
-	// TargetVector drives the VectorEngine aggregating all subjects at
-	// once (the collusion-figure workload class under churn).
-	TargetVector
 	// TargetService drives the reputation service's epoch loop under
 	// ingest-side churn (raters joining and departing the feedback stream).
 	TargetService
@@ -35,8 +32,6 @@ func (k TargetKind) String() string {
 	switch k {
 	case TargetScalar:
 		return "scalar"
-	case TargetVector:
-		return "vector"
 	case TargetService:
 		return "service"
 	case TargetCluster:
@@ -51,14 +46,12 @@ func ParseTargetKind(s string) (TargetKind, error) {
 	switch s {
 	case "", "scalar":
 		return TargetScalar, nil
-	case "vector":
-		return TargetVector, nil
 	case "service":
 		return TargetService, nil
 	case "cluster":
 		return TargetCluster, nil
 	default:
-		return 0, fmt.Errorf("scenario: unknown target %q (want scalar|vector|service|cluster)", s)
+		return 0, fmt.Errorf("scenario: unknown target %q (want scalar|service|cluster)", s)
 	}
 }
 
@@ -99,8 +92,6 @@ func newTarget(cfg Config, g *graph.Graph, gossipSeed uint64, values *rng.Source
 	switch cfg.Target {
 	case TargetScalar:
 		return newScalarTarget(cfg, g, gossipSeed, values)
-	case TargetVector:
-		return newVectorTarget(cfg, g, gossipSeed, values)
 	case TargetService:
 		return newServiceTarget(cfg, g, gossipSeed, values)
 	case TargetCluster:
@@ -232,170 +223,3 @@ func (t *scalarTarget) ReferenceErr(alive []bool) float64 {
 
 func (t *scalarTarget) Messages() gossip.Messages { return t.e.Messages() }
 func (t *scalarTarget) Close() error              { return nil }
-
-// ---------------------------------------------------------------------------
-// Vector target: every node rates its overlay neighbours and all subjects
-// aggregate at once. Joins and whitewashes rate the neighbours they attach
-// to, so new campaigns stay consistent with the overlay.
-// ---------------------------------------------------------------------------
-
-type vectorTarget struct {
-	e      *gossip.VectorEngine
-	g      *graph.Graph
-	values *rng.Source
-}
-
-func newVectorTarget(cfg Config, g *graph.Graph, seed uint64, values *rng.Source) (*vectorTarget, error) {
-	n := g.N()
-	y0 := make([][]float64, n)
-	g0 := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		y0[i] = make([]float64, n)
-		g0[i] = make([]float64, n)
-		for _, j := range g.Neighbors(i) {
-			y0[i][j] = values.Float64()
-			g0[i][j] = 1
-		}
-	}
-	e, err := gossip.NewVectorEngine(gossip.Config{
-		Graph:    g,
-		Epsilon:  cfg.Epsilon,
-		LossProb: cfg.LossProb,
-		Seed:     seed,
-		Workers:  cfg.Workers,
-	}, y0, g0)
-	if err != nil {
-		return nil, err
-	}
-	return &vectorTarget{e: e, g: g, values: values}, nil
-}
-
-func (t *vectorTarget) Step() bool { return t.e.Step() }
-
-// ratedRows builds fresh per-subject vectors for node id rating exactly its
-// current overlay neighbours, sized to n slots.
-func (t *vectorTarget) ratedRows(id, n int) (y, g []float64) {
-	y = make([]float64, n)
-	g = make([]float64, n)
-	for _, j := range t.g.Neighbors(id) {
-		if j < n {
-			y[j] = t.values.Float64()
-			g[j] = 1
-		}
-	}
-	return y, g
-}
-
-func (t *vectorTarget) Join(id int) error {
-	y, g := t.ratedRows(id, t.e.N()+1)
-	got, err := t.e.AddNode(y, g)
-	if err != nil {
-		return err
-	}
-	if got != id {
-		return fmt.Errorf("scenario: engine assigned node %d, graph assigned %d", got, id)
-	}
-	return nil
-}
-
-func (t *vectorTarget) Crash(i int) error { return t.e.Crash(i) }
-func (t *vectorTarget) Leave(i int) error { return t.e.Leave(i) }
-
-func (t *vectorTarget) Rejoin(i int) error {
-	y, g := t.ratedRows(i, t.e.N())
-	return t.e.Rejoin(i, y, g)
-}
-
-func (t *vectorTarget) SetLoss(p float64) error { return t.e.SetLossProb(p) }
-
-func (t *vectorTarget) SetLinkFault(f func(from, to int) bool) error {
-	t.e.SetLinkFault(f)
-	return nil
-}
-
-func (t *vectorTarget) Collude(group []int, lie float64) error {
-	in := make(map[int]bool, len(group))
-	for _, i := range group {
-		in[i] = true
-	}
-	for _, i := range group {
-		y, g := t.e.HeldRow(i)
-		for j := range y {
-			// Colluders inflate each other's slots while keeping their
-			// weight mass, Figs. 5–6's group-inflation attack mid-run.
-			if in[j] && j != i {
-				y[j] = lie * g[j]
-			}
-		}
-		if err := t.e.Override(i, y, g); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *vectorTarget) RefreshTopology() { t.e.RefreshFanouts() }
-
-func (t *vectorTarget) Check(tol float64) (float64, []string) {
-	var violations []string
-	worst := 0.0
-	n := t.e.N()
-	for j := 0; j < n; j++ {
-		base, inj, lost := t.e.MassLedger(j)
-		ey := relErr(t.e.MassY(j), base.Y+inj.Y-lost.Y)
-		eg := relErr(t.e.MassG(j), base.G+inj.G-lost.G)
-		if ey > worst {
-			worst = ey
-		}
-		if eg > worst {
-			worst = eg
-		}
-		if ey > tol || eg > tol {
-			violations = append(violations, fmt.Sprintf("subject %d mass drift y=%.3e g=%.3e", j, ey, eg))
-		}
-	}
-	return worst, violations
-}
-
-// Reputations reports, per subject, the estimate held by the lowest-
-// numbered node that carries weight for it (0 when nobody does) — a
-// deterministic observer choice that survives churn.
-func (t *vectorTarget) Reputations() []float64 {
-	n := t.e.N()
-	out := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			if v := t.e.Estimate(i, j); v != 0 {
-				out[j] = v
-				break
-			}
-		}
-	}
-	return out
-}
-
-func (t *vectorTarget) ReferenceErr(alive []bool) float64 {
-	n := t.e.N()
-	worst := 0.0
-	for j := 0; j < n; j++ {
-		mg := t.e.MassG(j)
-		if mg == 0 {
-			continue
-		}
-		ref := t.e.MassY(j) / mg
-		for i := 0; i < n; i++ {
-			if i < len(alive) && !alive[i] {
-				continue
-			}
-			if v := t.e.Estimate(i, j); v != 0 {
-				if d := math.Abs(v - ref); d > worst {
-					worst = d
-				}
-			}
-		}
-	}
-	return worst
-}
-
-func (t *vectorTarget) Messages() gossip.Messages { return t.e.Messages() }
-func (t *vectorTarget) Close() error              { return nil }
