@@ -410,6 +410,74 @@ func TestReshardRependsPerOldShard(t *testing.T) {
 	}
 }
 
+// TestReshardKeepsFoldedShardFoldPoint counts what a 2 → 4 reshard costs a
+// replicating node whose shard 0 folded re-rated cells while shard 1 never
+// folded. Each regrouped segment keeps the fold point of the old shard its
+// subjects come from, so none of shard 0's superseded entries counts as
+// unfolded: BootstrapState ships only shard 1's pending entries in Tail,
+// and CompactWAL keeps only the cell winners plus those pending entries.
+func TestReshardKeepsFoldedShardFoldPoint(t *testing.T) {
+	const n = 40
+	cfg := Config{Graph: testGraph(t, n, 7), Params: core.Params{Epsilon: 1e-6, Seed: 11},
+		Dir: t.TempDir(), Shards: 2, Replicate: true, Origin: "node-a"}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(rater, subject int, value float64) {
+		t.Helper()
+		if _, err := s.Submit(rater, subject, value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const raters, tail = 6, 3
+	for round := 0; round < 2; round++ { // shard 0: every cell rated twice
+		for r := 1; r <= raters; r++ {
+			submit(r, 2, float64(round+r)/10)
+		}
+	}
+	if _, ran, err := s.RunEpoch(); err != nil || !ran {
+		t.Fatalf("epoch: ran=%v err=%v", ran, err)
+	}
+	for r := 1; r <= tail; r++ { // shard 1: pending, never folded
+		submit(r, 3, 0.5)
+	}
+	if v := s.View(); v.Shard(0).Seq != 2*raters || v.Shard(1).Seq != 0 {
+		t.Fatalf("test degenerated: fold points %d/%d, want %d/0", v.Shard(0).Seq, v.Shard(1).Seq, 2*raters)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Shards = 4
+	if s, err = New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	if got := s.Pending(); got != tail {
+		t.Fatalf("reshard 2 -> 4 re-pended %d entries, want %d", got, tail)
+	}
+	st, err := s.BootstrapState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Folded) != 2*raters || len(st.Tail) != tail {
+		t.Fatalf("transfer ships %d folded / %d tail entries, want %d / %d", len(st.Folded), len(st.Tail), 2*raters, tail)
+	}
+	for _, fb := range st.Tail {
+		if fb.Subject != 3 {
+			t.Fatalf("tail ships %+v, a folded entry of subject 2", fb)
+		}
+	}
+	cs, err := s.CompactWAL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.EntriesBefore != 2*raters+tail || cs.EntriesAfter != raters+tail {
+		t.Fatalf("compaction %d -> %d entries, want %d -> %d (winners plus pending)", cs.EntriesBefore, cs.EntriesAfter, 2*raters+tail, raters+tail)
+	}
+}
+
 // TestBootRefusesPreShardDir: one on-disk format is read. A directory from
 // the pre-shard format (snapshot.gob, no manifest) is refused by name and
 // left untouched — never mistaken for a fresh directory, which would refold

@@ -218,3 +218,39 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	c.bytes += len(p)
 	return c.w.Write(p)
 }
+
+// TestLedgerEncodeBufferBounded: the WAL encode buffer never outlives a bulk
+// append. After a 120,000-entry AppendBatch, and after an AppendReplicated
+// of the same size (a bootstrap install's shape), the ledger keeps at most
+// maxEncCap (1 MiB) of it; the transient buffer of such an append is about
+// 11 MB.
+func TestLedgerEncodeBufferBounded(t *testing.T) {
+	const n, size = 2500, 120_000
+	l, _, err := OpenLedger(filepath.Join(t.TempDir(), "ledger.jsonl"), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.EnableReplication("node-a", nil); err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]Feedback, size)
+	for k := range batch {
+		batch[k] = Feedback{Rater: k % n, Subject: (k / n) % n, Value: float64(k) / size, UnixNano: int64(k + 1)}
+	}
+	if _, _, err := l.AppendBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(l.enc); c > 1<<20 {
+		t.Fatalf("after a %d-entry AppendBatch the ledger keeps a %d-byte encode buffer, want ≤ 1 MiB", size, c)
+	}
+	for k := range batch {
+		batch[k].Origin, batch[k].OriginSeq = "node-b", uint64(k+1)
+	}
+	if fresh, err := l.AppendReplicated(nil, batch); err != nil || len(fresh) != size {
+		t.Fatalf("AppendReplicated applied %d of %d entries: %v", len(fresh), size, err)
+	}
+	if c := cap(l.enc); c > 1<<20 {
+		t.Fatalf("after a %d-entry AppendReplicated the ledger keeps a %d-byte encode buffer, want ≤ 1 MiB", size, c)
+	}
+}

@@ -108,6 +108,13 @@ func SlotOf(subject, shards int) int {
 	return subject / shards
 }
 
+// maxEncCap bounds the WAL encode buffer a ledger keeps between appends.
+// It lies above any HTTP batch (4,096 entries at about 90 B each) and any
+// replication batch, so those keep reusing the buffer; a larger append, such
+// as a bootstrap install, drops it once written instead of holding its
+// capacity for the ledger's lifetime.
+const maxEncCap = 1 << 20
+
 // Ledger is the append-only feedback log. Appends are cheap and concurrent
 // (one short mutex hold, no epoch work on the ingest path); the epoch
 // scheduler drains the pending window with TakePending. With a backing file
@@ -360,7 +367,11 @@ func (l *Ledger) appendLocked(entries []Feedback, unqueued int) error {
 		for i := range entries {
 			l.enc = append(AppendFeedback(l.enc, &entries[i]), '\n')
 		}
-		if err := l.writeWALLocked(l.enc); err != nil {
+		err := l.writeWALLocked(l.enc)
+		if cap(l.enc) > maxEncCap {
+			l.enc = nil // a bulk append's buffer does not outlive it
+		}
+		if err != nil {
 			return err
 		}
 		l.mWALAppends.Add(uint64(len(entries)))

@@ -328,10 +328,12 @@ func LoadManifestFile(path string) (*Manifest, error) {
 // columns, for the caller to re-point. At another count trust columns with
 // their stamps and the globals move verbatim, so the
 // new layout serves exactly the reputations the old one did. Every new
-// segment takes the minimum Seq over the old ones (entries above it may
-// already be folded into some shards, but refolding is idempotent, so the
-// conservative fold point is always safe) and the maximum Epoch (keeping the
-// service's epoch counter monotone). A reshard re-slots every subject, so the
+// segment takes the minimum Seq over the old segments that contribute
+// subjects to it — their fold points cover every subject it holds, so the
+// fold point is sound; entries above it may already be folded, but
+// refolding is idempotent — and the maximum Epoch over all of them (keeping
+// the service's epoch counter monotone). Regrouping 2 → 4 thus keeps each
+// old shard's fold point exactly. A reshard re-slots every subject, so the
 // service's first fold of each new segment computes its whole shard: correct,
 // just slower.
 func Reshard(segs []*ShardSnapshot, shards int) ([]*ShardSnapshot, error) {
@@ -344,12 +346,11 @@ func Reshard(segs []*ShardSnapshot, shards int) ([]*ShardSnapshot, error) {
 			return nil, fmt.Errorf("store: missing segment %d", sh)
 		}
 		if sh == 0 {
-			tmpl.N, tmpl.Seq = seg.N, seg.Seq
+			tmpl.N = seg.N
 		}
 		if seg.N != tmpl.N || seg.Shards != len(segs) || seg.Shard != sh {
 			return nil, fmt.Errorf("store: segment %d does not fit the layout (shard %d/%d over N=%d)", sh, seg.Shard, seg.Shards, seg.N)
 		}
-		tmpl.Seq = min(tmpl.Seq, seg.Seq)
 		tmpl.Epoch = max(tmpl.Epoch, seg.Epoch)
 		tmpl.Steps = max(tmpl.Steps, seg.Steps)
 		tmpl.CreatedUnixNano = max(tmpl.CreatedUnixNano, seg.CreatedUnixNano)
@@ -371,10 +372,12 @@ func Reshard(segs []*ShardSnapshot, shards int) ([]*ShardSnapshot, error) {
 		subjects := ShardSubjects(tmpl.N, sh, shards)
 		seg := tmpl
 		seg.Shard, seg.Shards = sh, shards
+		seg.Seq = ^uint64(0) // shards ≤ N, so some subject lowers it below
 		seg.Global = make([]float64, len(subjects))
 		var cells []trust.Cell
 		for k, j := range subjects {
 			old, slot := segs[ShardOf(j, len(segs))], SlotOf(j, len(segs))
+			seg.Seq = min(seg.Seq, old.Seq)
 			seg.Global[k] = old.Global[slot]
 			_, raters, vals, stamps := old.Cols.ColumnAt(slot)
 			for x, i := range raters {

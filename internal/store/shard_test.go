@@ -67,11 +67,45 @@ func randomSegments(t testing.TB, n, shards int, seed uint64) []*ShardSnapshot {
 }
 
 // TestReshardRoundTrip: Reshard moves every subject's column with its stamps
-// and global value verbatim between any two layouts, stamps the conservative
-// fold point (Seq = min, Epoch = max) on every new segment, and going back to
+// and global value verbatim between any two layouts, stamps each new segment
+// with the minimum Seq of the old segments its subjects come from and the
+// maximum Epoch of all of them, and going back to
 // the original shard count restores the data. At the same count it returns
 // copies that keep their own fold points and share the segments' globals and
 // columns.
+// TestReshardFoldPointPerOldShard: a regrouped segment's fold point is the
+// minimum over the old segments that contribute subjects to it, not over all
+// of them — so 2 → 4 keeps each old shard's fold point exactly, and 4 → 2
+// takes the lower of the two old shards each new one draws from.
+func TestReshardFoldPointPerOldShard(t *testing.T) {
+	const n = 16
+	for _, tc := range []struct {
+		seqs []uint64
+		to   int
+		want []uint64
+	}{
+		{[]uint64{2, 0}, 4, []uint64{2, 0, 2, 0}},
+		{[]uint64{5, 1, 3, 7}, 2, []uint64{3, 1}},
+	} {
+		segs := make([]*ShardSnapshot, len(tc.seqs))
+		for sh, seq := range tc.seqs {
+			segs[sh] = NewBootShardSnapshot(n, sh, len(segs), 0)
+			segs[sh].Seq = seq
+		}
+		out, err := Reshard(segs, tc.to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]uint64, len(out))
+		for sh, seg := range out {
+			got[sh] = seg.Seq
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("fold points %v regrouped %d → %d: %v, want %v", tc.seqs, len(tc.seqs), tc.to, got, tc.want)
+		}
+	}
+}
+
 func TestReshardRoundTrip(t *testing.T) {
 	const n = 23
 	sameData := func(t *testing.T, got, want []*ShardSnapshot) {
@@ -115,10 +149,14 @@ func TestReshardRoundTrip(t *testing.T) {
 					}
 					continue
 				}
-				// randomSegments stamps shard 0 with the lowest Seq and the
-				// last shard with the highest Epoch.
-				if seg.Seq != 123 || seg.Epoch != uint64(5+from-1) {
-					t.Fatalf("%d→%d: segment %d at epoch %d/seq %d, want %d/123", from, to, sh, seg.Epoch, seg.Seq, 5+from-1)
+				// randomSegments stamps old shard k with Seq 123+10k and
+				// the last shard with the highest Epoch.
+				wantSeq := ^uint64(0)
+				for _, j := range ShardSubjects(n, sh, to) {
+					wantSeq = min(wantSeq, segs[ShardOf(j, from)].Seq)
+				}
+				if seg.Seq != wantSeq || seg.Epoch != uint64(5+from-1) {
+					t.Fatalf("%d→%d: segment %d at epoch %d/seq %d, want %d/%d", from, to, sh, seg.Epoch, seg.Seq, 5+from-1, wantSeq)
 				}
 			}
 			sameData(t, out, segs)
