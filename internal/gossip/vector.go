@@ -314,9 +314,7 @@ func (e *VectorEngine) Step() bool {
 		e.nbrs = g.AppendRandomNeighbors(e.nbrs[:0], i, k, e.src)
 		for _, t := range e.nbrs {
 			e.msgs.Gossip += e.perPushUnits
-			// The loss draw comes first in the push, so a run consumes
-			// exactly the stream its seed implies; a lost push gets no ack
-			// and the sender re-absorbs the share.
+			// A lost push gets no ack, so the sender re-absorbs the share.
 			if e.cfg.LossProb > 0 && e.src.Bool(e.cfg.LossProb) {
 				e.msgs.Lost += e.perPushUnits
 				e.incoming[i] = append(e.incoming[i], push{src: i, f: f})

@@ -55,9 +55,10 @@ func ParseTargetKind(s string) (TargetKind, error) {
 	}
 }
 
-// target is the runner's view of the system under test. Engine targets map
-// events onto the gossip churn hooks; the service target maps them onto the
-// feedback ingest stream.
+// target is the runner's view of the system under test. The scalar target
+// maps events onto the engine's churn hooks, the service target onto the
+// feedback ingest stream, and the cluster target onto its replicas and
+// clients.
 type target interface {
 	// Step advances one round; reports whether the protocol is still
 	// running.
@@ -76,7 +77,7 @@ type target interface {
 	// overlay changed.
 	RefreshTopology()
 	// Check verifies the target's invariants (mass conservation for the
-	// engines, snapshot-vs-reference consistency for the service) and
+	// scalar engine, snapshot-vs-reference consistency for the service) and
 	// returns the worst relative error seen plus any violations of tol.
 	Check(tol float64) (worst float64, violations []string)
 	// Reputations is the current per-identity reputation vector.
