@@ -91,8 +91,9 @@ func (e *Engine) Leave(i int) error {
 
 // pickAliveNeighbor returns a uniformly random alive neighbour of i drawn
 // from the engine's stream, or -1 if every neighbour is down. It consumes
-// exactly one draw when at least one alive neighbour exists, scanning from a
-// random starting offset so the choice stays uniform without allocating.
+// exactly one draw when at least one alive neighbour exists: an index among
+// the alive ones, found by a second scan, so the choice stays uniform
+// without allocating.
 func (e *Engine) pickAliveNeighbor(i int) int {
 	nbrs := e.cfg.Graph.Neighbors(i)
 	alive := 0
