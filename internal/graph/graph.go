@@ -16,6 +16,7 @@ import (
 // empty graph; use New to pre-size.
 type Graph struct {
 	adj [][]int
+	m   int // edge count
 }
 
 // New returns a graph with n isolated nodes.
@@ -42,13 +43,7 @@ func FromEdges(n int, edges [][2]int) (*Graph, error) {
 func (g *Graph) N() int { return len(g.adj) }
 
 // M returns the number of edges.
-func (g *Graph) M() int {
-	total := 0
-	for _, nbrs := range g.adj {
-		total += len(nbrs)
-	}
-	return total / 2
-}
+func (g *Graph) M() int { return g.m }
 
 // AddNode appends an isolated node and returns its id.
 func (g *Graph) AddNode() int {
@@ -70,6 +65,7 @@ func (g *Graph) AddEdge(u, v int) error {
 	}
 	g.adj[u] = append(g.adj[u], v)
 	g.adj[v] = append(g.adj[v], u)
+	g.m++
 	return nil
 }
 
@@ -132,6 +128,7 @@ func (g *Graph) Clone() *Graph {
 	for u, nbrs := range g.adj {
 		c.adj[u] = append([]int(nil), nbrs...)
 	}
+	c.m = g.m
 	return c
 }
 

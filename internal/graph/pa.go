@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"diffgossip/internal/rng"
 )
@@ -33,44 +34,66 @@ func PreferentialAttachment(cfg PAConfig) (*Graph, error) {
 		return nil, fmt.Errorf("graph: PA requires n > m, got n=%d m=%d", cfg.N, cfg.M)
 	}
 	src := rng.New(cfg.Seed)
-	g := New(cfg.N)
 
 	// Repeated-endpoint list: node u appears deg(u) times, so sampling a
 	// uniform element of the list samples a node proportionally to degree.
+	// It holds every edge as a pair, in the order the edges are made.
 	endpoints := make([]int, 0, 2*cfg.M*cfg.N)
 
 	// Seed clique on nodes 0..m ensures every early node has degree >= m and
 	// the graph is connected from the start.
 	for u := 0; u <= cfg.M; u++ {
 		for v := u + 1; v <= cfg.M; v++ {
-			if err := g.AddEdge(u, v); err != nil {
-				return nil, err
-			}
 			endpoints = append(endpoints, u, v)
 		}
 	}
 
-	targets := make(map[int]struct{}, cfg.M)
 	ordered := make([]int, 0, cfg.M)
 	for u := cfg.M + 1; u < cfg.N; u++ {
-		clear(targets)
 		ordered = ordered[:0]
-		for len(targets) < cfg.M {
+		for len(ordered) < cfg.M {
 			t := endpoints[src.Intn(len(endpoints))]
-			if _, dup := targets[t]; dup {
+			if slices.Contains(ordered, t) {
 				continue // resample duplicates
 			}
-			targets[t] = struct{}{}
-			ordered = append(ordered, t) // keep draw order: map iteration is not deterministic
+			ordered = append(ordered, t)
 		}
 		for _, t := range ordered {
-			if err := g.AddEdge(u, t); err != nil {
-				return nil, err
-			}
 			endpoints = append(endpoints, u, t)
 		}
 	}
-	return g, nil
+	return fromEdgeList(cfg.N, endpoints), nil
+}
+
+// fromEdgeList builds the graph on n nodes whose edges are the consecutive
+// pairs (pairs[0], pairs[1]), (pairs[2], pairs[3]), …, which must be
+// distinct and free of self loops. It counts degrees, takes their prefix
+// sum and fills one backing array in pair order, so each node's neighbours
+// come in the order AddEdge one pair at a time would give. Every list is a
+// full-capacity view of that array: growing one node's list later copies
+// that list alone.
+func fromEdgeList(n int, pairs []int) *Graph {
+	off := make([]int, n+1)
+	for _, u := range pairs {
+		off[u+1]++
+	}
+	for u := 0; u < n; u++ {
+		off[u+1] += off[u]
+	}
+	flat := make([]int, len(pairs))
+	next := slices.Clone(off[:n])
+	for k := 0; k < len(pairs); k += 2 {
+		u, v := pairs[k], pairs[k+1]
+		flat[next[u]] = v
+		next[u]++
+		flat[next[v]] = u
+		next[v]++
+	}
+	g := &Graph{adj: make([][]int, n), m: len(pairs) / 2}
+	for u := range g.adj {
+		g.adj[u] = flat[off[u]:off[u+1]:off[u+1]]
+	}
+	return g
 }
 
 // AttachPreferential grows g by one node wired with up to m edges whose

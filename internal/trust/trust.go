@@ -14,13 +14,18 @@ package trust
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Matrix is the sparse N×N local trust matrix. Entry (i,j) is the trust node
 // i places in node j from direct interaction only; absent entries mean "never
 // transacted" and are treated as 0 by the aggregation algorithms (the paper's
 // whitewashing-resistant default).
+//
+// Each row is a slice of (j, t_ij) pairs in ascending j. A node rates few
+// peers, so a binary search over its short row finds an entry without any
+// hashing, and the matrix holds 16 B per entry (plus append slack) and one
+// slice header per node.
 //
 // # Concurrency
 //
@@ -37,7 +42,30 @@ import (
 // Clone is a deep copy: mutations on either side are invisible to the other.
 type Matrix struct {
 	n    int
-	rows []map[int]float64
+	rows [][]entry // rows[i] ascending in j
+}
+
+// entry is one stored value t_ij of row i.
+type entry struct {
+	j int
+	v float64
+}
+
+// search returns the position of subject j in row, or where it would be
+// inserted, and whether it is there. It is a hand loop because
+// slices.BinarySearchFunc's comparison callback made filling a
+// 50,000-node matrix about 10 % slower.
+func search(row []entry, j int) (int, bool) {
+	lo, hi := 0, len(row)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if row[h].j < j {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo, lo < len(row) && row[lo].j == j
 }
 
 // NewMatrix returns an empty trust matrix over n nodes.
@@ -45,7 +73,7 @@ func NewMatrix(n int) *Matrix {
 	if n < 0 {
 		panic("trust: negative size")
 	}
-	return &Matrix{n: n, rows: make([]map[int]float64, n)}
+	return &Matrix{n: n, rows: make([][]entry, n)}
 }
 
 // N returns the matrix dimension.
@@ -60,20 +88,23 @@ func (m *Matrix) Set(i, j int, v float64) error {
 	if v < 0 || v > 1 || math.IsNaN(v) {
 		return fmt.Errorf("trust: value %v out of [0,1]", v)
 	}
-	if m.rows[i] == nil {
-		m.rows[i] = make(map[int]float64)
+	row := m.rows[i]
+	k, ok := search(row, j)
+	if ok {
+		row[k].v = v
+		return nil
 	}
-	m.rows[i][j] = v
+	m.rows[i] = slices.Insert(row, k, entry{j, v})
 	return nil
 }
 
 // Get returns t_ij and whether node i has any direct-interaction value for j.
 func (m *Matrix) Get(i, j int) (float64, bool) {
-	if m.rows[i] == nil {
-		return 0, false
+	row := m.rows[i]
+	if k, ok := search(row, j); ok {
+		return row[k].v, true
 	}
-	v, ok := m.rows[i][j]
-	return v, ok
+	return 0, false
 }
 
 // Value returns t_ij, or 0 when i has never transacted with j.
@@ -91,16 +122,16 @@ func (m *Matrix) Has(i, j int) bool {
 // Delete removes the (i,j) entry; used when a peer's feedback is dropped
 // after prolonged absence (paper §4.1.2).
 func (m *Matrix) Delete(i, j int) {
-	if m.rows[i] != nil {
-		delete(m.rows[i], j)
+	if k, ok := search(m.rows[i], j); ok {
+		m.rows[i] = slices.Delete(m.rows[i], k, k+1)
 	}
 }
 
 // Row returns node i's trust entries as a copied map.
 func (m *Matrix) Row(i int) map[int]float64 {
 	out := make(map[int]float64, len(m.rows[i]))
-	for j, v := range m.rows[i] {
-		out[j] = v
+	for _, e := range m.rows[i] {
+		out[e.j] = e.v
 	}
 	return out
 }
@@ -118,12 +149,10 @@ func (m *Matrix) RatersOf(j int) ([]int, []float64) {
 // allocation-free form of RatersOf for the shard fold path, which gathers
 // thousands of columns per epoch into reused buffers.
 func (m *Matrix) RatersOfInto(j int, ids []int, vals []float64) ([]int, []float64) {
-	for i := 0; i < m.n; i++ {
-		if r := m.rows[i]; r != nil {
-			if v, ok := r[j]; ok {
-				ids = append(ids, i)
-				vals = append(vals, v)
-			}
+	for i, row := range m.rows {
+		if k, ok := search(row, j); ok {
+			ids = append(ids, i)
+			vals = append(vals, row[k].v)
 		}
 	}
 	return ids, vals
@@ -134,11 +163,10 @@ func (m *Matrix) RatersOfInto(j int, ids []int, vals []float64) ([]int, []float6
 // interaction (§3, §4.1.2). This is the set whose opinions receive
 // confidence weights > 1 in the GCLR variants.
 func (m *Matrix) InteractedWith(i int) []int {
-	out := make([]int, 0, len(m.rows[i]))
-	for j := range m.rows[i] {
-		out = append(out, j)
+	out := make([]int, len(m.rows[i]))
+	for k, e := range m.rows[i] {
+		out[k] = e.j
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -158,13 +186,7 @@ func (m *Matrix) NumEntries() int {
 func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.n)
 	for i, r := range m.rows {
-		if r == nil {
-			continue
-		}
-		c.rows[i] = make(map[int]float64, len(r))
-		for j, v := range r {
-			c.rows[i][j] = v
-		}
+		c.rows[i] = slices.Clone(r)
 	}
 	return c
 }
@@ -173,15 +195,7 @@ func (m *Matrix) Clone() *Matrix {
 // Algorithm 1's gossip converges to (Σ_i y_ij / Σ_i g_ij with g=1 for
 // raters).
 func (m *Matrix) ColumnRaterMean(j int) float64 {
-	sum, cnt := 0.0, 0
-	for i := 0; i < m.n; i++ {
-		if m.rows[i] != nil {
-			if v, ok := m.rows[i][j]; ok {
-				sum += v
-				cnt++
-			}
-		}
-	}
+	sum, cnt := m.ColumnSum(j)
 	if cnt == 0 {
 		return 0
 	}
@@ -191,12 +205,10 @@ func (m *Matrix) ColumnRaterMean(j int) float64 {
 // ColumnSum returns (Σ_i t_ij, raterCount) for column j.
 func (m *Matrix) ColumnSum(j int) (float64, int) {
 	sum, cnt := 0.0, 0
-	for i := 0; i < m.n; i++ {
-		if m.rows[i] != nil {
-			if v, ok := m.rows[i][j]; ok {
-				sum += v
-				cnt++
-			}
+	for _, row := range m.rows {
+		if k, ok := search(row, j); ok {
+			sum += row[k].v
+			cnt++
 		}
 	}
 	return sum, cnt
