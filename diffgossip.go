@@ -156,7 +156,7 @@ func GlobalReference(t TrustReader, subject int) float64 {
 }
 
 // GCLRReference computes Algorithm 2's exact fixed point at one observer
-// centrally.
+// centrally. The fixed point depends on trust alone; g is not read.
 func GCLRReference(g *Graph, t TrustReader, observer, subject int, p Params) float64 {
-	return core.GCLRRef(g, t, observer, subject, p)
+	return core.GCLRRef(t, observer, subject, p)
 }

@@ -12,22 +12,6 @@ import (
 	"diffgossip/internal/trust"
 )
 
-// ColumnSource is the trust input a subject-subset aggregation folds from:
-// a trust.Matrix (the library's one-shot path) or a frozen per-shard
-// trust.Columns (the sharded service's fold path).
-type ColumnSource interface {
-	// N is the node-id bound.
-	N() int
-	// RatersOfInto appends subject j's raters and their trust values, in
-	// ascending rater order.
-	RatersOfInto(j int, ids []int, vals []float64) ([]int, []float64)
-}
-
-var (
-	_ ColumnSource = (*trust.Matrix)(nil)
-	_ ColumnSource = (*trust.Columns)(nil)
-)
-
 // GlobalSubjects runs the paper's Algorithm 1 for an arbitrary subject
 // subset: one independent push-sum campaign per subject, each drawing from
 // its own randomness stream split off p.Seed by global subject id
@@ -69,7 +53,7 @@ var (
 // queue (scheduleOrder) and reuse one engine per topology via Engine.Reset
 // — indistinguishable from a fresh NewEngine by construction — so the
 // steady-state allocation per subject is just its result column.
-func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*SubjectsResult, error) {
+func GlobalSubjects(g *graph.Graph, t trust.Reader, subjects []int, p Params) (*SubjectsResult, error) {
 	return globalSubjects(g, t, subjects, p, true)
 }
 
@@ -79,13 +63,13 @@ func GlobalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*
 // estimates into a per-worker scratch column; a sparse, single-rater or
 // republished campaign builds no N-wide column at all, so the steady-state
 // allocation per subject is its recorded state (Params.KeepStates) or nothing.
-func GlobalSubjectsAtRoot(g *graph.Graph, t ColumnSource, subjects []int, p Params) (*SubjectsResult, error) {
+func GlobalSubjectsAtRoot(g *graph.Graph, t trust.Reader, subjects []int, p Params) (*SubjectsResult, error) {
 	return globalSubjects(g, t, subjects, p, false)
 }
 
 // globalSubjects is the one campaign loop behind both result shapes; columns
 // selects whether each subject's N-wide column is built besides AtRoot.
-func globalSubjects(g *graph.Graph, t ColumnSource, subjects []int, p Params, columns bool) (*SubjectsResult, error) {
+func globalSubjects(g *graph.Graph, t trust.Reader, subjects []int, p Params, columns bool) (*SubjectsResult, error) {
 	p = p.withDefaults()
 	if err := p.Validate(g); err != nil {
 		return nil, err
@@ -459,9 +443,13 @@ func GCLRAllFromReports(g *graph.Graph, honest, reported *trust.Matrix, p Params
 		Converged:  res.Converged,
 		Messages:   res.Messages,
 	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			out.Reputation[i][j] = combineGCLR(honest, i, j, p, res.Estimates[i][j], res.Counts[i][j])
+	var row, col []int
+	var rowVals, colVals []float64
+	for j := 0; j < n; j++ {
+		col, colVals = honest.RatersOfInto(j, col[:0], colVals[:0])
+		for i := 0; i < n; i++ {
+			row, rowVals = honest.RowInto(i, row[:0], rowVals[:0])
+			out.Reputation[i][j] = combineGCLR(p.Weights, row, rowVals, col, colVals, res.Estimates[i][j], res.Counts[i][j])
 		}
 	}
 	return out, nil

@@ -117,7 +117,7 @@ func TestGCLRSingleMatchesReference(t *testing.T) {
 		t.Fatal("algorithm 2 did not converge")
 	}
 	for i, got := range res.PerNode {
-		want := GCLRRef(g, tm, i, j, p)
+		want := GCLRRef(tm, i, j, p)
 		if math.Abs(got-want) > 5e-3 {
 			t.Fatalf("node %d: Rep = %v, want %v", i, got, want)
 		}
@@ -310,7 +310,7 @@ func TestGCLRAllMatchesReference(t *testing.T) {
 	}
 	for i := 0; i < 40; i++ {
 		for j := 0; j < 40; j++ {
-			ref := GCLRRef(g, tm, i, j, p)
+			ref := GCLRRef(tm, i, j, p)
 			if ref == 0 {
 				continue
 			}

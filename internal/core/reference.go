@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"diffgossip/internal/graph"
 	"diffgossip/internal/trust"
 )
 
@@ -26,11 +25,17 @@ func GlobalRef(t trust.Reader, j int) float64 {
 }
 
 // GCLRRef computes, without gossip, the exact fixed point Algorithm 2
-// converges to at observer node i for subject j (eq. (6) with the rater-count
-// denominator of the algorithm box). The weighted set is every node i has
-// interacted with, matching combineGCLR.
-func GCLRRef(g *graph.Graph, t trust.Reader, i, j int, p Params) float64 {
-	_ = g
+// converges to at observer node i for subject j: eq. (6) with the rater-count
+// denominator N_d of the algorithm box, Calibrate over i's whole trust row
+// started at (Σ_k t_kj, N_d) and divided out (0 when both sums are empty).
+func GCLRRef(t trust.Reader, i, j int, p Params) float64 {
 	p = p.withDefaults()
-	return trust.WeightedColumn(t, i, j, t.InteractedWith(i), p.Weights, true)
+	row, rowVals := t.RowInto(i, nil, nil)
+	col, colVals := t.RatersOfInto(j, nil, nil)
+	sum, raters := t.ColumnSum(j)
+	num, den := p.Weights.Calibrate(row, rowVals, col, colVals, sum, float64(raters))
+	if den == 0 {
+		return 0
+	}
+	return num / den
 }

@@ -63,11 +63,10 @@ func GCLRSingle(g *graph.Graph, t *trust.Matrix, j int, p Params) (*SingleResult
 	g0 := make([]float64, n)
 	c0 := make([]float64, n)
 	g0[p.Root] = 1
-	for i := 0; i < n; i++ {
-		if v, ok := t.Get(i, j); ok {
-			y0[i] = v
-			c0[i] = 1
-		}
+	col, colVals := t.RatersOfInto(j, nil, nil)
+	for x, i := range col {
+		y0[i] = colVals[x]
+		c0[i] = 1
 	}
 	e, err := gossip.NewEngine(p.gossipConfig(g), y0, g0)
 	if err != nil {
@@ -89,8 +88,11 @@ func GCLRSingle(g *graph.Graph, t *trust.Matrix, j int, p Params) (*SingleResult
 		Converged: res.Converged,
 		Messages:  res.Messages,
 	}
+	var row []int
+	var rowVals []float64
 	for i := 0; i < n; i++ {
-		out.PerNode[i] = combineGCLR(t, i, j, p, res.Estimates[i], res.Counts[i])
+		row, rowVals = t.RowInto(i, row[:0], rowVals[:0])
+		out.PerNode[i] = combineGCLR(p.Weights, row, rowVals, col, colVals, res.Estimates[i], res.Counts[i])
 	}
 	return out, nil
 }
@@ -98,17 +100,10 @@ func GCLRSingle(g *graph.Graph, t *trust.Matrix, j int, p Params) (*SingleResult
 // combineGCLR applies eq. (6) at node i: fold the feedback of every node i
 // has interacted with (weighted by confidence minus the baseline weight 1)
 // into the gossiped sum and rater count. The paper defines the neighbour set
-// NS_i by interaction, not overlay adjacency, so the weighted set is the
-// trust row of i; iteration is in sorted order to keep float summation
-// deterministic.
-func combineGCLR(t *trust.Matrix, i, j int, p Params, sumEst, countEst float64) float64 {
-	yhat := 0.0
-	wsum := 0.0
-	for _, k := range t.InteractedWith(i) {
-		w := p.Weights.Weight(t.Value(i, k))
-		yhat += (w - 1) * t.Value(k, j)
-		wsum += w - 1
-	}
+// NS_i by interaction, not overlay adjacency, so the weighted set is i's
+// trust row; the walk starts at (0, 0) and the estimates are added after it.
+func combineGCLR(w trust.WeightParams, row []int, rowVals []float64, col []int, colVals []float64, sumEst, countEst float64) float64 {
+	yhat, wsum := w.Calibrate(row, rowVals, col, colVals, 0, 0)
 	den := wsum + countEst
 	if den <= 0 {
 		return 0

@@ -7,6 +7,7 @@ import (
 
 	"diffgossip/internal/gossip"
 	"diffgossip/internal/graph"
+	"diffgossip/internal/trust"
 )
 
 // warmMinSteps is the convergence floor for warm-started campaigns. A warm
@@ -213,7 +214,7 @@ func captureState(eng *gossip.Engine, sparse bool, ids []int, vals []float64, st
 // dense ones) by an expected step count — a handful of steps when a usable
 // warm state is on record, the log²-shaped budget otherwise. Results are
 // identical for any order; only the wall-clock changes.
-func scheduleOrder(t ColumnSource, subjects []int, p Params, n, sparseMax, workers int) []int {
+func scheduleOrder(t trust.Reader, subjects []int, p Params, n, sparseMax, workers int) []int {
 	order := make([]int, len(subjects))
 	for i := range order {
 		order[i] = i
@@ -221,13 +222,9 @@ func scheduleOrder(t ColumnSource, subjects []int, p Params, n, sparseMax, worke
 	if workers <= 1 || len(subjects) < 2 {
 		return order
 	}
-	cs, ok := t.(interface{ ColumnSum(int) (float64, int) })
-	if !ok {
-		return order
-	}
 	cost := make([]float64, len(subjects))
 	for i, j := range subjects {
-		_, k := cs.ColumnSum(j)
+		_, k := t.ColumnSum(j)
 		if k == 0 {
 			continue
 		}

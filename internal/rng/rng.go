@@ -178,8 +178,8 @@ func (s *Source) Sample(n, k int) []int {
 
 // sampleScanMax is the largest k for which SampleInto's duplicate detection
 // uses a linear scan over the selection so far; beyond it the O(k²) scan
-// loses to a map (callers like collusion placement sample k proportional to
-// N, not a per-node fan-out).
+// loses to a bitset over [0, n) (callers like collusion placement sample k
+// proportional to N, not a per-node fan-out).
 const sampleScanMax = 64
 
 // SampleInto appends k distinct uniform indices from [0, n), in selection
@@ -189,7 +189,7 @@ const sampleScanMax = 64
 // tens for the largest hubs) it allocates nothing when dst has enough
 // capacity, which is what lets the gossip engines resample targets every step
 // without touching the heap: duplicate detection is a linear scan over the
-// entries appended so far. Large k falls back to map-based detection —
+// entries appended so far. Large k marks a bitset of n bits instead —
 // membership checks draw nothing, so the switch cannot perturb the stream.
 func (s *Source) SampleInto(dst []int, n, k int) []int {
 	if k >= n {
@@ -201,13 +201,13 @@ func (s *Source) SampleInto(dst []int, n, k int) []int {
 	// Floyd's algorithm: k distinct values without building [0,n).
 	base := len(dst)
 	if k > sampleScanMax {
-		chosen := make(map[int]struct{}, k)
+		chosen := make([]uint64, (n+63)/64)
 		for j := n - k; j < n; j++ {
 			t := s.Intn(j + 1)
-			if _, dup := chosen[t]; dup {
+			if chosen[t/64]&(1<<(t%64)) != 0 {
 				t = j
 			}
-			chosen[t] = struct{}{}
+			chosen[t/64] |= 1 << (t % 64)
 			dst = append(dst, t)
 		}
 		return dst

@@ -341,6 +341,47 @@ func TestSampleIntoMatchesSample(t *testing.T) {
 	}
 }
 
+// referenceSampleMap is Floyd's algorithm with the duplicate check in a map,
+// the way SampleInto detected duplicates for k > sampleScanMax before it
+// kept a bitset.
+func referenceSampleMap(s *Source, n, k int) []int {
+	chosen := make(map[int]struct{}, k)
+	var out []int
+	for j := n - k; j < n; j++ {
+		t := s.Intn(j + 1)
+		if _, dup := chosen[t]; dup {
+			t = j
+		}
+		chosen[t] = struct{}{}
+		out = append(out, t)
+	}
+	return out
+}
+
+// TestSampleBitsetMatchesMap pins the large-k path to the map-based draw it
+// replaced: the same indices in the same order, and the same next draw.
+func TestSampleBitsetMatchesMap(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		for _, nk := range [][2]int{{1000, 65}, {1000, 999}, {50000, 5000}} {
+			n, k := nk[0], nk[1]
+			a, b := New(seed), New(seed)
+			want := referenceSampleMap(a, n, k)
+			got := b.SampleInto(nil, n, k)
+			if len(got) != len(want) {
+				t.Fatalf("seed %d n=%d k=%d: len %d vs %d", seed, n, k, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d n=%d k=%d: [%d] = %d vs %d", seed, n, k, i, got[i], want[i])
+				}
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Fatalf("seed %d n=%d k=%d: streams diverged after call", seed, n, k)
+			}
+		}
+	}
+}
+
 func TestSampleIntoAppends(t *testing.T) {
 	s := New(5)
 	dst := []int{-1, -2}

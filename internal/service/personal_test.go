@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"diffgossip/internal/core"
+	"diffgossip/internal/graph"
 	"diffgossip/internal/rng"
 	"diffgossip/internal/trust"
 )
@@ -73,12 +74,59 @@ func TestPersonalPinnedDigest(t *testing.T) {
 					t.Fatal(err)
 				}
 				word(got)
-				word(core.GCLRRef(s.cfg.Graph, mirror, o, j, s.cfg.Params))
-				word(core.GCLRRef(s.cfg.Graph, cols, o, j, s.cfg.Params))
+				word(core.GCLRRef(mirror, o, j, s.cfg.Params))
+				word(core.GCLRRef(cols, o, j, s.cfg.Params))
 			}
 		}
 		if got := h.Sum64(); got != epoch.digest {
 			t.Errorf("epoch %d: digest %#x, pinned %#x", e+1, got, epoch.digest)
+		}
+	}
+}
+
+// personalFixture folds one epoch of raters ratings per subject, the raters
+// drawn at random, into an n-node service of the given shard count, and
+// returns the view with a (rater, subject) pair per subject.
+func personalFixture(tb testing.TB, n, raters, shards int) (*Service, *View, [][2]int) {
+	tb.Helper()
+	g, err := graph.PreferentialAttachment(graph.PAConfig{N: n, M: 2, Seed: 7})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := New(Config{Graph: g, Params: core.Params{Epsilon: 1e-4, Seed: 11, Workers: -1}, Shards: shards, FoldWorkers: -1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { s.Close() })
+	src := rng.New(31)
+	pairs := make([][2]int, n)
+	for j := 0; j < n; j++ {
+		for x, i := range src.Sample(n, raters) {
+			if _, err := s.Submit(i, j, src.Float64()); err != nil {
+				tb.Fatal(err)
+			}
+			if x == 0 {
+				pairs[j] = [2]int{i, j}
+			}
+		}
+	}
+	v, ran, err := s.RunEpoch()
+	if err != nil || !ran {
+		tb.Fatalf("epoch = (ran=%v, err=%v)", ran, err)
+	}
+	return s, v, pairs
+}
+
+// BenchmarkPersonal times one personalised read at the http-mixed
+// benchmark's shape: N = 2,000, 48 raters per subject, 20 shards.
+func BenchmarkPersonal(b *testing.B) {
+	s, _, pairs := personalFixture(b, 2000, 48, 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		p := pairs[k%len(pairs)]
+		if _, _, err := s.PersonalReputation(p[0], p[1]); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

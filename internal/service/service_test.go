@@ -192,7 +192,7 @@ func TestEpochMatchesGlobalReference(t *testing.T) {
 				if pv.SubjectEpoch(j) != v.SubjectEpoch(j) {
 					t.Fatal("personal read served a different shard epoch")
 				}
-				if want := core.GCLRRef(s.cfg.Graph, mirror, o, j, s.cfg.Params); got != want {
+				if want := core.GCLRRef(mirror, o, j, s.cfg.Params); got != want {
 					t.Fatalf("epoch %d personal (%d,%d): got %v, mirror reference %v", e+1, o, j, got, want)
 				}
 			}
@@ -239,7 +239,7 @@ func TestLatestFeedbackWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := view.Value(2, 6); got != 0.4 {
+	if got, _ := view.Get(2, 6); got != 0.4 {
 		t.Fatalf("folded value %v, want 0.4 (latest)", got)
 	}
 }

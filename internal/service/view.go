@@ -172,13 +172,20 @@ func (v *View) SubjectSeq(j int) uint64 {
 }
 
 // Personal returns the globally calibrated local (GCLR) view of subject as
-// seen by rater, evaluated over the stitched frozen columns (paper eq. (6)
-// with the rater-count denominator).
+// seen by rater over the stitched frozen columns: core.GCLRRef's eq. (6),
+// with the subject's column read in place from the shard that owns it.
 func (v *View) Personal(rater, subject int, p trust.WeightParams) (float64, error) {
 	if rater < 0 || rater >= v.n || subject < 0 || subject >= v.n {
 		return 0, fmt.Errorf("service: pair (%d,%d) out of range [0,%d)", rater, subject, v.n)
 	}
-	return trust.WeightedColumn(v, rater, subject, v.InteractedWith(rater), p, true), nil
+	cols := v.segs[store.ShardOf(subject, len(v.segs))].Cols
+	row, rowVals := v.RowInto(rater, nil, nil)
+	col, colVals := cols.Column(subject)
+	sum, raters := cols.ColumnSum(subject)
+	if num, den := p.Calibrate(row, rowVals, col, colVals, sum, float64(raters)); den != 0 {
+		return num / den, nil
+	}
+	return 0, nil
 }
 
 // --- trust.Reader over the stitched columns ---
@@ -191,12 +198,6 @@ func (v *View) Get(i, j int) (float64, bool) {
 	return v.segs[store.ShardOf(j, len(v.segs))].Cols.Get(i, j)
 }
 
-// Value returns t_ij, or 0 when absent.
-func (v *View) Value(i, j int) float64 {
-	t, _ := v.Get(i, j)
-	return t
-}
-
 // ColumnSum returns (Σ_i t_ij, raterCount) for column j.
 func (v *View) ColumnSum(j int) (float64, int) {
 	if j < 0 || j >= v.n {
@@ -205,16 +206,39 @@ func (v *View) ColumnSum(j int) (float64, int) {
 	return v.segs[store.ShardOf(j, len(v.segs))].Cols.ColumnSum(j)
 }
 
-// InteractedWith returns the sorted ids of every node rater i holds direct
-// trust about, unioned across the shards' frozen columns.
-func (v *View) InteractedWith(i int) []int {
-	if i < 0 || i >= v.n {
-		return nil
+// RatersOfInto appends subject j's raters and values, ascending, from the
+// frozen column of j's shard.
+func (v *View) RatersOfInto(j int, ids []int, vals []float64) ([]int, []float64) {
+	if j < 0 || j >= v.n {
+		return ids, vals
 	}
-	var out []int
+	return v.segs[store.ShardOf(j, len(v.segs))].Cols.RatersOfInto(j, ids, vals)
+}
+
+// RowInto appends rater i's ratings across all shards, ascending by subject,
+// to ids and vals. The shards' rows are disjoint and ascending, so each is
+// read into spare capacity past the whole row and merged backward into the
+// rows before it, with no sort; the buffers grow once.
+func (v *View) RowInto(i int, ids []int, vals []float64) ([]int, []float64) {
+	l, most := 0, 0
 	for _, seg := range v.segs {
-		out = append(out, seg.Cols.InteractedWith(i)...)
+		r := seg.Cols.RowLen(i)
+		l, most = l+r, max(most, r)
 	}
-	slices.Sort(out)
-	return out
+	base := len(ids)
+	ids, vals = slices.Grow(ids, l+most), slices.Grow(vals, l+most)
+	spare := base + l
+	for _, seg := range v.segs {
+		rIDs, rVals := seg.Cols.RowInto(i, ids[spare:spare], vals[spare:spare])
+		a := len(ids)
+		ids, vals = ids[:a+len(rIDs)], vals[:a+len(rIDs)]
+		for x, y, p := a-1, len(rIDs)-1, len(ids)-1; y >= 0; p-- {
+			if x >= base && ids[x] > rIDs[y] {
+				ids[p], vals[p], x = ids[x], vals[x], x-1
+			} else {
+				ids[p], vals[p], y = rIDs[y], rVals[y], y-1
+			}
+		}
+	}
+	return ids, vals
 }

@@ -6,24 +6,21 @@ import (
 	"slices"
 )
 
-// Reader is the read-only surface the reputation evaluations
-// (WeightedColumn, the GCLR references, the service's query path) need from
-// trust state: values only, never the stamps Columns keep for With. Matrix
-// implements it; so do the frozen per-shard Columns and the composite view
-// the sharded service stitches from them, one evaluation path for both.
+// Reader is the read-only surface the reputation references (GlobalRef,
+// GCLRRef) need from trust state: values only, never the stamps Columns keep
+// for With. Matrix implements it; so do the frozen per-shard Columns and the
+// composite view the sharded service stitches from them.
 type Reader interface {
 	// N is the node-id bound.
 	N() int
-	// Get returns t_ij and whether the entry exists.
-	Get(i, j int) (float64, bool)
-	// Value returns t_ij, or 0 when absent.
-	Value(i, j int) float64
 	// ColumnSum returns (Σ_i t_ij, raterCount) for column j.
 	ColumnSum(j int) (float64, int)
-	// InteractedWith returns the sorted ids node i holds direct trust about.
-	// The slice may be shared with the receiver: the caller must not modify
-	// it.
-	InteractedWith(i int) []int
+	// RatersOfInto appends subject j's raters and values t_ij, ascending by
+	// rater, to ids and vals.
+	RatersOfInto(j int, ids []int, vals []float64) ([]int, []float64)
+	// RowInto appends the subjects node i rated and its values t_ij,
+	// ascending by subject, to ids and vals: the row eq. (6) walks.
+	RowInto(i int, ids []int, vals []float64) ([]int, []float64)
 }
 
 var (
@@ -360,46 +357,59 @@ func (c *Columns) Get(i, j int) (float64, bool) {
 	return c.vals[s][k], true
 }
 
-// Value returns t_ij, or 0 when absent or uncovered.
-func (c *Columns) Value(i, j int) float64 {
-	v, _ := c.Get(i, j)
-	return v
+// Column returns subject j's ascending raters and their values, shared with
+// c: the caller must not modify them.
+func (c *Columns) Column(j int) ([]int, []float64) {
+	s, ok := c.slot(j)
+	if !ok {
+		return nil, nil
+	}
+	return c.raters[s], c.vals[s]
 }
 
 // ColumnSum returns (Σ_i t_ij, raterCount) for column j (zeros when
 // uncovered).
 func (c *Columns) ColumnSum(j int) (float64, int) {
-	s, ok := c.slot(j)
-	if !ok {
-		return 0, 0
-	}
+	_, vals := c.Column(j)
 	sum := 0.0
-	for _, v := range c.vals[s] {
+	for _, v := range vals {
 		sum += v
 	}
-	return sum, len(c.raters[s])
-}
-
-// InteractedWith returns the ascending subjects (within this column set)
-// node i holds direct trust about. The slice is shared with c: the caller
-// must not modify it.
-func (c *Columns) InteractedWith(i int) []int {
-	if i < 0 || i >= c.n {
-		return nil
-	}
-	lo, hi := c.rowStart[i], c.rowStart[i+1]
-	return c.rowSubj[lo:hi:hi]
+	return sum, len(vals)
 }
 
 // RatersOfInto appends subject j's raters and values (ascending) to the
 // given slices — the frozen counterpart of Matrix.RatersOfInto, so either
 // can seed a gossip fold. Uncovered subjects append nothing.
 func (c *Columns) RatersOfInto(j int, ids []int, vals []float64) ([]int, []float64) {
-	s, ok := c.slot(j)
-	if !ok {
+	raters, v := c.Column(j)
+	return append(ids, raters...), append(vals, v...)
+}
+
+// RowLen returns how many subjects of the set node i rated.
+func (c *Columns) RowLen(i int) int {
+	if i < 0 || i >= c.n {
+		return 0
+	}
+	return c.rowStart[i+1] - c.rowStart[i]
+}
+
+// RowInto appends node i's ratings of the set's subjects, ascending, to ids
+// and vals. The row index names the subjects and each value is read from
+// its column, so a row index a re-rating With shared still finds this set's
+// values. Out-of-range i appends nothing.
+func (c *Columns) RowInto(i int, ids []int, vals []float64) ([]int, []float64) {
+	if i < 0 || i >= c.n {
 		return ids, vals
 	}
-	return append(ids, c.raters[s]...), append(vals, c.vals[s]...)
+	s := 0 // the row ascends, so each subject's slot lies at or past the last
+	for _, j := range c.rowSubj[c.rowStart[i]:c.rowStart[i+1]] {
+		d, _ := slices.BinarySearch(c.subjects[s:], j)
+		s += d
+		x, _ := slices.BinarySearch(c.raters[s], i)
+		ids, vals = append(ids, j), append(vals, c.vals[s][x])
+	}
+	return ids, vals
 }
 
 // NumEntries returns the number of stored (rater, subject) pairs.

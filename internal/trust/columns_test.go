@@ -75,15 +75,10 @@ func TestColumnsReaderMatchesMatrix(t *testing.T) {
 				t.Fatalf("entry (%d,%d): columns (%v,%v) != matrix (%v,%v)", i, j, b, bok, a, aok)
 			}
 		}
-		// Row restricted to the covered subjects, ascending.
-		var want []int
-		for _, j := range m.InteractedWith(i) {
-			if covered[j] {
-				want = append(want, j)
-			}
-		}
-		if got := c.InteractedWith(i); !slices.Equal(got, want) {
-			t.Fatalf("row %d: covered interactions %v, want %v", i, got, want)
+		// Row restricted to the covered subjects, ascending, with its values.
+		want, wantVals := coveredRow(m, i, covered)
+		if got, vals := c.RowInto(i, nil, nil); !slices.Equal(got, want) || !slices.Equal(vals, wantVals) {
+			t.Fatalf("row %d: covered ratings %v %v, want %v %v", i, got, vals, want, wantVals)
 		}
 	}
 	for _, j := range subjects {
@@ -103,16 +98,29 @@ func TestColumnsReaderMatchesMatrix(t *testing.T) {
 	if slices.Contains(c.Subjects(), 2) || !slices.Contains(c.Subjects(), 21) {
 		t.Fatal("subject set wrong")
 	}
-	// WeightedColumn over the Reader interface agrees for covered columns.
+	// Eq. (6) over the column set equals eq. (6) over the matrix with the
+	// observer's row restricted to the covered subjects.
 	for _, o := range []int{0, 13, 39} {
 		for _, j := range subjects {
-			a := WeightedColumn(m, o, j, c.InteractedWith(o), DefaultWeightParams, true)
-			b := WeightedColumn(c, o, j, c.InteractedWith(o), DefaultWeightParams, true)
-			if a != b {
-				t.Fatalf("WeightedColumn(%d,%d): %v != %v", o, j, b, a)
+			row, rowVals := coveredRow(m, o, covered)
+			col, colVals := m.RatersOfInto(j, nil, nil)
+			a := eq6(row, rowVals, col, colVals)
+			if b := personal(c, o, j); a != b {
+				t.Fatalf("personal(%d,%d): columns %v != matrix %v", o, j, b, a)
 			}
 		}
 	}
+}
+
+// coveredRow returns node i's row of m restricted to the covered subjects.
+func coveredRow(m *Matrix, i int, covered map[int]bool) (ids []int, vals []float64) {
+	row, rowVals := m.RowInto(i, nil, nil)
+	for x, j := range row {
+		if covered[j] {
+			ids, vals = append(ids, j), append(vals, rowVals[x])
+		}
+	}
+	return ids, vals
 }
 
 // TestColumnsSaveLoadRoundTrip pins the wire section: what AppendBinary
@@ -242,8 +250,9 @@ func checkColumnsEqual(t testing.TB, got, want *Columns) {
 				t.Fatalf("entry (%d,%d): (%v,%v), want (%v,%v)", i, j, a, aok, b, bok)
 			}
 		}
-		if gw, ww := got.InteractedWith(i), want.InteractedWith(i); !slices.Equal(gw, ww) {
-			t.Fatalf("row %d: interactions %v, want %v", i, gw, ww)
+		gw, gv := got.RowInto(i, nil, nil)
+		if ww, wv := want.RowInto(i, nil, nil); !slices.Equal(gw, ww) || !slices.Equal(gv, wv) {
+			t.Fatalf("row %d: ratings %v %v, want %v %v", i, gw, gv, ww, wv)
 		}
 	}
 	if !hasStamp(got) && !bytes.Equal(got.AppendBinary(nil), want.AppendBinary(nil)) {
@@ -507,8 +516,9 @@ func TestColumnsWithRerateSharesRows(t *testing.T) {
 	if &grown.rowSubj[0] == &c.rowSubj[0] || &grown.raters[0][0] == &c.raters[0][0] {
 		t.Fatal("a call adding a pair shared the receiver's row index or rater backing")
 	}
-	if !slices.Contains(grown.InteractedWith(fresh), subjects[1]) {
-		t.Fatalf("row %d lacks the new pair's subject %d", fresh, subjects[1])
+	ids, vals := grown.RowInto(fresh, nil, nil)
+	if x := slices.Index(ids, subjects[1]); x < 0 || vals[x] != 0.5 {
+		t.Fatalf("row %d = %v %v, want the new pair's subject %d at 0.5", fresh, ids, vals, subjects[1])
 	}
 }
 
@@ -631,14 +641,18 @@ func FuzzColumnsLoad(f *testing.F) {
 				prev = i
 			}
 		}
-		// The row index holds exactly the column cells, each readable.
+		// The row index holds exactly the column cells, ascending, each
+		// with its column's value.
 		cells := 0
 		for i := 0; i < got.N(); i++ {
-			row := got.InteractedWith(i)
+			row, vals := got.RowInto(i, nil, nil)
 			cells += len(row)
-			for _, j := range row {
-				if _, ok := got.Get(i, j); !ok {
-					t.Fatalf("row %d lists subject %d but Get(%d,%d) has no entry", i, j, i, j)
+			if got.RowLen(i) != len(row) || !slices.IsSorted(row) {
+				t.Fatalf("row %d = %v, RowLen %d", i, row, got.RowLen(i))
+			}
+			for x, j := range row {
+				if v, ok := got.Get(i, j); !ok || v != vals[x] {
+					t.Fatalf("row %d lists subject %d at %v but Get(%d,%d) = %v,%v", i, j, vals[x], i, j, v, ok)
 				}
 			}
 		}

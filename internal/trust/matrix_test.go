@@ -11,7 +11,7 @@ import (
 // FuzzMatrixOps runs a byte program against a Matrix and a map model of it.
 // Every four bytes are one operation (op, i, j, value) on an 8-node matrix:
 // Set, Delete, Get, Row, RatersOfInto, InteractedWith, ColumnSum (with
-// ColumnRaterMean) or Clone.
+// ColumnRaterMean), Clone or RowInto.
 // A Clone continues the program on the copy after writing to the original,
 // so a copy that shares a row with its source fails a later read. At the end
 // every cell and NumEntries must match the model.
@@ -23,8 +23,8 @@ func FuzzMatrixOps(f *testing.F) {
 		full = append(full, 0, 3, byte(j), byte(40*j))
 		desc = append(desc, 0, 5, byte(n-1-j), byte(200-j))
 	}
-	full = append(full, 3, 3, 0, 0, 5, 3, 0, 0, 4, 0, 6, 0, 6, 0, 2, 0, 7, 3, 4, 9, 1, 3, 4, 0, 3, 3, 0, 0)
-	desc = append(desc, 5, 5, 0, 0, 1, 5, 7, 0, 1, 5, 0, 0, 2, 5, 3, 0, 5, 5, 0, 0, 7, 5, 3, 1, 6, 0, 3, 0)
+	full = append(full, 3, 3, 0, 0, 5, 3, 0, 0, 4, 0, 6, 0, 6, 0, 2, 0, 7, 3, 4, 9, 1, 3, 4, 0, 3, 3, 0, 0, 8, 3, 0, 0)
+	desc = append(desc, 5, 5, 0, 0, 1, 5, 7, 0, 1, 5, 0, 0, 2, 5, 3, 0, 5, 5, 0, 0, 7, 5, 3, 1, 6, 0, 3, 0, 8, 5, 0, 0)
 	f.Add(full)
 	f.Add(desc)
 
@@ -41,7 +41,7 @@ func FuzzMatrixOps(f *testing.F) {
 			return ids, vals
 		}
 		for ; len(prog) >= 4; prog = prog[4:] {
-			op, i, j, v := prog[0]%8, int(prog[1])%n, int(prog[2])%n, float64(prog[3])/255
+			op, i, j, v := prog[0]%9, int(prog[1])%n, int(prog[2])%n, float64(prog[3])/255
 			switch op {
 			case 0:
 				if err := m.Set(i, j, v); err != nil {
@@ -104,6 +104,18 @@ func FuzzMatrixOps(f *testing.F) {
 				}
 				m.Delete(j, i)
 				m = c
+			case 8:
+				var wantIDs []int
+				var wantVals []float64
+				for k := 0; k < n; k++ {
+					if x, ok := model[[2]int{i, k}]; ok {
+						wantIDs, wantVals = append(wantIDs, k), append(wantVals, x)
+					}
+				}
+				ids, vals := m.RowInto(i, []int{-1}, []float64{-1})
+				if !slices.Equal(ids, append([]int{-1}, wantIDs...)) || !slices.Equal(vals, append([]float64{-1}, wantVals...)) {
+					t.Fatalf("RowInto(%d) = %v %v, want %v %v after the prefix", i, ids, vals, wantIDs, wantVals)
+				}
 			}
 		}
 		if got := m.NumEntries(); got != len(model) {

@@ -158,6 +158,15 @@ func (m *Matrix) RatersOfInto(j int, ids []int, vals []float64) ([]int, []float6
 	return ids, vals
 }
 
+// RowInto appends node i's trust row to ids and vals, (j, t_ij) in ascending
+// j: the row counterpart of RatersOfInto, which eq. (6) walks at observer i.
+func (m *Matrix) RowInto(i int, ids []int, vals []float64) ([]int, []float64) {
+	for _, e := range m.rows[i] {
+		ids, vals = append(ids, e.j), append(vals, e.v)
+	}
+	return ids, vals
+}
+
 // InteractedWith returns the sorted ids of every node i holds direct trust
 // about — the paper's neighbour set NS_i, since neighbourhood is defined by
 // interaction (§3, §4.1.2). This is the set whose opinions receive

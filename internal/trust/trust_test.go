@@ -169,6 +169,7 @@ func TestCloneConcurrentReaders(t *testing.T) {
 				frozen.Value(i, j)
 				frozen.ColumnRaterMean(j)
 				frozen.InteractedWith(i)
+				frozen.RowInto(i, nil, nil)
 				frozen.RatersOf(j)
 			}
 		}()
@@ -230,37 +231,26 @@ func TestWeightMonotoneAndAtLeastOne(t *testing.T) {
 	}
 }
 
-func TestWeightsMapDefaultsToOne(t *testing.T) {
-	m := NewMatrix(5)
-	_ = m.Set(0, 2, 1.0)
-	ws := Weights(m, 0, []int{1, 2, 3}, DefaultWeightParams)
-	if ws[1] != 1 || ws[3] != 1 {
-		t.Fatalf("non-interacted weights = %v", ws)
-	}
-	if math.Abs(ws[2]-10) > 1e-12 {
-		t.Fatalf("weight for trusted neighbour = %v, want 10", ws[2])
-	}
+// personal is eq. (6) at observer o for subject j over the whole of m, the
+// way core.GCLRRef evaluates it.
+func personal(m Reader, o, j int) float64 {
+	row, rowVals := m.RowInto(o, nil, nil)
+	col, colVals := m.RatersOfInto(j, nil, nil)
+	return eq6(row, rowVals, col, colVals)
 }
 
-func TestWeightedColumnDegeneratesToGlobal(t *testing.T) {
-	// With all weights 1 (no direct trust at the observer), eq. (5)
-	// degenerates to eq. (1): the plain column mean.
-	m := NewMatrix(10)
-	src := rng.New(4)
-	for i := 0; i < 10; i++ {
-		if i == 3 {
-			continue // observer has no outgoing trust
-		}
-		_ = m.Set(i, 7, src.Float64())
+// eq6 is eq. (6) with the rater-count denominator over an observer's row
+// and a subject's column.
+func eq6(row []int, rowVals []float64, col []int, colVals []float64) float64 {
+	sum := 0.0
+	for _, v := range colVals {
+		sum += v
 	}
-	got := WeightedColumn(m, 3, 7, []int{0, 1, 2}, DefaultWeightParams, false)
-	want := 0.0 // eq. (1): the mean of column 7 over all 10 nodes
-	for i := 0; i < 10; i++ {
-		want += m.Value(i, 7) / 10
+	num, den := DefaultWeightParams.Calibrate(row, rowVals, col, colVals, sum, float64(len(col)))
+	if den == 0 {
+		return 0
 	}
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("WeightedColumn = %v, column mean = %v", got, want)
-	}
+	return num / den
 }
 
 func TestWeightedColumnBoostsTrustedOpinion(t *testing.T) {
@@ -273,7 +263,7 @@ func TestWeightedColumnBoostsTrustedOpinion(t *testing.T) {
 	for i := 3; i < 6; i++ {
 		_ = m.Set(i, 2, 0.1)
 	}
-	weighted := WeightedColumn(m, 0, 2, []int{1}, DefaultWeightParams, true)
+	weighted := personal(m, 0, 2)
 	sum, cnt := m.ColumnSum(2)
 	unweighted := sum / float64(cnt)
 	if weighted <= unweighted {
@@ -282,12 +272,22 @@ func TestWeightedColumnBoostsTrustedOpinion(t *testing.T) {
 	if weighted < 0 || weighted > 1 {
 		t.Fatalf("weighted reputation %v out of [0,1]", weighted)
 	}
+	// Exactly eq. (6): (9·1 + 1.3) / (9 + 4).
+	if want := (9*1.0 + (1.0 + 0.1 + 0.1 + 0.1)) / (9 + 4); math.Abs(weighted-want) > 1e-12 {
+		t.Fatalf("weighted %v, eq. (6) gives %v", weighted, want)
+	}
 }
 
 func TestWeightedColumnEmpty(t *testing.T) {
 	m := NewMatrix(4)
-	if got := WeightedColumn(m, 0, 1, []int{2, 3}, DefaultWeightParams, true); got != 0 {
-		t.Fatalf("empty-matrix weighted column = %v", got)
+	if got := personal(m, 0, 1); got != 0 {
+		t.Fatalf("empty-matrix personal reputation = %v", got)
+	}
+	// An observer whose neighbours never rated j: the neighbours still
+	// weigh in the denominator, and with no raters the value is 0.
+	_ = m.Set(0, 2, 1)
+	if got := personal(m, 0, 1); got != 0 {
+		t.Fatalf("unrated subject's personal reputation = %v", got)
 	}
 }
 
@@ -303,14 +303,46 @@ func TestWeightedColumnStaysInUnitInterval(t *testing.T) {
 				}
 			}
 		}
-		o := src.Intn(n)
-		j := src.Intn(n)
-		nbrs := src.Sample(n, 3)
-		v := WeightedColumn(m, o, j, nbrs, DefaultWeightParams, true)
+		v := personal(m, src.Intn(n), src.Intn(n))
 		return v >= 0 && v <= 1+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCalibrateSkipsUnratedNeighbours pins the merge join against the
+// per-neighbour form it replaces: every neighbour adds w − 1 to den, and
+// (w − 1)·t_kj to num only where it rated j, over rows and columns that
+// interleave, start and end on either side.
+func TestCalibrateSkipsUnratedNeighbours(t *testing.T) {
+	p := DefaultWeightParams
+	src := rng.New(12)
+	for trial := 0; trial < 500; trial++ {
+		n := 2 + src.Intn(40)
+		m := NewMatrix(n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if src.Bool(0.3) {
+					_ = m.Set(i, j, src.Float64())
+				}
+			}
+		}
+		o, j := src.Intn(n), src.Intn(n)
+		num0, den0 := src.Float64(), float64(src.Intn(5))
+		wantNum, wantDen := num0, den0
+		for k := 0; k < n; k++ {
+			if t, ok := m.Get(o, k); ok {
+				w := p.Weight(t)
+				wantNum += (w - 1) * m.Value(k, j)
+				wantDen += w - 1
+			}
+		}
+		row, rowVals := m.RowInto(o, nil, nil)
+		col, colVals := m.RatersOfInto(j, nil, nil)
+		if num, den := p.Calibrate(row, rowVals, col, colVals, num0, den0); num != wantNum || den != wantDen {
+			t.Fatalf("trial %d: Calibrate = (%v, %v), want (%v, %v)", trial, num, den, wantNum, wantDen)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package trust
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // WeightParams holds the per-node parameters of the paper's confidence
@@ -39,50 +40,20 @@ func (p WeightParams) Weight(t float64) float64 {
 	return math.Pow(p.A, p.B*t)
 }
 
-// Weights computes node i's confidence weight for every neighbour in nbrs
-// given the local trust matrix. Nodes i has never transacted with get weight
-// exactly 1, as eq. (6) requires.
-func Weights(m *Matrix, i int, nbrs []int, p WeightParams) map[int]float64 {
-	out := make(map[int]float64, len(nbrs))
-	for _, v := range nbrs {
-		if t, ok := m.Get(i, v); ok {
-			out[v] = p.Weight(t)
-		} else {
-			out[v] = 1
+// Calibrate is the one evaluation of eq. (6)'s weighted sums. It walks an
+// observer's trust row (k, t_ok) in ascending k, merge-joins subject j's
+// ascending raters, and folds each neighbour into (num, den) from the pair
+// the caller starts it at: w − 1 = a^(b·t_ok) − 1 into den always, and
+// (w − 1)·t_kj into num when k rated j. The row fixes the summation order.
+func (p WeightParams) Calibrate(row []int, rowVals []float64, col []int, colVals []float64, num, den float64) (float64, float64) {
+	x := 0 // col[:x] holds the raters below the current neighbour
+	for r, k := range row {
+		w := p.Weight(rowVals[r]) - 1
+		d, rated := slices.BinarySearch(col[x:], k)
+		if x += d; rated {
+			num += w * colVals[x]
 		}
+		den += w
 	}
-	return out
-}
-
-// WeightedColumn evaluates the paper's eq. (4)/(6) reference value directly
-// (centralised, no gossip): the globally calibrated local reputation of node
-// j as seen by node o, over the full matrix. The gossip algorithms must
-// converge to this; tests and the collusion experiments compare against it.
-//
-//	Rep_{o,j} = ( Σ_{i∈NS_o} (w_oi − 1)·t_ij + Σ_i t_ij )
-//	          / ( Σ_{i∈NS_o} (w_oi − 1) + N_d )
-//
-// where N_d is the number of raters of j when raterDenominator is true
-// (matching Algorithm 2's count gossip) or the full N otherwise (matching
-// the eq. (6) derivation). The two coincide when every node has rated j.
-func WeightedColumn(m Reader, o, j int, nbrs []int, p WeightParams, raterDenominator bool) float64 {
-	sumT, raters := m.ColumnSum(j)
-	num := sumT
-	den := float64(raters)
-	if !raterDenominator {
-		den = float64(m.N())
-	}
-	for _, i := range nbrs {
-		t, ok := m.Get(o, i)
-		if !ok {
-			continue // weight 1 contributes nothing beyond the Σ t_ij term
-		}
-		w := p.Weight(t)
-		num += (w - 1) * m.Value(i, j)
-		den += w - 1
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
+	return num, den
 }
