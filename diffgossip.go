@@ -146,8 +146,8 @@ func AggregateGlobalSubjects(g *Graph, t *TrustMatrix, subjects []int, p Params)
 	return core.GlobalSubjects(g, t, subjects, p)
 }
 
-// TrustReader is the read-only trust surface the reference evaluations
-// accept: a TrustMatrix, a frozen shard column set, or a service View.
+// TrustReader is what the reference evaluations read — a subject's column and
+// a node's row: a TrustMatrix, a frozen shard column set, or a service View.
 type TrustReader = trust.Reader
 
 // GlobalReference computes Algorithm 1's exact fixed point centrally.

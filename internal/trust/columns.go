@@ -402,12 +402,9 @@ func (c *Columns) RowInto(i int, ids []int, vals []float64) ([]int, []float64) {
 	if i < 0 || i >= c.n {
 		return ids, vals
 	}
-	s := 0 // the row ascends, so each subject's slot lies at or past the last
 	for _, j := range c.rowSubj[c.rowStart[i]:c.rowStart[i+1]] {
-		d, _ := slices.BinarySearch(c.subjects[s:], j)
-		s += d
-		x, _ := slices.BinarySearch(c.raters[s], i)
-		ids, vals = append(ids, j), append(vals, c.vals[s][x])
+		v, _ := c.Get(i, j)
+		ids, vals = append(ids, j), append(vals, v)
 	}
 	return ids, vals
 }
