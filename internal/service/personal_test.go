@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 
 	"diffgossip/internal/core"
@@ -19,9 +20,10 @@ import (
 // publication's rater lists and row index), every PersonalReputation(o, j),
 // GCLRRef over an independent mirror Matrix and GCLRRef over one shard's
 // frozen Columns must hash to constants captured before the three eq. (6)
-// evaluations became one kernel. The agreement tests compare two evaluations
-// of the same code, so only a pinned constant catches a change in the
-// summation order.
+// evaluations became one kernel, and every row the view merges across its
+// shards must equal the mirror's. The agreement tests compare two
+// evaluations of the same code, so only a pinned constant catches a change
+// in the summation order.
 func TestPersonalPinnedDigest(t *testing.T) {
 	const n, shards = 70, 7
 	s := newTestService(t, n, Config{Shards: shards})
@@ -68,6 +70,13 @@ func TestPersonalPinnedDigest(t *testing.T) {
 		}
 		cols := v.Shard(3).Cols
 		for o := 0; o < n; o++ {
+			// The row merged across shards, after a caller's prefix, is the
+			// mirror's row.
+			ids, vals := v.RowInto(o, []int{-1}, []float64{-1})
+			wantIDs, wantVals := mirror.RowInto(o, []int{-1}, []float64{-1})
+			if !slices.Equal(ids, wantIDs) || !slices.Equal(vals, wantVals) {
+				t.Fatalf("epoch %d: row %d = %v %v, mirror %v %v", e+1, o, ids, vals, wantIDs, wantVals)
+			}
 			for j := 0; j < n; j++ {
 				got, _, err := s.PersonalReputation(o, j)
 				if err != nil {
