@@ -65,7 +65,6 @@ func TestDefaultConfigs(t *testing.T) {
 		EpochInterval: 2 * time.Second,
 		Shards:        1,
 		FoldWorkers:   1,
-		CompactEvery:  256,
 	}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("service.Config\n got %+v\nwant %+v", got, want)
 	}

@@ -95,7 +95,6 @@ func main() {
 const (
 	gossipWorkers = -1   // per-shard gossip workers: GOMAXPROCS
 	foldWorkers   = 1    // dirty shards folding concurrently per epoch
-	compactEvery  = 256  // persisted epochs between WAL compactions
 	bootstrapLag  = 8192 // entries behind the cluster before a snapshot bootstrap is requested
 
 	// The http.Server deadlines bound how long any one connection can hold
@@ -189,7 +188,6 @@ func (c runConfig) serviceConfig(g *graph.Graph, origin string) service.Config {
 		FoldWorkers:   foldWorkers,
 		Replicate:     c.clusterListen != "",
 		Origin:        origin,
-		CompactEvery:  compactEvery,
 	}
 }
 

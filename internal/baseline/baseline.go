@@ -83,14 +83,15 @@ func EigenTrust(m *trust.Matrix, cfg EigenTrustConfig) (*EigenTrustResult, error
 		}
 	}
 
-	// Row-normalised local trust: c_ij = t_ij / Σ_j t_ij. Rows with no
-	// outgoing trust fall back to the pre-trust distribution, as the
-	// EigenTrust paper prescribes.
-	rows := make([]map[int]float64, n)
+	// Row-normalised local trust: c_ij = t_ij / Σ_j t_ij, summed in ascending
+	// j so every run gives the same bits. Rows with no outgoing trust fall
+	// back to the pre-trust distribution, as the EigenTrust paper prescribes.
+	rowIDs := make([][]int, n)
+	rowVals := make([][]float64, n)
 	rowSum := make([]float64, n)
 	for i := 0; i < n; i++ {
-		rows[i] = m.Row(i)
-		for _, v := range rows[i] {
+		rowIDs[i], rowVals[i] = m.RowInto(i, nil, nil)
+		for _, v := range rowVals[i] {
 			rowSum[i] += v
 		}
 	}
@@ -110,8 +111,8 @@ func EigenTrust(m *trust.Matrix, cfg EigenTrustConfig) (*EigenTrustResult, error
 				}
 				continue
 			}
-			for j, v := range rows[i] {
-				next[j] += t[i] * v / rowSum[i]
+			for k, j := range rowIDs[i] {
+				next[j] += t[i] * rowVals[i][k] / rowSum[i]
 			}
 		}
 		delta := 0.0

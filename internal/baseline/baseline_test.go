@@ -37,6 +37,32 @@ func TestEigenTrustValidation(t *testing.T) {
 	}
 }
 
+// TestEigenTrustDeterministic runs EigenTrust 20 times on one matrix and
+// requires bit-identical output: each row's normaliser is summed in one
+// fixed order, not in a map's.
+func TestEigenTrustDeterministic(t *testing.T) {
+	m := uniformTrust(t, 60, 3, 0.3)
+	cfg := EigenTrustConfig{Alpha: 0.1}
+	first, err := EigenTrust(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run < 20; run++ {
+		res, err := EigenTrust(m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Iterations != first.Iterations {
+			t.Fatalf("run %d took %d iterations, the first %d", run, res.Iterations, first.Iterations)
+		}
+		for j, v := range res.Reputation {
+			if math.Float64bits(v) != math.Float64bits(first.Reputation[j]) {
+				t.Fatalf("run %d: peer %d reputation %v, the first run's %v", run, j, v, first.Reputation[j])
+			}
+		}
+	}
+}
+
 func TestEigenTrustSumsToOne(t *testing.T) {
 	m := uniformTrust(t, 50, 1, 0.3)
 	res, err := EigenTrust(m, EigenTrustConfig{Alpha: 0.15})

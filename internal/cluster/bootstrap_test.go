@@ -53,8 +53,14 @@ func TestClusterSnapshotBootstrap(t *testing.T) {
 
 	// Established traffic with heavy supersession, folded over several
 	// epochs, then compacted to its live subset: the transfer ships live
-	// state, not history.
+	// state, not history. 600 write-once ratings keep the dead entries
+	// below the live ones, so the epochs leave the compaction to CompactWAL.
 	vals := rng.New(3)
+	for k := 0; k < 600; k++ {
+		if _, err := svcA.Submit(16+k%32, 16+k/32, 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for k := 0; k < 600; k++ {
 		if _, err := svcA.Submit(k%16, (k+1)%16, vals.Float64()); err != nil {
 			t.Fatal(err)
@@ -178,7 +184,15 @@ func TestClusterCompactionTrimsHistory(t *testing.T) {
 		}
 	}
 
-	// 50 ratings over 4 cells, replicated to node-1 and folded on both.
+	// 50 ratings over 4 cells, replicated to node-1 and folded on both. As
+	// many write-once ratings keep the dead entries below the live ones, so
+	// the epochs leave the compaction to CompactWAL.
+	const ballast = 50
+	for k := 0; k < ballast; k++ {
+		if _, err := svcs[0].Submit(4+k%28, 4+k/28, 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for k := 0; k < 50; k++ {
 		if _, err := svcs[0].Submit(k%4, (k+1)%4, float64(k)/50); err != nil {
 			t.Fatal(err)
@@ -191,14 +205,14 @@ func TestClusterCompactionTrimsHistory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.EntriesBefore != 50 || st.EntriesAfter != 4 {
-			t.Fatalf("%s compacted %d entries to %d, want 50 to 4", svc.Origin(), st.EntriesBefore, st.EntriesAfter)
+		if st.EntriesBefore != ballast+50 || st.EntriesAfter != ballast+4 {
+			t.Fatalf("%s compacted %d entries to %d, want %d to %d", svc.Origin(), st.EntriesBefore, st.EntriesAfter, ballast+50, ballast+4)
 		}
 		if got := len(svc.ReplicationEntriesSince("node-0", 0, 0)); got != st.EntriesAfter {
 			t.Fatalf("%s retains %d node-0 history entries, want the WAL's %d", svc.Origin(), got, st.EntriesAfter)
 		}
-		if got := svc.ReplicationMark("node-0"); got != 50 {
-			t.Fatalf("%s node-0 mark %d after compaction, want 50", svc.Origin(), got)
+		if got := svc.ReplicationMark("node-0"); got != ballast+50 {
+			t.Fatalf("%s node-0 mark %d after compaction, want %d", svc.Origin(), got, ballast+50)
 		}
 	}
 
@@ -208,8 +222,8 @@ func TestClusterCompactionTrimsHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	converge(t, nodes)
-	if st := nodes[2].Stats(); st.EntriesApplied != 5 || st.BootstrapsInstalled != 0 {
-		t.Fatalf("node-2 applied %d entries (%d bootstraps), want the 4 compacted + 1 new by entry replay", st.EntriesApplied, st.BootstrapsInstalled)
+	if st := nodes[2].Stats(); st.EntriesApplied != ballast+5 || st.BootstrapsInstalled != 0 {
+		t.Fatalf("node-2 applied %d entries (%d bootstraps), want the %d compacted + 1 new by entry replay", st.EntriesApplied, st.BootstrapsInstalled, ballast+4)
 	}
 	epoch(svcs...)
 	v0 := svcs[0].View()

@@ -141,16 +141,11 @@ func (s *Service) repends(segs []*store.ShardSnapshot, marks map[string]uint64) 
 	for sh, seg := range segs {
 		cols := s.states[sh].Load().Cols
 		for slot := range cols.Subjects() {
-			_, raters, _, stamps := cols.ColumnAt(slot)
-			_, theirs, _, theirStamps := seg.Cols.ColumnAt(slot)
-			x := 0
+			j, raters, _, stamps := cols.ColumnAt(slot)
 			for k, i := range raters {
-				for x < len(theirs) && theirs[x] < i {
-					x++
-				}
 				st := stamps[k]
-				held := x < len(theirs) && theirs[x] == i && !theirStamps[x].Before(st)
-				if held || st.Seq == 0 || st.Seq > marks[st.Origin] {
+				theirs, held := seg.Cols.StampOf(i, j)
+				if held && !theirs.Before(st) || st.Seq == 0 || st.Seq > marks[st.Origin] {
 					continue // segs hold this write or a newer one, it is unstamped, or the loop above has it
 				}
 				if fb := s.ledger.EntriesSince(st.Origin, st.Seq-1, 1); len(fb) == 1 && fb[0].OriginSeq == st.Seq {

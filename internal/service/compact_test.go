@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bytes"
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -8,6 +10,7 @@ import (
 	"testing"
 
 	"diffgossip/internal/core"
+	"diffgossip/internal/obs"
 	"diffgossip/internal/rng"
 	"diffgossip/internal/store"
 )
@@ -26,6 +29,19 @@ func submitChurn(t *testing.T, s *Service, rounds int) {
 	}
 }
 
+// rateOnce rates count cells once each, their raters and subjects in [lo, n),
+// so they miss every cell of churn traffic below lo: write-once ballast that
+// keeps the WAL's dead entries below its live ones, so no epoch compacts it
+// before the test's own CompactWAL does.
+func rateOnce(t *testing.T, s *Service, n, lo, count int) {
+	t.Helper()
+	for k := 0; k < count; k++ {
+		if _, err := s.Submit(lo+k%(n-lo), lo+k/(n-lo), 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestServiceCompactWALRoundTrip is the compaction round-trip the CI race job
 // also drives: churn, fold, compact, keep serving, restart — the rewritten
 // WAL must boot cleanly and the restarted service must serve exactly the
@@ -38,6 +54,8 @@ func TestServiceCompactWALRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const ballast = 300
+	rateOnce(t, s1, 30, 8, ballast)
 	submitChurn(t, s1, 300)
 	if _, ran, err := s1.RunEpoch(); err != nil || !ran {
 		t.Fatalf("epoch: ran=%v err=%v", ran, err)
@@ -47,12 +65,13 @@ func TestServiceCompactWALRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.EntriesBefore != 301 {
-		t.Fatalf("compact saw %d entries, want 301", st.EntriesBefore)
+	if st.EntriesBefore != ballast+301 {
+		t.Fatalf("compact saw %d entries, want %d", st.EntriesBefore, ballast+301)
 	}
-	// 8 distinct cells survive the fold, plus the one unfolded tail entry.
-	if st.EntriesAfter != 9 {
-		t.Fatalf("compact kept %d entries, want 9", st.EntriesAfter)
+	// 8 distinct churned cells and the ballast survive the fold, plus the
+	// one unfolded tail entry.
+	if st.EntriesAfter != ballast+9 {
+		t.Fatalf("compact kept %d entries, want %d", st.EntriesAfter, ballast+9)
 	}
 	// The service keeps working on the rewritten file.
 	if _, err := s1.Submit(11, 12, 0.25); err != nil {
@@ -85,38 +104,118 @@ func TestServiceCompactWALRoundTrip(t *testing.T) {
 	}
 }
 
-// TestServiceCompactEverySchedules pins the RunEpoch wiring: with
-// CompactEvery set, the WAL is rewritten on every N-th persisted epoch
-// without any explicit CompactWAL call.
-func TestServiceCompactEverySchedules(t *testing.T) {
-	dir := t.TempDir()
-	g := testGraph(t, 30, 7)
-	cfg := Config{Graph: g, Params: core.Params{Epsilon: 1e-6, Seed: 11}, Dir: dir, CompactEvery: 2}
-	s, err := New(cfg)
+// TestServiceCompactsWhenDeadReachesLive pins the compaction trigger by
+// counts. Dead entries are the WAL lines beyond the persisted cells and the
+// pending window, live ones the cells plus the pending window; RunEpoch
+// compacts at exactly the first epoch whose persisted state leaves dead ≥
+// live, read off diffgossip_store_wal_compactions_total, and the service's
+// two WAL gauges report both counts. A write-once history never compacts.
+// After a compaction the one dead entry left is the stream's head, kept for
+// its watermark, so the WAL holds cells + pending + that head; and a reopen
+// reports the same counts.
+func TestServiceCompactsWhenDeadReachesLive(t *testing.T) {
+	const n, cells, rerated = 30, 200, 60
+	cfg := Config{Graph: testGraph(t, n, 7), Params: core.Params{Epsilon: 1e-6, Seed: 11}, Dir: t.TempDir(), Shards: 3}
+	s := newTestService(t, n, cfg)
+	reg := obs.NewRegistry()
+	s.Instrument(reg)
+	metric := func(name string) int {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := reg.WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		fams, err := obs.ParseExposition(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range fams {
+			if f.Name == name {
+				return int(f.Samples[0].Value)
+			}
+		}
+		t.Fatalf("no metric %s", name)
+		return 0
+	}
+	debt := func() (dead, live int) {
+		return metric("diffgossip_service_wal_dead_entries"), metric("diffgossip_service_wal_live_entries")
+	}
+	walLines := func() int {
+		b, err := os.ReadFile(filepath.Join(cfg.Dir, "ledger.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Count(b, []byte("\n"))
+	}
+	// Cell c is (rater c mod n, subject c/n); stamps count up from 1.
+	var ts int64
+	rate := func(c int, stamp int64) {
+		if _, err := s.SubmitCtx(context.Background(), c%n, c/n, 0.5, stamp); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for e := 0; e < 10; e++ {
+		for k := 0; k < cells/10; k++ {
+			ts++
+			rate(e*cells/10+k, ts)
+		}
+		mustEpoch(t, s)
+		if dead, live := debt(); dead != 0 || live != (e+1)*cells/10 {
+			t.Fatalf("write-once epoch %d: dead %d live %d, want 0 and %d", e+1, dead, live, (e+1)*cells/10)
+		}
+	}
+	if got := metric("diffgossip_store_wal_compactions_total"); got != 0 {
+		t.Fatalf("a write-once history compacted %d times", got)
+	}
+
+	// Each re-rating epoch kills the previous winners of rerated cells and
+	// ends with a write older than its cell's winner: dead on arrival, and
+	// the stream's head.
+	dead, compactions := 0, 0
+	for e := 0; compactions < 2; e++ {
+		for k := 0; k < rerated; k++ {
+			ts++
+			rate((e*rerated+k)%cells, ts)
+		}
+		rate(e*rerated%cells, 1)
+		mustEpoch(t, s)
+		if dead += rerated + 1; dead >= cells {
+			compactions++
+			dead = 1
+			if got := walLines(); got != cells+1 {
+				t.Fatalf("re-rating epoch %d compacted the WAL to %d lines, want %d cells + the head", e+1, got, cells)
+			}
+		}
+		if got := metric("diffgossip_store_wal_compactions_total"); got != compactions {
+			t.Fatalf("re-rating epoch %d: %d compactions, want %d", e+1, got, compactions)
+		}
+		if gotDead, live := debt(); gotDead != dead || live != cells {
+			t.Fatalf("re-rating epoch %d: dead %d live %d, want %d and %d", e+1, gotDead, live, dead, cells)
+		}
+	}
+
+	const pending = 5
+	for c := cells; c < cells+pending; c++ {
+		ts++
+		rate(c, ts)
+	}
+	st, err := s.CompactWAL()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	wal := filepath.Join(dir, "ledger.jsonl")
-	submitChurn(t, s, 200)
-	if _, _, err := s.RunEpoch(); err != nil { // epoch 1: no compaction
+	if st.EntriesBefore != cells+pending+1 || st.EntriesAfter != cells+pending+1 {
+		t.Fatalf("compaction of a compacted WAL kept %d of %d entries, want cells + pending + the head, %d",
+			st.EntriesAfter, st.EntriesBefore, cells+pending+1)
+	}
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fi, err := os.Stat(wal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grown := fi.Size()
-	submitChurn(t, s, 1)
-	if _, _, err := s.RunEpoch(); err != nil { // epoch 2: compaction fires
-		t.Fatal(err)
-	}
-	fi, err = os.Stat(wal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi.Size() >= grown {
-		t.Fatalf("scheduled compaction did not shrink the WAL: %d -> %d bytes", grown, fi.Size())
+	s = newTestService(t, n, cfg)
+	reg = obs.NewRegistry()
+	s.Instrument(reg)
+	if gotDead, live := debt(); gotDead != 1 || live != cells+pending {
+		t.Fatalf("reopened: dead %d live %d, want 1 and %d", gotDead, live, cells+pending)
 	}
 }
 
@@ -133,6 +232,8 @@ func TestCompactionTrimsReplicationHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const ballast = 600
+	rateOnce(t, s, n, 16, ballast)
 	vals := rng.New(3)
 	for k := 0; k < 600; k++ {
 		if _, err := s.Submit(k%16, (k+1)%16, vals.Float64()); err != nil {
@@ -148,8 +249,8 @@ func TestCompactionTrimsReplicationHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.EntriesBefore != 600 || st.EntriesAfter != 16 {
-		t.Fatalf("compact kept %d of %d entries, want 16 of 600", st.EntriesAfter, st.EntriesBefore)
+	if st.EntriesBefore != ballast+600 || st.EntriesAfter != ballast+16 {
+		t.Fatalf("compact kept %d of %d entries, want %d of %d", st.EntriesAfter, st.EntriesBefore, ballast+16, ballast+600)
 	}
 	history := func(s *Service) map[string][]store.Feedback {
 		out := make(map[string][]store.Feedback)
@@ -162,8 +263,8 @@ func TestCompactionTrimsReplicationHistory(t *testing.T) {
 	if got := len(live["node-a"]); got != st.EntriesAfter {
 		t.Fatalf("compacted node retains %d history entries, want the WAL's %d", got, st.EntriesAfter)
 	}
-	if marks["node-a"] != 600 {
-		t.Fatalf("compaction moved the local mark to %d, want 600", marks["node-a"])
+	if marks["node-a"] != ballast+600 {
+		t.Fatalf("compaction moved the local mark to %d, want %d", marks["node-a"], ballast+600)
 	}
 	bs, err := s.BootstrapState(nil)
 	if err != nil {

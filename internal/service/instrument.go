@@ -39,6 +39,12 @@ func (s *Service) Instrument(reg *obs.Registry) {
 		"Feedback entries waiting for the next epoch fold.", func() float64 { return float64(s.Pending()) })
 	reg.GaugeFunc("diffgossip_service_dirty_shards", "",
 		"Shards with pending feedback the next epoch must refold.", func() float64 { return float64(s.ledger.DirtyCount()) })
+	if s.cfg.Dir != "" {
+		reg.GaugeFunc("diffgossip_service_wal_dead_entries", "",
+			"WAL entries beyond the persisted cells and the pending window, which compaction drops.", func() float64 { dead, _ := s.walDebt(); return float64(dead) })
+		reg.GaugeFunc("diffgossip_service_wal_live_entries", "",
+			"Persisted trust cells plus pending entries; an epoch compacts the WAL once the dead entries reach them.", func() float64 { _, live := s.walDebt(); return float64(live) })
+	}
 	reg.GaugeFunc("diffgossip_service_last_epoch_unix_seconds", "",
 		"Wall-clock time of the last completed epoch (0 before the first), in unix seconds.", func() float64 {
 			return float64(s.lastEpoch.Load()) / 1e9

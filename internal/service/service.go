@@ -104,14 +104,6 @@ type Config struct {
 	// across its subjects via Params.Workers); negative selects GOMAXPROCS.
 	// Results are bit-identical for any value.
 	FoldWorkers int
-	// CompactEvery, when > 0 and persistence is on, rewrites the write-ahead
-	// log every CompactEvery-th epoch, keeping only the latest entry per
-	// (rater, subject) cell among durably folded entries plus the unfolded
-	// tail — bounding WAL size by live state instead of lifetime traffic.
-	// With Replicate it trims the retained replication history by the same
-	// rule. 0 disables scheduled compaction (CompactWAL can still be called
-	// directly).
-	CompactEvery int
 	// Replicate switches the service into cluster mode: accepted entries are
 	// retained per origin and replicated entries apply idempotently, so an
 	// internal/cluster node can run anti-entropy over this service. The
@@ -203,16 +195,16 @@ type Service struct {
 	// each scheduled epoch (never by manual RunEpoch calls).
 	replicator atomic.Pointer[Replicator]
 
-	// persistMu serialises the off-critical-section persistence phase;
-	// persistedEpoch[s] (guarded by it) keeps late writers from clobbering
-	// a newer segment, and persistedSeq[s] is the highest ledger seq whose
-	// fold into shard s is durable on disk — the bound below which WAL
-	// compaction may drop superseded entries. persistHook, when set by
-	// tests, runs inside the phase to stand in for a slow disk.
-	persistMu      sync.Mutex
-	persistedEpoch []uint64
-	persistedSeq   []uint64
-	persistHook    func()
+	// persistMu serialises the off-critical-section persistence phase.
+	// persisted[s] is shard s's segment durable on disk, stored by persist
+	// (or by an install that saves nothing, when no persist can run) and
+	// loaded lock-free: its epoch keeps late writers from clobbering a newer
+	// segment, and its fold point and cell stamps are what WAL compaction
+	// keeps entries by. persistHook, when set by tests, runs inside the
+	// phase to stand in for a slow disk.
+	persistMu   sync.Mutex
+	persisted   []atomic.Pointer[store.ShardSnapshot]
+	persistHook func()
 
 	stop     chan struct{}
 	wg       sync.WaitGroup
@@ -257,14 +249,13 @@ func New(cfg Config) (*Service, error) {
 		return nil, fmt.Errorf("service: shard count %d out of range [1,%d]", cfg.Shards, n)
 	}
 	s := &Service{
-		cfg:            cfg,
-		n:              n,
-		shards:         shards,
-		states:         make([]atomic.Pointer[store.ShardSnapshot], shards),
-		folded:         make([]*store.ShardSnapshot, shards),
-		persistedEpoch: make([]uint64, shards),
-		persistedSeq:   make([]uint64, shards),
-		stop:           make(chan struct{}),
+		cfg:       cfg,
+		n:         n,
+		shards:    shards,
+		states:    make([]atomic.Pointer[store.ShardSnapshot], shards),
+		folded:    make([]*store.ShardSnapshot, shards),
+		persisted: make([]atomic.Pointer[store.ShardSnapshot], shards),
+		stop:      make(chan struct{}),
 	}
 	// Every campaign runs cold. The sparse-campaign threshold defaults ON
 	// (the core default is off, for the paper-experiment paths'
@@ -374,8 +365,8 @@ func (s *Service) loadDir() error {
 		}
 		// An older build's shard-NNNN.gob segments were never opened: their
 		// shards booted as never folded, so their whole WAL re-pended. That
-		// loses nothing, since compaction keeps every cell's LWW winner in
-		// the WAL (store's compactionKeep). Remove them the same way.
+		// loses nothing, since compaction keeps every persisted cell's
+		// winning entry in the WAL. Remove them the same way.
 		old, _ := filepath.Glob(filepath.Join(dir, "shard-*.gob")) // errs only on a bad pattern
 		for _, path := range old {
 			os.Remove(path)
@@ -431,11 +422,11 @@ func (s *Service) boot(segs []*store.ShardSnapshot, replayed []store.Feedback) e
 //     before that entry folds re-pends it;
 //  4. refuse a segment claiming a seq the ledger never assigned (a truncated
 //     or swapped ledger);
-//  5. publish, and set the epoch counter and the persisted fold points;
+//  5. publish, and set the epoch counter;
 //  6. when the segments differ from the directory's files — regrouped to
 //     another count, or admitted from a transfer — persist them: ledger
 //     fsync first, then each segment, so the WAL on disk covers whatever
-//     the segments claim;
+//     the segments claim; otherwise record them as persisted;
 //  7. re-pend unfolded ahead of the pending window, even after a
 //     persistence error: the published columns do not hold their writes.
 //
@@ -482,24 +473,15 @@ func (s *Service) install(segs []*store.ShardSnapshot, unfolded []store.Feedback
 
 	for sh, seg := range regrouped {
 		s.states[sh].Store(seg)
-		if !save {
-			s.persistedEpoch[sh], s.persistedSeq[sh] = seg.Epoch, seg.Seq
-		}
 	}
 	s.epochs.Store(maxEpoch)
 
 	if save {
-		s.persistMu.Lock()
-		err = s.ledger.Sync()
+		err = s.persist(regrouped)
+	} else {
 		for sh, seg := range regrouped {
-			if err != nil {
-				break
-			}
-			if err = seg.SaveFile(shardPath(s.cfg.Dir, sh)); err == nil {
-				s.persistedEpoch[sh], s.persistedSeq[sh] = seg.Epoch, seg.Seq
-			}
+			s.persisted[sh].Store(seg)
 		}
-		s.persistMu.Unlock()
 	}
 	s.ledger.Restore(unfolded)
 	return err
@@ -833,11 +815,11 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 		if err := s.persist(results); err != nil {
 			return s.View(), true, err
 		}
-		// Scheduled WAL compaction rides the persistence phase: the segments
-		// this epoch folded are durable now, so everything they supersede is
-		// droppable. An error is I/O-side only, like a persist error — the
+		// WAL compaction rides the persistence phase once the dead entries
+		// reach the live ones, which keeps the WAL within about twice the
+		// live state. An error is I/O-side only, like a persist error — the
 		// old WAL keeps working.
-		if ce := s.cfg.CompactEvery; ce > 0 && epoch%uint64(ce) == 0 {
+		if dead, live := s.walDebt(); dead > 0 && dead >= live {
 			if _, err := s.CompactWAL(); err != nil {
 				return s.View(), true, err
 			}
@@ -922,37 +904,45 @@ func (s *Service) persist(segs []*store.ShardSnapshot) error {
 		return err
 	}
 	for _, seg := range segs {
-		if seg.Epoch <= s.persistedEpoch[seg.Shard] {
+		if old := s.persisted[seg.Shard].Load(); old != nil && seg.Epoch <= old.Epoch {
 			continue // a newer fold already persisted this shard
 		}
 		if err := seg.SaveFile(shardPath(s.cfg.Dir, seg.Shard)); err != nil {
 			return err
 		}
-		s.persistedEpoch[seg.Shard] = seg.Epoch
-		s.persistedSeq[seg.Shard] = seg.Seq
+		s.persisted[seg.Shard].Store(seg)
 	}
 	return nil
 }
 
-// CompactWAL rewrites the write-ahead log keeping only the latest entry per
-// (rater, subject) cell among durably folded entries — plus, per origin
-// stream, its highest folded entry (so replication watermarks replay
-// unchanged) and the whole unfolded tail. Sequence numbers are preserved, so
-// a compacted file replays with gaps and a min seq > 1, which boot accepts.
-// With Config.Replicate the retained replication history becomes the kept
-// entries too, the history a reopen would seed.
-// The scheduler calls it every Config.CompactEvery epochs; operators and
-// tests may call it directly. Requires persistence (Config.Dir).
+// walDebt returns the WAL's dead and live entry counts: live are the
+// persisted segments' cells plus the pending entries, dead the other WAL
+// lines, which compaction drops but for one head per origin. An epoch
+// between its fold and its persist counts its entries dead, which can only
+// bring a compaction forward. It requires Config.Dir.
+func (s *Service) walDebt() (dead, live int) {
+	for sh := range s.persisted {
+		live += s.persisted[sh].Load().Cols.NumEntries()
+	}
+	live += s.ledger.PendingCount()
+	return max(s.ledger.WALLines()-live, 0), live
+}
+
+// CompactWAL rewrites the write-ahead log against a copy of the persisted
+// segments (store.Ledger.Compact): of the durably folded entries it keeps
+// those the segments' cells name and each origin stream's highest (so
+// replication watermarks replay unchanged), plus the whole unfolded tail.
+// Sequence numbers are preserved, so a compacted file replays with gaps and
+// a min seq > 1, which boot accepts. With Config.Replicate the retained
+// replication history becomes the kept entries too. RunEpoch calls it once
+// the WAL's dead entries reach its live ones (walDebt); operators may call
+// it directly. Requires persistence (Config.Dir).
 func (s *Service) CompactWAL() (store.CompactStats, error) {
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	seqs := make([]uint64, len(s.persistedSeq))
-	copy(seqs, s.persistedSeq)
-	return s.ledger.Compact(store.CompactConfig{
-		FoldedSeq: func(subject int) uint64 {
-			return seqs[store.ShardOf(subject, s.shards)]
-		},
-	})
+	segs := make([]*store.ShardSnapshot, s.shards)
+	for sh := range segs {
+		segs[sh] = s.persisted[sh].Load()
+	}
+	return s.ledger.Compact(segs)
 }
 
 // loop is the background epoch scheduler.

@@ -415,7 +415,9 @@ func TestReshardRependsPerOldShard(t *testing.T) {
 // folded. Each regrouped segment keeps the fold point of the old shard its
 // subjects come from, so none of shard 0's superseded entries counts as
 // unfolded: BootstrapState ships only shard 1's pending entries in Tail,
-// and CompactWAL keeps only the cell winners plus those pending entries.
+// and CompactWAL keeps only the cell winners plus those pending entries. One
+// write-once ballast cell in shard 0 keeps the dead entries below the live
+// ones, so the epoch does not compact the WAL itself.
 func TestReshardKeepsFoldedShardFoldPoint(t *testing.T) {
 	const n = 40
 	cfg := Config{Graph: testGraph(t, n, 7), Params: core.Params{Epsilon: 1e-6, Seed: 11},
@@ -430,7 +432,8 @@ func TestReshardKeepsFoldedShardFoldPoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const raters, tail = 6, 3
+	const raters, tail, ballast = 6, 3, 1
+	submit(1, 4, 0.5)
 	for round := 0; round < 2; round++ { // shard 0: every cell rated twice
 		for r := 1; r <= raters; r++ {
 			submit(r, 2, float64(round+r)/10)
@@ -442,8 +445,8 @@ func TestReshardKeepsFoldedShardFoldPoint(t *testing.T) {
 	for r := 1; r <= tail; r++ { // shard 1: pending, never folded
 		submit(r, 3, 0.5)
 	}
-	if v := s.View(); v.Shard(0).Seq != 2*raters || v.Shard(1).Seq != 0 {
-		t.Fatalf("test degenerated: fold points %d/%d, want %d/0", v.Shard(0).Seq, v.Shard(1).Seq, 2*raters)
+	if v := s.View(); v.Shard(0).Seq != 2*raters+ballast || v.Shard(1).Seq != 0 {
+		t.Fatalf("test degenerated: fold points %d/%d, want %d/0", v.Shard(0).Seq, v.Shard(1).Seq, 2*raters+ballast)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -461,8 +464,8 @@ func TestReshardKeepsFoldedShardFoldPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Folded) != 2*raters || len(st.Tail) != tail {
-		t.Fatalf("transfer ships %d folded / %d tail entries, want %d / %d", len(st.Folded), len(st.Tail), 2*raters, tail)
+	if len(st.Folded) != 2*raters+ballast || len(st.Tail) != tail {
+		t.Fatalf("transfer ships %d folded / %d tail entries, want %d / %d", len(st.Folded), len(st.Tail), 2*raters+ballast, tail)
 	}
 	for _, fb := range st.Tail {
 		if fb.Subject != 3 {
@@ -473,8 +476,8 @@ func TestReshardKeepsFoldedShardFoldPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.EntriesBefore != 2*raters+tail || cs.EntriesAfter != raters+tail {
-		t.Fatalf("compaction %d -> %d entries, want %d -> %d (winners plus pending)", cs.EntriesBefore, cs.EntriesAfter, 2*raters+tail, raters+tail)
+	if cs.EntriesBefore != 2*raters+ballast+tail || cs.EntriesAfter != raters+ballast+tail {
+		t.Fatalf("compaction %d -> %d entries, want %d -> %d (winners plus pending)", cs.EntriesBefore, cs.EntriesAfter, 2*raters+ballast+tail, raters+ballast+tail)
 	}
 }
 

@@ -85,7 +85,9 @@ func olderSegment(t *testing.T, seg *store.ShardSnapshot) []byte {
 // every shard's WAL re-pends, and the first epoch rebuilds stamped segments
 // and serves bit-identical reputations. The straggler of
 // TestLWWTagsSurviveRestart still loses there, to the winner the re-pended
-// WAL brings back. Only the rebuilt shard-NNNN.seg files remain.
+// WAL brings back. Only the rebuilt shard-NNNN.seg files remain. A
+// write-once ballast rating per subject keeps the WAL's dead entries below
+// its live ones, so the first epoch does not compact it.
 func TestUnstampedDirRestampsOnFirstEpoch(t *testing.T) {
 	const n, shards = 16, 3
 	dir := filepath.Join(t.TempDir(), "data")
@@ -100,6 +102,9 @@ func TestUnstampedDirRestampsOnFirstEpoch(t *testing.T) {
 			if _, err := s.SubmitCtx(ctx, (j+1+j%3)%n, j, 0.1+0.2*float64(k), ts+int64(j)); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if _, err := s.SubmitCtx(ctx, (j+8)%n, j, 0.5, 100); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if _, err := s.SubmitCtx(ctx, 4, 6, 0.8, 900); err != nil {

@@ -99,13 +99,13 @@ func TestGoldenWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Nothing folded: compaction keeps every line and rewrites the same bytes.
-	if _, err := l.Compact(CompactConfig{}); err != nil {
+	if _, err := l.Compact(nil); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := os.ReadFile(path); !bytes.Equal(got, golden) {
 		t.Fatalf("no-op compaction changed the WAL:\n%s", got)
 	}
-	st, err := l.Compact(CompactConfig{FoldedSeq: func(int) uint64 { return 37 }})
+	st, err := l.Compact(foldedTo(t, l, 37))
 	if err != nil {
 		t.Fatal(err)
 	}

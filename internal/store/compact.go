@@ -17,18 +17,8 @@ import (
 // rebuilds the in-memory per-origin history from the same kept lines: the
 // history is the WAL held in memory, so a compacted node serves replication
 // pulls exactly as it would after a reopen. Which write of a cell is the
-// latest is trust.Stamp's order, the one the epoch fold settles cells by.
-
-// CompactConfig parameterises Compact. The stamps it ranks cell rivals by
-// take the ledger's own origin id (see StampOf).
-type CompactConfig struct {
-	// FoldedSeq returns the highest ledger sequence number whose fold into
-	// subject's shard segment has been durably persisted. Entries at or below
-	// it are compaction candidates; everything newer is unfolded tail and is
-	// always kept. Nil means nothing is folded (Compact becomes a no-op
-	// rewrite).
-	FoldedSeq func(subject int) uint64
-}
+// latest the persisted segments already say: each frozen cell carries the
+// trust.Stamp of the write that won it.
 
 // CompactStats reports one WAL compaction: line counts and byte sizes before
 // and after the rewrite.
@@ -51,48 +41,45 @@ var compactCrash func(stage string) error
 // StampOf derives an entry's last-writer-wins stamp from the (origin,
 // origin-seq) pair it replicates under — this ledger's origin id and the Seq
 // for a locally accepted entry — so every replica orders it identically. The
-// fold (trust.Columns.With) and compaction rank cell rivals by it alike.
+// fold (trust.Columns.With) ranks cell rivals by it, and compaction finds a
+// cell's winner among them by it.
 func (l *Ledger) StampOf(fb Feedback) trust.Stamp {
 	fb = l.asReplicated(fb)
 	return trust.Stamp{UnixNano: fb.UnixNano, Origin: fb.Origin, Seq: fb.OriginSeq}
 }
 
-// compactionKeep marks which entries survive compaction. entries must be in
-// ledger (apply) order. Three groups are kept:
+// compactionKeep marks which entries, in ledger (apply) order, survive
+// compaction against segs, the persisted segment of every shard (none:
+// nothing is folded). An entry is folded when its seq is at or below its
+// shard segment's Seq. Kept are:
 //
 //   - every unfolded entry (still pending work);
-//   - the LWW-winning entry of each (rater, subject) cell among folded
-//     entries — ties break to the later entry, matching fold apply order;
-//   - the highest-keyed folded entry of each origin stream, even when
-//     another entry won its cell, so per-origin replication watermarks
-//     replay to exactly their pre-compaction values.
+//   - a folded entry whose stamp is the one the segment holds for its cell;
+//   - the last folded entry of each origin stream, even when another entry
+//     won its cell, so per-origin replication watermarks replay to exactly
+//     their pre-compaction values.
+//
+// Stamps are unique per entry, so the second group is each cell's
+// last-writer-wins winner among the folded entries but in one case: an
+// install backed a segment's fold point off (or a reshard lowered it) below
+// an entry its columns hold, which won a cell. Then the older folded rival
+// is dropped; the newer entry is unfolded, kept, and wins every refold.
 //
 // Dropping a superseded entry is safe cluster-wide: the winner carries its
 // own stamp, replicated application tolerates origin-sequence gaps (entries at
 // or below the watermark are skipped, entries above are applied), and a peer
 // that never sees a loser converges to the same cells as one that did.
-func (l *Ledger) compactionKeep(entries []Feedback, folded func(Feedback) bool) []bool {
+func (l *Ledger) compactionKeep(entries []Feedback, segs []*ShardSnapshot) []bool {
 	keep := make([]bool, len(entries))
-	type win struct {
-		i int
-		t trust.Stamp
-	}
-	winners := make(map[uint64]win)
 	heads := make(map[string]int)
 	for i, fb := range entries {
-		if !folded(fb) {
+		if len(segs) == 0 || fb.Seq > segs[ShardOf(fb.Subject, len(segs))].Seq {
 			keep[i] = true
 			continue
 		}
 		heads[fb.Origin] = i
-		cell := uint64(fb.Rater)*uint64(l.n) + uint64(fb.Subject)
-		t := l.StampOf(fb)
-		if w, ok := winners[cell]; !ok || !t.Before(w.t) {
-			winners[cell] = win{i: i, t: t}
-		}
-	}
-	for _, w := range winners {
-		keep[w.i] = true
+		st, _ := segs[ShardOf(fb.Subject, len(segs))].Cols.StampOf(fb.Rater, fb.Subject)
+		keep[i] = st == l.StampOf(fb)
 	}
 	for _, i := range heads {
 		keep[i] = true
@@ -109,8 +96,9 @@ func (l *Ledger) compactionKeep(entries []Feedback, folded func(Feedback) bool) 
 // path holds either the old file or the compacted one, never a torn mix.
 // In replication mode the retained history is rebuilt from the kept lines,
 // as EnableReplication seeds it at boot; the pending window and watermarks
-// are untouched (every origin's head is kept).
-func (l *Ledger) Compact(cfg CompactConfig) (CompactStats, error) {
+// are untouched (every origin's head is kept). segs are the durably
+// persisted shard segments, segs[s] for subject shard s of len(segs).
+func (l *Ledger) Compact(segs []*ShardSnapshot) (CompactStats, error) {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
 	l.mu.Lock()
@@ -142,9 +130,7 @@ func (l *Ledger) Compact(cfg CompactConfig) (CompactStats, error) {
 	}
 	st.EntriesBefore = len(entries)
 	st.BytesBefore = goodEnd
-	keep := l.compactionKeep(entries, func(fb Feedback) bool {
-		return cfg.FoldedSeq != nil && fb.Seq <= cfg.FoldedSeq(fb.Subject)
-	})
+	keep := l.compactionKeep(entries, segs)
 	kept := entries[:0]
 	for i := range entries {
 		if keep[i] {
@@ -208,6 +194,7 @@ func (l *Ledger) Compact(cfg CompactConfig) (CompactStats, error) {
 	old := l.f
 	l.f, l.w = tmp, w
 	l.goodOff = st.BytesAfter
+	l.walLines.Store(int64(st.EntriesAfter))
 	if hist != nil {
 		l.hist = hist
 	}

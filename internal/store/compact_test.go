@@ -3,10 +3,34 @@ package store
 import (
 	"bufio"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
+
+	"diffgossip/internal/trust"
 )
+
+// foldedTo returns the one segment a service persists once it has folded the
+// ledger's WAL through seq.
+func foldedTo(t *testing.T, l *Ledger, seq uint64) []*ShardSnapshot {
+	t.Helper()
+	f, err := os.Open(l.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	entries, _, err := (&Ledger{n: l.n}).replay(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := 0
+	for k < len(entries) && entries[k].Seq <= seq {
+		k++
+	}
+	return []*ShardSnapshot{foldSegment(t, l, 0, 1, seq, entries[:k])}
+}
 
 // compactLedger opens a ledger at path, appends hist-style traffic with heavy
 // supersession (each rater re-rates the same few subjects), and returns it.
@@ -34,7 +58,7 @@ func TestLedgerCompactKeepsLiveSubset(t *testing.T) {
 	seq := l.Seq()
 	// Everything is folded: only the 4 distinct (rater, subject) cells
 	// survive.
-	st, err := l.Compact(CompactConfig{FoldedSeq: func(int) uint64 { return seq }})
+	st, err := l.Compact(foldedTo(t, l, seq))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,15 +108,15 @@ func TestLedgerCompactKeepsUnfoldedTail(t *testing.T) {
 	l := compactSeedLedger(t, path, 40)
 	defer l.Close()
 	// Only the first 30 are folded; the unfolded tail survives verbatim.
-	st, err := l.Compact(CompactConfig{FoldedSeq: func(int) uint64 { return 30 }})
+	st, err := l.Compact(foldedTo(t, l, 30))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.EntriesAfter != 4+10 {
 		t.Fatalf("compact kept %d entries, want 4 cell winners + 10 tail", st.EntriesAfter)
 	}
-	// Nil FoldedSeq: nothing is folded, the rewrite is a no-op subset-wise.
-	st, err = l.Compact(CompactConfig{})
+	// No segments: nothing is folded, the rewrite is a no-op subset-wise.
+	st, err = l.Compact(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +148,7 @@ func TestLedgerCompactKeepsLWWWinnerNotLastAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq := l.Seq()
-	st, err := l.Compact(CompactConfig{FoldedSeq: func(int) uint64 { return seq }})
+	st, err := l.Compact(foldedTo(t, l, seq))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +212,7 @@ func TestLedgerCompactCrashPoints(t *testing.T) {
 			}
 			return nil
 		}
-		if _, err := l.Compact(CompactConfig{FoldedSeq: func(int) uint64 { return 40 }}); !errors.Is(err, boom) {
+		if _, err := l.Compact(foldedTo(t, l, 40)); !errors.Is(err, boom) {
 			t.Fatalf("compact error = %v, want injected crash", err)
 		}
 		compactCrash = nil
@@ -221,7 +245,7 @@ func TestLedgerCompactCrashPoints(t *testing.T) {
 			}
 			return nil
 		}
-		if _, err := l.Compact(CompactConfig{FoldedSeq: func(int) uint64 { return 40 }}); !errors.Is(err, boom) {
+		if _, err := l.Compact(foldedTo(t, l, 40)); !errors.Is(err, boom) {
 			t.Fatalf("compact error = %v, want injected crash", err)
 		}
 		compactCrash = nil
@@ -331,7 +355,7 @@ func TestLedgerCompactTrimsHistory(t *testing.T) {
 	// Folded through seq 25: the local stream keeps its 4 cell winners (its
 	// head among them), node-b its folded winner-and-head (origin seq 5)
 	// and its unfolded tail 6..10.
-	st, err := l.Compact(CompactConfig{FoldedSeq: func(int) uint64 { return 25 }})
+	st, err := l.Compact(foldedTo(t, l, 25))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +414,7 @@ func TestLedgerCompactConcurrentAppends(t *testing.T) {
 		done <- nil
 	}()
 	for i := 0; i < 5; i++ {
-		if _, err := l.Compact(CompactConfig{FoldedSeq: func(int) uint64 { return 20 }}); err != nil {
+		if _, err := l.Compact(foldedTo(t, l, 20)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -421,16 +445,169 @@ func TestLedgerCompactConcurrentAppends(t *testing.T) {
 	}
 }
 
-// TestCompactionKeepTieBreak pins the tie rule: equal LWW stamps resolve to the
-// later entry in apply order, matching the fold's overwrite semantics.
+// TestCompactionKeepTieBreak pins the tie rule: of two local entries that tie
+// on timestamp the fold keeps the later one (by seq), and compaction keeps the
+// entry the segment names. The third entry, another cell's, is the stream's
+// head, so the head rule cannot hide a wrong pick.
 func TestCompactionKeepTieBreak(t *testing.T) {
+	l := NewLedger(8)
 	entries := []Feedback{
 		{Seq: 1, Rater: 1, Subject: 2, Value: 0.1, UnixNano: 100},
 		{Seq: 2, Rater: 1, Subject: 2, Value: 0.9, UnixNano: 100},
+		{Seq: 3, Rater: 3, Subject: 4, Value: 0.5, UnixNano: 50},
 	}
-	// Local entries tie on timestamp but differ on seq: seq 2 wins.
-	keep := NewLedger(8).compactionKeep(entries, func(Feedback) bool { return true })
-	if !reflect.DeepEqual(keep, []bool{false, true}) {
-		t.Fatalf("keep = %v, want the later local entry", keep)
+	seg := foldSegment(t, l, 0, 1, 3, entries)
+	if keep := l.compactionKeep(entries, []*ShardSnapshot{seg}); !reflect.DeepEqual(keep, []bool{false, true, true}) {
+		t.Fatalf("keep = %v, want the later local entry and the head", keep)
 	}
+}
+
+// foldSegment returns shard's segment of shards, its fold point seq, its
+// cells folded from those of entries that fall in the shard, by the ledger's
+// stamps.
+func foldSegment(t *testing.T, l *Ledger, shard, shards int, seq uint64, entries []Feedback) *ShardSnapshot {
+	t.Helper()
+	var cells []trust.Cell
+	for _, fb := range entries {
+		if ShardOf(fb.Subject, shards) == shard {
+			cells = append(cells, trust.Cell{Rater: fb.Rater, Subject: fb.Subject, Value: fb.Value, Stamp: l.StampOf(fb)})
+		}
+	}
+	seg := NewBootShardSnapshot(l.n, shard, shards, 0)
+	var err error
+	if seg.Cols, _, err = seg.Cols.With(cells); err != nil {
+		t.Fatal(err)
+	}
+	seg.Seq = seq
+	return seg
+}
+
+// referenceCompactionKeep is the keep rule compaction had before it read the
+// persisted segments: a map over every folded entry, keyed by cell, finds
+// each cell's winner by stamp (ties to the later entry, as the fold settles
+// them), and every unfolded entry and each origin's last folded entry are
+// kept too. FuzzCompactionKeep holds compactionKeep to it.
+func referenceCompactionKeep(l *Ledger, entries []Feedback, folded func(Feedback) bool) []bool {
+	keep := make([]bool, len(entries))
+	type win struct {
+		i int
+		t trust.Stamp
+	}
+	winners := make(map[uint64]win)
+	heads := make(map[string]int)
+	for i, fb := range entries {
+		if !folded(fb) {
+			keep[i] = true
+			continue
+		}
+		heads[fb.Origin] = i
+		cell := uint64(fb.Rater)*uint64(l.n) + uint64(fb.Subject)
+		t := l.StampOf(fb)
+		if w, ok := winners[cell]; !ok || !t.Before(w.t) {
+			winners[cell] = win{i: i, t: t}
+		}
+	}
+	for _, w := range winners {
+		keep[w.i] = true
+	}
+	for _, i := range heads {
+		keep[i] = true
+	}
+	return keep
+}
+
+// FuzzCompactionKeep is the differential test of compaction's keep rule:
+// over generated histories and persisted segments, compactionKeep must keep
+// exactly what referenceCompactionKeep keeps, but for the case its comment
+// names. A segment's columns may hold entries above its fold point — an
+// install backs the fold point off below an entry still to fold, a reshard
+// lowers it — and where such an entry won a cell, compactionKeep drops the
+// cell's older folded rivals, which the reference keeps; the newer entry is
+// unfolded, so both keep it.
+//
+// The header is three bytes: bit 0 of the first picks a replicating ledger
+// (origin node-a), the second N ∈ [2,9], the third the shard count
+// S ∈ [1,3]; then one byte per shard, its fold point mod the entry count + 1.
+// Every further four bytes are one entry, its seq its position: rater,
+// subject, a byte whose low three bits are the timestamp 1..8 and whose next
+// two pick the origin (local, or with replication node-b or node-c, their
+// origin seqs counting up), and a byte whose bit 0 folds the entry into its
+// shard's segment when it lies above the fold point.
+func FuzzCompactionKeep(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := &byteProgram{data: data}
+		replicate := p.next()&1 == 1
+		n := 2 + p.next()%8
+		shards := 1 + p.next()%3
+		foldBytes := make([]int, shards)
+		for s := range foldBytes {
+			foldBytes[s] = p.next()
+		}
+		l := NewLedger(n)
+		if replicate {
+			if err := l.EnableReplication("node-a", nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var entries []Feedback
+		var ahead []bool // fold the entry even above its fold point
+		originSeq := map[string]uint64{}
+		for len(entries) < 64 && p.at < len(p.data) {
+			fb := Feedback{Seq: uint64(len(entries) + 1), Rater: p.next() % n, Subject: p.next() % n, Value: 0.5}
+			b := p.next()
+			fb.UnixNano = int64(1 + b&7)
+			if o := (b >> 3) % 3; replicate && o > 0 {
+				fb.Origin = []string{"node-b", "node-c"}[o-1]
+				originSeq[fb.Origin]++
+				fb.OriginSeq = originSeq[fb.Origin]
+			}
+			entries = append(entries, fb)
+			ahead = append(ahead, p.next()&1 == 1)
+		}
+		segs := make([]*ShardSnapshot, shards)
+		for s := range segs {
+			seq := uint64(foldBytes[s] % (len(entries) + 1))
+			var in []Feedback
+			for i, fb := range entries {
+				if fb.Seq <= seq || ahead[i] {
+					in = append(in, fb)
+				}
+			}
+			segs[s] = foldSegment(t, l, s, shards, seq, in)
+		}
+
+		got := l.compactionKeep(entries, segs)
+		want := referenceCompactionKeep(l, entries, func(fb Feedback) bool {
+			return fb.Seq <= segs[ShardOf(fb.Subject, shards)].Seq
+		})
+		for i, fb := range entries {
+			if got[i] == want[i] {
+				continue
+			}
+			seg := segs[ShardOf(fb.Subject, shards)]
+			cell, _ := seg.Cols.StampOf(fb.Rater, fb.Subject)
+			backedOff := want[i] && l.StampOf(fb).Before(cell) && slices.ContainsFunc(entries, func(e Feedback) bool {
+				return e.Seq > seg.Seq && l.StampOf(e) == cell
+			})
+			if !backedOff {
+				t.Fatalf("entry %d %+v (segment fold point %d, cell stamp %+v): kept %v, reference %v",
+					i, fb, seg.Seq, cell, got[i], want[i])
+			}
+		}
+	})
+}
+
+// byteProgram reads a fuzz input as a stream of bytes; reads past the end
+// yield 0.
+type byteProgram struct {
+	data []byte
+	at   int
+}
+
+func (p *byteProgram) next() int {
+	if p.at >= len(p.data) {
+		return 0
+	}
+	p.at++
+	return int(p.data[p.at-1])
 }

@@ -151,6 +151,7 @@ type Ledger struct {
 	dirty      []atomic.Bool
 	dirtyCount atomic.Int64
 	pendingN   atomic.Int64
+	walLines   atomic.Int64 // entries in the WAL file: set by replay and Compact, advanced by appends
 
 	// Replication state, set by EnableReplication. origin is this ledger's
 	// cluster id ("" standalone); it is fixed before concurrent use and read
@@ -255,6 +256,7 @@ func OpenLedger(path string, n int) (*Ledger, []Feedback, error) {
 	}
 	l.w = bufio.NewWriter(f)
 	l.goodOff = goodEnd
+	l.walLines.Store(int64(len(replayed)))
 	return l, replayed, nil
 }
 
@@ -375,6 +377,7 @@ func (l *Ledger) appendLocked(entries []Feedback, unqueued int) error {
 			return err
 		}
 		l.mWALAppends.Add(uint64(len(entries)))
+		l.walLines.Add(int64(len(entries)))
 	}
 	l.seq += uint64(len(entries))
 	l.mEntries.Add(uint64(len(entries)))
@@ -671,6 +674,10 @@ func (l *Ledger) TakePending() []Feedback {
 func (l *Ledger) PendingCount() int {
 	return int(l.pendingN.Load())
 }
+
+// WALLines returns, lock-free, the number of entries the WAL file holds (0
+// for a memory-only ledger).
+func (l *Ledger) WALLines() int { return int(l.walLines.Load()) }
 
 // Sync fsyncs the backing file (no-op for memory-only ledgers). The service
 // calls it at each epoch boundary before persisting snapshot segments, so

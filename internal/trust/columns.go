@@ -357,6 +357,20 @@ func (c *Columns) Get(i, j int) (float64, bool) {
 	return c.vals[s][k], true
 }
 
+// StampOf returns the Stamp of the write that set t_ij (zero for a cell
+// without one) and whether i has rated j, found as Get finds the value.
+func (c *Columns) StampOf(i, j int) (Stamp, bool) {
+	s, ok := c.slot(j)
+	if !ok {
+		return Stamp{}, false
+	}
+	k, ok := slices.BinarySearch(c.raters[s], i)
+	if !ok {
+		return Stamp{}, false
+	}
+	return c.public(c.stampAt(s, k)), true
+}
+
 // Column returns subject j's ascending raters and their values, shared with
 // c: the caller must not modify them.
 func (c *Columns) Column(j int) ([]int, []float64) {

@@ -92,6 +92,9 @@ func TestColumnsReaderMatchesMatrix(t *testing.T) {
 	if v, ok := c.Get(1, 2); v != 0 || ok {
 		t.Fatal("uncovered subject has entries")
 	}
+	if st, ok := c.StampOf(1, 2); st != (Stamp{}) || ok {
+		t.Fatal("uncovered subject has a stamp")
+	}
 	if sum, cnt := c.ColumnSum(2); sum != 0 || cnt != 0 {
 		t.Fatal("uncovered subject has a column sum")
 	}
@@ -637,6 +640,9 @@ func FuzzColumnsLoad(f *testing.F) {
 				}
 				if vals[k] < 0 || vals[k] > 1 {
 					t.Fatalf("accepted column %d with value %v", j, vals[k])
+				}
+				if st, ok := got.StampOf(i, j); !ok || st != stamps[k] {
+					t.Fatalf("StampOf(%d,%d) = %+v,%v, its column holds %+v", i, j, st, ok, stamps[k])
 				}
 				prev = i
 			}
