@@ -31,7 +31,7 @@ import (
 //   - one rater (sparse mode on): the fixed point is the rater's value — the
 //     column is filled directly, zero gossip steps;
 //   - at most p.SparseRaterFrac·N raters: push-sum over the k-node rater
-//     overlay (overlayGraph), so cost scales with the raters, not N;
+//     overlay, graph.Circulant(k), so cost scales with the raters, not N;
 //   - otherwise: push-sum over the full graph.
 //
 // Either way the campaign is Algorithm 1 on one subject, run on the scalar
@@ -120,8 +120,10 @@ func globalSubjects(g *graph.Graph, t trust.Reader, subjects []int, p Params, co
 	outs := make([]outcome, len(subjects))
 
 	// Per-worker reusable state: one engine per topology (the real graph,
-	// built on the first dense campaign, and one per overlay size) and the
-	// seed scratch blocks, each allocated by the first campaign that needs it.
+	// built on the first dense campaign, and one per overlay size, each over
+	// its own overlay) and the seed scratch blocks, each allocated by the
+	// first campaign that needs it. All of it, overlays included, is dropped
+	// with the call, so the rater counts of past calls pin no memory.
 	type workerState struct {
 		engines map[int]*gossip.Engine // by overlay size; 0 is the real graph
 		scratch *seedScratch           // dense seeds
@@ -226,7 +228,10 @@ func globalSubjects(g *graph.Graph, t trust.Reader, subjects []int, p Params, co
 		if eng == nil {
 			topo := g
 			if sparse {
-				topo = overlayGraph(k)
+				// The overlay is a pure function of k: every shard, worker
+				// and replica derives the identical graph, which keeps
+				// campaign results partition-invariant.
+				topo = graph.Circulant(k)
 			}
 			cfg := p.gossipConfig(topo)
 			cfg.Seed = seed

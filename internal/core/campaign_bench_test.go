@@ -14,7 +14,8 @@ import (
 // trust.Columns, every one a sparse campaign on the 48-node circulant
 // overlay — the scalar engine's step kernel — here cold and on one worker.
 // steps/op is the summed campaign step count, fixed by the seed, so a change
-// to the kernel that moves it has changed the dynamics, not the speed.
+// to the kernel that moves it has changed the dynamics, not the speed;
+// ns/node-step divides the time by those steps times the 48 overlay nodes.
 func BenchmarkSparseCampaigns(b *testing.B) {
 	const n, subjects, raters = 2500, 125, 48
 	g := graph.MustPA(n, 2, 300)
@@ -47,13 +48,15 @@ func BenchmarkSparseCampaigns(b *testing.B) {
 		steps = res.TotalSteps
 	}
 	b.ReportMetric(float64(steps), "steps/op")
+	reportNodeStepCost(b, steps*raters)
 }
 
 // BenchmarkGCLRSingle times Algorithm 2 at the lib-aggregate shape: N =
 // 5,000 on a PA overlay with M = 2, one GCLRSingle call for each of 10
 // subjects rated by 500 random raters, ξ = 1e-4. The count mass rides every
 // step, so the kernel carries three masses. steps/op is the
-// summed step count of the 10 calls, fixed by the seed.
+// summed step count of the 10 calls, fixed by the seed; ns/node-step divides
+// the time by those steps times N.
 func BenchmarkGCLRSingle(b *testing.B) {
 	const n, subjects, raters = 5000, 10, 500
 	g := graph.MustPA(n, 2, 310)
@@ -80,4 +83,12 @@ func BenchmarkGCLRSingle(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(steps), "steps/op")
+	reportNodeStepCost(b, steps*n)
+}
+
+// reportNodeStepCost reports the time per op divided by the node-steps one
+// op runs (Σ steps × nodes), so the step kernel's cost reads the same across
+// campaign shapes.
+func reportNodeStepCost(b *testing.B, nodeSteps int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nodeSteps), "ns/node-step")
 }

@@ -3,10 +3,8 @@ package core
 import (
 	"math"
 	"sort"
-	"sync"
 
 	"diffgossip/internal/gossip"
-	"diffgossip/internal/graph"
 	"diffgossip/internal/trust"
 )
 
@@ -17,38 +15,6 @@ import (
 // few forced rounds give the delta wave time to spread; the revocable
 // convergence protocol handles the rest.
 const warmMinSteps = 4
-
-// overlayCache shares the synthetic rater overlays across all campaigns and
-// workers, keyed by rater count: the overlay depends only on k, and graph
-// reads are safe for concurrent use.
-var overlayCache sync.Map // int -> *graph.Graph
-
-// overlayGraph returns the k-node circulant overlay a sparse campaign runs
-// on: node i connects to i±1, i±2, i±4, … (powers of two below k), giving
-// degree ~2·log₂k and O(log k) diameter, so push-sum over it converges in
-// O(log k · log(1/ξ))-class step counts regardless of how large the real
-// network is. The overlay is a pure function of k — every shard, worker and
-// replica derives the identical graph, which keeps campaign results
-// partition-invariant.
-func overlayGraph(k int) *graph.Graph {
-	if v, ok := overlayCache.Load(k); ok {
-		return v.(*graph.Graph)
-	}
-	g := graph.New(k)
-	for d := 1; d < k; d *= 2 {
-		for i := 0; i < k; i++ {
-			u, v := i, (i+d)%k
-			if u == v || g.HasEdge(u, v) {
-				continue
-			}
-			if err := g.AddEdge(u, v); err != nil {
-				panic(err) // guarded against self-loops and duplicates above
-			}
-		}
-	}
-	actual, _ := overlayCache.LoadOrStore(k, g)
-	return actual.(*graph.Graph)
-}
 
 // seedScratch is a worker's reusable (y0, g0) seed block for dense
 // campaigns. Instead of zeroing all N slots before every campaign, it tracks

@@ -1,6 +1,9 @@
 package gossip
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file is the churn surface of the scalar gossip Engine: the hooks the
 // deterministic scenario engine (internal/scenario) uses to drive a run
@@ -41,12 +44,9 @@ func (e *Engine) Crash(i int) error {
 		return fmt.Errorf("gossip: crash node %d already down", i)
 	}
 	e.synced = false
-	e.lost.add(e.cur[i])
-	e.cur[i] = Pair{}
-	if e.count != nil {
-		e.lostCount += e.count[i]
-		e.count[i] = 0
-	}
+	e.lost.add(e.cur[i].pair())
+	e.lostCount += e.cur[i].C
+	e.cur[i] = mass{}
 	e.down[i] = true
 	e.nDown++
 	e.selfConv[i] = false
@@ -71,12 +71,11 @@ func (e *Engine) Leave(i int) error {
 	}
 	e.synced = false
 	e.msgs.Gossip++
-	e.cur[h].add(e.cur[i])
-	e.cur[i] = Pair{}
-	if e.count != nil {
-		e.count[h] += e.count[i]
-		e.count[i] = 0
-	}
+	heir, m := &e.cur[h], &e.cur[i]
+	heir.Y += m.Y
+	heir.G += m.G
+	heir.C += m.C
+	*m = mass{}
 	// The heir's held estimate just moved; its convergence flag is
 	// re-evaluated from the new state on the next step (the announcement
 	// protocol is revocable), but its last-seen ratio must reflect the
@@ -95,7 +94,7 @@ func (e *Engine) Leave(i int) error {
 // the alive ones, found by a second scan, so the choice stays uniform
 // without allocating.
 func (e *Engine) pickAliveNeighbor(i int) int {
-	nbrs := e.cfg.Graph.Neighbors(i)
+	nbrs := e.neighbors(i)
 	alive := 0
 	for _, v := range nbrs {
 		if !e.down[v] {
@@ -109,7 +108,7 @@ func (e *Engine) pickAliveNeighbor(i int) int {
 	for _, v := range nbrs {
 		if !e.down[v] {
 			if pick == 0 {
-				return v
+				return int(v)
 			}
 			pick--
 		}
@@ -133,8 +132,8 @@ func (e *Engine) Rejoin(i int, y, g float64) error {
 	e.synced = false
 	e.down[i] = false
 	e.nDown--
-	e.cur[i] = Pair{y, g}
-	e.injected.add(e.cur[i])
+	e.cur[i] = mass{Y: y, G: g}
+	e.injected.add(Pair{y, g})
 	e.u[i] = e.cur[i].ratio()
 	e.selfConv[i] = false
 	e.stopped[i] = false
@@ -156,20 +155,16 @@ func (e *Engine) AddNode(y, g float64) (int, error) {
 	}
 	i := e.n
 	e.n++
-	e.cur = append(e.cur, Pair{y, g})
+	e.cur = append(e.cur, mass{Y: y, G: g})
 	e.injected.add(Pair{y, g})
-	e.u = append(e.u, Pair{y, g}.ratio())
+	e.u = append(e.u, e.cur[i].ratio())
 	e.selfConv = append(e.selfConv, false)
 	e.stopped = append(e.stopped, false)
 	e.down = append(e.down, false)
-	e.next = append(e.next, Pair{})
-	e.extRecv = append(e.extRecv, 0)
+	e.next = append(e.next, mass{})
 	e.unconv = append(e.unconv, 0)
-	e.setFanouts(append(e.ks, 1)) // placeholder until RefreshFanouts
-	if e.count != nil {
-		e.count = append(e.count, 0)
-		e.nextCount = append(e.nextCount, 0)
-	}
+	e.flipped = slices.Grow(e.flipped[:0], e.n) // Step lists flips in place
+	e.setFanouts(append(e.ks, 1))               // placeholder until RefreshFanouts
 	e.msgs.Setup += 2 * e.cfg.Graph.Degree(i)
 	return i, nil
 }
@@ -210,10 +205,11 @@ func (e *Engine) Override(i int, y, g float64) error {
 		return fmt.Errorf("gossip: override node %d with negative weight %v", i, g)
 	}
 	e.synced = false
-	e.lost.add(e.cur[i])
-	e.cur[i] = Pair{y, g}
-	e.injected.add(e.cur[i])
-	e.u[i] = e.cur[i].ratio()
+	m := &e.cur[i]
+	e.lost.add(m.pair())
+	m.Y, m.G = y, g
+	e.injected.add(m.pair())
+	e.u[i] = m.ratio()
 	e.selfConv[i] = false
 	// Wake the node even if its whole neighbourhood had converged: a liar
 	// in a stopped region must push its fresh state so neighbours' deltas
@@ -236,4 +232,4 @@ func (e *Engine) N() int { return e.n }
 
 // Held returns the pair node i currently holds — the raw mass state behind
 // Estimate, which churn events like Override build on.
-func (e *Engine) Held(i int) Pair { return e.cur[i] }
+func (e *Engine) Held(i int) Pair { return e.cur[i].pair() }

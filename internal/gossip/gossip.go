@@ -162,11 +162,6 @@ func (p *Pair) add(q Pair) {
 	p.G += q.G
 }
 
-// scale returns p scaled by f.
-func (p Pair) scale(f float64) Pair {
-	return Pair{p.Y * f, p.G * f}
-}
-
 // ratio returns Y/G, or Sentinel when G == 0.
 func (p Pair) ratio() float64 {
 	if p.G == 0 {

@@ -88,7 +88,8 @@ func BenchmarkVectorStepCounts(b *testing.B) {
 }
 
 // BenchmarkScalarStep isolates the scalar engine's per-step cost at the
-// paper's large-N sweep sizes — the Fig3/Table2 hot path.
+// paper's large-N sweep sizes — the Fig3/Table2 hot path. Every node stays
+// active, and ns/node-step is the time per step divided by N.
 func BenchmarkScalarStep(b *testing.B) {
 	for _, n := range []int{1000, 10000, 50000} {
 		b.Run(byN(n), func(b *testing.B) {
@@ -110,6 +111,7 @@ func BenchmarkScalarStep(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				e.Step()
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/node-step")
 		})
 	}
 }

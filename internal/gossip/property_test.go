@@ -137,7 +137,7 @@ func TestEngineMassConservationProperty(t *testing.T) {
 			}
 			if withCount {
 				count := 0.0
-				for _, c := range e.count {
+				for _, c := range e.counts() {
 					count += c
 				}
 				if err := ledgerErr(count, e.baseCount+e.injectedCount-e.lostCount); err > 1e-9 {

@@ -13,17 +13,12 @@ import (
 // referenceStep is Algorithm 1's step written the textbook way, one branch
 // per case and a full stop-rule scan: the reference Step is checked against.
 // It reads and writes the engine's node state and tallies as Step does, and
-// none of Step's own (inv, unconv, flipped, nUnconv, synced).
+// none of Step's own (route table, unconv, flipped, nUnconv, synced): the
+// neighbours and the sampled targets come from the graph.
 func (e *Engine) referenceStep() bool {
 	g := e.cfg.Graph
 	for i := range e.next {
-		e.next[i] = Pair{}
-		e.extRecv[i] = 0
-	}
-	if e.nextCount != nil {
-		for i := range e.nextCount {
-			e.nextCount[i] = 0
-		}
+		e.next[i] = mass{}
 	}
 
 	// Push phase.
@@ -34,25 +29,17 @@ func (e *Engine) referenceStep() bool {
 		}
 		if e.stopped[i] || g.Degree(i) == 0 {
 			// A stopped or isolated node retains its entire mass.
-			e.next[i].add(e.cur[i])
-			if e.nextCount != nil {
-				e.nextCount[i] += e.count[i]
-			}
+			e.next[i].deliver(e.cur[i].pair(), e.cur[i].C)
 			continue
 		}
 		e.msgs.ActiveNodeSteps++
 		k := e.ks[i]
 		f := 1 / float64(k+1)
-		share := e.cur[i].scale(f)
-		var countShare float64
-		if e.nextCount != nil {
-			countShare = e.count[i] * f
-		}
+		share := Pair{e.cur[i].Y * f, e.cur[i].G * f}
+		// Without count gossip C is 0 and so is its share.
+		countShare := e.cur[i].C * f
 		// Self delivery.
-		e.next[i].add(share)
-		if e.nextCount != nil {
-			e.nextCount[i] += countShare
-		}
+		e.next[i].deliver(share, countShare)
 		e.nbrs = g.AppendRandomNeighbors(e.nbrs[:0], i, k, e.src)
 		for _, t := range e.nbrs {
 			e.msgs.Gossip++
@@ -68,17 +55,11 @@ func (e *Engine) referenceStep() bool {
 				// Lost push: no ack, so the sender re-absorbs the
 				// share (paper §5.3) and mass is conserved.
 				e.msgs.Lost++
-				e.next[i].add(share)
-				if e.nextCount != nil {
-					e.nextCount[i] += countShare
-				}
+				e.next[i].deliver(share, countShare)
 				continue
 			}
-			e.next[t].add(share)
-			if e.nextCount != nil {
-				e.nextCount[t] += countShare
-			}
-			e.extRecv[t]++
+			e.next[t].deliver(share, countShare)
+			e.next[t].heard++
 		}
 	}
 
@@ -86,16 +67,13 @@ func (e *Engine) referenceStep() bool {
 	e.steps++
 	for i := 0; i < e.n; i++ {
 		e.cur[i] = e.next[i]
-		if e.nextCount != nil {
-			e.count[i] = e.nextCount[i]
-		}
 		if e.down[i] {
 			// Departed nodes carry no estimate and play no part in the
 			// convergence protocol until they rejoin.
 			e.u[i] = Sentinel
 			continue
 		}
-		r := e.cur[i].ratio()
+		r := e.cur[i].pair().ratio()
 		delta := math.Abs(r - e.u[i])
 		// A node with zero weight mass has no estimate yet (sentinel
 		// ratio): it must not satisfy the convergence test, or sum-mode
@@ -111,7 +89,7 @@ func (e *Engine) referenceStep() bool {
 		// Reception (|S| > 1 in the paper) gates only the *initial*
 		// detection: a node that has heard nothing new keeps whatever
 		// flag it holds as long as its ratio stays within ξ.
-		heard := e.extRecv[i] >= 1 || e.selfConv[i] || e.stopped[i]
+		heard := e.cur[i].heard >= 1 || e.selfConv[i] || e.stopped[i]
 		conv := e.cur[i].G > 0 && heard && delta <= e.cfg.Epsilon && e.steps >= e.cfg.MinSteps
 		if conv != e.selfConv[i] {
 			e.selfConv[i] = conv
@@ -134,6 +112,13 @@ func (e *Engine) referenceStep() bool {
 		}
 	}
 	return running
+}
+
+// deliver adds a value/weight share and a count share to the record.
+func (m *mass) deliver(p Pair, c float64) {
+	m.Y += p.Y
+	m.G += p.G
+	m.C += c
 }
 
 // convergedOrDown reports whether every listed neighbour either announced
@@ -210,7 +195,7 @@ func (w *twins) step() bool {
 	if !slices.Equal(w.kernel.selfConv, w.ref.selfConv) || !slices.Equal(w.kernel.stopped, w.ref.stopped) {
 		w.t.Fatalf("%s: convergence flags diverged", at)
 	}
-	if i, ok := sameBits(w.kernel.count, w.ref.count); !ok {
+	if i, ok := sameBits(w.kernel.counts(), w.ref.counts()); !ok {
 		w.t.Fatalf("%s: node %d count diverged", at, i)
 	}
 	return a
@@ -228,6 +213,15 @@ func sameBits(a, b []float64) (int, bool) {
 		}
 	}
 	return 0, true
+}
+
+// counts returns every node's count mass.
+func (e *Engine) counts() []float64 {
+	out := make([]float64, e.n)
+	for i := range out {
+		out[i] = e.cur[i].C
+	}
+	return out
 }
 
 // withCount enables count gossip on both twins.
@@ -249,8 +243,9 @@ func (w *twins) run() {
 	w.steps(math.MaxInt)
 }
 
-// circulant is the rater overlay core runs sparse campaigns on: node i
-// linked to i±1, i±2, i±4, … below k.
+// circulant is the rater overlay core runs sparse campaigns on, node i
+// linked to i±1, i±2, i±4, … below k, built edge by edge: the build
+// graph.Circulant is pinned to.
 func circulant(k int) *graph.Graph {
 	g := graph.New(k)
 	for d := 1; d < k; d *= 2 {
@@ -263,6 +258,25 @@ func circulant(k int) *graph.Graph {
 		}
 	}
 	return g
+}
+
+// TestCirculantMatchesEdgeByEdgeBuild pins graph.Circulant, which writes
+// the sparse-campaign overlay's adjacency straight from its offsets, to the
+// edge-by-edge build, element for element: a node's push targets are drawn
+// by position in its neighbour list, so the order is part of every sparse
+// campaign's result.
+func TestCirculantMatchesEdgeByEdgeBuild(t *testing.T) {
+	for k := 2; k <= 512; k++ {
+		got, want := graph.Circulant(k), circulant(k)
+		if got.N() != k || got.M() != want.M() {
+			t.Fatalf("k=%d: %d nodes, %d edges; want %d, %d", k, got.N(), got.M(), k, want.M())
+		}
+		for i := range k {
+			if !slices.Equal(got.Neighbors(i), want.Neighbors(i)) {
+				t.Fatalf("k=%d node %d: neighbours %v, want %v", k, i, got.Neighbors(i), want.Neighbors(i))
+			}
+		}
+	}
 }
 
 // TestStepMatchesReference: Step and the reference step stay bit-identical —

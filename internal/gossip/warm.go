@@ -39,8 +39,8 @@ type CampaignState struct {
 // capture path: the caller snapshots a converged campaign's masses without
 // touching the engine's internals.
 func (e *Engine) ExportState(ys, gs []float64) {
-	for i, p := range e.cur {
-		ys[i], gs[i] = p.Y, p.G
+	for i := range e.cur {
+		ys[i], gs[i] = e.cur[i].Y, e.cur[i].G
 	}
 }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"diffgossip/internal/rng"
@@ -197,6 +198,32 @@ func Ring(n int) *Graph {
 		}
 	}
 	return g
+}
+
+// Circulant returns the k-node circulant graph linking node i to i±1, i±2,
+// i±4, … (every power of two below k): degree about 2·log₂k and diameter
+// O(log k). Each adjacency list comes in the order adding the edges
+// (i, (i+d) mod k) one at a time would give — d = 1, 2, 4, … outermost,
+// i = 0..k-1 inside, a pair already present skipped — without a HasEdge scan
+// per pair.
+func Circulant(k int) *Graph {
+	pairs := make([]int, 0, 2*k*bits.Len(uint(max(k-1, 0))))
+	for d := 1; d < k; d *= 2 {
+		// Distance d repeats every edge of distance k−d, an earlier power of
+		// two when k−d < d. At d = k/2 each edge comes up twice in the sweep,
+		// first at i < d.
+		if r := k - d; r < d && r&(r-1) == 0 {
+			continue
+		}
+		end := k
+		if 2*d == k {
+			end = d
+		}
+		for i := 0; i < end; i++ {
+			pairs = append(pairs, i, (i+d)%k)
+		}
+	}
+	return fromEdgeList(k, pairs)
 }
 
 // Complete returns the complete graph K_n, the topology assumed by the

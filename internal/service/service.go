@@ -64,7 +64,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -712,21 +712,31 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 		return s.View(), false, err
 	}
 
-	// cells[sh] collects shard sh's writes, stamped, in batch order; With
-	// keeps a write unless it is older than its cell's, so the folded state
-	// never depends on arrival order. Every shard the batch touches is dirty,
-	// even with no winning write: it republishes to advance its fold point.
-	cells := make(map[int][]trust.Cell)
+	// cells[off[sh]:off[sh+1]] holds shard sh's writes, stamped, in batch
+	// order: one counting pass sizes the shards, one flat backing takes
+	// every cell. With keeps a write unless it is older than its cell's, so
+	// the folded state never depends on arrival order. Every shard the batch
+	// touches is dirty, even with no winning write: it republishes to
+	// advance its fold point.
+	off := make([]int, len(s.states)+1)
+	for _, fb := range batch {
+		off[fb.Shard+1]++
+	}
+	dirtyList := make([]int, 0, len(s.states))
+	for sh := range s.states {
+		if off[sh+1] > 0 {
+			dirtyList = append(dirtyList, sh)
+		}
+		off[sh+1] += off[sh]
+	}
+	cells := make([]trust.Cell, len(batch))
+	fill := slices.Clone(off[:len(s.states)])
 	seq := uint64(0)
 	for _, fb := range batch {
-		cells[fb.Shard] = append(cells[fb.Shard], trust.Cell{Rater: fb.Rater, Subject: fb.Subject, Value: fb.Value, Stamp: s.ledger.StampOf(fb)})
+		cells[fill[fb.Shard]] = trust.Cell{Rater: fb.Rater, Subject: fb.Subject, Value: fb.Value, Stamp: s.ledger.StampOf(fb)}
+		fill[fb.Shard]++
 		seq = fb.Seq
 	}
-	dirtyList := make([]int, 0, len(cells))
-	for sh := range cells {
-		dirtyList = append(dirtyList, sh)
-	}
-	sort.Ints(dirtyList)
 
 	epoch := s.epochs.Load() + 1
 
@@ -760,7 +770,8 @@ func (s *Service) RunEpoch() (*View, bool, error) {
 					return
 				}
 				starts[idx] = time.Since(epochStart).Nanoseconds()
-				seg, err := s.foldShard(dirtyList[idx], cells[dirtyList[idx]], epoch, seq)
+				sh := dirtyList[idx]
+				seg, err := s.foldShard(sh, cells[off[sh]:off[sh+1]:off[sh+1]], epoch, seq)
 				if err != nil {
 					errs[idx] = err
 					continue
