@@ -87,6 +87,13 @@ func FuzzBatchDecode(f *testing.F) {
 	f.Add([]byte(`[{"Rater":1,"SUBJECT":2,"val\u0075e":5e-1}]`), 4)   // non-canonical but valid
 	f.Add([]byte(`[{"seq":1,"rater":1,"subject":2,"value":0.5}]`), 4) // a WAL key is an unknown field here
 	f.Add([]byte(`[{}]`), 4)
+	// scanFloat's fast path and its edges: 15-, 16- and 17-digit mantissas
+	// (2^53 lies between the last two), decimal exponents ±22 in and ±23 out.
+	f.Add([]byte(`[{"rater":1,"subject":2,"value":0.123456789012345},{"rater":1,"subject":2,"value":9007199254740993}]`), 4)
+	f.Add([]byte(`[{"rater":1,"subject":2,"value":0.30000000000000004}]`), 4)
+	f.Add([]byte(`[{"rater":1,"subject":2,"value":1e22},{"rater":1,"subject":2,"value":1e-22}]`), 4)
+	f.Add([]byte(`[{"rater":1,"subject":2,"value":1e23},{"rater":1,"subject":2,"value":-1E-23}]`), 4)
+	f.Add([]byte(`[{"rater":1,"subject":2,"value":-0},{"rater":1,"subject":2,"value":0.000001},{"rater":1,"subject":2,"value":1E-6}]`), 4)
 	f.Fuzz(func(t *testing.T, body []byte, maxBatch int) {
 		want, wantErr := decodeBatchJSON(nil, body, maxBatch)
 		entries, err := DecodeBatch(bytes.NewReader(body), maxBatch)

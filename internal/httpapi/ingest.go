@@ -170,7 +170,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		s.ingestError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, FeedbackResponse{
+	writeAck(w, FeedbackResponse{
 		Seq:     seq,
 		Shard:   store.ShardOf(req.Subject, s.svc.Shards()),
 		Pending: s.svc.Pending(),
@@ -232,25 +232,75 @@ func (s *Server) handleFeedbackBatch(w http.ResponseWriter, r *http.Request) {
 		s.shedBackpressure(w)
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	entries, err := DecodeBatch(r.Body, s.cfg.MaxBatch)
+	buf, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	pooled := entryPool.Get().(*[]store.Feedback)
+	defer func() {
+		bodyPool.Put(buf)
+		entryPool.Put(pooled)
+	}()
 	if err != nil {
 		s.decodeError(w, err)
 		return
 	}
+	entries, err := decodeEntries((*pooled)[:0], buf.Bytes(), s.cfg.MaxBatch)
+	if err != nil {
+		s.decodeError(w, err)
+		return
+	}
+	*pooled = entries[:0] // SubmitBatch copies the entries; the backing goes back
 	first, last, err := s.svc.SubmitBatch(r.Context(), entries)
 	if err != nil {
 		s.ingestError(w, err)
 		return
 	}
 	s.m.batchRatings.Add(uint64(len(entries)))
-	writeJSON(w, http.StatusAccepted, BatchResponse{
+	writeAck(w, BatchResponse{
 		Accepted: len(entries),
 		FirstSeq: first,
 		LastSeq:  last,
 		Pending:  s.svc.Pending(),
 		Epoch:    s.svc.Epochs(),
 	})
+}
+
+// entryPool recycles the entry slices batch POSTs decode into: SubmitBatch
+// copies a batch into the ledger's pending window, so its slice is free
+// again once the submit returns.
+var entryPool = sync.Pool{New: func() any { return new([]store.Feedback) }}
+
+// ackPool recycles the buffers ingest acknowledgements are encoded into.
+var ackPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeAck answers 202 with ack's JSON, appended into a pooled buffer in
+// place of writeJSON's encoding/json.
+func writeAck[A interface{ appendJSON([]byte) []byte }](w http.ResponseWriter, ack A) {
+	buf := ackPool.Get().(*[]byte)
+	*buf = ack.appendJSON((*buf)[:0])
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusAccepted)
+	w.Write(*buf)
+	ackPool.Put(buf)
+}
+
+// appendJSON appends what json.NewEncoder(w).Encode(r) writes, newline
+// included (TestAckEncodersMatchEncodingJSON).
+func (r FeedbackResponse) appendJSON(b []byte) []byte {
+	b = strconv.AppendUint(append(b, `{"seq":`...), r.Seq, 10)
+	b = strconv.AppendInt(append(b, `,"shard":`...), int64(r.Shard), 10)
+	b = strconv.AppendInt(append(b, `,"pending":`...), int64(r.Pending), 10)
+	b = strconv.AppendUint(append(b, `,"epoch":`...), r.Epoch, 10)
+	return append(b, "}\n"...)
+}
+
+// appendJSON appends what json.NewEncoder(w).Encode(r) writes, newline
+// included (TestAckEncodersMatchEncodingJSON).
+func (r BatchResponse) appendJSON(b []byte) []byte {
+	b = strconv.AppendInt(append(b, `{"accepted":`...), int64(r.Accepted), 10)
+	b = strconv.AppendUint(append(b, `,"first_seq":`...), r.FirstSeq, 10)
+	b = strconv.AppendUint(append(b, `,"last_seq":`...), r.LastSeq, 10)
+	b = strconv.AppendInt(append(b, `,"pending":`...), int64(r.Pending), 10)
+	b = strconv.AppendUint(append(b, `,"epoch":`...), r.Epoch, 10)
+	return append(b, "}\n"...)
 }
 
 // DecodeBatch parses a batch request body — either one JSON array of
@@ -270,17 +320,25 @@ func DecodeBatch(r io.Reader, maxBatch int) ([]store.Feedback, error) {
 	if err != nil {
 		return nil, err
 	}
-	body := buf.Bytes()
+	return decodeEntries(nil, buf.Bytes(), maxBatch)
+}
+
+// decodeEntries is DecodeBatch's parse of a read body, into dst[:0]; it
+// allocates only when dst is too small for the body's entries, and
+// nothing at all once a pooled dst is warm (TestDecodeEntriesWarmAllocs).
+func decodeEntries(dst []store.Feedback, body []byte, maxBatch int) ([]store.Feedback, error) {
 	// A well-formed body has one '{' per entry; a hostile one is capped.
 	hint := bytes.Count(body, []byte{'{'})
 	if maxBatch > 0 && hint > maxBatch {
 		hint = maxBatch
 	}
-	entries := make([]store.Feedback, 0, hint)
-	if scanned, ok := store.ScanFeedbackBatch(entries, body, store.RequestKeys, maxBatch); ok {
+	if cap(dst) < hint {
+		dst = make([]store.Feedback, 0, hint)
+	}
+	if scanned, ok := store.ScanFeedbackBatch(dst, body, store.RequestKeys, maxBatch); ok {
 		return scanned, nil
 	}
-	return decodeBatchJSON(entries, body, maxBatch)
+	return decodeBatchJSON(dst, body, maxBatch)
 }
 
 // decodeBatchJSON is DecodeBatch by encoding/json, appending to entries[:0].

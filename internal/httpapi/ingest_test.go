@@ -1,6 +1,9 @@
 package httpapi
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -8,6 +11,7 @@ import (
 
 	"diffgossip/internal/core"
 	"diffgossip/internal/graph"
+	"diffgossip/internal/rng"
 	"diffgossip/internal/service"
 )
 
@@ -121,5 +125,64 @@ func TestBatchOversizeRule(t *testing.T) {
 				t.Errorf("body %s does not mention %q", rec.Body.String(), c.text)
 			}
 		})
+	}
+}
+
+// TestAckEncodersMatchEncodingJSON holds the hand-written ingest
+// acknowledgements to json.NewEncoder(w).Encode, trailing newline included,
+// over seeded values of every width and each field type's extremes; then
+// both routes' 202 bodies and headers to what writeJSON wrote for them.
+func TestAckEncodersMatchEncodingJSON(t *testing.T) {
+	src := rng.New(5)
+	u64s := []uint64{0, 1, math.MaxInt64, math.MaxInt64 + 1, math.MaxUint64}
+	ints := []int{0, 1, -1, math.MinInt, math.MaxInt}
+	u64 := func() uint64 {
+		if src.Intn(4) == 0 {
+			return u64s[src.Intn(len(u64s))]
+		}
+		return src.Uint64() >> src.Intn(64)
+	}
+	anInt := func() int {
+		if src.Intn(4) == 0 {
+			return ints[src.Intn(len(ints))]
+		}
+		return int(int64(src.Uint64()) >> src.Intn(64))
+	}
+	encode := func(v any) string {
+		var b bytes.Buffer
+		if err := json.NewEncoder(&b).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	for k := 0; k < 5000; k++ {
+		single := FeedbackResponse{Seq: u64(), Shard: anInt(), Pending: anInt(), Epoch: u64()}
+		if got, want := string(single.appendJSON(nil)), encode(single); got != want {
+			t.Fatalf("%+v encodes to %q, encoding/json says %q", single, got, want)
+		}
+		batch := BatchResponse{Accepted: anInt(), FirstSeq: u64(), LastSeq: u64(), Pending: anInt(), Epoch: u64()}
+		if got, want := string(batch.appendJSON(nil)), encode(batch); got != want {
+			t.Fatalf("%+v encodes to %q, encoding/json says %q", batch, got, want)
+		}
+	}
+
+	srv := newIngestServer(t, Config{})
+	for _, c := range []struct {
+		target, body string
+		ack          any
+	}{
+		{"/v1/feedback", `{"rater":1,"subject":2,"value":0.5}`, &FeedbackResponse{}},
+		{"/v1/feedback/batch", `[{"rater":1,"subject":2,"value":0.5},{"rater":3,"subject":4,"value":0.25}]`, &BatchResponse{}},
+	} {
+		rec := post(srv, c.target, c.body)
+		if rec.Code != http.StatusAccepted || rec.Header().Get("Content-Type") != "application/json" {
+			t.Fatalf("%s: status %d, Content-Type %q", c.target, rec.Code, rec.Header().Get("Content-Type"))
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), c.ack); err != nil {
+			t.Fatal(err)
+		}
+		if want := encode(c.ack); rec.Body.String() != want {
+			t.Fatalf("%s answered %q, encoding/json says %q", c.target, rec.Body.String(), want)
+		}
 	}
 }

@@ -131,6 +131,18 @@ func FuzzFeedbackDecode(f *testing.F) {
 	f.Add([]byte(`{"value":0.1234567890123456789012345678901234567890}`))
 	f.Add([]byte(`{"Rater":1,"SUBJECT":2,"val\u0075e":0.5,"origin":"a\u003cb"}`))
 	f.Add([]byte(" {\t\"value\" :\r\n 1E-2 , \"origin_seq\":0 } "))
+	// scanFloat's fast path and its edges: 15-, 16- and 17-digit mantissas
+	// (2^53 lies between the last two), decimal exponents ±22 in and ±23 out.
+	f.Add([]byte(`{"value":0.123456789012345}`))
+	f.Add([]byte(`{"value":9007199254740993}`))
+	f.Add([]byte(`{"value":0.30000000000000004}`))
+	f.Add([]byte(`{"value":1e22,"rater":1}`))
+	f.Add([]byte(`{"value":1e-22}`))
+	f.Add([]byte(`{"value":1e23}`))
+	f.Add([]byte(`{"value":-1E-23}`))
+	f.Add([]byte(`{"value":-0}`))
+	f.Add([]byte(`{"value":0.000001}`))
+	f.Add([]byte(`{"value":1E-6}`))
 	f.Fuzz(func(t *testing.T, line []byte) {
 		var want Feedback
 		wantErr := json.Unmarshal(line, &want)
@@ -179,6 +191,16 @@ func FuzzFeedbackEncode(f *testing.F) {
 	f.Add(uint64(2), 1, 2, 2.2250738585072009e-308, int64(5), "x", uint64(1)) // largest denormal
 	f.Add(uint64(2), 1, 2, 1e-10, int64(5), "x", uint64(1))                   // e-10: two exponent digits, no clean-up
 	f.Add(uint64(2), 1, 2, 1.0/3, int64(5), "x", uint64(1))
+	// appendShortDecimal's edges: a 16-digit scale printed the first as
+	// −0.0009789858406818126; the rest sit at 15, 16 and 17 digits, at the
+	// 1e-6 switch to 'e', below it, and at the top of the 15-digit range.
+	f.Add(uint64(2), 1, 2, -0.0009789858406818125, int64(5), "", uint64(0))
+	f.Add(uint64(2), 1, 2, -64.9999999, int64(5), "", uint64(0))
+	f.Add(uint64(2), 1, 2, 9.999999999999999, int64(5), "", uint64(0))
+	f.Add(uint64(2), 1, 2, 0.30000000000000004, int64(5), "", uint64(0))
+	f.Add(uint64(2), 1, 2, 1e-6, int64(5), "", uint64(0))
+	f.Add(uint64(2), 1, 2, 0.0000012345678901234, int64(5), "", uint64(0))
+	f.Add(uint64(2), 1, 2, 999999999999999.0, int64(5), "", uint64(0))
 	f.Fuzz(func(t *testing.T, seq uint64, rater, subject int, value float64, unixNano int64, origin string, originSeq uint64) {
 		fb := Feedback{Seq: seq, Rater: rater, Subject: subject, Value: value,
 			UnixNano: unixNano, Origin: origin, OriginSeq: originSeq, Shard: 5}

@@ -365,10 +365,7 @@ func (l *Ledger) appendLocked(entries []Feedback, unqueued int) error {
 		entries[i].Shard = ShardOf(entries[i].Subject, l.shards)
 	}
 	if l.w != nil {
-		l.enc = l.enc[:0]
-		for i := range entries {
-			l.enc = append(AppendFeedback(l.enc, &entries[i]), '\n')
-		}
+		l.enc = appendFeedbackLines(l.enc[:0], entries)
 		err := l.writeWALLocked(l.enc)
 		if cap(l.enc) > maxEncCap {
 			l.enc = nil // a bulk append's buffer does not outlive it
@@ -382,6 +379,13 @@ func (l *Ledger) appendLocked(entries []Feedback, unqueued int) error {
 	l.seq += uint64(len(entries))
 	l.mEntries.Add(uint64(len(entries)))
 	if queued := entries[unqueued:]; len(queued) > 0 {
+		if need := len(l.pending) + len(queued); need > cap(l.pending) {
+			// Whole doublings: append's 1.25× steps past 256 entries would
+			// copy (and zero) a filling window about five times over.
+			grown := make([]Feedback, len(l.pending), max(need, 2*cap(l.pending)))
+			copy(grown, l.pending)
+			l.pending = grown
+		}
 		l.pending = append(l.pending, queued...)
 		l.pendingN.Store(int64(len(l.pending)))
 		for i := range queued {
