@@ -282,39 +282,6 @@ func BenchmarkEngineStep(b *testing.B) {
 	}
 }
 
-// BenchmarkVectorEngineStep isolates the per-step cost of the vector engine
-// (dense ratings). Like the scalar engine, steady-state steps must report 0
-// allocs/op.
-func BenchmarkVectorEngineStep(b *testing.B) {
-	for _, n := range []int{200, 500, 1000} {
-		b.Run(byN(n), func(b *testing.B) {
-			g := graph.MustPA(n, 2, 63)
-			src := rng.New(64)
-			y0 := make([][]float64, n)
-			g0 := make([][]float64, n)
-			buf := make([]float64, 2*n*n)
-			for i := 0; i < n; i++ {
-				y0[i] = buf[2*i*n : (2*i+1)*n]
-				g0[i] = buf[(2*i+1)*n : (2*i+2)*n]
-				for j := 0; j < n; j++ {
-					y0[i][j] = src.Float64()
-					g0[i][j] = 1
-				}
-			}
-			e, err := gossip.NewVectorEngine(gossip.Config{Graph: g, Epsilon: 1e-12, Seed: 65}, y0, g0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			e.Step() // warm the scratch buffers outside the measured window
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.Step()
-			}
-		})
-	}
-}
-
 // BenchmarkPAGeneration measures overlay construction.
 func BenchmarkPAGeneration(b *testing.B) {
 	for _, n := range []int{1000, 10000, 50000} {

@@ -154,13 +154,16 @@ func PowerTrust(m *trust.Matrix, rounds int) ([]float64, error) {
 	}
 	num := make([]float64, n)
 	den := make([]float64, n)
+	var ids []int
+	var vals []float64
 	for r := 0; r < rounds; r++ {
 		for j := range num {
 			num[j], den[j] = 0, 0
 		}
 		for i := 0; i < n; i++ {
-			for j, v := range m.Row(i) {
-				num[j] += rep[i] * v
+			ids, vals = m.RowInto(i, ids[:0], vals[:0])
+			for k, j := range ids {
+				num[j] += rep[i] * vals[k]
 				den[j] += rep[i]
 			}
 		}

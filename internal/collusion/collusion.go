@@ -107,16 +107,19 @@ func (a *Assignment) Reported(honest *trust.Matrix) (*trust.Matrix, error) {
 		return nil, fmt.Errorf("collusion: assignment over %d nodes, matrix over %d", len(a.Colluder), n)
 	}
 	out := trust.NewMatrix(n)
+	var ids []int
+	var vals []float64
 	for i := 0; i < n; i++ {
+		ids, vals = honest.RowInto(i, ids[:0], vals[:0])
 		if !a.Colluder[i] {
-			for j, v := range honest.Row(i) {
-				if err := out.Set(i, j, v); err != nil {
+			for k, j := range ids {
+				if err := out.Set(i, j, vals[k]); err != nil {
 					return nil, err
 				}
 			}
 			continue
 		}
-		for j := range honest.Row(i) {
+		for _, j := range ids {
 			if err := out.Set(i, j, 0); err != nil {
 				return nil, err
 			}

@@ -107,8 +107,9 @@ func TestReportedSemantics(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		if !a.Colluder[i] {
 			// Honest rows identical.
-			for j, v := range tm.Row(i) {
-				if rep.Value(i, j) != v {
+			ids, vals := tm.RowInto(i, nil, nil)
+			for k, j := range ids {
+				if rep.Value(i, j) != vals[k] {
 					t.Fatalf("honest row %d changed at %d", i, j)
 				}
 			}
@@ -202,7 +203,7 @@ func TestExpectedDeltaNewDamped(t *testing.T) {
 	// Pick an observer that actually trusts some neighbours.
 	obs := -1
 	for i := 0; i < 80; i++ {
-		if len(tm.Row(i)) > 0 {
+		if len(tm.InteractedWith(i)) > 0 {
 			obs = i
 			break
 		}

@@ -423,20 +423,19 @@ func GCLRAllFromReports(g *graph.Graph, honest, reported *trust.Matrix, p Params
 	for j := 0; j < n; j++ {
 		g0[p.Root][j] = 1
 	}
+	var ids []int
+	var vals []float64
 	for i := 0; i < n; i++ {
-		for j, v := range reported.Row(i) {
-			y0[i][j] = v
+		ids, vals = reported.RowInto(i, ids[:0], vals[:0])
+		for k, j := range ids {
+			y0[i][j] = vals[k]
 			c0[i][j] = 1
 		}
 	}
-	e, err := gossip.NewVectorEngine(p.gossipConfig(g), y0, g0)
+	e, err := gossip.NewVectorEngine(p.gossipConfig(g), y0, g0, c0)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.EnableCountGossip(c0); err != nil {
-		return nil, err
-	}
-	e.CountVectorMessages()
 	// Feedback phase: each node pushes its trust vector to each neighbour.
 	e.ChargeSetup(2 * g.M() * n)
 	res := e.Run()

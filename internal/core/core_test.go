@@ -266,7 +266,7 @@ func TestGCLRDiffersFromGlobalWhenWeightsMatter(t *testing.T) {
 	// the global estimate.
 	var plain int = -1
 	for i := 0; i < n; i++ {
-		if len(tm.Row(i)) == 0 {
+		if len(tm.InteractedWith(i)) == 0 {
 			plain = i
 			break
 		}
@@ -383,7 +383,7 @@ func gclrAllDigest(res *AllResult) uint64 {
 
 // TestGCLRAllPinnedDigest is the absolute guard on the all-subjects
 // variant's bits (Figs. 5–6): GCLRAllFromReports over a PA overlay with an
-// unrated subject (the vector engine's sparse path), for honest and
+// unrated subject (its column carries only the root's weight), for honest and
 // colluding reports, with and without packet loss, at one worker and at
 // GOMAXPROCS workers, must hash to constants captured before the vector
 // engine lost its churn surface.

@@ -7,15 +7,16 @@ import (
 	"diffgossip/internal/rng"
 )
 
-// BenchmarkVectorStep measures the steady-state per-step cost of the vector
-// engine on the dense all-subjects workload (every node rates every subject),
-// the Fig3/Table2-class shape at sizes the paper's collusion figures use.
+// BenchmarkVectorStep measures the vector engine's steady-state per-step
+// cost at core.GCLRAllFromReports' shape (the root's weight on every
+// subject, rater counts on), the all-subjects variant behind Figs. 5–6. Every
+// node stays active, and ns/node-step is the time per step divided by N.
 func BenchmarkVectorStep(b *testing.B) {
-	for _, n := range []int{300, 1000, 2000} {
+	for _, n := range []int{300, 1000} {
 		b.Run(byN(n), func(b *testing.B) {
-			g := graph.MustPA(n, 2, 170)
-			y0, g0 := buildVectorInputs(n, 171)
-			e, err := NewVectorEngine(Config{Graph: g, Epsilon: 1e-12, Seed: 172, MinSteps: 1 << 30}, y0, g0)
+			g := graph.MustPA(n, 2, 190)
+			y0, g0, c0 := buildGCLRInputs(n, 191)
+			e, err := NewVectorEngine(Config{Graph: g, Epsilon: 1e-12, Seed: 192, MinSteps: 1 << 30}, y0, g0, c0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -25,65 +26,8 @@ func BenchmarkVectorStep(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				e.Step()
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/node-step")
 		})
-	}
-}
-
-// BenchmarkVectorStepSparse measures the sparse-trust shape: only a small
-// fraction of subjects carry any weight mass, so an active-subject index can
-// skip the unrated columns.
-func BenchmarkVectorStepSparse(b *testing.B) {
-	for _, n := range []int{1000, 2000} {
-		b.Run(byN(n), func(b *testing.B) {
-			g := graph.MustPA(n, 2, 180)
-			src := rng.New(181)
-			y0, g0 := alloc(n), alloc(n)
-			// ~5% of subjects rated, by everybody (dense columns, sparse
-			// column set).
-			for j := 0; j < n; j += 20 {
-				for i := 0; i < n; i++ {
-					y0[i][j] = src.Float64()
-					g0[i][j] = 1
-				}
-			}
-			e, err := NewVectorEngine(Config{Graph: g, Epsilon: 1e-12, Seed: 182, MinSteps: 1 << 30}, y0, g0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			e.Step()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.Step()
-			}
-		})
-	}
-}
-
-// BenchmarkVectorStepCounts is the Algorithm-2 shape: the count component
-// rides along with every push.
-func BenchmarkVectorStepCounts(b *testing.B) {
-	n := 1000
-	g := graph.MustPA(n, 2, 190)
-	y0, g0 := buildVectorInputs(n, 191)
-	c0 := alloc(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			c0[i][j] = 1
-		}
-	}
-	e, err := NewVectorEngine(Config{Graph: g, Epsilon: 1e-12, Seed: 192, MinSteps: 1 << 30}, y0, g0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := e.EnableCountGossip(c0); err != nil {
-		b.Fatal(err)
-	}
-	e.Step()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
 	}
 }
 

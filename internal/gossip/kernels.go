@@ -3,10 +3,9 @@ package gossip
 import "math"
 
 // This file holds the flat-row kernels behind VectorEngine.accumulate. Each
-// kernel is a single bounds-check-friendly sweep; the Row forms traverse whole
-// contiguous rows (every subject active), the At forms gather only the active
-// subject columns of a sparse workload. Arithmetic order matches the original
-// three-pass axpy formulation exactly, so results are bit-identical to it.
+// kernel is a single bounds-check-friendly sweep over whole contiguous rows.
+// Arithmetic order matches the original three-pass axpy formulation exactly, so results
+// are bit-identical to it.
 //
 // Every accumulate step wraps its product in an explicit float64 conversion:
 // the Go spec permits an implementation to contract acc += a*b into a fused
@@ -16,31 +15,8 @@ import "math"
 // rounded values, engine results are identical on every platform and to the
 // unfused axpy baseline.
 
-// mulRow2 initialises y[j] = ys[j]·f and g[j] = gs[j]·f in one sweep,
-// replacing a zeroing pass followed by an accumulation pass.
-func mulRow2(y, g, ys, gs []float64, f float64) {
-	y = y[:len(ys)]
-	g = g[:len(ys)]
-	gs = gs[:len(ys)]
-	for j, v := range ys {
-		y[j] = v * f
-		g[j] = gs[j] * f
-	}
-}
-
-// mulAddRow2 accumulates y[j] += ys[j]·f and g[j] += gs[j]·f in one sweep.
-func mulAddRow2(y, g, ys, gs []float64, f float64) {
-	y = y[:len(ys)]
-	g = g[:len(ys)]
-	gs = gs[:len(ys)]
-	for j, v := range ys {
-		y[j] += float64(v * f)
-		g[j] += float64(gs[j] * f)
-	}
-}
-
-// mulRow3 / mulAddRow3 are the count-gossip forms: the third mass rides the
-// same sweep.
+// mulRow3 initialises y[j] = ys[j]·f, g[j] = gs[j]·f and c[j] = cs[j]·f in
+// one sweep, replacing a zeroing pass followed by an accumulation pass.
 func mulRow3(y, g, c, ys, gs, cs []float64, f float64) {
 	y = y[:len(ys)]
 	g = g[:len(ys)]
@@ -54,6 +30,7 @@ func mulRow3(y, g, c, ys, gs, cs []float64, f float64) {
 	}
 }
 
+// mulAddRow3 accumulates the three masses of one share in one sweep.
 func mulAddRow3(y, g, c, ys, gs, cs []float64, f float64) {
 	y = y[:len(ys)]
 	g = g[:len(ys)]
@@ -67,95 +44,9 @@ func mulAddRow3(y, g, c, ys, gs, cs []float64, f float64) {
 	}
 }
 
-// mulScanRow initialises the row from a lone share and runs the convergence
-// scan in the same sweep: r = y/g per subject (Sentinel at zero weight), the
-// L1 distance to the previous ratios, and the all-subjects-weighted flag.
-func mulScanRow(y, g, ys, gs []float64, f float64, prevR []float64) (float64, bool) {
-	y = y[:len(ys)]
-	g = g[:len(ys)]
-	gs = gs[:len(ys)]
-	prevR = prevR[:len(ys)]
-	l1 := 0.0
-	hasWeight := true
-	for j, v := range ys {
-		yv := v * f
-		gv := gs[j] * f
-		y[j] = yv
-		g[j] = gv
-		r := Sentinel
-		if gv != 0 {
-			r = yv / gv
-		} else {
-			hasWeight = false
-		}
-		l1 += math.Abs(r - prevR[j])
-		prevR[j] = r
-	}
-	return l1, hasWeight
-}
-
-// mulAddScanRow applies the final share and the convergence scan in one
-// sweep.
-func mulAddScanRow(y, g, ys, gs []float64, f float64, prevR []float64) (float64, bool) {
-	y = y[:len(ys)]
-	g = g[:len(ys)]
-	gs = gs[:len(ys)]
-	prevR = prevR[:len(ys)]
-	l1 := 0.0
-	hasWeight := true
-	for j, v := range ys {
-		yv := y[j] + float64(v*f)
-		gv := g[j] + float64(gs[j]*f)
-		y[j] = yv
-		g[j] = gv
-		r := Sentinel
-		if gv != 0 {
-			r = yv / gv
-		} else {
-			hasWeight = false
-		}
-		l1 += math.Abs(r - prevR[j])
-		prevR[j] = r
-	}
-	return l1, hasWeight
-}
-
-// mul2ScanRow fuses the common two-share case (self share + one received
-// share) with the convergence scan into a single sweep, skipping the
-// initialise-then-accumulate round trip through the destination row. The
-// second share's product is pinned by an explicit conversion (see the file
-// comment), so the result is bit-identical to the init-then-add formulation
-// on every platform.
-func mul2ScanRow(y, g, ys0, gs0 []float64, f0 float64, ys1, gs1 []float64, f1 float64, prevR []float64) (float64, bool) {
-	y = y[:len(ys0)]
-	g = g[:len(ys0)]
-	gs0 = gs0[:len(ys0)]
-	ys1 = ys1[:len(ys0)]
-	gs1 = gs1[:len(ys0)]
-	prevR = prevR[:len(ys0)]
-	l1 := 0.0
-	hasWeight := true
-	for j, v := range ys0 {
-		yv := v * f0
-		yv += float64(ys1[j] * f1)
-		gv := gs0[j] * f0
-		gv += float64(gs1[j] * f1)
-		y[j] = yv
-		g[j] = gv
-		r := Sentinel
-		if gv != 0 {
-			r = yv / gv
-		} else {
-			hasWeight = false
-		}
-		l1 += math.Abs(r - prevR[j])
-		prevR[j] = r
-	}
-	return l1, hasWeight
-}
-
-// scanRow is the standalone convergence scan (used when count gossip already
-// accumulated the final share).
+// scanRow is the convergence scan: r = y/g per subject (Sentinel at zero
+// weight), the L1 distance to the previous ratios, and the
+// all-subjects-weighted flag.
 func scanRow(y, g, prevR []float64) (float64, bool) {
 	g = g[:len(y)]
 	prevR = prevR[:len(y)]
@@ -165,116 +56,6 @@ func scanRow(y, g, prevR []float64) (float64, bool) {
 		r := Sentinel
 		if gv := g[j]; gv != 0 {
 			r = yv / gv
-		} else {
-			hasWeight = false
-		}
-		l1 += math.Abs(r - prevR[j])
-		prevR[j] = r
-	}
-	return l1, hasWeight
-}
-
-// The At forms mirror the Row forms over an explicit active-column index.
-
-func mulAt2(y, g, ys, gs []float64, f float64, idx []int) {
-	for _, j := range idx {
-		y[j] = ys[j] * f
-		g[j] = gs[j] * f
-	}
-}
-
-func mulAddAt2(y, g, ys, gs []float64, f float64, idx []int) {
-	for _, j := range idx {
-		y[j] += float64(ys[j] * f)
-		g[j] += float64(gs[j] * f)
-	}
-}
-
-func mulAt3(y, g, c, ys, gs, cs []float64, f float64, idx []int) {
-	for _, j := range idx {
-		y[j] = ys[j] * f
-		g[j] = gs[j] * f
-		c[j] = cs[j] * f
-	}
-}
-
-func mulAddAt3(y, g, c, ys, gs, cs []float64, f float64, idx []int) {
-	for _, j := range idx {
-		y[j] += float64(ys[j] * f)
-		g[j] += float64(gs[j] * f)
-		c[j] += float64(cs[j] * f)
-	}
-}
-
-func mulScanAt(y, g, ys, gs []float64, f float64, prevR []float64, idx []int) (float64, bool) {
-	l1 := 0.0
-	hasWeight := true
-	for _, j := range idx {
-		yv := ys[j] * f
-		gv := gs[j] * f
-		y[j] = yv
-		g[j] = gv
-		r := Sentinel
-		if gv != 0 {
-			r = yv / gv
-		} else {
-			hasWeight = false
-		}
-		l1 += math.Abs(r - prevR[j])
-		prevR[j] = r
-	}
-	return l1, hasWeight
-}
-
-func mulAddScanAt(y, g, ys, gs []float64, f float64, prevR []float64, idx []int) (float64, bool) {
-	l1 := 0.0
-	hasWeight := true
-	for _, j := range idx {
-		yv := y[j] + float64(ys[j]*f)
-		gv := g[j] + float64(gs[j]*f)
-		y[j] = yv
-		g[j] = gv
-		r := Sentinel
-		if gv != 0 {
-			r = yv / gv
-		} else {
-			hasWeight = false
-		}
-		l1 += math.Abs(r - prevR[j])
-		prevR[j] = r
-	}
-	return l1, hasWeight
-}
-
-func mul2ScanAt(y, g, ys0, gs0 []float64, f0 float64, ys1, gs1 []float64, f1 float64, prevR []float64, idx []int) (float64, bool) {
-	l1 := 0.0
-	hasWeight := true
-	for _, j := range idx {
-		yv := ys0[j] * f0
-		yv += float64(ys1[j] * f1)
-		gv := gs0[j] * f0
-		gv += float64(gs1[j] * f1)
-		y[j] = yv
-		g[j] = gv
-		r := Sentinel
-		if gv != 0 {
-			r = yv / gv
-		} else {
-			hasWeight = false
-		}
-		l1 += math.Abs(r - prevR[j])
-		prevR[j] = r
-	}
-	return l1, hasWeight
-}
-
-func scanAt(y, g, prevR []float64, idx []int) (float64, bool) {
-	l1 := 0.0
-	hasWeight := true
-	for _, j := range idx {
-		r := Sentinel
-		if gv := g[j]; gv != 0 {
-			r = y[j] / gv
 		} else {
 			hasWeight = false
 		}

@@ -18,7 +18,7 @@ func TestParallelVectorBitIdentical(t *testing.T) {
 	run := func(workers int) VectorResult {
 		e, err := NewVectorEngine(Config{
 			Graph: g, Epsilon: 1e-7, Seed: 152, Workers: workers, LossProb: 0.1,
-		}, y0, g0)
+		}, y0, g0, alloc(n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,11 +57,8 @@ func TestParallelVectorWithCounts(t *testing.T) {
 		c0[i][0] = 1
 	}
 	run := func(workers int) VectorResult {
-		e, err := NewVectorEngine(Config{Graph: g, Epsilon: 1e-8, Seed: 161, Workers: workers}, y0, g0)
+		e, err := NewVectorEngine(Config{Graph: g, Epsilon: 1e-8, Seed: 161, Workers: workers}, y0, g0, c0)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.EnableCountGossip(c0); err != nil {
 			t.Fatal(err)
 		}
 		return e.Run()
@@ -77,7 +74,7 @@ func TestParallelVectorWithCounts(t *testing.T) {
 func BenchmarkVectorStepWorkers(b *testing.B) {
 	n := 600
 	g := graph.MustPA(n, 2, 170)
-	y0, g0 := buildVectorInputs(n, 171)
+	y0, g0, c0 := buildGCLRInputs(n, 171)
 	for _, workers := range []int{1, 4, -1} {
 		name := "workers=1"
 		switch workers {
@@ -87,7 +84,7 @@ func BenchmarkVectorStepWorkers(b *testing.B) {
 			name = "workers=max"
 		}
 		b.Run(name, func(b *testing.B) {
-			e, err := NewVectorEngine(Config{Graph: g, Epsilon: 1e-12, Seed: 172, Workers: workers}, y0, g0)
+			e, err := NewVectorEngine(Config{Graph: g, Epsilon: 1e-12, Seed: 172, Workers: workers}, y0, g0, c0)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -8,18 +9,18 @@ import (
 	"diffgossip/internal/rng"
 )
 
-// VectorEngine runs the paper's third/fourth algorithm variants: every node
-// gossips a full vector of (Y, G) pairs — one slot per subject node — so the
-// reputations of all N nodes aggregate simultaneously. A node id travels with
-// each pair implicitly via the slot index. An optional Count vector carries
-// Algorithm 2's rater-count mass.
+// VectorEngine runs the paper's fourth algorithm variant: Algorithm 2 for
+// every subject at once. Every node gossips a full vector of (Y, G, Count)
+// triples — one slot per subject node — so the reputations of all N nodes
+// aggregate simultaneously. A node id travels with each triple implicitly via
+// the slot index, and pushing the vector costs N message units.
 //
 // Convergence uses the paper's rule (7): node i announces convergence when
 //
 //	Σ_j |r_ij(n) − r_ij(n−1)| ≤ N·ξ
 //
 // after hearing from at least one other node, and stops once it and all its
-// neighbours have announced.
+// neighbours have announced. Counts take no part in it.
 //
 // Memory layout: every N×N matrix (y, g, count, prevR and their double
 // buffers) is backed by a single contiguous []float64 block; the [][]float64
@@ -30,10 +31,10 @@ import (
 // into reused per-destination lists, and rows move between the current and
 // next buffer by view swapping.
 //
-// Sparse trust workloads are handled by an active-subject index: a column
-// nobody rated (no initial weight mass anywhere) carries no campaign, cannot
-// influence any estimate, and is skipped by the accumulation and the
-// convergence scan alike.
+// Every subject column must carry weight at some node (the caller puts the
+// root's weight on every column); a column with none could never report a
+// ratio, so no node would converge, and NewVectorEngine refuses it with
+// ErrUnweightedSubject.
 //
 // The overlay is static: the engine has no churn hooks, and packet loss
 // (Config.LossProb, fixed at construction) is its only fault. Its one caller
@@ -54,22 +55,11 @@ type VectorEngine struct {
 	steps int
 
 	y, g  [][]float64 // [node][subject] masses, rows into contiguous blocks
-	count [][]float64 // optional rater-count mass
+	count [][]float64 // rater-count mass
 	prevR [][]float64 // previous-step ratios
 
 	selfConv []bool
 	stopped  []bool
-
-	// active[j] is true when some node started with weight mass for
-	// subject j; only active subjects gate a node's convergence (a column
-	// nobody rated carries no campaign and must not block termination).
-	active []bool
-	// activeIdx lists the active subjects in ascending order; the hot path
-	// iterates it instead of all N columns when the workload is sparse.
-	// denseActive short-circuits the indirection when every subject is
-	// rated (the Fig3/Table2-class workloads).
-	activeIdx   []int
-	denseActive bool
 
 	nextY, nextG, nextC [][]float64
 	extRecv             []int
@@ -84,14 +74,11 @@ type VectorEngine struct {
 	wg         sync.WaitGroup
 
 	msgs Messages
-	// perPushUnits scales the per-push message accounting: pushing an
-	// N-slot vector costs N logical message units when
-	// CountVectorMessages is set; 1 otherwise (one packet per push).
-	perPushUnits int
 }
 
 // VectorResult is the outcome of a VectorEngine run. Estimates[i][j] is node
-// i's estimate for subject j.
+// i's estimate for subject j, and Counts[i][j] its estimate of j's rater
+// count.
 type VectorResult struct {
 	Steps     int
 	Converged bool
@@ -100,15 +87,20 @@ type VectorResult struct {
 	Messages  Messages
 }
 
-// NewVectorEngine builds a vector gossip run from initial masses. y0 and g0
-// must be N×N (row i = node i's initial vector).
-func NewVectorEngine(cfg Config, y0, g0 [][]float64) (*VectorEngine, error) {
+// ErrUnweightedSubject is returned by NewVectorEngine when some subject
+// column carries no initial weight at any node.
+var ErrUnweightedSubject = errors.New("gossip: subject has no initial weight at any node")
+
+// NewVectorEngine builds a vector gossip run from initial masses. y0, g0 and
+// the rater counts c0 must be N×N (row i = node i's initial vector), and
+// every subject column of g0 must carry weight at some node.
+func NewVectorEngine(cfg Config, y0, g0, c0 [][]float64) (*VectorEngine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	n := cfg.Graph.N()
-	if len(y0) != n || len(g0) != n {
-		return nil, fmt.Errorf("gossip: initial matrices have %d/%d rows, want %d", len(y0), len(g0), n)
+	if len(y0) != n || len(g0) != n || len(c0) != n {
+		return nil, fmt.Errorf("gossip: initial matrices have %d/%d/%d rows, want %d", len(y0), len(g0), len(c0), n)
 	}
 	y, err := deepCopy(y0, n)
 	if err != nil {
@@ -118,26 +110,31 @@ func NewVectorEngine(cfg Config, y0, g0 [][]float64) (*VectorEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &VectorEngine{
-		cfg:          cfg,
-		n:            n,
-		ks:           cfg.fanouts(),
-		src:          rng.New(cfg.Seed),
-		y:            y,
-		g:            g,
-		prevR:        alloc(n),
-		selfConv:     make([]bool, n),
-		stopped:      make([]bool, n),
-		nextY:        alloc(n),
-		nextG:        alloc(n),
-		extRecv:      make([]int, n),
-		incoming:     make([][]push, n),
-		l1:           make([]float64, n),
-		hasWeight:    make([]bool, n),
-		recomputed:   make([]bool, n),
-		active:       make([]bool, n),
-		perPushUnits: 1,
+	count, err := deepCopy(c0, n)
+	if err != nil {
+		return nil, err
 	}
+	e := &VectorEngine{
+		cfg:        cfg,
+		n:          n,
+		ks:         cfg.fanouts(),
+		src:        rng.New(cfg.Seed),
+		y:          y,
+		g:          g,
+		count:      count,
+		prevR:      alloc(n),
+		selfConv:   make([]bool, n),
+		stopped:    make([]bool, n),
+		nextY:      alloc(n),
+		nextG:      alloc(n),
+		nextC:      alloc(n),
+		extRecv:    make([]int, n),
+		incoming:   make([][]push, n),
+		l1:         make([]float64, n),
+		hasWeight:  make([]bool, n),
+		recomputed: make([]bool, n),
+	}
+	weighted := make([]bool, n)
 	for i := 0; i < n; i++ {
 		// A node can receive at most one share from each neighbour, one
 		// self share, and k_i loss-returned shares per step, so
@@ -147,47 +144,27 @@ func NewVectorEngine(cfg Config, y0, g0 [][]float64) (*VectorEngine, error) {
 		// Construction-time degree exchange: every node announces its
 		// degree to each neighbour before the first round.
 		e.msgs.Setup += cfg.Graph.Degree(i)
+		hw := true
 		for s := 0; s < n; s++ {
 			if g[i][s] < 0 {
 				return nil, fmt.Errorf("gossip: negative initial weight g0[%d][%d]", i, s)
 			}
 			if g[i][s] > 0 {
-				e.active[s] = true
+				weighted[s] = true
+			} else {
+				hw = false
 			}
 			e.prevR[i][s] = ratioOr(y[i][s], g[i][s])
 		}
-	}
-	for s, a := range e.active {
-		if a {
-			e.activeIdx = append(e.activeIdx, s)
-		}
-	}
-	e.denseActive = len(e.activeIdx) == n
-	// Sparse mode never rewrites inactive columns, so pin them to their
-	// initial values in both buffers: rows then carry identical bits for
-	// those subjects whichever buffer is current, and the MassY invariant
-	// holds for unrated subjects too (their mass simply never moves).
-	if !e.denseActive {
-		for i := 0; i < n; i++ {
-			for s, a := range e.active {
-				if !a {
-					e.nextY[i][s] = y[i][s]
-					e.nextG[i][s] = g[i][s]
-				}
-			}
-		}
-	}
-	// Seed hasWeight so rows that stay untouched from step one (isolated
-	// nodes) report the same flag the full scan would compute.
-	for i := 0; i < n; i++ {
-		hw := true
-		for _, s := range e.activeIdx {
-			if g[i][s] == 0 {
-				hw = false
-				break
-			}
-		}
+		// Seed hasWeight so rows that stay untouched from step one
+		// (isolated nodes) report the same flag the full scan would
+		// compute.
 		e.hasWeight[i] = hw
+	}
+	for s, w := range weighted {
+		if !w {
+			return nil, fmt.Errorf("%w: subject %d", ErrUnweightedSubject, s)
+		}
 	}
 	return e, nil
 }
@@ -222,37 +199,6 @@ func ratioOr(y, g float64) float64 {
 	}
 	return y / g
 }
-
-// EnableCountGossip attaches the rater-count component (N×N row per node).
-func (e *VectorEngine) EnableCountGossip(count0 [][]float64) error {
-	if len(count0) != e.n {
-		return fmt.Errorf("gossip: count matrix has %d rows, want %d", len(count0), e.n)
-	}
-	if e.steps > 0 {
-		return fmt.Errorf("gossip: EnableCountGossip after stepping")
-	}
-	count, err := deepCopy(count0, e.n)
-	if err != nil {
-		return err
-	}
-	e.count = count
-	e.nextC = alloc(e.n)
-	if !e.denseActive {
-		for i := 0; i < e.n; i++ {
-			for j, a := range e.active {
-				if !a {
-					e.nextC[i][j] = e.count[i][j]
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// CountVectorMessages makes the message tally charge N units per vector push
-// instead of 1, reflecting the paper's note that communication complexity of
-// the vector variants grows proportionally to the vector size.
-func (e *VectorEngine) CountVectorMessages() { e.perPushUnits = e.n }
 
 // ChargeSetup adds extra setup messages to the tally.
 func (e *VectorEngine) ChargeSetup(n int) { e.msgs.Setup += n }
@@ -313,10 +259,13 @@ func (e *VectorEngine) Step() bool {
 		e.incoming[i] = append(e.incoming[i], push{src: i, f: f}) // self share
 		e.nbrs = g.AppendRandomNeighbors(e.nbrs[:0], i, k, e.src)
 		for _, t := range e.nbrs {
-			e.msgs.Gossip += e.perPushUnits
+			// A push carries N slots and costs N message units, lost or
+			// not: the paper's communication complexity of the vector
+			// variant grows with the vector size.
+			e.msgs.Gossip += e.n
 			// A lost push gets no ack, so the sender re-absorbs the share.
 			if e.cfg.LossProb > 0 && e.src.Bool(e.cfg.LossProb) {
-				e.msgs.Lost += e.perPushUnits
+				e.msgs.Lost += e.n
 				e.incoming[i] = append(e.incoming[i], push{src: i, f: f})
 				continue
 			}
@@ -334,9 +283,7 @@ func (e *VectorEngine) Step() bool {
 		}
 		e.y[i], e.nextY[i] = e.nextY[i], e.y[i]
 		e.g[i], e.nextG[i] = e.nextG[i], e.g[i]
-		if e.nextC != nil {
-			e.count[i], e.nextC[i] = e.nextC[i], e.count[i]
-		}
+		e.count[i], e.nextC[i] = e.nextC[i], e.count[i]
 	}
 
 	// Phase 3: convergence flags (same revocable protocol as the scalar
@@ -361,12 +308,11 @@ func (e *VectorEngine) Step() bool {
 	return running
 }
 
-// accumulate rebuilds destination i's next-step row from its routed shares
-// and runs the ratio/L1 convergence scan over the active subjects, all in one
-// sweep: the first share initialises the row (no zeroing pass), middle shares
-// accumulate, and the scan rides the final share. With counts enabled the
-// three masses accumulate together per share and the scan runs as its own
-// pass (counts take no part in convergence).
+// accumulate rebuilds destination i's next-step row from its routed shares:
+// the first share initialises the row (no zeroing pass), the others
+// accumulate, the three masses together per share, and the ratio/L1
+// convergence scan runs as its own pass (counts take no part in
+// convergence).
 func (e *VectorEngine) accumulate(i int) {
 	pushes := e.incoming[i]
 	if len(pushes) == 1 && pushes[0].src == i && pushes[0].f == 1 {
@@ -380,66 +326,13 @@ func (e *VectorEngine) accumulate(i int) {
 		return
 	}
 	e.recomputed[i] = true
-	yi, gi := e.nextY[i], e.nextG[i]
-	pr := e.prevR[i]
-	last := len(pushes) - 1
-	if e.nextC != nil {
-		ci := e.nextC[i]
-		p := pushes[0]
-		if e.denseActive {
-			mulRow3(yi, gi, ci, e.y[p.src], e.g[p.src], e.count[p.src], p.f)
-			for _, p := range pushes[1:] {
-				mulAddRow3(yi, gi, ci, e.y[p.src], e.g[p.src], e.count[p.src], p.f)
-			}
-			e.l1[i], e.hasWeight[i] = scanRow(yi, gi, pr)
-		} else {
-			idx := e.activeIdx
-			mulAt3(yi, gi, ci, e.y[p.src], e.g[p.src], e.count[p.src], p.f, idx)
-			for _, p := range pushes[1:] {
-				mulAddAt3(yi, gi, ci, e.y[p.src], e.g[p.src], e.count[p.src], p.f, idx)
-			}
-			e.l1[i], e.hasWeight[i] = scanAt(yi, gi, pr, idx)
-		}
-		return
-	}
-	if e.denseActive {
-		p := pushes[0]
-		switch last {
-		case 0:
-			e.l1[i], e.hasWeight[i] = mulScanRow(yi, gi, e.y[p.src], e.g[p.src], p.f, pr)
-		case 1:
-			// Self share plus exactly one received share — the most
-			// common shape — collapses to a single sweep.
-			q := pushes[1]
-			e.l1[i], e.hasWeight[i] = mul2ScanRow(yi, gi,
-				e.y[p.src], e.g[p.src], p.f, e.y[q.src], e.g[q.src], q.f, pr)
-		default:
-			mulRow2(yi, gi, e.y[p.src], e.g[p.src], p.f)
-			for _, p := range pushes[1:last] {
-				mulAddRow2(yi, gi, e.y[p.src], e.g[p.src], p.f)
-			}
-			p = pushes[last]
-			e.l1[i], e.hasWeight[i] = mulAddScanRow(yi, gi, e.y[p.src], e.g[p.src], p.f, pr)
-		}
-		return
-	}
-	idx := e.activeIdx
+	yi, gi, ci := e.nextY[i], e.nextG[i], e.nextC[i]
 	p := pushes[0]
-	switch last {
-	case 0:
-		e.l1[i], e.hasWeight[i] = mulScanAt(yi, gi, e.y[p.src], e.g[p.src], p.f, pr, idx)
-	case 1:
-		q := pushes[1]
-		e.l1[i], e.hasWeight[i] = mul2ScanAt(yi, gi,
-			e.y[p.src], e.g[p.src], p.f, e.y[q.src], e.g[q.src], q.f, pr, idx)
-	default:
-		mulAt2(yi, gi, e.y[p.src], e.g[p.src], p.f, idx)
-		for _, p := range pushes[1:last] {
-			mulAddAt2(yi, gi, e.y[p.src], e.g[p.src], p.f, idx)
-		}
-		p = pushes[last]
-		e.l1[i], e.hasWeight[i] = mulAddScanAt(yi, gi, e.y[p.src], e.g[p.src], p.f, pr, idx)
+	mulRow3(yi, gi, ci, e.y[p.src], e.g[p.src], e.count[p.src], p.f)
+	for _, p := range pushes[1:] {
+		mulAddRow3(yi, gi, ci, e.y[p.src], e.g[p.src], e.count[p.src], p.f)
 	}
+	e.l1[i], e.hasWeight[i] = scanRow(yi, gi, e.prevR[i])
 }
 
 // parallelAccumulate fans accumulate(i) out across the configured worker
@@ -493,30 +386,19 @@ func (e *VectorEngine) Run() VectorResult {
 		Steps:     e.steps,
 		Converged: !running,
 		Estimates: alloc(e.n),
+		Counts:    alloc(e.n),
 		Messages:  e.msgs,
 	}
 	for i := 0; i < e.n; i++ {
 		for j := 0; j < e.n; j++ {
 			if e.g[i][j] > 0 {
 				res.Estimates[i][j] = e.y[i][j] / e.g[i][j]
-			}
-		}
-	}
-	if e.count != nil {
-		res.Counts = alloc(e.n)
-		for i := 0; i < e.n; i++ {
-			for j := 0; j < e.n; j++ {
-				if e.g[i][j] > 0 {
-					res.Counts[i][j] = e.count[i][j] / e.g[i][j]
-				}
+				res.Counts[i][j] = e.count[i][j] / e.g[i][j]
 			}
 		}
 	}
 	return res
 }
-
-// Steps returns the number of gossip steps executed so far.
-func (e *VectorEngine) Steps() int { return e.steps }
 
 // allConverged reports whether every listed neighbour announced convergence.
 func allConverged(conv []bool, nbrs []int) bool {

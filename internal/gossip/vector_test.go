@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -22,31 +23,66 @@ func buildVectorInputs(n int, seed uint64) (y0, g0 [][]float64) {
 	return y0, g0
 }
 
+// buildGCLRInputs sets up core.GCLRAllFromReports' shape: node 0 carries
+// the unit weight for every subject, and every other node reports a random
+// value for every subject with a rater count of 1.
+func buildGCLRInputs(n int, seed uint64) (y0, g0, c0 [][]float64) {
+	src := rng.New(seed)
+	y0, g0, c0 = alloc(n), alloc(n), alloc(n)
+	for j := 0; j < n; j++ {
+		g0[0][j] = 1
+	}
+	for i := 1; i < n; i++ {
+		for j := 0; j < n; j++ {
+			y0[i][j] = src.Float64()
+			c0[i][j] = 1
+		}
+	}
+	return y0, g0, c0
+}
+
 func TestVectorEngineShapeChecks(t *testing.T) {
 	g := graph.Ring(4)
 	cfg := Config{Graph: g, Epsilon: 0.01}
-	if _, err := NewVectorEngine(cfg, alloc(3), alloc(4)); err == nil {
+	_, ones := buildVectorInputs(4, 1)
+	if _, err := NewVectorEngine(cfg, alloc(3), ones, alloc(4)); err == nil {
 		t.Fatal("short y0 accepted")
 	}
 	bad := alloc(4)
 	bad[2][1] = -1
-	if _, err := NewVectorEngine(cfg, alloc(4), bad); err == nil {
+	if _, err := NewVectorEngine(cfg, alloc(4), bad, alloc(4)); err == nil {
 		t.Fatal("negative weight accepted")
 	}
 	ragged := alloc(4)
 	ragged[1] = ragged[1][:2]
-	if _, err := NewVectorEngine(cfg, ragged, alloc(4)); err == nil {
+	if _, err := NewVectorEngine(cfg, ragged, ones, alloc(4)); err == nil {
 		t.Fatal("ragged y0 row accepted")
 	}
-	if _, err := NewVectorEngine(cfg, alloc(4), ragged); err == nil {
+	if _, err := NewVectorEngine(cfg, alloc(4), ragged, alloc(4)); err == nil {
 		t.Fatal("ragged g0 row accepted")
 	}
-	e, err := NewVectorEngine(cfg, alloc(4), alloc(4))
-	if err != nil {
+	if _, err := NewVectorEngine(cfg, alloc(4), ones, alloc(4)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.EnableCountGossip(ragged); err == nil {
-		t.Fatal("ragged count row accepted")
+}
+
+// TestVectorUnweightedSubjectRefused: a subject column with no weight at any
+// node could never report a ratio, so no node would converge; the
+// constructor refuses it by name instead of letting the run spin to its step
+// budget.
+func TestVectorUnweightedSubjectRefused(t *testing.T) {
+	n := 6
+	y0, g0 := buildVectorInputs(n, 2)
+	for i := 0; i < n; i++ {
+		g0[i][4] = 0
+	}
+	_, err := NewVectorEngine(Config{Graph: graph.Ring(n), Epsilon: 0.01}, y0, g0, alloc(n))
+	if !errors.Is(err, ErrUnweightedSubject) {
+		t.Fatalf("err = %v, want ErrUnweightedSubject", err)
+	}
+	g0[3][4] = 0.5 // one node's weight is enough
+	if _, err := NewVectorEngine(Config{Graph: graph.Ring(n), Epsilon: 0.01}, y0, g0, alloc(n)); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -54,7 +90,7 @@ func TestVectorAverageAllSubjects(t *testing.T) {
 	n := 60
 	g := graph.MustPA(n, 2, 100)
 	y0, g0 := buildVectorInputs(n, 101)
-	e, err := NewVectorEngine(Config{Graph: g, Epsilon: 1e-8, Seed: 102}, y0, g0)
+	e, err := NewVectorEngine(Config{Graph: g, Epsilon: 1e-8, Seed: 102}, y0, g0, alloc(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +116,7 @@ func TestVectorMassConservation(t *testing.T) {
 	n := 40
 	g := graph.MustPA(n, 2, 110)
 	y0, g0 := buildVectorInputs(n, 111)
-	e, err := NewVectorEngine(Config{Graph: g, Epsilon: 1e-6, Seed: 112, LossProb: 0.2}, y0, g0)
+	e, err := NewVectorEngine(Config{Graph: g, Epsilon: 1e-6, Seed: 112, LossProb: 0.2}, y0, g0, alloc(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +139,8 @@ func TestVectorMassConservation(t *testing.T) {
 }
 
 func TestVectorSumModeWithCounts(t *testing.T) {
-	// Variant-3 style: single root weight per subject; counts track rater
-	// numbers per subject.
+	// GCLRAllFromReports' shape: single root weight per subject; counts
+	// track rater numbers per subject.
 	n := 30
 	g := graph.MustPA(n, 2, 120)
 	src := rng.New(121)
@@ -121,11 +157,8 @@ func TestVectorSumModeWithCounts(t *testing.T) {
 			}
 		}
 	}
-	e, err := NewVectorEngine(Config{Graph: g, Epsilon: 1e-10, Seed: 122}, y0, g0)
+	e, err := NewVectorEngine(Config{Graph: g, Epsilon: 1e-10, Seed: 122}, y0, g0, c0)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.EnableCountGossip(c0); err != nil {
 		t.Fatal(err)
 	}
 	res := e.Run()
@@ -154,38 +187,36 @@ func TestVectorSumModeWithCounts(t *testing.T) {
 func TestVectorCountGossipErrors(t *testing.T) {
 	g := graph.Ring(4)
 	y0, g0 := buildVectorInputs(4, 1)
-	e, err := NewVectorEngine(Config{Graph: g, Epsilon: 0.1, Seed: 1}, y0, g0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.EnableCountGossip(alloc(3)); err == nil {
+	cfg := Config{Graph: g, Epsilon: 0.1, Seed: 1}
+	if _, err := NewVectorEngine(cfg, y0, g0, alloc(3)); err == nil {
 		t.Fatal("wrong-size count matrix accepted")
 	}
-	e.Step()
-	if err := e.EnableCountGossip(alloc(4)); err == nil {
-		t.Fatal("late EnableCountGossip accepted")
+	ragged := alloc(4)
+	ragged[1] = ragged[1][:2]
+	if _, err := NewVectorEngine(cfg, y0, g0, ragged); err == nil {
+		t.Fatal("ragged count row accepted")
 	}
 }
 
+// TestVectorMessageUnits: a push carries N slots and costs N message units.
 func TestVectorMessageUnits(t *testing.T) {
 	n := 10
 	g := graph.Ring(n)
 	y0, g0 := buildVectorInputs(n, 130)
-	plain, err := NewVectorEngine(Config{Graph: g, Epsilon: 1e-6, Seed: 131}, y0, g0)
+	e, err := NewVectorEngine(Config{Graph: g, Epsilon: 1e-6, Seed: 131}, y0, g0, alloc(n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain.Step()
-	perPacket := plain.msgs.Gossip
-
-	vec, err := NewVectorEngine(Config{Graph: g, Epsilon: 1e-6, Seed: 131}, y0, g0)
-	if err != nil {
-		t.Fatal(err)
+	e.Step()
+	pushes := 0 // no loss, so every push is received
+	for _, r := range e.extRecv {
+		pushes += r
 	}
-	vec.CountVectorMessages()
-	vec.Step()
-	if vec.msgs.Gossip != perPacket*n {
-		t.Fatalf("vector message units = %d, want %d", vec.msgs.Gossip, perPacket*n)
+	if pushes == 0 {
+		t.Fatal("no push in the first step")
+	}
+	if got := e.Messages().Gossip; got != n*pushes {
+		t.Fatalf("vector message units = %d, want %d × %d pushes", got, n, pushes)
 	}
 }
 
@@ -196,7 +227,7 @@ func TestVectorMatchesScalarPerSubject(t *testing.T) {
 	n := 25
 	g := graph.MustPA(n, 2, 140)
 	y0, g0 := buildVectorInputs(n, 141)
-	e, err := NewVectorEngine(Config{Graph: g, Epsilon: 1e-9, Seed: 142}, y0, g0)
+	e, err := NewVectorEngine(Config{Graph: g, Epsilon: 1e-9, Seed: 142}, y0, g0, alloc(n))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,15 +127,6 @@ func (m *Matrix) Delete(i, j int) {
 	}
 }
 
-// Row returns node i's trust entries as a copied map.
-func (m *Matrix) Row(i int) map[int]float64 {
-	out := make(map[int]float64, len(m.rows[i]))
-	for _, e := range m.rows[i] {
-		out[e.j] = e.v
-	}
-	return out
-}
-
 // RatersOf returns the sorted list of nodes holding direct trust about j and
 // their values. This is the set that starts a gossip round with weight 1 in
 // Algorithm 1.

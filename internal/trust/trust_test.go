@@ -183,10 +183,10 @@ func TestCloneConcurrentReaders(t *testing.T) {
 func TestRowCopy(t *testing.T) {
 	m := NewMatrix(3)
 	_ = m.Set(1, 0, 0.25)
-	r := m.Row(1)
-	r[0] = 0.99
+	_, vals := m.RowInto(1, nil, nil)
+	vals[0] = 0.99
 	if m.Value(1, 0) != 0.25 {
-		t.Fatal("Row returned live map")
+		t.Fatal("RowInto returned the live row")
 	}
 }
 

@@ -131,8 +131,9 @@ func TestGenerateWorkloadDeterministic(t *testing.T) {
 		t.Fatal("workload not deterministic")
 	}
 	for i := 0; i < 50; i++ {
-		for j, v := range a.Matrix.Row(i) {
-			if b.Matrix.Value(i, j) != v {
+		ids, vals := a.Matrix.RowInto(i, nil, nil)
+		for k, j := range ids {
+			if v := vals[k]; b.Matrix.Value(i, j) != v {
 				t.Fatalf("value (%d,%d) differs", i, j)
 			}
 		}
