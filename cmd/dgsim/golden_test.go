@@ -37,6 +37,11 @@ func TestGoldenOutputs(t *testing.T) {
 		{"scaling", func(w io.Writer) error { return run(w, "scaling", 1, 0, true, false) }},
 		// The churn grid (scenario engine under the sim harness).
 		{"churn", func(w io.Writer) error { return run(w, "churn", 1, 200, true, false) }},
+		// The all-subjects Alg. 2 runs (variant 4 on the vector engine).
+		{"fig5", func(w io.Writer) error { return run(w, "fig5", 1, 60, true, false) }},
+		{"fig6", func(w io.Writer) error { return run(w, "fig6", 1, 60, true, false) }},
+		{"baselines", func(w io.Writer) error { return run(w, "baselines", 1, 60, true, false) }},
+		{"factor", func(w io.Writer) error { return run(w, "factor", 1, 60, true, false) }},
 		// One full scenario: summary plus the complete event log.
 		{"scenario", func(w io.Writer) error {
 			return runScenario(w, "crash=0.1,join=0.1,leave=0.05,loss=0.2,rounds=80,partition-span=15,partition-at=30,collude=0.1,collude-at=50,lie=1", 150, 7, false)
