@@ -52,7 +52,7 @@ func TestBatchSingleEquivalence(t *testing.T) {
 	ref, err := service.New(service.Config{
 		Graph:  g,
 		Params: core.Params{Epsilon: 1e-6, Seed: 3},
-		Shards: 2, Replicate: true, Origin: "ref",
+		Shards: 2, Origin: "ref",
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -56,8 +56,7 @@ func TestReadyzDegradedMembership(t *testing.T) {
 		Graph:  g,
 		Params: core.Params{Epsilon: 1e-6, Seed: 3},
 		// A replicating service, as in real cluster mode.
-		Replicate: true,
-		Origin:    tr.Addr(),
+		Origin: tr.Addr(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -208,8 +207,7 @@ func TestGracefulShutdownOnSIGTERM(t *testing.T) {
 	svc, err := runConfig{
 		n: 16, m: 2, graphSeed: 42, seed: 1, epsilon: 1e-6,
 		shards: 1, dataDir: dir,
-		clusterListen: "x", // any non-empty value selects the replicating config
-	}.newService("node-x")
+	}.newService("node-x") // an origin selects the replicating config
 	if err != nil {
 		t.Fatal(err)
 	}

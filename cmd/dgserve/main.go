@@ -186,7 +186,6 @@ func (c runConfig) serviceConfig(g *graph.Graph, origin string) service.Config {
 		Dir:           c.dataDir,
 		Shards:        c.shards,
 		FoldWorkers:   foldWorkers,
-		Replicate:     c.clusterListen != "",
 		Origin:        origin,
 	}
 }

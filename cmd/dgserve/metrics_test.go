@@ -76,11 +76,10 @@ func newInstrumentedMember(t *testing.T, g *graph.Graph, peers []string) (*httpt
 		t.Fatal(err)
 	}
 	svc, err := service.New(service.Config{
-		Graph:     g,
-		Params:    core.Params{Epsilon: 1e-6, Seed: 3},
-		Shards:    2,
-		Replicate: true,
-		Origin:    tr.Addr(),
+		Graph:  g,
+		Params: core.Params{Epsilon: 1e-6, Seed: 3},
+		Shards: 2,
+		Origin: tr.Addr(),
 	})
 	if err != nil {
 		t.Fatal(err)

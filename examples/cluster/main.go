@@ -38,10 +38,9 @@ func main() {
 	names := []string{"node-a", "node-b", "node-c"}
 	for i := range svcs {
 		svcs[i], err = service.New(service.Config{
-			Graph:     g,
-			Params:    core.Params{Epsilon: 1e-6, Seed: 1},
-			Shards:    4,
-			Replicate: true,
+			Graph:  g,
+			Params: core.Params{Epsilon: 1e-6, Seed: 1},
+			Shards: 4,
 			// Origin must match the cluster transport address: it is the
 			// node's identity in every entry's LWW stamp.
 			Origin: names[i],

@@ -11,8 +11,9 @@
 // origin-seq). Each node's ledger keeps, per origin, the highest origin-seq
 // it holds (its watermark) and names its own stream by the node's id, so
 // this layer moves ledger entries (store.Feedback, origin-stamped) and marks
-// as they are, translating nothing. An anti-entropy exchange is then two
-// message kinds:
+// with no renaming or re-sequencing: toWire and fromWire only copy each
+// entry's fields between store.Feedback and transport.FeedbackEntry. An
+// anti-entropy exchange is then two message kinds:
 //
 //	digest    A → B   "my watermarks are {origin: seq, …}"
 //	entries   B → A   consecutive batches per origin A trails on, each framed
@@ -109,7 +110,8 @@ import (
 // Config parameterises a cluster node.
 type Config struct {
 	// Service is the reputation service this node replicates; it must have
-	// been built with service.Config.Replicate. Required.
+	// been built in cluster mode, with service.Config.Origin set to the
+	// transport address. Required.
 	Service *service.Service
 	// Transport carries the anti-entropy messages; its address is the node's
 	// origin id, so deployments must bind stable addresses (origin ids are
@@ -208,11 +210,7 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Transport == nil {
 		return nil, fmt.Errorf("cluster: nil transport")
 	}
-	if cfg.Service.ReplicationMarks() == nil {
-		// EnableReplication leaves a non-nil (possibly empty) mark map; nil
-		// means the service was built without Config.Replicate.
-		return nil, fmt.Errorf("cluster: service was not built with Config.Replicate")
-	}
+	// A standalone service has an empty origin, which no address matches.
 	if got, want := cfg.Service.Origin(), cfg.Transport.Addr(); got != want {
 		return nil, fmt.Errorf("cluster: service origin %q != transport address %q — set service.Config.Origin to the cluster address so LWW stamps agree across replicas", got, want)
 	}

@@ -20,11 +20,10 @@ import (
 func newClusterService(t *testing.T, g *graph.Graph, shards int, origin string) *service.Service {
 	t.Helper()
 	svc, err := service.New(service.Config{
-		Graph:     g,
-		Params:    core.Params{Epsilon: 1e-6, Seed: 11},
-		Shards:    shards,
-		Replicate: true,
-		Origin:    origin,
+		Graph:  g,
+		Params: core.Params{Epsilon: 1e-6, Seed: 11},
+		Shards: shards,
+		Origin: origin,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -120,19 +120,20 @@ func TestReportedSemantics(t *testing.T) {
 		}
 		for j := 0; j < 40; j++ {
 			if j == i {
-				if rep.Has(i, j) {
+				if _, ok := rep.Get(i, j); ok {
 					t.Fatalf("colluder %d rated itself", i)
 				}
 				continue
 			}
 			groupMate := a.Colluder[j] && a.Group[j] == a.Group[i]
 			got, has := rep.Get(i, j)
+			_, rated := tm.Get(i, j)
 			switch {
 			case groupMate:
 				if !has || got != 1 {
 					t.Fatalf("colluder %d report about groupmate %d = %v,%v, want 1", i, j, got, has)
 				}
-			case tm.Has(i, j):
+			case rated:
 				if !has || got != 0 {
 					t.Fatalf("colluder %d must zero out rating of %d, got %v,%v", i, j, got, has)
 				}

@@ -417,22 +417,7 @@ func GCLRAllFromReports(g *graph.Graph, honest, reported *trust.Matrix, p Params
 		return nil, errSize(reported, honest)
 	}
 	n := g.N()
-	y0 := zeros(n)
-	g0 := zeros(n)
-	c0 := zeros(n)
-	for j := 0; j < n; j++ {
-		g0[p.Root][j] = 1
-	}
-	var ids []int
-	var vals []float64
-	for i := 0; i < n; i++ {
-		ids, vals = reported.RowInto(i, ids[:0], vals[:0])
-		for k, j := range ids {
-			y0[i][j] = vals[k]
-			c0[i][j] = 1
-		}
-	}
-	e, err := gossip.NewVectorEngine(p.gossipConfig(g), y0, g0, c0)
+	e, err := gossip.NewVectorEngine(p.gossipConfig(g), p.Root, reported.RowInto)
 	if err != nil {
 		return nil, err
 	}
@@ -459,10 +444,12 @@ func GCLRAllFromReports(g *graph.Graph, honest, reported *trust.Matrix, p Params
 	return out, nil
 }
 
+// zeros returns an N×N zero matrix: one contiguous block, rows as views.
 func zeros(n int) [][]float64 {
+	buf := make([]float64, n*n)
 	out := make([][]float64, n)
 	for i := range out {
-		out[i] = make([]float64, n)
+		out[i] = buf[i*n : (i+1)*n : (i+1)*n]
 	}
 	return out
 }

@@ -32,6 +32,23 @@ func denseWorkload(t *testing.T, n int, density float64, seed uint64) (*graph.Gr
 	return g, w.Matrix
 }
 
+// withoutCells copies m without the cells drop names: a trust.Matrix only
+// gains ratings, so a test that needs fewer builds the smaller matrix.
+func withoutCells(m *trust.Matrix, drop func(i, j int) bool) *trust.Matrix {
+	out := trust.NewMatrix(m.N())
+	var ids []int
+	var vals []float64
+	for i := 0; i < m.N(); i++ {
+		ids, vals = m.RowInto(i, ids[:0], vals[:0])
+		for k, j := range ids {
+			if !drop(i, j) {
+				_ = out.Set(i, j, vals[k])
+			}
+		}
+	}
+	return out
+}
+
 func params(eps float64, seed uint64) Params {
 	return Params{Epsilon: eps, Seed: seed}
 }
@@ -177,13 +194,8 @@ func TestGCLRSinglePinnedDigest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tm := w.Matrix
-		for i := 0; i < n; i++ { // subject 9 is thinly rated, subject 11 unrated
-			if i%10 != 0 {
-				tm.Delete(i, 9)
-			}
-			tm.Delete(i, 11)
-		}
+		// Subject 9 is thinly rated, subject 11 unrated.
+		tm := withoutCells(w.Matrix, func(i, j int) bool { return j == 9 && i%10 != 0 || j == 11 })
 		h := fnv.New64a()
 		for _, j := range []int{4, 9, 11} {
 			res, err := GCLRSingle(g, tm, j, Params{Epsilon: 1e-6, Seed: 8020, LossProb: row.loss})
@@ -201,7 +213,7 @@ func TestGCLRSinglePinnedDigest(t *testing.T) {
 func TestGCLRSingleCountsRaters(t *testing.T) {
 	g, tm := denseWorkload(t, 100, 0.3, 30)
 	j := 9
-	_, raters := tm.RatersOf(j)
+	raters, _ := tm.RatersOfInto(j, nil, nil)
 	res, err := GCLRSingle(g, tm, j, params(1e-9, 31))
 	if err != nil {
 		t.Fatal(err)
@@ -389,10 +401,8 @@ func gclrAllDigest(res *AllResult) uint64 {
 // engine lost its churn surface.
 func TestGCLRAllPinnedDigest(t *testing.T) {
 	const n = 60
-	g, honest := denseWorkload(t, n, 0.2, 8100)
-	for i := 0; i < n; i++ { // subject 11 unrated
-		honest.Delete(i, 11)
-	}
+	g, full := denseWorkload(t, n, 0.2, 8100)
+	honest := withoutCells(full, func(_, j int) bool { return j == 11 }) // subject 11 unrated
 	a, err := collusion.Model{N: n, Fraction: 0.2, GroupSize: 3, Seed: 8101}.Assign()
 	if err != nil {
 		t.Fatal(err)

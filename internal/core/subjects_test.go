@@ -281,7 +281,7 @@ func TestGlobalSubjectsPinnedDigest(t *testing.T) {
 				case 1:
 					err = tm.Set((ids[len(ids)-1]+1)%n, j, src.Float64())
 				default:
-					tm.Delete(ids[0], j)
+					tm = withoutCells(tm, func(i, k int) bool { return i == ids[0] && k == j })
 				}
 				if err != nil {
 					t.Fatal(err)

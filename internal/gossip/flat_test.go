@@ -75,7 +75,7 @@ func newRefVectorEngine(cfg Config, y0, g0, c0 [][]float64) *refVectorEngine {
 			if e.g[i][j] > 0 {
 				e.active[j] = true
 			}
-			e.prevR[i][j] = ratioOr(e.y[i][j], e.g[i][j])
+			e.prevR[i][j] = Pair{Y: e.y[i][j], G: e.g[i][j]}.ratio()
 		}
 	}
 	e.count = refCopy(c0, n)
@@ -134,7 +134,7 @@ func (e *refVectorEngine) step() bool {
 		l1 := 0.0
 		hasWeight := true
 		for j := 0; j < e.n; j++ {
-			r := ratioOr(e.nextY[i][j], e.nextG[i][j])
+			r := Pair{Y: e.nextY[i][j], G: e.nextG[i][j]}.ratio()
 			l1 += math.Abs(r - e.prevR[i][j])
 			e.prevR[i][j] = r
 			if e.active[j] && e.nextG[i][j] == 0 {
@@ -187,41 +187,35 @@ func (e *refVectorEngine) run() VectorResult {
 }
 
 // TestFlatLayoutMatchesOldLayout pins the headline refactor guarantee: the
-// flat-memory, fused engine produces bit-identical results — same step
-// count, same convergence, same estimate and count bits — as the old
-// row-allocated three-pass layout, with zero and unit rater counts, with and
+// flat-memory, fused engine, seeded in place, produces bit-identical results
+// — same step count, same convergence, same estimate and count bits — as the
+// old row-allocated three-pass layout fed the same start as matrices, with
+// every subject rated by every node (dense) or by some (counts), with and
 // without loss.
 func TestFlatLayoutMatchesOldLayout(t *testing.T) {
 	type scenario struct {
-		name   string
-		n      int
-		loss   float64
-		counts bool
+		name    string
+		n, root int
+		loss    float64
+		rated   float64
 	}
 	for _, sc := range []scenario{
-		{name: "dense", n: 60},
-		{name: "dense-loss", n: 60, loss: 0.15},
-		{name: "dense-counts", n: 40, counts: true},
-		{name: "dense-counts-loss", n: 40, loss: 0.15, counts: true},
+		{name: "dense", n: 60, rated: 1},
+		{name: "dense-loss", n: 60, root: 7, loss: 0.15, rated: 1},
+		{name: "dense-counts", n: 40, root: 3, rated: 0.3},
+		{name: "dense-counts-loss", n: 40, loss: 0.15, rated: 0.3},
 	} {
 		t.Run(sc.name, func(t *testing.T) {
 			g := graph.MustPA(sc.n, 2, 500)
-			y0, g0 := buildVectorInputs(sc.n, 501)
-			c0 := alloc(sc.n)
-			if sc.counts {
-				for i := 0; i < sc.n; i++ {
-					for j := 0; j < sc.n; j++ {
-						c0[i][j] = 1
-					}
-				}
-			}
+			m := randomReports(sc.n, 501, sc.rated)
 			cfg := Config{Graph: g, Epsilon: 1e-7, Seed: 502, LossProb: sc.loss}
 
-			e, err := NewVectorEngine(cfg, y0, g0, c0)
+			e, err := NewVectorEngine(cfg, sc.root, m.RowInto)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := e.Run()
+			y0, g0, c0 := vectorStart(m, sc.root)
 			want := newRefVectorEngine(cfg, y0, g0, c0).run()
 
 			if got.Steps != want.Steps || got.Converged != want.Converged {
@@ -251,11 +245,11 @@ func TestFlatLayoutMatchesOldLayout(t *testing.T) {
 func TestVectorWorkerSweepBitIdentical(t *testing.T) {
 	n := 90
 	g := graph.MustPA(n, 2, 510)
-	y0, g0 := buildVectorInputs(n, 511)
+	m := randomReports(n, 511, 0.5)
 	run := func(workers int) VectorResult {
 		e, err := NewVectorEngine(Config{
 			Graph: g, Epsilon: 1e-7, Seed: 512, Workers: workers, LossProb: 0.05,
-		}, y0, g0, alloc(n))
+		}, 0, m.RowInto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,30 +374,24 @@ func TestEngineStepZeroAllocs(t *testing.T) {
 }
 
 // TestVectorStepZeroAllocs pins the vector engine's zero-allocation
-// steady-state invariant, with zero and unit rater counts and under loss.
+// steady-state invariant, with every subject rated by every node (plain) or
+// by some, and under loss.
 func TestVectorStepZeroAllocs(t *testing.T) {
 	n := 120
 	g := graph.MustPA(n, 2, 530)
-	y0, g0 := buildVectorInputs(n, 531)
-	ones := alloc(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			ones[i][j] = 1
-		}
-	}
 	for _, tc := range []struct {
-		name string
-		c0   [][]float64
-		loss float64
+		name        string
+		rated, loss float64
 	}{
-		{name: "plain", c0: alloc(n)},
-		{name: "counts", c0: ones},
-		{name: "loss", c0: ones, loss: 0.2},
+		{name: "plain", rated: 1},
+		{name: "counts", rated: 0.3},
+		{name: "loss", rated: 0.3, loss: 0.2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			m := randomReports(n, 531, tc.rated)
 			e, err := NewVectorEngine(Config{
 				Graph: g, Epsilon: 1e-12, Seed: 532, MinSteps: 1 << 30, LossProb: tc.loss,
-			}, y0, g0, tc.c0)
+			}, 0, m.RowInto)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,15 +8,16 @@ import (
 )
 
 // BenchmarkVectorStep measures the vector engine's steady-state per-step
-// cost at core.GCLRAllFromReports' shape (the root's weight on every
-// subject, rater counts on), the all-subjects variant behind Figs. 5–6. Every
-// node stays active, and ns/node-step is the time per step divided by N.
+// cost at core.GCLRAllFromReports' shape (every node reports a rating of
+// every subject, the root's weight on every subject), the all-subjects
+// variant behind Figs. 5–6. Every node stays active, and ns/node-step is the
+// time per step divided by N.
 func BenchmarkVectorStep(b *testing.B) {
 	for _, n := range []int{300, 1000} {
 		b.Run(byN(n), func(b *testing.B) {
 			g := graph.MustPA(n, 2, 190)
-			y0, g0, c0 := buildGCLRInputs(n, 191)
-			e, err := NewVectorEngine(Config{Graph: g, Epsilon: 1e-12, Seed: 192, MinSteps: 1 << 30}, y0, g0, c0)
+			m := randomReports(n, 191, 1)
+			e, err := NewVectorEngine(Config{Graph: g, Epsilon: 1e-12, Seed: 192, MinSteps: 1 << 30}, 0, m.RowInto)
 			if err != nil {
 				b.Fatal(err)
 			}

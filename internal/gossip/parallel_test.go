@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"diffgossip/internal/graph"
+	"diffgossip/internal/trust"
 )
 
 // TestParallelVectorBitIdentical verifies the headline property of the
@@ -13,12 +14,12 @@ import (
 func TestParallelVectorBitIdentical(t *testing.T) {
 	n := 80
 	g := graph.MustPA(n, 2, 150)
-	y0, g0 := buildVectorInputs(n, 151)
+	m := randomReports(n, 151, 0.5)
 
 	run := func(workers int) VectorResult {
 		e, err := NewVectorEngine(Config{
 			Graph: g, Epsilon: 1e-7, Seed: 152, Workers: workers, LossProb: 0.1,
-		}, y0, g0, alloc(n))
+		}, 0, m.RowInto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,17 +48,12 @@ func TestParallelVectorBitIdentical(t *testing.T) {
 func TestParallelVectorWithCounts(t *testing.T) {
 	n := 40
 	g := graph.MustPA(n, 2, 160)
-	y0, g0 := alloc(n), alloc(n)
-	c0 := alloc(n)
-	for j := 0; j < n; j++ {
-		g0[0][j] = 1
-	}
+	m := trust.NewMatrix(n)
 	for i := 1; i < n; i++ {
-		y0[i][0] = 0.5
-		c0[i][0] = 1
+		_ = m.Set(i, 0, 0.5)
 	}
 	run := func(workers int) VectorResult {
-		e, err := NewVectorEngine(Config{Graph: g, Epsilon: 1e-8, Seed: 161, Workers: workers}, y0, g0, c0)
+		e, err := NewVectorEngine(Config{Graph: g, Epsilon: 1e-8, Seed: 161, Workers: workers}, 0, m.RowInto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +70,7 @@ func TestParallelVectorWithCounts(t *testing.T) {
 func BenchmarkVectorStepWorkers(b *testing.B) {
 	n := 600
 	g := graph.MustPA(n, 2, 170)
-	y0, g0, c0 := buildGCLRInputs(n, 171)
+	m := randomReports(n, 171, 1)
 	for _, workers := range []int{1, 4, -1} {
 		name := "workers=1"
 		switch workers {
@@ -84,7 +80,7 @@ func BenchmarkVectorStepWorkers(b *testing.B) {
 			name = "workers=max"
 		}
 		b.Run(name, func(b *testing.B) {
-			e, err := NewVectorEngine(Config{Graph: g, Epsilon: 1e-12, Seed: 172, Workers: workers}, y0, g0, c0)
+			e, err := NewVectorEngine(Config{Graph: g, Epsilon: 1e-12, Seed: 172, Workers: workers}, 0, m.RowInto)
 			if err != nil {
 				b.Fatal(err)
 			}

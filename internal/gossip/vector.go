@@ -1,7 +1,6 @@
 package gossip
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -31,10 +30,10 @@ import (
 // into reused per-destination lists, and rows move between the current and
 // next buffer by view swapping.
 //
-// Every subject column must carry weight at some node (the caller puts the
-// root's weight on every column); a column with none could never report a
-// ratio, so no node would converge, and NewVectorEngine refuses it with
-// ErrUnweightedSubject.
+// The start is fixed (see NewVectorEngine): every node holds its reported
+// trust row and the root holds the unit weight of every subject column, so
+// every column is weighted from step one and a node's ratios converge to the
+// column sums, its counts to the rater counts.
 //
 // The overlay is static: the engine has no churn hooks, and packet loss
 // (Config.LossProb, fixed at construction) is its only fault. Its one caller
@@ -87,41 +86,27 @@ type VectorResult struct {
 	Messages  Messages
 }
 
-// ErrUnweightedSubject is returned by NewVectorEngine when some subject
-// column carries no initial weight at any node.
-var ErrUnweightedSubject = errors.New("gossip: subject has no initial weight at any node")
-
-// NewVectorEngine builds a vector gossip run from initial masses. y0, g0 and
-// the rater counts c0 must be N×N (row i = node i's initial vector), and
-// every subject column of g0 must carry weight at some node.
-func NewVectorEngine(cfg Config, y0, g0, c0 [][]float64) (*VectorEngine, error) {
+// NewVectorEngine builds variant 4's start in place: node i holds its
+// reported trust row (y = t_ij and a rater count of 1 at every subject j it
+// rated, 0 elsewhere), and root holds weight 1 in every subject column. row
+// appends node i's rated subjects and their values to ids and vals — the
+// signature of trust.Matrix.RowInto.
+func NewVectorEngine(cfg Config, root int, row func(i int, ids []int, vals []float64) ([]int, []float64)) (*VectorEngine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	n := cfg.Graph.N()
-	if len(y0) != n || len(g0) != n || len(c0) != n {
-		return nil, fmt.Errorf("gossip: initial matrices have %d/%d/%d rows, want %d", len(y0), len(g0), len(c0), n)
-	}
-	y, err := deepCopy(y0, n)
-	if err != nil {
-		return nil, err
-	}
-	g, err := deepCopy(g0, n)
-	if err != nil {
-		return nil, err
-	}
-	count, err := deepCopy(c0, n)
-	if err != nil {
-		return nil, err
+	if root < 0 || root >= n {
+		return nil, fmt.Errorf("gossip: root %d out of range [0,%d)", root, n)
 	}
 	e := &VectorEngine{
 		cfg:        cfg,
 		n:          n,
 		ks:         cfg.fanouts(),
 		src:        rng.New(cfg.Seed),
-		y:          y,
-		g:          g,
-		count:      count,
+		y:          alloc(n),
+		g:          alloc(n),
+		count:      alloc(n),
 		prevR:      alloc(n),
 		selfConv:   make([]bool, n),
 		stopped:    make([]bool, n),
@@ -134,7 +119,8 @@ func NewVectorEngine(cfg Config, y0, g0, c0 [][]float64) (*VectorEngine, error) 
 		hasWeight:  make([]bool, n),
 		recomputed: make([]bool, n),
 	}
-	weighted := make([]bool, n)
+	var ids []int
+	var vals []float64
 	for i := 0; i < n; i++ {
 		// A node can receive at most one share from each neighbour, one
 		// self share, and k_i loss-returned shares per step, so
@@ -144,43 +130,25 @@ func NewVectorEngine(cfg Config, y0, g0, c0 [][]float64) (*VectorEngine, error) 
 		// Construction-time degree exchange: every node announces its
 		// degree to each neighbour before the first round.
 		e.msgs.Setup += cfg.Graph.Degree(i)
-		hw := true
-		for s := 0; s < n; s++ {
-			if g[i][s] < 0 {
-				return nil, fmt.Errorf("gossip: negative initial weight g0[%d][%d]", i, s)
-			}
-			if g[i][s] > 0 {
-				weighted[s] = true
-			} else {
-				hw = false
-			}
-			e.prevR[i][s] = ratioOr(y[i][s], g[i][s])
+		ids, vals = row(i, ids[:0], vals[:0])
+		for k, j := range ids {
+			e.y[i][j] = vals[k]
+			e.count[i][j] = 1
 		}
-		// Seed hasWeight so rows that stay untouched from step one
-		// (isolated nodes) report the same flag the full scan would
-		// compute.
-		e.hasWeight[i] = hw
-	}
-	for s, w := range weighted {
-		if !w {
-			return nil, fmt.Errorf("%w: subject %d", ErrUnweightedSubject, s)
+		// A row without weight reports the Sentinel ratio everywhere.
+		for j := range e.prevR[i] {
+			e.prevR[i][j] = Sentinel
 		}
 	}
+	// The root's ratios are y/1 = y exactly, and only its row starts
+	// weighted in every column (hasWeight, as the full scan would compute
+	// it for rows that stay untouched from step one).
+	for j := range e.g[root] {
+		e.g[root][j] = 1
+	}
+	copy(e.prevR[root], e.y[root])
+	e.hasWeight[root] = true
 	return e, nil
-}
-
-// deepCopy copies an N×N matrix into a single contiguous backing block and
-// returns its row views. Ragged input rows are reported as an error, matching
-// the validation style of the rest of the constructor.
-func deepCopy(m [][]float64, n int) ([][]float64, error) {
-	out := alloc(n)
-	for i := range out {
-		if len(m[i]) != n {
-			return nil, fmt.Errorf("gossip: row %d has length %d, want %d", i, len(m[i]), n)
-		}
-		copy(out[i], m[i])
-	}
-	return out, nil
 }
 
 // alloc returns an N×N zero matrix: one contiguous block, rows as views.
@@ -191,13 +159,6 @@ func alloc(n int) [][]float64 {
 		out[i] = buf[i*n : (i+1)*n : (i+1)*n]
 	}
 	return out
-}
-
-func ratioOr(y, g float64) float64 {
-	if g == 0 {
-		return Sentinel
-	}
-	return y / g
 }
 
 // ChargeSetup adds extra setup messages to the tally.

@@ -119,9 +119,8 @@ func newClusterTarget(cfg Config, g *graph.Graph, seed uint64, values *rng.Sourc
 				Seed:     seed,
 				Workers:  cfg.Workers,
 			},
-			Shards:    shards,
-			Replicate: true,
-			Origin:    t.names[i],
+			Shards: shards,
+			Origin: t.names[i],
 		})
 		if err != nil {
 			return nil, err

@@ -42,7 +42,7 @@ type StateTransfer struct {
 // BootstrapState assembles a state transfer for a peer whose per-origin
 // watermarks are reqMarks (keyed by origin id; nil or empty for a fresh
 // replica). Entries a requester already holds — at or below its own marks —
-// are not shipped. Requires Config.Replicate and a configured Origin.
+// are not shipped. Requires cluster mode (a configured Origin).
 //
 // Capture order is load-bearing: segments first, then watermarks, then the
 // entry lists. Entries accepted between captures classify against the
@@ -50,8 +50,8 @@ type StateTransfer struct {
 // marks captured before the lists can never claim coverage of an entry that
 // was not shipped.
 func (s *Service) BootstrapState(reqMarks map[string]uint64) (*StateTransfer, error) {
-	if !s.cfg.Replicate || s.cfg.Origin == "" {
-		return nil, fmt.Errorf("service: bootstrap requires replication mode with an origin id")
+	if s.cfg.Origin == "" {
+		return nil, fmt.Errorf("service: bootstrap requires cluster mode (an origin id)")
 	}
 	view := s.View()
 	out := &StateTransfer{Segments: view.segs, Marks: s.ledger.OriginMarks()}
@@ -96,8 +96,8 @@ func (s *Service) BootstrapState(reqMarks map[string]uint64) (*StateTransfer, er
 // A refusal at any check changes nothing: views, epoch count, ledger,
 // pending window, marks and data directory stay as they were.
 func (s *Service) InstallBootstrap(st *StateTransfer) error {
-	if !s.cfg.Replicate || s.cfg.Origin == "" {
-		return fmt.Errorf("service: bootstrap requires replication mode with an origin id")
+	if s.cfg.Origin == "" {
+		return fmt.Errorf("service: bootstrap requires cluster mode (an origin id)")
 	}
 	if st == nil || len(st.Segments) == 0 {
 		return fmt.Errorf("service: bootstrap transfer has no segments")

@@ -227,7 +227,7 @@ func TestServiceCompactsWhenDeadReachesLive(t *testing.T) {
 func TestCompactionTrimsReplicationHistory(t *testing.T) {
 	const n = 48
 	cfg := Config{Graph: testGraph(t, n, 7), Params: core.Params{Epsilon: 1e-6, Seed: 11},
-		Dir: t.TempDir(), Shards: 3, Replicate: true, Origin: "node-a"}
+		Dir: t.TempDir(), Shards: 3, Origin: "node-a"}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -294,11 +294,10 @@ func TestServiceBootstrapInstall(t *testing.T) {
 	g := testGraph(t, 30, 7)
 	mk := func(origin string) *Service {
 		s, err := New(Config{
-			Graph:     g,
-			Params:    core.Params{Epsilon: 1e-6, Seed: 11},
-			Shards:    3,
-			Replicate: true,
-			Origin:    origin,
+			Graph:  g,
+			Params: core.Params{Epsilon: 1e-6, Seed: 11},
+			Shards: 3,
+			Origin: origin,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -427,12 +426,11 @@ func TestBootstrapRependsLocallyPendingEntries(t *testing.T) {
 	g := testGraph(t, 30, 7)
 	cfg := func(origin, dir string) Config {
 		return Config{
-			Graph:     g,
-			Params:    core.Params{Epsilon: 1e-6, Seed: 11},
-			Shards:    3,
-			Replicate: true,
-			Origin:    origin,
-			Dir:       dir,
+			Graph:  g,
+			Params: core.Params{Epsilon: 1e-6, Seed: 11},
+			Shards: 3,
+			Origin: origin,
+			Dir:    dir,
 		}
 	}
 	a := newTestService(t, 30, cfg("node-a", ""))
@@ -506,7 +504,7 @@ func TestRefusedBootstrapChangesNothing(t *testing.T) {
 	g := testGraph(t, n, 7)
 	for _, persisted := range []bool{false, true} {
 		cfg := func(origin string) Config {
-			c := Config{Graph: g, Params: core.Params{Epsilon: 1e-6, Seed: 11}, Shards: 3, Replicate: true, Origin: origin}
+			c := Config{Graph: g, Params: core.Params{Epsilon: 1e-6, Seed: 11}, Shards: 3, Origin: origin}
 			if persisted && origin == "node-b" {
 				c.Dir = t.TempDir()
 			}
@@ -589,7 +587,7 @@ func TestBootstrapKeepsReceiverFoldedWrite(t *testing.T) {
 	g := testGraph(t, n, 7)
 	for _, persisted := range []bool{false, true} {
 		cfg := func(origin string) Config {
-			c := Config{Graph: g, Params: core.Params{Epsilon: 1e-6, Seed: 11}, Shards: 2, Replicate: true, Origin: origin}
+			c := Config{Graph: g, Params: core.Params{Epsilon: 1e-6, Seed: 11}, Shards: 2, Origin: origin}
 			if persisted && origin == "node-b" {
 				c.Dir = t.TempDir()
 			}

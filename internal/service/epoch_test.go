@@ -97,15 +97,15 @@ func TestTraceMetricsAgree(t *testing.T) {
 // split callers that predate the one seed rule still read.
 func TestWarmStartDisabled(t *testing.T) {
 	const n = 30
-	for _, replicate := range []bool{false, true} {
-		s := newTestService(t, n, Config{Shards: 3, Replicate: replicate})
+	for _, origin := range []string{"", "node-a"} {
+		s := newTestService(t, n, Config{Shards: 3, Origin: origin})
 		for e := 0; e < 3; e++ {
 			submitBatch(t, s, n, 60, uint64(40+e))
 			mustEpoch(t, s)
 		}
 		if s.WarmStarts() != 0 || s.ColdStarts() != s.FoldedSubjects() || s.FoldedSubjects() == 0 {
-			t.Fatalf("replicate=%v: warm %d / cold %d, want 0 / the %d folded subjects",
-				replicate, s.WarmStarts(), s.ColdStarts(), s.FoldedSubjects())
+			t.Fatalf("origin %q: warm %d / cold %d, want 0 / the %d folded subjects",
+				origin, s.WarmStarts(), s.ColdStarts(), s.FoldedSubjects())
 		}
 	}
 }

@@ -109,7 +109,7 @@ func FuzzServiceHistory(f *testing.F) {
 		cfg := Config{Graph: g, Params: core.Params{Epsilon: 1e-4, Seed: 11}, Dir: t.TempDir(), Shards: 1 + p.next()%5}
 		nodes := 0
 		if replicate {
-			cfg.Replicate, cfg.Origin = true, "node-0"
+			cfg.Origin = "node-0"
 		}
 		s, err := New(cfg)
 		if err != nil {
@@ -333,8 +333,12 @@ func bootstrapInto(p *histProgram, sender, recv *Service, lagging bool) (uint64,
 // them; a replicating one applies them under their origin tags.
 func historyOracle(t *testing.T, cfg Config, accepted []histEntry) *Service {
 	t.Helper()
-	o := newTestService(t, cfg.Graph.N(), Config{Graph: cfg.Graph, Params: cfg.Params, Replicate: cfg.Replicate, Origin: "oracle"})
-	if cfg.Replicate {
+	oc := Config{Graph: cfg.Graph, Params: cfg.Params}
+	if cfg.Origin != "" {
+		oc.Origin = "oracle"
+	}
+	o := newTestService(t, cfg.Graph.N(), oc)
+	if oc.Origin != "" {
 		batch := make([]store.Feedback, len(accepted))
 		for k, e := range accepted {
 			batch[k] = store.Feedback{Rater: e.rater, Subject: e.subject, Value: e.value, UnixNano: e.stamp.ts, Origin: e.stamp.origin, OriginSeq: e.stamp.seq}

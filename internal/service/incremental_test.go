@@ -58,7 +58,7 @@ func TestIncrementalReplicatedFoldMatchesFromBoot(t *testing.T) {
 				FoldWorkers: fw,
 			}
 			if replicate {
-				cfg.Replicate, cfg.Origin = true, "node"
+				cfg.Origin = "node"
 			}
 			return newTestService(t, n, cfg)
 		}
@@ -180,7 +180,7 @@ func TestCarryRuleEdges(t *testing.T) {
 
 	t.Run("bootstrap", func(t *testing.T) {
 		mk := func(origin string) *Service {
-			return newTestService(t, n, Config{Shards: shards, Replicate: true, Origin: origin})
+			return newTestService(t, n, Config{Shards: shards, Origin: origin})
 		}
 		a, b := mk("node-a"), mk("node-b")
 		rateAll(t, a, n, raters)

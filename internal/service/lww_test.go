@@ -15,9 +15,8 @@ func lwwPair(t *testing.T, n int) (*Service, *Service) {
 	t.Helper()
 	mk := func(origin string) *Service {
 		return newTestService(t, n, Config{
-			Graph:     testGraph(t, n, 7),
-			Replicate: true,
-			Origin:    origin,
+			Graph:  testGraph(t, n, 7),
+			Origin: origin,
 		})
 	}
 	return mk("node-a"), mk("node-b")
@@ -107,9 +106,8 @@ func TestLWWTimestampTieBreaksOnOrigin(t *testing.T) {
 	// "node-b" > "node-a" in the total order, so 0.9 must be the winner on
 	// both: compare against a third service that only ever saw the winner.
 	c := newTestService(t, 16, Config{
-		Graph:     testGraph(t, 16, 7),
-		Replicate: true,
-		Origin:    "node-c",
+		Graph:  testGraph(t, 16, 7),
+		Origin: "node-c",
 	})
 	if _, err := c.ApplyReplicated([]store.Feedback{{Origin: "node-b", OriginSeq: seqB, Rater: 3, Subject: 5, Value: 0.9, UnixNano: 500}}); err != nil {
 		t.Fatal(err)
@@ -127,10 +125,9 @@ func TestLWWTagsSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
 	mk := func() *Service {
 		s, err := New(Config{
-			Graph:     testGraph(t, 16, 7),
-			Dir:       filepath.Join(dir, "data"),
-			Replicate: true,
-			Origin:    "node-a",
+			Graph:  testGraph(t, 16, 7),
+			Dir:    filepath.Join(dir, "data"),
+			Origin: "node-a",
 		})
 		if err != nil {
 			t.Fatal(err)

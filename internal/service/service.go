@@ -104,23 +104,21 @@ type Config struct {
 	// across its subjects via Params.Workers); negative selects GOMAXPROCS.
 	// Results are bit-identical for any value.
 	FoldWorkers int
-	// Replicate switches the service into cluster mode: accepted entries are
-	// retained per origin and replicated entries apply idempotently, so an
-	// internal/cluster node can run anti-entropy over this service. The
-	// retained history is the WAL held in memory: compaction trims both, and
-	// without Dir (nothing to compact) every entry is kept. It does
-	// not change the folds: because campaigns depend only on (Params.Seed,
+	// Origin is this node's cluster identity, and setting it switches the
+	// service into cluster mode: accepted entries are retained per origin and
+	// replicated entries apply idempotently, so an internal/cluster node can
+	// run anti-entropy over this service. It is the ledger's origin id, under
+	// which locally accepted entries replicate and which their
+	// last-writer-wins stamps carry (replicated entries carry their own
+	// origin). It must equal the cluster transport address, so the stamp a
+	// peer folds for a replicated copy matches the stamp this node folds for
+	// the original — internal/cluster.New enforces the match. The retained
+	// history is the WAL held in memory: compaction trims both, and without
+	// Dir (nothing to compact) every entry is kept. Cluster mode does not
+	// change the folds: because campaigns depend only on (Params.Seed,
 	// subject id) and the trust column, any node that has folded the same
 	// trust state serves bit-identical reputations, regardless of how many
-	// epochs it took to get there. The standalone service leaves it off.
-	Replicate bool
-	// Origin is this node's cluster identity, read only with Replicate: the
-	// ledger's origin id, under which locally accepted entries replicate and
-	// which their last-writer-wins stamps carry (replicated entries carry
-	// their own origin). It must equal the cluster transport address, so the
-	// stamp a peer folds for a replicated copy matches the stamp this node
-	// folds for the original — internal/cluster.New enforces the match.
-	// Standalone services leave it empty.
+	// epochs it took to get there. Standalone services leave it empty.
 	Origin string
 }
 
@@ -385,7 +383,7 @@ func (s *Service) boot(segs []*store.ShardSnapshot, replayed []store.Feedback) e
 	if err := s.ledger.SetShards(s.shards); err != nil {
 		return err
 	}
-	if s.cfg.Replicate {
+	if s.cfg.Origin != "" {
 		if err := s.ledger.EnableReplication(s.cfg.Origin, replayed); err != nil {
 			return err
 		}
@@ -600,8 +598,9 @@ func (s *Service) SetReplicator(r Replicator) {
 // ApplyReplicated applies a batch of feedback entries pulled from peers'
 // ledger streams, each carrying its origin tags, all or nothing: an entry at
 // or below its origin's watermark is a duplicate and skipped, and applied
-// counts the rest. Requires Config.Replicate. Applied entries take effect
-// like local submissions — when their subjects' shards next fold.
+// counts the rest. Requires cluster mode (Config.Origin). Applied entries
+// take effect like local submissions — when their subjects' shards next
+// fold.
 func (s *Service) ApplyReplicated(entries []store.Feedback) (applied int, err error) {
 	fresh, err := s.ledger.AppendReplicated(nil, entries)
 	return len(fresh), err
@@ -609,8 +608,9 @@ func (s *Service) ApplyReplicated(entries []store.Feedback) (applied int, err er
 
 // ReplicationMarks returns a copy of the per-origin watermarks (highest
 // origin sequence number held), keyed by origin id — this node's own stream
-// under Origin(). Nil unless Config.Replicate. For a single origin's
-// watermark use ReplicationMark — it is O(1) and allocation-free.
+// under Origin(). Nil outside cluster mode (empty Config.Origin). For a
+// single origin's watermark use ReplicationMark — it is O(1) and
+// allocation-free.
 func (s *Service) ReplicationMarks() map[string]uint64 { return s.ledger.OriginMarks() }
 
 // ReplicationMark returns one origin stream's watermark without copying the
@@ -621,7 +621,7 @@ func (s *Service) ReplicationMark(origin string) uint64 { return s.ledger.Origin
 
 // ReplicationEntriesSince returns up to limit retained entries of one origin
 // stream past the given watermark, origin-stamped, for answering an
-// anti-entropy pull. Nil unless Config.Replicate.
+// anti-entropy pull. Nil outside cluster mode (empty Config.Origin).
 func (s *Service) ReplicationEntriesSince(origin string, after uint64, limit int) []store.Feedback {
 	return s.ledger.EntriesSince(origin, after, limit)
 }
@@ -944,7 +944,7 @@ func (s *Service) walDebt() (dead, live int) {
 // those the segments' cells name and each origin stream's highest (so
 // replication watermarks replay unchanged), plus the whole unfolded tail.
 // Sequence numbers are preserved, so a compacted file replays with gaps and
-// a min seq > 1, which boot accepts. With Config.Replicate the retained
+// a min seq > 1, which boot accepts. In cluster mode the retained
 // replication history becomes the kept entries too. RunEpoch calls it once
 // the WAL's dead entries reach its live ones (walDebt); operators may call
 // it directly. Requires persistence (Config.Dir).

@@ -421,7 +421,7 @@ func TestReshardRependsPerOldShard(t *testing.T) {
 func TestReshardKeepsFoldedShardFoldPoint(t *testing.T) {
 	const n = 40
 	cfg := Config{Graph: testGraph(t, n, 7), Params: core.Params{Epsilon: 1e-6, Seed: 11},
-		Dir: t.TempDir(), Shards: 2, Replicate: true, Origin: "node-a"}
+		Dir: t.TempDir(), Shards: 2, Origin: "node-a"}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -91,7 +91,7 @@ func olderSegment(t *testing.T, seg *store.ShardSnapshot) []byte {
 func TestUnstampedDirRestampsOnFirstEpoch(t *testing.T) {
 	const n, shards = 16, 3
 	dir := filepath.Join(t.TempDir(), "data")
-	cfg := Config{Graph: testGraph(t, n, 7), Dir: dir, Shards: shards, Replicate: true, Origin: "node-a"}
+	cfg := Config{Graph: testGraph(t, n, 7), Dir: dir, Shards: shards, Origin: "node-a"}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestUnstampedDirRestampsOnFirstEpoch(t *testing.T) {
 func TestBootstrapRefusesUnstampedTransfer(t *testing.T) {
 	const n = 30
 	g := testGraph(t, n, 7)
-	a := newTestService(t, n, Config{Graph: g, Shards: 3, Replicate: true, Origin: "node-a"})
+	a := newTestService(t, n, Config{Graph: g, Shards: 3, Origin: "node-a"})
 	submitChurn(t, a, 60)
 	mustEpoch(t, a)
 	st, err := a.BootstrapState(nil)
@@ -191,7 +191,7 @@ func TestBootstrapRefusesUnstampedTransfer(t *testing.T) {
 		}
 	}
 
-	b := newTestService(t, n, Config{Graph: g, Shards: 3, Replicate: true, Origin: "node-b"})
+	b := newTestService(t, n, Config{Graph: g, Shards: 3, Origin: "node-b"})
 	if _, err := b.Submit(1, 2, 0.5); err != nil {
 		t.Fatal(err)
 	}

@@ -65,8 +65,8 @@ type Message struct {
 type StatePayload struct {
 	// N is the network size the segments cover; Shards is their layout.
 	N, Shards int
-	// Segments holds one encoded shard snapshot per shard (the gob framing
-	// store.ShardSnapshot.Save writes), indexed by shard.
+	// Segments holds one encoded shard snapshot per shard (the flat DGSG
+	// record store.ShardSnapshot.Save writes), indexed by shard.
 	Segments [][]byte
 	// Folded are retained entries already reflected in Segments; Tail are
 	// entries past the segments' fold points. Both in per-origin ascending

@@ -27,14 +27,25 @@ func randomMatrix(t testing.TB, n int, density float64, seed uint64) *Matrix {
 	return m
 }
 
+// ratersOf reads column j cell by cell through Get: the reference for the
+// row sweep of RatersOfInto.
+func ratersOf(m *Matrix, j int) (ids []int, vals []float64) {
+	for i := 0; i < m.N(); i++ {
+		if v, ok := m.Get(i, j); ok {
+			ids, vals = append(ids, i), append(vals, v)
+		}
+	}
+	return ids, vals
+}
+
 // TestRatersOfIntoMatchesRatersOf: the append-style form returns exactly
-// what RatersOf does, already sorted, reusing the caller's buffers.
+// the column ratersOf reads, already sorted, reusing the caller's buffers.
 func TestRatersOfIntoMatchesRatersOf(t *testing.T) {
 	m := randomMatrix(t, 50, 0.3, 7)
 	ids := make([]int, 0, 64)
 	vals := make([]float64, 0, 64)
 	for j := 0; j < 50; j++ {
-		wantIds, wantVals := m.RatersOf(j)
+		wantIds, wantVals := ratersOf(m, j)
 		ids, vals = m.RatersOfInto(j, ids[:0], vals[:0])
 		if len(ids) != len(wantIds) {
 			t.Fatalf("subject %d: %d raters, want %d", j, len(ids), len(wantIds))
@@ -561,17 +572,7 @@ func BenchmarkColumnsWith(b *testing.B) {
 	}
 }
 
-// BenchmarkRatersOf vs BenchmarkRatersOfInto: the satellite's alloc+sort
-// churn comparison — Into reuses buffers and skips the redundant sort.
-func BenchmarkRatersOf(b *testing.B) {
-	m := randomMatrix(b, 1000, 0.1, 3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.RatersOf(i % 1000)
-	}
-}
-
+// BenchmarkRatersOfInto times one column's row sweep into reused buffers.
 func BenchmarkRatersOfInto(b *testing.B) {
 	m := randomMatrix(b, 1000, 0.1, 3)
 	ids := make([]int, 0, 256)

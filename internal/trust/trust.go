@@ -29,9 +29,9 @@ import (
 //
 // # Concurrency
 //
-// Matrix is NOT goroutine-safe: no method may run concurrently with Set or
-// Delete on the same matrix, and there is no internal locking. The two
-// supported sharing patterns are
+// Matrix is NOT goroutine-safe: no method may run concurrently with Set on
+// the same matrix, and there is no internal locking. The two supported
+// sharing patterns are
 //
 //   - single owner: the simulator engines and the service's epoch path own
 //     one matrix each and mutate it from one goroutine at a time;
@@ -113,32 +113,12 @@ func (m *Matrix) Value(i, j int) float64 {
 	return v
 }
 
-// Has reports whether i has direct-interaction trust for j.
-func (m *Matrix) Has(i, j int) bool {
-	_, ok := m.Get(i, j)
-	return ok
-}
-
-// Delete removes the (i,j) entry; used when a peer's feedback is dropped
-// after prolonged absence (paper §4.1.2).
-func (m *Matrix) Delete(i, j int) {
-	if k, ok := search(m.rows[i], j); ok {
-		m.rows[i] = slices.Delete(m.rows[i], k, k+1)
-	}
-}
-
-// RatersOf returns the sorted list of nodes holding direct trust about j and
-// their values. This is the set that starts a gossip round with weight 1 in
-// Algorithm 1.
-func (m *Matrix) RatersOf(j int) ([]int, []float64) {
-	return m.RatersOfInto(j, nil, nil)
-}
-
 // RatersOfInto appends j's raters and their values to ids and vals and
 // returns the extended slices, in ascending rater order (the row sweep
-// yields sorted output by construction, so no sort pass runs). This is the
-// allocation-free form of RatersOf for the shard fold path, which gathers
-// thousands of columns per epoch into reused buffers.
+// yields sorted output by construction, so no sort pass runs). The raters
+// are the set that starts a gossip round with weight 1 in Algorithm 1; the
+// shard fold path gathers thousands of columns per epoch into reused
+// buffers.
 func (m *Matrix) RatersOfInto(j int, ids []int, vals []float64) ([]int, []float64) {
 	for i, row := range m.rows {
 		if k, ok := search(row, j); ok {

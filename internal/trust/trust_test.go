@@ -44,30 +44,20 @@ func TestMatrixPanicsOutOfRange(t *testing.T) {
 	_ = NewMatrix(2).Set(0, 5, 0.5)
 }
 
-func TestMatrixDelete(t *testing.T) {
-	m := NewMatrix(3)
-	_ = m.Set(0, 1, 0.4)
-	m.Delete(0, 1)
-	if m.Has(0, 1) {
-		t.Fatal("entry survived Delete")
-	}
-	m.Delete(2, 0) // deleting absent entry is a no-op
-}
-
 func TestRatersOf(t *testing.T) {
 	m := NewMatrix(6)
 	_ = m.Set(4, 2, 0.9)
 	_ = m.Set(1, 2, 0.3)
 	_ = m.Set(1, 3, 0.5)
-	ids, vals := m.RatersOf(2)
+	ids, vals := m.RatersOfInto(2, nil, nil)
 	if len(ids) != 2 || ids[0] != 1 || ids[1] != 4 {
-		t.Fatalf("RatersOf(2) ids = %v", ids)
+		t.Fatalf("RatersOfInto(2) ids = %v", ids)
 	}
 	if vals[0] != 0.3 || vals[1] != 0.9 {
-		t.Fatalf("RatersOf(2) vals = %v", vals)
+		t.Fatalf("RatersOfInto(2) vals = %v", vals)
 	}
-	if ids, _ := m.RatersOf(0); ids != nil {
-		t.Fatalf("RatersOf(0) = %v, want none", ids)
+	if ids, _ := m.RatersOfInto(0, nil, nil); ids != nil {
+		t.Fatalf("RatersOfInto(0) = %v, want none", ids)
 	}
 }
 
@@ -101,8 +91,8 @@ func TestCloneIndependent(t *testing.T) {
 }
 
 // TestCloneFrozenUnderOriginalMutation pins the snapshot-path half of the
-// concurrency contract: after Clone, mutations of the ORIGINAL — updates,
-// new rows, deletes — must be invisible to the clone.
+// concurrency contract: after Clone, mutations of the ORIGINAL — updates and
+// new rows — must be invisible to the clone.
 func TestCloneFrozenUnderOriginalMutation(t *testing.T) {
 	m := NewMatrix(4)
 	_ = m.Set(0, 1, 0.5)
@@ -110,11 +100,11 @@ func TestCloneFrozenUnderOriginalMutation(t *testing.T) {
 	c := m.Clone()
 	_ = m.Set(0, 1, 0.9) // update an entry the clone holds
 	_ = m.Set(3, 1, 0.7) // populate a row that was nil at clone time
-	m.Delete(2, 1)       // drop an entry the clone holds
+	_ = m.Set(2, 0, 0.1) // insert before an entry the clone holds
 	if c.Value(0, 1) != 0.5 || c.Value(2, 1) != 0.3 {
 		t.Fatal("clone saw mutations of the original")
 	}
-	if c.Has(3, 1) {
+	if _, ok := c.Get(3, 1); ok {
 		t.Fatal("clone saw a row created after cloning")
 	}
 	if c.NumEntries() != 2 {
@@ -170,7 +160,7 @@ func TestCloneConcurrentReaders(t *testing.T) {
 				frozen.ColumnRaterMean(j)
 				frozen.InteractedWith(i)
 				frozen.RowInto(i, nil, nil)
-				frozen.RatersOf(j)
+				frozen.RatersOfInto(j, nil, nil)
 			}
 		}()
 	}

@@ -40,7 +40,7 @@ func TestGenerateWorkloadShape(t *testing.T) {
 	}
 	// No self trust.
 	for i := 0; i < 100; i++ {
-		if w.Matrix.Has(i, i) {
+		if _, ok := w.Matrix.Get(i, i); ok {
 			t.Fatalf("self trust at %d", i)
 		}
 	}
@@ -81,12 +81,12 @@ func TestGenerateWorkloadNeighborDensity(t *testing.T) {
 			}
 			if adj(i, j) {
 				nbrPairs++
-				if w.Matrix.Has(i, j) {
+				if _, ok := w.Matrix.Get(i, j); ok {
 					nbrHits++
 				}
 			} else {
 				farPairs++
-				if w.Matrix.Has(i, j) {
+				if _, ok := w.Matrix.Get(i, j); ok {
 					farHits++
 				}
 			}

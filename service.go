@@ -34,10 +34,10 @@ type Service = service.Service
 // segments are saved with atomic renames, and a directory in any other
 // format is refused untouched); Shards the subject-shard count S (subject j
 // belongs to shard j mod S); FoldWorkers how many dirty shards fold
-// concurrently. Replicate and Origin switch on cluster mode for
+// concurrently. A non-empty Origin switches on cluster mode for
 // internal/cluster: per-origin history and idempotent replicated entries.
 // Every service runs each campaign cold from (Params.Seed, subject id), so
-// replicas that folded the same state serve bit-identical values. Those eight
+// replicas that folded the same state serve bit-identical values. Those seven
 // fields are the whole configuration — the trace ring's depth is a constant,
 // and with Dir set an epoch compacts the WAL once its dead entries reach its
 // live ones.
